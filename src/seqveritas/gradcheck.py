@@ -2,9 +2,10 @@
 loss for each preset at miniature scale (V=50, d=8, H=8, maxlen=6,
 batch=4).
 
-Dropout is frozen across finite-difference evaluations by recording the
-mask draws on the first forward pass and replaying them afterwards, so
-the loss is a deterministic function of the parameters.
+Dropout is frozen across finite-difference evaluations by giving every
+evaluation a fresh `Prng` with the same seed: a mask is a pure function
+of (seed, shape), so the loss is a deterministic function of the
+parameters.
 """
 
 from __future__ import annotations
@@ -22,33 +23,6 @@ from .objective import bce, reg_penalty
 TOLERANCE = 1e-4
 
 MINI = dict(vocab_tokens=48, embed_dim=8, lstm_units=8, maxlen=6, batch=4)
-
-
-class RecordingRng:
-    """Wraps a Prng and remembers every uniform draw for later replay."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.tape = []
-
-    def uniform(self, low, high, shape):
-        draw = self._rng.uniform(low, high, shape)
-        self.tape.append(draw)
-        return draw
-
-
-class ReplayRng:
-    """Replays a recorded tape of uniform draws in order."""
-
-    def __init__(self, tape):
-        self._tape = tape
-        self._pos = 0
-
-    def uniform(self, low, high, shape):
-        draw = self._tape[self._pos]
-        self._pos += 1
-        assert draw.shape == tuple(shape)
-        return draw
 
 
 def _rand(rng, shape, scale=1.0):
@@ -129,12 +103,11 @@ def check_dropout(seed, results):
     rng = Prng(seed)
     x = _rand(rng, (4, 6))
     coeff = _rand(rng, (4, 6))
-    rec = RecordingRng(Prng(seed + 1))
-    y, cache = dropout_forward(x, 0.3, "train", rec)
+    y, cache = dropout_forward(x, 0.3, "train", Prng(seed + 1))
     grad_x = dropout_backward(coeff, cache)
 
     def loss_fn(inp):
-        yy, _ = dropout_forward(inp, 0.3, "train", ReplayRng(rec.tape))
+        yy, _ = dropout_forward(inp, 0.3, "train", Prng(seed + 1))
         return float(np.sum(coeff * yy))
 
     _check("dropout.x", grad_x, finite_diff_grad(loss_fn, x), results)
@@ -182,12 +155,11 @@ def check_end_to_end(preset, seed, results):
     indices[0, :2] = 0  # exercise the PAD path
     labels = np.array([rng.randbelow(2) for _ in range(batch)], dtype=np.float64)
 
-    rec = RecordingRng(Prng(seed + 200))
-    probs, caches = model.forward(indices, mode="train", rng=rec)
+    probs, caches = model.forward(indices, mode="train", rng=Prng(seed + 200))
 
     def total_loss():
         rep_probs, _ = model.forward(indices, mode="train",
-                                     rng=ReplayRng(rec.tape))
+                                     rng=Prng(seed + 200))
         return bce(rep_probs, labels) + reg_penalty(model.params,
                                                     accumulate_grads=False)
 

@@ -249,9 +249,10 @@ class Model:
 
     def backward(self, caches, probs, labels):
         """Backprop from the fused sigmoid+BCE output gradient through the
-        whole stack; accumulates into param grads."""
-        dz_out = bce_grad_fused(probs, labels)[:, None]
-        grad = dz_out
+        whole stack; accumulates into param grads. The loss gradient is
+        cast to the model dtype so a float32 model backpropagates in
+        float32."""
+        grad = bce_grad_fused(probs, labels).astype(probs.dtype)[:, None]
         n_hidden = len(self.dense) - 1
         for i in range(len(self.dense) - 1, -1, -1):
             layer = self.dense[i]

@@ -3,11 +3,17 @@ Glorot initialization, and the finite-difference gradient oracle.
 
 Matrices are plain numpy arrays (row-major, float64 by default; float32 is
 allowed for full-corpus training). Randomness always flows through `Prng`,
-a fixed xoshiro256** generator, so every number in the pipeline is
-reproducible bit-for-bit from a 64-bit seed regardless of platform.
+so every number in the pipeline is reproducible bit-for-bit from a 64-bit
+seed regardless of platform. `Prng` has two streams: a scalar
+xoshiro256** stream for shuffles, permutations and `randbelow`, and, for
+bulk draws (dropout masks, Glorot weights), a splitmix64 hash over a
+counter, keyed by one draw from the scalar stream and evaluated in numpy
+`uint64` all at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,17 +22,8 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class NonFiniteError(FloatingPointError):
-    pass
-
-
 class NonDeterministicLoss(RuntimeError):
     pass
-
-
-def assert_finite(a, name="array"):
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains NaN or Inf")
 
 
 def matmul(a, b):
@@ -41,14 +38,9 @@ def matmul(a, b):
 # --- activations ----------------------------------------------------------
 
 def sigmoid(x):
-    # Branch form: never exponentiates a large positive argument.
+    # tanh form: exact identity, no exponential, so it cannot overflow.
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def dsigmoid(y):
@@ -87,12 +79,27 @@ def _splitmix64_next(state):
     return state, z ^ (z >> 31)
 
 
+# The same splitmix64 constants as numpy scalars, so that array arithmetic
+# wraps modulo 2**64 instead of promoting or raising.
+_GOLDEN_U64 = np.uint64(0x9E3779B97F4A7C15)
+_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2_U64 = np.uint64(0x94D049BB133111EB)
+_SHIFTS_U64 = tuple(np.uint64(k) for k in (30, 27, 31, 11))
+
+
 def _rotl(x, k):
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 class Prng:
     """xoshiro256** seeded via splitmix64 from a single 64-bit seed.
+
+    `next_u64`, `next_f64`, `randbelow`, `shuffle` and `permutation` walk
+    the scalar xoshiro256** stream. `uniform` is the bulk path: it takes
+    one `next_u64` as a key and hashes a counter with splitmix64, so its
+    result is a pure function of (key, shape) and costs one scalar draw
+    whatever its size (counter-based generation in the style of Salmon et
+    al., SC'11, and Steele, Lea & Flood, OOPSLA'14).
 
     The algorithm (not the platform) defines the stream, so identical seeds
     give identical draws everywhere.
@@ -123,8 +130,20 @@ class Prng:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def uniform(self, low, high, shape):
-        n = int(np.prod(shape))
-        vals = np.array([self.next_f64() for _ in range(n)], dtype=np.float64)
+        """Uniform doubles in [low, high). Element i (1-based, row-major)
+        is output i of splitmix64 started from the key `next_u64()`,
+        mapped to [0, 1) as in `next_f64`."""
+        key = np.uint64(self.next_u64())
+        r30, r27, r31, r11 = _SHIFTS_U64
+        z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+        z *= _GOLDEN_U64
+        z += key
+        z ^= z >> r30
+        z *= _MIX1_U64
+        z ^= z >> r27
+        z *= _MIX2_U64
+        z ^= z >> r31
+        vals = (z >> r11).astype(np.float64) * (2.0 ** -53)
         return (low + (high - low) * vals).reshape(shape)
 
     def randbelow(self, n):

@@ -79,6 +79,24 @@ def test_pad_embedding_row_zero():
     assert np.array_equal(model.emb.value[0], np.zeros(100))
 
 
+def test_float32_backward_stays_float32(monkeypatch):
+    model = build("optimized", _vocab(20), maxlen=6, embed_dim=4,
+                  lstm_units=3, dtype="float32")
+    seen = []
+    real_backward = model_zoo.lstm_backward
+
+    def spy(grad_ht, *args):
+        seen.append(grad_ht.dtype)
+        return real_backward(grad_ht, *args)
+
+    monkeypatch.setattr(model_zoo, "lstm_backward", spy)
+    indices = np.array([[0, 2, 5, 7, 3, 1], [4, 4, 9, 2, 8, 6]])
+    probs, caches = model.forward(indices, mode="train", rng=Prng(2))
+    model.backward(caches, probs, np.array([1.0, 0.0]))
+    assert seen == [np.float32]
+    assert all(p.grad.dtype == np.float32 for p in model.params)
+
+
 def test_config_round_trip_dict():
     cfg = preset_config("optimized", vocab_size=52, maxlen=6, seed=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqveritas.layers import dropout_forward
 from seqveritas.numerics import (NonDeterministicLoss, Prng, ShapeMismatch,
                                  drelu, dsigmoid, dtanh, finite_diff_grad,
                                  init_glorot, matmul, max_relative_error,
@@ -122,6 +123,40 @@ def test_prng_reproducible_and_unit_interval():
     vb = [b.next_f64() for _ in range(100)]
     assert va == vb
     assert all(0.0 <= v < 1.0 for v in va)
+
+
+def test_uniform_matches_scalar_splitmix64_counter_reference():
+    for seed in (0, 12345, 2**63 + 17):
+        key = Prng(seed).next_u64()
+        state, ref = key, []
+        for _ in range(15):
+            state, out = _ref_splitmix64(state)
+            ref.append((out >> 11) * (2.0 ** -53))
+        got = Prng(seed).uniform(0.0, 1.0, (3, 5))
+        assert got.shape == (3, 5)
+        assert got.reshape(-1).tolist() == ref
+
+
+def test_uniform_advances_scalar_stream_by_one_draw_whatever_the_shape():
+    for shape in ((1,), (3, 5), (0, 4), (2, 3, 4)):
+        rng = Prng(21)
+        rng.uniform(-1.0, 1.0, shape)
+        assert rng.next_u64() == _ref_xoshiro_stream(21, 2)[1]
+
+
+def test_uniform_empty_shape():
+    out = Prng(4).uniform(0.0, 1.0, (0, 7))
+    assert out.shape == (0, 7)
+    assert out.dtype == np.float64
+
+
+def test_dropout_masks_are_a_function_of_the_seed():
+    x = np.ones((8, 16))
+    a, b = Prng(31), Prng(31)
+    first_a, first_b = (dropout_forward(x, 0.3, "train", r)[0] for r in (a, b))
+    second_a = dropout_forward(x, 0.3, "train", a)[0]
+    assert np.array_equal(first_a, first_b)
+    assert not np.array_equal(first_a, second_a)
 
 
 def test_shuffle_is_permutation():
