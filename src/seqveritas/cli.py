@@ -16,7 +16,8 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import ingest, model_zoo, textprep
-from .optim import NonFiniteGradient, TrainConfig, fit, predict_in_batches
+from .layers import IndexOutOfVocab
+from .optim import TrainConfig, fit, predict_in_batches
 from .objective import evaluate
 
 EXIT_OK = 0
@@ -31,8 +32,21 @@ def _default_seed():
     return int(os.environ.get("SEQVERITAS_SEED", "0"))
 
 
+def _fraction(text):
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1)")
+    return value
+
+
 def _emit(doc):
-    print(json.dumps(doc))
+    """Print one JSON line and flush it; a NaN or infinity in `doc` would
+    make invalid JSON, so it is a numerical failure instead."""
+    try:
+        line = json.dumps(doc, allow_nan=False)
+    except ValueError as e:
+        raise FloatingPointError(f"non-finite value in output: {e}") from None
+    print(line, flush=True)
 
 
 def _fail(msg, code=EXIT_USAGE):
@@ -134,7 +148,7 @@ def cmd_predict(args):
     if args.text is not None:
         texts = [args.text]
     else:
-        texts = [line.rstrip("\n") for line in sys.stdin]
+        texts = (line.rstrip("\n") for line in sys.stdin)
     for text in texts:
         prob, label = model.predict(text)
         _emit({"probability": prob, "label": label})
@@ -175,7 +189,7 @@ def build_parser():
     p.add_argument("--vocab-size", type=int,
                    default=textprep.DEFAULT_MAX_VOCAB)
     p.add_argument("--min-freq", type=int, default=textprep.DEFAULT_MIN_FREQ)
-    p.add_argument("--train-frac", type=float, default=DEFAULT_TRAIN_FRAC)
+    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a preset on a prepared cache")
@@ -185,7 +199,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--patience", type=int, default=2)
-    p.add_argument("--train-frac", type=float, default=DEFAULT_TRAIN_FRAC)
+    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.add_argument("--dtype", choices=("float64", "float32"),
                    default="float64")
     p.add_argument("--out-checkpoint", required=True)
@@ -197,7 +211,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
-    p.add_argument("--train-frac", type=float, default=DEFAULT_TRAIN_FRAC)
+    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify raw text")
@@ -222,12 +236,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteGradient as e:
+    except FloatingPointError as e:  # NonFiniteGradient or non-finite output
         return _fail(str(e), EXIT_NUMERICAL)
-    except (ingest.MissingColumn, ingest.MalformedRow, ingest.EmptySplit,
-            ingest.BadK, model_zoo.BadMagic, model_zoo.VersionMismatch,
-            model_zoo.ShapeMismatchOnLoad, model_zoo.VocabMissing,
-            textprep.CacheFormatError, FileNotFoundError, ValueError) as e:
+    except (FileNotFoundError, ValueError, IndexOutOfVocab) as e:
         return _fail(str(e), EXIT_USAGE)
 
 

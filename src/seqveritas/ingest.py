@@ -1,5 +1,7 @@
-"""Corpus ingestion: read the two CSV files, attach labels, merge,
-shuffle, and split deterministically.
+"""Corpus ingestion: read the two CSV files, attach labels, merge, and
+shuffle deterministically. Splitting is done later on the encoded cache,
+by `cli._load_split` (which raises `EmptySplit`) and
+`optim.cross_validate`.
 
 Label convention: fake = 1 (the positive class is the thing being
 detected), true = 0. The date column is carried through but never parsed.
@@ -24,10 +26,6 @@ class MalformedRow(ValueError):
 
 
 class EmptySplit(ValueError):
-    pass
-
-
-class BadK(ValueError):
     pass
 
 
@@ -101,36 +99,3 @@ def merge_shuffle(fake, true_, seed):
     records = list(fake.records) + list(true_.records)
     Prng(seed).shuffle(records)
     return Dataset(records)
-
-
-def split(ds, train_fraction, seed):
-    """Deterministic (shuffled) split into train/validation."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = len(ds)
-    n_train = int(train_fraction * n)
-    if n_train == 0 or n_train == n:
-        raise EmptySplit(f"split of {n} records at {train_fraction} leaves an empty side")
-    records = list(ds.records)
-    Prng(seed).shuffle(records)
-    return Dataset(records[:n_train]), Dataset(records[n_train:])
-
-
-def kfold(ds, k, seed):
-    """k (train, val) pairs; fold sizes differ by at most one and each
-    record lands in exactly one validation fold."""
-    n = len(ds)
-    if k < 2 or k > n:
-        raise BadK(f"k={k} invalid for {n} records")
-    records = list(ds.records)
-    Prng(seed).shuffle(records)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        val = records[start:start + size]
-        train = records[:start] + records[start + size:]
-        folds.append((Dataset(train), Dataset(val)))
-        start += size
-    return folds

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (ShapeMismatch, dsigmoid, dtanh, drelu, matmul,
-                       relu, sigmoid, tanh)
+                       relu, sigmoid)
 
 
 class IndexOutOfVocab(IndexError):
@@ -120,10 +120,10 @@ def lstm_forward(x, w, u, b):
         z = matmul(x[:, t, :], w.value) + matmul(h_t, u.value) + b.value
         gi = sigmoid(z[:, :hidden])
         gf = sigmoid(z[:, hidden:2 * hidden])
-        gg = tanh(z[:, 2 * hidden:3 * hidden])
+        gg = np.tanh(z[:, 2 * hidden:3 * hidden])
         go = sigmoid(z[:, 3 * hidden:])
         c_t = gf * c_t + gi * gg
-        tc = tanh(c_t)
+        tc = np.tanh(c_t)
         h_t = go * tc
         cache.gates.append((gi, gf, gg, go))
         cache.c.append(c_t)

@@ -6,6 +6,12 @@ hidden state only) -> Dropout -> dense stack -> Dense(1, sigmoid). Only
 the final hidden state feeds the dense stack; pre-padding in textprep
 guarantees it reflects real tokens.
 
+A model is a flat layer list built once from its config (a batch-norm
+block is Dense(linear) -> BatchNorm -> ReLU; a Dropout, identity at rate 0,
+sits between dense blocks; the output Dense is fused with the loss).
+Forward and backward loop over it; `Model.params` follows its order,
+which is the checkpoint order.
+
 Presets:
   baseline    Dropout 0.2, dense (64, 16) with L1 on kernels, lr 1e-3.
   regularized baseline + L2 on LSTM/dense kernels, all dropout 0.3,
@@ -26,7 +32,7 @@ from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
                      batchnorm_forward, dense_backward, dense_forward,
                      dropout_backward, dropout_forward, embedding_backward,
                      embedding_forward, lstm_backward, lstm_forward)
-from .numerics import Prng, init_glorot
+from .numerics import Prng, drelu, init_glorot, relu
 from .objective import bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
@@ -139,18 +145,85 @@ def preset_config(preset, vocab_size, maxlen=textprep.DEFAULT_MAXLEN,
     raise ValueError(f"unknown preset {preset!r}; valid: {', '.join(PRESETS)}")
 
 
-@dataclass
-class _ForwardCaches:
-    embed_indices: np.ndarray = None
-    embed_dropout: object = None
-    lstm: object = None
-    lstm_dropout: object = None
-    dense: list = field(default_factory=list)  # per layer: dict of caches
+# --- layers ------------------------------------------------------------------
+# Each layer wraps one kernel: forward(x, mode, rng) -> (y, cache) and
+# backward(grad, cache) -> grad. Kernels are called by the names imported
+# above, looked up at call time, so a tracer can patch them in this module.
+
+class Embedding:
+    def __init__(self, table):
+        self.params = [table]
+
+    def forward(self, indices, mode, rng):
+        return embedding_forward(indices, *self.params), np.asarray(indices)
+
+    def backward(self, grad, indices):
+        embedding_backward(grad, indices, *self.params)
+
+
+class Dropout:
+    params = ()
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def forward(self, x, mode, rng):
+        return dropout_forward(x, self.rate, mode, rng)
+
+    def backward(self, grad, cache):
+        return dropout_backward(grad, cache)
+
+
+class Lstm:
+    def __init__(self, w, u, b):
+        self.params = [w, u, b]
+
+    def forward(self, x, mode, rng):
+        return lstm_forward(x, *self.params)
+
+    def backward(self, grad, cache):
+        return lstm_backward(grad, cache, *self.params)
+
+
+class Dense:
+    def __init__(self, w, b, activation, fused=False):
+        self.params = [w, b]
+        self.activation = activation
+        self.fused = fused  # output layer: gets d(loss)/dz from sigmoid+BCE
+
+    def forward(self, x, mode, rng):
+        return dense_forward(x, *self.params, self.activation)
+
+    def backward(self, grad, cache):
+        return dense_backward(grad, cache, *self.params, self.activation,
+                              grad_is_preact=self.fused)
+
+
+class BatchNorm:
+    def __init__(self, gamma, beta, running):
+        self.params = [gamma, beta]
+        self.running = running
+
+    def forward(self, x, mode, rng):
+        return batchnorm_forward(x, *self.params, self.running, mode)
+
+    def backward(self, grad, cache):
+        return batchnorm_backward(grad, cache, *self.params)
+
+
+class ReLU:
+    params = ()
+
+    def forward(self, x, mode, rng):
+        return relu(x), x
+
+    def backward(self, grad, x):
+        return grad * drelu(x)
 
 
 class Model:
-    """An assembled classifier: parameters, batch-norm running stats, and
-    the vocabulary it was built against."""
+    """An assembled classifier: a flat layer list, batch-norm running
+    stats, and the vocabulary it was built against."""
 
     def __init__(self, config, vocab):
         if vocab is None:
@@ -158,8 +231,6 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.dtype = np.float64 if config.dtype == "float64" else np.float32
-        self.params = []
-        self.bn_running = {}
         self._build_params()
 
     # parameter construction order is fixed; checkpoints and seeded
@@ -171,41 +242,42 @@ class Model:
 
         emb = init_glorot((cfg.vocab_size, cfg.embed_dim), rng, dt)
         emb[0] = 0.0  # PAD row frozen at zero
-        self.emb = ParamTensor("embedding", emb)
-        self.params.append(self.emb)
-
         h = cfg.lstm_units
-        self.lstm_w = ParamTensor(
-            "lstm.W", init_glorot((cfg.embed_dim, 4 * h), rng, dt),
-            regularizers=cfg.lstm_regularizers)
-        self.lstm_u = ParamTensor(
-            "lstm.U", init_glorot((h, 4 * h), rng, dt),
-            regularizers=cfg.lstm_regularizers)
         bias = np.zeros(4 * h, dtype=dt)
         bias[h:2 * h] = 1.0  # forget-gate bias starts open
-        self.lstm_b = ParamTensor("lstm.b", bias)
-        self.params += [self.lstm_w, self.lstm_u, self.lstm_b]
+        self.layers = [
+            Embedding(ParamTensor("embedding", emb)),
+            Dropout(cfg.embed_dropout),
+            Lstm(ParamTensor("lstm.W",
+                             init_glorot((cfg.embed_dim, 4 * h), rng, dt),
+                             regularizers=cfg.lstm_regularizers),
+                 ParamTensor("lstm.U", init_glorot((h, 4 * h), rng, dt),
+                             regularizers=cfg.lstm_regularizers),
+                 ParamTensor("lstm.b", bias)),
+            Dropout(cfg.lstm_dropout)]
 
-        self.dense = []
-        fan_in = h
+        self.bn_running = {}
+        fan_in, last = h, len(cfg.dense_stack) - 1
         for i, spec in enumerate(cfg.dense_stack):
-            w = ParamTensor(f"dense{i}.W",
-                            init_glorot((fan_in, spec.width), rng, dt),
+            name, width = f"dense{i}", spec.width
+            if i > 0:
+                self.layers.append(Dropout(cfg.dense_dropout))
+            w = ParamTensor(f"{name}.W", init_glorot((fan_in, width), rng, dt),
                             regularizers=spec.regularizers)
-            b = ParamTensor(f"dense{i}.b", np.zeros(spec.width, dtype=dt))
-            layer = {"spec": spec, "w": w, "b": b}
-            self.params += [w, b]
+            b = ParamTensor(f"{name}.b", np.zeros(width, dtype=dt))
             if spec.batchnorm:
-                gamma = ParamTensor(f"dense{i}.bn.gamma",
-                                    np.ones(spec.width, dtype=dt))
-                beta = ParamTensor(f"dense{i}.bn.beta",
-                                   np.zeros(spec.width, dtype=dt))
-                layer["gamma"], layer["beta"] = gamma, beta
-                self.params += [gamma, beta]
-                self.bn_running[f"dense{i}"] = BatchNormRunning.fresh(
-                    spec.width, dtype=dt)
-            self.dense.append(layer)
-            fan_in = spec.width
+                self.bn_running[name] = BatchNormRunning.fresh(width, dtype=dt)
+                self.layers += [Dense(w, b, "linear"), BatchNorm(
+                    ParamTensor(f"{name}.bn.gamma", np.ones(width, dtype=dt)),
+                    ParamTensor(f"{name}.bn.beta", np.zeros(width, dtype=dt)),
+                    self.bn_running[name])]
+                if spec.activation == "relu":
+                    self.layers.append(ReLU())
+            else:
+                self.layers.append(Dense(w, b, spec.activation,
+                                         fused=(i == last)))
+            fan_in = width
+        self.params = [p for layer in self.layers for p in layer.params]
 
     def num_params(self):
         return sum(p.value.size for p in self.params)
@@ -215,37 +287,13 @@ class Model:
             p.zero_grad()
 
     def forward(self, indices, mode="eval", rng=None):
-        """indices: (B, maxlen) -> probabilities (B,). Train mode needs an
-        rng for the dropout masks."""
-        cfg = self.config
-        caches = _ForwardCaches(embed_indices=np.asarray(indices))
-        x = embedding_forward(indices, self.emb)
-        x, caches.embed_dropout = dropout_forward(x, cfg.embed_dropout,
-                                                  mode, rng)
-        h, caches.lstm = lstm_forward(x, self.lstm_w, self.lstm_u, self.lstm_b)
-        h, caches.lstm_dropout = dropout_forward(h, cfg.lstm_dropout,
-                                                 mode, rng)
-        n_hidden = len(self.dense) - 1
-        for i, layer in enumerate(self.dense):
-            spec = layer["spec"]
-            lc = {}
-            if spec.batchnorm:
-                z, lc["dense"] = dense_forward(h, layer["w"], layer["b"],
-                                               "linear")
-                z, lc["bn"] = batchnorm_forward(
-                    z, layer["gamma"], layer["beta"],
-                    self.bn_running[f"dense{i}"], mode)
-                lc["preact"] = z
-                h = np.maximum(z, 0.0) if spec.activation == "relu" else z
-            else:
-                h, lc["dense"] = dense_forward(h, layer["w"], layer["b"],
-                                               spec.activation)
-            if i < n_hidden:
-                h, lc["dropout"] = dropout_forward(h, cfg.dense_dropout,
-                                                   mode, rng)
-            caches.dense.append(lc)
-        probs = h[:, 0]
-        return probs, caches
+        """indices: (B, maxlen) -> (probabilities (B,), per-layer caches).
+        Train mode needs an rng for the dropout masks."""
+        x, caches = indices, []
+        for layer in self.layers:
+            x, cache = layer.forward(x, mode, rng)
+            caches.append(cache)
+        return x[:, 0], caches
 
     def backward(self, caches, probs, labels):
         """Backprop from the fused sigmoid+BCE output gradient through the
@@ -253,30 +301,8 @@ class Model:
         cast to the model dtype so a float32 model backpropagates in
         float32."""
         grad = bce_grad_fused(probs, labels).astype(probs.dtype)[:, None]
-        n_hidden = len(self.dense) - 1
-        for i in range(len(self.dense) - 1, -1, -1):
-            layer = self.dense[i]
-            spec = layer["spec"]
-            lc = caches.dense[i]
-            if i < n_hidden:
-                grad = dropout_backward(grad, lc["dropout"])
-            if spec.batchnorm:
-                if spec.activation == "relu":
-                    grad = grad * (lc["preact"] > 0)
-                grad = batchnorm_backward(grad, lc["bn"],
-                                          layer["gamma"], layer["beta"])
-                grad = dense_backward(grad, lc["dense"], layer["w"],
-                                      layer["b"], "linear")
-            else:
-                fused = (i == len(self.dense) - 1)
-                grad = dense_backward(grad, lc["dense"], layer["w"],
-                                      layer["b"], spec.activation,
-                                      grad_is_preact=fused)
-        grad = dropout_backward(grad, caches.lstm_dropout)
-        grad_seq = lstm_backward(grad, caches.lstm,
-                                 self.lstm_w, self.lstm_u, self.lstm_b)
-        grad_seq = dropout_backward(grad_seq, caches.embed_dropout)
-        embedding_backward(grad_seq, caches.embed_indices, self.emb)
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            grad = layer.backward(grad, cache)
 
     def predict_proba(self, indices):
         probs, _ = self.forward(np.atleast_2d(indices), mode="eval")

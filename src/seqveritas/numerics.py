@@ -48,10 +48,6 @@ def dsigmoid(y):
     return y * (1.0 - y)
 
 
-def tanh(x):
-    return np.tanh(x)
-
-
 def dtanh(y):
     """Derivative expressed in terms of the tanh output y."""
     return 1.0 - y * y

@@ -57,14 +57,10 @@ def remove_stopwords(tokens, stopwords=_STOPWORDS):
     return [t for t in tokens if t not in stopwords]
 
 
-def stem(token):
-    return porter.stem(token)
-
-
 def preprocess(title, body):
     """Full pipeline for one article: clean -> tokenize -> de-stopword -> stem."""
     tokens = tokenize(clean(title + " " + body))
-    return [stem(t) for t in remove_stopwords(tokens)]
+    return [porter.stem(t) for t in remove_stopwords(tokens)]
 
 
 class Vocabulary:
@@ -117,8 +113,12 @@ def encode(tokens, vocab, maxlen):
 
 
 # --- encoded-dataset cache file --------------------------------------------
-# Layout: magic "SVEC1"; maxlen, V, N as little-endian u32; then N records
-# of maxlen little-endian u32 indices followed by one label byte.
+# Layout: magic "SVEC1"; maxlen, V, N as little-endian u32; then N packed
+# records of maxlen little-endian u32 indices followed by one label byte.
+
+def _record_dtype(maxlen):
+    return np.dtype([("seq", "<u4", (maxlen,)), ("label", "u1")])
+
 
 def write_cache(path, sequences, labels, vocab_size, maxlen):
     sequences = np.asarray(sequences, dtype=np.uint32)
@@ -126,12 +126,13 @@ def write_cache(path, sequences, labels, vocab_size, maxlen):
     n = sequences.shape[0]
     if sequences.shape != (n, maxlen) or labels.shape != (n,):
         raise ValueError("sequences/labels shape mismatch")
+    records = np.empty(n, dtype=_record_dtype(maxlen))
+    records["seq"] = sequences
+    records["label"] = labels
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<III", maxlen, vocab_size, n))
-        for row, label in zip(sequences, labels):
-            f.write(row.astype("<u4").tobytes())
-            f.write(struct.pack("B", label))
+        f.write(records.tobytes())
 
 
 def read_cache(path):
@@ -141,17 +142,12 @@ def read_cache(path):
     if blob[:5] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
     maxlen, vocab_size, n = struct.unpack_from("<III", blob, 5)
-    record = 4 * maxlen + 1
-    if len(blob) != 5 + 12 + n * record:
+    record = _record_dtype(maxlen)
+    if len(blob) != 5 + 12 + n * record.itemsize:
         raise CacheFormatError(f"{path}: truncated or oversized cache")
-    sequences = np.empty((n, maxlen), dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    off = 17
-    for i in range(n):
-        sequences[i] = np.frombuffer(blob, dtype="<u4", count=maxlen, offset=off)
-        labels[i] = blob[off + 4 * maxlen]
-        off += record
-    return sequences, labels, vocab_size
+    records = np.frombuffer(blob, dtype=record, count=n, offset=17)
+    return (records["seq"].astype(np.int64), records["label"].astype(np.int64),
+            vocab_size)
 
 
 def save_vocab(path, vocab):

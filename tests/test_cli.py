@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seqveritas import model_zoo, textprep
 from seqveritas.cli import main
 from tests.conftest import TOY_FAKE, TOY_TRUE
 
@@ -86,6 +87,19 @@ def test_train_writes_history_jsonl(capsys, tmp_path):
     assert set(rec) == {"epoch", "train_loss", "val_loss", "val_accuracy"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--fake", "f", "--true", "t", "--out", "o"],
+    ["train", "--data", "d", "--preset", "baseline", "--out-checkpoint", "m"],
+    ["eval", "--checkpoint", "c", "--data", "d"]])
+@pytest.mark.parametrize("frac", ["0", "1", "-0.5", "1.5"])
+def test_train_frac_outside_open_unit_interval_exits_2(capsys, argv, frac):
+    # a fraction outside (0, 1) would slice the cache from the wrong end
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--train-frac", frac])
+    assert exc.value.code == 2
+    assert "is not in (0, 1)" in capsys.readouterr().err
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -124,6 +138,54 @@ def test_predict_stdin_lines(capsys, tmp_path, monkeypatch):
     assert len(lines) == 2
     for line in lines:
         assert set(json.loads(line)) == {"probability", "label"}
+
+
+def test_predict_stdin_streams(capsys, tmp_path, monkeypatch):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    out_before_second = []
+
+    def stdin():
+        yield "zorblat news\n"
+        out_before_second.append(capsys.readouterr().out)
+        yield "quintar news\n"
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    code, out, _ = run(capsys, ["predict", "--checkpoint", ckpt, "--stdin"])
+    assert code == 0
+    # the first answer was written before the second line was read
+    assert set(json.loads(out_before_second[0])) == {"probability", "label"}
+    assert set(json.loads(out)) == {"probability", "label"}
+
+
+def test_eval_index_outside_checkpoint_vocab_exits_2(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    vocab_size = model_zoo.load(ckpt).config.vocab_size
+    wide = str(tmp_path / "wide.svec")
+    textprep.write_cache(wide, [[0, 2, vocab_size + 18]], [1],
+                         vocab_size + 20, 3)
+    code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                  "--data", wide, "--split", "all"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    doc = json.load(open(ckpt))
+    entry = next(p for p in doc["params"] if p["name"] == "dense0.W")
+    entry["data"][0] = float("nan")
+    json.dump(doc, open(ckpt, "w"))
+    code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                  "--data", cache])
+    assert code == 3
+    assert "NaN" not in out
+    if out:
+        json.loads(out)
+    assert err.startswith("error:")
 
 
 def test_predict_bad_checkpoint_exits_2(capsys, tmp_path):

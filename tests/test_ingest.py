@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from seqveritas.ingest import (Article, BadK, Dataset, EmptySplit,
-                               MalformedRow, MissingColumn, kfold,
-                               load_articles, merge_shuffle, split)
+from seqveritas import textprep
+from seqveritas.cli import _load_split
+from seqveritas.ingest import (Article, Dataset, EmptySplit, MalformedRow,
+                               MissingColumn, load_articles, merge_shuffle)
 
 
 def write(tmp_path, text, name="x.csv"):
@@ -98,60 +100,38 @@ def test_merge_shuffle_seed_changes_order():
     assert [a.title for a in m1.records] != [a.title for a in m2.records]
 
 
-def test_split_floor_arithmetic():
-    ds = _toy_ds(10, 1)
-    train, val = split(ds, 0.8, seed=0)
-    assert (len(train), len(val)) == (8, 2)
+# The split is taken on the encoded cache by cli._load_split: the leading
+# train fraction of prepare's shuffled order versus the tail.
+
+def _cache(tmp_path, n, maxlen=3):
+    path = str(tmp_path / "c.svec")
+    seqs = np.arange(n * maxlen).reshape(n, maxlen) % 50
+    textprep.write_cache(path, seqs, np.arange(n) % 2, 50, maxlen)
+    return path
 
 
-def test_split_partition():
-    ds = _toy_ds(25, 0)
-    train, val = split(ds, 0.6, seed=3)
-    titles = sorted(a.title for a in train.records + val.records)
-    assert titles == sorted(a.title for a in ds.records)
+def test_split_floor_arithmetic(tmp_path):
+    train_x, train_y, val_x, val_y, _ = _load_split(_cache(tmp_path, 10), 0.8)
+    assert (len(train_x), len(train_y), len(val_x), len(val_y)) == (8, 8, 2, 2)
 
 
-def test_split_deterministic():
-    ds = _toy_ds(30, 1)
-    t1, v1 = split(ds, 0.8, seed=4)
-    t2, v2 = split(ds, 0.8, seed=4)
-    assert [a.title for a in t1.records] == [a.title for a in t2.records]
-    assert [a.title for a in v1.records] == [a.title for a in v2.records]
+def test_split_partition(tmp_path):
+    path = _cache(tmp_path, 25)
+    train_x, train_y, val_x, val_y, _ = _load_split(path, 0.6)
+    x, y, _ = textprep.read_cache(path)
+    assert np.array_equal(np.concatenate([train_x, val_x]), x)
+    assert np.array_equal(np.concatenate([train_y, val_y]), y)
 
 
-def test_split_empty_side():
+def test_split_deterministic(tmp_path):
+    path = _cache(tmp_path, 30)
+    for a, b in zip(_load_split(path, 0.8), _load_split(path, 0.8)):
+        assert np.array_equal(a, b)
+
+
+def test_split_empty_side(tmp_path):
     with pytest.raises(EmptySplit):
-        split(_toy_ds(1, 1), 0.8, seed=0)
-
-
-def test_kfold_even():
-    folds = kfold(_toy_ds(10, 1), k=5, seed=0)
-    assert len(folds) == 5
-    assert all(len(val) == 2 for _, val in folds)
-
-
-def test_kfold_remainder():
-    folds = kfold(_toy_ds(11, 0), k=5, seed=0)
-    sizes = sorted(len(val) for _, val in folds)
-    assert sizes == [2, 2, 2, 2, 3]
-
-
-def test_kfold_partition_property():
-    ds = _toy_ds(13, 1)
-    folds = kfold(ds, k=4, seed=7)
-    val_titles = [a.title for _, val in folds for a in val.records]
-    assert sorted(val_titles) == sorted(a.title for a in ds.records)
-    for train, val in folds:
-        assert len(train) + len(val) == 13
-        assert set(a.title for a in train.records).isdisjoint(
-            a.title for a in val.records)
-
-
-def test_kfold_bad_k():
-    with pytest.raises(BadK):
-        kfold(_toy_ds(5, 1), k=1, seed=0)
-    with pytest.raises(BadK):
-        kfold(_toy_ds(5, 1), k=6, seed=0)
+        _load_split(_cache(tmp_path, 1), 0.8)
 
 
 def test_toy_fixture_counts(toy_articles):

@@ -14,6 +14,10 @@ def _vocab(n_tokens):
     return textprep.Vocabulary([f"w{i:05d}" for i in range(n_tokens)])
 
 
+def _param(model, name):
+    return next(p for p in model.params if p.name == name)
+
+
 def test_baseline_param_count_v20000():
     vocab = _vocab(19_998)  # V = 20,000 with PAD and OOV
     model = build("baseline", vocab)
@@ -70,13 +74,14 @@ def test_same_seed_identical_init():
 def test_forget_gate_bias_initialized_to_one():
     model = build("baseline", _vocab(10), maxlen=4, seed=0)
     h = model.config.lstm_units
-    assert np.all(model.lstm_b.value[h:2 * h] == 1.0)
-    assert np.all(model.lstm_b.value[:h] == 0.0)
+    bias = _param(model, "lstm.b").value
+    assert np.all(bias[h:2 * h] == 1.0)
+    assert np.all(bias[:h] == 0.0)
 
 
 def test_pad_embedding_row_zero():
     model = build("baseline", _vocab(10), maxlen=4, seed=0)
-    assert np.array_equal(model.emb.value[0], np.zeros(100))
+    assert np.array_equal(_param(model, "embedding").value[0], np.zeros(100))
 
 
 def test_float32_backward_stays_float32(monkeypatch):
@@ -95,6 +100,40 @@ def test_float32_backward_stays_float32(monkeypatch):
     model.backward(caches, probs, np.array([1.0, 0.0]))
     assert seen == [np.float32]
     assert all(p.grad.dtype == np.float32 for p in model.params)
+
+
+def test_params_follow_checkpoint_order():
+    model = _tiny_model("optimized")
+    assert [p.name for p in model.params] == [
+        "embedding", "lstm.W", "lstm.U", "lstm.b",
+        "dense0.W", "dense0.b", "dense0.bn.gamma", "dense0.bn.beta",
+        "dense1.W", "dense1.b", "dense1.bn.gamma", "dense1.bn.beta",
+        "dense2.W", "dense2.b", "dense2.bn.gamma", "dense2.bn.beta",
+        "dense3.W", "dense3.b"]
+
+
+def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
+    """A train-mode forward and backward of `optimized` runs every kernel
+    through the name model_zoo imported it under, once per layer."""
+    model = _tiny_model("optimized")
+    calls = {}
+    for kernel in ("embedding", "dropout", "lstm", "dense", "batchnorm"):
+        for way in ("forward", "backward"):
+            name = f"{kernel}_{way}"
+            real = getattr(model_zoo, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(model_zoo, name, spy)
+    probs, caches = model.forward(_random_inputs(model, 4), mode="train",
+                                  rng=Prng(5))
+    model.backward(caches, probs, np.array([1.0, 0.0, 1.0, 0.0]))
+    expected = {"embedding": 1, "dropout": 5, "lstm": 1, "dense": 4,
+                "batchnorm": 3}
+    assert calls == {f"{k}_{way}": n for k, n in expected.items()
+                     for way in ("forward", "backward")}
 
 
 def test_config_round_trip_dict():
@@ -176,9 +215,8 @@ def test_checkpoint_shape_mismatch_on_load(tmp_path):
 
 def test_predict_untrained_zeroed_output_layer_is_half():
     model = _tiny_model()
-    out = model.dense[-1]
-    out["w"].value[...] = 0.0
-    out["b"].value[...] = 0.0
+    for p in model.layers[-1].params:  # output Dense: W, b
+        p.value[...] = 0.0
     p, label = model.predict("some words here")
     assert p == 0.5
     assert label == 1  # p >= 0.5 counts as fake by the threshold rule

@@ -209,8 +209,28 @@ def test_cross_validate_reports_and_determinism(toy_encoded):
         np.mean([r.accuracy for r in reports1]))
 
 
+@pytest.mark.parametrize("n,k", [(10, 5), (11, 5), (13, 4)])
+def test_cross_validate_fold_sizes(toy_encoded, n, k):
+    """Every example is scored in exactly one fold: the validation fold
+    sizes differ by at most one and sum to n."""
+    x, y, vocab, maxlen = toy_encoded
+
+    def build_fn(fold_seed):
+        return model_zoo.build("baseline", vocab, maxlen=maxlen,
+                               seed=fold_seed, embed_dim=4, lstm_units=4)
+
+    reports, _ = cross_validate(build_fn, x[:n], y[:n], k=k, seed=3,
+                                train_config=TrainConfig(epochs=1,
+                                                         batch_size=8))
+    sizes = [r.tp + r.fp + r.tn + r.fn for r in reports]
+    assert len(sizes) == k
+    assert max(sizes) - min(sizes) <= 1
+    assert sum(sizes) == n
+
+
 def test_cross_validate_bad_k(toy_encoded):
     x, y, vocab, maxlen = toy_encoded
-    with pytest.raises(BadK):
-        cross_validate(lambda s: None, x, y, k=1, seed=0,
-                       train_config=TrainConfig())
+    for k in (1, len(x) + 1):
+        with pytest.raises(BadK):
+            cross_validate(lambda s: None, x, y, k=k, seed=0,
+                           train_config=TrainConfig())

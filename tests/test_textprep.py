@@ -1,11 +1,12 @@
 import hashlib
+import struct
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from seqveritas import textprep
+from seqveritas import porter, textprep
 from seqveritas.textprep import (OOV_INDEX, PAD_INDEX, Vocabulary,
                                  build_vocab, clean, encode, load_stopwords,
                                  read_cache, remove_stopwords, tokenize,
@@ -135,6 +136,18 @@ def test_cache_header_layout(tmp_path):
     assert int.from_bytes(blob[13:17], "little") == 1  # records
 
 
+def test_cache_records_packed(tmp_path):
+    # reference: each record written field by field, with no padding
+    path = str(tmp_path / "c.svec")
+    seqs, labels = [[7, 8, 2**32 - 1], [0, 1, 65536]], [1, 0]
+    write_cache(path, seqs, labels, vocab_size=9, maxlen=3)
+    expected = b"".join(struct.pack("<3I", *row) + struct.pack("B", label)
+                        for row, label in zip(seqs, labels))
+    assert open(path, "rb").read()[17:] == expected
+    x, y, _ = read_cache(path)
+    assert x.tolist() == seqs and y.tolist() == labels
+
+
 def test_cache_truncation_detected(tmp_path):
     path = str(tmp_path / "c.svec")
     write_cache(path, [[7, 8]], [1], vocab_size=9, maxlen=2)
@@ -171,4 +184,4 @@ def test_vocab_leakage_guard(toy_encoded):
 def test_stem_idempotent_over_toy_vocab(toy_encoded):
     _, _, vocab, _ = toy_encoded
     for tok in vocab.tokens:
-        assert textprep.stem(tok) == tok  # already stemmed by the pipeline
+        assert porter.stem(tok) == tok  # already stemmed by the pipeline
