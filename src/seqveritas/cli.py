@@ -135,6 +135,10 @@ def cmd_eval(args):
                                                         args.train_frac)
         x, y = ((train_x, train_y) if args.split == "train"
                 else (val_x, val_y))
+    if x.shape[1] != model.config.maxlen:
+        return _fail(f"{args.data} has maxlen {x.shape[1]}, but "
+                     f"{args.checkpoint} was trained at maxlen "
+                     f"{model.config.maxlen}")
     probs = predict_in_batches(model, x)
     _, report = evaluate(probs, y)
     _emit({"config": _resolved(args),

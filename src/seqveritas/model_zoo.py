@@ -12,6 +12,13 @@ sits between dense blocks; the output Dense is fused with the loss).
 Forward and backward loop over it; `Model.params` follows its order,
 which is the checkpoint order.
 
+A checkpoint (format version 2) is one JSON document: magic, version,
+config, vocabulary, and each parameter tensor and batch-norm running
+statistic as base64 of its little-endian bytes. The element type is
+`config.dtype` (`<f8` for float64, `<f4` for float32); no tensor carries
+its own. Any other version, and a payload that is not base64 or not
+prod(shape) elements long, is refused.
+
 Presets:
   baseline    Dropout 0.2, dense (64, 16) with L1 on kernels, lr 1e-3.
   regularized baseline + L2 on LSTM/dense kernels, all dropout 0.3,
@@ -22,6 +29,7 @@ Presets:
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -36,7 +44,7 @@ from .numerics import Prng, drelu, init_glorot, relu
 from .objective import bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 L1_LAMBDA = 1e-5
 L2_LAMBDA = 1e-4
@@ -334,6 +342,12 @@ class Model:
             self.bn_running[k].var[...] = var
 
     def save(self, path):
+        wire = np.dtype(self.dtype).newbyteorder("<")
+
+        def encode(array):
+            return base64.b64encode(
+                array.astype(wire, copy=False).tobytes()).decode("ascii")
+
         doc = {
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
@@ -342,13 +356,14 @@ class Model:
                       "max_size": self.vocab.max_size,
                       "min_freq": self.vocab.min_freq},
             "params": [{"name": p.name, "shape": list(p.value.shape),
-                        "data": p.value.reshape(-1).tolist()}
+                        "data": encode(p.value)}
                        for p in self.params],
-            "running": {k: {"mean": r.mean.tolist(), "var": r.var.tolist()}
+            "running": {k: {"mean": encode(r.mean), "var": encode(r.var)}
                         for k, r in self.bn_running.items()},
         }
+        # one-shot dumps runs the C encoder; json.dump would not
         with open(path, "w") as f:
-            json.dump(doc, f)
+            f.write(json.dumps(doc))
 
 
 def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
@@ -378,6 +393,7 @@ def load(path):
                                 max_size=doc["vocab"]["max_size"],
                                 min_freq=doc["vocab"]["min_freq"])
     model = Model(config, vocab)
+    wire = np.dtype(model.dtype).newbyteorder("<")
     saved = {p["name"]: p for p in doc["params"]}
     for p in model.params:
         if p.name not in saved:
@@ -387,11 +403,25 @@ def load(path):
             raise ShapeMismatchOnLoad(
                 f"{path}: {p.name} has shape {entry['shape']}, "
                 f"expected {list(p.value.shape)}")
-        p.value[...] = np.array(entry["data"],
-                                dtype=p.value.dtype).reshape(p.value.shape)
+        p.value[...] = _decode(path, p.name, entry["data"], p.value, wire)
     for k, r in model.bn_running.items():
         if k not in doc["running"]:
             raise ShapeMismatchOnLoad(f"{path}: missing running stats for {k}")
-        r.mean[...] = np.array(doc["running"][k]["mean"], dtype=r.mean.dtype)
-        r.var[...] = np.array(doc["running"][k]["var"], dtype=r.var.dtype)
+        for stat in ("mean", "var"):
+            target = getattr(r, stat)
+            target[...] = _decode(path, f"{k}.{stat}",
+                                  doc["running"][k][stat], target, wire)
     return model
+
+
+def _decode(path, name, text, target, wire):
+    """The values of one base64 tensor payload, shaped like `target`."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise BadMagic(f"{path}: {name} data is not base64 ({e})") from None
+    if len(raw) != target.size * wire.itemsize:
+        raise ShapeMismatchOnLoad(
+            f"{path}: {name} has {len(raw)} bytes, expected "
+            f"{target.size} x {wire.itemsize}")
+    return np.frombuffer(raw, dtype=wire).reshape(target.shape)

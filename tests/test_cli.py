@@ -1,5 +1,7 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from seqveritas import model_zoo, textprep
@@ -177,7 +179,9 @@ def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
     doc = json.load(open(ckpt))
     entry = next(p for p in doc["params"] if p["name"] == "dense0.W")
-    entry["data"][0] = float("nan")
+    weights = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
+    weights[0] = np.nan
+    entry["data"] = base64.b64encode(weights.tobytes()).decode("ascii")
     json.dump(doc, open(ckpt, "w"))
     code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
                                   "--data", cache])
@@ -185,6 +189,49 @@ def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
     assert "NaN" not in out
     if out:
         json.loads(out)
+    assert err.startswith("error:")
+
+
+def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    (tmp_path / "long").mkdir()
+    long_cache, _ = _prepare(capsys, tmp_path / "long", maxlen="40")
+    for split in ("val", "all"):
+        code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                      "--data", long_cache, "--split", split])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "maxlen 40" in err and "maxlen 10" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("how", ["wrong_length", "not_base64", "version_1"])
+def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt = str(tmp_path / "model.svchk")
+    model = model_zoo.build("baseline", textprep.load_vocab(
+        cache + ".vocab.json"), maxlen=10, embed_dim=8, lstm_units=8)
+    model.save(ckpt)
+    doc = json.load(open(ckpt))
+    entry = doc["params"][0]
+    if how == "wrong_length":
+        raw = base64.b64decode(entry["data"])
+        entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+    elif how == "not_base64":
+        entry["data"] = "not base64!"
+    else:
+        doc["version"] = 1
+        for entry, p in zip(doc["params"], model.params):
+            entry["data"] = p.value.reshape(-1).tolist()
+    json.dump(doc, open(ckpt, "w"))
+    argv = (["eval", "--checkpoint", ckpt, "--data", cache]
+            if command == "eval"
+            else ["predict", "--checkpoint", ckpt, "--text", "zorblat"])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
     assert err.startswith("error:")
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -199,6 +200,111 @@ def test_checkpoint_version_mismatch(tmp_path):
     doc["version"] = 99
     json.dump(doc, open(path, "w"))
     with pytest.raises(VersionMismatch):
+        load(path)
+
+
+def _saved_doc(tmp_path, model):
+    path = str(tmp_path / "m.svchk")
+    model.save(path)
+    return path, json.load(open(path))
+
+
+def _entry(doc, name):
+    return next(p for p in doc["params"] if p["name"] == name)
+
+
+def _payload_bytes(doc):
+    return sum(len(base64.b64decode(p["data"])) for p in doc["params"])
+
+
+def test_checkpoint_stores_little_endian_bytes_of_each_tensor(tmp_path):
+    model = _tiny_model("optimized")
+    _, doc = _saved_doc(tmp_path, model)
+    assert doc["version"] == 2
+    for p in model.params:
+        data = base64.b64decode(_entry(doc, p.name)["data"])
+        assert data == p.value.astype("<f8").tobytes()
+    for stat in ("mean", "var"):
+        data = base64.b64decode(doc["running"]["dense1"][stat])
+        value = getattr(model.bn_running["dense1"], stat)
+        assert data == value.astype("<f8").tobytes()
+
+
+def test_checkpoint_round_trip_float32_bitwise(tmp_path):
+    vocab = textprep.Vocabulary([f"t{i}" for i in range(20)])
+    model = build("optimized", vocab, maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=8, dtype="float32")
+    path = str(tmp_path / "m.svchk")
+    model.save(path)
+    loaded = load(path)
+    for a, b in zip(model.params, loaded.params):
+        assert b.value.dtype == np.float32
+        assert a.value.tobytes() == b.value.tobytes()
+    for k, r in model.bn_running.items():
+        assert r.mean.tobytes() == loaded.bn_running[k].mean.tobytes()
+        assert r.var.tobytes() == loaded.bn_running[k].var.tobytes()
+    x = _random_inputs(model, 100)
+    assert np.array_equal(model.predict_proba(x), loaded.predict_proba(x))
+
+
+def test_checkpoint_float32_payload_is_half_the_float64_one(tmp_path):
+    vocab = textprep.Vocabulary([f"t{i}" for i in range(20)])
+    docs = {}
+    for dtype in ("float64", "float32"):
+        (tmp_path / dtype).mkdir()
+        model = build("optimized", vocab, maxlen=6, seed=1, embed_dim=8,
+                      lstm_units=8, dtype=dtype)
+        _, docs[dtype] = _saved_doc(tmp_path / dtype, model)
+    f64, f32 = _payload_bytes(docs["float64"]), _payload_bytes(docs["float32"])
+    assert f64 == 8 * model.num_params()
+    assert f32 * 2 == f64
+
+
+def test_checkpoint_save_is_byte_deterministic(tmp_path):
+    model = _tiny_model("optimized")
+    a, b = str(tmp_path / "a.svchk"), str(tmp_path / "b.svchk")
+    model.save(a)
+    model.save(b)
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("delta", [-8, 8])
+def test_checkpoint_wrong_payload_length(tmp_path, delta):
+    path, doc = _saved_doc(tmp_path, _tiny_model())
+    entry = _entry(doc, "dense0.W")
+    raw = base64.b64decode(entry["data"])
+    raw = raw[:delta] if delta < 0 else raw + bytes(delta)
+    entry["data"] = base64.b64encode(raw).decode("ascii")
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ShapeMismatchOnLoad, match="dense0.W"):
+        load(path)
+
+
+def test_checkpoint_wrong_running_stat_length(tmp_path):
+    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
+    doc["running"]["dense0"]["var"] = base64.b64encode(bytes(8)).decode()
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ShapeMismatchOnLoad, match="dense0.var"):
+        load(path)
+
+
+@pytest.mark.parametrize("data", ["not base64!", "AAA", [0.0, 1.0], "AAAA\n"])
+def test_checkpoint_payload_not_base64(tmp_path, data):
+    path, doc = _saved_doc(tmp_path, _tiny_model())
+    _entry(doc, "lstm.b")["data"] = data
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(BadMagic, match="lstm.b"):
+        load(path)
+
+
+def test_checkpoint_version_1_refused(tmp_path):
+    model = _tiny_model()
+    path, doc = _saved_doc(tmp_path, model)
+    doc["version"] = 1
+    for entry, p in zip(doc["params"], model.params):
+        entry["data"] = p.value.reshape(-1).tolist()
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(VersionMismatch, match="version 1, expected 2"):
         load(path)
 
 
