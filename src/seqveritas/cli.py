@@ -29,7 +29,19 @@ DEFAULT_TRAIN_FRAC = 0.8
 
 
 def _default_seed():
-    return int(os.environ.get("SEQVERITAS_SEED", "0"))
+    text = os.environ.get("SEQVERITAS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"SEQVERITAS_SEED must be an integer, got {text!r}") from None
+
+
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _fraction(text):
@@ -200,8 +212,8 @@ def build_parser():
     p.add_argument("--data", required=True, help="cache from prepare")
     p.add_argument("--preset", required=True, choices=model_zoo.PRESETS)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--batch", type=_positive_int, default=64)
     p.add_argument("--patience", type=int, default=2)
     p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.add_argument("--dtype", choices=("float64", "float32"),
@@ -236,7 +248,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as e:  # a malformed SEQVERITAS_SEED
+        return _fail(str(e))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

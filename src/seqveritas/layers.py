@@ -7,6 +7,17 @@ accumulate into ParamTensor.grad and are the trainer's job to zero.
 
 LSTM gate packing in the 4H dimension is fixed as [i, f, g, o]
 (input, forget, candidate, output); checkpoints depend on this order.
+The LSTM keeps its state in preallocated time-major buffers, indexed by
+step first:
+
+  gates   (T, B, 4H)  x_t W + b for every step from one GEMM; each step
+                      adds h_{t-1} U and overwrites the row with the
+                      activated gates, which the backward pass reads
+  c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
+  tanh_c  (T, B, H)   tanh_c[t] = tanh(c_{t+1})
+
+The input x stays (B, T, d) in the cache. In eval mode (no history) c and
+h have two alternating slots, tanh_c one, and there is no cache.
 """
 
 from __future__ import annotations
@@ -94,18 +105,38 @@ def embedding_backward(grad_out, indices, emb):
 
 @dataclass
 class LstmCache(_Cache):
-    x: np.ndarray = None          # (B, T, d)
-    gates: list = None            # per step: (i, f, g, o)
-    c: list = None                # c_0 .. c_T
-    h: list = None                # h_0 .. h_T
-    tanh_c: list = None           # tanh(c_t) per step
+    x: np.ndarray = None          # (B, T, d), as given
+    gates: np.ndarray = None      # (T, B, 4H): activated [i, f, g, o] per step
+    c: np.ndarray = None          # (T+1, B, H): c_0 .. c_T
+    h: np.ndarray = None          # (T+1, B, H): h_0 .. h_T
+    tanh_c: np.ndarray = None     # (T, B, H): tanh_c[t] = tanh(c_{t+1})
 
 
-def lstm_forward(x, w, u, b):
+def _gate_constants(hidden, dtype):
+    """Per-column vectors over the [i, f, g, o] blocks.
+
+    `scale`/`offset` turn one tanh into all four activations:
+    sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 (the same bits as
+    `numerics.sigmoid`) on i, f and o, and tanh(z) = 1 * tanh(1 * z) + 0
+    on g. `shift` gives every slope from the gate output y as
+    (1 - y) * (y + shift): y(1 - y) on i, f and o, 1 - y^2 on g.
+    """
+    g = slice(2 * hidden, 3 * hidden)
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    offset = np.full(4 * hidden, 0.5, dtype=dtype)
+    shift = np.zeros(4 * hidden, dtype=dtype)
+    scale[g], offset[g], shift[g] = 1.0, 0.0, 1.0
+    return scale, offset, shift
+
+
+def lstm_forward(x, w, u, b, history=True):
     """Sequence-to-vector LSTM: returns the final hidden state h_T.
 
     x: (B, T, d); w: (d, 4H); u: (H, 4H); b: (4H,). Gate order [i,f,g,o].
-    c_0 = h_0 = 0.
+    c_0 = h_0 = 0. The buffers are laid out as in the module docstring;
+    the input GEMM reads a time-major copy of x (d wide, not 4H), and each
+    step applies all four activations with one tanh. With
+    `history=False` (inference) the cache is None.
     """
     x = np.asarray(x)
     batch, steps, d = x.shape
@@ -113,53 +144,76 @@ def lstm_forward(x, w, u, b):
         raise ShapeMismatch(f"LSTM shapes: x {x.shape}, W {w.value.shape}, "
                             f"U {u.value.shape}")
     hidden = u.value.shape[0]
-    h_t = np.zeros((batch, hidden), dtype=x.dtype)
-    c_t = np.zeros((batch, hidden), dtype=x.dtype)
-    cache = LstmCache(x=x, gates=[], c=[c_t], h=[h_t], tanh_c=[])
+    dtype = np.result_type(x, w.value, u.value, b.value)
+    gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+    np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d),
+              w.value, out=gates.reshape(-1, 4 * hidden))
+    gates += b.value
+    slots = steps + 1 if history else 2
+    c = np.zeros((slots, batch, hidden), dtype=dtype)
+    h = np.zeros((slots, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((slots - 1, batch, hidden), dtype=dtype)
+    ig = np.empty((batch, hidden), dtype=dtype)
+    scale, offset, _ = _gate_constants(hidden, dtype)
+    uv = u.value
     for t in range(steps):
-        z = matmul(x[:, t, :], w.value) + matmul(h_t, u.value) + b.value
-        gi = sigmoid(z[:, :hidden])
-        gf = sigmoid(z[:, hidden:2 * hidden])
-        gg = np.tanh(z[:, 2 * hidden:3 * hidden])
-        go = sigmoid(z[:, 3 * hidden:])
-        c_t = gf * c_t + gi * gg
-        tc = np.tanh(c_t)
-        h_t = go * tc
-        cache.gates.append((gi, gf, gg, go))
-        cache.c.append(c_t)
-        cache.h.append(h_t)
-        cache.tanh_c.append(tc)
-    return h_t, cache
+        prev, cur = t % slots, (t + 1) % slots
+        z = gates[t]
+        z += h[prev] @ uv
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c_t, tc = c[cur], tanh_c[t % (slots - 1)]
+        np.multiply(z[:, hidden:2 * hidden], c[prev], out=c_t)
+        np.multiply(z[:, :hidden], z[:, 2 * hidden:3 * hidden], out=ig)
+        c_t += ig
+        np.tanh(c_t, out=tc)
+        np.multiply(z[:, 3 * hidden:], tc, out=h[cur])
+    h_t = h[steps % slots]
+    if not history:
+        return h_t, None
+    return h_t, LstmCache(x=x, gates=gates, c=c, h=h, tanh_c=tanh_c)
 
 
 def lstm_backward(grad_ht, cache, w, u, b):
     """Full backpropagation through time; accumulates into the param grads
-    and returns grad with respect to the input sequence."""
+    and returns grad with respect to the input sequence.
+
+    Each step writes d(loss)/d(gate output) for the four gates into one
+    reused (B, 4H) buffer and multiplies it by the activation slopes, so
+    that it becomes d(loss)/dz.
+    """
     cache.consume()
-    x = cache.x
+    x, gates = cache.x, cache.gates
     batch, steps, d = x.shape
     hidden = u.value.shape[0]
     grad_x = np.zeros_like(x)
     dh = np.asarray(grad_ht).copy()
-    dc = np.zeros((batch, hidden), dtype=x.dtype)
+    dc = np.zeros((batch, hidden), dtype=gates.dtype)
+    dz = np.empty((batch, 4 * hidden), dtype=dc.dtype)
+    slope = np.empty_like(dz)
+    _, _, shift = _gate_constants(hidden, gates.dtype)
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+    di, df, dg, do = (dz[:, blk] for blk in blocks)
     for t in range(steps - 1, -1, -1):
-        gi, gf, gg, go = cache.gates[t]
+        z = gates[t]
+        gi, gf, gg, go = (z[:, blk] for blk in blocks)
         tc = cache.tanh_c[t]
-        c_prev = cache.c[t]
-        h_prev = cache.h[t]
-        do = dh * tc
-        dc = dc + dh * go * dtanh(tc)
-        di = dc * gg
-        df = dc * c_prev
-        dg = dc * gi
-        dz = np.concatenate([di * dsigmoid(gi), df * dsigmoid(gf),
-                             dg * dtanh(gg), do * dsigmoid(go)], axis=1)
+        dc += dh * go * dtanh(tc)
+        np.multiply(dc, gg, out=di)
+        np.multiply(dc, cache.c[t], out=df)
+        np.multiply(dc, gi, out=dg)
+        np.multiply(dh, tc, out=do)
+        np.subtract(1.0, z, out=slope)
+        slope *= z + shift
+        dz *= slope
         w.grad += matmul(x[:, t, :].T, dz)
-        u.grad += matmul(h_prev.T, dz)
+        u.grad += matmul(cache.h[t].T, dz)
         b.grad += dz.sum(axis=0)
         grad_x[:, t, :] = matmul(dz, w.value.T)
         dh = matmul(dz, u.value.T)
-        dc = dc * gf
+        dc *= gf
     return grad_x
 
 

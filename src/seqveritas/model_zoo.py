@@ -52,6 +52,15 @@ L2_LAMBDA = 1e-4
 PRESETS = ("baseline", "regularized", "optimized")
 
 
+# Stands in for each tensor payload while `Model.save` encodes the JSON
+# skeleton. Its encoding, the 8 characters "\u0000" with the quotes, can
+# only come from a string that is NUL alone or ends in a quote and NUL;
+# vocabulary tokens are [a-z0-9] and config strings are names. Save checks
+# that it found exactly one per tensor.
+_SLOT = "\x00"
+_SLOT_JSON = json.dumps(_SLOT).encode("ascii")
+
+
 class VocabMissing(ValueError):
     pass
 
@@ -187,7 +196,8 @@ class Lstm:
         self.params = [w, u, b]
 
     def forward(self, x, mode, rng):
-        return lstm_forward(x, *self.params)
+        # keyword, so that wrappers that unpack (x, w, u, b) still see four
+        return lstm_forward(x, *self.params, history=(mode == "train"))
 
     def backward(self, grad, cache):
         return lstm_backward(grad, cache, *self.params)
@@ -342,12 +352,15 @@ class Model:
             self.bn_running[k].var[...] = var
 
     def save(self, path):
+        """Write the checkpoint document. The JSON skeleton is encoded
+        once with a placeholder in every tensor slot; each tensor's base64
+        is then written between its pieces as bytes, so the document is
+        never held whole. The file is byte-identical to
+        `json.dumps(doc)` with the payloads in place."""
         wire = np.dtype(self.dtype).newbyteorder("<")
-
-        def encode(array):
-            return base64.b64encode(
-                array.astype(wire, copy=False).tobytes()).decode("ascii")
-
+        tensors = [p.value for p in self.params]
+        for r in self.bn_running.values():
+            tensors += [r.mean, r.var]
         doc = {
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
@@ -356,14 +369,24 @@ class Model:
                       "max_size": self.vocab.max_size,
                       "min_freq": self.vocab.min_freq},
             "params": [{"name": p.name, "shape": list(p.value.shape),
-                        "data": encode(p.value)}
+                        "data": _SLOT}
                        for p in self.params],
-            "running": {k: {"mean": encode(r.mean), "var": encode(r.var)}
-                        for k, r in self.bn_running.items()},
+            "running": {k: {"mean": _SLOT, "var": _SLOT}
+                        for k in self.bn_running},
         }
         # one-shot dumps runs the C encoder; json.dump would not
-        with open(path, "w") as f:
-            f.write(json.dumps(doc))
+        pieces = json.dumps(doc).encode("ascii").split(_SLOT_JSON)
+        if len(pieces) != len(tensors) + 1:
+            raise ValueError(f"{path}: a config or vocabulary string contains "
+                             "the checkpoint tensor placeholder")
+        with open(path, "wb") as f:
+            f.write(pieces[0])
+            for array, piece in zip(tensors, pieces[1:]):
+                f.write(b'"')
+                f.write(base64.b64encode(
+                    array.astype(wire, copy=False).tobytes()))
+                f.write(b'"')
+                f.write(piece)
 
 
 def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,

@@ -48,12 +48,26 @@ def adam_step(params, state):
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    # In place, in the order of
+    #   m = beta1 * m + (1 - beta1) * g
+    #   v = beta2 * v + (1 - beta2) * g * g
+    #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    # so the bits are those of that expression.
     for p in params:
-        p.m[...] = state.beta1 * p.m + (1.0 - state.beta1) * p.grad
-        p.v[...] = state.beta2 * p.v + (1.0 - state.beta2) * p.grad * p.grad
-        m_hat = p.m / bc1
-        v_hat = p.v / bc2
-        p.value[...] = p.value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        step = np.multiply(p.grad, 1.0 - state.beta1)
+        p.m *= state.beta1
+        p.m += step
+        np.multiply(p.grad, 1.0 - state.beta2, out=step)
+        step *= p.grad
+        p.v *= state.beta2
+        p.v += step
+        denom = np.divide(p.v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(p.m, bc1, out=step)
+        step *= state.lr
+        step /= denom
+        p.value -= step
 
 
 def clip_gradients(params, max_norm=5.0):

@@ -102,6 +102,25 @@ def test_train_frac_outside_open_unit_interval_exits_2(capsys, argv, frac):
     assert "is not in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch", "-3"), ("--batch", "0"), ("--epochs", "0"),
+    ("--epochs", "-1")])
+def test_train_batch_and_epochs_must_be_positive(capsys, tmp_path, flag,
+                                                 value):
+    # before: --batch 0 died in range(), the others wrote an untrained
+    # checkpoint and exited 0
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt = tmp_path / "m.svchk"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", cache, "--preset", "baseline",
+              "--out-checkpoint", str(ckpt), flag, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{value} is not a positive integer" in out.err
+    assert not ckpt.exists()
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -268,3 +287,11 @@ def test_env_seed_default(capsys, tmp_path, monkeypatch):
     args = parser.parse_args(["prepare", "--fake", "f", "--true", "t",
                               "--out", "o"])
     assert args.seed == 777
+
+
+def test_env_seed_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SEQVERITAS_SEED", "abc")
+    code, out, err = run(capsys, ["gradcheck"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "SEQVERITAS_SEED" in err

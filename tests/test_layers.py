@@ -8,7 +8,7 @@ from seqveritas.layers import (BadRate, BatchNormRunning, BatchTooSmall,
                                dropout_backward, dropout_forward,
                                embedding_forward, lstm_backward,
                                lstm_forward)
-from seqveritas.numerics import Prng, ShapeMismatch
+from seqveritas.numerics import Prng, ShapeMismatch, sigmoid
 
 
 def _pt(name, arr, reg=()):
@@ -111,6 +111,107 @@ def test_lstm_stale_cache():
     lstm_backward(np.ones((1, 2)), cache, w, u, b)
     with pytest.raises(StaleCache):
         lstm_backward(np.ones((1, 2)), cache, w, u, b)
+
+
+def _oracle_lstm(x, w, u, b, grad_ht):
+    """The per-step LSTM this module replaced, kept as an oracle: forward
+    and full BPTT with Python lists of per-step arrays.
+    Returns (h_T, grad_x, dW, dU, db)."""
+    batch, steps, _ = x.shape
+    hidden = u.shape[0]
+    h_t = np.zeros((batch, hidden))
+    c_t = np.zeros((batch, hidden))
+    gates, cs, hs, tanh_cs = [], [c_t], [h_t], []
+    for t in range(steps):
+        z = x[:, t, :] @ w + h_t @ u + b
+        gi = sigmoid(z[:, :hidden])
+        gf = sigmoid(z[:, hidden:2 * hidden])
+        gg = np.tanh(z[:, 2 * hidden:3 * hidden])
+        go = sigmoid(z[:, 3 * hidden:])
+        c_t = gf * c_t + gi * gg
+        tc = np.tanh(c_t)
+        h_t = go * tc
+        gates.append((gi, gf, gg, go))
+        cs.append(c_t)
+        hs.append(h_t)
+        tanh_cs.append(tc)
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    grad_x = np.zeros_like(x)
+    dh = grad_ht.copy()
+    dc = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        gi, gf, gg, go = gates[t]
+        tc = tanh_cs[t]
+        do = dh * tc
+        dc = dc + dh * go * (1.0 - tc * tc)
+        dz = np.concatenate([dc * gg * gi * (1.0 - gi),
+                             dc * cs[t] * gf * (1.0 - gf),
+                             dc * gi * (1.0 - gg * gg),
+                             do * go * (1.0 - go)], axis=1)
+        dw += x[:, t, :].T @ dz
+        du += hs[t].T @ dz
+        db += dz.sum(axis=0)
+        grad_x[:, t, :] = dz @ w.T
+        dh = dz @ u.T
+        dc = dc * gf
+    return h_t, grad_x, dw, du, db
+
+
+# (B, T, d, H): one example, one step, d != H both ways
+@pytest.mark.parametrize("batch,steps,d,hid", [
+    (1, 7, 4, 4), (3, 1, 4, 4), (2, 6, 5, 3), (4, 5, 3, 7), (1, 1, 2, 5)])
+def test_lstm_matches_per_step_oracle(batch, steps, d, hid):
+    rng = Prng(11 + batch + steps)
+    w, u, b = _lstm_params(d, hid, rng)
+    b.value[...] = rng.uniform(-0.5, 0.5, (4 * hid,))
+    x = rng.uniform(-1, 1, (batch, steps, d))
+    grad_ht = rng.uniform(-1, 1, (batch, hid))
+    h, cache = lstm_forward(x, w, u, b)
+    grad_x = lstm_backward(grad_ht, cache, w, u, b)
+    want = _oracle_lstm(x, w.value, u.value, b.value, grad_ht)
+    for got, ref in zip((h, grad_x, w.grad, u.grad, b.grad), want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_lstm_without_history_gives_the_same_bits():
+    rng = Prng(12)
+    w, u, b = _lstm_params(5, 6, rng)
+    x = rng.uniform(-1, 1, (3, 9, 5))
+    h_train, cache = lstm_forward(x, w, u, b, history=True)
+    h_eval, none = lstm_forward(x, w, u, b, history=False)
+    assert none is None
+    assert h_eval.tobytes() == h_train.tobytes()
+    assert cache.h[9].tobytes() == h_train.tobytes()
+
+
+def test_lstm_cache_layout():
+    rng = Prng(13)
+    batch, steps, d, hid = 2, 4, 3, 5
+    w, u, b = _lstm_params(d, hid, rng)
+    x = rng.uniform(-1, 1, (batch, steps, d))
+    h, cache = lstm_forward(x, w, u, b)
+    assert cache.x.shape == (batch, steps, d)
+    assert cache.gates.shape == (steps, batch, 4 * hid)
+    assert cache.c.shape == cache.h.shape == (steps + 1, batch, hid)
+    assert cache.tanh_c.shape == (steps, batch, hid)
+    assert np.allclose(cache.tanh_c, np.tanh(cache.c[1:]), rtol=0, atol=1e-15)
+    assert np.array_equal(cache.h[steps], h)
+
+
+def test_lstm_float32_stays_float32():
+    rng = Prng(14)
+    params = [ParamTensor(p.name, p.value.astype(np.float32))
+              for p in _lstm_params(3, 4, rng)]
+    x = rng.uniform(-1, 1, (2, 5, 3)).astype(np.float32)
+    h, cache = lstm_forward(x, *params)
+    grad_x = lstm_backward(np.ones_like(h), cache, *params)
+    for name in ("x", "gates", "c", "h", "tanh_c"):
+        assert getattr(cache, name).dtype == np.float32, name
+    assert h.dtype == grad_x.dtype == np.float32
+    for p in params:
+        assert p.grad.dtype == np.float32
+        assert np.any(p.grad != 0.0)
 
 
 # --- dense -----------------------------------------------------------------

@@ -268,6 +268,60 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def _one_shot_document(model):
+    """The checkpoint as one `json.dumps` of the whole document, the way
+    save wrote it before it streamed the tensor payloads."""
+    wire = np.dtype(model.dtype).newbyteorder("<")
+
+    def encode(array):
+        return base64.b64encode(
+            array.astype(wire, copy=False).tobytes()).decode("ascii")
+
+    return json.dumps({
+        "magic": model_zoo.CHECKPOINT_MAGIC,
+        "version": model_zoo.CHECKPOINT_VERSION,
+        "config": model.config.to_dict(),
+        "vocab": {"tokens": model.vocab.tokens,
+                  "max_size": model.vocab.max_size,
+                  "min_freq": model.vocab.min_freq},
+        "params": [{"name": p.name, "shape": list(p.value.shape),
+                    "data": encode(p.value)} for p in model.params],
+        "running": {k: {"mean": encode(r.mean), "var": encode(r.var)}
+                    for k, r in model.bn_running.items()},
+    }).encode("ascii")
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_checkpoint_streamed_save_equals_one_shot_dumps(tmp_path, preset,
+                                                        dtype):
+    # tokens with quotes, backslashes and non-ASCII go through the same
+    # escaping as before
+    vocab = textprep.Vocabulary(
+        ["t0", 'a"b', "c\\d", "\u00e9t\u00e9", "x\x01"])
+    model = build(preset, vocab, maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=8, dtype=dtype)
+    for i, r in enumerate(model.bn_running.values()):
+        r.mean[...] = np.linspace(-1.0, 1.0, r.mean.size) * (i + 1)
+        r.var[...] = np.linspace(0.5, 2.0, r.var.size) / (i + 1)
+    path = str(tmp_path / "m.svchk")
+    model.save(path)
+    assert open(path, "rb").read() == _one_shot_document(model)
+
+
+@pytest.mark.parametrize("token", ["\x00", 'tail"\x00'])
+def test_checkpoint_save_refuses_a_string_that_encodes_like_the_slot(
+        tmp_path, token):
+    vocab = textprep.Vocabulary(["t0", token])
+    model = build("optimized", vocab, maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=8)
+    path = tmp_path / "m.svchk"
+    with pytest.raises(ValueError, match="placeholder"):
+        model.save(str(path))
+    # the file is not started, let alone left half written
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("delta", [-8, 8])
 def test_checkpoint_wrong_payload_length(tmp_path, delta):
     path, doc = _saved_doc(tmp_path, _tiny_model())

@@ -53,6 +53,39 @@ def test_adam_three_step_hand_trace():
     assert p.value[0] == pytest.approx(w, abs=1e-12)
 
 
+def _adam_reference(value, m, v, grad, state, t):
+    """Adam as one out-of-place expression per array, for bit comparison."""
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    m = state.beta1 * m + (1.0 - state.beta1) * grad
+    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / bc1
+    v_hat = v / bc2
+    return value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_place_update_is_bit_identical_to_the_expression(dtype):
+    rng = np.random.default_rng(5)
+    params = [ParamTensor(f"p{k}", rng.standard_normal(shape).astype(dtype))
+              for k, shape in enumerate([(7, 5), (3,), (2, 3, 4)])]
+    ref = [(p.value.copy(), p.m.copy(), p.v.copy()) for p in params]
+    state = AdamState(lr=5e-4)
+    for t in range(1, 6):
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.value.shape) * 10.0 ** (t - 3)
+        ref = [_adam_reference(value, m, v, p.grad, state, t)
+               for p, (value, m, v) in zip(params, ref)]
+        grads = [p.grad.copy() for p in params]
+        adam_step(params, state)
+        for p, g, (value, m, v) in zip(params, grads, ref):
+            assert p.value.dtype == p.m.dtype == p.v.dtype == dtype
+            assert p.value.tobytes() == value.tobytes()
+            assert p.m.tobytes() == m.tobytes()
+            assert p.v.tobytes() == v.tobytes()
+            assert p.grad.tobytes() == g.tobytes()  # the gradient is read only
+
+
 def test_adam_nonfinite_gradient_aborts():
     p = _pt([1.0], grad=[np.nan])
     state = AdamState()
