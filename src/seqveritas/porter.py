@@ -156,6 +156,7 @@ class _Stemmer:
             if a > 1 or (a == 1 and not self.cvc(self.k - 1)):
                 self.k -= 1
                 self.b = self.b[:self.k + 1]
+                self.j = self.k
         if self.b[self.k] == "l" and self.doublec(self.k) and self.m() > 1:
             self.k -= 1
             self.b = self.b[:self.k + 1]

@@ -148,6 +148,31 @@ def test_predict_text_and_empty(capsys, tmp_path):
     assert 0.0 <= doc["probability"] <= 1.0
 
 
+def test_prepare_stems_vowel_lle_words(capsys, tmp_path):
+    # "Michelle" ends in vowel + "lle", the shape that once made the
+    # stemmer index past the end of the word
+    fake = tmp_path / "fake.csv"
+    fake.write_text(open(TOY_FAKE).read()
+                    + 'toynews story 10,Michelle Obama spoke in Seville,'
+                      'toynews,"January 11, 2017"\n')
+    code, out, err = run(capsys, [
+        "prepare", "--fake", str(fake), "--true", TOY_TRUE,
+        "--out", str(tmp_path / "c.svec"), "--vocab-size", "100",
+        "--min-freq", "1"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["fake"] == 11 and doc["total"] == 21
+
+
+def test_predict_text_with_vowel_lle_words(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    code, out, err = run(capsys, ["predict", "--checkpoint", ckpt, "--text",
+                                  "Michelle Obama spoke in Seville"])
+    assert code == 0, err
+    assert set(json.loads(out)) == {"probability", "label"}
+
+
 def test_predict_stdin_lines(capsys, tmp_path, monkeypatch):
     import io
     cache, _ = _prepare(capsys, tmp_path)

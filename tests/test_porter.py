@@ -1,4 +1,8 @@
+import hashlib
+import string
+
 import pytest
+from hypothesis import given, strategies as st
 
 from seqveritas.porter import stem
 
@@ -67,6 +71,12 @@ VECTORS = [
     ("roll", "roll"),
     ("running", "run"),
     ("run", "run"),
+    # step 5: "-e" then "-ll" on the same word (vowel + "lle")
+    ("michelle", "michel"),
+    ("belle", "bell"),
+    ("seville", "sevil"),
+    ("gazelle", "gazel"),
+    ("danielle", "daniel"),
 ]
 
 
@@ -92,3 +102,58 @@ def test_empty_token():
 def test_idempotent_on_vectors():
     for _, out in VECTORS:
         assert stem(stem(out)) == stem(out)
+
+
+@pytest.mark.parametrize("vowel", "aeiou")
+def test_four_letter_lle_words(vowel):
+    # m("?lle") is 1 and "ll" does not make a cvc, so the "e" goes and the
+    # "ll" stays.
+    assert stem(vowel + "lle") == vowel + "ll"
+
+
+@given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20))
+def test_stem_never_raises(word):
+    out = stem(word)
+    assert isinstance(out, str) and out
+
+
+# Suffixes of every step of the algorithm, each tried after every root and
+# followed by every inflection, so each rule fires at several measures m.
+ROOTS = [
+    "run", "hop", "tan", "fall", "hiss", "fizz", "fail", "fil", "sky",
+    "happy", "relat", "condit", "ration", "digit", "oper", "feud", "decis",
+    "hope", "callous", "form", "sens", "electr", "reviv", "allow", "infer",
+    "airlin", "adjust", "defens", "irrit", "replac", "depend", "adopt",
+    "commun", "activ", "effect", "prob", "ceas", "control", "michel", "gaz",
+    "troubl", "agre", "plaster", "sing", "motor", "a", "be", "try",
+]
+STEP1 = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz",
+         "y"]
+STEP2 = ["ational", "tional", "enci", "anci", "izer", "bli", "alli",
+         "entli", "eli", "ousli", "ization", "ation", "ator", "alism",
+         "iveness", "fulness", "ousness", "aliti", "iviti", "biliti", "logi"]
+STEP3 = ["icate", "ative", "alize", "iciti", "ical", "ful", "ness"]
+STEP4 = ["al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+         "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate", "iti",
+         "ous", "ive", "ize"]
+STEP5 = ["e", "le", "ll", "lle"]
+INFLECTIONS = ["", "s", "ed", "ing", "ly", "ness"]
+
+# sha256 over "word stem\n" for the words below, recorded from the
+# straightforward table-scanning stemmer; any change to a stem changes it.
+STEM_DIGEST = (
+    "ffcc64bb50225de0071f18d7891e3f4a"
+    "9c8f1b989ab0201cb8e05b7efa52b865")
+
+
+def _digest_words():
+    suffixes = [""] + STEP1 + STEP2 + STEP3 + STEP4 + STEP5
+    return list(dict.fromkeys(root + suf + infl for root in ROOTS
+                              for suf in suffixes for infl in INFLECTIONS))
+
+
+def test_stem_digest():
+    words = _digest_words()
+    assert len(words) == 18_223
+    lines = "".join(f"{w} {stem(w)}\n" for w in words)
+    assert hashlib.sha256(lines.encode()).hexdigest() == STEM_DIGEST

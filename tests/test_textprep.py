@@ -115,6 +115,11 @@ def test_preprocess_pipeline():
     assert tokens == ["run", "mayor", "cat", "dog", "run"]
 
 
+@given(st.text(), st.text())
+def test_preprocess_never_raises(title, body):
+    assert all(isinstance(t, str) and t for t in textprep.preprocess(title, body))
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "c.svec")
     seqs = [[0, 1, 2], [3, 4, 5]]
