@@ -3,11 +3,32 @@
 Operates on lowercase alphabetic tokens; callers are expected to pass
 tokens through unchanged when they contain digits. Words of length <= 2
 are returned as-is, per the original algorithm.
+
+The suffix tables of steps 2, 3 and 4 are grouped by the suffix's final
+letter at import time, and each word tries only the group of its own final
+letter. Step 5 measures m on the word without its final "e" once that "e"
+is dropped. That is the measure the original takes (a trailing vowel adds
+no VC pair), and it keeps words ending in vowel + "lle" ("michelle",
+"belle") from indexing past the end of the word.
 """
 
 from __future__ import annotations
 
 _VOWELS = "aeiou"
+
+
+def _by_last_letter(table):
+    """Group (suffix, replacement) pairs by the suffix's final letter,
+    keeping table order within each group.
+
+    Only the group of the word's final letter can match, and two suffixes
+    with different final letters never both match, so trying that group
+    alone finds the same first match as scanning the whole table.
+    """
+    groups = {}
+    for suf, rep in table:
+        groups.setdefault(suf[-1], []).append((suf, rep))
+    return {letter: tuple(group) for letter, group in groups.items()}
 
 
 class _Stemmer:
@@ -116,31 +137,35 @@ class _Stemmer:
         if self.ends("y") and self.vowelinstem():
             self.b = self.b[:self.k] + "i"
 
-    _STEP2 = [
+    _STEP2 = _by_last_letter([
         ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
         ("anci", "ance"), ("izer", "ize"), ("bli", "ble"), ("alli", "al"),
         ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
         ("ation", "ate"), ("ator", "ate"), ("alism", "al"),
         ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
         ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"), ("logi", "log"),
-    ]
+    ])
 
-    _STEP3 = [
+    _STEP3 = _by_last_letter([
         ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
         ("ical", "ic"), ("ful", ""), ("ness", ""),
-    ]
+    ])
+
+    _STEP4 = _by_last_letter([
+        (suf, "") for suf in (
+            "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+            "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive",
+            "ize")
+    ])
 
     def _map_suffix(self, table):
-        for suf, rep in table:
+        for suf, rep in table.get(self.b[self.k], ()):
             if self.ends(suf):
                 self.r(rep)
                 return
 
     def step4(self):
-        suffixes = ("al", "ance", "ence", "er", "ic", "able", "ible", "ant",
-                    "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
-                    "ous", "ive", "ize")
-        for suf in suffixes:
+        for suf, _ in self._STEP4.get(self.b[self.k], ()):
             if self.ends(suf):
                 if suf == "ion" and self.b[self.j] not in "st":
                     continue

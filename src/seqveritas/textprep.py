@@ -57,10 +57,27 @@ def remove_stopwords(tokens, stopwords=_STOPWORDS):
     return [t for t in tokens if t not in stopwords]
 
 
+# Token -> stem for every non-stop-word token seen in this process. Cleared
+# when it reaches STEM_MEMO_CAP entries, so a long-lived process (say
+# `predict --stdin`) holds at most that many.
+STEM_MEMO_CAP = 1 << 17
+_stems = {}
+
+
 def preprocess(title, body):
-    """Full pipeline for one article: clean -> tokenize -> de-stopword -> stem."""
-    tokens = tokenize(clean(title + " " + body))
-    return [porter.stem(t) for t in remove_stopwords(tokens)]
+    """Full pipeline for one article: clean -> tokenize -> de-stopword -> stem.
+
+    Each distinct token is stemmed once per process (see `_stems`)."""
+    tokens = remove_stopwords(tokenize(clean(title + " " + body)))
+    out = []
+    for t in tokens:
+        s = _stems.get(t)
+        if s is None:
+            if len(_stems) >= STEM_MEMO_CAP:
+                _stems.clear()
+            s = _stems[t] = porter.stem(t)
+        out.append(s)
+    return out
 
 
 class Vocabulary:

@@ -120,6 +120,61 @@ def test_preprocess_never_raises(title, body):
     assert all(isinstance(t, str) and t for t in textprep.preprocess(title, body))
 
 
+def _unmemoised(title, body):
+    return [porter.stem(t)
+            for t in remove_stopwords(tokenize(clean(title + " " + body)))]
+
+
+# Text over a small alphabet repeats words and stop-words often, so the
+# memo is hit as well as missed.
+_WORDY = st.text(alphabet="aeilnorstyz .,'", max_size=200)
+
+
+@given(st.one_of(st.text(), _WORDY), st.one_of(st.text(), _WORDY))
+def test_preprocess_equals_unmemoised_pipeline(title, body):
+    assert textprep.preprocess(title, body) == _unmemoised(title, body)
+
+
+def _count_stems(monkeypatch, on_call=lambda: None):
+    calls = []
+    real = porter.stem
+
+    def counting(token):
+        on_call()
+        calls.append(token)
+        return real(token)
+
+    monkeypatch.setattr(porter, "stem", counting)
+    monkeypatch.setattr(textprep, "_stems", {})
+    return calls
+
+
+TEXT = ("Running runners ran; the runner runs and running dogs ran to the "
+        "dog's kennel, and the cats ran after the dogs")
+
+
+def test_preprocess_stems_each_distinct_token_once(monkeypatch):
+    calls = _count_stems(monkeypatch)
+    first = textprep.preprocess("The runners", TEXT)
+    second = textprep.preprocess("The runners", TEXT)
+    distinct = set(remove_stopwords(tokenize(clean("The runners " + TEXT))))
+    assert sorted(calls) == sorted(distinct)
+    assert first == second == _unmemoised("The runners", TEXT)
+
+
+def test_stem_memo_never_exceeds_its_cap(monkeypatch):
+    expected = _unmemoised("", TEXT)
+    monkeypatch.setattr(textprep, "STEM_MEMO_CAP", 3)
+    sizes = []
+    calls = _count_stems(monkeypatch, lambda: sizes.append(len(textprep._stems)))
+    for _ in range(2):
+        assert textprep.preprocess("", TEXT) == expected
+        sizes.append(len(textprep._stems))
+    distinct = len(set(calls))
+    assert distinct > 3 and len(calls) > distinct  # cleared and refilled
+    assert max(sizes) <= 3
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "c.svec")
     seqs = [[0, 1, 2], [3, 4, 5]]
