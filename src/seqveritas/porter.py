@@ -28,7 +28,7 @@ def _by_last_letter(table):
     groups = {}
     for suf, rep in table:
         groups.setdefault(suf[-1], []).append((suf, rep))
-    return {letter: tuple(group) for letter, group in groups.items()}
+    return groups
 
 
 class _Stemmer:

@@ -59,7 +59,8 @@ def remove_stopwords(tokens, stopwords=_STOPWORDS):
 
 # Token -> stem for every non-stop-word token seen in this process. Cleared
 # when it reaches STEM_MEMO_CAP entries, so a long-lived process (say
-# `predict --stdin`) holds at most that many.
+# `predict --stdin`) holds at most that many: about 15 MB of 9-letter
+# tokens.
 STEM_MEMO_CAP = 1 << 17
 _stems = {}
 
@@ -67,7 +68,7 @@ _stems = {}
 def preprocess(title, body):
     """Full pipeline for one article: clean -> tokenize -> de-stopword -> stem.
 
-    Each distinct token is stemmed once per process (see `_stems`)."""
+    Stems are memoised per process in `_stems`."""
     tokens = remove_stopwords(tokenize(clean(title + " " + body)))
     out = []
     for t in tokens:
