@@ -37,11 +37,16 @@ def _default_seed():
             f"SEQVERITAS_SEED must be an integer, got {text!r}") from None
 
 
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _int_at_least(low, what):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    return integer
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _fraction(text):
@@ -112,8 +117,13 @@ def _load_split(data_path, train_frac):
 
 
 def cmd_train(args):
-    train_x, train_y, val_x, val_y, _ = _load_split(args.data, args.train_frac)
+    train_x, train_y, val_x, val_y, vocab_size = _load_split(args.data,
+                                                             args.train_frac)
     vocab = textprep.load_vocab(_vocab_path(args.data))
+    if vocab_size != len(vocab):
+        return _fail(f"{args.data} was encoded against {vocab_size} "
+                     f"vocabulary entries, but {_vocab_path(args.data)} "
+                     f"has {len(vocab)}")
     maxlen = train_x.shape[1]
     model = model_zoo.build(args.preset, vocab, maxlen=maxlen,
                             seed=args.seed, dtype=args.dtype)
@@ -140,13 +150,17 @@ def cmd_train(args):
 def cmd_eval(args):
     model = model_zoo.load(args.checkpoint)
     if args.split == "all":
-        x, y, _ = textprep.read_cache(args.data)
+        x, y, vocab_size = textprep.read_cache(args.data)
         y = y.astype(np.float64)
     else:
-        train_x, train_y, val_x, val_y, _ = _load_split(args.data,
-                                                        args.train_frac)
+        train_x, train_y, val_x, val_y, vocab_size = _load_split(
+            args.data, args.train_frac)
         x, y = ((train_x, train_y) if args.split == "train"
                 else (val_x, val_y))
+    if vocab_size != model.config.vocab_size:
+        return _fail(f"{args.data} was encoded against {vocab_size} "
+                     f"vocabulary entries, but {args.checkpoint} has "
+                     f"{model.config.vocab_size}")
     if x.shape[1] != model.config.maxlen:
         return _fail(f"{args.data} has maxlen {x.shape[1]}, but "
                      f"{args.checkpoint} was trained at maxlen "
@@ -202,7 +216,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output cache path")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--maxlen", type=int, default=textprep.DEFAULT_MAXLEN)
-    p.add_argument("--vocab-size", type=int,
+    # two at least: PAD and OOV
+    p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
                    default=textprep.DEFAULT_MAX_VOCAB)
     p.add_argument("--min-freq", type=int, default=textprep.DEFAULT_MIN_FREQ)
     p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
@@ -214,7 +229,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--batch", type=_positive_int, default=64)
-    p.add_argument("--patience", type=int, default=2)
+    p.add_argument("--patience",
+                   type=_int_at_least(0, "a non-negative integer"), default=2)
     p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.add_argument("--dtype", choices=("float64", "float32"),
                    default="float64")

@@ -10,14 +10,20 @@ LSTM gate packing in the 4H dimension is fixed as [i, f, g, o]
 The LSTM keeps its state in preallocated time-major buffers, indexed by
 step first:
 
+  x       (T, B, d)   the input, copied time-major once for the input GEMM
   gates   (T, B, 4H)  x_t W + b for every step from one GEMM; each step
                       adds h_{t-1} U and overwrites the row with the
-                      activated gates, which the backward pass reads
+                      activated gates. The backward pass reads row t and
+                      then overwrites it with dz_t, the gradient with
+                      respect to the pre-activation gates
   c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
   tanh_c  (T, B, H)   tanh_c[t] = tanh(c_{t+1})
 
-The input x stays (B, T, d) in the cache. In eval mode (no history) c and
-h have two alternating slots, tanh_c one, and there is no cache.
+The cache exposes x as a (B, T, d) view of the time-major copy. The
+backward time loop does only the gate math and the recurrent product
+dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
+of x, h_0 .. h_{T-1} and the dz rows. In eval mode (no history) c and h
+have two alternating slots, tanh_c one, and there is no cache.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ def embedding_backward(grad_out, indices, emb):
 
 @dataclass
 class LstmCache(_Cache):
-    x: np.ndarray = None          # (B, T, d), as given
+    x: np.ndarray = None          # (B, T, d) view of a time-major copy
     gates: np.ndarray = None      # (T, B, 4H): activated [i, f, g, o] per step
     c: np.ndarray = None          # (T+1, B, H): c_0 .. c_T
     h: np.ndarray = None          # (T+1, B, H): h_0 .. h_T
@@ -146,8 +152,10 @@ def lstm_forward(x, w, u, b, history=True):
     hidden = u.value.shape[0]
     dtype = np.result_type(x, w.value, u.value, b.value)
     gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
-    np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d),
-              w.value, out=gates.reshape(-1, 4 * hidden))
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    np.matmul(x_tm.reshape(-1, d), w.value, out=gates.reshape(-1, 4 * hidden))
+    if not history:
+        x_tm = None  # only the backward pass reads it again
     gates += b.value
     slots = steps + 1 if history else 2
     c = np.zeros((slots, batch, hidden), dtype=dtype)
@@ -173,48 +181,70 @@ def lstm_forward(x, w, u, b, history=True):
     h_t = h[steps % slots]
     if not history:
         return h_t, None
-    return h_t, LstmCache(x=x, gates=gates, c=c, h=h, tanh_c=tanh_c)
+    return h_t, LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c, h=h,
+                          tanh_c=tanh_c)
+
+
+# Rows of dz per grad-x product. OpenBLAS packs a taller left operand into
+# a larger buffer that then stays resident: at paper shapes (12,800 rows,
+# 600 -> 100, float64, 2 threads) one product touches ~40 MB and takes
+# ~24 ms, blocks of 1,024 rows ~13 MB and ~12 ms.
+GRAD_X_ROWS = 1024
 
 
 def lstm_backward(grad_ht, cache, w, u, b):
     """Full backpropagation through time; accumulates into the param grads
-    and returns grad with respect to the input sequence.
+    and returns grad with respect to the input sequence, (B, T, d).
 
-    Each step writes d(loss)/d(gate output) for the four gates into one
-    reused (B, 4H) buffer and multiplies it by the activation slopes, so
-    that it becomes d(loss)/dz.
+    The reversed time loop does the elementwise gate math and the one
+    recurrent product dh = dz_t U^T. Each step overwrites gates[t], which
+    it has just read, with dz_t, so after the loop `gates` holds dz for
+    every step and the non-recurrent products run over all T*B rows at
+    once: dW, dU and db in one product each, grad x in blocks of
+    GRAD_X_ROWS rows. The returned grad x is a transposed view of a
+    time-major array.
     """
     cache.consume()
-    x, gates = cache.x, cache.gates
+    x, dz = cache.x, cache.gates
     batch, steps, d = x.shape
     hidden = u.value.shape[0]
-    grad_x = np.zeros_like(x)
-    dh = np.asarray(grad_ht).copy()
-    dc = np.zeros((batch, hidden), dtype=gates.dtype)
-    dz = np.empty((batch, 4 * hidden), dtype=dc.dtype)
-    slope = np.empty_like(dz)
-    _, _, shift = _gate_constants(hidden, gates.dtype)
-    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
-    di, df, dg, do = (dz[:, blk] for blk in blocks)
+    dtype = dz.dtype
+    grad_x = np.empty((steps, batch, d), dtype=dtype)
+    dh = np.array(grad_ht, dtype=dtype)
+    dc = np.zeros((batch, hidden), dtype=dtype)
+    dc_next = np.empty_like(dc)
+    slope = np.empty((batch, 4, hidden), dtype=dtype)
+    si, sf, sg, so = (slope[:, k] for k in range(4))
+    _, _, shift = _gate_constants(hidden, dtype)
+    shift = shift.reshape(4, hidden)
+    ut = u.value.T
     for t in range(steps - 1, -1, -1):
-        z = gates[t]
-        gi, gf, gg, go = (z[:, blk] for blk in blocks)
+        z = dz[t].reshape(batch, 4, hidden)
+        gi, gf, gg, go = (z[:, k] for k in range(4))
         tc = cache.tanh_c[t]
         dc += dh * go * dtanh(tc)
-        np.multiply(dc, gg, out=di)
-        np.multiply(dc, cache.c[t], out=df)
-        np.multiply(dc, gi, out=dg)
-        np.multiply(dh, tc, out=do)
         np.subtract(1.0, z, out=slope)
         slope *= z + shift
-        dz *= slope
-        w.grad += matmul(x[:, t, :].T, dz)
-        u.grad += matmul(cache.h[t].T, dz)
-        b.grad += dz.sum(axis=0)
-        grad_x[:, t, :] = matmul(dz, w.value.T)
-        dh = matmul(dz, u.value.T)
-        dc *= gf
-    return grad_x
+        si *= gg
+        sf *= cache.c[t]
+        sg *= gi
+        so *= tc
+        np.multiply(dc, gf, out=dc_next)
+        # from here on z holds dz_t: the i, f, g slopes scale by dc, o by dh
+        np.multiply(slope[:, :3], dc[:, None], out=z[:, :3])
+        np.multiply(so, dh, out=go)
+        np.matmul(dz[t], ut, out=dh)
+        dc, dc_next = dc_next, dc
+    dz_rows = dz.reshape(-1, 4 * hidden)
+    w.grad += x.transpose(1, 0, 2).reshape(-1, d).T @ dz_rows
+    u.grad += cache.h[:steps].reshape(-1, hidden).T @ dz_rows
+    b.grad += dz_rows.sum(axis=0)
+    wt = w.value.T
+    span = max(1, GRAD_X_ROWS // batch)
+    for t in range(0, steps, span):
+        np.matmul(dz[t:t + span].reshape(-1, 4 * hidden), wt,
+                  out=grad_x[t:t + span].reshape(-1, d))
+    return grad_x.transpose(1, 0, 2)
 
 
 # --- dense -----------------------------------------------------------------

@@ -123,10 +123,14 @@ def build_vocab(corpus, max_size=DEFAULT_MAX_VOCAB, min_freq=DEFAULT_MIN_FREQ):
 
 
 def encode(tokens, vocab, maxlen):
-    """Fixed-length index sequence: OOV -> 1, tail truncation, pre-padding."""
+    """Fixed-length index sequence: OOV -> 1, tail truncation, pre-padding.
+
+    Looks tokens up through the vocabulary's dict directly: the same
+    answers as `Vocabulary.index_of`, without a method call per token."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    idx = [vocab.index_of(t) for t in tokens[-maxlen:]]
+    lookup = vocab._index.get
+    idx = [lookup(t, OOV_INDEX) for t in tokens[-maxlen:]]
     return [PAD_INDEX] * (maxlen - len(idx)) + idx
 
 

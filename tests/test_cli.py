@@ -15,12 +15,12 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def _prepare(capsys, tmp_path, seed="42", maxlen="10"):
+def _prepare(capsys, tmp_path, seed="42", maxlen="10", vocab_size="100"):
     cache = str(tmp_path / "toy.svec")
     code, out, _ = run(capsys, [
         "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
         "--out", cache, "--seed", seed, "--maxlen", maxlen,
-        "--vocab-size", "100", "--min-freq", "1"])
+        "--vocab-size", vocab_size, "--min-freq", "1"])
     assert code == 0
     return cache, json.loads(out)
 
@@ -121,6 +121,61 @@ def test_train_batch_and_epochs_must_be_positive(capsys, tmp_path, flag,
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-5"])
+def test_prepare_vocab_size_below_2_exits_2(capsys, tmp_path, value):
+    # before: --vocab-size 1 sliced kept[:-1] and wrote a 26-entry vocabulary
+    out = tmp_path / "toy.svec"
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+              "--out", str(out), "--vocab-size", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{value} is not an integer >= 2" in captured.err
+    assert not out.exists()
+
+
+def test_prepare_vocab_size_2_keeps_pad_and_oov_only(capsys, tmp_path):
+    cache, doc = _prepare(capsys, tmp_path, vocab_size="2")
+    assert doc["vocab_size"] == 2
+    x, _, vocab_size = textprep.read_cache(cache)
+    assert vocab_size == 2 and set(np.unique(x)) <= {0, 1}
+
+
+def test_train_negative_patience_exits_2(capsys, tmp_path):
+    # before: --patience -1 stopped after the first epoch, whatever the loss
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt = tmp_path / "m.svchk"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", cache, "--preset", "baseline",
+              "--out-checkpoint", str(ckpt), "--patience", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "-1 is not a non-negative integer" in out.err
+    assert not ckpt.exists()
+
+
+def test_train_cache_vocab_unlike_vocab_file_exits_2(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    (tmp_path / "small").mkdir()
+    small, doc = _prepare(capsys, tmp_path / "small", vocab_size="10")
+    assert doc["vocab_size"] == 10
+    # the cache stays; the vocabulary beside it is another prepare's
+    with open(small + ".vocab.json") as src:
+        text = src.read()
+    with open(cache + ".vocab.json", "w") as dst:
+        dst.write(text)
+    ckpt = tmp_path / "m.svchk"
+    code, out, err = run(capsys, ["train", "--data", cache,
+                                  "--preset", "baseline",
+                                  "--out-checkpoint", str(ckpt)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not ckpt.exists()
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +271,34 @@ def test_eval_index_outside_checkpoint_vocab_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_eval_index_outside_cache_vocab_exits_2(capsys, tmp_path):
+    # the cache's V matches the checkpoint, but one index is out of range
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    vocab_size = model_zoo.load(ckpt).config.vocab_size
+    bad = str(tmp_path / "bad.svec")
+    textprep.write_cache(bad, [[0, 2, vocab_size]], [1], vocab_size, 3)
+    code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                  "--data", bad, "--split", "all"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_eval_cache_vocab_unlike_checkpoint_exits_2(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    (tmp_path / "small").mkdir()
+    small, _ = _prepare(capsys, tmp_path / "small", vocab_size="10")
+    for split in ("val", "all"):
+        code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                      "--data", small, "--split", split])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "10 vocabulary entries" in err
 
 
 def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):

@@ -157,21 +157,77 @@ def _oracle_lstm(x, w, u, b, grad_ht):
     return h_t, grad_x, dw, du, db
 
 
-# (B, T, d, H): one example, one step, d != H both ways
-@pytest.mark.parametrize("batch,steps,d,hid", [
-    (1, 7, 4, 4), (3, 1, 4, 4), (2, 6, 5, 3), (4, 5, 3, 7), (1, 1, 2, 5)])
-def test_lstm_matches_per_step_oracle(batch, steps, d, hid):
+def _oracle_case(batch, steps, d, hid):
     rng = Prng(11 + batch + steps)
     w, u, b = _lstm_params(d, hid, rng)
     b.value[...] = rng.uniform(-0.5, 0.5, (4 * hid,))
     x = rng.uniform(-1, 1, (batch, steps, d))
     grad_ht = rng.uniform(-1, 1, (batch, hid))
+    return x, (w, u, b), grad_ht
+
+
+# (B, T, d, H): one example, one step, d != H both ways, long sequences;
+# at GRAD_X_ROWS = 1024 the last two take grad x in several blocks (one
+# step each; 7 steps, then 2)
+@pytest.mark.parametrize("batch,steps,d,hid", [
+    (1, 7, 4, 4), (3, 1, 4, 4), (2, 6, 5, 3), (4, 5, 3, 7), (1, 1, 2, 5),
+    (1, 40, 4, 6), (3, 40, 5, 4), (1100, 2, 3, 4), (130, 9, 3, 4)])
+def test_lstm_matches_per_step_oracle(batch, steps, d, hid):
+    x, (w, u, b), grad_ht = _oracle_case(batch, steps, d, hid)
     h, cache = lstm_forward(x, w, u, b)
     grad_x = lstm_backward(grad_ht, cache, w, u, b)
     want = _oracle_lstm(x, w.value, u.value, b.value, grad_ht)
     for got, ref in zip((h, grad_x, w.grad, u.grad, b.grad), want):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("batch,steps,d,hid", [(1, 40, 4, 6), (3, 40, 5, 4),
+                                               (4, 5, 3, 7)])
+def test_lstm_float32_matches_float64_oracle(batch, steps, d, hid):
+    x, params, grad_ht = _oracle_case(batch, steps, d, hid)
+    x32 = x.astype(np.float32)
+    params32 = [ParamTensor(p.name, p.value.astype(np.float32))
+                for p in params]
+    h, cache = lstm_forward(x32, *params32)
+    grad_x = lstm_backward(grad_ht.astype(np.float32), cache, *params32)
+    # the oracle sees the float32 inputs exactly, in float64
+    want = _oracle_lstm(x32.astype(np.float64),
+                        *(p.value.astype(np.float64) for p in params32),
+                        grad_ht.astype(np.float32).astype(np.float64))
+    for got, ref in zip((h, grad_x, *(p.grad for p in params32)), want):
+        assert got.dtype == np.float32
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-5 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_lstm_backward_accumulates_into_param_grads():
+    x, (w, u, b), grad_ht = _oracle_case(3, 8, 4, 5)
+    rng = Prng(15)
+    before = [rng.uniform(-1, 1, p.value.shape) for p in (w, u, b)]
+    for p, g in zip((w, u, b), before):
+        p.grad[...] = g
+    _, cache = lstm_forward(x, w, u, b)
+    lstm_backward(grad_ht, cache, w, u, b)
+    _, _, dw, du, db = _oracle_lstm(x, w.value, u.value, b.value, grad_ht)
+    for p, g, ref in zip((w, u, b), before, (dw, du, db)):
+        assert np.max(np.abs(p.grad - (g + ref))) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch,steps", [(1, 40), (5, 7), (130, 9)])
+def test_lstm_grad_x_shape_and_dtype(dtype, batch, steps):
+    rng = Prng(16)
+    d, hid = 3, 4
+    params = [ParamTensor(p.name, p.value.astype(dtype))
+              for p in _lstm_params(d, hid, rng)]
+    x = rng.uniform(-1, 1, (batch, steps, d)).astype(dtype)
+    h, cache = lstm_forward(x, *params)
+    grad_ht = rng.uniform(-1, 1, h.shape).astype(dtype)
+    grad_x = lstm_backward(grad_ht, cache, *params)
+    assert grad_x.shape == (batch, steps, d)
+    assert grad_x.dtype == dtype
+    assert np.all(np.isfinite(grad_x)) and np.any(grad_x != 0.0)
 
 
 def test_lstm_without_history_gives_the_same_bits():

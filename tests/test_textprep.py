@@ -110,6 +110,16 @@ def test_encode_length_always_maxlen(tokens, maxlen):
     assert out[len(out) - len(tail):] == tail
 
 
+@given(st.lists(st.sampled_from(["cat", "dog", "xyz", "", "a b"]),
+                max_size=30),
+       st.lists(st.sampled_from(["cat", "dog", "a b", "emu"]), unique=True),
+       st.integers(min_value=1, max_value=12))
+def test_encode_matches_per_token_index_of(tokens, known, maxlen):
+    v = Vocabulary(known)
+    idx = [v.index_of(t) for t in tokens[-maxlen:]]
+    assert encode(tokens, v, maxlen) == [PAD_INDEX] * (maxlen - len(idx)) + idx
+
+
 def test_preprocess_pipeline():
     tokens = textprep.preprocess("The Running Mayor!", "cats and dogs, running.")
     assert tokens == ["run", "mayor", "cat", "dog", "run"]
