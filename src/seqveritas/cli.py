@@ -215,7 +215,8 @@ def build_parser():
     p.add_argument("--true", required=True, help="True.csv path")
     p.add_argument("--out", required=True, help="output cache path")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--maxlen", type=int, default=textprep.DEFAULT_MAXLEN)
+    p.add_argument("--maxlen", type=_positive_int,
+                   default=textprep.DEFAULT_MAXLEN)
     # two at least: PAD and OOV
     p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
                    default=textprep.DEFAULT_MAX_VOCAB)

@@ -4,6 +4,8 @@ All layers are stateless transformers over (input, params, cache). Each
 forward returns whatever its backward needs in an explicit cache object;
 a cache is valid for exactly one forward/backward pair. Gradients
 accumulate into ParamTensor.grad and are the trainer's job to zero.
+Dense is a plain affine map; the ReLU and the output sigmoid are applied
+by `model_zoo`.
 
 LSTM gate packing in the 4H dimension is fixed as [i, f, g, o]
 (input, forget, candidate, output); checkpoints depend on this order.
@@ -32,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (ShapeMismatch, dsigmoid, dtanh, drelu, matmul,
-                       relu, sigmoid)
+from .numerics import ShapeMismatch, dtanh, matmul
 
 
 class IndexOutOfVocab(IndexError):
@@ -249,44 +250,22 @@ def lstm_backward(grad_ht, cache, w, u, b):
 
 # --- dense -----------------------------------------------------------------
 
-_ACTIVATIONS = ("relu", "sigmoid", "linear")
-
-
 @dataclass
 class DenseCache(_Cache):
     x: np.ndarray = None
-    z: np.ndarray = None  # pre-activation
 
 
-def dense_forward(x, w, b, activation):
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    z = matmul(x, w.value) + b.value
-    if activation == "relu":
-        y = relu(z)
-    elif activation == "sigmoid":
-        y = sigmoid(z)
-    else:
-        y = z
-    return y, DenseCache(x=x, z=z)
+def dense_forward(x, w, b):
+    """Affine map x W + b; activations are separate layers."""
+    return matmul(x, w.value) + b.value, DenseCache(x=x)
 
 
-def dense_backward(grad_y, cache, w, b, activation, grad_is_preact=False):
-    """Returns grad_x; accumulates grad_W and grad_b. With
-    `grad_is_preact`, grad_y is already d(loss)/dz (the fused
-    sigmoid-plus-BCE path for the output layer)."""
+def dense_backward(grad_y, cache, w, b):
+    """Returns grad_x; accumulates grad_W and grad_b."""
     cache.consume()
-    if grad_is_preact:
-        dz = grad_y
-    elif activation == "relu":
-        dz = grad_y * drelu(cache.z)
-    elif activation == "sigmoid":
-        dz = grad_y * dsigmoid(sigmoid(cache.z))
-    else:
-        dz = grad_y
-    w.grad += matmul(cache.x.T, dz)
-    b.grad += dz.sum(axis=0)
-    return matmul(dz, w.value.T)
+    w.grad += matmul(cache.x.T, grad_y)
+    b.grad += grad_y.sum(axis=0)
+    return matmul(grad_y, w.value.T)
 
 
 # --- dropout ---------------------------------------------------------------

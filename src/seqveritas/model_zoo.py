@@ -2,22 +2,24 @@
 save/load, and single-text prediction.
 
 All presets share the same skeleton: Embedding -> Dropout -> LSTM (final
-hidden state only) -> Dropout -> dense stack -> Dense(1, sigmoid). Only
-the final hidden state feeds the dense stack; pre-padding in textprep
-guarantees it reflects real tokens.
+hidden state only) -> Dropout -> hidden dense blocks -> Dense(1) ->
+sigmoid. Only the final hidden state feeds the dense blocks; pre-padding
+in textprep guarantees it reflects real tokens.
 
-A model is a flat layer list built once from its config (a batch-norm
-block is Dense(linear) -> BatchNorm -> ReLU; a Dropout, identity at rate 0,
-sits between dense blocks; the output Dense is fused with the loss).
-Forward and backward loop over it; `Model.params` follows its order,
-which is the checkpoint order.
+A model is a flat layer list built once from its config. Each hidden
+block is Dense -> [BatchNorm] -> ReLU, and a Dropout, identity at rate 0,
+sits between dense blocks. The output Dense gives a logit: `Model.forward`
+applies the sigmoid, and `Model.backward` feeds the fused sigmoid+BCE
+gradient straight into it. Forward and backward loop over the list;
+`Model.params` follows its order, which is the checkpoint order.
 
-A checkpoint (format version 2) is one JSON document: magic, version,
+A checkpoint (format version 3) is one JSON document: magic, version,
 config, vocabulary, and each parameter tensor and batch-norm running
 statistic as base64 of its little-endian bytes. The element type is
 `config.dtype` (`<f8` for float64, `<f4` for float32); no tensor carries
-its own. Any other version, and a payload that is not base64 or not
-prod(shape) elements long, is refused.
+its own. Any other version, a body that is not shaped like a v3 document,
+and a payload that is not base64 or not prod(shape) elements long, are
+refused.
 
 Presets:
   baseline    Dropout 0.2, dense (64, 16) with L1 on kernels, lr 1e-3.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,11 +42,11 @@ from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
                      batchnorm_forward, dense_backward, dense_forward,
                      dropout_backward, dropout_forward, embedding_backward,
                      embedding_forward, lstm_backward, lstm_forward)
-from .numerics import Prng, drelu, init_glorot, relu
+from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 L1_LAMBDA = 1e-5
 L2_LAMBDA = 1e-4
@@ -78,87 +80,57 @@ class ShapeMismatchOnLoad(ValueError):
 
 
 @dataclass
-class DenseSpec:
-    width: int
-    activation: str
-    regularizers: tuple = ()
-    batchnorm: bool = False
-
-
-@dataclass
 class ModelConfig:
     preset: str
     vocab_size: int
     embed_dim: int = 100
     lstm_units: int = 150
     maxlen: int = textprep.DEFAULT_MAXLEN
-    dense_stack: list = field(default_factory=list)
+    dense_widths: tuple = ()        # hidden layers; the output Dense(1) follows
+    dense_regularizers: tuple = ()  # on every hidden kernel, not the output's
+    batchnorm: bool = False         # BatchNorm between each hidden Dense and ReLU
     embed_dropout: float = 0.2
     lstm_dropout: float = 0.2
     dense_dropout: float = 0.0
     lstm_regularizers: tuple = ()
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     dtype: str = "float64"
 
-    def to_dict(self):
-        d = asdict(self)
-        d["dense_stack"] = [[s.width, s.activation,
-                             [list(r) for r in s.regularizers], s.batchnorm]
-                            for s in self.dense_stack]
-        d["lstm_regularizers"] = [list(r) for r in self.lstm_regularizers]
-        return d
-
     @classmethod
     def from_dict(cls, d):
+        """Inverse of `asdict` after JSON, which stores tuples as lists.
+        Every field must be present: a missing one would silently take its
+        default and describe another model."""
+        names = {f.name for f in fields(cls)}
+        if d.keys() != names:
+            raise TypeError(f"config lacks {sorted(names - d.keys())}, "
+                            f"has unknown {sorted(d.keys() - names)}")
         d = dict(d)
-        d["dense_stack"] = [
-            DenseSpec(width=w, activation=a,
-                      regularizers=tuple((k, lam) for k, lam in regs),
-                      batchnorm=bn)
-            for w, a, regs, bn in d["dense_stack"]]
-        d["lstm_regularizers"] = tuple((k, lam)
-                                       for k, lam in d["lstm_regularizers"])
+        d["dense_widths"] = tuple(d["dense_widths"])
+        for key in ("dense_regularizers", "lstm_regularizers"):
+            d[key] = tuple((kind, lam) for kind, lam in d[key])
         return cls(**d)
 
 
 def preset_config(preset, vocab_size, maxlen=textprep.DEFAULT_MAXLEN,
                   embed_dim=100, lstm_units=150, seed=0, dtype="float64"):
     """Expand a preset name into a full ModelConfig (pure function)."""
-    l1 = (("l1", L1_LAMBDA),)
-    l1l2 = (("l1", L1_LAMBDA), ("l2", L2_LAMBDA))
     common = dict(vocab_size=vocab_size, maxlen=maxlen, embed_dim=embed_dim,
                   lstm_units=lstm_units, seed=seed, dtype=dtype)
+    regularized = dict(
+        dense_regularizers=(("l1", L1_LAMBDA), ("l2", L2_LAMBDA)),
+        embed_dropout=0.3, lstm_dropout=0.3, dense_dropout=0.3,
+        lstm_regularizers=(("l2", L2_LAMBDA),))
     if preset == "baseline":
-        return ModelConfig(
-            preset=preset,
-            dense_stack=[DenseSpec(64, "relu", l1),
-                         DenseSpec(16, "relu", l1),
-                         DenseSpec(1, "sigmoid")],
-            **common)
+        return ModelConfig(preset=preset, dense_widths=(64, 16),
+                           dense_regularizers=(("l1", L1_LAMBDA),), **common)
     if preset == "regularized":
-        return ModelConfig(
-            preset=preset,
-            dense_stack=[DenseSpec(64, "relu", l1l2),
-                         DenseSpec(16, "relu", l1l2),
-                         DenseSpec(1, "sigmoid")],
-            embed_dropout=0.3, lstm_dropout=0.3, dense_dropout=0.3,
-            lstm_regularizers=(("l2", L2_LAMBDA),),
-            **common)
+        return ModelConfig(preset=preset, dense_widths=(64, 16),
+                           **regularized, **common)
     if preset == "optimized":
-        return ModelConfig(
-            preset=preset,
-            dense_stack=[DenseSpec(128, "relu", l1l2, batchnorm=True),
-                         DenseSpec(64, "relu", l1l2, batchnorm=True),
-                         DenseSpec(16, "relu", l1l2, batchnorm=True),
-                         DenseSpec(1, "sigmoid")],
-            embed_dropout=0.3, lstm_dropout=0.3, dense_dropout=0.3,
-            lstm_regularizers=(("l2", L2_LAMBDA),),
-            lr=5e-4,
-            **common)
+        return ModelConfig(preset=preset, dense_widths=(128, 64, 16),
+                           batchnorm=True, lr=5e-4, **regularized, **common)
     raise ValueError(f"unknown preset {preset!r}; valid: {', '.join(PRESETS)}")
 
 
@@ -204,17 +176,14 @@ class Lstm:
 
 
 class Dense:
-    def __init__(self, w, b, activation, fused=False):
+    def __init__(self, w, b):
         self.params = [w, b]
-        self.activation = activation
-        self.fused = fused  # output layer: gets d(loss)/dz from sigmoid+BCE
 
     def forward(self, x, mode, rng):
-        return dense_forward(x, *self.params, self.activation)
+        return dense_forward(x, *self.params)
 
     def backward(self, grad, cache):
-        return dense_backward(grad, cache, *self.params, self.activation,
-                              grad_is_preact=self.fused)
+        return dense_backward(grad, cache, *self.params)
 
 
 class BatchNorm:
@@ -275,25 +244,27 @@ class Model:
             Dropout(cfg.lstm_dropout)]
 
         self.bn_running = {}
-        fan_in, last = h, len(cfg.dense_stack) - 1
-        for i, spec in enumerate(cfg.dense_stack):
-            name, width = f"dense{i}", spec.width
+        fan_in = h
+        for i, width in enumerate((*cfg.dense_widths, 1)):
+            name, hidden = f"dense{i}", i < len(cfg.dense_widths)
             if i > 0:
                 self.layers.append(Dropout(cfg.dense_dropout))
-            w = ParamTensor(f"{name}.W", init_glorot((fan_in, width), rng, dt),
-                            regularizers=spec.regularizers)
-            b = ParamTensor(f"{name}.b", np.zeros(width, dtype=dt))
-            if spec.batchnorm:
-                self.bn_running[name] = BatchNormRunning.fresh(width, dtype=dt)
-                self.layers += [Dense(w, b, "linear"), BatchNorm(
-                    ParamTensor(f"{name}.bn.gamma", np.ones(width, dtype=dt)),
-                    ParamTensor(f"{name}.bn.beta", np.zeros(width, dtype=dt)),
-                    self.bn_running[name])]
-                if spec.activation == "relu":
-                    self.layers.append(ReLU())
-            else:
-                self.layers.append(Dense(w, b, spec.activation,
-                                         fused=(i == last)))
+            self.layers.append(Dense(
+                ParamTensor(f"{name}.W", init_glorot((fan_in, width), rng, dt),
+                            regularizers=(cfg.dense_regularizers if hidden
+                                          else ())),
+                ParamTensor(f"{name}.b", np.zeros(width, dtype=dt))))
+            if hidden:
+                if cfg.batchnorm:
+                    running = BatchNormRunning.fresh(width, dtype=dt)
+                    self.bn_running[name] = running
+                    self.layers.append(BatchNorm(
+                        ParamTensor(f"{name}.bn.gamma",
+                                    np.ones(width, dtype=dt)),
+                        ParamTensor(f"{name}.bn.beta",
+                                    np.zeros(width, dtype=dt)),
+                        running))
+                self.layers.append(ReLU())
             fan_in = width
         self.params = [p for layer in self.layers for p in layer.params]
 
@@ -305,19 +276,20 @@ class Model:
             p.zero_grad()
 
     def forward(self, indices, mode="eval", rng=None):
-        """indices: (B, maxlen) -> (probabilities (B,), per-layer caches).
-        Train mode needs an rng for the dropout masks."""
+        """indices: (B, maxlen) -> (probabilities (B,), per-layer caches):
+        the sigmoid of the output Dense's logit. Train mode needs an rng
+        for the dropout masks."""
         x, caches = indices, []
         for layer in self.layers:
             x, cache = layer.forward(x, mode, rng)
             caches.append(cache)
-        return x[:, 0], caches
+        return sigmoid(x[:, 0]), caches
 
     def backward(self, caches, probs, labels):
-        """Backprop from the fused sigmoid+BCE output gradient through the
-        whole stack; accumulates into param grads. The loss gradient is
-        cast to the model dtype so a float32 model backpropagates in
-        float32."""
+        """Backprop from the fused sigmoid+BCE gradient, d(loss)/d(logit),
+        through the whole stack; accumulates into param grads. The loss
+        gradient is cast to the model dtype so a float32 model
+        backpropagates in float32."""
         grad = bce_grad_fused(probs, labels).astype(probs.dtype)[:, None]
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             grad = layer.backward(grad, cache)
@@ -364,7 +336,7 @@ class Model:
         doc = {
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab": {"tokens": self.vocab.tokens,
                       "max_size": self.vocab.max_size,
                       "min_freq": self.vocab.min_freq},
@@ -411,6 +383,16 @@ def load(path):
     if doc.get("version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
             f"{path}: version {doc.get('version')}, expected {CHECKPOINT_VERSION}")
+    try:
+        return _restore(path, doc)
+    except (AttributeError, LookupError, TypeError) as e:
+        # a missing, extra or mistyped entry
+        raise BadMagic(f"{path}: malformed checkpoint "
+                       f"({type(e).__name__}: {e})") from None
+
+
+def _restore(path, doc):
+    """The model a version-checked checkpoint document describes."""
     config = ModelConfig.from_dict(doc["config"])
     vocab = textprep.Vocabulary(doc["vocab"]["tokens"],
                                 max_size=doc["vocab"]["max_size"],
@@ -418,6 +400,10 @@ def load(path):
     model = Model(config, vocab)
     wire = np.dtype(model.dtype).newbyteorder("<")
     saved = {p["name"]: p for p in doc["params"]}
+    unknown = saved.keys() - {p.name for p in model.params}
+    if unknown:
+        raise ShapeMismatchOnLoad(f"{path}: tensors {sorted(unknown)} are "
+                                  "not in the model its config describes")
     for p in model.params:
         if p.name not in saved:
             raise ShapeMismatchOnLoad(f"{path}: missing tensor {p.name}")

@@ -43,11 +43,6 @@ def sigmoid(x):
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def dsigmoid(y):
-    """Derivative expressed in terms of the sigmoid output y."""
-    return y * (1.0 - y)
-
-
 def dtanh(y):
     """Derivative expressed in terms of the tanh output y."""
     return 1.0 - y * y

@@ -1,5 +1,5 @@
 """Adam updates, gradient clipping, early stopping, the epoch loop, and
-k-fold cross-validation.
+batched prediction.
 
 The epoch loop owns the model exclusively; the reference mode is
 single-threaded and fully deterministic in (data, config, seed).
@@ -20,10 +20,6 @@ class NonFiniteGradient(FloatingPointError):
 
 
 class EmptyDataset(ValueError):
-    pass
-
-
-class BadK(ValueError):
     pass
 
 
@@ -158,9 +154,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
     n = train_x.shape[0]
     if n == 0 or val_x.shape[0] == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
-    cfg = model.config
-    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps=cfg.adam_eps)
+    state = AdamState(lr=model.config.lr)
     rng = Prng(config.seed)
     stopper = EarlyStopper(patience=config.patience,
                            min_delta=config.min_delta)
@@ -195,36 +189,3 @@ def fit(model, train_x, train_y, val_x, val_y, config):
         model.restore_snapshot(stopper.best_snapshot)
     return history
 
-
-def cross_validate(build_fn, x, y, k, seed, train_config):
-    """k-fold CV: a fresh model per fold, re-seeded as seed+fold.
-
-    `build_fn(fold_seed)` must return a freshly initialized model.
-    Returns (per-fold MetricsReports, summary with mean/std accuracy)."""
-    n = x.shape[0]
-    if k < 2 or k > n:
-        raise BadK(f"k={k} invalid for {n} examples")
-    order = Prng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    reports = []
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        val_idx = order[start:start + size]
-        train_idx = np.concatenate([order[:start], order[start + size:]])
-        start += size
-        model = build_fn(seed + fold)
-        fold_cfg = TrainConfig(**{**train_config.__dict__,
-                                  "seed": seed + fold})
-        fit(model, x[train_idx], y[train_idx], x[val_idx], y[val_idx],
-            fold_cfg)
-        probs = predict_in_batches(model, x[val_idx])
-        _, report = evaluate(probs, y[val_idx])
-        reports.append(report)
-    accs = [r.accuracy for r in reports]
-    summary = {
-        "mean_accuracy": float(np.mean(accs)),
-        "std_accuracy": float(np.std(accs)),
-        "mean_f1": float(np.mean([r.f1 for r in reports])),
-    }
-    return reports, summary

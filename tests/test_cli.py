@@ -135,6 +135,21 @@ def test_prepare_vocab_size_below_2_exits_2(capsys, tmp_path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_prepare_maxlen_below_1_exits_2(capsys, tmp_path, value):
+    # before: every article was loaded and stemmed before encode refused
+    out = tmp_path / "toy.svec"
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+              "--out", str(out), "--maxlen", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{value} is not a positive integer" in captured.err
+    assert "loaded" not in captured.err
+    assert not out.exists()
+
+
 def test_prepare_vocab_size_2_keeps_pad_and_oov_only(capsys, tmp_path):
     cache, doc = _prepare(capsys, tmp_path, vocab_size="2")
     assert doc["vocab_size"] == 2
@@ -334,7 +349,9 @@ def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("how", ["wrong_length", "not_base64", "version_1"])
+@pytest.mark.parametrize("how", [
+    "wrong_length", "not_base64", "version_1", "version_2", "config_colour",
+    "widths_not_a_list", "no_vocab", "no_params"])
 def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt = str(tmp_path / "model.svchk")
@@ -348,10 +365,18 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
         entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
     elif how == "not_base64":
         entry["data"] = "not base64!"
-    else:
+    elif how == "version_1":
         doc["version"] = 1
         for entry, p in zip(doc["params"], model.params):
             entry["data"] = p.value.reshape(-1).tolist()
+    elif how == "version_2":
+        _to_version_2(doc)
+    elif how == "config_colour":
+        doc["config"]["colour"] = "red"
+    elif how == "widths_not_a_list":
+        doc["config"]["dense_widths"] = 64
+    else:
+        del doc[how[len("no_"):]]
     json.dump(doc, open(ckpt, "w"))
     argv = (["eval", "--checkpoint", ckpt, "--data", cache]
             if command == "eval"
@@ -360,6 +385,19 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def _to_version_2(doc):
+    """Rewrite a checkpoint document in the version 2 layout: one config
+    entry per dense layer, the output layer included, and Adam's betas and
+    epsilon in the config."""
+    cfg = doc["config"]
+    widths = cfg.pop("dense_widths")
+    regs, bn = cfg.pop("dense_regularizers"), cfg.pop("batchnorm")
+    cfg["dense_stack"] = ([[w, "relu", regs, bn] for w in widths]
+                          + [[1, "sigmoid", [], False]])
+    cfg.update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    doc["version"] = 2
 
 
 def test_predict_bad_checkpoint_exits_2(capsys, tmp_path):

@@ -8,6 +8,7 @@ from seqveritas.layers import (BadRate, BatchNormRunning, BatchTooSmall,
                                dropout_backward, dropout_forward,
                                embedding_forward, lstm_backward,
                                lstm_forward)
+from seqveritas.model_zoo import ReLU
 from seqveritas.numerics import Prng, ShapeMismatch, sigmoid
 
 
@@ -276,24 +277,31 @@ def test_dense_identity():
     w = _pt("W", np.eye(3))
     b = _pt("b", np.zeros(3))
     x = Prng(6).uniform(-1, 1, (4, 3))
-    y, _ = dense_forward(x, w, b, "linear")
+    y, _ = dense_forward(x, w, b)
     assert np.array_equal(y, x)
 
 
 def test_dense_relu_backward_zeroes_negative_preact():
+    """Dense -> ReLU, the hidden block of every preset: the gradient
+    reaches the input only where the pre-activation was positive."""
     w = _pt("W", np.eye(2))
     b = _pt("b", np.array([0.0, 0.0]))
     x = np.array([[1.0, -2.0]])
-    y, cache = dense_forward(x, w, b, "relu")
+    relu = ReLU()
+    z, dense_cache = dense_forward(x, w, b)
+    y, relu_cache = relu.forward(z, "train", None)
     assert np.array_equal(y, [[1.0, 0.0]])
-    gx = dense_backward(np.ones((1, 2)), cache, w, b, "relu")
+    gx = dense_backward(relu.backward(np.ones((1, 2)), relu_cache),
+                        dense_cache, w, b)
     assert np.array_equal(gx, [[1.0, 0.0]])
+    assert np.array_equal(w.grad, [[1.0, 0.0], [-2.0, 0.0]])
+    assert np.array_equal(b.grad, [1.0, 0.0])
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         dense_forward(np.zeros((2, 3)), _pt("W", np.zeros((4, 2))),
-                      _pt("b", np.zeros(2)), "linear")
+                      _pt("b", np.zeros(2)))
 
 
 # --- dropout ---------------------------------------------------------------

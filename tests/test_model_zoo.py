@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from seqveritas import model_zoo, textprep
 from seqveritas.model_zoo import (BadMagic, ModelConfig, ShapeMismatchOnLoad,
                                   VersionMismatch, VocabMissing, build, load,
                                   preset_config)
-from seqveritas.numerics import Prng
+from seqveritas.numerics import Prng, sigmoid
 
 
 def _vocab(n_tokens):
@@ -33,17 +34,42 @@ def test_baseline_param_count_v20000():
 
 def test_optimized_has_three_batchnorm_stages():
     cfg = preset_config("optimized", vocab_size=50)
-    assert sum(1 for s in cfg.dense_stack if s.batchnorm) == 3
-    assert [s.width for s in cfg.dense_stack] == [128, 64, 16, 1]
+    assert cfg.batchnorm
+    assert cfg.dense_widths == (128, 64, 16)
     assert cfg.lr == 5e-4
+    model = _tiny_model("optimized")
+    assert sorted(model.bn_running) == ["dense0", "dense1", "dense2"]
 
 
 def test_final_stack_entry_is_sigmoid_unregularized():
+    """In every preset the output Dense(1) is the last layer, unregularized
+    and with no BatchNorm or ReLU after it; forward applies the sigmoid to
+    its logit. The hidden kernels carry the preset's regularizers."""
     for preset in model_zoo.PRESETS:
-        cfg = preset_config(preset, vocab_size=50)
-        last = cfg.dense_stack[-1]
-        assert (last.width, last.activation) == (1, "sigmoid")
-        assert last.regularizers == () and not last.batchnorm
+        model = _tiny_model(preset)
+        out = model.layers[-1]
+        assert type(out) is model_zoo.Dense
+        w, b = out.params
+        assert w.value.shape == (model.config.dense_widths[-1], 1)
+        assert w.regularizers == () and b.regularizers == ()
+        hidden = [layer for layer in model.layers
+                  if type(layer) is model_zoo.Dense][:-1]
+        assert len(hidden) == len(model.config.dense_widths)
+        for layer in hidden:
+            assert layer.params[0].regularizers == (
+                model.config.dense_regularizers)
+            assert layer.params[0].regularizers != ()
+        x = _random_inputs(model, 5)
+        logits, _ = out.forward(_hidden_output(model, x), "eval", None)
+        assert np.array_equal(model.predict_proba(x), sigmoid(logits[:, 0]))
+
+
+def _hidden_output(model, indices):
+    """The eval-mode input of the output Dense."""
+    x = indices
+    for layer in model.layers[:-1]:
+        x, _ = layer.forward(x, "eval", None)
+    return x
 
 
 def test_preset_expansion_pure():
@@ -114,32 +140,44 @@ def test_params_follow_checkpoint_order():
 
 
 def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
-    """A train-mode forward and backward of `optimized` runs every kernel
-    through the name model_zoo imported it under, once per layer."""
-    model = _tiny_model("optimized")
+    """For every preset, a train-mode forward and backward runs every
+    kernel through the name model_zoo imported it under, once per layer,
+    and each hidden block's ReLU through the `ReLU` layer."""
     calls = {}
-    for kernel in ("embedding", "dropout", "lstm", "dense", "batchnorm"):
-        for way in ("forward", "backward"):
-            name = f"{kernel}_{way}"
-            real = getattr(model_zoo, name)
+    names = [f"{kernel}_{way}"
+             for kernel in ("embedding", "dropout", "lstm", "dense",
+                            "batchnorm")
+             for way in ("forward", "backward")] + ["relu", "drelu"]
+    for name in names:
+        real = getattr(model_zoo, name)
 
-            def spy(*args, _name=name, _real=real, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args, **kwargs)
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
 
-            monkeypatch.setattr(model_zoo, name, spy)
-    probs, caches = model.forward(_random_inputs(model, 4), mode="train",
-                                  rng=Prng(5))
-    model.backward(caches, probs, np.array([1.0, 0.0, 1.0, 0.0]))
-    expected = {"embedding": 1, "dropout": 5, "lstm": 1, "dense": 4,
-                "batchnorm": 3}
-    assert calls == {f"{k}_{way}": n for k, n in expected.items()
-                     for way in ("forward", "backward")}
+        monkeypatch.setattr(model_zoo, name, spy)
+    # (dense, dropout, batchnorm, relu) layers of each preset
+    layers = {"baseline": (3, 4, 0, 2), "regularized": (3, 4, 0, 2),
+              "optimized": (4, 5, 3, 3)}
+    for preset, (dense, dropout, batchnorm, relu) in layers.items():
+        calls.clear()
+        model = _tiny_model(preset)
+        probs, caches = model.forward(_random_inputs(model, 4),
+                                      mode="train", rng=Prng(5))
+        model.backward(caches, probs, np.array([1.0, 0.0, 1.0, 0.0]))
+        expected = {"embedding": 1, "dropout": dropout, "lstm": 1,
+                    "dense": dense, "batchnorm": batchnorm}
+        assert calls == {**{f"{k}_{way}": n for k, n in expected.items()
+                            for way in ("forward", "backward") if n},
+                         "relu": relu, "drelu": relu}, preset
 
 
 def test_config_round_trip_dict():
-    cfg = preset_config("optimized", vocab_size=52, maxlen=6, seed=3)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # through JSON, as in a checkpoint, which stores tuples as lists
+    for preset in model_zoo.PRESETS:
+        cfg = preset_config(preset, vocab_size=52, maxlen=6, seed=3)
+        doc = json.loads(json.dumps(asdict(cfg)))
+        assert ModelConfig.from_dict(doc) == cfg
 
 
 def _tiny_model(preset="baseline", seed=1):
@@ -220,7 +258,7 @@ def _payload_bytes(doc):
 def test_checkpoint_stores_little_endian_bytes_of_each_tensor(tmp_path):
     model = _tiny_model("optimized")
     _, doc = _saved_doc(tmp_path, model)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     for p in model.params:
         data = base64.b64decode(_entry(doc, p.name)["data"])
         assert data == p.value.astype("<f8").tobytes()
@@ -280,7 +318,7 @@ def _one_shot_document(model):
     return json.dumps({
         "magic": model_zoo.CHECKPOINT_MAGIC,
         "version": model_zoo.CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": {"tokens": model.vocab.tokens,
                   "max_size": model.vocab.max_size,
                   "min_freq": model.vocab.min_freq},
@@ -358,7 +396,33 @@ def test_checkpoint_version_1_refused(tmp_path):
     for entry, p in zip(doc["params"], model.params):
         entry["data"] = p.value.reshape(-1).tolist()
     json.dump(doc, open(path, "w"))
-    with pytest.raises(VersionMismatch, match="version 1, expected 2"):
+    with pytest.raises(VersionMismatch, match="version 1, expected 3"):
+        load(path)
+
+
+@pytest.mark.parametrize("how", ["no_config_key", "params_not_a_list",
+                                 "no_running"])
+def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
+    # tests/test_cli.py::test_corrupt_checkpoint_exits_2 has more cases
+    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
+    if how == "no_config_key":
+        del doc["config"]["batchnorm"]
+    elif how == "params_not_a_list":
+        doc["params"] = 3
+    else:
+        del doc["running"]
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(BadMagic, match="malformed checkpoint"):
+        load(path)
+
+
+def test_checkpoint_tensor_outside_the_config_refused(tmp_path):
+    # an optimized checkpoint whose config lost its batch norm would
+    # otherwise load as a different model, its BatchNorm tensors unread
+    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
+    doc["config"]["batchnorm"] = False
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ShapeMismatchOnLoad, match="dense0.bn.beta"):
         load(path)
 
 

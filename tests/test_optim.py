@@ -5,10 +5,9 @@ import pytest
 
 from seqveritas import model_zoo, optim
 from seqveritas.layers import ParamTensor
-from seqveritas.optim import (AdamState, BadK, EarlyStopper, EmptyDataset,
+from seqveritas.optim import (AdamState, EarlyStopper, EmptyDataset,
                               NonFiniteGradient, TrainConfig, adam_step,
-                              clip_gradients, cross_validate, fit,
-                              predict_in_batches)
+                              clip_gradients, fit, predict_in_batches)
 
 
 def _pt(values, grad=None):
@@ -223,47 +222,3 @@ def test_batch_slices():
     assert optim._batch_slices(9, 4, True) == [(0, 4), (4, 9)]
     assert optim._batch_slices(9, 4, False) == [(0, 4), (4, 8), (8, 9)]
 
-
-def test_cross_validate_reports_and_determinism(toy_encoded):
-    x, y, vocab, maxlen = toy_encoded
-
-    def build_fn(fold_seed):
-        return model_zoo.build("baseline", vocab, maxlen=maxlen,
-                               seed=fold_seed)
-
-    tc = TrainConfig(epochs=3, batch_size=8, patience=100)
-    reports1, summary1 = cross_validate(build_fn, x, y, k=4, seed=11,
-                                        train_config=tc)
-    reports2, summary2 = cross_validate(build_fn, x, y, k=4, seed=11,
-                                        train_config=tc)
-    assert len(reports1) == 4
-    assert summary1 == summary2
-    assert summary1["mean_accuracy"] == pytest.approx(
-        np.mean([r.accuracy for r in reports1]))
-
-
-@pytest.mark.parametrize("n,k", [(10, 5), (11, 5), (13, 4)])
-def test_cross_validate_fold_sizes(toy_encoded, n, k):
-    """Every example is scored in exactly one fold: the validation fold
-    sizes differ by at most one and sum to n."""
-    x, y, vocab, maxlen = toy_encoded
-
-    def build_fn(fold_seed):
-        return model_zoo.build("baseline", vocab, maxlen=maxlen,
-                               seed=fold_seed, embed_dim=4, lstm_units=4)
-
-    reports, _ = cross_validate(build_fn, x[:n], y[:n], k=k, seed=3,
-                                train_config=TrainConfig(epochs=1,
-                                                         batch_size=8))
-    sizes = [r.tp + r.fp + r.tn + r.fn for r in reports]
-    assert len(sizes) == k
-    assert max(sizes) - min(sizes) <= 1
-    assert sum(sizes) == n
-
-
-def test_cross_validate_bad_k(toy_encoded):
-    x, y, vocab, maxlen = toy_encoded
-    for k in (1, len(x) + 1):
-        with pytest.raises(BadK):
-            cross_validate(lambda s: None, x, y, k=k, seed=0,
-                           train_config=TrainConfig())
