@@ -274,7 +274,7 @@ def main(argv=None):
         return args.func(args)
     except FloatingPointError as e:  # NonFiniteGradient or non-finite output
         return _fail(str(e), EXIT_NUMERICAL)
-    except (FileNotFoundError, ValueError, IndexOutOfVocab) as e:
+    except (OSError, ValueError, IndexOutOfVocab) as e:
         return _fail(str(e), EXIT_USAGE)
 
 

@@ -68,12 +68,15 @@ class ParamTensor:
     v: np.ndarray = None
 
     def __post_init__(self):
+        # np.zeros gets pages the OS has already zeroed, where zeros_like
+        # writes every byte; a model that only predicts never touches them
+        shape, dtype = self.value.shape, self.value.dtype
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+            self.grad = np.zeros(shape, dtype)
         if self.m is None:
-            self.m = np.zeros_like(self.value)
+            self.m = np.zeros(shape, dtype)
         if self.v is None:
-            self.v = np.zeros_like(self.value)
+            self.v = np.zeros(shape, dtype)
 
     def zero_grad(self):
         self.grad.fill(0.0)

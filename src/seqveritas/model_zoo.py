@@ -13,12 +13,27 @@ applies the sigmoid, and `Model.backward` feeds the fused sigmoid+BCE
 gradient straight into it. Forward and backward loop over the list;
 `Model.params` follows its order, which is the checkpoint order.
 
-A checkpoint (format version 3) is one JSON document: magic, version,
-config, vocabulary, and each parameter tensor and batch-norm running
-statistic as base64 of its little-endian bytes. The element type is
-`config.dtype` (`<f8` for float64, `<f4` for float32); no tensor carries
-its own. Any other version, a body that is not shaped like a v3 document,
-and a payload that is not base64 or not prod(shape) elements long, are
+A model gets its tensors from one function, `tensor(name, shape, init)`:
+`build` answers with the seeded initialisation `init(rng)`, `load` with
+the array the checkpoint holds under that name, so a load draws nothing.
+
+A checkpoint (format version 4) is a binary container, the layout of
+safetensors and of NumPy's `.npy`:
+  - an 8-byte little-endian u64 header length n;
+  - n bytes of UTF-8 JSON: magic, version, config, vocabulary, and the
+    name, shape and byte offset of each tensor, the parameters in
+    `Model.params` order and then the batch-norm running statistics;
+  - the data section, from the first multiple of 64 at or after 8 + n:
+    each tensor's little-endian bytes, row-major, at its offset. Offsets
+    count from the data section and are the multiples of 64 at or after
+    the end of the tensor before. Padding is zero bytes, and the file
+    ends with the last tensor.
+The element type is `config.dtype` (`<f8` for float64, `<f4` for
+float32); no tensor carries its own. `load` reads the file into one
+64-byte-aligned buffer and hands the model writable views of it.
+Versions 1-3 (one JSON document), a header that is not JSON or lacks the
+magic, a config value of the wrong type, and a tensor table that does not
+tile the data section with the tensors the config's model has, are
 refused.
 
 Presets:
@@ -31,8 +46,9 @@ Presets:
 
 from __future__ import annotations
 
-import base64
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -46,21 +62,14 @@ from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+CHECKPOINT_ALIGN = 64  # bytes; a cache line, and a multiple of every itemsize
 
 L1_LAMBDA = 1e-5
 L2_LAMBDA = 1e-4
 
 PRESETS = ("baseline", "regularized", "optimized")
-
-
-# Stands in for each tensor payload while `Model.save` encodes the JSON
-# skeleton. Its encoding, the 8 characters "\u0000" with the quotes, can
-# only come from a string that is NUL alone or ends in a quote and NUL;
-# vocabulary tokens are [a-z0-9] and config strings are names. Save checks
-# that it found exactly one per tensor.
-_SLOT = "\x00"
-_SLOT_JSON = json.dumps(_SLOT).encode("ascii")
+DTYPES = {"float64": np.float64, "float32": np.float32}
 
 
 class VocabMissing(ValueError):
@@ -101,16 +110,51 @@ class ModelConfig:
     def from_dict(cls, d):
         """Inverse of `asdict` after JSON, which stores tuples as lists.
         Every field must be present: a missing one would silently take its
-        default and describe another model."""
+        default and describe another model. A value of the wrong type
+        raises TypeError here rather than somewhere downstream."""
         names = {f.name for f in fields(cls)}
         if d.keys() != names:
             raise TypeError(f"config lacks {sorted(names - d.keys())}, "
                             f"has unknown {sorted(d.keys() - names)}")
+        bad = [k for k, v in d.items() if not _CONFIG_TYPES[k](v)]
+        if bad:
+            raise TypeError("config has mistyped "
+                            + ", ".join(f"{k}={d[k]!r}" for k in bad))
         d = dict(d)
         d["dense_widths"] = tuple(d["dense_widths"])
         for key in ("dense_regularizers", "lstm_regularizers"):
             d[key] = tuple((kind, lam) for kind, lam in d[key])
         return cls(**d)
+
+
+def _is_int(v):
+    return type(v) is int  # not bool, which subclasses int
+
+
+def _is_number(v):
+    return type(v) in (int, float)
+
+
+def _is_regularizers(v):
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(r, (list, tuple)) and len(r) == 2
+        and r[0] in ("l1", "l2") and _is_number(r[1]) for r in v)
+
+
+# The test each ModelConfig field's stored value must pass.
+_CONFIG_TYPES = {
+    "preset": lambda v: v in PRESETS,
+    "vocab_size": _is_int, "embed_dim": _is_int, "lstm_units": _is_int,
+    "maxlen": _is_int, "seed": _is_int,
+    "dense_widths": lambda v: (isinstance(v, (list, tuple))
+                               and all(map(_is_int, v))),
+    "dense_regularizers": _is_regularizers,
+    "lstm_regularizers": _is_regularizers,
+    "batchnorm": lambda v: type(v) is bool,
+    "embed_dropout": _is_number, "lstm_dropout": _is_number,
+    "dense_dropout": _is_number, "lr": _is_number,
+    "dtype": lambda v: v in tuple(DTYPES),
+}
 
 
 def preset_config(preset, vocab_size, maxlen=textprep.DEFAULT_MAXLEN,
@@ -212,35 +256,54 @@ class Model:
     """An assembled classifier: a flat layer list, batch-norm running
     stats, and the vocabulary it was built against."""
 
-    def __init__(self, config, vocab):
+    def __init__(self, config, vocab, tensor):
+        """`tensor(name, shape, init)` gives each array of the model:
+        `build` answers `init(shape, rng)` from the seeded stream, `load`
+        the checkpoint's array."""
         if vocab is None:
             raise VocabMissing("a model needs a built vocabulary")
+        if config.dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {config.dtype!r}; "
+                             f"valid: {', '.join(DTYPES)}")
         self.config = config
         self.vocab = vocab
-        self.dtype = np.float64 if config.dtype == "float64" else np.float32
-        self._build_params()
+        self.dtype = DTYPES[config.dtype]
+        self._build_params(tensor)
 
-    # parameter construction order is fixed; checkpoints and seeded
-    # initialization both depend on it
-    def _build_params(self):
-        cfg = self.config
-        rng = Prng(cfg.seed)
-        dt = self.dtype
+    # the order of `tensor` calls is fixed: the seeded initialisation draws
+    # in it, and `params` follows it
+    def _build_params(self, tensor):
+        cfg, dt = self.config, self.dtype
+        h, d = cfg.lstm_units, cfg.embed_dim
 
-        emb = init_glorot((cfg.vocab_size, cfg.embed_dim), rng, dt)
-        emb[0] = 0.0  # PAD row frozen at zero
-        h = cfg.lstm_units
-        bias = np.zeros(4 * h, dtype=dt)
-        bias[h:2 * h] = 1.0  # forget-gate bias starts open
+        def glorot(shape, rng):
+            return init_glorot(shape, rng, dt)
+
+        def zeros(shape, rng):
+            return np.zeros(shape, dtype=dt)
+
+        def ones(shape, rng):
+            return np.ones(shape, dtype=dt)
+
+        def embedding(shape, rng):
+            emb = glorot(shape, rng)
+            emb[0] = 0.0  # PAD row frozen at zero
+            return emb
+
+        def lstm_bias(shape, rng):
+            bias = zeros(shape, rng)
+            bias[h:2 * h] = 1.0  # forget-gate bias starts open
+            return bias
+
+        def param(name, shape, init, regularizers=()):
+            return ParamTensor(name, tensor(name, shape, init), regularizers)
+
         self.layers = [
-            Embedding(ParamTensor("embedding", emb)),
+            Embedding(param("embedding", (cfg.vocab_size, d), embedding)),
             Dropout(cfg.embed_dropout),
-            Lstm(ParamTensor("lstm.W",
-                             init_glorot((cfg.embed_dim, 4 * h), rng, dt),
-                             regularizers=cfg.lstm_regularizers),
-                 ParamTensor("lstm.U", init_glorot((h, 4 * h), rng, dt),
-                             regularizers=cfg.lstm_regularizers),
-                 ParamTensor("lstm.b", bias)),
+            Lstm(param("lstm.W", (d, 4 * h), glorot, cfg.lstm_regularizers),
+                 param("lstm.U", (h, 4 * h), glorot, cfg.lstm_regularizers),
+                 param("lstm.b", (4 * h,), lstm_bias)),
             Dropout(cfg.lstm_dropout)]
 
         self.bn_running = {}
@@ -250,23 +313,30 @@ class Model:
             if i > 0:
                 self.layers.append(Dropout(cfg.dense_dropout))
             self.layers.append(Dense(
-                ParamTensor(f"{name}.W", init_glorot((fan_in, width), rng, dt),
-                            regularizers=(cfg.dense_regularizers if hidden
-                                          else ())),
-                ParamTensor(f"{name}.b", np.zeros(width, dtype=dt))))
+                param(f"{name}.W", (fan_in, width), glorot,
+                      cfg.dense_regularizers if hidden else ()),
+                param(f"{name}.b", (width,), zeros)))
             if hidden:
                 if cfg.batchnorm:
-                    running = BatchNormRunning.fresh(width, dtype=dt)
+                    running = BatchNormRunning(
+                        tensor(f"{name}.bn.mean", (width,), zeros),
+                        tensor(f"{name}.bn.var", (width,), ones))
                     self.bn_running[name] = running
                     self.layers.append(BatchNorm(
-                        ParamTensor(f"{name}.bn.gamma",
-                                    np.ones(width, dtype=dt)),
-                        ParamTensor(f"{name}.bn.beta",
-                                    np.zeros(width, dtype=dt)),
+                        param(f"{name}.bn.gamma", (width,), ones),
+                        param(f"{name}.bn.beta", (width,), zeros),
                         running))
                 self.layers.append(ReLU())
             fan_in = width
         self.params = [p for layer in self.layers for p in layer.params]
+
+    def tensors(self):
+        """(name, array) for every tensor a checkpoint holds, in its order:
+        the parameters, then each batch norm's running mean and var."""
+        named = [(p.name, p.value) for p in self.params]
+        for k, r in self.bn_running.items():
+            named += [(f"{k}.bn.mean", r.mean), (f"{k}.bn.var", r.var)]
+        return named
 
     def num_params(self):
         return sum(p.value.size for p in self.params)
@@ -324,41 +394,37 @@ class Model:
             self.bn_running[k].var[...] = var
 
     def save(self, path):
-        """Write the checkpoint document. The JSON skeleton is encoded
-        once with a placeholder in every tensor slot; each tensor's base64
-        is then written between its pieces as bytes, so the document is
-        never held whole. The file is byte-identical to
-        `json.dumps(doc)` with the payloads in place."""
+        """Write the version 4 container (see the module docstring): the
+        header once, then each tensor's bytes at its aligned offset."""
         wire = np.dtype(self.dtype).newbyteorder("<")
-        tensors = [p.value for p in self.params]
-        for r in self.bn_running.values():
-            tensors += [r.mean, r.var]
-        doc = {
+        named = self.tensors()
+        table, end = [], 0
+        for name, array in named:
+            table.append({"name": name, "shape": list(array.shape),
+                          "offset": _aligned(end)})
+            end = _aligned(end) + array.size * wire.itemsize
+        header = json.dumps({
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "vocab": {"tokens": self.vocab.tokens,
                       "max_size": self.vocab.max_size,
                       "min_freq": self.vocab.min_freq},
-            "params": [{"name": p.name, "shape": list(p.value.shape),
-                        "data": _SLOT}
-                       for p in self.params],
-            "running": {k: {"mean": _SLOT, "var": _SLOT}
-                        for k in self.bn_running},
-        }
-        # one-shot dumps runs the C encoder; json.dump would not
-        pieces = json.dumps(doc).encode("ascii").split(_SLOT_JSON)
-        if len(pieces) != len(tensors) + 1:
-            raise ValueError(f"{path}: a config or vocabulary string contains "
-                             "the checkpoint tensor placeholder")
+            "tensors": table,
+        }).encode("utf-8")
         with open(path, "wb") as f:
-            f.write(pieces[0])
-            for array, piece in zip(tensors, pieces[1:]):
-                f.write(b'"')
-                f.write(base64.b64encode(
-                    array.astype(wire, copy=False).tobytes()))
-                f.write(b'"')
-                f.write(piece)
+            f.write(len(header).to_bytes(8, "little"))
+            f.write(header)
+            # the data section starts aligned, so padding each tensor to an
+            # aligned file position puts it at its aligned offset
+            for _, array in named:
+                f.write(bytes(-f.tell() % CHECKPOINT_ALIGN))
+                f.write(np.ascontiguousarray(array, dtype=wire))
+
+
+def _aligned(n):
+    """The first multiple of CHECKPOINT_ALIGN at or after n."""
+    return n + -n % CHECKPOINT_ALIGN
 
 
 def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
@@ -369,68 +435,105 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
     cfg = preset_config(preset, vocab_size=len(vocab), maxlen=maxlen,
                         embed_dim=embed_dim, lstm_units=lstm_units,
                         seed=seed, dtype=dtype)
-    return Model(cfg, vocab)
+    rng = Prng(cfg.seed)
+    return Model(cfg, vocab, lambda name, shape, init: init(shape, rng))
 
 
 def load(path):
+    """The model a version 4 checkpoint holds. The file is read once into
+    one 64-byte-aligned buffer; each tensor is a writable view of it."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        raw = np.empty(size + CHECKPOINT_ALIGN, dtype=np.uint8)
+        skip = -raw.ctypes.data % CHECKPOINT_ALIGN
+        blob = raw[skip:skip + size]
+        blob = blob[:f.readinto(blob)]
+    n = int.from_bytes(blob[:8].tobytes(), "little")
+    if 8 + n > blob.size:  # a file under 8 bytes too
+        # read as a length, the first 8 bytes of a JSON document exceed
+        # any file
+        if blob[:1].tobytes() == b"{":
+            raise VersionMismatch(f"{path}: a JSON checkpoint (format "
+                                  f"version 1-3), expected version "
+                                  f"{CHECKPOINT_VERSION}")
+        raise BadMagic(f"{path}: not a checkpoint file (header length {n} "
+                       f"in a {blob.size}-byte file)")
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        header = json.loads(blob[8:8 + n].tobytes().decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise BadMagic(f"{path}: not a checkpoint file ({e})") from None
-    if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: missing checkpoint magic")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise VersionMismatch(
-            f"{path}: version {doc.get('version')}, expected {CHECKPOINT_VERSION}")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise VersionMismatch(f"{path}: version {header.get('version')}, "
+                              f"expected {CHECKPOINT_VERSION}")
     try:
-        return _restore(path, doc)
+        return _restore(path, header, blob[_aligned(8 + n):])
     except (AttributeError, LookupError, TypeError) as e:
         # a missing, extra or mistyped entry
         raise BadMagic(f"{path}: malformed checkpoint "
                        f"({type(e).__name__}: {e})") from None
 
 
-def _restore(path, doc):
-    """The model a version-checked checkpoint document describes."""
-    config = ModelConfig.from_dict(doc["config"])
-    vocab = textprep.Vocabulary(doc["vocab"]["tokens"],
-                                max_size=doc["vocab"]["max_size"],
-                                min_freq=doc["vocab"]["min_freq"])
-    model = Model(config, vocab)
-    wire = np.dtype(model.dtype).newbyteorder("<")
-    saved = {p["name"]: p for p in doc["params"]}
-    unknown = saved.keys() - {p.name for p in model.params}
-    if unknown:
-        raise ShapeMismatchOnLoad(f"{path}: tensors {sorted(unknown)} are "
-                                  "not in the model its config describes")
-    for p in model.params:
-        if p.name not in saved:
-            raise ShapeMismatchOnLoad(f"{path}: missing tensor {p.name}")
-        entry = saved[p.name]
-        if tuple(entry["shape"]) != p.value.shape:
+def _restore(path, header, data):
+    """The model a version-checked header describes, its tensors taken
+    from `data`, the data section."""
+    config = ModelConfig.from_dict(header["config"])
+    vocab = textprep.Vocabulary(header["vocab"]["tokens"],
+                                max_size=header["vocab"]["max_size"],
+                                min_freq=header["vocab"]["min_freq"])
+    if len(vocab) != config.vocab_size:
+        raise ShapeMismatchOnLoad(f"{path}: {len(vocab)} vocabulary entries, "
+                                  f"but config.vocab_size {config.vocab_size}")
+    dtype = DTYPES[config.dtype]
+    arrays = _tensor_views(path, header["tensors"], data,
+                           np.dtype(dtype).newbyteorder("<"))
+
+    def stored(name, shape, init):
+        if name not in arrays:
+            raise ShapeMismatchOnLoad(f"{path}: missing tensor {name}")
+        array = arrays.pop(name)
+        if array.shape != shape:
             raise ShapeMismatchOnLoad(
-                f"{path}: {p.name} has shape {entry['shape']}, "
-                f"expected {list(p.value.shape)}")
-        p.value[...] = _decode(path, p.name, entry["data"], p.value, wire)
-    for k, r in model.bn_running.items():
-        if k not in doc["running"]:
-            raise ShapeMismatchOnLoad(f"{path}: missing running stats for {k}")
-        for stat in ("mean", "var"):
-            target = getattr(r, stat)
-            target[...] = _decode(path, f"{k}.{stat}",
-                                  doc["running"][k][stat], target, wire)
+                f"{path}: {name} has shape {list(array.shape)}, "
+                f"expected {list(shape)}")
+        return array.astype(dtype, copy=False)  # a copy on big-endian hosts
+
+    model = Model(config, vocab, stored)
+    if arrays:
+        raise ShapeMismatchOnLoad(f"{path}: tensors {sorted(arrays)} are "
+                                  "not in the model its config describes")
     return model
 
 
-def _decode(path, name, text, target, wire):
-    """The values of one base64 tensor payload, shaped like `target`."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
-        raise BadMagic(f"{path}: {name} data is not base64 ({e})") from None
-    if len(raw) != target.size * wire.itemsize:
-        raise ShapeMismatchOnLoad(
-            f"{path}: {name} has {len(raw)} bytes, expected "
-            f"{target.size} x {wire.itemsize}")
-    return np.frombuffer(raw, dtype=wire).reshape(target.shape)
+def _tensor_views(path, table, data, wire):
+    """name -> that tensor's view of `data`, once the table is checked to
+    tile it: each offset is the first aligned one after the tensor before,
+    and the last tensor ends the file."""
+    views, end = {}, 0
+    for entry in table:
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if not (isinstance(name, str) and _is_int(offset)
+                and isinstance(shape, list)
+                and all(_is_int(n) and n >= 0 for n in shape)):
+            raise TypeError(f"tensor entry {entry!r}")
+        size = math.prod(shape) * wire.itemsize
+        if offset % CHECKPOINT_ALIGN:
+            raise ShapeMismatchOnLoad(f"{path}: {name} at offset {offset}, "
+                                      f"not a multiple of {CHECKPOINT_ALIGN}")
+        if offset + size > data.size:
+            raise ShapeMismatchOnLoad(
+                f"{path}: {name} needs bytes {offset} to {offset + size} of "
+                f"a {data.size}-byte data section")
+        if offset != _aligned(end):
+            why = "overlaps" if offset < end else "leaves a gap after"
+            raise ShapeMismatchOnLoad(f"{path}: {name} at offset {offset} "
+                                      f"{why} the tensor before it")
+        end = offset + size
+        if name in views:
+            raise ShapeMismatchOnLoad(f"{path}: tensor {name} stored twice")
+        views[name] = data[offset:end].view(wire).reshape(shape)
+    if end != data.size:
+        raise ShapeMismatchOnLoad(f"{path}: {data.size - end} bytes after "
+                                  "the last tensor")
+    return views

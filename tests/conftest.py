@@ -1,4 +1,8 @@
+import base64
+import json
 import os
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +46,60 @@ needs_corpus = pytest.mark.skipif(
     corpus_dir() is None or not os.path.exists(
         os.path.join(corpus_dir() or "", "Fake.csv")),
     reason="set SEQVERITAS_CORPUS_DIR to the directory holding Fake.csv/True.csv")
+
+
+# --- checkpoint reference reader and writer ----------------------------------
+# Written from the version 4 layout alone, without model_zoo: an 8-byte
+# little-endian header length n, n bytes of UTF-8 JSON, zero padding to the
+# next multiple of 64, then the data section, where each tensor sits at its
+# 64-aligned offset.
+
+def read_container(path):
+    """(header, byte position of the data section, the file's bytes)."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    (n,) = struct.unpack_from("<Q", blob)
+    header = json.loads(blob[8:8 + n].decode("utf-8"))
+    return header, 8 + n + (-(8 + n) % 64), blob
+
+
+def container_bytes(header, data):
+    """A container holding `header` and the data section `data`."""
+    raw = json.dumps(header).encode("utf-8")
+    return (struct.pack("<Q", len(raw)) + raw + bytes(-(8 + len(raw)) % 64)
+            + data)
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def edit_header(path, edit):
+    """Rewrite the checkpoint at `path` with `edit` applied to its header
+    and its data section unchanged."""
+    header, start, blob = read_container(path)
+    edit(header)
+    write_bytes(path, container_bytes(header, blob[start:]))
+
+
+def json_checkpoint(model, version):
+    """`model` as one JSON document, the layout of checkpoint versions 1-3:
+    tensor data as decimal lists in version 1, base64 of the little-endian
+    bytes after that."""
+    def data(array):
+        if version == 1:
+            return array.reshape(-1).tolist()
+        return base64.b64encode(array.astype("<f8").tobytes()).decode()
+
+    return {
+        "magic": "svchk", "version": version,
+        "config": asdict(model.config),
+        "vocab": {"tokens": model.vocab.tokens,
+                  "max_size": model.vocab.max_size,
+                  "min_freq": model.vocab.min_freq},
+        "params": [{"name": p.name, "shape": list(p.value.shape),
+                    "data": data(p.value)} for p in model.params],
+        "running": {k: {"mean": data(r.mean), "var": data(r.var)}
+                    for k, r in model.bn_running.items()},
+    }

@@ -1,12 +1,14 @@
-import base64
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from seqveritas import model_zoo, textprep
 from seqveritas.cli import main
-from tests.conftest import TOY_FAKE, TOY_TRUE
+from tests.conftest import (TOY_FAKE, TOY_TRUE, container_bytes,
+                            json_checkpoint, read_container, write_bytes)
 
 
 def run(capsys, argv):
@@ -319,12 +321,10 @@ def test_eval_cache_vocab_unlike_checkpoint_exits_2(capsys, tmp_path):
 def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
-    doc = json.load(open(ckpt))
-    entry = next(p for p in doc["params"] if p["name"] == "dense0.W")
-    weights = np.frombuffer(base64.b64decode(entry["data"]), "<f8").copy()
-    weights[0] = np.nan
-    entry["data"] = base64.b64encode(weights.tobytes()).decode("ascii")
-    json.dump(doc, open(ckpt, "w"))
+    header, start, blob = read_container(ckpt)
+    at = start + next(e["offset"] for e in header["tensors"]
+                      if e["name"] == "dense0.W")
+    write_bytes(ckpt, blob[:at] + struct.pack("<d", np.nan) + blob[at + 8:])
     code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
                                   "--data", cache])
     assert code == 3
@@ -350,37 +350,61 @@ def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("how", [
-    "wrong_length", "not_base64", "version_1", "version_2", "config_colour",
-    "widths_not_a_list", "no_vocab", "no_params"])
+    "wrong_length", "version_1", "version_2", "version_3", "config_colour",
+    "widths_not_a_list", "maxlen_not_an_int", "dtype_float16", "no_vocab",
+    "no_params", "header_not_json", "misaligned_offset", "trailing_bytes"])
 def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt = str(tmp_path / "model.svchk")
     model = model_zoo.build("baseline", textprep.load_vocab(
         cache + ".vocab.json"), maxlen=10, embed_dim=8, lstm_units=8)
     model.save(ckpt)
-    doc = json.load(open(ckpt))
-    entry = doc["params"][0]
-    if how == "wrong_length":
-        raw = base64.b64decode(entry["data"])
-        entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
-    elif how == "not_base64":
-        entry["data"] = "not base64!"
-    elif how == "version_1":
-        doc["version"] = 1
-        for entry, p in zip(doc["params"], model.params):
-            entry["data"] = p.value.reshape(-1).tolist()
-    elif how == "version_2":
-        _to_version_2(doc)
-    elif how == "config_colour":
-        doc["config"]["colour"] = "red"
-    elif how == "widths_not_a_list":
-        doc["config"]["dense_widths"] = 64
+    header, start, blob = read_container(ckpt)
+    data = blob[start:]
+    if how == "wrong_length":  # the first tensor 8 bytes short
+        first = header["tensors"][0]
+        end = start + 8 * math.prod(first["shape"])
+        raw = blob[:end - 8] + blob[end:]
+    elif how.startswith("version_"):
+        doc = json_checkpoint(model, int(how[-1]))
+        if how == "version_2":
+            _to_version_2(doc)
+        raw = json.dumps(doc).encode()
+    elif how == "header_not_json":
+        raw = blob[:8] + b"x" + blob[9:]
+    elif how == "trailing_bytes":
+        raw = blob + bytes(64)
     else:
-        del doc[how[len("no_"):]]
-    json.dump(doc, open(ckpt, "w"))
+        config = header["config"]
+        if how == "config_colour":
+            config["colour"] = "red"
+        elif how == "widths_not_a_list":
+            config["dense_widths"] = 64
+        elif how == "maxlen_not_an_int":
+            config["maxlen"] = "x"
+        elif how == "dtype_float16":
+            config["dtype"] = "float16"
+        elif how == "misaligned_offset":
+            header["tensors"][1]["offset"] += 8
+        else:
+            del header[{"no_vocab": "vocab", "no_params": "tensors"}[how]]
+        raw = container_bytes(header, data)
+    write_bytes(ckpt, raw)
     argv = (["eval", "--checkpoint", ckpt, "--data", cache]
             if command == "eval"
             else ["predict", "--checkpoint", ckpt, "--text", "zorblat"])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_is_a_directory_exits_2(capsys, tmp_path, command):
+    cache, _ = _prepare(capsys, tmp_path)
+    argv = (["eval", "--checkpoint", str(tmp_path), "--data", cache]
+            if command == "eval"
+            else ["predict", "--checkpoint", str(tmp_path), "--text", "x"])
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

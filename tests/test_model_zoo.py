@@ -1,15 +1,21 @@
-import base64
+import hashlib
 import json
+import math
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqveritas import model_zoo, textprep
+from seqveritas import model_zoo, optim, textprep
 from seqveritas.model_zoo import (BadMagic, ModelConfig, ShapeMismatchOnLoad,
                                   VersionMismatch, VocabMissing, build, load,
                                   preset_config)
 from seqveritas.numerics import Prng, sigmoid
+from tests.conftest import (container_bytes, edit_header, json_checkpoint,
+                            read_container, write_bytes)
 
 
 def _vocab(n_tokens):
@@ -212,58 +218,75 @@ def test_checkpoint_preserves_preset(tmp_path):
     assert load(path).config.preset == "regularized"
 
 
-def test_checkpoint_truncated(tmp_path):
-    model = _tiny_model()
+def _saved(tmp_path, model=None):
     path = str(tmp_path / "m.svchk")
-    model.save(path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) // 2])
-    with pytest.raises(BadMagic):
+    (model or _tiny_model()).save(path)
+    return path
+
+
+def _entry(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def _end_of(start, entry, itemsize=8):
+    """File position just past `entry`'s bytes."""
+    return start + entry["offset"] + math.prod(entry["shape"]) * itemsize
+
+
+def test_checkpoint_truncated(tmp_path):
+    path = _saved(tmp_path)
+    _, start, blob = read_container(path)
+    assert start < len(blob) // 2
+    write_bytes(path, blob[:len(blob) // 2])  # inside the data section
+    with pytest.raises(ShapeMismatchOnLoad, match="data section"):
+        load(path)
+    write_bytes(path, blob[:start // 2])  # inside the header
+    with pytest.raises(BadMagic, match="header length"):
         load(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
-    path = str(tmp_path / "m.svchk")
-    with open(path, "w") as f:
-        json.dump({"magic": "other", "version": 1}, f)
-    with pytest.raises(BadMagic):
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: h.update(magic="other"))
+    with pytest.raises(BadMagic, match="magic"):
         load(path)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    model = _tiny_model()
-    path = str(tmp_path / "m.svchk")
-    model.save(path)
-    doc = json.load(open(path))
-    doc["version"] = 99
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(VersionMismatch):
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: h.update(version=99))
+    with pytest.raises(VersionMismatch, match="version 99, expected 4"):
         load(path)
 
 
-def _saved_doc(tmp_path, model):
-    path = str(tmp_path / "m.svchk")
-    model.save(path)
-    return path, json.load(open(path))
-
-
-def _entry(doc, name):
-    return next(p for p in doc["params"] if p["name"] == name)
-
-
-def _payload_bytes(doc):
-    return sum(len(base64.b64decode(p["data"])) for p in doc["params"])
+@pytest.mark.parametrize("how", ["empty", "short_prefix", "length_past_eof",
+                                 "not_utf8", "not_json", "not_an_object"])
+def test_checkpoint_header_refused_as_bad_magic(tmp_path, how):
+    path = _saved(tmp_path)
+    _, start, blob = read_container(path)
+    write_bytes(path, {
+        "empty": b"",
+        "short_prefix": blob[:5],
+        "length_past_eof": struct.pack("<Q", len(blob)) + blob[8:],
+        "not_utf8": blob[:8] + b"\xff" + blob[9:],
+        "not_json": blob[:8] + b"x" + blob[9:],
+        "not_an_object": container_bytes(["svchk", 4], blob[start:]),
+    }[how])
+    with pytest.raises(BadMagic):
+        load(path)
 
 
 def test_checkpoint_stores_little_endian_bytes_of_each_tensor(tmp_path):
     model = _tiny_model("optimized")
-    _, doc = _saved_doc(tmp_path, model)
-    assert doc["version"] == 3
+    header, start, blob = read_container(_saved(tmp_path, model))
+    assert header["version"] == 4
     for p in model.params:
-        data = base64.b64decode(_entry(doc, p.name)["data"])
+        entry = _entry(header, p.name)
+        data = blob[start + entry["offset"]:_end_of(start, entry)]
         assert data == p.value.astype("<f8").tobytes()
     for stat in ("mean", "var"):
-        data = base64.b64decode(doc["running"]["dense1"][stat])
+        entry = _entry(header, f"dense1.bn.{stat}")
+        data = blob[start + entry["offset"]:_end_of(start, entry)]
         value = getattr(model.bn_running["dense1"], stat)
         assert data == value.astype("<f8").tobytes()
 
@@ -287,15 +310,20 @@ def test_checkpoint_round_trip_float32_bitwise(tmp_path):
 
 def test_checkpoint_float32_payload_is_half_the_float64_one(tmp_path):
     vocab = textprep.Vocabulary([f"t{i}" for i in range(20)])
-    docs = {}
+    payload = {}
     for dtype in ("float64", "float32"):
         (tmp_path / dtype).mkdir()
         model = build("optimized", vocab, maxlen=6, seed=1, embed_dim=8,
                       lstm_units=8, dtype=dtype)
-        _, docs[dtype] = _saved_doc(tmp_path / dtype, model)
-    f64, f32 = _payload_bytes(docs["float64"]), _payload_bytes(docs["float32"])
-    assert f64 == 8 * model.num_params()
-    assert f32 * 2 == f64
+        header, start, blob = read_container(_saved(tmp_path / dtype, model))
+        itemsize = np.dtype(dtype).itemsize
+        # the file ends with the last tensor, itemsize bytes per element
+        assert len(blob) == _end_of(start, header["tensors"][-1], itemsize)
+        payload[dtype] = itemsize * sum(math.prod(e["shape"])
+                                        for e in header["tensors"])
+    running = sum(r.mean.size + r.var.size for r in model.bn_running.values())
+    assert payload["float64"] == 8 * (model.num_params() + running)
+    assert payload["float32"] * 2 == payload["float64"]
 
 
 def test_checkpoint_save_is_byte_deterministic(tmp_path):
@@ -306,37 +334,36 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def _one_shot_document(model):
-    """The checkpoint as one `json.dumps` of the whole document, the way
-    save wrote it before it streamed the tensor payloads."""
-    wire = np.dtype(model.dtype).newbyteorder("<")
-
-    def encode(array):
-        return base64.b64encode(
-            array.astype(wire, copy=False).tobytes()).decode("ascii")
-
-    return json.dumps({
-        "magic": model_zoo.CHECKPOINT_MAGIC,
-        "version": model_zoo.CHECKPOINT_VERSION,
+def _one_shot_container(model):
+    """The checkpoint assembled as one bytes object from the layout alone,
+    the way `Model.save` streams it piece by piece."""
+    wire = "<f8" if model.config.dtype == "float64" else "<f4"
+    tensors = [(p.name, p.value) for p in model.params] + [
+        (f"{k}.bn.{stat}", getattr(r, stat))
+        for k, r in model.bn_running.items() for stat in ("mean", "var")]
+    data, table = b"", []
+    for name, value in tensors:
+        data += bytes(-len(data) % 64)
+        table.append({"name": name, "shape": list(value.shape),
+                      "offset": len(data)})
+        data += value.astype(wire).tobytes()
+    return container_bytes({
+        "magic": "svchk", "version": 4,
         "config": asdict(model.config),
         "vocab": {"tokens": model.vocab.tokens,
                   "max_size": model.vocab.max_size,
                   "min_freq": model.vocab.min_freq},
-        "params": [{"name": p.name, "shape": list(p.value.shape),
-                    "data": encode(p.value)} for p in model.params],
-        "running": {k: {"mean": encode(r.mean), "var": encode(r.var)}
-                    for k, r in model.bn_running.items()},
-    }).encode("ascii")
+        "tensors": table}, data)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("preset", model_zoo.PRESETS)
 def test_checkpoint_streamed_save_equals_one_shot_dumps(tmp_path, preset,
                                                         dtype):
-    # tokens with quotes, backslashes and non-ASCII go through the same
-    # escaping as before
+    # tokens with quotes, backslashes, non-ASCII and control characters go
+    # through the header's JSON escaping
     vocab = textprep.Vocabulary(
-        ["t0", 'a"b', "c\\d", "\u00e9t\u00e9", "x\x01"])
+        ["t0", 'a"b', "c\\d", "été", "x\x01", "\x00"])
     model = build(preset, vocab, maxlen=6, seed=1, embed_dim=8,
                   lstm_units=8, dtype=dtype)
     for i, r in enumerate(model.bn_running.values()):
@@ -344,97 +371,294 @@ def test_checkpoint_streamed_save_equals_one_shot_dumps(tmp_path, preset,
         r.var[...] = np.linspace(0.5, 2.0, r.var.size) / (i + 1)
     path = str(tmp_path / "m.svchk")
     model.save(path)
-    assert open(path, "rb").read() == _one_shot_document(model)
+    assert open(path, "rb").read() == _one_shot_container(model)
 
 
-@pytest.mark.parametrize("token", ["\x00", 'tail"\x00'])
-def test_checkpoint_save_refuses_a_string_that_encodes_like_the_slot(
-        tmp_path, token):
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_checkpoint_layout(tmp_path, preset, dtype):
+    """The version 4 layout, read with `struct` and `json` alone: header,
+    zero padding to the data section, each tensor at the first 64-byte
+    boundary after the one before, and nothing after the last."""
+    # H = 6 gives 24- and 96-byte LSTM biases, so there is padding
+    model = build(preset, _vocab(30), maxlen=6, seed=2, embed_dim=8,
+                  lstm_units=6, dtype=dtype)
+    for i, r in enumerate(model.bn_running.values()):
+        r.mean[...] = i + 0.25
+        r.var[...] = i + 2.5
+    header, start, blob = read_container(_saved(tmp_path, model))
+    (n,) = struct.unpack_from("<Q", blob)
+    assert start % 64 == 0 and 8 + n <= start < 8 + n + 64
+    assert blob[8 + n:start] == bytes(start - 8 - n)
+    assert list(header) == ["magic", "version", "config", "vocab", "tensors"]
+    assert (header["magic"], header["version"]) == ("svchk", 4)
+    assert ModelConfig.from_dict(header["config"]) == model.config
+    assert header["vocab"]["tokens"] == model.vocab.tokens
+    expected = [(p.name, p.value) for p in model.params] + [
+        (f"{k}.bn.{stat}", getattr(r, stat))
+        for k, r in model.bn_running.items() for stat in ("mean", "var")]
+    assert [e["name"] for e in header["tensors"]] == [n for n, _ in expected]
+    wire = np.dtype("<f8" if dtype == "float64" else "<f4")
+    end = 0
+    for entry, (name, value) in zip(header["tensors"], expected):
+        offset = entry["offset"]
+        assert entry["shape"] == list(value.shape), name
+        assert offset % 64 == 0 and end <= offset < end + 64, name
+        assert blob[start + end:start + offset] == bytes(offset - end), name
+        end = offset + value.size * wire.itemsize
+        assert blob[start + offset:start + end] == value.astype(wire).tobytes()
+    assert len(blob) == start + end
+
+
+# A deliberate change to the format or to the seeded initialisation
+# changes these digests; drift of either fails here.
+@pytest.mark.parametrize("dtype, digest", [
+    ("float64",
+     "d155f78429221d9f4dcd4defb38d97e363e08b73a3bdb47071be0e43fb99249e"),
+    ("float32",
+     "fd42edd89a0b4e506b27147c2dc8370d46035f40fb36fd28272f84ef7946fa46"),
+])
+def test_checkpoint_bytes_pinned(tmp_path, dtype, digest):
+    vocab = textprep.Vocabulary([f"t{i}" for i in range(40)])
+    model = build("optimized", vocab, maxlen=8, seed=13, embed_dim=8,
+                  lstm_units=8, dtype=dtype)
+    with open(_saved(tmp_path, model), "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("token", ["\x00", 'tail"\x00', "\\", "é"])
+def test_checkpoint_round_trips_any_token(tmp_path, token):
     vocab = textprep.Vocabulary(["t0", token])
     model = build("optimized", vocab, maxlen=6, seed=1, embed_dim=8,
                   lstm_units=8)
-    path = tmp_path / "m.svchk"
-    with pytest.raises(ValueError, match="placeholder"):
-        model.save(str(path))
-    # the file is not started, let alone left half written
-    assert not path.exists()
+    loaded = load(_saved(tmp_path, model))
+    assert loaded.vocab.tokens == ["t0", token]
+    assert loaded.vocab.index_of(token) == 3
 
 
 @pytest.mark.parametrize("delta", [-8, 8])
 def test_checkpoint_wrong_payload_length(tmp_path, delta):
-    path, doc = _saved_doc(tmp_path, _tiny_model())
-    entry = _entry(doc, "dense0.W")
-    raw = base64.b64decode(entry["data"])
-    raw = raw[:delta] if delta < 0 else raw + bytes(delta)
-    entry["data"] = base64.b64encode(raw).decode("ascii")
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(ShapeMismatchOnLoad, match="dense0.W"):
+    # dense0.W's bytes 8 short or 8 long; the table no longer fits the file
+    path = _saved(tmp_path)
+    header, start, blob = read_container(path)
+    cut = _end_of(start, _entry(header, "dense0.W"))
+    write_bytes(path, blob[:cut + min(delta, 0)] + bytes(max(delta, 0))
+                + blob[cut:])
+    with pytest.raises(ShapeMismatchOnLoad):
         load(path)
 
 
 def test_checkpoint_wrong_running_stat_length(tmp_path):
-    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
-    doc["running"]["dense0"]["var"] = base64.b64encode(bytes(8)).decode()
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(ShapeMismatchOnLoad, match="dense0.var"):
+    path = _saved(tmp_path, _tiny_model("optimized"))
+    header, start, blob = read_container(path)
+    cut = _end_of(start, _entry(header, "dense0.bn.var"))
+    write_bytes(path, blob[:cut - 8] + blob[cut:])
+    with pytest.raises(ShapeMismatchOnLoad, match="data section"):
         load(path)
 
 
-@pytest.mark.parametrize("data", ["not base64!", "AAA", [0.0, 1.0], "AAAA\n"])
-def test_checkpoint_payload_not_base64(tmp_path, data):
-    path, doc = _saved_doc(tmp_path, _tiny_model())
-    _entry(doc, "lstm.b")["data"] = data
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(BadMagic, match="lstm.b"):
+@pytest.mark.parametrize("how, message", [
+    ("misaligned", "not a multiple of 64"),
+    ("overlapping", "overlaps"),
+    ("gap", "gap"),
+    ("out_of_range", "data section"),
+    ("trailing_bytes", "64 bytes after the last tensor"),
+    ("duplicate", "stored twice"),
+    ("missing", "missing tensor dense2.b"),
+])
+def test_checkpoint_tensor_table_must_tile_the_data(tmp_path, how, message):
+    path = _saved(tmp_path)
+    header, start, blob = read_container(path)
+    table = header["tensors"]
+    if how == "misaligned":
+        table[1]["offset"] += 8
+    elif how == "overlapping":
+        table[1]["offset"] -= 64
+    elif how == "gap":
+        table[1]["offset"] += 64
+    elif how == "out_of_range":
+        table[-1]["offset"] += 64 * 10**6
+    elif how == "duplicate":
+        table[1]["name"] = table[0]["name"]
+    elif how == "missing":
+        table[-1]["name"] = "dense2.bias"
+    data = blob[start:] + (bytes(64) if how == "trailing_bytes" else b"")
+    write_bytes(path, container_bytes(header, data))
+    with pytest.raises(ShapeMismatchOnLoad, match=message):
         load(path)
 
 
 def test_checkpoint_version_1_refused(tmp_path):
-    model = _tiny_model()
-    path, doc = _saved_doc(tmp_path, model)
-    doc["version"] = 1
-    for entry, p in zip(doc["params"], model.params):
-        entry["data"] = p.value.reshape(-1).tolist()
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(VersionMismatch, match="version 1, expected 3"):
+    path = str(tmp_path / "m.svchk")
+    with open(path, "w") as f:
+        json.dump(json_checkpoint(_tiny_model(), 1), f)
+    with pytest.raises(VersionMismatch, match="version 1-3"):
+        load(path)
+
+
+def test_checkpoint_version_3_json_document_refused(tmp_path):
+    # the last JSON layout, base64 payloads and all, is not read any more
+    path = str(tmp_path / "m.svchk")
+    with open(path, "w") as f:
+        json.dump(json_checkpoint(_tiny_model("optimized"), 3), f)
+    with pytest.raises(VersionMismatch, match="version 1-3"):
         load(path)
 
 
 @pytest.mark.parametrize("how", ["no_config_key", "params_not_a_list",
-                                 "no_running"])
+                                 "no_tensors"])
 def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
     # tests/test_cli.py::test_corrupt_checkpoint_exits_2 has more cases
-    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
-    if how == "no_config_key":
-        del doc["config"]["batchnorm"]
-    elif how == "params_not_a_list":
-        doc["params"] = 3
-    else:
-        del doc["running"]
-    json.dump(doc, open(path, "w"))
+    path = _saved(tmp_path, _tiny_model("optimized"))
+
+    def edit(header):
+        if how == "no_config_key":
+            del header["config"]["batchnorm"]
+        elif how == "params_not_a_list":
+            header["tensors"] = 3
+        else:
+            del header["tensors"]
+
+    edit_header(path, edit)
     with pytest.raises(BadMagic, match="malformed checkpoint"):
         load(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("maxlen", "x"), ("maxlen", None), ("vocab_size", 22.0), ("seed", True),
+    ("lr", "0.001"), ("embed_dropout", None), ("preset", "fancy"),
+    ("dtype", "float16"), ("dense_widths", [64, "16"]), ("batchnorm", 1),
+    ("lstm_regularizers", [["l3", 1e-4]]), ("dense_regularizers", [["l1"]])])
+def test_checkpoint_mistyped_config_value_is_bad_magic(tmp_path, field,
+                                                        value):
+    doc = json.loads(json.dumps(asdict(preset_config("baseline", 22))))
+    doc[field] = value
+    with pytest.raises(TypeError, match=field):
+        ModelConfig.from_dict(doc)
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: h["config"].update({field: value}))
+    with pytest.raises(BadMagic, match=field):
+        load(path)
+
+
+def test_model_refuses_an_unknown_dtype():
+    with pytest.raises(ValueError, match="float16"):
+        build("baseline", _vocab(10), maxlen=4, dtype="float16")
 
 
 def test_checkpoint_tensor_outside_the_config_refused(tmp_path):
     # an optimized checkpoint whose config lost its batch norm would
     # otherwise load as a different model, its BatchNorm tensors unread
-    path, doc = _saved_doc(tmp_path, _tiny_model("optimized"))
-    doc["config"]["batchnorm"] = False
-    json.dump(doc, open(path, "w"))
+    path = _saved(tmp_path, _tiny_model("optimized"))
+    edit_header(path, lambda h: h["config"].update(batchnorm=False))
     with pytest.raises(ShapeMismatchOnLoad, match="dense0.bn.beta"):
         load(path)
 
 
 def test_checkpoint_shape_mismatch_on_load(tmp_path):
-    model = _tiny_model()
-    path = str(tmp_path / "m.svchk")
-    model.save(path)
-    doc = json.load(open(path))
-    doc["params"][1]["shape"][0] += 1
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(ShapeMismatchOnLoad):
+    # the same bytes, transposed
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: _entry(h, "lstm.W")["shape"].reverse())
+    with pytest.raises(ShapeMismatchOnLoad, match="lstm.W has shape"):
         load(path)
+
+
+def test_checkpoint_vocabulary_unlike_config_refused(tmp_path):
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: h["vocab"]["tokens"].pop())
+    with pytest.raises(ShapeMismatchOnLoad, match="vocabulary entries"):
+        load(path)
+
+
+# --- load behaviour -------------------------------------------------------
+
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    path = _saved(tmp_path, _tiny_model("optimized"))
+    calls = []
+    real_glorot, real_uniform = model_zoo.init_glorot, Prng.uniform
+
+    def glorot(*args, **kwargs):
+        calls.append("init_glorot")
+        return real_glorot(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        calls.append("Prng.uniform")
+        return real_uniform(self, *args, **kwargs)
+
+    monkeypatch.setattr(model_zoo, "init_glorot", glorot)
+    monkeypatch.setattr(Prng, "uniform", uniform)
+    _tiny_model("optimized")
+    assert "init_glorot" in calls and "Prng.uniform" in calls
+    calls.clear()
+    load(path)
+    assert calls == []
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_loaded_tensors_are_writable_and_aligned(tmp_path, dtype):
+    model = build("optimized", _vocab(20), maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=6, dtype=dtype)
+    loaded = load(_saved(tmp_path, model))
+    for name, array in loaded.tensors():
+        assert array.dtype == model.dtype, name
+        assert array.flags.writeable and array.flags.aligned, name
+
+
+def test_fit_step_on_a_loaded_float32_model(tmp_path):
+    model = build("optimized", _vocab(20), maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=8, dtype="float32")
+    loaded = load(_saved(tmp_path, model))
+    before = [p.value.copy() for p in loaded.params]
+    x = _random_inputs(loaded, 8)
+    y = np.array([0.0, 1.0] * 4)
+    optim.fit(loaded, x, y, x, y,
+              optim.TrainConfig(epochs=1, batch_size=8, patience=1))
+    assert all(p.value.dtype == np.float32 for p in loaded.params)
+    assert all(p.grad.dtype == np.float32 for p in loaded.params)
+    assert any(not np.array_equal(a, p.value)
+               for a, p in zip(before, loaded.params))
+
+
+# --- refusal properties ---------------------------------------------------
+
+_REFUSALS = (BadMagic, VersionMismatch, ShapeMismatchOnLoad)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(the bytes of a saved checkpoint, its header length, a scratch path
+    to write edited copies to)."""
+    path = tmp_path_factory.mktemp("container") / "m.svchk"
+    build("optimized", _vocab(20), maxlen=6, seed=1, embed_dim=8,
+          lstm_units=6, dtype="float32").save(str(path))
+    blob = path.read_bytes()
+    return blob, struct.unpack_from("<Q", blob)[0], str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_cut_short_is_refused(saved_checkpoint, data):
+    blob, _, path = saved_checkpoint
+    write_bytes(path, blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(_REFUSALS):
+        load(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_overwritten_header_byte_loads_or_is_refused(
+        saved_checkpoint, data):
+    # an edit can leave a valid file (a digit of lr, a letter of a token);
+    # any other outcome is one of the three refusals
+    blob, n, path = saved_checkpoint
+    at = data.draw(st.integers(0, 8 + n - 1))
+    value = data.draw(st.one_of(st.integers(0, 255),
+                                st.sampled_from(b'0123456789"[]{},:-.eE ')))
+    write_bytes(path, blob[:at] + bytes([value]) + blob[at + 1:])
+    try:
+        load(path)
+    except _REFUSALS:
+        pass
 
 
 def test_predict_untrained_zeroed_output_layer_is_half():
