@@ -1,6 +1,7 @@
 """Finite-difference verification of every layer and of the end-to-end
 loss for each preset at miniature scale (V=50, d=8, H=8, maxlen=6,
-batch=4).
+batch=4). The layer checks run `model_zoo`'s own layer objects through
+the protocol `Model` runs them by: forward, backward and `params`.
 
 Dropout is frozen across finite-difference evaluations by giving every
 evaluation a fresh `Prng` with the same seed: a mask is a pure function
@@ -13,10 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model_zoo, textprep
-from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
-                     batchnorm_forward, dense_backward, dense_forward,
-                     dropout_backward, dropout_forward, embedding_backward,
-                     embedding_forward, lstm_backward, lstm_forward)
+from .layers import BatchNormRunning, ParamTensor
 from .numerics import Prng, finite_diff_grad, max_relative_error
 from .objective import bce, reg_penalty
 
@@ -34,107 +32,82 @@ def _check(name, analytic, numeric, results):
                     "rel_error": float(max_relative_error(analytic, numeric))})
 
 
+def _check_params(prefix, params, loss, results):
+    """Each parameter's grad against a central difference of `loss()`."""
+    for p in params:
+        numeric = finite_diff_grad(lambda _v: loss(), p.value)
+        if p.name.startswith("embedding"):
+            numeric[0] = 0.0  # the PAD row is frozen, not a free parameter
+        _check(prefix + p.name, p.grad, numeric, results)
+
+
+def _check_layer(name, layer, x, coeff, mode, rng_seed, results):
+    """grad x, when backward returns one, and every parameter of `layer`
+    on the loss sum(coeff * y); every forward gets a fresh Prng(rng_seed)."""
+    def loss():
+        y, _ = layer.forward(x, mode, Prng(rng_seed))
+        return float(np.sum(coeff * y))
+
+    _, cache = layer.forward(x, mode, Prng(rng_seed))
+    grad_x = layer.backward(coeff, cache)
+    if grad_x is not None:
+        _check(f"{name}.x", grad_x, finite_diff_grad(lambda _v: loss(), x),
+               results)
+    _check_params("", layer.params, loss, results)
+
+
 def check_embedding(seed, results):
     rng = Prng(seed)
-    vocab_size, d = 7, 4
-    emb = ParamTensor("embedding", _rand(rng, (vocab_size, d)))
-    emb.value[0] = 0.0
+    table = _rand(rng, (7, 4))
+    table[0] = 0.0  # the PAD row
     indices = np.array([[0, 3, 5], [2, 3, 0]])
-    coeff = _rand(rng, (2, 3, d))
-
-    def loss_fn(_values):
-        return float(np.sum(coeff * embedding_forward(indices, emb)))
-
-    out = embedding_forward(indices, emb)
-    assert np.all(out[0, 0] == 0.0)  # PAD row lookup is zero
-    embedding_backward(coeff, indices, emb)
-    numeric = finite_diff_grad(loss_fn, emb.value)
-    numeric[0] = 0.0  # PAD row is frozen, not a free parameter
-    _check("embedding.E", emb.grad, numeric, results)
+    coeff = _rand(rng, (2, 3, 4))
+    layer = model_zoo.Embedding(ParamTensor("embedding.E", table))
+    _check_layer("embedding", layer, indices, coeff, "train", seed, results)
 
 
 def check_lstm(seed, results):
     rng = Prng(seed)
     batch, steps, d, hidden = 3, 4, 5, 4
     x = _rand(rng, (batch, steps, d))
-    w = ParamTensor("lstm.W", _rand(rng, (d, 4 * hidden), 0.5))
-    u = ParamTensor("lstm.U", _rand(rng, (hidden, 4 * hidden), 0.5))
-    b = ParamTensor("lstm.b", _rand(rng, (1, 4 * hidden), 0.5)[0])
+    layer = model_zoo.Lstm(
+        ParamTensor("lstm.W", _rand(rng, (d, 4 * hidden), 0.5)),
+        ParamTensor("lstm.U", _rand(rng, (hidden, 4 * hidden), 0.5)),
+        ParamTensor("lstm.b", _rand(rng, (1, 4 * hidden), 0.5)[0]))
     coeff = _rand(rng, (batch, hidden))
-
-    def run(inp):
-        h, _ = lstm_forward(inp, w, u, b)
-        return float(np.sum(coeff * h))
-
-    h, cache = lstm_forward(x, w, u, b)
-    grad_x = lstm_backward(coeff, cache, w, u, b)
-    _check("lstm.x", grad_x, finite_diff_grad(lambda v: run(v), x), results)
-    _check("lstm.W", w.grad, finite_diff_grad(lambda _v: run(x), w.value),
-           results)
-    _check("lstm.U", u.grad, finite_diff_grad(lambda _v: run(x), u.value),
-           results)
-    _check("lstm.b", b.grad, finite_diff_grad(lambda _v: run(x), b.value),
-           results)
+    _check_layer("lstm", layer, x, coeff, "train", seed, results)
 
 
 def check_dense(seed, results):
     rng = Prng(seed)
     batch, n_in, n_out = 4, 4, 3
     x = _rand(rng, (batch, n_in))
-    w = ParamTensor("dense.W", _rand(rng, (n_in, n_out)))
-    b = ParamTensor("dense.b", _rand(rng, (1, n_out))[0])
+    layer = model_zoo.Dense(
+        ParamTensor("dense.W", _rand(rng, (n_in, n_out))),
+        ParamTensor("dense.b", _rand(rng, (1, n_out))[0]))
     coeff = _rand(rng, (batch, n_out))
-
-    def run(inp):
-        y, _ = dense_forward(inp, w, b)
-        return float(np.sum(coeff * y))
-
-    y, cache = dense_forward(x, w, b)
-    grad_x = dense_backward(coeff, cache, w, b)
-    _check("dense.x", grad_x, finite_diff_grad(lambda v: run(v), x), results)
-    _check("dense.W", w.grad, finite_diff_grad(lambda _v: run(x), w.value),
-           results)
-    _check("dense.b", b.grad, finite_diff_grad(lambda _v: run(x), b.value),
-           results)
+    _check_layer("dense", layer, x, coeff, "train", seed, results)
 
 
 def check_dropout(seed, results):
     rng = Prng(seed)
     x = _rand(rng, (4, 6))
     coeff = _rand(rng, (4, 6))
-    y, cache = dropout_forward(x, 0.3, "train", Prng(seed + 1))
-    grad_x = dropout_backward(coeff, cache)
-
-    def loss_fn(inp):
-        yy, _ = dropout_forward(inp, 0.3, "train", Prng(seed + 1))
-        return float(np.sum(coeff * yy))
-
-    _check("dropout.x", grad_x, finite_diff_grad(loss_fn, x), results)
+    _check_layer("dropout", model_zoo.Dropout(0.3), x, coeff, "train",
+                 seed + 1, results)
 
 
 def check_batchnorm(seed, results):
     rng = Prng(seed)
     batch, n = 4, 3
     x = _rand(rng, (batch, n))
-    gamma = ParamTensor("bn.gamma", _rand(rng, (1, n))[0] + 1.5)
-    beta = ParamTensor("bn.beta", _rand(rng, (1, n))[0])
+    # the running stats each train-mode forward updates do not reach y
+    layer = model_zoo.BatchNorm(
+        ParamTensor("batchnorm.gamma", _rand(rng, (1, n))[0] + 1.5),
+        ParamTensor("batchnorm.beta", _rand(rng, (1, n))[0]),
+        BatchNormRunning.fresh(n))
     coeff = _rand(rng, (batch, n))
-
-    def run(inp):
-        # fresh running stats each call: they do not affect train output
-        y, _ = batchnorm_forward(inp, gamma, beta,
-                                 BatchNormRunning.fresh(n), "train")
-        return float(np.sum(coeff * y))
-
-    y, cache = batchnorm_forward(x, gamma, beta, BatchNormRunning.fresh(n),
-                                 "train")
-    grad_x = batchnorm_backward(coeff, cache, gamma, beta)
-    _check("batchnorm.x", grad_x, finite_diff_grad(lambda v: run(v), x),
-           results)
-    _check("batchnorm.gamma", gamma.grad,
-           finite_diff_grad(lambda _v: run(x), gamma.value), results)
-    _check("batchnorm.beta", beta.grad,
-           finite_diff_grad(lambda _v: run(x), beta.value), results)
+    _check_layer("batchnorm", layer, x, coeff, "train", seed, results)
 
 
 def mini_model(preset, seed):
@@ -165,12 +138,7 @@ def check_end_to_end(preset, seed, results):
     model.zero_grads()
     model.backward(caches, probs, labels)
     reg_penalty(model.params, accumulate_grads=True)
-
-    for p in model.params:
-        numeric = finite_diff_grad(lambda _v: total_loss(), p.value)
-        if p.name == "embedding":
-            numeric[0] = 0.0  # frozen PAD row
-        _check(f"{preset}.{p.name}", p.grad, numeric, results)
+    _check_params(f"{preset}.", model.params, total_loss, results)
 
 
 def run_all(seed=0, presets=model_zoo.PRESETS):

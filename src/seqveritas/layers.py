@@ -322,8 +322,7 @@ class BatchNormCache(_Cache):
     x_centered: np.ndarray = None
 
 
-def batchnorm_forward(x, gamma, beta, running, mode,
-                      momentum=BN_MOMENTUM, eps=BN_EPS):
+def batchnorm_forward(x, gamma, beta, running, mode):
     """Train: standardize with biased batch statistics and fold an
     unbiased variance estimate into the running stats. Eval: use running
     stats only."""
@@ -333,13 +332,13 @@ def batchnorm_forward(x, gamma, beta, running, mode,
             raise BatchTooSmall("batch-norm train mode needs batch >= 2")
         mean = x.mean(axis=0)
         var = x.var(axis=0)  # biased
-        running.mean = momentum * running.mean + (1.0 - momentum) * mean
-        running.var = (momentum * running.var
-                       + (1.0 - momentum) * var * batch / (batch - 1))
+        running.mean = BN_MOMENTUM * running.mean + (1.0 - BN_MOMENTUM) * mean
+        running.var = (BN_MOMENTUM * running.var
+                       + (1.0 - BN_MOMENTUM) * var * batch / (batch - 1))
     else:
         mean = running.mean
         var = running.var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_centered = x - mean
     x_hat = x_centered * inv_std
     y = gamma.value * x_hat + beta.value

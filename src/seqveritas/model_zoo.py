@@ -379,19 +379,13 @@ class Model:
     # --- checkpointing ------------------------------------------------
 
     def state_snapshot(self):
-        """Deep copy of everything training mutates (for early stopping)."""
-        return {
-            "params": [p.value.copy() for p in self.params],
-            "running": {k: (r.mean.copy(), r.var.copy())
-                        for k, r in self.bn_running.items()},
-        }
+        """A copy of every tensor training mutates, in `tensors()` order
+        (for early stopping)."""
+        return [array.copy() for _, array in self.tensors()]
 
     def restore_snapshot(self, snap):
-        for p, saved in zip(self.params, snap["params"]):
-            p.value[...] = saved
-        for k, (mean, var) in snap["running"].items():
-            self.bn_running[k].mean[...] = mean
-            self.bn_running[k].var[...] = var
+        for (_, array), saved in zip(self.tensors(), snap):
+            array[...] = saved
 
     def save(self, path):
         """Write the version 4 container (see the module docstring): the

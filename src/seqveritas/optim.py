@@ -15,6 +15,12 @@ from .numerics import Prng
 from .objective import bce, evaluate, reg_penalty
 
 
+# The global gradient-norm bound of `clip_gradients`, and the least drop
+# in validation loss that early stopping counts as an improvement.
+MAX_NORM = 5.0
+MIN_DELTA = 1e-4
+
+
 class NonFiniteGradient(FloatingPointError):
     pass
 
@@ -66,7 +72,7 @@ def adam_step(params, state):
         p.value -= step
 
 
-def clip_gradients(params, max_norm=5.0):
+def clip_gradients(params, max_norm=MAX_NORM):
     """Scale all grads by max_norm/norm when the global L2 norm exceeds
     max_norm; returns the pre-clip norm."""
     total = 0.0
@@ -84,7 +90,7 @@ class EarlyStopper:
     """Stops when validation loss has not improved by min_delta for more
     than `patience` epochs; remembers the best snapshot."""
 
-    def __init__(self, patience=2, min_delta=1e-4):
+    def __init__(self, patience=2, min_delta=MIN_DELTA):
         self.patience = patience
         self.min_delta = min_delta
         self.best_loss = float("inf")
@@ -111,8 +117,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     patience: int = 2
-    min_delta: float = 1e-4
-    max_norm: float = 5.0
 
 
 @dataclass
@@ -156,8 +160,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
         raise EmptyDataset("train and validation sets must be non-empty")
     state = AdamState(lr=model.config.lr)
     rng = Prng(config.seed)
-    stopper = EarlyStopper(patience=config.patience,
-                           min_delta=config.min_delta)
+    stopper = EarlyStopper(patience=config.patience)
     history = TrainingHistory()
     has_bn = bool(model.bn_running)
 
@@ -172,7 +175,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
             data_loss = bce(probs, yb)
             model.backward(caches, probs, yb)
             penalty = reg_penalty(model.params, accumulate_grads=True)
-            clip_gradients(model.params, config.max_norm)
+            clip_gradients(model.params)
             adam_step(model.params, state)
             epoch_loss += (data_loss + penalty) * len(idx)
         train_loss = epoch_loss / n

@@ -163,6 +163,8 @@ def read_cache(path):
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
+    if len(blob) < 5 + 12:
+        raise CacheFormatError(f"{path}: truncated header")
     maxlen, vocab_size, n = struct.unpack_from("<III", blob, 5)
     record = _record_dtype(maxlen)
     if len(blob) != 5 + 12 + n * record.itemsize:
@@ -180,7 +182,15 @@ def save_vocab(path, vocab):
 
 
 def load_vocab(path):
+    """The vocabulary `save_vocab` wrote; anything but an object with a
+    list of str `tokens` and int `max_size` and `min_freq` is refused."""
     with open(path) as f:
         doc = json.load(f)
+    if not (isinstance(doc, dict) and isinstance(doc.get("tokens"), list)
+            and all(isinstance(t, str) for t in doc["tokens"])
+            and type(doc.get("max_size")) is int
+            and type(doc.get("min_freq")) is int):
+        raise ValueError(f"{path}: not a vocabulary file (an object with "
+                         "str tokens and int max_size and min_freq)")
     return Vocabulary(doc["tokens"], max_size=doc["max_size"],
                       min_freq=doc["min_freq"])

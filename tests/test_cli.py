@@ -193,6 +193,40 @@ def test_train_cache_vocab_unlike_vocab_file_exits_2(capsys, tmp_path):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("doc", [{"max_size": 10}, [1, 2]])
+def test_train_malformed_vocab_file_exits_2(capsys, tmp_path, doc):
+    cache, _ = _prepare(capsys, tmp_path)
+    with open(cache + ".vocab.json", "w") as f:
+        json.dump(doc, f)
+    ckpt = tmp_path / "m.svchk"
+    code, out, err = run(capsys, ["train", "--data", cache,
+                                  "--preset", "baseline",
+                                  "--out-checkpoint", str(ckpt)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not a vocabulary file" in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cache_shorter_than_its_header_exits_2(capsys, tmp_path, command):
+    # the magic, then 3 of the 12 bytes of maxlen, V and N
+    cache = tmp_path / "short.svec"
+    cache.write_bytes(b"SVEC1abc")
+    ckpt = str(tmp_path / "m.svchk")
+    if command == "eval":
+        model_zoo.build("baseline", textprep.Vocabulary(["a"]), maxlen=3,
+                        embed_dim=4, lstm_units=4).save(ckpt)
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(cache)]
+    else:
+        argv = ["train", "--data", str(cache), "--preset", "baseline",
+                "--out-checkpoint", ckpt]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "truncated header" in err
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -619,6 +619,30 @@ def test_fit_step_on_a_loaded_float32_model(tmp_path):
                for a, p in zip(before, loaded.params))
 
 
+def test_restore_snapshot_undoes_a_fit_step():
+    model = build("optimized", _vocab(20), maxlen=6, seed=1, embed_dim=8,
+                  lstm_units=8)
+    x = _random_inputs(model, 8)
+    y = np.array([0.0, 1.0] * 4)
+
+    def step():  # one epoch of one batch: one Adam step
+        optim.fit(model, x, y, x, y,
+                  optim.TrainConfig(epochs=1, batch_size=8, patience=1))
+
+    step()
+    snap = model.state_snapshot()
+    saved = [array.tobytes() for array in snap]
+    step()
+    moved = [name for (name, array), b in zip(model.tensors(), saved)
+             if array.tobytes() != b]
+    assert "lstm.W" in moved and "dense0.bn.mean" in moved
+    model.restore_snapshot(snap)
+    assert [name for name, _ in model.tensors()] == [
+        p.name for p in model.params] + [
+        f"dense{i}.bn.{stat}" for i in range(3) for stat in ("mean", "var")]
+    assert [array.tobytes() for _, array in model.tensors()] == saved
+
+
 # --- refusal properties ---------------------------------------------------
 
 _REFUSALS = (BadMagic, VersionMismatch, ShapeMismatchOnLoad)

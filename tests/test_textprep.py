@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 from importlib import resources
 
@@ -227,6 +228,15 @@ def test_cache_truncation_detected(tmp_path):
         read_cache(path)
 
 
+@pytest.mark.parametrize("size", range(5, 17))
+def test_cache_short_header_detected(tmp_path, size):
+    # the magic, then fewer than the 12 bytes of maxlen, V and N
+    path = str(tmp_path / "c.svec")
+    open(path, "wb").write((b"SVEC1" + b"abc" * 4)[:size])
+    with pytest.raises(textprep.CacheFormatError):
+        read_cache(path)
+
+
 def test_vocab_save_load(tmp_path):
     v = build_vocab([["cat", "cat", "dog"]], max_size=10, min_freq=1)
     path = str(tmp_path / "v.json")
@@ -234,6 +244,22 @@ def test_vocab_save_load(tmp_path):
     v2 = textprep.load_vocab(path)
     assert v2.tokens == v.tokens
     assert v2.index_of("cat") == v.index_of("cat")
+
+
+@pytest.mark.parametrize("doc", [
+    {"max_size": 10}, [1, 2], "tokens", None,
+    {"tokens": ["a", 2], "max_size": 10, "min_freq": 1},
+    {"tokens": "ab", "max_size": 10, "min_freq": 1},
+    {"tokens": ["a"], "max_size": "10", "min_freq": 1},
+    {"tokens": ["a"], "max_size": 10, "min_freq": 1.0},
+    {"tokens": ["a"], "max_size": True, "min_freq": 1},
+])
+def test_load_vocab_refuses_malformed(tmp_path, doc):
+    path = str(tmp_path / "v.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(ValueError, match="not a vocabulary file"):
+        textprep.load_vocab(path)
 
 
 def test_vocab_leakage_guard(toy_encoded):
