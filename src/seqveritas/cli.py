@@ -25,7 +25,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
-DEFAULT_TRAIN_FRAC = 0.8
+TRAIN_FRAC = 0.8  # of prepare's shuffled records, the leading share trains
 
 
 def _default_seed():
@@ -47,13 +47,6 @@ def _int_at_least(low, what):
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-
-
-def _fraction(text):
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1)")
-    return value
 
 
 def _emit(doc):
@@ -85,10 +78,9 @@ def cmd_prepare(args):
 
     token_lists = [textprep.preprocess(a.title, a.body)
                    for a in merged.records]
-    # Vocabulary comes from the leading train fraction of the shuffled
-    # order only, so the validation tail cannot leak tokens into it.
-    n_train = int(args.train_frac * n)
-    vocab = textprep.build_vocab(token_lists[:n_train],
+    # Vocabulary comes from the training records only, so the validation
+    # tail cannot leak tokens into it.
+    vocab = textprep.build_vocab(token_lists[:int(TRAIN_FRAC * n)],
                                  max_size=args.vocab_size,
                                  min_freq=args.min_freq)
     sequences = [textprep.encode(toks, vocab, args.maxlen)
@@ -105,27 +97,28 @@ def cmd_prepare(args):
     return EXIT_OK
 
 
-def _load_split(data_path, train_frac):
-    """The cache is already shuffled by prepare; the split is the leading
-    train fraction versus the tail (matching the vocabulary guard)."""
-    x, y, vocab_size = textprep.read_cache(data_path)
-    n_train = int(train_frac * len(x))
+def _load_data(path):
+    """({"train", "val", "all"} -> (x, y float64), vocabulary) for a cache
+    and the vocabulary file beside it. "train" holds the leading records
+    prepare built the vocabulary from, "val" the tail."""
+    x, y, vocab_size = textprep.read_cache(path)
+    vocab = textprep.load_vocab(_vocab_path(path))
+    if vocab_size != len(vocab):
+        raise ValueError(f"{path} was encoded against {vocab_size} "
+                         f"vocabulary entries, but {_vocab_path(path)} "
+                         f"has {len(vocab)}")
+    n_train = int(TRAIN_FRAC * len(x))
     if n_train == 0 or n_train == len(x):
-        raise ingest.EmptySplit(f"cannot split {len(x)} records at {train_frac}")
-    return (x[:n_train], y[:n_train].astype(np.float64),
-            x[n_train:], y[n_train:].astype(np.float64), vocab_size)
+        raise ingest.EmptySplit(f"cannot split {len(x)} records at {TRAIN_FRAC}")
+    y = y.astype(np.float64)
+    return {"train": (x[:n_train], y[:n_train]),
+            "val": (x[n_train:], y[n_train:]), "all": (x, y)}, vocab
 
 
 def cmd_train(args):
-    train_x, train_y, val_x, val_y, vocab_size = _load_split(args.data,
-                                                             args.train_frac)
-    vocab = textprep.load_vocab(_vocab_path(args.data))
-    if vocab_size != len(vocab):
-        return _fail(f"{args.data} was encoded against {vocab_size} "
-                     f"vocabulary entries, but {_vocab_path(args.data)} "
-                     f"has {len(vocab)}")
-    maxlen = train_x.shape[1]
-    model = model_zoo.build(args.preset, vocab, maxlen=maxlen,
+    splits, vocab = _load_data(args.data)
+    (train_x, train_y), (val_x, val_y) = splits["train"], splits["val"]
+    model = model_zoo.build(args.preset, vocab, maxlen=train_x.shape[1],
                             seed=args.seed, dtype=args.dtype)
     tc = TrainConfig(epochs=args.epochs, batch_size=args.batch,
                      seed=args.seed, patience=args.patience)
@@ -149,18 +142,15 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = model_zoo.load(args.checkpoint)
-    if args.split == "all":
-        x, y, vocab_size = textprep.read_cache(args.data)
-        y = y.astype(np.float64)
-    else:
-        train_x, train_y, val_x, val_y, vocab_size = _load_split(
-            args.data, args.train_frac)
-        x, y = ((train_x, train_y) if args.split == "train"
-                else (val_x, val_y))
-    if vocab_size != model.config.vocab_size:
-        return _fail(f"{args.data} was encoded against {vocab_size} "
-                     f"vocabulary entries, but {args.checkpoint} has "
-                     f"{model.config.vocab_size}")
+    splits, vocab = _load_data(args.data)
+    x, y = splits[args.split]
+    ours, theirs = vocab.tokens, model.vocab.tokens
+    if ours != theirs:
+        first = next((i for i, (a, b) in enumerate(zip(ours, theirs))
+                      if a != b), min(len(ours), len(theirs)))
+        return _fail(f"{args.data} was encoded against {len(vocab)} "
+                     f"vocabulary entries, {args.checkpoint} has "
+                     f"{len(model.vocab)}; they differ from index {first + 2}")
     if x.shape[1] != model.config.maxlen:
         return _fail(f"{args.data} has maxlen {x.shape[1]}, but "
                      f"{args.checkpoint} was trained at maxlen "
@@ -221,7 +211,6 @@ def build_parser():
     p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
                    default=textprep.DEFAULT_MAX_VOCAB)
     p.add_argument("--min-freq", type=int, default=textprep.DEFAULT_MIN_FREQ)
-    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a preset on a prepared cache")
@@ -232,7 +221,6 @@ def build_parser():
     p.add_argument("--batch", type=_positive_int, default=64)
     p.add_argument("--patience",
                    type=_int_at_least(0, "a non-negative integer"), default=2)
-    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.add_argument("--dtype", choices=("float64", "float32"),
                    default="float64")
     p.add_argument("--out-checkpoint", required=True)
@@ -244,7 +232,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "all"), default="val")
-    p.add_argument("--train-frac", type=_fraction, default=DEFAULT_TRAIN_FRAC)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify raw text")

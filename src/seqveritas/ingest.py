@@ -1,6 +1,6 @@
 """Corpus ingestion: read the two CSV files, attach labels, merge, and
 shuffle deterministically. Splitting is done later on the encoded cache,
-by `cli._load_split` (which raises `EmptySplit`).
+by `cli._load_data` (which raises `EmptySplit`).
 
 Label convention: fake = 1 (the positive class is the thing being
 detected), true = 0. The date column is carried through but never parsed.

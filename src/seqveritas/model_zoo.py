@@ -32,9 +32,9 @@ The element type is `config.dtype` (`<f8` for float64, `<f4` for
 float32); no tensor carries its own. `load` reads the file into one
 64-byte-aligned buffer and hands the model writable views of it.
 Versions 1-3 (one JSON document), a header that is not JSON or lacks the
-magic, a config value of the wrong type, and a tensor table that does not
-tile the data section with the tensors the config's model has, are
-refused.
+magic, a config or vocabulary value of the wrong type, and a tensor table
+that does not tile the data section with the tensors the config's model
+has, are refused.
 
 Presets:
   baseline    Dropout 0.2, dense (64, 16) with L1 on kernels, lr 1e-3.
@@ -401,9 +401,7 @@ class Model:
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
-            "vocab": {"tokens": self.vocab.tokens,
-                      "max_size": self.vocab.max_size,
-                      "min_freq": self.vocab.min_freq},
+            "vocab": textprep.vocab_to_doc(self.vocab),
             "tensors": table,
         }).encode("utf-8")
         with open(path, "wb") as f:
@@ -473,9 +471,7 @@ def _restore(path, header, data):
     """The model a version-checked header describes, its tensors taken
     from `data`, the data section."""
     config = ModelConfig.from_dict(header["config"])
-    vocab = textprep.Vocabulary(header["vocab"]["tokens"],
-                                max_size=header["vocab"]["max_size"],
-                                min_freq=header["vocab"]["min_freq"])
+    vocab = textprep.vocab_from_doc(header["vocab"])
     if len(vocab) != config.vocab_size:
         raise ShapeMismatchOnLoad(f"{path}: {len(vocab)} vocabulary entries, "
                                   f"but config.vocab_size {config.vocab_size}")

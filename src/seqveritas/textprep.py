@@ -174,23 +174,39 @@ def read_cache(path):
             vocab_size)
 
 
-def save_vocab(path, vocab):
-    doc = {"max_size": vocab.max_size, "min_freq": vocab.min_freq,
-           "tokens": vocab.tokens}
-    with open(path, "w") as f:
-        json.dump(doc, f)
+# --- vocabulary document: a checkpoint's "vocab", and the file beside a cache
+
+def vocab_to_doc(vocab):
+    return {"tokens": vocab.tokens, "max_size": vocab.max_size,
+            "min_freq": vocab.min_freq}
 
 
-def load_vocab(path):
-    """The vocabulary `save_vocab` wrote; anything but an object with a
-    list of str `tokens` and int `max_size` and `min_freq` is refused."""
-    with open(path) as f:
-        doc = json.load(f)
+def vocab_from_doc(doc):
+    """The vocabulary `vocab_to_doc` gave; anything but an object with a
+    list of str `tokens` and int `max_size` and `min_freq` raises
+    TypeError."""
     if not (isinstance(doc, dict) and isinstance(doc.get("tokens"), list)
             and all(isinstance(t, str) for t in doc["tokens"])
             and type(doc.get("max_size")) is int
             and type(doc.get("min_freq")) is int):
-        raise ValueError(f"{path}: not a vocabulary file (an object with "
-                         "str tokens and int max_size and min_freq)")
+        raise TypeError("a vocabulary is an object with a list of str "
+                        "tokens and int max_size and min_freq")
     return Vocabulary(doc["tokens"], max_size=doc["max_size"],
                       min_freq=doc["min_freq"])
+
+
+def save_vocab(path, vocab):
+    # keys sorted: the order vocabulary files have always had
+    with open(path, "w") as f:
+        json.dump(vocab_to_doc(vocab), f, sort_keys=True)
+
+
+def load_vocab(path):
+    """The vocabulary `save_vocab` wrote; a file `vocab_from_doc` refuses
+    raises ValueError."""
+    with open(path) as f:
+        doc = json.load(f)
+    try:
+        return vocab_from_doc(doc)
+    except TypeError as e:
+        raise ValueError(f"{path}: not a vocabulary file ({e})") from None

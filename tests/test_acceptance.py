@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seqveritas import gradcheck, ingest, model_zoo, optim, textprep
-from seqveritas.cli import main
+from seqveritas.cli import TRAIN_FRAC, main
 from seqveritas.layers import ParamTensor
 from seqveritas.numerics import Prng
 from seqveritas.objective import evaluate
@@ -228,10 +228,10 @@ def _load_corpus():
     return fake, true_
 
 
-def _encode_merged(merged, maxlen=200, max_vocab=20_000, train_frac=0.8):
+def _encode_merged(merged, maxlen=200, max_vocab=20_000):
     token_lists = [textprep.preprocess(a.title, a.body)
                    for a in merged.records]
-    n_train = int(train_frac * len(token_lists))
+    n_train = int(TRAIN_FRAC * len(token_lists))
     vocab = textprep.build_vocab(token_lists[:n_train], max_size=max_vocab)
     x = np.array([textprep.encode(t, vocab, maxlen) for t in token_lists])
     y = np.array([a.label for a in merged.records], dtype=np.float64)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import struct
@@ -5,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from seqveritas import model_zoo, textprep
+from seqveritas import cli, model_zoo, textprep
 from seqveritas.cli import main
-from tests.conftest import (TOY_FAKE, TOY_TRUE, container_bytes,
+from tests.conftest import (TOY_FAKE, TOY_TRUE, container_bytes, edit_header,
                             json_checkpoint, read_container, write_bytes)
 
 
@@ -94,14 +95,38 @@ def test_train_writes_history_jsonl(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["prepare", "--fake", "f", "--true", "t", "--out", "o"],
     ["train", "--data", "d", "--preset", "baseline", "--out-checkpoint", "m"],
-    ["eval", "--checkpoint", "c", "--data", "d"]])
-@pytest.mark.parametrize("frac", ["0", "1", "-0.5", "1.5"])
-def test_train_frac_outside_open_unit_interval_exits_2(capsys, argv, frac):
-    # a fraction outside (0, 1) would slice the cache from the wrong end
+    ["eval", "--checkpoint", "c", "--data", "d"]],
+    ids=["prepare", "train", "eval"])
+def test_train_frac_flag_exits_2(capsys, argv):
+    # before: train --train-frac 0.9 then the default eval scored training
+    # records as validation ones, and exited 0
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--train-frac", frac])
+        main(argv + ["--train-frac", "0.9"])
     assert exc.value.code == 2
-    assert "is not in (0, 1)" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --train-frac 0.9" in out.err
+
+
+# Every option of every subcommand. A new knob has to show up here.
+OPTIONS = {
+    "prepare": {"--fake", "--true", "--out", "--seed", "--maxlen",
+                "--vocab-size", "--min-freq"},
+    "train": {"--data", "--preset", "--seed", "--epochs", "--batch",
+              "--patience", "--dtype", "--out-checkpoint", "--history"},
+    "eval": {"--checkpoint", "--data", "--split"},
+    "predict": {"--checkpoint", "--text", "--stdin"},
+    "gradcheck": {"--preset", "--seed"},
+}
+
+
+def test_subcommand_option_sets_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert options == OPTIONS
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -150,6 +175,29 @@ def test_prepare_maxlen_below_1_exits_2(capsys, tmp_path, value):
     assert f"{value} is not a positive integer" in captured.err
     assert "loaded" not in captured.err
     assert not out.exists()
+
+
+def test_prepare_vocab_holds_no_validation_only_token(capsys, tmp_path):
+    # each article has a token no other article has; the ones in the
+    # validation tail must all encode as OOV, the training ones never
+    for name in ("fake", "true"):
+        rows = "".join(f"story,market q{name}{i}z,news,2017\n"
+                       for i in range(10))
+        (tmp_path / f"{name}.csv").write_text("title,text,subject,date\n"
+                                              + rows)
+    cache = str(tmp_path / "c.svec")
+    code, _, err = run(capsys, [
+        "prepare", "--fake", str(tmp_path / "fake.csv"),
+        "--true", str(tmp_path / "true.csv"), "--out", cache,
+        "--seed", "3", "--vocab-size", "100", "--min-freq", "1"])
+    assert code == 0, err
+    splits, vocab = cli._load_data(cache)
+    (train_x, _), (val_x, _) = splits["train"], splits["val"]
+    assert (len(train_x), len(val_x)) == (16, 4)
+    # "stori", "market" and the 16 training-only tokens
+    assert len(vocab.tokens) == 18
+    assert all(textprep.OOV_INDEX in row for row in val_x)
+    assert not any(textprep.OOV_INDEX in row for row in train_x)
 
 
 def test_prepare_vocab_size_2_keeps_pad_and_oov_only(capsys, tmp_path):
@@ -310,32 +358,62 @@ def test_predict_stdin_streams(capsys, tmp_path, monkeypatch):
     assert set(json.loads(out)) == {"probability", "label"}
 
 
+def _write_data(path, sequences, vocab):
+    """A two-record cache at maxlen 10 and its vocabulary file."""
+    textprep.write_cache(path, sequences, [1, 0], len(vocab), 10)
+    textprep.save_vocab(path + ".vocab.json", vocab)
+
+
 def test_eval_index_outside_checkpoint_vocab_exits_2(capsys, tmp_path):
+    # the cache's vocabulary is the checkpoint's and 20 tokens more; an
+    # index into those is refused by the vocabulary comparison
     cache, _ = _prepare(capsys, tmp_path)
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
-    vocab_size = model_zoo.load(ckpt).config.vocab_size
+    vocab = model_zoo.load(ckpt).vocab
     wide = str(tmp_path / "wide.svec")
-    textprep.write_cache(wide, [[0, 2, vocab_size + 18]], [1],
-                         vocab_size + 20, 3)
+    _write_data(wide, [[0] * 9 + [len(vocab) + 18], [0] * 9 + [2]],
+                textprep.Vocabulary(vocab.tokens
+                                    + [f"extra{i}" for i in range(20)]))
     code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
                                   "--data", wide, "--split", "all"])
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert f"they differ from index {len(vocab)}" in err
 
 
 def test_eval_index_outside_cache_vocab_exits_2(capsys, tmp_path):
-    # the cache's V matches the checkpoint, but one index is out of range
+    # the cache's vocabulary is the checkpoint's, but one index is out of
+    # range
     cache, _ = _prepare(capsys, tmp_path)
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
-    vocab_size = model_zoo.load(ckpt).config.vocab_size
+    vocab = model_zoo.load(ckpt).vocab
     bad = str(tmp_path / "bad.svec")
-    textprep.write_cache(bad, [[0, 2, vocab_size]], [1], vocab_size, 3)
+    _write_data(bad, [[0] * 9 + [len(vocab)], [0] * 9 + [2]], vocab)
     code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
                                   "--data", bad, "--split", "all"])
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert f"index outside [0, {len(vocab)})" in err
+
+
+@pytest.mark.parametrize("split", ["val", "all"])
+def test_eval_cache_vocab_same_size_unlike_checkpoint_exits_2(
+        capsys, tmp_path, split):
+    # before: only the sizes were compared, so a cache encoded against
+    # another vocabulary of the same size was scored, and eval exited 0
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    vocab = textprep.load_vocab(cache + ".vocab.json")
+    textprep.save_vocab(cache + ".vocab.json",
+                        textprep.Vocabulary(vocab.tokens[::-1]))
+    code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                  "--data", cache, "--split", split])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "they differ from index 2" in err
 
 
 def test_eval_cache_vocab_unlike_checkpoint_exits_2(capsys, tmp_path):
@@ -434,6 +512,28 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("entry,value", [("tokens", [7, 8]),
+                                         ("max_size", "big")])
+def test_checkpoint_vocab_of_wrong_type_exits_2(capsys, tmp_path, command,
+                                                entry, value):
+    # before: the checkpoint loaded, and predict scored every token as OOV
+    vocab = textprep.Vocabulary(["cat", "dog"])
+    ckpt = str(tmp_path / "model.svchk")
+    model_zoo.build("baseline", vocab, maxlen=10, embed_dim=8,
+                    lstm_units=8).save(ckpt)
+    edit_header(ckpt, lambda h: h["vocab"].update({entry: value}))
+    data = str(tmp_path / "c.svec")
+    _write_data(data, [[0] * 8 + [2, 3], [0] * 9 + [3]], vocab)
+    argv = (["eval", "--checkpoint", ckpt, "--data", data, "--split", "all"]
+            if command == "eval"
+            else ["predict", "--checkpoint", ckpt, "--text", "cat dog"])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "a vocabulary is an object" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
 def test_checkpoint_is_a_directory_exits_2(capsys, tmp_path, command):
     cache, _ = _prepare(capsys, tmp_path)
     argv = (["eval", "--checkpoint", str(tmp_path), "--data", cache]
@@ -486,7 +586,6 @@ def test_stdout_is_single_json_document(capsys, tmp_path):
 
 def test_env_seed_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SEQVERITAS_SEED", "777")
-    from seqveritas import cli
     parser = cli.build_parser()  # defaults resolve at parser build time
     args = parser.parse_args(["prepare", "--fake", "f", "--true", "t",
                               "--out", "o"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqveritas import textprep
-from seqveritas.cli import _load_split
+from seqveritas.cli import TRAIN_FRAC, _load_data
 from seqveritas.ingest import (Article, Dataset, EmptySplit, MalformedRow,
                                MissingColumn, load_articles, merge_shuffle)
 
@@ -100,38 +100,49 @@ def test_merge_shuffle_seed_changes_order():
     assert [a.title for a in m1.records] != [a.title for a in m2.records]
 
 
-# The split is taken on the encoded cache by cli._load_split: the leading
-# train fraction of prepare's shuffled order versus the tail.
+# The split is taken on the encoded cache by cli._load_data: the leading
+# TRAIN_FRAC of prepare's shuffled order versus the tail.
 
 def _cache(tmp_path, n, maxlen=3):
     path = str(tmp_path / "c.svec")
     seqs = np.arange(n * maxlen).reshape(n, maxlen) % 50
     textprep.write_cache(path, seqs, np.arange(n) % 2, 50, maxlen)
+    textprep.save_vocab(path + ".vocab.json",
+                        textprep.Vocabulary([f"t{i}" for i in range(48)]))
     return path
 
 
 def test_split_floor_arithmetic(tmp_path):
-    train_x, train_y, val_x, val_y, _ = _load_split(_cache(tmp_path, 10), 0.8)
+    assert TRAIN_FRAC == 0.8
+    splits, _ = _load_data(_cache(tmp_path, 10))
+    (train_x, train_y), (val_x, val_y) = splits["train"], splits["val"]
     assert (len(train_x), len(train_y), len(val_x), len(val_y)) == (8, 8, 2, 2)
 
 
 def test_split_partition(tmp_path):
     path = _cache(tmp_path, 25)
-    train_x, train_y, val_x, val_y, _ = _load_split(path, 0.6)
+    splits, _ = _load_data(path)
+    (train_x, train_y), (val_x, val_y) = splits["train"], splits["val"]
+    assert len(train_x) == int(TRAIN_FRAC * 25)
     x, y, _ = textprep.read_cache(path)
     assert np.array_equal(np.concatenate([train_x, val_x]), x)
     assert np.array_equal(np.concatenate([train_y, val_y]), y)
+    assert np.array_equal(splits["all"][0], x)
+    assert np.array_equal(splits["all"][1], y)
 
 
 def test_split_deterministic(tmp_path):
     path = _cache(tmp_path, 30)
-    for a, b in zip(_load_split(path, 0.8), _load_split(path, 0.8)):
-        assert np.array_equal(a, b)
+    (a, vocab_a), (b, vocab_b) = _load_data(path), _load_data(path)
+    assert vocab_a.tokens == vocab_b.tokens
+    for split in ("train", "val", "all"):
+        for u, v in zip(a[split], b[split]):
+            assert np.array_equal(u, v)
 
 
 def test_split_empty_side(tmp_path):
     with pytest.raises(EmptySplit):
-        _load_split(_cache(tmp_path, 1), 0.8)
+        _load_data(_cache(tmp_path, 1))
 
 
 def test_toy_fixture_counts(toy_articles):
