@@ -95,6 +95,22 @@ def test_train_writes_history_jsonl(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["prepare", "--fake", "f", "--true", "t", "--out", "o"],
     ["train", "--data", "d", "--preset", "baseline", "--out-checkpoint", "m"],
+    ["eval", "--checkpoint", "c", "--data", "d"]])
+@pytest.mark.parametrize("frac", ["0", "1", "-0.5", "1.5"])
+def test_train_frac_outside_open_unit_interval_exits_2(capsys, argv, frac):
+    # a fraction outside (0, 1) would slice the cache from the wrong end; the
+    # split is fixed now, so the flag is refused whatever its value
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--train-frac", frac])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: --train-frac {frac}" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--fake", "f", "--true", "t", "--out", "o"],
+    ["train", "--data", "d", "--preset", "baseline", "--out-checkpoint", "m"],
     ["eval", "--checkpoint", "c", "--data", "d"]],
     ids=["prepare", "train", "eval"])
 def test_train_frac_flag_exits_2(capsys, argv):
