@@ -210,7 +210,9 @@ def build_parser():
     # two at least: PAD and OOV
     p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
                    default=textprep.DEFAULT_MAX_VOCAB)
-    p.add_argument("--min-freq", type=int, default=textprep.DEFAULT_MIN_FREQ)
+    # every token seen occurs at least once, so below 1 would mean 1
+    p.add_argument("--min-freq", type=_positive_int,
+                   default=textprep.DEFAULT_MIN_FREQ)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a preset on a prepared cache")

@@ -6,18 +6,19 @@ hidden state only) -> Dropout -> hidden dense blocks -> Dense(1) ->
 sigmoid. Only the final hidden state feeds the dense blocks; pre-padding
 in textprep guarantees it reflects real tokens.
 
-A model is a flat layer list built once from its config. Each hidden
-block is Dense -> [BatchNorm] -> ReLU, and a Dropout, identity at rate 0,
-sits between dense blocks. The output Dense gives a logit: `Model.forward`
-applies the sigmoid, and `Model.backward` feeds the fused sigmoid+BCE
-gradient straight into it. Forward and backward loop over the list;
-`Model.params` follows its order, which is the checkpoint order.
+A model is a flat layer list built once from its config and its
+preset's `PRESETS` row. Each hidden block is Dense -> [BatchNorm] ->
+ReLU, and a Dropout, identity at rate 0, sits between dense blocks. The
+output Dense gives a logit: `Model.forward` applies the sigmoid, and
+`Model.backward` feeds the fused sigmoid+BCE gradient straight into it.
+Forward and backward loop over the list; `Model.params` follows its
+order, which is the checkpoint order.
 
 A model gets its tensors from one function, `tensor(name, shape, init)`:
 `build` answers with the seeded initialisation `init(rng)`, `load` with
 the array the checkpoint holds under that name, so a load draws nothing.
 
-A checkpoint (format version 4) is a binary container, the layout of
+A checkpoint (format version 5) is a binary container, the layout of
 safetensors and of NumPy's `.npy`:
   - an 8-byte little-endian u64 header length n;
   - n bytes of UTF-8 JSON: magic, version, config, vocabulary, and the
@@ -31,17 +32,20 @@ safetensors and of NumPy's `.npy`:
 The element type is `config.dtype` (`<f8` for float64, `<f4` for
 float32); no tensor carries its own. `load` reads the file into one
 64-byte-aligned buffer and hands the model writable views of it.
-Versions 1-3 (one JSON document), a header that is not JSON or lacks the
-magic, a config or vocabulary value of the wrong type, and a tensor table
-that does not tile the data section with the tensors the config's model
-has, are refused.
+Versions 1-3 (one JSON document) and 4 (whose config repeated the
+preset's values), a header that is not JSON or lacks the magic, a config
+or vocabulary value of the wrong type, and a tensor table that does not
+tile the data section with the tensors the config's model has, are
+refused.
 
-Presets:
-  baseline    Dropout 0.2, dense (64, 16) with L1 on kernels, lr 1e-3.
-  regularized baseline + L2 on LSTM/dense kernels, all dropout 0.3,
-              extra dropout between dense layers.
-  optimized   regularized + batch norm before each ReLU, dense
-              (128, 64, 16), lr 5e-4.
+Presets: each is one of the paper's three models. Its architecture and
+learning rate are its row of `PRESETS`, the only place they live; a
+config names a preset and adds only the sizes, the seed and the dtype.
+  baseline    dropout, L1 on the hidden dense kernels.
+  regularized baseline + L2 on the LSTM and dense kernels, more dropout,
+              and dropout between the dense layers too.
+  optimized   regularized + batch norm before each ReLU, a wider and
+              deeper dense stack, a lower learning rate.
 """
 
 from __future__ import annotations
@@ -62,14 +66,43 @@ from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 CHECKPOINT_ALIGN = 64  # bytes; a cache line, and a multiple of every itemsize
 
-L1_LAMBDA = 1e-5
-L2_LAMBDA = 1e-4
-
-PRESETS = ("baseline", "regularized", "optimized")
 DTYPES = {"float64": np.float64, "float32": np.float32}
+
+
+@dataclass(frozen=True)
+class Preset:
+    """The fixed architecture and learning rate of one paper model."""
+    dense_widths: tuple        # hidden layers; the output Dense(1) follows
+    dense_regularizers: tuple  # on every hidden kernel, not the output's
+    lstm_regularizers: tuple   # on the LSTM's W and U
+    embed_dropout: float
+    lstm_dropout: float
+    dense_dropout: float       # between dense blocks; identity at 0
+    batchnorm: bool            # BatchNorm between each hidden Dense and ReLU
+    lr: float                  # Adam's learning rate
+
+
+# regularizer terms, (kind, lambda)
+_L1 = ("l1", 1e-5)
+_L2 = ("l2", 1e-4)
+
+PRESETS = {
+    "baseline": Preset(
+        dense_widths=(64, 16), dense_regularizers=(_L1,),
+        lstm_regularizers=(), embed_dropout=0.2, lstm_dropout=0.2,
+        dense_dropout=0.0, batchnorm=False, lr=1e-3),
+    "regularized": Preset(
+        dense_widths=(64, 16), dense_regularizers=(_L1, _L2),
+        lstm_regularizers=(_L2,), embed_dropout=0.3, lstm_dropout=0.3,
+        dense_dropout=0.3, batchnorm=False, lr=1e-3),
+    "optimized": Preset(
+        dense_widths=(128, 64, 16), dense_regularizers=(_L1, _L2),
+        lstm_regularizers=(_L2,), embed_dropout=0.3, lstm_dropout=0.3,
+        dense_dropout=0.3, batchnorm=True, lr=5e-4),
+}
 
 
 class VocabMissing(ValueError):
@@ -90,28 +123,22 @@ class ShapeMismatchOnLoad(ValueError):
 
 @dataclass
 class ModelConfig:
+    """What varies between models of one preset; `PRESETS[preset]` holds
+    the rest."""
     preset: str
     vocab_size: int
     embed_dim: int = 100
     lstm_units: int = 150
     maxlen: int = textprep.DEFAULT_MAXLEN
-    dense_widths: tuple = ()        # hidden layers; the output Dense(1) follows
-    dense_regularizers: tuple = ()  # on every hidden kernel, not the output's
-    batchnorm: bool = False         # BatchNorm between each hidden Dense and ReLU
-    embed_dropout: float = 0.2
-    lstm_dropout: float = 0.2
-    dense_dropout: float = 0.0
-    lstm_regularizers: tuple = ()
-    lr: float = 1e-3
     seed: int = 0
     dtype: str = "float64"
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of `asdict` after JSON, which stores tuples as lists.
-        Every field must be present: a missing one would silently take its
-        default and describe another model. A value of the wrong type
-        raises TypeError here rather than somewhere downstream."""
+        """Inverse of `asdict`. Every field must be present: a missing one
+        would silently take its default and describe another model. A
+        value of the wrong type raises TypeError here rather than somewhere
+        downstream."""
         names = {f.name for f in fields(cls)}
         if d.keys() != names:
             raise TypeError(f"config lacks {sorted(names - d.keys())}, "
@@ -120,10 +147,6 @@ class ModelConfig:
         if bad:
             raise TypeError("config has mistyped "
                             + ", ".join(f"{k}={d[k]!r}" for k in bad))
-        d = dict(d)
-        d["dense_widths"] = tuple(d["dense_widths"])
-        for key in ("dense_regularizers", "lstm_regularizers"):
-            d[key] = tuple((kind, lam) for kind, lam in d[key])
         return cls(**d)
 
 
@@ -131,51 +154,28 @@ def _is_int(v):
     return type(v) is int  # not bool, which subclasses int
 
 
-def _is_number(v):
-    return type(v) in (int, float)
-
-
-def _is_regularizers(v):
-    return isinstance(v, (list, tuple)) and all(
-        isinstance(r, (list, tuple)) and len(r) == 2
-        and r[0] in ("l1", "l2") and _is_number(r[1]) for r in v)
-
-
 # The test each ModelConfig field's stored value must pass.
 _CONFIG_TYPES = {
-    "preset": lambda v: v in PRESETS,
+    "preset": lambda v: v in tuple(PRESETS),
     "vocab_size": _is_int, "embed_dim": _is_int, "lstm_units": _is_int,
     "maxlen": _is_int, "seed": _is_int,
-    "dense_widths": lambda v: (isinstance(v, (list, tuple))
-                               and all(map(_is_int, v))),
-    "dense_regularizers": _is_regularizers,
-    "lstm_regularizers": _is_regularizers,
-    "batchnorm": lambda v: type(v) is bool,
-    "embed_dropout": _is_number, "lstm_dropout": _is_number,
-    "dense_dropout": _is_number, "lr": _is_number,
     "dtype": lambda v: v in tuple(DTYPES),
 }
 
 
 def preset_config(preset, vocab_size, maxlen=textprep.DEFAULT_MAXLEN,
                   embed_dim=100, lstm_units=150, seed=0, dtype="float64"):
-    """Expand a preset name into a full ModelConfig (pure function)."""
-    common = dict(vocab_size=vocab_size, maxlen=maxlen, embed_dim=embed_dim,
-                  lstm_units=lstm_units, seed=seed, dtype=dtype)
-    regularized = dict(
-        dense_regularizers=(("l1", L1_LAMBDA), ("l2", L2_LAMBDA)),
-        embed_dropout=0.3, lstm_dropout=0.3, dense_dropout=0.3,
-        lstm_regularizers=(("l2", L2_LAMBDA),))
-    if preset == "baseline":
-        return ModelConfig(preset=preset, dense_widths=(64, 16),
-                           dense_regularizers=(("l1", L1_LAMBDA),), **common)
-    if preset == "regularized":
-        return ModelConfig(preset=preset, dense_widths=(64, 16),
-                           **regularized, **common)
-    if preset == "optimized":
-        return ModelConfig(preset=preset, dense_widths=(128, 64, 16),
-                           batchnorm=True, lr=5e-4, **regularized, **common)
-    raise ValueError(f"unknown preset {preset!r}; valid: {', '.join(PRESETS)}")
+    """The ModelConfig of a preset name (pure function); refuses an
+    unknown preset or dtype."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; "
+                         f"valid: {', '.join(PRESETS)}")
+    if dtype not in DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}; "
+                         f"valid: {', '.join(DTYPES)}")
+    return ModelConfig(preset=preset, vocab_size=vocab_size,
+                       embed_dim=embed_dim, lstm_units=lstm_units,
+                       maxlen=maxlen, seed=seed, dtype=dtype)
 
 
 # --- layers ------------------------------------------------------------------
@@ -260,12 +260,8 @@ class Model:
         """`tensor(name, shape, init)` gives each array of the model:
         `build` answers `init(shape, rng)` from the seeded stream, `load`
         the checkpoint's array."""
-        if vocab is None:
-            raise VocabMissing("a model needs a built vocabulary")
-        if config.dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {config.dtype!r}; "
-                             f"valid: {', '.join(DTYPES)}")
         self.config = config
+        self.preset = PRESETS[config.preset]
         self.vocab = vocab
         self.dtype = DTYPES[config.dtype]
         self._build_params(tensor)
@@ -273,7 +269,7 @@ class Model:
     # the order of `tensor` calls is fixed: the seeded initialisation draws
     # in it, and `params` follows it
     def _build_params(self, tensor):
-        cfg, dt = self.config, self.dtype
+        cfg, pre, dt = self.config, self.preset, self.dtype
         h, d = cfg.lstm_units, cfg.embed_dim
 
         def glorot(shape, rng):
@@ -300,24 +296,24 @@ class Model:
 
         self.layers = [
             Embedding(param("embedding", (cfg.vocab_size, d), embedding)),
-            Dropout(cfg.embed_dropout),
-            Lstm(param("lstm.W", (d, 4 * h), glorot, cfg.lstm_regularizers),
-                 param("lstm.U", (h, 4 * h), glorot, cfg.lstm_regularizers),
+            Dropout(pre.embed_dropout),
+            Lstm(param("lstm.W", (d, 4 * h), glorot, pre.lstm_regularizers),
+                 param("lstm.U", (h, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.b", (4 * h,), lstm_bias)),
-            Dropout(cfg.lstm_dropout)]
+            Dropout(pre.lstm_dropout)]
 
         self.bn_running = {}
         fan_in = h
-        for i, width in enumerate((*cfg.dense_widths, 1)):
-            name, hidden = f"dense{i}", i < len(cfg.dense_widths)
+        for i, width in enumerate((*pre.dense_widths, 1)):
+            name, hidden = f"dense{i}", i < len(pre.dense_widths)
             if i > 0:
-                self.layers.append(Dropout(cfg.dense_dropout))
+                self.layers.append(Dropout(pre.dense_dropout))
             self.layers.append(Dense(
                 param(f"{name}.W", (fan_in, width), glorot,
-                      cfg.dense_regularizers if hidden else ()),
+                      pre.dense_regularizers if hidden else ()),
                 param(f"{name}.b", (width,), zeros)))
             if hidden:
-                if cfg.batchnorm:
+                if pre.batchnorm:
                     running = BatchNormRunning(
                         tensor(f"{name}.bn.mean", (width,), zeros),
                         tensor(f"{name}.bn.var", (width,), ones))
@@ -388,7 +384,7 @@ class Model:
             array[...] = saved
 
     def save(self, path):
-        """Write the version 4 container (see the module docstring): the
+        """Write the version 5 container (see the module docstring): the
         header once, then each tensor's bytes at its aligned offset."""
         wire = np.dtype(self.dtype).newbyteorder("<")
         named = self.tensors()
@@ -432,7 +428,7 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
 
 
 def load(path):
-    """The model a version 4 checkpoint holds. The file is read once into
+    """The model a version 5 checkpoint holds. The file is read once into
     one 64-byte-aligned buffer; each tensor is a writable view of it."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size

@@ -158,7 +158,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
     n = train_x.shape[0]
     if n == 0 or val_x.shape[0] == 0:
         raise EmptyDataset("train and validation sets must be non-empty")
-    state = AdamState(lr=model.config.lr)
+    state = AdamState(lr=model.preset.lr)
     rng = Prng(config.seed)
     stopper = EarlyStopper(patience=config.patience)
     history = TrainingHistory()

@@ -49,7 +49,7 @@ needs_corpus = pytest.mark.skipif(
 
 
 # --- checkpoint reference reader and writer ----------------------------------
-# Written from the version 4 layout alone, without model_zoo: an 8-byte
+# Written from the version 5 layout alone, without model_zoo: an 8-byte
 # little-endian header length n, n bytes of UTF-8 JSON, zero padding to the
 # next multiple of 64, then the data section, where each tensor sits at its
 # 64-aligned offset.
@@ -83,6 +83,15 @@ def edit_header(path, edit):
     write_bytes(path, container_bytes(header, blob[start:]))
 
 
+def per_field_config(model):
+    """`model`'s config as checkpoint versions 3 and 4 stored it: the
+    values of its preset's `model_zoo.PRESETS` row spelled out beside the
+    sizes, the seed and the dtype."""
+    config = asdict(model.config)
+    seed, dtype = config.pop("seed"), config.pop("dtype")
+    return {**config, **asdict(model.preset), "seed": seed, "dtype": dtype}
+
+
 def json_checkpoint(model, version):
     """`model` as one JSON document, the layout of checkpoint versions 1-3:
     tensor data as decimal lists in version 1, base64 of the little-endian
@@ -94,7 +103,7 @@ def json_checkpoint(model, version):
 
     return {
         "magic": "svchk", "version": version,
-        "config": asdict(model.config),
+        "config": per_field_config(model),
         "vocab": {"tokens": model.vocab.tokens,
                   "max_size": model.vocab.max_size,
                   "min_freq": model.vocab.min_freq},

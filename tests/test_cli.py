@@ -193,6 +193,21 @@ def test_prepare_maxlen_below_1_exits_2(capsys, tmp_path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_prepare_min_freq_below_1_exits_2(capsys, tmp_path, value):
+    # before: every token occurs at least once, so these silently meant 1
+    out = tmp_path / "toy.svec"
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+              "--out", str(out), "--min-freq", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{value} is not a positive integer" in captured.err
+    assert "loaded" not in captured.err
+    assert not out.exists()
+
+
 def test_prepare_vocab_holds_no_validation_only_token(capsys, tmp_path):
     # each article has a token no other article has; the ones in the
     # validation tail must all encode as OOV, the training ones never
@@ -506,7 +521,7 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
         config = header["config"]
         if how == "config_colour":
             config["colour"] = "red"
-        elif how == "widths_not_a_list":
+        elif how == "widths_not_a_list":  # a field only version 4 had
             config["dense_widths"] = 64
         elif how == "maxlen_not_an_int":
             config["maxlen"] = "x"

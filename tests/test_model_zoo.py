@@ -1,8 +1,9 @@
 import hashlib
 import json
 import math
+import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqveritas import model_zoo, optim, textprep
-from seqveritas.model_zoo import (BadMagic, ModelConfig, ShapeMismatchOnLoad,
-                                  VersionMismatch, VocabMissing, build, load,
-                                  preset_config)
+from seqveritas.model_zoo import (PRESETS, BadMagic, ModelConfig,
+                                  ShapeMismatchOnLoad, VersionMismatch,
+                                  VocabMissing, build, load, preset_config)
 from seqveritas.numerics import Prng, sigmoid
 from tests.conftest import (container_bytes, edit_header, json_checkpoint,
-                            read_container, write_bytes)
+                            per_field_config, read_container, write_bytes)
 
 
 def _vocab(n_tokens):
@@ -39,11 +40,11 @@ def test_baseline_param_count_v20000():
 
 
 def test_optimized_has_three_batchnorm_stages():
-    cfg = preset_config("optimized", vocab_size=50)
-    assert cfg.batchnorm
-    assert cfg.dense_widths == (128, 64, 16)
-    assert cfg.lr == 5e-4
     model = _tiny_model("optimized")
+    assert model.preset is PRESETS["optimized"]
+    assert model.preset.batchnorm
+    assert model.preset.dense_widths == (128, 64, 16)
+    assert model.preset.lr == 5e-4
     assert sorted(model.bn_running) == ["dense0", "dense1", "dense2"]
 
 
@@ -56,14 +57,14 @@ def test_final_stack_entry_is_sigmoid_unregularized():
         out = model.layers[-1]
         assert type(out) is model_zoo.Dense
         w, b = out.params
-        assert w.value.shape == (model.config.dense_widths[-1], 1)
+        assert w.value.shape == (model.preset.dense_widths[-1], 1)
         assert w.regularizers == () and b.regularizers == ()
         hidden = [layer for layer in model.layers
                   if type(layer) is model_zoo.Dense][:-1]
-        assert len(hidden) == len(model.config.dense_widths)
+        assert len(hidden) == len(model.preset.dense_widths)
         for layer in hidden:
             assert layer.params[0].regularizers == (
-                model.config.dense_regularizers)
+                model.preset.dense_regularizers)
             assert layer.params[0].regularizers != ()
         x = _random_inputs(model, 5)
         logits, _ = out.forward(_hidden_output(model, x), "eval", None)
@@ -82,6 +83,54 @@ def test_preset_expansion_pure():
     a = preset_config("regularized", vocab_size=100, seed=5)
     b = preset_config("regularized", vocab_size=100, seed=5)
     assert a == b
+
+
+def test_config_types_cover_exactly_the_config_fields():
+    # a field without a type test would load unchecked from a checkpoint
+    names = [f.name for f in fields(ModelConfig)]
+    assert names == ["preset", "vocab_size", "embed_dim", "lstm_units",
+                     "maxlen", "seed", "dtype"]
+    assert sorted(model_zoo._CONFIG_TYPES) == sorted(names)
+
+
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_layer_list_follows_the_preset_record(preset):
+    """Each layer of a built model, in order, against its `PRESETS` row:
+    the dropout rate at each position, the hidden widths, the regularizers
+    on each kernel, and batch norm between each hidden Dense and ReLU."""
+    pre = PRESETS[preset]
+    model = _tiny_model(preset)
+    expected = [("Embedding", ()), ("Dropout", pre.embed_dropout),
+                ("Lstm", pre.lstm_regularizers),
+                ("Dropout", pre.lstm_dropout)]
+    for i, width in enumerate(pre.dense_widths):
+        if i > 0:
+            expected.append(("Dropout", pre.dense_dropout))
+        expected.append(("Dense", (width, pre.dense_regularizers)))
+        if pre.batchnorm:
+            expected.append(("BatchNorm", width))
+        expected.append(("ReLU", None))
+    expected += [("Dropout", pre.dense_dropout), ("Dense", (1, ()))]
+
+    def describe(layer):
+        kind = type(layer).__name__
+        if kind == "Dropout":
+            return kind, layer.rate
+        if kind == "Embedding":
+            return kind, layer.params[0].regularizers
+        if kind == "Lstm":
+            w, u, b = layer.params
+            assert u.regularizers == w.regularizers and b.regularizers == ()
+            return kind, w.regularizers
+        if kind == "Dense":
+            w, b = layer.params
+            assert b.regularizers == ()
+            return kind, (w.value.shape[1], w.regularizers)
+        if kind == "BatchNorm":
+            return kind, layer.params[0].value.size
+        return kind, None
+
+    assert [describe(layer) for layer in model.layers] == expected
 
 
 def test_unknown_preset():
@@ -179,7 +228,7 @@ def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
 
 
 def test_config_round_trip_dict():
-    # through JSON, as in a checkpoint, which stores tuples as lists
+    # through JSON, as in a checkpoint
     for preset in model_zoo.PRESETS:
         cfg = preset_config(preset, vocab_size=52, maxlen=6, seed=3)
         doc = json.loads(json.dumps(asdict(cfg)))
@@ -255,7 +304,33 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_version_mismatch(tmp_path):
     path = _saved(tmp_path)
     edit_header(path, lambda h: h.update(version=99))
-    with pytest.raises(VersionMismatch, match="version 99, expected 4"):
+    with pytest.raises(VersionMismatch, match="version 99, expected 5"):
+        load(path)
+
+
+def test_checkpoint_version_4_refused(tmp_path):
+    # the same container, its config spelling out the preset's values
+    model = _tiny_model("optimized")
+    path = _saved(tmp_path, model)
+
+    def to_version_4(header):
+        header.update(version=4, config=per_field_config(model))
+
+    edit_header(path, to_version_4)
+    with pytest.raises(VersionMismatch, match="version 4, expected 5"):
+        load(path)
+
+
+def test_checkpoint_version_4_config_is_bad_magic(tmp_path):
+    # a version 4 config relabelled version 5: the preset's values beside
+    # the config are refused, not read or ignored
+    model = _tiny_model("optimized")
+    path = _saved(tmp_path, model)
+    edit_header(path, lambda h: h.update(config=per_field_config(model)))
+    unknown = ["batchnorm", "dense_dropout", "dense_regularizers",
+               "dense_widths", "embed_dropout", "lr", "lstm_dropout",
+               "lstm_regularizers"]
+    with pytest.raises(BadMagic, match=re.escape(f"has unknown {unknown}")):
         load(path)
 
 
@@ -279,7 +354,7 @@ def test_checkpoint_header_refused_as_bad_magic(tmp_path, how):
 def test_checkpoint_stores_little_endian_bytes_of_each_tensor(tmp_path):
     model = _tiny_model("optimized")
     header, start, blob = read_container(_saved(tmp_path, model))
-    assert header["version"] == 4
+    assert header["version"] == 5
     for p in model.params:
         entry = _entry(header, p.name)
         data = blob[start + entry["offset"]:_end_of(start, entry)]
@@ -348,7 +423,7 @@ def _one_shot_container(model):
                       "offset": len(data)})
         data += value.astype(wire).tobytes()
     return container_bytes({
-        "magic": "svchk", "version": 4,
+        "magic": "svchk", "version": 5,
         "config": asdict(model.config),
         "vocab": {"tokens": model.vocab.tokens,
                   "max_size": model.vocab.max_size,
@@ -377,7 +452,7 @@ def test_checkpoint_streamed_save_equals_one_shot_dumps(tmp_path, preset,
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("preset", model_zoo.PRESETS)
 def test_checkpoint_layout(tmp_path, preset, dtype):
-    """The version 4 layout, read with `struct` and `json` alone: header,
+    """The version 5 layout, read with `struct` and `json` alone: header,
     zero padding to the data section, each tensor at the first 64-byte
     boundary after the one before, and nothing after the last."""
     # H = 6 gives 24- and 96-byte LSTM biases, so there is padding
@@ -391,7 +466,7 @@ def test_checkpoint_layout(tmp_path, preset, dtype):
     assert start % 64 == 0 and 8 + n <= start < 8 + n + 64
     assert blob[8 + n:start] == bytes(start - 8 - n)
     assert list(header) == ["magic", "version", "config", "vocab", "tensors"]
-    assert (header["magic"], header["version"]) == ("svchk", 4)
+    assert (header["magic"], header["version"]) == ("svchk", 5)
     assert ModelConfig.from_dict(header["config"]) == model.config
     assert header["vocab"]["tokens"] == model.vocab.tokens
     expected = [(p.name, p.value) for p in model.params] + [
@@ -410,20 +485,41 @@ def test_checkpoint_layout(tmp_path, preset, dtype):
     assert len(blob) == start + end
 
 
+def _pinned_model_bytes(tmp_path, dtype):
+    """(the saved file, the position of its data section) of the model
+    the pins below are taken from."""
+    vocab = textprep.Vocabulary([f"t{i}" for i in range(40)])
+    model = build("optimized", vocab, maxlen=8, seed=13, embed_dim=8,
+                  lstm_units=8, dtype=dtype)
+    _, start, blob = read_container(_saved(tmp_path, model))
+    return blob, start
+
+
 # A deliberate change to the format or to the seeded initialisation
 # changes these digests; drift of either fails here.
 @pytest.mark.parametrize("dtype, digest", [
     ("float64",
-     "d155f78429221d9f4dcd4defb38d97e363e08b73a3bdb47071be0e43fb99249e"),
+     "8e9d74b9d36fd053fbae86ca4df336a59c1178d6085ad48c1b2e7cac8b1463b5"),
     ("float32",
-     "fd42edd89a0b4e506b27147c2dc8370d46035f40fb36fd28272f84ef7946fa46"),
+     "e2ea7202734acbdc5f2ed79bb0bf7ef53cfb87a5ec77293e2119c212627e2fb8"),
 ])
 def test_checkpoint_bytes_pinned(tmp_path, dtype, digest):
-    vocab = textprep.Vocabulary([f"t{i}" for i in range(40)])
-    model = build("optimized", vocab, maxlen=8, seed=13, embed_dim=8,
-                  lstm_units=8, dtype=dtype)
-    with open(_saved(tmp_path, model), "rb") as f:
-        assert hashlib.sha256(f.read()).hexdigest() == digest
+    blob, _ = _pinned_model_bytes(tmp_path, dtype)
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# The tensor bytes alone, from the aligned start of the data section to
+# the end of the file: the same since format version 4, whose header
+# differed but whose tensors did not.
+@pytest.mark.parametrize("dtype, digest", [
+    ("float64",
+     "9482b2907016304f97cc806b5fd7b8e8b90dec9d40cbae100e48abc1ffe6cb4c"),
+    ("float32",
+     "cfd09fa19546e5a42681642f2c3bba7b5b4e73dcf48f4c9e1e4325cbd96cd90e"),
+])
+def test_checkpoint_data_section_pinned(tmp_path, dtype, digest):
+    blob, start = _pinned_model_bytes(tmp_path, dtype)
+    assert hashlib.sha256(blob[start:]).hexdigest() == digest
 
 
 @pytest.mark.parametrize("token", ["\x00", 'tail"\x00', "\\", "é"])
@@ -513,7 +609,7 @@ def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
 
     def edit(header):
         if how == "no_config_key":
-            del header["config"]["batchnorm"]
+            del header["config"]["lstm_units"]
         elif how == "params_not_a_list":
             header["tensors"] = 3
         else:
@@ -531,13 +627,18 @@ def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
     ("lstm_regularizers", [["l3", 1e-4]]), ("dense_regularizers", [["l1"]])])
 def test_checkpoint_mistyped_config_value_is_bad_magic(tmp_path, field,
                                                         value):
+    # the fields that only a version 4 config had (lr, the dropout rates,
+    # dense_widths, the regularizers, batchnorm) are refused by name as
+    # unknown, whatever their value
+    message = (field if field in model_zoo._CONFIG_TYPES
+               else re.escape(f"has unknown {[field]}"))
     doc = json.loads(json.dumps(asdict(preset_config("baseline", 22))))
     doc[field] = value
-    with pytest.raises(TypeError, match=field):
+    with pytest.raises(TypeError, match=message):
         ModelConfig.from_dict(doc)
     path = _saved(tmp_path)
     edit_header(path, lambda h: h["config"].update({field: value}))
-    with pytest.raises(BadMagic, match=field):
+    with pytest.raises(BadMagic, match=message):
         load(path)
 
 
@@ -547,11 +648,13 @@ def test_model_refuses_an_unknown_dtype():
 
 
 def test_checkpoint_tensor_outside_the_config_refused(tmp_path):
-    # an optimized checkpoint whose config lost its batch norm would
-    # otherwise load as a different model, its BatchNorm tensors unread
+    # an optimized checkpoint relabelled regularized describes a narrower
+    # dense stack with no batch norm; its tensors do not fit that model
     path = _saved(tmp_path, _tiny_model("optimized"))
-    edit_header(path, lambda h: h["config"].update(batchnorm=False))
-    with pytest.raises(ShapeMismatchOnLoad, match="dense0.bn.beta"):
+    edit_header(path, lambda h: h["config"].update(preset="regularized"))
+    with pytest.raises(ShapeMismatchOnLoad,
+                       match=r"dense0.W has shape \[8, 128\], "
+                             r"expected \[8, 64\]"):
         load(path)
 
 
@@ -672,8 +775,8 @@ def test_checkpoint_cut_short_is_refused(saved_checkpoint, data):
 @given(data=st.data())
 def test_checkpoint_overwritten_header_byte_loads_or_is_refused(
         saved_checkpoint, data):
-    # an edit can leave a valid file (a digit of lr, a letter of a token);
-    # any other outcome is one of the three refusals
+    # an edit can leave a valid file (a digit of the seed, a letter of a
+    # token); any other outcome is one of the three refusals
     blob, n, path = saved_checkpoint
     at = data.draw(st.integers(0, 8 + n - 1))
     value = data.draw(st.one_of(st.integers(0, 255),
