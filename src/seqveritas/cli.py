@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,15 +25,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 TRAIN_FRAC = 0.8  # of prepare's shuffled records, the leading share trains
-
-
-def _default_seed():
-    text = os.environ.get("SEQVERITAS_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"SEQVERITAS_SEED must be an integer, got {text!r}") from None
 
 
 def _int_at_least(low, what):
@@ -204,7 +194,7 @@ def build_parser():
     p.add_argument("--fake", required=True, help="Fake.csv path")
     p.add_argument("--true", required=True, help="True.csv path")
     p.add_argument("--out", required=True, help="output cache path")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--maxlen", type=_positive_int,
                    default=textprep.DEFAULT_MAXLEN)
     # two at least: PAD and OOV
@@ -218,13 +208,15 @@ def build_parser():
     p = sub.add_parser("train", help="train a preset on a prepared cache")
     p.add_argument("--data", required=True, help="cache from prepare")
     p.add_argument("--preset", required=True, choices=model_zoo.PRESETS)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--epochs", type=_positive_int, default=10)
-    p.add_argument("--batch", type=_positive_int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_positive_int,
+                   default=TrainConfig.epochs)
+    p.add_argument("--batch", type=_positive_int,
+                   default=TrainConfig.batch_size)
     p.add_argument("--patience",
-                   type=_int_at_least(0, "a non-negative integer"), default=2)
-    p.add_argument("--dtype", choices=("float64", "float32"),
-                   default="float64")
+                   type=_int_at_least(0, "a non-negative integer"),
+                   default=TrainConfig.patience)
+    p.add_argument("--dtype", choices=model_zoo.DTYPES, default="float64")
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--history", default=None,
                    help="history JSONL path (default: <checkpoint>.history.jsonl)")
@@ -247,18 +239,14 @@ def build_parser():
     p = sub.add_parser("gradcheck",
                        help="finite-difference checks at miniature scale")
     p.add_argument("--preset", choices=model_zoo.PRESETS, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None):
-    try:
-        parser = build_parser()
-    except ValueError as e:  # a malformed SEQVERITAS_SEED
-        return _fail(str(e))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FloatingPointError as e:  # NonFiniteGradient or non-finite output

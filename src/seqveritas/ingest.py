@@ -74,7 +74,9 @@ def load_articles(path, label):
             for row in reader:
                 if not row:
                     continue
-                if len(row) < len(header):
+                # More fields than the header means an unquoted comma
+                # shifted the columns, as surely as fewer does.
+                if len(row) != len(header):
                     raise MalformedRow(
                         f"{path}: row {reader.line_num}: expected "
                         f"{len(header)} fields, got {len(row)}")

@@ -63,7 +63,7 @@ from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
                      dropout_backward, dropout_forward, embedding_backward,
                      embedding_forward, lstm_backward, lstm_forward)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
-from .objective import bce_grad_fused
+from .objective import THRESHOLD, bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
 CHECKPOINT_VERSION = 5
@@ -127,17 +127,16 @@ class ModelConfig:
     the rest."""
     preset: str
     vocab_size: int
-    embed_dim: int = 100
-    lstm_units: int = 150
-    maxlen: int = textprep.DEFAULT_MAXLEN
-    seed: int = 0
-    dtype: str = "float64"
+    embed_dim: int
+    lstm_units: int
+    maxlen: int
+    seed: int
+    dtype: str
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of `asdict`. Every field must be present: a missing one
-        would silently take its default and describe another model. A
-        value of the wrong type raises TypeError here rather than somewhere
+        """Inverse of `asdict`. Every field must be present, and a value of
+        the wrong type raises TypeError here rather than somewhere
         downstream."""
         names = {f.name for f in fields(cls)}
         if d.keys() != names:
@@ -366,11 +365,11 @@ class Model:
 
     def predict(self, raw_text):
         """Full pipeline on raw text with the stored vocabulary; returns
-        (probability, label) with label = 1 (fake) iff p >= 0.5."""
+        (probability, label) with label = 1 (fake) iff p >= THRESHOLD."""
         tokens = textprep.preprocess("", raw_text)
         seq = textprep.encode(tokens, self.vocab, self.config.maxlen)
         p = float(self.predict_proba(np.array([seq]))[0])
-        return p, int(p >= 0.5)
+        return p, int(p >= THRESHOLD)
 
     # --- checkpointing ------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Loss, regularization penalties, and classification metrics.
 
 The positive class is fake = 1; precision and recall are computed with
-respect to it. Ratios with a zero denominator are reported as 0 with a
-`degenerate` flag so reports always serialize cleanly.
+respect to it. A probability p counts as fake iff p >= THRESHOLD, both in
+`evaluate` and in `Model.predict`. Ratios with a zero denominator are
+reported as 0 with a `degenerate` flag so reports always serialize
+cleanly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .numerics import ShapeMismatch
 
 BCE_CLAMP = 1e-7
+THRESHOLD = 0.5
 
 
 class EmptyBatch(ValueError):
@@ -96,14 +99,14 @@ class MetricsReport:
         return json.dumps(asdict(self))
 
 
-def evaluate(probs, labels, threshold=0.5, loss=None):
-    """Threshold at p >= threshold, tally the confusion matrix, and derive
+def evaluate(probs, labels, loss=None):
+    """Threshold at p >= THRESHOLD, tally the confusion matrix, and derive
     accuracy/precision/recall/F1."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.size == 0:
         raise EmptyBatch("no examples to evaluate")
-    preds = probs >= threshold
+    preds = probs >= THRESHOLD
     actual = labels == 1
     tp = int(np.sum(preds & actual))
     fp = int(np.sum(preds & ~actual))

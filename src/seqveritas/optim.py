@@ -3,6 +3,11 @@ batched prediction.
 
 The epoch loop owns the model exclusively; the reference mode is
 single-threaded and fully deterministic in (data, config, seed).
+
+Every setting but the learning rate, which each preset fixes, is a module
+constant: Adam's BETA1, BETA2 and ADAM_EPS (the defaults of Kingma & Ba,
+ICLR 2015), the clipping bound MAX_NORM, early stopping's MIN_DELTA, and
+PREDICT_BATCH.
 """
 
 from __future__ import annotations
@@ -15,10 +20,16 @@ from .numerics import Prng
 from .objective import bce, evaluate, reg_penalty
 
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 # The global gradient-norm bound of `clip_gradients`, and the least drop
 # in validation loss that early stopping counts as an improvement.
 MAX_NORM = 5.0
 MIN_DELTA = 1e-4
+# Examples per forward pass in `predict_in_batches`.
+PREDICT_BATCH = 256
 
 
 class NonFiniteGradient(FloatingPointError):
@@ -32,14 +43,7 @@ class EmptyDataset(ValueError):
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0  # shared step counter, incremented once per optimizer step
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
 
 def adam_step(params, state):
@@ -48,51 +52,50 @@ def adam_step(params, state):
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteGradient(f"non-finite gradient in {p.name}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     # In place, in the order of
-    #   m = beta1 * m + (1 - beta1) * g
-    #   v = beta2 * v + (1 - beta2) * g * g
-    #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    #   m = BETA1 * m + (1 - BETA1) * g
+    #   v = BETA2 * v + (1 - BETA2) * g * g
+    #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
     # so the bits are those of that expression.
     for p in params:
-        step = np.multiply(p.grad, 1.0 - state.beta1)
-        p.m *= state.beta1
+        step = np.multiply(p.grad, 1.0 - BETA1)
+        p.m *= BETA1
         p.m += step
-        np.multiply(p.grad, 1.0 - state.beta2, out=step)
+        np.multiply(p.grad, 1.0 - BETA2, out=step)
         step *= p.grad
-        p.v *= state.beta2
+        p.v *= BETA2
         p.v += step
         denom = np.divide(p.v, bc2)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(p.m, bc1, out=step)
         step *= state.lr
         step /= denom
         p.value -= step
 
 
-def clip_gradients(params, max_norm=MAX_NORM):
-    """Scale all grads by max_norm/norm when the global L2 norm exceeds
-    max_norm; returns the pre-clip norm."""
+def clip_gradients(params):
+    """Scale all grads by MAX_NORM/norm when the global L2 norm exceeds
+    MAX_NORM; returns the pre-clip norm."""
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > MAX_NORM:
+        scale = MAX_NORM / norm
         for p in params:
             p.grad *= scale
     return norm
 
 
 class EarlyStopper:
-    """Stops when validation loss has not improved by min_delta for more
+    """Stops when validation loss has not improved by MIN_DELTA for more
     than `patience` epochs; remembers the best snapshot."""
 
-    def __init__(self, patience=2, min_delta=MIN_DELTA):
+    def __init__(self, patience):
         self.patience = patience
-        self.min_delta = min_delta
         self.best_loss = float("inf")
         self.best_snapshot = None
         self.best_epoch = None
@@ -101,7 +104,7 @@ class EarlyStopper:
     def update(self, val_loss, snapshot_fn, epoch):
         """Feed one epoch's validation loss; returns True when training
         should stop."""
-        if val_loss < self.best_loss - self.min_delta:
+        if val_loss < self.best_loss - MIN_DELTA:
             self.best_loss = val_loss
             self.best_snapshot = snapshot_fn()
             self.best_epoch = epoch
@@ -144,11 +147,11 @@ def _batch_slices(n, batch_size, merge_trailing_singleton):
     return slices
 
 
-def predict_in_batches(model, x, batch_size=256):
+def predict_in_batches(model, x):
     out = np.empty(x.shape[0], dtype=np.float64)
-    for start in range(0, x.shape[0], batch_size):
-        probs, _ = model.forward(x[start:start + batch_size], mode="eval")
-        out[start:start + batch_size] = probs
+    for start in range(0, x.shape[0], PREDICT_BATCH):
+        probs, _ = model.forward(x[start:start + PREDICT_BATCH], mode="eval")
+        out[start:start + PREDICT_BATCH] = probs
     return out
 
 

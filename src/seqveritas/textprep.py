@@ -53,8 +53,8 @@ def tokenize(cleaned):
     return cleaned.split()
 
 
-def remove_stopwords(tokens, stopwords=_STOPWORDS):
-    return [t for t in tokens if t not in stopwords]
+def remove_stopwords(tokens):
+    return [t for t in tokens if t not in _STOPWORDS]
 
 
 # Token -> stem for every non-stop-word token seen in this process. Cleared
@@ -158,7 +158,8 @@ def write_cache(path, sequences, labels, vocab_size, maxlen):
 
 
 def read_cache(path):
-    """Returns (sequences Nxmaxlen int64, labels N int64, vocab_size)."""
+    """Returns (sequences Nxmaxlen uint32, labels N uint8, vocab_size): the
+    stored types, as read-only views of the file's bytes."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
@@ -170,8 +171,7 @@ def read_cache(path):
     if len(blob) != 5 + 12 + n * record.itemsize:
         raise CacheFormatError(f"{path}: truncated or oversized cache")
     records = np.frombuffer(blob, dtype=record, count=n, offset=17)
-    return (records["seq"].astype(np.int64), records["label"].astype(np.int64),
-            vocab_size)
+    return records["seq"], records["label"], vocab_size
 
 
 # --- vocabulary document: a checkpoint's "vocab", and the file beside a cache

@@ -118,7 +118,7 @@ def test_c2_oracle_equivalence():
 
 def test_c3_adam_hand_trace():
     def body():
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8  # optim's fixed constants
         w, m, v = 0.25, 0.0, 0.0
         for t, g in enumerate([1.0, -1.0, 1.0], start=1):
             m = b1 * m + (1 - b1) * g
@@ -126,7 +126,7 @@ def test_c3_adam_hand_trace():
             w -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
 
         p = ParamTensor("w", np.array([0.25]))
-        state = optim.AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        state = optim.AdamState(lr=lr)
         for g in [1.0, -1.0, 1.0]:
             p.grad[...] = [g]
             optim.adam_step([p], state)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ import pytest
 
 from seqveritas import cli, model_zoo, textprep
 from seqveritas.cli import main
+from seqveritas.optim import TrainConfig
 from tests.conftest import (TOY_FAKE, TOY_TRUE, container_bytes, edit_header,
                             json_checkpoint, read_container, write_bytes)
 
@@ -53,6 +55,32 @@ def test_prepare_deterministic_cache_bytes(capsys, tmp_path):
     assert open(c1, "rb").read() == open(c2, "rb").read()
     assert (open(c1 + ".vocab.json").read()
             == open(c2 + ".vocab.json").read())
+
+
+def test_prepare_bytes_are_pinned(capsys, tmp_path):
+    # prepare's output depends on nothing but its inputs, so these digests
+    # hold across commits and platforms; only a deliberate change to the
+    # text pipeline or the cache format may move them
+    cache, _ = _prepare(capsys, tmp_path)
+    assert hashlib.sha256(open(cache, "rb").read()).hexdigest() == (
+        "3f2df4d7b44b792643154afd20c299932dd9c16cb94d7c9f16cfd93f7144f22d")
+    assert hashlib.sha256(
+        open(cache + ".vocab.json", "rb").read()).hexdigest() == (
+        "fab7560a8ac7e591fcb9735c08261cb68d615bad8accfce80f521c1ffa5f3283")
+
+
+def test_prepare_row_with_an_extra_field_exits_2(capsys, tmp_path):
+    # an unquoted comma shifts every column after it
+    fake = tmp_path / "fake.csv"
+    fake.write_text("title,text,subject,date\n"
+                    "A, B title,real body,news,2017\n")
+    code, out, err = run(capsys, [
+        "prepare", "--fake", str(fake), "--true", TOY_TRUE,
+        "--out", str(tmp_path / "c.svec")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "row 2" in err
+    assert not (tmp_path / "c.svec").exists()
 
 
 def test_prepare_missing_flag_exits_2(capsys, tmp_path):
@@ -615,17 +643,18 @@ def test_stdout_is_single_json_document(capsys, tmp_path):
     assert out == ""  # errors never pollute stdout
 
 
-def test_env_seed_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SEQVERITAS_SEED", "777")
-    parser = cli.build_parser()  # defaults resolve at parser build time
-    args = parser.parse_args(["prepare", "--fake", "f", "--true", "t",
-                              "--out", "o"])
-    assert args.seed == 777
-
-
-def test_env_seed_not_an_integer_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SEQVERITAS_SEED", "abc")
-    code, out, err = run(capsys, ["gradcheck"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "SEQVERITAS_SEED" in err
+def test_train_defaults_are_train_config_and_dtypes():
+    # each default is stated once: train's flags read TrainConfig, and
+    # --dtype offers exactly the dtypes a model can have
+    args = cli.build_parser().parse_args(
+        ["train", "--data", "d", "--preset", "baseline",
+         "--out-checkpoint", "m"])
+    tc = TrainConfig()
+    assert (args.epochs, args.batch, args.patience, args.seed) == (
+        tc.epochs, tc.batch_size, tc.patience, tc.seed)
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (dtype,) = [a for a in sub.choices["train"]._actions
+                if a.dest == "dtype"]
+    assert list(dtype.choices) == list(model_zoo.DTYPES)
+    assert dtype.default in model_zoo.DTYPES

@@ -62,6 +62,19 @@ def test_malformed_row_reports_row_number(tmp_path):
     assert "row" in str(exc.value)
 
 
+@pytest.mark.parametrize("row", [
+    "A, B title,real body,news,2017",  # an unquoted comma: one field too many
+    "t,b,s",                           # one field too few
+], ids=["extra", "short"])
+def test_row_with_another_field_count_is_refused(tmp_path, row):
+    # before: the extra row loaded as title 'A', body ' B title'
+    path = write(tmp_path, HEADER + "ok,b,s,2017\n" + row + "\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_articles(path, label=1)
+    assert "row 3" in str(exc.value)
+    assert "expected 4 fields" in str(exc.value)
+
+
 def test_degenerate_rows_kept(tmp_path):
     path = write(tmp_path, HEADER + "t1,,news,2017\nt2,real body,news,2017\n")
     arts = load_articles(path, label=1)

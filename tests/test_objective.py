@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqveritas.layers import ParamTensor
 from seqveritas.numerics import Prng, ShapeMismatch, finite_diff_grad
-from seqveritas.objective import (EmptyBatch, bce, bce_grad_fused,
-                                  bce_grad_unfused, evaluate, reg_penalty)
+from seqveritas.objective import (THRESHOLD, EmptyBatch, bce,
+                                  bce_grad_fused, bce_grad_unfused, evaluate,
+                                  reg_penalty)
 
 
 def test_bce_half():
@@ -106,8 +107,9 @@ def test_evaluate_empty_batch():
 
 
 def test_evaluate_threshold_boundary():
+    assert THRESHOLD == 0.5
     _, rep = evaluate([0.5], [1])
-    assert rep.tp == 1  # predict fake iff p >= threshold
+    assert rep.tp == 1  # predict fake iff p >= THRESHOLD
 
 
 def test_metrics_report_json_keys():
@@ -118,10 +120,10 @@ def test_metrics_report_json_keys():
                         "tp", "fp", "tn", "fn", "degenerate"}
 
 
-def _brute_force(probs, labels, threshold=0.5):
+def _brute_force(probs, labels):
     tp = fp = tn = fn = 0
     for p, y in zip(probs, labels):
-        pred = p >= threshold
+        pred = p >= 0.5
         if pred and y == 1:
             tp += 1
         elif pred and y == 0:
@@ -143,16 +145,3 @@ def test_evaluate_matches_brute_force(pairs):
     tp, fp, tn, fn = _brute_force(probs, labels)
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (tp, fp, tn, fn)
     assert rep.accuracy == (tp + tn) / len(pairs)
-
-
-@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
-                          st.integers(min_value=0, max_value=1)),
-                min_size=1, max_size=100),
-       st.floats(min_value=0.1, max_value=0.9),
-       st.floats(min_value=0.0, max_value=0.5))
-def test_threshold_monotonicity(pairs, threshold, bump):
-    probs = [p for p, _ in pairs]
-    labels = [y for _, y in pairs]
-    _, lo = evaluate(probs, labels, threshold=threshold)
-    _, hi = evaluate(probs, labels, threshold=min(threshold + bump, 1.0))
-    assert hi.recall <= lo.recall  # raising the threshold never adds recall

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from seqveritas import model_zoo, optim
+from seqveritas import model_zoo, optim, textprep
 from seqveritas.layers import ParamTensor
-from seqveritas.optim import (AdamState, EarlyStopper, EmptyDataset,
+from seqveritas.optim import (ADAM_EPS, BETA1, BETA2, MAX_NORM, MIN_DELTA,
+                              AdamState, EarlyStopper, EmptyDataset,
                               NonFiniteGradient, TrainConfig, adam_step,
                               clip_gradients, fit, predict_in_batches)
 
@@ -33,7 +34,8 @@ def test_adam_zero_grad_zero_moments_noop():
 
 
 def test_adam_three_step_hand_trace():
-    # Hand-rolled scalar recurrence with g = 1, -1, 1.
+    # Hand-rolled scalar recurrence with g = 1, -1, 1, at the Kingma & Ba
+    # settings that BETA1, BETA2 and ADAM_EPS fix.
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     w, m, v = 0.5, 0.0, 0.0
     grads = [1.0, -1.0, 1.0]
@@ -45,7 +47,7 @@ def test_adam_three_step_hand_trace():
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
 
     p = _pt([0.5])
-    state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState(lr=lr)
     for g in grads:
         p.grad[...] = [g]
         adam_step([p], state)
@@ -54,13 +56,13 @@ def test_adam_three_step_hand_trace():
 
 def _adam_reference(value, m, v, grad, state, t):
     """Adam as one out-of-place expression per array, for bit comparison."""
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
     m_hat = m / bc1
     v_hat = v / bc2
-    return value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+    return value - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -102,30 +104,31 @@ def test_adam_shared_step_counter():
 
 
 def test_clip_below_threshold_unchanged():
+    assert MAX_NORM == 5.0
     p = _pt([0.0, 0.0], grad=[3.0, 0.0])
-    norm = clip_gradients([p], max_norm=5.0)
+    norm = clip_gradients([p])
     assert norm == pytest.approx(3.0)
     assert np.array_equal(p.grad, [3.0, 0.0])
 
 
 def test_clip_scales_to_max_norm():
-    p = _pt([0.0], grad=[10.0])
-    clip_gradients([p], max_norm=5.0)
-    assert p.grad[0] == pytest.approx(5.0)
+    p = _pt([0.0], grad=[2.0 * MAX_NORM])
+    clip_gradients([p])
+    assert p.grad[0] == pytest.approx(MAX_NORM)
 
 
 def test_clip_post_norm_bounded():
     rng = np.random.default_rng(0)
     params = [_pt(np.zeros(7), grad=rng.normal(size=7) * 10) for _ in range(3)]
-    clip_gradients(params, max_norm=5.0)
+    clip_gradients(params)
     total = math.sqrt(sum(float(np.sum(p.grad ** 2)) for p in params))
-    assert total <= 5.0 + 1e-9
+    assert total <= MAX_NORM + 1e-9
 
 
 def test_early_stopper_counter_semantics():
     # val losses [1.0, 0.9, 0.95, 0.97, 0.99], patience 2:
     # stops after the 5th epoch, best snapshot is epoch 2.
-    stopper = EarlyStopper(patience=2, min_delta=1e-4)
+    stopper = EarlyStopper(patience=2)
     losses = [1.0, 0.9, 0.95, 0.97, 0.99]
     stops = []
     for epoch, loss in enumerate(losses, start=1):
@@ -136,11 +139,18 @@ def test_early_stopper_counter_semantics():
 
 
 def test_early_stopper_min_delta():
-    stopper = EarlyStopper(patience=1, min_delta=0.1)
+    assert MIN_DELTA == 1e-4
+    stopper = EarlyStopper(patience=1)
     assert not stopper.update(1.0, lambda: 1, 1)
-    assert not stopper.update(0.95, lambda: 2, 2)  # not a real improvement
-    assert stopper.update(0.94, lambda: 3, 3)
+    # a drop of half MIN_DELTA is not a real improvement
+    assert not stopper.update(1.0 - 0.5 * MIN_DELTA, lambda: 2, 2)
+    assert stopper.update(1.0 - 0.9 * MIN_DELTA, lambda: 3, 3)
     assert stopper.best_epoch == 1
+    # a drop of twice MIN_DELTA is
+    stopper = EarlyStopper(patience=1)
+    stopper.update(1.0, lambda: 1, 1)
+    assert not stopper.update(1.0 - 2.0 * MIN_DELTA, lambda: 2, 2)
+    assert stopper.best_epoch == 2
 
 
 def _toy_model_and_config(toy_encoded, preset="baseline", seed=42, epochs=30):
@@ -215,6 +225,23 @@ def test_trailing_singleton_merged_for_batchnorm(toy_encoded):
     model = model_zoo.build("optimized", vocab, maxlen=maxlen, seed=5)
     fit(model, x, y, x, y,
         TrainConfig(epochs=1, batch_size=19, seed=5, patience=10))
+
+
+def test_fit_on_the_stored_cache_types_matches_int64(toy_encoded, tmp_path):
+    # read_cache hands back the cache's u32 indices and u8 labels; a fit on
+    # them equals, bit for bit, one on the int64 indices they used to widen to
+    x, y, vocab, maxlen = toy_encoded
+    path = str(tmp_path / "toy.svec")
+    textprep.write_cache(path, x, y, len(vocab), maxlen)
+    xs, ys, _ = textprep.read_cache(path)
+    ys = ys.astype(np.float64)
+    snaps = []
+    for data_x in (xs, xs.astype(np.int64)):
+        model = model_zoo.build("optimized", vocab, maxlen=maxlen, seed=4)
+        fit(model, data_x, ys, data_x, ys,
+            TrainConfig(epochs=3, batch_size=8, seed=4, patience=100))
+        snaps.append(b"".join(a.tobytes() for a in model.state_snapshot()))
+    assert snaps[0] == snaps[1]
 
 
 def test_batch_slices():

@@ -195,6 +195,8 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(x, seqs)
     assert np.array_equal(y, labels)
     assert v == 6
+    # the stored types, with no widening copy
+    assert (x.dtype, y.dtype) == (np.uint32, np.uint8)
 
 
 def test_cache_header_layout(tmp_path):
