@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -59,15 +60,15 @@ def _vocab_path(cache_path):
 
 
 def cmd_prepare(args):
-    fake = ingest.Dataset(ingest.load_articles(args.fake, label=1))
-    true_ = ingest.Dataset(ingest.load_articles(args.true, label=0))
+    fake = ingest.load_articles(args.fake)
+    true_ = ingest.load_articles(args.true)
     merged = ingest.merge_shuffle(fake, true_, args.seed)
     n = len(merged)
     print(f"loaded {len(fake)} fake + {len(true_)} true = {n} articles",
           file=sys.stderr)
 
-    token_lists = [textprep.preprocess(a.title, a.body)
-                   for a in merged.records]
+    token_lists = [textprep.preprocess(title, body)
+                   for title, body, _ in merged]
     # Vocabulary comes from the training records only, so the validation
     # tail cannot leak tokens into it.
     vocab = textprep.build_vocab(token_lists[:int(TRAIN_FRAC * n)],
@@ -75,13 +76,12 @@ def cmd_prepare(args):
                                  min_freq=args.min_freq)
     sequences = [textprep.encode(toks, vocab, args.maxlen)
                  for toks in token_lists]
-    labels = [a.label for a in merged.records]
+    labels = [label for _, _, label in merged]
     textprep.write_cache(args.out, sequences, labels, len(vocab), args.maxlen)
     textprep.save_vocab(_vocab_path(args.out), vocab)
 
-    counts = merged.label_counts()
     _emit({"config": _resolved(args),
-           "fake": counts["fake"], "true": counts["true"], "total": n,
+           "fake": len(fake), "true": len(true_), "total": n,
            "vocab_size": len(vocab), "cache": args.out,
            "vocab_file": _vocab_path(args.out)})
     return EXIT_OK
@@ -126,7 +126,7 @@ def cmd_train(args):
     _emit({"config": _resolved(args),
            "checkpoint": args.out_checkpoint, "history": history_path,
            "epochs_run": len(history.epochs),
-           "metrics": json.loads(report.to_json())})
+           "metrics": asdict(report)})
     return EXIT_OK
 
 
@@ -149,7 +149,7 @@ def cmd_eval(args):
     _, report = evaluate(probs, y)
     _emit({"config": _resolved(args),
            "split": args.split, "examples": int(x.shape[0]),
-           "metrics": json.loads(report.to_json())})
+           "metrics": asdict(report)})
     return EXIT_OK
 
 

@@ -2,14 +2,17 @@
 shuffle deterministically. Splitting is done later on the encoded cache,
 by `cli._load_data` (which raises `EmptySplit`).
 
+Only each article's title and text leave the CSV reader. The subject and
+date columns must be in the header, as in the corpus, but are never read:
+subject nearly gives away the label, so no later stage can see it.
+
 Label convention: fake = 1 (the positive class is the thing being
-detected), true = 0. The date column is carried through but never parsed.
+detected), true = 0.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 from .numerics import Prng
 
@@ -28,35 +31,9 @@ class EmptySplit(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Article:
-    title: str
-    body: str
-    subject: str
-    date: str
-    label: int
-    degenerate: bool = False  # empty body; kept so corpus counts stay honest
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass
-class Dataset:
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def label_counts(self):
-        fake = sum(1 for a in self.records if a.label == 1)
-        return {"fake": fake, "true": len(self.records) - fake}
-
-
-def load_articles(path, label):
-    """One Article per data row; rows with empty text are kept but flagged
-    degenerate. CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes."""
+def load_articles(path):
+    """One (title, body) pair per data row; rows with empty text are kept.
+    CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes."""
     articles = []
     with open(path, encoding="utf-8", errors="replace", newline="") as f:
         reader = csv.reader(f, strict=True)
@@ -80,23 +57,17 @@ def load_articles(path, label):
                     raise MalformedRow(
                         f"{path}: row {reader.line_num}: expected "
                         f"{len(header)} fields, got {len(row)}")
-                body = row[cols["text"]]
-                articles.append(Article(
-                    title=row[cols["title"]],
-                    body=body,
-                    subject=row[cols["subject"]],
-                    date=row[cols["date"]],
-                    label=label,
-                    degenerate=(body.strip() == ""),
-                ))
+                articles.append((row[cols["title"]], row[cols["text"]]))
         except csv.Error as e:
             raise MalformedRow(f"{path}: row {reader.line_num}: {e}") from None
     return articles
 
 
 def merge_shuffle(fake, true_, seed):
-    """Concatenate and Fisher-Yates shuffle with the engine PRNG; the
-    permutation is a pure function of the seed."""
-    records = list(fake.records) + list(true_.records)
+    """(title, body, label) for every fake (label 1) then true (label 0)
+    pair, Fisher-Yates shuffled with the engine PRNG; the permutation is a
+    pure function of the seed."""
+    records = ([(t, b, 1) for t, b in fake]
+               + [(t, b, 0) for t, b in true_])
     Prng(seed).shuffle(records)
-    return Dataset(records)
+    return records

@@ -63,20 +63,17 @@ class ParamTensor:
     name: str
     value: np.ndarray
     regularizers: tuple = ()
-    grad: np.ndarray = None
-    m: np.ndarray = None
-    v: np.ndarray = None
+    grad: np.ndarray = field(init=False)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # np.zeros gets pages the OS has already zeroed, where zeros_like
         # writes every byte; a model that only predicts never touches them
         shape, dtype = self.value.shape, self.value.dtype
-        if self.grad is None:
-            self.grad = np.zeros(shape, dtype)
-        if self.m is None:
-            self.m = np.zeros(shape, dtype)
-        if self.v is None:
-            self.v = np.zeros(shape, dtype)
+        self.grad = np.zeros(shape, dtype)
+        self.m = np.zeros(shape, dtype)
+        self.v = np.zeros(shape, dtype)
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -319,7 +316,6 @@ class BatchNormRunning:
 class BatchNormCache(_Cache):
     x_hat: np.ndarray = None
     inv_std: np.ndarray = None
-    x_centered: np.ndarray = None
 
 
 def batchnorm_forward(x, gamma, beta, running, mode):
@@ -342,7 +338,7 @@ def batchnorm_forward(x, gamma, beta, running, mode):
     x_centered = x - mean
     x_hat = x_centered * inv_std
     y = gamma.value * x_hat + beta.value
-    cache = BatchNormCache(x_hat=x_hat, inv_std=inv_std, x_centered=x_centered)
+    cache = BatchNormCache(x_hat=x_hat, inv_std=inv_std)
     return y, cache
 
 

@@ -162,8 +162,8 @@ _CONFIG_TYPES = {
 }
 
 
-def preset_config(preset, vocab_size, maxlen=textprep.DEFAULT_MAXLEN,
-                  embed_dim=100, lstm_units=150, seed=0, dtype="float64"):
+def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
+                  dtype):
     """The ModelConfig of a preset name (pure function); refuses an
     unknown preset or dtype."""
     if preset not in PRESETS:

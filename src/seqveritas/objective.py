@@ -9,8 +9,7 @@ cleanly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +93,6 @@ class MetricsReport:
     tn: int
     fn: int
     degenerate: bool
-
-    def to_json(self):
-        return json.dumps(asdict(self))
 
 
 def evaluate(probs, labels, loss=None):

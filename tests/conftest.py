@@ -18,9 +18,7 @@ TOY_TRUE = str(FIXTURES / "toy_true.csv")
 
 @pytest.fixture(scope="session")
 def toy_articles():
-    fake = ingest.Dataset(ingest.load_articles(TOY_FAKE, label=1))
-    true_ = ingest.Dataset(ingest.load_articles(TOY_TRUE, label=0))
-    return fake, true_
+    return ingest.load_articles(TOY_FAKE), ingest.load_articles(TOY_TRUE)
 
 
 @pytest.fixture(scope="session")
@@ -28,12 +26,12 @@ def toy_encoded(toy_articles):
     """The 20-example separable toy corpus, fully preprocessed and encoded."""
     fake, true_ = toy_articles
     merged = ingest.merge_shuffle(fake, true_, seed=42)
-    token_lists = [textprep.preprocess(a.title, a.body)
-                   for a in merged.records]
+    token_lists = [textprep.preprocess(title, body)
+                   for title, body, _ in merged]
     vocab = textprep.build_vocab(token_lists, max_size=100, min_freq=1)
     maxlen = 10
     x = np.array([textprep.encode(t, vocab, maxlen) for t in token_lists])
-    y = np.array([a.label for a in merged.records], dtype=np.float64)
+    y = np.array([label for _, _, label in merged], dtype=np.float64)
     return x, y, vocab, maxlen
 
 

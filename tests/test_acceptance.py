@@ -221,20 +221,17 @@ def test_c6_checkpoint_round_trip(tmp_path):
 
 def _load_corpus():
     d = corpus_dir()
-    fake = ingest.Dataset(ingest.load_articles(os.path.join(d, "Fake.csv"),
-                                               label=1))
-    true_ = ingest.Dataset(ingest.load_articles(os.path.join(d, "True.csv"),
-                                                label=0))
-    return fake, true_
+    return (ingest.load_articles(os.path.join(d, "Fake.csv")),
+            ingest.load_articles(os.path.join(d, "True.csv")))
 
 
 def _encode_merged(merged, maxlen=200, max_vocab=20_000):
-    token_lists = [textprep.preprocess(a.title, a.body)
-                   for a in merged.records]
+    token_lists = [textprep.preprocess(title, body)
+                   for title, body, _ in merged]
     n_train = int(TRAIN_FRAC * len(token_lists))
     vocab = textprep.build_vocab(token_lists[:n_train], max_size=max_vocab)
     x = np.array([textprep.encode(t, vocab, maxlen) for t in token_lists])
-    y = np.array([a.label for a in merged.records], dtype=np.float64)
+    y = np.array([label for _, _, label in merged], dtype=np.float64)
     return (x[:n_train], y[:n_train], x[n_train:], y[n_train:], vocab)
 
 
@@ -242,8 +239,7 @@ def _encode_merged(merged, maxlen=200, max_vocab=20_000):
 def test_c7_subsample_baseline():
     def body():
         fake, true_ = _load_corpus()
-        merged = ingest.merge_shuffle(fake, true_, seed=42)
-        merged.records = merged.records[:5000]
+        merged = ingest.merge_shuffle(fake, true_, seed=42)[:5000]
         tx, ty, vx, vy, vocab = _encode_merged(merged)
         model = model_zoo.build("baseline", vocab, maxlen=200, seed=42,
                                 dtype="float32")

@@ -3,8 +3,9 @@ import pytest
 
 from seqveritas import textprep
 from seqveritas.cli import TRAIN_FRAC, _load_data
-from seqveritas.ingest import (Article, Dataset, EmptySplit, MalformedRow,
-                               MissingColumn, load_articles, merge_shuffle)
+from seqveritas.ingest import (EmptySplit, MalformedRow, MissingColumn,
+                               load_articles, merge_shuffle)
+from seqveritas.numerics import Prng
 
 
 def write(tmp_path, text, name="x.csv"):
@@ -18,47 +19,39 @@ HEADER = "title,text,subject,date\n"
 
 def test_load_basic(tmp_path):
     path = write(tmp_path, HEADER + "t1,body one,news,2017\nt2,body two,news,2018\n")
-    arts = load_articles(path, label=1)
-    assert len(arts) == 2
-    assert all(a.label == 1 for a in arts)
-    assert arts[0].title == "t1"
-    assert arts[1].date == "2018"
+    assert load_articles(path) == [("t1", "body one"), ("t2", "body two")]
 
 
 def test_load_header_only(tmp_path):
     path = write(tmp_path, HEADER)
-    assert load_articles(path, label=0) == []
+    assert load_articles(path) == []
 
 
 def test_load_rfc4180_quoting(tmp_path):
     path = write(tmp_path, HEADER + '"A, B title",body,news,2017\n')
-    arts = load_articles(path, label=1)
-    assert arts[0].title == "A, B title"
+    assert load_articles(path) == [("A, B title", "body")]
 
 
 def test_load_quoted_newline(tmp_path):
     path = write(tmp_path, HEADER + '"line\nbreak",body,news,2017\n')
-    arts = load_articles(path, label=1)
-    assert arts[0].title == "line\nbreak"
+    assert load_articles(path) == [("line\nbreak", "body")]
 
 
 def test_load_column_order_free(tmp_path):
     path = write(tmp_path, "date,subject,text,title\n2017,news,the body,the title\n")
-    arts = load_articles(path, label=0)
-    assert arts[0].title == "the title"
-    assert arts[0].body == "the body"
+    assert load_articles(path) == [("the title", "the body")]
 
 
 def test_missing_column(tmp_path):
     path = write(tmp_path, "title,text,subject\nt,b,s\n")
     with pytest.raises(MissingColumn):
-        load_articles(path, label=1)
+        load_articles(path)
 
 
 def test_malformed_row_reports_row_number(tmp_path):
     path = write(tmp_path, HEADER + 'ok,b,s,2017\n"unbalanced,b\n')
     with pytest.raises(MalformedRow) as exc:
-        load_articles(path, label=1)
+        load_articles(path)
     assert "row" in str(exc.value)
 
 
@@ -70,47 +63,53 @@ def test_row_with_another_field_count_is_refused(tmp_path, row):
     # before: the extra row loaded as title 'A', body ' B title'
     path = write(tmp_path, HEADER + "ok,b,s,2017\n" + row + "\n")
     with pytest.raises(MalformedRow) as exc:
-        load_articles(path, label=1)
+        load_articles(path)
     assert "row 3" in str(exc.value)
     assert "expected 4 fields" in str(exc.value)
 
 
 def test_degenerate_rows_kept(tmp_path):
     path = write(tmp_path, HEADER + "t1,,news,2017\nt2,real body,news,2017\n")
-    arts = load_articles(path, label=1)
-    assert len(arts) == 2
-    assert arts[0].degenerate and not arts[1].degenerate
+    assert load_articles(path) == [("t1", ""), ("t2", "real body")]
 
 
-def test_article_label_invariant():
-    with pytest.raises(ValueError):
-        Article("t", "b", "s", "d", label=2)
+def _toy_pairs(n, prefix):
+    return [(f"{prefix}t{i}", f"{prefix}b{i}") for i in range(n)]
 
 
-def _toy_ds(n, label):
-    return Dataset([Article(f"t{i}", f"b{i}", "s", "d", label)
-                    for i in range(n)])
+def _labels(merged):
+    return sorted(label for _, _, label in merged)
 
 
 def test_merge_shuffle_counts_and_determinism():
-    fake, true_ = _toy_ds(5, 1), _toy_ds(7, 0)
+    fake, true_ = _toy_pairs(5, "f"), _toy_pairs(7, "r")
     m1 = merge_shuffle(fake, true_, seed=9)
     m2 = merge_shuffle(fake, true_, seed=9)
     assert len(m1) == 12
-    assert m1.label_counts() == {"fake": 5, "true": 7}
-    assert [a.title for a in m1.records] == [a.title for a in m2.records]
+    assert _labels(m1) == [0] * 7 + [1] * 5
+    assert m1 == m2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 42])
+def test_merge_shuffle_is_the_seeded_permutation(seed):
+    # fake rows get label 1 and true rows 0, and the order is exactly
+    # Prng(seed)'s Fisher-Yates permutation of fake-then-true
+    fake, true_ = _toy_pairs(6, "f"), _toy_pairs(9, "r")
+    unshuffled = ([(t, b, 1) for t, b in fake]
+                  + [(t, b, 0) for t, b in true_])
+    order = list(range(len(unshuffled)))
+    Prng(seed).shuffle(order)
+    assert merge_shuffle(fake, true_, seed) == [unshuffled[i] for i in order]
 
 
 def test_merge_shuffle_empty():
-    m = merge_shuffle(Dataset([]), Dataset([]), seed=1)
-    assert len(m) == 0
+    assert merge_shuffle([], [], seed=1) == []
 
 
 def test_merge_shuffle_seed_changes_order():
-    fake, true_ = _toy_ds(20, 1), _toy_ds(20, 0)
-    m1 = merge_shuffle(fake, true_, seed=1)
-    m2 = merge_shuffle(fake, true_, seed=2)
-    assert [a.title for a in m1.records] != [a.title for a in m2.records]
+    fake, true_ = _toy_pairs(20, "f"), _toy_pairs(20, "r")
+    assert merge_shuffle(fake, true_, seed=1) != merge_shuffle(fake, true_,
+                                                               seed=2)
 
 
 # The split is taken on the encoded cache by cli._load_data: the leading
@@ -162,4 +161,4 @@ def test_toy_fixture_counts(toy_articles):
     fake, true_ = toy_articles
     assert len(fake) == 10 and len(true_) == 10
     merged = merge_shuffle(fake, true_, seed=42)
-    assert merged.label_counts() == {"fake": 10, "true": 10}
+    assert _labels(merged) == [0] * 10 + [1] * 10

@@ -80,8 +80,10 @@ def _hidden_output(model, indices):
 
 
 def test_preset_expansion_pure():
-    a = preset_config("regularized", vocab_size=100, seed=5)
-    b = preset_config("regularized", vocab_size=100, seed=5)
+    a = preset_config("regularized", vocab_size=100, maxlen=200,
+                      embed_dim=100, lstm_units=150, seed=5, dtype="float64")
+    b = preset_config("regularized", vocab_size=100, maxlen=200,
+                      embed_dim=100, lstm_units=150, seed=5, dtype="float64")
     assert a == b
 
 
@@ -135,7 +137,8 @@ def test_layer_list_follows_the_preset_record(preset):
 
 def test_unknown_preset():
     with pytest.raises(ValueError) as exc:
-        preset_config("huge", vocab_size=10)
+        preset_config("huge", vocab_size=10, maxlen=200, embed_dim=100,
+                      lstm_units=150, seed=0, dtype="float64")
     for name in model_zoo.PRESETS:
         assert name in str(exc.value)
 
@@ -230,7 +233,8 @@ def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
 def test_config_round_trip_dict():
     # through JSON, as in a checkpoint
     for preset in model_zoo.PRESETS:
-        cfg = preset_config(preset, vocab_size=52, maxlen=6, seed=3)
+        cfg = preset_config(preset, vocab_size=52, maxlen=6, embed_dim=100,
+                            lstm_units=150, seed=3, dtype="float64")
         doc = json.loads(json.dumps(asdict(cfg)))
         assert ModelConfig.from_dict(doc) == cfg
 
@@ -632,7 +636,9 @@ def test_checkpoint_mistyped_config_value_is_bad_magic(tmp_path, field,
     # unknown, whatever their value
     message = (field if field in model_zoo._CONFIG_TYPES
                else re.escape(f"has unknown {[field]}"))
-    doc = json.loads(json.dumps(asdict(preset_config("baseline", 22))))
+    cfg = preset_config("baseline", vocab_size=22, maxlen=200, embed_dim=100,
+                        lstm_units=150, seed=0, dtype="float64")
+    doc = json.loads(json.dumps(asdict(cfg)))
     doc[field] = value
     with pytest.raises(TypeError, match=message):
         ModelConfig.from_dict(doc)

@@ -113,9 +113,9 @@ def test_evaluate_threshold_boundary():
 
 
 def test_metrics_report_json_keys():
-    import json
+    from dataclasses import asdict
     _, rep = evaluate([0.9, 0.1], [1, 0])
-    doc = json.loads(rep.to_json())
+    doc = asdict(rep)
     assert set(doc) == {"accuracy", "precision", "recall", "f1", "loss",
                         "tp", "fp", "tn", "fn", "degenerate"}
 

@@ -269,9 +269,8 @@ def test_vocab_leakage_guard(toy_encoded):
     # appear only in the held-out slice.
     x, y, vocab, maxlen = toy_encoded
     from seqveritas import ingest, textprep as tp
-    fake = ingest.Dataset(ingest.load_articles(
-        "tests/fixtures/toy_fake.csv", label=1))
-    token_lists = [tp.preprocess(a.title, a.body) for a in fake.records]
+    fake = ingest.load_articles("tests/fixtures/toy_fake.csv")
+    token_lists = [tp.preprocess(title, body) for title, body in fake]
     train, val = token_lists[:7], token_lists[7:]
     v = build_vocab(train, max_size=100, min_freq=1)
     train_tokens = {t for toks in train for t in toks}
