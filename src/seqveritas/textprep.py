@@ -95,9 +95,6 @@ class Vocabulary:
     def __len__(self):
         return len(self._index) + 2  # PAD and OOV
 
-    def __contains__(self, token):
-        return token in self._index
-
     def index_of(self, token):
         return self._index.get(token, OOV_INDEX)
 

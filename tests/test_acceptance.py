@@ -4,7 +4,6 @@ unless SEQVERITAS_CORPUS_DIR points at Fake.csv/True.csv; the full-corpus
 runs additionally require SEQVERITAS_FULL_CORPUS=1 (hours of CPU).
 """
 
-import json
 import math
 import os
 import time

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from seqveritas.layers import ParamTensor
-from seqveritas.numerics import Prng, ShapeMismatch, finite_diff_grad
+from seqveritas.numerics import ShapeMismatch, finite_diff_grad
 from seqveritas.objective import (THRESHOLD, EmptyBatch, bce,
                                   bce_grad_fused, bce_grad_unfused, evaluate,
                                   reg_penalty)

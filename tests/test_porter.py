@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import string
 
 import pytest
@@ -155,3 +156,20 @@ def test_stem_digest():
     assert len(words) == 18_223
     lines = "".join(f"{w} {stem(w)}\n" for w in words)
     assert hashlib.sha256(lines.encode()).hexdigest() == STEM_DIGEST
+
+
+# The same digest over every lowercase word of 1 to 3 letters, where a
+# suffix can be the whole word ("ion", "ies", "eed", "sss").
+SHORT_WORDS_DIGEST = (
+    "fe0701b97c9b2cd6445a207d8ee0ecbcb04ab1f1"
+    "78ec46da16a3efc74ed58acd")
+
+
+def test_short_words_digest():
+    words = ["".join(letters) for n in (1, 2, 3)
+             for letters in itertools.product(string.ascii_lowercase,
+                                              repeat=n)]
+    assert len(words) == 18_278
+    assert sum(stem(w) != w for w in words) == 1_015
+    lines = "".join(f"{w} {stem(w)}\n" for w in words)
+    assert hashlib.sha256(lines.encode()).hexdigest() == SHORT_WORDS_DIGEST

@@ -74,7 +74,8 @@ def test_build_vocab_min_freq():
 
 def test_build_vocab_tie_break():
     v = build_vocab([["b", "b", "a", "a", "z"]], max_size=3, min_freq=1)
-    assert "a" in v and "b" not in v  # lexicographic tie-break, capacity 1
+    # lexicographic tie-break, capacity 1
+    assert v.index_of("a") == 2 and v.index_of("b") == OOV_INDEX
 
 
 def test_build_vocab_deterministic():
