@@ -290,11 +290,14 @@ class Model:
             bias[h:2 * h] = 1.0  # forget-gate bias starts open
             return bias
 
-        def param(name, shape, init, regularizers=()):
-            return ParamTensor(name, tensor(name, shape, init), regularizers)
+        def param(name, shape, init, regularizers=(), track_rows=False):
+            return ParamTensor(name, tensor(name, shape, init), regularizers,
+                               track_rows)
 
         self.layers = [
-            Embedding(param("embedding", (cfg.vocab_size, d), embedding)),
+            # a batch touches few of the vocabulary's rows
+            Embedding(param("embedding", (cfg.vocab_size, d), embedding,
+                            track_rows=True)),
             Dropout(pre.embed_dropout),
             Lstm(param("lstm.W", (d, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.U", (h, 4 * h), glorot, pre.lstm_regularizers),

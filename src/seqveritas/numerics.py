@@ -6,13 +6,16 @@ allowed for full-corpus training). Randomness always flows through `Prng`,
 so every number in the pipeline is reproducible bit-for-bit from a 64-bit
 seed regardless of platform. `Prng` has two streams: a scalar
 xoshiro256** stream for shuffles, permutations and `randbelow`, and, for
-bulk draws (dropout masks, Glorot weights), a splitmix64 hash over a
-counter, keyed by one draw from the scalar stream and evaluated in numpy
-`uint64` all at once.
+bulk draws (Glorot weights, dropout masks), a splitmix64 hash over a
+counter, keyed by one draw from the scalar stream. One blocked kernel
+evaluates that hash for both bulk methods: it walks the counters in
+blocks of BLOCK, each hashed in place in numpy `uint64` while it is in
+cache, so a draw costs the same per element at any size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -78,6 +81,56 @@ _MIX2_U64 = np.uint64(0x94D049BB133111EB)
 _SHIFTS_U64 = tuple(np.uint64(k) for k in (30, 27, 31, 11))
 
 
+# Counters per block of the bulk kernel: a block of uint64 outputs and its
+# one scratch array take 1 MiB, which stays in a core's L2 cache.
+BLOCK = 1 << 16
+
+
+@functools.cache
+def _counter_states(size):
+    """(j + 1) * golden for j < size, a power of two up to BLOCK. Plus
+    key + start * golden, these are the splitmix64 states of counters
+    start + 1 .. start + size."""
+    states = np.arange(1, size + 1, dtype=np.uint64)
+    states *= _GOLDEN_U64
+    return states
+
+
+def _splitmix64_blocks(key, n):
+    """Yield (start, z) for consecutive blocks covering [0, n): z[j] is
+    splitmix64 output start + j + 1 from state `key`, as `_splitmix64_next`
+    gives it. z is the same buffer for every block; it is overwritten when
+    the next block is asked for."""
+    r30, r27, r31, _ = _SHIFTS_U64
+    z = np.empty(min(n, BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    states = _counter_states(1 << max(0, z.size - 1).bit_length())
+    for start in range(0, n, BLOCK):
+        if n - start < z.size:
+            z, tmp = z[:n - start], tmp[:n - start]
+        np.add(states[:z.size],
+               np.uint64((key + start * int(_GOLDEN_U64)) & _MASK64), out=z)
+        np.right_shift(z, r30, out=tmp)
+        z ^= tmp
+        z *= _MIX1_U64
+        np.right_shift(z, r27, out=tmp)
+        z ^= tmp
+        z *= _MIX2_U64
+        np.right_shift(z, r31, out=tmp)
+        z ^= tmp
+        yield start, z
+
+
+def _keep_limit(keep):
+    """The bound `keep_mask` compares hash outputs z with. u * 2**-53 < keep
+    holds for an integer u exactly when u < ceil(keep * 2**53); truncating
+    instead would drop u = floor(keep * 2**53) whenever keep * 2**53 is not
+    an integer. With u = z >> 11 that is z < ceil(keep * 2**53) << 11."""
+    if not 0.0 < keep < 1.0:
+        raise ValueError(f"keep probability must be in (0, 1), got {keep}")
+    return np.uint64(math.ceil(keep * 2.0 ** 53) << 11)
+
+
 def _rotl(x, k):
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -89,7 +142,8 @@ class Prng:
     the scalar xoshiro256** stream. `uniform` is the bulk path: it takes
     one `next_u64` as a key and hashes a counter with splitmix64, so its
     result is a pure function of (key, shape) and costs one scalar draw
-    whatever its size (counter-based generation in the style of Salmon et
+    whatever its size; `keep_mask` draws the same way and thresholds the
+    same values (counter-based generation in the style of Salmon et
     al., SC'11, and Steele, Lea & Flood, OOPSLA'14).
 
     The algorithm (not the platform) defines the stream, so identical seeds
@@ -124,18 +178,30 @@ class Prng:
         """Uniform doubles in [low, high). Element i (1-based, row-major)
         is output i of splitmix64 started from the key `next_u64()`,
         mapped to [0, 1) as in `next_f64`."""
-        key = np.uint64(self.next_u64())
-        r30, r27, r31, r11 = _SHIFTS_U64
-        z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
-        z *= _GOLDEN_U64
-        z += key
-        z ^= z >> r30
-        z *= _MIX1_U64
-        z ^= z >> r27
-        z *= _MIX2_U64
-        z ^= z >> r31
-        vals = (z >> r11).astype(np.float64) * (2.0 ** -53)
-        return (low + (high - low) * vals).reshape(shape)
+        n = math.prod(shape)
+        out = np.empty(n, dtype=np.float64)
+        r11 = _SHIFTS_U64[3]
+        for start, z in _splitmix64_blocks(self.next_u64(), n):
+            vals = out[start:start + z.size]
+            z >>= r11
+            np.multiply(z, 2.0 ** -53, out=vals)
+            # low + (high - low) * vals, the same bits in place
+            vals *= high - low
+            vals += low
+        return out.reshape(shape)
+
+    def keep_mask(self, keep, shape):
+        """Booleans, each True with probability `keep` in (0, 1): element
+        i is `uniform(0, 1, shape)` element i < keep, from the same single
+        scalar draw. That element is u * 2**-53 with u = z >> 11, the top
+        53 bits of hash output z, so the test is an integer one on z (see
+        `_keep_limit`) and no float is made."""
+        limit = _keep_limit(keep)
+        n = math.prod(shape)
+        out = np.empty(n, dtype=bool)
+        for start, z in _splitmix64_blocks(self.next_u64(), n):
+            np.less(z, limit, out=out[start:start + z.size])
+        return out.reshape(shape)
 
     def randbelow(self, n):
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -1,6 +1,12 @@
 """Adam updates, gradient clipping, early stopping, the epoch loop, and
 batched prediction.
 
+Adam is the dense update: every row decays; touched rows add gradient
+terms. On a row-tracked tensor (the embedding, see `layers.ParamTensor`)
+the gradient terms, the finiteness check and the clipping scale visit
+only the rows the batch touched, and the bits are those of the dense
+expressions.
+
 The epoch loop owns the model exclusively; the reference mode is
 single-threaded and fully deterministic in (data, config, seed).
 
@@ -47,10 +53,24 @@ class AdamState:
 
 
 def adam_step(params, state):
-    """One Adam update over every tensor, with bias correction."""
+    """One Adam update over every tensor, with bias correction.
+
+    This is the dense update of Kingma & Ba, not lazy Adam: every row
+    decays, and every value moves by its momentum. Touched rows add
+    gradient terms: on a row-tracked tensor the finiteness check and the
+    (1 - BETA1) g and (1 - BETA2) g^2 terms visit only `rows()`, the rest
+    of its gradient being zero. The bits are those of the dense update
+    but for the sign of a zero in m, where the dense update adds +0 to a
+    -0. Everything else runs over each tensor's `blocks`, so that each
+    block's arrays and temporaries stay in cache.
+    """
+    checked = []
     for p in params:
-        if not np.all(np.isfinite(p.grad)):
+        rows = p.rows()
+        g = p.grad if rows is None else p.grad[rows]
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(f"non-finite gradient in {p.name}")
+        checked.append((p, rows, g))
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -59,34 +79,53 @@ def adam_step(params, state):
     #   v = BETA2 * v + (1 - BETA2) * g * g
     #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
     # so the bits are those of that expression.
-    for p in params:
-        step = np.multiply(p.grad, 1.0 - BETA1)
-        p.m *= BETA1
-        p.m += step
-        np.multiply(p.grad, 1.0 - BETA2, out=step)
-        step *= p.grad
-        p.v *= BETA2
-        p.v += step
-        denom = np.divide(p.v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(p.m, bc1, out=step)
-        step *= state.lr
-        step /= denom
-        p.value -= step
+    for p, rows, g in checked:
+        if rows is not None:
+            term = np.multiply(g, 1.0 - BETA1)
+            p.m *= BETA1
+            p.m[rows] += term
+            np.multiply(g, 1.0 - BETA2, out=term)
+            term *= g
+            p.v *= BETA2
+            p.v[rows] += term
+        for value, grad, m, v in p.blocks:
+            step = np.empty_like(value)
+            if rows is None:
+                np.multiply(grad, 1.0 - BETA1, out=step)
+                m *= BETA1
+                m += step
+                np.multiply(grad, 1.0 - BETA2, out=step)
+                step *= grad
+                v *= BETA2
+                v += step
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            np.divide(m, bc1, out=step)
+            step *= state.lr
+            step /= denom
+            value -= step
 
 
 def clip_gradients(params):
     """Scale all grads by MAX_NORM/norm when the global L2 norm exceeds
-    MAX_NORM; returns the pre-clip norm."""
+    MAX_NORM; returns the pre-clip norm. The sum of squares runs over
+    every element, one float64 array per tensor, so its pairwise sum keeps
+    its bits (np.add.reduce is np.sum without its Python wrapper, which
+    costs more than the sum itself on small tensors); the scaling visits
+    only a row-tracked tensor's `rows()`."""
     total = 0.0
     for p in params:
-        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+        total += float(np.add.reduce(np.square(p.grad, dtype=np.float64),
+                                     axis=None))
     norm = float(np.sqrt(total))
     if norm > MAX_NORM:
         scale = MAX_NORM / norm
         for p in params:
-            p.grad *= scale
+            if p.touched is None:
+                p.grad *= scale
+            else:
+                p.grad[p.rows()] *= scale
     return norm
 
 

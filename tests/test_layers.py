@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from seqveritas.layers import (BadRate, BatchNormRunning, BatchTooSmall,
-                               IndexOutOfVocab, ParamTensor, StaleCache,
-                               batchnorm_backward, batchnorm_forward,
-                               dense_backward, dense_forward,
-                               dropout_backward, dropout_forward,
+from seqveritas.layers import (SCATTER_TOKENS, BadRate, BatchNormRunning,
+                               BatchTooSmall, IndexOutOfVocab, ParamTensor,
+                               StaleCache, batchnorm_backward,
+                               batchnorm_forward, dense_backward,
+                               dense_forward, dropout_backward,
+                               dropout_forward, embedding_backward,
                                embedding_forward, lstm_backward,
                                lstm_forward)
 from seqveritas.model_zoo import ReLU
-from seqveritas.numerics import Prng, ShapeMismatch, sigmoid
+from seqveritas.numerics import BLOCK, Prng, ShapeMismatch, sigmoid
 
 
 def _pt(name, arr, reg=()):
@@ -50,6 +51,52 @@ def test_embedding_out_of_vocab():
         embedding_forward(np.array([[4]]), emb)
     with pytest.raises(IndexOutOfVocab):
         embedding_forward(np.array([[-1]]), emb)
+
+
+def _scatter_case(vocab, batch, steps, width, dtype, seed=0):
+    """Indices with repeats and PAD tokens, and a (B, T, E) upstream
+    gradient laid out time-major, as the LSTM's grad x is."""
+    rng = np.random.default_rng(seed)
+    indices = np.minimum(rng.zipf(1.3, (batch, steps)) - 1, vocab - 1)
+    indices[:, :2] = 0
+    grad = rng.standard_normal((steps, batch, width)).astype(dtype)
+    return indices, grad.transpose(1, 0, 2)
+
+
+def _dense_scatter(indices, grad, shape):
+    """The embedding gradient as one 2-D np.add.at."""
+    out = np.zeros(shape, grad.dtype)
+    np.add.at(out, indices, grad)
+    out[0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch,steps", [(4, 6), (9, 200), (64, 40)])
+def test_embedding_backward_is_the_2d_add_at_bit_for_bit(dtype, batch, steps):
+    # (4, 6) goes through the 2-D call; the other two through the 1-D one
+    # in several blocks, the last one short
+    indices, grad = _scatter_case(300, batch, steps, 7, dtype)
+    emb = ParamTensor("E", np.zeros((300, 7), dtype))
+    embedding_backward(grad, indices, emb)
+    want = _dense_scatter(indices, grad, (300, 7))
+    assert emb.grad.tobytes() == want.tobytes()
+    assert (indices.size > SCATTER_TOKENS) == (batch > 4)
+
+
+@pytest.mark.parametrize("batch", [4, 64])
+def test_embedding_backward_narrow_index_dtypes_do_not_wrap(batch):
+    # V * E = 1600: row * E would wrap in uint8 for any row >= 32
+    indices, grad = _scatter_case(200, batch, 20, 8, np.float64, seed=3)
+    assert indices.max() >= 32
+    want = None
+    for dtype in (np.int64, np.uint32, np.uint8):
+        emb = ParamTensor("E", np.zeros((200, 8)))
+        embedding_backward(grad, indices.astype(dtype), emb)
+        if want is None:
+            want = emb.grad
+        assert emb.grad.tobytes() == want.tobytes()
+    assert want.tobytes() == _dense_scatter(indices, grad, (200, 8)).tobytes()
 
 
 # --- LSTM ------------------------------------------------------------------
@@ -345,6 +392,20 @@ def test_dropout_mask_scale_values():
     x = np.ones((100, 100))
     y, _ = dropout_forward(x, 0.2, "train", rng)
     assert set(np.round(np.unique(y), 10)) <= {0.0, round(1 / 0.8, 10)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("shape", [(3, 7), (2, BLOCK // 2 + 3, 3)])
+def test_dropout_mask_is_uniform_below_keep_over_keep(dtype, rate, shape):
+    x = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+    x.reshape(-1)[0] = -0.0
+    y, cache = dropout_forward(x, rate, "train", Prng(5))
+    keep = 1.0 - rate
+    mask = (Prng(5).uniform(0.0, 1.0, shape) < keep).astype(dtype) / keep
+    assert cache.scaled_mask.dtype == y.dtype == dtype
+    assert cache.scaled_mask.tobytes() == mask.tobytes()
+    assert y.tobytes() == (x * mask).tobytes()
 
 
 # --- batch norm ------------------------------------------------------------

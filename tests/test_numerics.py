@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from seqveritas.layers import dropout_forward
-from seqveritas.numerics import (NonDeterministicLoss, Prng, ShapeMismatch,
-                                 drelu, dtanh, finite_diff_grad,
-                                 init_glorot, matmul, max_relative_error,
-                                 relu, sigmoid)
+from seqveritas.numerics import (BLOCK, NonDeterministicLoss, Prng,
+                                 ShapeMismatch, _keep_limit, drelu, dtanh,
+                                 finite_diff_grad, init_glorot, matmul,
+                                 max_relative_error, relu, sigmoid)
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -148,6 +150,68 @@ def test_uniform_empty_shape():
     out = Prng(4).uniform(0.0, 1.0, (0, 7))
     assert out.shape == (0, 7)
     assert out.dtype == np.float64
+
+
+# Sizes around the bulk kernel's block boundaries.
+BLOCK_SIZES = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+KEEPS = (0.7, 0.5, 0.3, 0.1, 1.0 - 2.0 ** -53)
+
+
+def _ref_counter_output(key, i):
+    """Output i (1-based) of splitmix64 started from state `key`."""
+    return _ref_splitmix64((key + (i - 1) * 0x9E3779B97F4A7C15) & MASK64)[1]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_uniform_is_the_counter_stream_across_block_boundaries(n):
+    key = Prng(77).next_u64()
+    got = Prng(77).uniform(-2.0, 3.0, (n,))
+    assert got.shape == (n,)
+    for i in {0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, n - 1, n - 2}:
+        if 0 <= i < n:
+            u = (_ref_counter_output(key, i + 1) >> 11) * (2.0 ** -53)
+            assert got[i] == -2.0 + 5.0 * u
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("keep", KEEPS)
+def test_keep_mask_is_uniform_below_keep(keep, n):
+    for seed in (3, 2**64 - 1):
+        want = Prng(seed).uniform(0.0, 1.0, (n,)) < keep
+        got = Prng(seed).keep_mask(keep, (n,))
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("keep", KEEPS + (0.8, 1e-300))
+def test_keep_limit_is_the_ceiling_of_keep_times_two_to_the_53(keep):
+    # u is the largest top-53-bit value whose uniform draw is below keep;
+    # every z with those top bits is kept, and none with u + 1
+    u = math.ceil(keep * 2.0 ** 53) - 1
+    assert u * 2.0 ** -53 < keep <= (u + 1) * 2.0 ** -53
+    limit = int(_keep_limit(keep))
+    assert (u << 11) | 0x7FF < limit <= (u + 1) << 11
+
+
+def test_keep_limit_rounds_up_where_truncation_would_drop_draws():
+    # 0.1 * 2**53 is not an integer: truncating it drops its floor, whose
+    # draw is below 0.1
+    u = math.floor(0.1 * 2.0 ** 53)
+    assert u * 2.0 ** -53 < 0.1
+    assert u << 11 < int(_keep_limit(0.1))
+
+
+def test_keep_mask_refuses_a_keep_outside_the_open_unit_interval():
+    for keep in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            Prng(0).keep_mask(keep, (3,))
+
+
+def test_keep_mask_advances_scalar_stream_by_one_draw_whatever_the_shape():
+    for shape in ((1,), (3, 5), (0, 4), (BLOCK + 1,)):
+        rng = Prng(21)
+        assert rng.keep_mask(0.5, shape).shape == shape
+        assert rng.next_u64() == _ref_xoshiro_stream(21, 2)[1]
 
 
 def test_dropout_masks_are_a_function_of_the_seed():

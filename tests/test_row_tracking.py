@@ -1,0 +1,217 @@
+"""The touched-rows train step against the dense step it replaced.
+
+The dense step is kept here, not in `src/`: a 2-D np.add.at scatter,
+dropout masks as `uniform < keep`, and clipping, zeroing and Adam over
+every element. Training through either must give the same bits, and the
+row-tracked embedding's bookkeeping must hold between steps.
+"""
+
+import numpy as np
+import pytest
+
+from seqveritas import model_zoo, optim, textprep
+from seqveritas.layers import (PARAM_BLOCK_BYTES, BadRate, DropoutCache,
+                               ParamTensor, embedding_backward)
+
+# A vocabulary far larger than a batch, so most embedding rows are
+# untouched in any one step, and large enough that the embedding tracks
+# rows in both dtypes.
+VOCAB, EMBED, HIDDEN, MAXLEN, BATCH = 5000, 16, 8, 10, 8
+
+
+# --- the dense step ----------------------------------------------------------
+
+def dense_embedding_backward(grad_out, indices, emb):
+    np.add.at(emb.grad, np.asarray(indices), grad_out)
+    emb.grad[0] = 0.0
+
+
+def dense_dropout_forward(x, p, mode, rng):
+    if not 0.0 <= p < 1.0:
+        raise BadRate(p)
+    if mode == "eval" or p == 0.0:
+        return x, DropoutCache(scaled_mask=None)
+    keep = 1.0 - p
+    mask = (rng.uniform(0.0, 1.0, x.shape) < keep).astype(x.dtype) / keep
+    return x * mask, DropoutCache(scaled_mask=mask)
+
+
+def dense_zero_grads(model):
+    for p in model.params:
+        p.grad.fill(0.0)
+
+
+def dense_clip_gradients(params):
+    total = 0.0
+    for p in params:
+        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > optim.MAX_NORM:
+        scale = optim.MAX_NORM / norm
+        for p in params:
+            p.grad *= scale
+    return norm
+
+
+def dense_adam_step(params, state):
+    for p in params:
+        if not np.all(np.isfinite(p.grad)):
+            raise optim.NonFiniteGradient(p.name)
+    state.t += 1
+    bc1 = 1.0 - optim.BETA1 ** state.t
+    bc2 = 1.0 - optim.BETA2 ** state.t
+    for p in params:
+        step = np.multiply(p.grad, 1.0 - optim.BETA1)
+        p.m *= optim.BETA1
+        p.m += step
+        np.multiply(p.grad, 1.0 - optim.BETA2, out=step)
+        step *= p.grad
+        p.v *= optim.BETA2
+        p.v += step
+        denom = np.divide(p.v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += optim.ADAM_EPS
+        np.divide(p.m, bc1, out=step)
+        step *= state.lr
+        step /= denom
+        p.value -= step
+
+
+def _install_dense_step(mp, norms):
+    def clip(params):
+        norms.append(dense_clip_gradients(params))
+        return norms[-1]
+
+    mp.setattr(model_zoo, "embedding_backward", dense_embedding_backward)
+    mp.setattr(model_zoo, "dropout_forward", dense_dropout_forward)
+    mp.setattr(model_zoo.Model, "zero_grads", dense_zero_grads)
+    mp.setattr(optim, "clip_gradients", clip)
+    mp.setattr(optim, "adam_step", dense_adam_step)
+
+
+# --- data --------------------------------------------------------------------
+
+def _data(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.minimum(rng.zipf(1.2, (n, MAXLEN)) - 1, VOCAB - 1)
+    x[:, :2] = 0  # left padding
+    return x, rng.integers(0, 2, n).astype(np.float64)
+
+
+def _model(preset, dtype):
+    vocab = textprep.Vocabulary([f"tok{i}" for i in range(VOCAB - 2)])
+    return model_zoo.build(preset, vocab, maxlen=MAXLEN, seed=3,
+                           embed_dim=EMBED, lstm_units=HIDDEN, dtype=dtype)
+
+
+def _tracked_embedding(rows=VOCAB, dtype=np.float64):
+    value = np.random.default_rng(1).standard_normal((rows, EMBED))
+    value[0] = 0.0
+    return ParamTensor("embedding", value.astype(dtype), track_rows=True)
+
+
+# --- the same bits -----------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
+def test_training_gives_the_bits_of_the_dense_step(preset, dtype,
+                                                   monkeypatch):
+    # MAX_NORM is lowered so that clipping fires at these small shapes
+    monkeypatch.setattr(optim, "MAX_NORM", 0.3)
+    x, y = _data(4 * BATCH)
+    train = (x[:3 * BATCH], y[:3 * BATCH], x[3 * BATCH:], y[3 * BATCH:])
+    assert len(np.unique(train[0])) < VOCAB // 10
+    config = optim.TrainConfig(epochs=2, batch_size=BATCH, seed=7,
+                               patience=5)
+
+    dense, norms = _model(preset, dtype), []
+    with monkeypatch.context() as mp:
+        _install_dense_step(mp, norms)
+        dense_history = optim.fit(dense, *train, config)
+    tracked = _model(preset, dtype)
+    assert tracked.params[0].touched is not None
+    history = optim.fit(tracked, *train, config)
+
+    assert len(norms) == 6 and max(norms) > optim.MAX_NORM
+    assert history.to_jsonl() == dense_history.to_jsonl()
+    for (name, got), (_, want) in zip(tracked.tensors(), dense.tensors()):
+        assert got.tobytes() == want.tobytes(), name
+    for got, want in zip(tracked.params, dense.params):
+        # the dense update adds +0 to a -0 in m; nothing else may differ
+        assert np.array_equal(got.m, want.m), got.name
+        assert np.array_equal(got.v, want.v), got.name
+        assert got.v.tobytes() == want.v.tobytes(), got.name
+
+
+# --- row-tracking invariants -------------------------------------------------
+
+def test_row_tracking_is_for_tensors_larger_than_one_block():
+    assert _tracked_embedding().touched is not None
+    small = PARAM_BLOCK_BYTES // (EMBED * 8)
+    assert _tracked_embedding(rows=small).touched is None
+    model = _model("baseline", "float32")
+    assert model.params[0].touched is not None
+    assert all(p.touched is None for p in model.params[1:])
+
+
+def test_a_row_tracked_tensor_refuses_regularizers():
+    with pytest.raises(ValueError, match="regularizers"):
+        ParamTensor("embedding", np.zeros((VOCAB, EMBED)),
+                    regularizers=(("l2", 1e-3),), track_rows=True)
+
+
+def test_two_backward_passes_accumulate_then_clip_and_update_both():
+    tracked, dense = _tracked_embedding(), _tracked_embedding()
+    rng = np.random.default_rng(2)
+    batches = [rng.integers(1, 200, (4, 6)), rng.integers(300, 500, (4, 6))]
+    for indices in batches:
+        indices[0, 0] = 0  # a PAD token in each batch
+        grad = rng.standard_normal((4, 6, EMBED)) * 10.0
+        embedding_backward(grad, indices, tracked)
+        dense_embedding_backward(grad, indices, dense)
+    assert tracked.grad.tobytes() == dense.grad.tobytes()
+    touched = np.union1d(*batches)
+    assert np.array_equal(tracked.rows(), touched)
+
+    norm = optim.clip_gradients([tracked])
+    assert norm == dense_clip_gradients([dense]) and norm > optim.MAX_NORM
+    assert tracked.grad.tobytes() == dense.grad.tobytes()
+    assert np.sqrt(np.sum(tracked.grad ** 2)) == pytest.approx(
+        optim.MAX_NORM)
+
+    optim.adam_step([tracked], optim.AdamState())
+    dense_adam_step([dense], optim.AdamState())
+    assert tracked.value.tobytes() == dense.value.tobytes()
+    moved = np.flatnonzero(np.any(tracked.value != _tracked_embedding().value,
+                                  axis=1))
+    assert np.array_equal(moved, touched[touched > 0])
+    assert np.array_equal(tracked.m, dense.m)
+    assert np.array_equal(tracked.v, dense.v)
+
+
+def test_zero_grad_zeroes_the_whole_gradient_and_forgets_the_rows():
+    emb = _tracked_embedding()
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        embedding_backward(rng.standard_normal((3, 5, EMBED)),
+                           rng.integers(0, VOCAB, (3, 5)), emb)
+        assert emb.grad.any()
+        emb.zero_grad()
+        assert not emb.grad.any()
+        assert not emb.touched.any() and emb.rows().size == 0
+
+
+def test_the_pad_row_stays_zero():
+    emb = _tracked_embedding()
+    state = optim.AdamState()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        emb.zero_grad()
+        indices = rng.integers(0, 50, (4, 6))
+        indices[:, 0] = 0
+        embedding_backward(rng.standard_normal((4, 6, EMBED)), indices, emb)
+        assert not emb.grad[0].any()
+        optim.clip_gradients([emb])
+        optim.adam_step([emb], state)
+        assert not emb.value[0].any()
+        assert not emb.m[0].any() and not emb.v[0].any()
