@@ -3,10 +3,10 @@ loss for each preset at miniature scale (V=50, d=8, H=8, maxlen=6,
 batch=4). The layer checks run `model_zoo`'s own layer objects through
 the protocol `Model` runs them by: forward, backward and `params`.
 
-Dropout is frozen across finite-difference evaluations by giving every
-evaluation a fresh `Prng` with the same seed: a mask is a pure function
-of (seed, shape), so the loss is a deterministic function of the
-parameters.
+Every forward pass here trains, since it is given an rng. Dropout is
+frozen across finite-difference evaluations by giving every evaluation a
+fresh `Prng` with the same seed: a mask is a pure function of (seed,
+shape), so the loss is a deterministic function of the parameters.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ def _check_params(prefix, params, loss, results):
         _check(prefix + p.name, p.grad, numeric, results)
 
 
-def _check_layer(name, layer, x, coeff, mode, rng_seed, results):
+def _check_layer(name, layer, x, coeff, rng_seed, results):
     """grad x, when backward returns one, and every parameter of `layer`
-    on the loss sum(coeff * y); every forward gets a fresh Prng(rng_seed)."""
+    on sum(coeff * y); each forward trains, with a fresh Prng(rng_seed)."""
     def loss():
-        y, _ = layer.forward(x, mode, Prng(rng_seed))
+        y, _ = layer.forward(x, Prng(rng_seed))
         return float(np.sum(coeff * y))
 
-    _, cache = layer.forward(x, mode, Prng(rng_seed))
+    _, cache = layer.forward(x, Prng(rng_seed))
     grad_x = layer.backward(coeff, cache)
     if grad_x is not None:
         _check(f"{name}.x", grad_x, finite_diff_grad(lambda _v: loss(), x),
@@ -63,7 +63,7 @@ def check_embedding(seed, results):
     indices = np.array([[0, 3, 5], [2, 3, 0]])
     coeff = _rand(rng, (2, 3, 4))
     layer = model_zoo.Embedding(ParamTensor("embedding.E", table))
-    _check_layer("embedding", layer, indices, coeff, "train", seed, results)
+    _check_layer("embedding", layer, indices, coeff, seed, results)
 
 
 def check_lstm(seed, results):
@@ -75,7 +75,7 @@ def check_lstm(seed, results):
         ParamTensor("lstm.U", _rand(rng, (hidden, 4 * hidden), 0.5)),
         ParamTensor("lstm.b", _rand(rng, (1, 4 * hidden), 0.5)[0]))
     coeff = _rand(rng, (batch, hidden))
-    _check_layer("lstm", layer, x, coeff, "train", seed, results)
+    _check_layer("lstm", layer, x, coeff, seed, results)
 
 
 def check_dense(seed, results):
@@ -86,28 +86,28 @@ def check_dense(seed, results):
         ParamTensor("dense.W", _rand(rng, (n_in, n_out))),
         ParamTensor("dense.b", _rand(rng, (1, n_out))[0]))
     coeff = _rand(rng, (batch, n_out))
-    _check_layer("dense", layer, x, coeff, "train", seed, results)
+    _check_layer("dense", layer, x, coeff, seed, results)
 
 
 def check_dropout(seed, results):
     rng = Prng(seed)
     x = _rand(rng, (4, 6))
     coeff = _rand(rng, (4, 6))
-    _check_layer("dropout", model_zoo.Dropout(0.3), x, coeff, "train",
-                 seed + 1, results)
+    _check_layer("dropout", model_zoo.Dropout(0.3), x, coeff, seed + 1,
+                 results)
 
 
 def check_batchnorm(seed, results):
     rng = Prng(seed)
     batch, n = 4, 3
     x = _rand(rng, (batch, n))
-    # the running stats each train-mode forward updates do not reach y
+    # the running stats each training forward updates do not reach y
     layer = model_zoo.BatchNorm(
         ParamTensor("batchnorm.gamma", _rand(rng, (1, n))[0] + 1.5),
         ParamTensor("batchnorm.beta", _rand(rng, (1, n))[0]),
         BatchNormRunning.fresh(n))
     coeff = _rand(rng, (batch, n))
-    _check_layer("batchnorm", layer, x, coeff, "train", seed, results)
+    _check_layer("batchnorm", layer, x, coeff, seed, results)
 
 
 def mini_model(preset, seed):
@@ -127,11 +127,10 @@ def check_end_to_end(preset, seed, results):
     indices[0, :2] = 0  # exercise the PAD path
     labels = np.array([rng.randbelow(2) for _ in range(batch)], dtype=np.float64)
 
-    probs, caches = model.forward(indices, mode="train", rng=Prng(seed + 200))
+    probs, caches = model.forward(indices, Prng(seed + 200))
 
     def total_loss():
-        rep_probs, _ = model.forward(indices, mode="train",
-                                     rng=Prng(seed + 200))
+        rep_probs, _ = model.forward(indices, Prng(seed + 200))
         return bce(rep_probs, labels) + reg_penalty(model.params,
                                                     accumulate_grads=False)
 

@@ -31,7 +31,7 @@ step first:
 The cache exposes x as a (B, T, d) view of the time-major copy. The
 backward time loop does only the gate math and the recurrent product
 dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
-of x, h_0 .. h_{T-1} and the dz rows. In eval mode (no history) c and h
+of x, h_0 .. h_{T-1} and the dz rows. At inference (no history) c and h
 have two alternating slots, tanh_c one, and there is no cache.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ShapeMismatch, dtanh, matmul
+from .numerics import ShapeMismatch, dtanh
 
 
 # Bytes per array in a block of a ParamTensor's `blocks`: a block's value,
@@ -342,30 +342,30 @@ class DenseCache(_Cache):
 
 def dense_forward(x, w, b):
     """Affine map x W + b; activations are separate layers."""
-    return matmul(x, w.value) + b.value, DenseCache(x=x)
+    return x @ w.value + b.value, DenseCache(x=x)
 
 
 def dense_backward(grad_y, cache, w, b):
     """Returns grad_x; accumulates grad_W and grad_b."""
     cache.consume()
-    w.grad += matmul(cache.x.T, grad_y)
+    w.grad += cache.x.T @ grad_y
     b.grad += grad_y.sum(axis=0)
-    return matmul(grad_y, w.value.T)
+    return grad_y @ w.value.T
 
 
 # --- dropout ---------------------------------------------------------------
 
 @dataclass
 class DropoutCache(_Cache):
-    scaled_mask: np.ndarray = None  # None means identity (eval or p=0)
+    scaled_mask: np.ndarray = None  # None means identity (no rng, or p=0)
 
 
-def dropout_forward(x, p, mode, rng):
-    """Inverted dropout: kept units scaled by 1/(1-p) at train time, so
-    eval mode is an identity."""
+def dropout_forward(x, p, rng):
+    """Inverted dropout: kept units scaled by 1/(1-p). It trains exactly
+    when given an rng; with `rng` None, or at p = 0, it is the identity."""
     if not 0.0 <= p < 1.0:
         raise BadRate(f"dropout rate must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if rng is None or p == 0.0:
         return x, DropoutCache(scaled_mask=None)
     keep = 1.0 - p
     # kept units hold 1 / keep in x's dtype, dropped ones +0: the bits of
@@ -390,7 +390,7 @@ BN_MOMENTUM = 0.9
 
 @dataclass
 class BatchNormRunning:
-    """Running statistics, updated in train mode and used in eval mode."""
+    """Running statistics, updated when training and used at inference."""
     mean: np.ndarray
     var: np.ndarray
 
@@ -405,11 +405,11 @@ class BatchNormCache(_Cache):
     inv_std: np.ndarray = None
 
 
-def batchnorm_forward(x, gamma, beta, running, mode):
-    """Train: standardize with biased batch statistics and fold an
-    unbiased variance estimate into the running stats. Eval: use running
-    stats only."""
-    if mode == "train":
+def batchnorm_forward(x, gamma, beta, running, train):
+    """`train`: standardize with biased batch statistics and fold an
+    unbiased variance estimate into the running stats. Otherwise use the
+    running stats only."""
+    if train:
         batch = x.shape[0]
         if batch < 2:
             raise BatchTooSmall("batch-norm train mode needs batch >= 2")
@@ -430,7 +430,7 @@ def batchnorm_forward(x, gamma, beta, running, mode):
 
 
 def batchnorm_backward(grad_y, cache, gamma, beta):
-    """Gradient through the train-mode batch statistics."""
+    """Gradient through the batch statistics of a training forward."""
     cache.consume()
     batch = grad_y.shape[0]
     gamma.grad += (grad_y * cache.x_hat).sum(axis=0)

@@ -178,15 +178,16 @@ def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
 
 
 # --- layers ------------------------------------------------------------------
-# Each layer wraps one kernel: forward(x, mode, rng) -> (y, cache) and
-# backward(grad, cache) -> grad. Kernels are called by the names imported
-# above, looked up at call time, so a tracer can patch them in this module.
+# Each layer wraps one kernel: forward(x, rng) -> (y, cache), training
+# exactly when given an rng, and backward(grad, cache) -> grad. Kernels are
+# called by the names imported above, looked up at call time, so a tracer
+# can patch them in this module.
 
 class Embedding:
     def __init__(self, table):
         self.params = [table]
 
-    def forward(self, indices, mode, rng):
+    def forward(self, indices, rng):
         return embedding_forward(indices, *self.params), np.asarray(indices)
 
     def backward(self, grad, indices):
@@ -199,8 +200,8 @@ class Dropout:
     def __init__(self, rate):
         self.rate = rate
 
-    def forward(self, x, mode, rng):
-        return dropout_forward(x, self.rate, mode, rng)
+    def forward(self, x, rng):
+        return dropout_forward(x, self.rate, rng)
 
     def backward(self, grad, cache):
         return dropout_backward(grad, cache)
@@ -210,9 +211,9 @@ class Lstm:
     def __init__(self, w, u, b):
         self.params = [w, u, b]
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         # keyword, so that wrappers that unpack (x, w, u, b) still see four
-        return lstm_forward(x, *self.params, history=(mode == "train"))
+        return lstm_forward(x, *self.params, history=rng is not None)
 
     def backward(self, grad, cache):
         return lstm_backward(grad, cache, *self.params)
@@ -222,7 +223,7 @@ class Dense:
     def __init__(self, w, b):
         self.params = [w, b]
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         return dense_forward(x, *self.params)
 
     def backward(self, grad, cache):
@@ -234,8 +235,9 @@ class BatchNorm:
         self.params = [gamma, beta]
         self.running = running
 
-    def forward(self, x, mode, rng):
-        return batchnorm_forward(x, *self.params, self.running, mode)
+    def forward(self, x, rng):
+        return batchnorm_forward(x, *self.params, self.running,
+                                 rng is not None)
 
     def backward(self, grad, cache):
         return batchnorm_backward(grad, cache, *self.params)
@@ -244,7 +246,7 @@ class BatchNorm:
 class ReLU:
     params = ()
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, rng):
         return relu(x), x
 
     def backward(self, grad, x):
@@ -343,13 +345,15 @@ class Model:
         for p in self.params:
             p.zero_grad()
 
-    def forward(self, indices, mode="eval", rng=None):
+    def forward(self, indices, rng=None):
         """indices: (B, maxlen) -> (probabilities (B,), per-layer caches):
-        the sigmoid of the output Dense's logit. Train mode needs an rng
-        for the dropout masks."""
+        the sigmoid of the output Dense's logit. Given an rng, the pass
+        trains: dropout draws its masks from it, batch norm uses and updates
+        the batch statistics, and the LSTM keeps its history for backward.
+        Without one it is inference."""
         x, caches = indices, []
         for layer in self.layers:
-            x, cache = layer.forward(x, mode, rng)
+            x, cache = layer.forward(x, rng)
             caches.append(cache)
         return sigmoid(x[:, 0]), caches
 
@@ -363,7 +367,7 @@ class Model:
             grad = layer.backward(grad, cache)
 
     def predict_proba(self, indices):
-        probs, _ = self.forward(np.atleast_2d(indices), mode="eval")
+        probs, _ = self.forward(np.atleast_2d(indices))
         return probs
 
     def predict(self, raw_text):

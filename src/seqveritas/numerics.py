@@ -1,5 +1,5 @@
-"""Dense-matrix substrate: checked matmul, activations, seeded PRNG,
-Glorot initialization, and the finite-difference gradient oracle.
+"""Numeric substrate: activations, seeded PRNG, Glorot initialization,
+and the finite-difference gradient oracle.
 
 Matrices are plain numpy arrays (row-major, float64 by default; float32 is
 allowed for full-corpus training). Randomness always flows through `Prng`,
@@ -27,15 +27,6 @@ class ShapeMismatch(ValueError):
 
 class NonDeterministicLoss(RuntimeError):
     pass
-
-
-def matmul(a, b):
-    """Standard matrix product with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 # --- activations ----------------------------------------------------------

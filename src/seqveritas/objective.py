@@ -52,16 +52,17 @@ def bce_grad_unfused(probs, labels):
 
 def reg_penalty(params, accumulate_grads=True):
     """Total regularization penalty over all tagged tensors; optionally
-    adds the penalty gradients (L1 subgradient with sign(0) = 0)."""
+    adds the penalty gradients (L1 subgradient with sign(0) = 0). The sums
+    are np.sum's bits, by np.add.reduce without np.sum's Python wrapper."""
     total = 0.0
     for p in params:
         for kind, lam in p.regularizers:
             if kind == "l1":
-                total += lam * float(np.sum(np.abs(p.value)))
+                total += lam * float(np.add.reduce(np.abs(p.value), None))
                 if accumulate_grads:
                     p.grad += lam * np.sign(p.value)
             elif kind == "l2":
-                total += lam * float(np.sum(p.value * p.value))
+                total += lam * float(np.add.reduce(p.value * p.value, None))
                 if accumulate_grads:
                     p.grad += 2.0 * lam * p.value
             else:

@@ -176,7 +176,7 @@ class TrainingHistory:
 def _batch_slices(n, batch_size, merge_trailing_singleton):
     """Start/stop pairs covering [0, n); the last incomplete batch is kept.
     A trailing batch of exactly 1 is merged into the previous batch when
-    batch-norm is in play (its train mode needs batch >= 2)."""
+    batch-norm is in play (a training forward of it needs batch >= 2)."""
     slices = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
     if (merge_trailing_singleton and len(slices) > 1
             and slices[-1][1] - slices[-1][0] == 1):
@@ -189,7 +189,7 @@ def _batch_slices(n, batch_size, merge_trailing_singleton):
 def predict_in_batches(model, x):
     out = np.empty(x.shape[0], dtype=np.float64)
     for start in range(0, x.shape[0], PREDICT_BATCH):
-        probs, _ = model.forward(x[start:start + PREDICT_BATCH], mode="eval")
+        probs, _ = model.forward(x[start:start + PREDICT_BATCH])
         out[start:start + PREDICT_BATCH] = probs
     return out
 
@@ -213,7 +213,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
             idx = perm[start:stop]
             xb, yb = train_x[idx], train_y[idx]
             model.zero_grads()
-            probs, caches = model.forward(xb, mode="train", rng=rng)
+            probs, caches = model.forward(xb, rng)
             data_loss = bce(probs, yb)
             model.backward(caches, probs, yb)
             penalty = reg_penalty(model.params, accumulate_grads=True)

@@ -14,6 +14,7 @@ from seqveritas import model_zoo, optim, textprep
 from seqveritas.model_zoo import (PRESETS, BadMagic, ModelConfig,
                                   ShapeMismatchOnLoad, VersionMismatch,
                                   VocabMissing, build, load, preset_config)
+from seqveritas.layers import LstmCache
 from seqveritas.numerics import Prng, sigmoid
 from tests.conftest import (container_bytes, edit_header, json_checkpoint,
                             per_field_config, read_container, write_bytes)
@@ -67,15 +68,15 @@ def test_final_stack_entry_is_sigmoid_unregularized():
                 model.preset.dense_regularizers)
             assert layer.params[0].regularizers != ()
         x = _random_inputs(model, 5)
-        logits, _ = out.forward(_hidden_output(model, x), "eval", None)
+        logits, _ = out.forward(_hidden_output(model, x), None)
         assert np.array_equal(model.predict_proba(x), sigmoid(logits[:, 0]))
 
 
 def _hidden_output(model, indices):
-    """The eval-mode input of the output Dense."""
+    """The inference input of the output Dense."""
     x = indices
     for layer in model.layers[:-1]:
-        x, _ = layer.forward(x, "eval", None)
+        x, _ = layer.forward(x, None)
     return x
 
 
@@ -181,7 +182,7 @@ def test_float32_backward_stays_float32(monkeypatch):
 
     monkeypatch.setattr(model_zoo, "lstm_backward", spy)
     indices = np.array([[0, 2, 5, 7, 3, 1], [4, 4, 9, 2, 8, 6]])
-    probs, caches = model.forward(indices, mode="train", rng=Prng(2))
+    probs, caches = model.forward(indices, Prng(2))
     model.backward(caches, probs, np.array([1.0, 0.0]))
     assert seen == [np.float32]
     assert all(p.grad.dtype == np.float32 for p in model.params)
@@ -198,7 +199,7 @@ def test_params_follow_checkpoint_order():
 
 
 def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
-    """For every preset, a train-mode forward and backward runs every
+    """For every preset, a training forward and backward runs every
     kernel through the name model_zoo imported it under, once per layer,
     and each hidden block's ReLU through the `ReLU` layer."""
     calls = {}
@@ -220,14 +221,44 @@ def test_train_step_calls_each_kernel_through_model_zoo(monkeypatch):
     for preset, (dense, dropout, batchnorm, relu) in layers.items():
         calls.clear()
         model = _tiny_model(preset)
-        probs, caches = model.forward(_random_inputs(model, 4),
-                                      mode="train", rng=Prng(5))
+        probs, caches = model.forward(_random_inputs(model, 4), Prng(5))
         model.backward(caches, probs, np.array([1.0, 0.0, 1.0, 0.0]))
         expected = {"embedding": 1, "dropout": dropout, "lstm": 1,
                     "dense": dense, "batchnorm": batchnorm}
         assert calls == {**{f"{k}_{way}": n for k, n in expected.items()
                             for way in ("forward", "backward") if n},
                          "relu": relu, "drelu": relu}, preset
+
+
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_forward_trains_exactly_when_given_an_rng(preset):
+    """Without an rng a forward pass is inference: the probabilities of
+    `predict_proba`, no running statistic moved, no LSTM history. With one
+    it trains: batch statistics fold into the running ones and the LSTM
+    keeps its cache. There is no third, half-trained state."""
+    model = _tiny_model(preset)
+    x = _random_inputs(model, 4)
+    lstm = next(i for i, layer in enumerate(model.layers)
+                if type(layer) is model_zoo.Lstm)
+
+    def running_bytes():
+        return [array.tobytes() for name, array in model.tensors()
+                if ".bn." in name and name.endswith(("mean", "var"))]
+
+    before = running_bytes()
+    probs, caches = model.forward(x)
+    assert probs.tobytes() == model.predict_proba(x).tobytes()
+    assert running_bytes() == before
+    assert caches[lstm] is None
+
+    _, caches = model.forward(x, Prng(3))
+    assert isinstance(caches[lstm], LstmCache)
+    after = running_bytes()
+    assert len(after) == (6 if model.preset.batchnorm else 0)
+    assert all(a != b for a, b in zip(after, before))
+
+    with pytest.raises(TypeError):
+        model.forward(x, mode="train")
 
 
 def test_config_round_trip_dict():

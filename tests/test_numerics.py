@@ -5,36 +5,11 @@ import pytest
 
 from seqveritas.layers import dropout_forward
 from seqveritas.numerics import (BLOCK, NonDeterministicLoss, Prng,
-                                 ShapeMismatch, _keep_limit, drelu, dtanh,
-                                 finite_diff_grad, init_glorot, matmul,
-                                 max_relative_error, relu, sigmoid)
+                                 _keep_limit, drelu, dtanh, finite_diff_grad,
+                                 init_glorot, max_relative_error, relu,
+                                 sigmoid)
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def test_matmul_identity():
-    x = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(matmul(np.eye(3), x), x)
-
-
-def test_matmul_hand():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = Prng(7)
-    a = rng.uniform(-1, 1, (4, 5))
-    b = rng.uniform(-1, 1, (5, 6))
-    c = rng.uniform(-1, 1, (6, 3))
-    assert np.max(np.abs(matmul(matmul(a, b), c)
-                         - matmul(a, matmul(b, c)))) < 1e-10
 
 
 def test_activation_values():
@@ -217,8 +192,8 @@ def test_keep_mask_advances_scalar_stream_by_one_draw_whatever_the_shape():
 def test_dropout_masks_are_a_function_of_the_seed():
     x = np.ones((8, 16))
     a, b = Prng(31), Prng(31)
-    first_a, first_b = (dropout_forward(x, 0.3, "train", r)[0] for r in (a, b))
-    second_a = dropout_forward(x, 0.3, "train", a)[0]
+    first_a, first_b = (dropout_forward(x, 0.3, r)[0] for r in (a, b))
+    second_a = dropout_forward(x, 0.3, a)[0]
     assert np.array_equal(first_a, first_b)
     assert not np.array_equal(first_a, second_a)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from seqveritas import model_zoo, textprep
 from seqveritas.layers import ParamTensor
 from seqveritas.numerics import ShapeMismatch, finite_diff_grad
 from seqveritas.objective import (THRESHOLD, EmptyBatch, bce,
@@ -77,6 +78,42 @@ def test_reg_penalty_untagged_excluded():
     assert reg_penalty([bias]) == 0.0
     bias.value[0] = -50.0
     assert reg_penalty([bias]) == 0.0  # perturbing a bias changes nothing
+
+
+def _np_sum_penalty(params):
+    """reg_penalty as np.sum spells it: the total, and each tensor's grad
+    after the penalty gradients are added."""
+    total, grads = 0.0, []
+    for p in params:
+        grad = p.grad.copy()
+        for kind, lam in p.regularizers:
+            if kind == "l1":
+                total += lam * float(np.sum(np.abs(p.value)))
+                grad += lam * np.sign(p.value)
+            else:
+                total += lam * float(np.sum(p.value * p.value))
+                grad += 2.0 * lam * p.value
+        grads.append(grad)
+    return total, grads
+
+
+@pytest.mark.parametrize("dtype", list(model_zoo.DTYPES))
+@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
+def test_reg_penalty_bits_are_those_of_np_sum(preset, dtype):
+    vocab = textprep.Vocabulary([f"t{i}" for i in range(20)])
+    model = model_zoo.build(preset, vocab, maxlen=6, seed=4, embed_dim=16,
+                            lstm_units=24, dtype=dtype)
+    rng = np.random.default_rng(5)
+    for p in model.params:
+        p.value[...] = rng.standard_normal(p.value.shape)
+        p.value.reshape(-1)[::7] = 0.0  # sign(0) = 0
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    total, grads = _np_sum_penalty(model.params)
+    assert total > 0.0
+    assert reg_penalty(model.params, accumulate_grads=False) == total
+    assert reg_penalty(model.params) == total
+    for p, grad in zip(model.params, grads):
+        assert p.grad.tobytes() == grad.tobytes(), p.name
 
 
 def test_evaluate_hand_counts():

@@ -26,10 +26,10 @@ def dense_embedding_backward(grad_out, indices, emb):
     emb.grad[0] = 0.0
 
 
-def dense_dropout_forward(x, p, mode, rng):
+def dense_dropout_forward(x, p, rng):
     if not 0.0 <= p < 1.0:
         raise BadRate(p)
-    if mode == "eval" or p == 0.0:
+    if rng is None or p == 0.0:
         return x, DropoutCache(scaled_mask=None)
     keep = 1.0 - p
     mask = (rng.uniform(0.0, 1.0, x.shape) < keep).astype(x.dtype) / keep
