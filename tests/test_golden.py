@@ -58,11 +58,12 @@ PREDICT_LINES = ("Shocking secret they do not want you to know!",
 def _identity():
     import numpy as np
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": {k: blas.get(k) for k in
                      ("name", "version", "openblas configuration")},
-            "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+            "simd": config["SIMD Extensions"]}
 
 
 def _corpus_files(name, work):
@@ -144,11 +145,10 @@ def manifest(work):
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=THREADS,
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     proc = subprocess.run(
         [sys.executable, __file__, str(tmp_path_factory.mktemp("golden"))],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=THREADS),
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
