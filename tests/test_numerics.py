@@ -3,13 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from seqveritas.layers import dropout_forward
+from seqveritas.layers import ParamTensor, dropout_forward
+from seqveritas.model_zoo import Dense
 from seqveritas.numerics import (BLOCK, NonDeterministicLoss, Prng,
                                  _keep_limit, drelu, dtanh, finite_diff_grad,
                                  init_glorot, max_relative_error, relu,
                                  sigmoid)
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def test_matmul_shape_mismatch():
+    # the model's matrix products are numpy's `@`, whose ValueError on
+    # mismatched shapes the CLI reports with exit 2
+    dense = Dense(ParamTensor("W", np.zeros((2, 3))),
+                  ParamTensor("b", np.zeros(3)))
+    with pytest.raises(ValueError):
+        dense.forward(np.zeros((2, 3)), None)
 
 
 def test_activation_values():
