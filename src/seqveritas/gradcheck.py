@@ -4,9 +4,15 @@ batch=4). The layer checks run `model_zoo`'s own layer objects through
 the protocol `Model` runs them by: forward, backward and `params`.
 
 Every forward pass here trains, since it is given an rng. Dropout is
-frozen across finite-difference evaluations by giving every evaluation a
-fresh `Prng` with the same seed: a mask is a pure function of (seed,
-shape), so the loss is a deterministic function of the parameters.
+frozen across finite-difference evaluations by giving every evaluation
+the same generator state: a mask is a pure function of that state and
+its shape, so the loss is a deterministic function of the parameters.
+A layer check gives each evaluation a fresh `Prng` with the same seed.
+The end-to-end check perturbs one layer's tensors at a time and reruns
+only that layer and the ones after it: the layers before it run once,
+and each evaluation starts from their saved output and from a copy of
+the `Prng` as they left it. It thus computes the floats a whole forward
+from a fresh `Prng` would, in the same order.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from . import model_zoo, textprep
 from .layers import BatchNormRunning, ParamTensor
-from .numerics import Prng, finite_diff_grad, max_relative_error
+from .numerics import Prng, finite_diff_grad, max_relative_error, sigmoid
 from .objective import bce, reg_penalty
 
 TOLERANCE = 1e-4
@@ -117,8 +123,10 @@ def mini_model(preset, seed):
                            lstm_units=MINI["lstm_units"], dtype="float64")
 
 
-def check_end_to_end(preset, seed, results):
-    model = mini_model(preset, seed)
+def mini_batch(model, seed):
+    """The end-to-end check's (indices, labels): `MINI["batch"]` rows of
+    `MINI["maxlen"]` token ids from Prng(seed + 100), the first two of row
+    0 PAD."""
     rng = Prng(seed + 100)
     batch = MINI["batch"]
     vocab_size = len(model.vocab)
@@ -126,18 +134,43 @@ def check_end_to_end(preset, seed, results):
                         for _ in range(batch)])
     indices[0, :2] = 0  # exercise the PAD path
     labels = np.array([rng.randbelow(2) for _ in range(batch)], dtype=np.float64)
+    return indices, labels
 
+
+def replayed_losses(model, indices, labels, rng):
+    """(layer, loss) for each layer of `model` that owns parameters, in
+    layer order: loss() is the training loss of `model.forward(indices,
+    rng)`, BCE plus penalty, as a function of the parameters of that
+    layer and of those after it. The layers before it run once, when the
+    pair is made; each loss() replays the rest from their output on a copy
+    of the `Prng` as they left it."""
+    x = indices
+    for k, layer in enumerate(model.layers):
+        if layer.params:
+            yield layer, _suffix_loss(model, k, x, rng.copy(), labels)
+        x, _ = layer.forward(x, rng)
+
+
+def _suffix_loss(model, k, x, rng, labels):
+    def loss():
+        y, replay = x, rng.copy()
+        for layer in model.layers[k:]:
+            y, _ = layer.forward(y, replay)
+        return bce(sigmoid(y[:, 0]), labels) + reg_penalty(
+            model.params, accumulate_grads=False)
+    return loss
+
+
+def check_end_to_end(preset, seed, results):
+    model = mini_model(preset, seed)
+    indices, labels = mini_batch(model, seed)
     probs, caches = model.forward(indices, Prng(seed + 200))
-
-    def total_loss():
-        rep_probs, _ = model.forward(indices, Prng(seed + 200))
-        return bce(rep_probs, labels) + reg_penalty(model.params,
-                                                    accumulate_grads=False)
-
     model.zero_grads()
     model.backward(caches, probs, labels)
     reg_penalty(model.params, accumulate_grads=True)
-    _check_params(f"{preset}.", model.params, total_loss, results)
+    for layer, loss in replayed_losses(model, indices, labels,
+                                       Prng(seed + 200)):
+        _check_params(f"{preset}.", layer.params, loss, results)
 
 
 def run_all(seed=0, presets=model_zoo.PRESETS):

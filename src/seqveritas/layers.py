@@ -32,7 +32,9 @@ The cache exposes x as a (B, T, d) view of the time-major copy. The
 backward time loop does only the gate math and the recurrent product
 dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
 of x, h_0 .. h_{T-1} and the dz rows. At inference (no history) c and h
-have two alternating slots, tanh_c one, and there is no cache.
+have two alternating slots, tanh_c one, and there is no cache; x and
+gates then hold one run of steps at a time, projected by its own GEMM
+when the time loop reaches it (see PROJECT_BYTES).
 """
 
 from __future__ import annotations
@@ -221,6 +223,19 @@ def _gate_constants(hidden, dtype):
     return scale, offset, shift
 
 
+# Bytes of x W + b per input GEMM at inference (no history): the time
+# loop projects one run of steps at a time, so the (T, B, 4H) gates
+# buffer is never built (at paper shapes, B = 256, float64: 16 GEMMs
+# into 16 MB instead of one into 246 MB). OpenBLAS sends a GEMM of at
+# most 1e6 multiply-adds to a small-matrix kernel whose bits can differ
+# from its large one's: rows of an (M, 16) x (16, 28) float64 product
+# did at M = 2,232 against M = 40,000, and matched from M = 2,233. So the
+# runs are of near-equal length, each fills at least a third of these
+# bytes, and that is more than 1e6 multiply-adds at d >= 2 (at d = 1
+# there is no sum whose order could differ).
+PROJECT_BYTES = 1 << 24
+
+
 def lstm_forward(x, w, u, b, history=True):
     """Sequence-to-vector LSTM: returns the final hidden state h_T.
 
@@ -228,7 +243,11 @@ def lstm_forward(x, w, u, b, history=True):
     c_0 = h_0 = 0. The buffers are laid out as in the module docstring;
     the input GEMM reads a time-major copy of x (d wide, not 4H), and each
     step applies all four activations with one tanh. With
-    `history=False` (inference) the cache is None.
+    `history=False` (inference) the cache is None, and the steps go in
+    runs of near-equal length of at most PROJECT_BYTES of gates each: a
+    run's slice of x is copied time-major and projected by one GEMM into
+    a gates buffer of one run, which its steps then use. Each h_T bit is
+    the same as with history, where one GEMM projects every step.
     """
     x = np.asarray(x)
     batch, steps, d = x.shape
@@ -237,12 +256,15 @@ def lstm_forward(x, w, u, b, history=True):
                             f"U {u.value.shape}")
     hidden = u.value.shape[0]
     dtype = np.result_type(x, w.value, u.value, b.value)
-    gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
-    np.matmul(x_tm.reshape(-1, d), w.value, out=gates.reshape(-1, 4 * hidden))
-    if not history:
-        x_tm = None  # only the backward pass reads it again
-    gates += b.value
+    # `runs` runs of steps of near-equal length, one input GEMM each: one
+    # run with history, else runs of at most PROJECT_BYTES of gates (or of
+    # one step, when a step alone takes more)
+    step_bytes = max(1, batch * 4 * hidden * dtype.itemsize)
+    runs = 1 if history else max(
+        1, -(-steps // max(1, PROJECT_BYTES // step_bytes)))
+    span = -(-steps // runs)
+    gates = np.empty((span, batch, 4 * hidden), dtype=dtype)
+    x_tm = np.empty((span, batch, d), dtype=x.dtype)
     slots = steps + 1 if history else 2
     c = np.zeros((slots, batch, hidden), dtype=dtype)
     h = np.zeros((slots, batch, hidden), dtype=dtype)
@@ -250,20 +272,27 @@ def lstm_forward(x, w, u, b, history=True):
     ig = np.empty((batch, hidden), dtype=dtype)
     scale, offset, _ = _gate_constants(hidden, dtype)
     uv = u.value
-    for t in range(steps):
-        prev, cur = t % slots, (t + 1) % slots
-        z = gates[t]
-        z += h[prev] @ uv
-        z *= scale
-        np.tanh(z, out=z)
-        z *= scale
-        z += offset
-        c_t, tc = c[cur], tanh_c[t % (slots - 1)]
-        np.multiply(z[:, hidden:2 * hidden], c[prev], out=c_t)
-        np.multiply(z[:, :hidden], z[:, 2 * hidden:3 * hidden], out=ig)
-        c_t += ig
-        np.tanh(c_t, out=tc)
-        np.multiply(z[:, 3 * hidden:], tc, out=h[cur])
+    for k in range(runs):
+        start, stop = steps * k // runs, steps * (k + 1) // runs
+        n = stop - start
+        np.copyto(x_tm[:n], x[:, start:stop].transpose(1, 0, 2))
+        rows = gates[:n].reshape(-1, 4 * hidden)
+        np.matmul(x_tm[:n].reshape(-1, d), w.value, out=rows)
+        rows += b.value
+        for t in range(start, stop):
+            prev, cur = t % slots, (t + 1) % slots
+            z = gates[t - start]
+            z += h[prev] @ uv
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += offset
+            c_t, tc = c[cur], tanh_c[t % (slots - 1)]
+            np.multiply(z[:, hidden:2 * hidden], c[prev], out=c_t)
+            np.multiply(z[:, :hidden], z[:, 2 * hidden:3 * hidden], out=ig)
+            c_t += ig
+            np.tanh(c_t, out=tc)
+            np.multiply(z[:, 3 * hidden:], tc, out=h[cur])
     h_t = h[steps % slots]
     if not history:
         return h_t, None

@@ -149,6 +149,13 @@ class Prng:
             state.append(out)
         self._s = state
 
+    def copy(self):
+        """A generator at this one's state, whose stream goes on
+        independently of it (`copy.copy` would share the state list)."""
+        twin = Prng.__new__(Prng)
+        twin._s = list(self._s)
+        return twin
+
     def next_u64(self):
         s = self._s
         result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64

@@ -25,13 +25,15 @@ class EmptyBatch(ValueError):
 
 def bce(probs, labels):
     """Mean binary cross-entropy; probabilities are clamped to
-    [1e-7, 1 - 1e-7] before the logs."""
+    [1e-7, 1 - 1e-7] before the logs. The clamp and the mean are the bits
+    of np.clip and np.mean, without their Python wrappers."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
         raise ShapeMismatch(f"probs {probs.shape} vs labels {labels.shape}")
-    p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+    p = np.minimum(np.maximum(probs, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    terms = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+    return float(np.add.reduce(terms, None) / terms.size)
 
 
 def bce_grad_fused(probs, labels):

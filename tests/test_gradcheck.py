@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from seqveritas import gradcheck, model_zoo
+from seqveritas.numerics import Prng
+from seqveritas.objective import bce, reg_penalty
 
 LAYER_CHECKS = ["embedding.E", "lstm.x", "lstm.W", "lstm.U", "lstm.b",
                 "dense.x", "dense.W", "dense.b", "dropout.x",
@@ -42,3 +45,59 @@ def test_run_all_check_names_and_order(monkeypatch):
                      + [f"regularized.{n}" for n in COMMON + TWO_HIDDEN]
                      + [f"optimized.{n}" for n in COMMON + WITH_BN])
     assert len(names) == 50
+
+
+@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
+def test_replayed_losses_are_the_whole_forwards_loss_bit_for_bit(preset):
+    seed = 0
+    model = gradcheck.mini_model(preset, seed)
+    indices, labels = gradcheck.mini_batch(model, seed)
+    owners = []
+    for layer, loss in gradcheck.replayed_losses(model, indices, labels,
+                                                 Prng(seed + 200)):
+        probs, _ = model.forward(indices, Prng(seed + 200))
+        whole = bce(probs, labels) + reg_penalty(model.params,
+                                                 accumulate_grads=False)
+        assert loss() == whole
+        # perturbing the layer's tensor moves both the same way
+        value = layer.params[0].value
+        saved = value.copy()
+        value += 1e-3
+        probs, _ = model.forward(indices, Prng(seed + 200))
+        moved = bce(probs, labels) + reg_penalty(model.params,
+                                                 accumulate_grads=False)
+        assert loss() == moved != whole
+        value[...] = saved
+        owners.append(layer)
+    assert owners == [layer for layer in model.layers if layer.params]
+
+
+def _end_to_end_errors(monkeypatch, kernel_name, halve):
+    kernel = getattr(model_zoo, kernel_name)
+
+    def halved(*args):
+        out = kernel(*args)
+        halve(*args)
+        return out
+
+    monkeypatch.setattr(model_zoo, kernel_name, halved)
+    results = []
+    gradcheck.check_end_to_end("baseline", 0, results)
+    return {r["name"]: r["rel_error"] for r in results}
+
+
+def test_end_to_end_check_fails_a_halved_dense_bias_grad(monkeypatch):
+    errors = _end_to_end_errors(
+        monkeypatch, "dense_backward",
+        lambda grad_y, cache, w, b: b.grad.__imul__(0.5))
+    for name, error in errors.items():
+        bias = name.startswith("baseline.dense") and name.endswith(".b")
+        assert (error >= gradcheck.TOLERANCE) == bias, name
+
+
+def test_end_to_end_check_fails_a_halved_embedding_grad(monkeypatch):
+    errors = _end_to_end_errors(
+        monkeypatch, "embedding_backward",
+        lambda grad_out, indices, emb: emb.grad.__imul__(0.5))
+    for name, error in errors.items():
+        assert (error >= gradcheck.TOLERANCE) == (name == "baseline.embedding"), name

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seqveritas import layers
 from seqveritas.layers import (SCATTER_TOKENS, BadRate, BatchNormRunning,
                                BatchTooSmall, IndexOutOfVocab, ParamTensor,
                                StaleCache, batchnorm_backward,
@@ -287,6 +290,39 @@ def test_lstm_without_history_gives_the_same_bits():
     assert none is None
     assert h_eval.tobytes() == h_train.tobytes()
     assert cache.h[9].tobytes() == h_train.tobytes()
+
+
+# Each run's GEMM does more than 1e6 multiply-adds, as the runs of
+# PROJECT_BYTES do (see its comment): (300, 37) goes in runs of 12 or 13
+# steps in float32 and of 5 or 6 in float64, (5000, 3) one step a run.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch,steps", [(300, 37), (5000, 3)])
+def test_lstm_projects_in_runs_without_history_to_the_same_bits(
+        monkeypatch, dtype, batch, steps):
+    monkeypatch.setattr(layers, "PROJECT_BYTES", 1 << 20)
+    x, params, _ = _oracle_case(batch, steps, 64, 16)
+    x = x.astype(dtype)
+    params = [ParamTensor(p.name, p.value.astype(dtype)) for p in params]
+    step_bytes = batch * 4 * 16 * np.dtype(dtype).itemsize
+    per_run = max(1, layers.PROJECT_BYTES // step_bytes)
+    assert per_run < steps and (per_run == 1 or steps % per_run != 0)
+    h_train, _ = lstm_forward(x, *params, history=True)
+    h_eval, _ = lstm_forward(x, *params, history=False)
+    assert h_eval.dtype == dtype
+    assert h_eval.tobytes() == h_train.tobytes()
+
+
+def test_lstm_without_history_never_holds_every_steps_gates(monkeypatch):
+    monkeypatch.setattr(layers, "PROJECT_BYTES", 1 << 20)
+    batch, steps, d, hid = 300, 37, 64, 16
+    x, params, _ = _oracle_case(batch, steps, d, hid)
+    tracemalloc.start()
+    try:
+        lstm_forward(x, *params, history=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < steps * batch * 4 * hid * 8
 
 
 def test_lstm_cache_layout():

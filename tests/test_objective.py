@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from seqveritas import model_zoo, textprep
 from seqveritas.layers import ParamTensor
 from seqveritas.numerics import ShapeMismatch, finite_diff_grad
-from seqveritas.objective import (THRESHOLD, EmptyBatch, bce,
+from seqveritas.objective import (BCE_CLAMP, THRESHOLD, EmptyBatch, bce,
                                   bce_grad_fused, bce_grad_unfused, evaluate,
                                   reg_penalty)
 
@@ -31,6 +31,27 @@ def test_bce_hand_batch():
 def test_bce_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         bce([0.5, 0.5], [1.0])
+
+
+def _np_mean_bce(probs, labels):
+    """bce as np.clip and np.mean spell it."""
+    p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return float(np.mean(-(labels * np.log(p)
+                           + (1.0 - labels) * np.log(1.0 - p))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 64, 255, 256, 1000, 4097])
+def test_bce_bits_are_those_of_np_clip_and_np_mean(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        probs = rng.random(n)
+        probs[rng.random(n) < 0.1] = 0.0  # clamped up
+        probs[rng.random(n) < 0.1] = 1.0  # clamped down
+        probs[rng.random(n) < 0.05] = BCE_CLAMP / 3
+        labels = (rng.random(n) < 0.5).astype(np.float64)
+        got = bce(probs, labels)
+        assert (np.float64(got).tobytes()
+                == np.float64(_np_mean_bce(probs, labels)).tobytes())
 
 
 def test_bce_unfused_grad_matches_finite_diff():
