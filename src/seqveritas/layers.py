@@ -7,12 +7,22 @@ accumulate into ParamTensor.grad and are the trainer's job to zero.
 Dense is a plain affine map; the ReLU and the output sigmoid are applied
 by `model_zoo`.
 
+Every ParamTensor lives in an `Arena`: four flat arrays (value, grad, m,
+v) of which the tensor's arrays are reshaped views. A model packs all
+its tensors but a row-tracked one into one arena, so zeroing, clipping
+and Adam make a few numpy calls per arena instead of a dozen per tensor;
+that per-call cost, not the arithmetic, is what a step of small tensors
+spends. Because the arrays are views, they are only ever written in
+place: `Arena.pack` binds each tensor's value, and a tensor makes its
+grad, m and v views on first use; nothing else binds them.
+
 A batch touches a few thousand of the embedding's rows. The embedding's
 ParamTensor tracks them (see `ParamTensor`): every row that
 `embedding_backward` did not add to holds a zero gradient, so zeroing,
-clipping and Adam's gradient terms cost what the batch touched. Dropout
-masks come from `Prng.keep_mask`, an integer test on the bulk hash with
-the bits of `uniform(0, 1) < keep`.
+clipping and Adam's gradient terms cost what the batch touched. Such a
+tensor keeps an arena of its own, which the trainer walks by its rows.
+Dropout masks come from `Prng.keep_mask`, an integer test on the bulk
+hash with the bits of `uniform(0, 1) < keep`.
 
 LSTM gate packing in the 4H dimension is fixed as [i, f, g, o]
 (input, forget, candidate, output); checkpoints depend on this order.
@@ -47,7 +57,7 @@ import numpy as np
 from .numerics import ShapeMismatch, dtanh
 
 
-# Bytes per array in a block of a ParamTensor's `blocks`: a block's value,
+# Bytes per array in a block of an Arena's `blocks`: a block's value,
 # moments and two temporaries then stay in a core's L2 cache, and blocks
 # are still few enough that the per-call cost of numpy is small. On a
 # 2-core Xeon with 2 MiB of L2 per core, Adam's value update of a
@@ -55,6 +65,11 @@ from .numerics import ShapeMismatch, dtanh
 # float32, 12.2 and 10.0 ms in float64; blocks of 16 KiB took longer
 # than the whole array.
 PARAM_BLOCK_BYTES = 1 << 18
+# Bytes at whose multiples a packed arena starts each tensor's values.
+# OpenBLAS's GEMV at predict shapes, (1, 150) x (150, 600) float64, took
+# 12.4 us with the matrix at a 64-byte boundary and 20.4 us at 8, 16 or
+# 32 bytes past one.
+PARAM_ALIGN = 64
 # Tokens per 1-D np.add.at call of `embedding_backward`; at E = 100 the
 # block's flat index takes 400 KB.
 SCATTER_TOKENS = 512
@@ -83,39 +98,64 @@ class ParamTensor:
     `regularizers` is a tuple of ("l1", lam) / ("l2", lam) terms; biases,
     embeddings, and batch-norm gamma/beta never carry any.
 
+    `value`, `grad`, `m` and `v` are views, of the tensor's shape, of its
+    `span` of its `arena`'s arrays. Given an `arena`, the tensor joins
+    it, and its `value` becomes such a view once the arena is packed
+    (`Arena.pack`). Without one it is an arena of one, which adopts
+    `value` (a C-contiguous array is not copied) and allocates zero grad
+    and moments. `grad`, `m` and `v` are made on first use and kept: Adam,
+    clipping and zeroing walk the arena's arrays, so a model that only
+    predicts never makes them.
+
     A `track_rows` tensor of more than PARAM_BLOCK_BYTES keeps the
     touched-rows invariant: `touched` marks every row of `grad` that
     `embedding_backward` has added to since the last `zero_grad`, and
     every other row of `grad` is zero. Zeroing, clipping and Adam's
     gradient terms then visit only `rows()`. Nothing else may write such a
     grad: `reg_penalty` writes every row, so a row-tracked tensor carries
-    no regularizers. A tensor that fits in one block is cheaper to walk
-    whole, so it tracks nothing (`touched` is None) whatever `track_rows`
-    says.
+    no regularizers. Such a tensor is an arena of one whatever `arena`
+    says: in a shared arena every walk would cover its untouched rows. A
+    tensor that fits in one block is cheaper to walk whole, so it tracks
+    nothing (`touched` is None) whatever `track_rows` says.
     """
     name: str
     value: np.ndarray
     regularizers: tuple = ()
     track_rows: bool = False
-    grad: np.ndarray = field(init=False)
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
+    arena: Arena = None
     touched: np.ndarray = field(init=False)
+    span: slice = field(init=False)
 
     def __post_init__(self):
         if self.track_rows and self.regularizers:
             raise ValueError(f"{self.name}: a row-tracked tensor cannot "
                              "carry regularizers")
-        # np.zeros gets pages the OS has already zeroed, where zeros_like
-        # writes every byte; a model that only predicts never touches them
-        shape, dtype = self.value.shape, self.value.dtype
-        self.grad = np.zeros(shape, dtype)
-        self.m = np.zeros(shape, dtype)
-        self.v = np.zeros(shape, dtype)
-        self.touched = (np.zeros(shape[0], bool)
+        self.touched = (np.zeros(self.value.shape[0], bool)
                         if self.track_rows
                         and self.value.nbytes > PARAM_BLOCK_BYTES
                         else None)
+        if self.arena is None or self.touched is not None:
+            Arena().join(self).pack()
+        else:
+            self.arena.join(self)
+
+    def _view(self, flat):
+        """This tensor's span of the flat array `flat`, in its shape (a
+        1-D tensor's span is already in it: reshape costs a numpy call)."""
+        view = flat[self.span]
+        return view if self.value.ndim == 1 else view.reshape(self.value.shape)
+
+    @functools.cached_property
+    def grad(self):
+        return self._view(self.arena.grad)
+
+    @functools.cached_property
+    def m(self):
+        return self._view(self.arena.m)
+
+    @functools.cached_property
+    def v(self):
+        return self._view(self.arena.v)
 
     def rows(self):
         """The ascending indices of the rows of `grad` that may be nonzero,
@@ -129,21 +169,99 @@ class ParamTensor:
             self.grad[self.rows()] = 0.0
             self.touched.fill(False)
 
+
+class Arena:
+    """Four 1-D arrays, `value`, `grad`, `m` and `v`, that hold the arrays
+    of `count` tensors one after another, in the order they joined.
+
+    Tensors `join` an open arena; `pack` then allocates `value` and
+    binds each tensor's `value` to a reshaped view of its `span` of it.
+    `grad`, `m` and `v` start at zero and are allocated on first use, as
+    are each tensor's views of them: a model that only predicts never
+    makes them. Only `pack` and those first uses bind the attributes: a
+    tensor whose array were rebound elsewhere would leave its arena, and
+    Adam would update a buffer nobody reads. A packed arena keeps no
+    reference to its tensors, so a model holds no reference cycle and is
+    freed as soon as it is dropped.
+    """
+
+    def __init__(self):
+        self.joined = []
+
+    def join(self, p):
+        self.joined.append(p)
+        p.arena = self
+        return self
+
+    def pack(self):
+        """An arena of one adopts its tensor's value (reshaped, so a
+        C-contiguous one is not copied). A larger one allocates `value`
+        and copies each tensor's in once, each span starting at the first
+        multiple of PARAM_ALIGN bytes, from an aligned base, after the one
+        before; the gaps hold zeros, whose gradient and moments stay
+        zero, so no step moves them."""
+        tensors, self.joined = self.joined, None
+        self.count = len(tensors)
+        if len(tensors) == 1:
+            p = tensors[0]
+            p.span = slice(0, p.value.size)
+            self.value = p.value.reshape(-1)
+            p.value = p._view(self.value)
+            return
+        dtype = tensors[0].value.dtype
+        if any(p.value.dtype != dtype for p in tensors):
+            raise ValueError("an arena holds tensors of one dtype")
+        per = PARAM_ALIGN // dtype.itemsize
+        at = 0
+        for p in tensors:
+            p.span = slice(at, at + p.value.size)
+            at = -(-p.span.stop // per) * per
+        raw = np.zeros(at + per, dtype)
+        skip = -raw.ctypes.data % PARAM_ALIGN // dtype.itemsize
+        self.value = raw[skip:skip + at]
+        for p in tensors:
+            view = p._view(self.value)
+            view[...] = p.value
+            p.value = view
+
+    # np.zeros gets pages the OS has already zeroed, where zeros_like writes
+    # every byte
+    @functools.cached_property
+    def grad(self):
+        return np.zeros(self.value.size, self.value.dtype)
+
+    @functools.cached_property
+    def m(self):
+        return np.zeros(self.value.size, self.value.dtype)
+
+    @functools.cached_property
+    def v(self):
+        return np.zeros(self.value.size, self.value.dtype)
+
     @functools.cached_property
     def blocks(self):
-        """Views (value, grad, m, v) of consecutive blocks of whole rows, at
-        most PARAM_BLOCK_BYTES each (but at least one row). Made on first
-        use and kept; a tensor that fits in one block is its own arrays,
-        unsliced. The views are why value, grad, m and v are only ever
-        written in place."""
+        """Views (value, grad, m, v) of consecutive blocks of at most
+        PARAM_BLOCK_BYTES each. Made on first use and kept; an arena that
+        fits in one block is its own arrays, unsliced."""
         arrays = (self.value, self.grad, self.m, self.v)
-        rows = len(self.value) if self.value.ndim else 1
-        row_bytes = max(1, self.value.nbytes // max(1, rows))
-        span = max(1, PARAM_BLOCK_BYTES // row_bytes)
-        if span >= rows:
+        span = max(1, PARAM_BLOCK_BYTES // self.value.itemsize)
+        if span >= self.value.size:
             return (arrays,)
-        return tuple(tuple(a[r:r + span] for a in arrays)
-                     for r in range(0, rows, span))
+        return tuple(tuple(a[s:s + span] for a in arrays)
+                     for s in range(0, self.value.size, span))
+
+
+def arenas_of(params):
+    """(arena, tracked) for each arena of `params`, in order of first
+    appearance, `tracked` being the row-tracked tensor the arena holds
+    alone, or None. Refuses params that hold only part of an arena: a
+    step over the arena would move the tensors left out."""
+    arenas = {}
+    for p in params:
+        arenas.setdefault(p.arena, None if p.touched is None else p)
+    if sum(a.count for a in arenas) != len(params):
+        raise ValueError("params must hold every tensor of their arenas")
+    return list(arenas.items())
 
 
 @dataclass
@@ -436,22 +554,34 @@ class BatchNormCache(_Cache):
 
 def batchnorm_forward(x, gamma, beta, running, train):
     """`train`: standardize with biased batch statistics and fold an
-    unbiased variance estimate into the running stats. Otherwise use the
-    running stats only."""
+    unbiased variance estimate into the running stats, in place. Otherwise
+    use the running stats only.
+
+    The batch statistics are x.mean(axis=0) and x.var(axis=0) as numpy
+    computes them, a sum divided by the count and the sum of the squared
+    centred x divided by it, without the Python wrappers that cost more
+    than the sums at these shapes; the centred x is then x_hat's too."""
     if train:
         batch = x.shape[0]
         if batch < 2:
             raise BatchTooSmall("batch-norm train mode needs batch >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)  # biased
-        running.mean = BN_MOMENTUM * running.mean + (1.0 - BN_MOMENTUM) * mean
-        running.var = (BN_MOMENTUM * running.var
-                       + (1.0 - BN_MOMENTUM) * var * batch / (batch - 1))
+        mean = np.add.reduce(x, 0) / batch
+        x_centered = x - mean
+        var = np.add.reduce(x_centered * x_centered, 0) / batch  # biased
+        # in the order of M * running + (1 - M) * stat, the variance's
+        # term being (1 - M) * var * batch / (batch - 1)
+        running.mean *= BN_MOMENTUM
+        running.mean += (1.0 - BN_MOMENTUM) * mean
+        term = (1.0 - BN_MOMENTUM) * var
+        term *= batch
+        term /= batch - 1
+        running.var *= BN_MOMENTUM
+        running.var += term
     else:
         mean = running.mean
         var = running.var
+        x_centered = x - mean
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_centered = x - mean
     x_hat = x_centered * inv_std
     y = gamma.value * x_hat + beta.value
     cache = BatchNormCache(x_hat=x_hat, inv_std=inv_std)

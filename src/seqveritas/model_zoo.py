@@ -31,7 +31,9 @@ safetensors and of NumPy's `.npy`:
     ends with the last tensor.
 The element type is `config.dtype` (`<f8` for float64, `<f4` for
 float32); no tensor carries its own. `load` reads the file into one
-64-byte-aligned buffer and hands the model writable views of it.
+64-byte-aligned buffer and hands the model writable views of it; the
+model copies the parameters its arena packs (all but a row-tracked
+embedding) out of them once.
 Versions 1-3 (one JSON document) and 4 (whose config repeated the
 preset's values), a header that is not JSON or lacks the magic, a config
 or vocabulary value of the wrong type, and a tensor table that does not
@@ -58,10 +60,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import textprep
-from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
-                     batchnorm_forward, dense_backward, dense_forward,
-                     dropout_backward, dropout_forward, embedding_backward,
-                     embedding_forward, lstm_backward, lstm_forward)
+from .layers import (Arena, BatchNormRunning, ParamTensor, arenas_of,
+                     batchnorm_backward, batchnorm_forward, dense_backward,
+                     dense_forward, dropout_backward, dropout_forward,
+                     embedding_backward, embedding_forward, lstm_backward,
+                     lstm_forward)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
@@ -268,7 +271,9 @@ class Model:
         self._build_params(tensor)
 
     # the order of `tensor` calls is fixed: the seeded initialisation draws
-    # in it, and `params` follows it
+    # in it, and `params` follows it. Every parameter but a row-tracked
+    # one joins one arena, packed once all have joined: one allocation per
+    # array, then each tensor's value copied in once.
     def _build_params(self, tensor):
         cfg, pre, dt = self.config, self.preset, self.dtype
         h, d = cfg.lstm_units, cfg.embed_dim
@@ -292,9 +297,11 @@ class Model:
             bias[h:2 * h] = 1.0  # forget-gate bias starts open
             return bias
 
+        arena = Arena()
+
         def param(name, shape, init, regularizers=(), track_rows=False):
             return ParamTensor(name, tensor(name, shape, init), regularizers,
-                               track_rows)
+                               track_rows, arena)
 
         self.layers = [
             # a batch touches few of the vocabulary's rows
@@ -329,6 +336,8 @@ class Model:
                 self.layers.append(ReLU())
             fan_in = width
         self.params = [p for layer in self.layers for p in layer.params]
+        arena.pack()
+        self.arenas = arenas_of(self.params)
 
     def tensors(self):
         """(name, array) for every tensor a checkpoint holds, in its order:
@@ -342,8 +351,11 @@ class Model:
         return sum(p.value.size for p in self.params)
 
     def zero_grads(self):
-        for p in self.params:
-            p.zero_grad()
+        for arena, tracked in self.arenas:
+            if tracked is None:
+                arena.grad.fill(0.0)
+            else:
+                tracked.zero_grad()
 
     def forward(self, indices, rng=None):
         """indices: (B, maxlen) -> (probabilities (B,), per-layer caches):
@@ -435,7 +447,8 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
 
 def load(path):
     """The model a version 5 checkpoint holds. The file is read once into
-    one 64-byte-aligned buffer; each tensor is a writable view of it."""
+    one 64-byte-aligned buffer; each tensor is a writable view of it,
+    which the model's arena copies in when it packs that tensor."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         raw = np.empty(size + CHECKPOINT_ALIGN, dtype=np.uint8)

@@ -2,10 +2,12 @@
 batched prediction.
 
 Adam is the dense update: every row decays; touched rows add gradient
-terms. On a row-tracked tensor (the embedding, see `layers.ParamTensor`)
-the gradient terms, the finiteness check and the clipping scale visit
-only the rows the batch touched, and the bits are those of the dense
-expressions.
+terms. Adam, clipping and `Model.zero_grads` work once per arena (see
+`layers.Arena`), over its flat arrays, and the bits are those of the
+same expressions per tensor. On a row-tracked tensor (the embedding,
+alone in its arena) the gradient terms, the finiteness check and the
+clipping scale visit only the rows the batch touched, and the bits are
+those of the dense expressions.
 
 The epoch loop owns the model exclusively; the reference mode is
 single-threaded and fully deterministic in (data, config, seed).
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import arenas_of
 from .numerics import Prng
 from .objective import bce, evaluate, reg_penalty
 
@@ -56,21 +59,26 @@ def adam_step(params, state):
     """One Adam update over every tensor, with bias correction.
 
     This is the dense update of Kingma & Ba, not lazy Adam: every row
-    decays, and every value moves by its momentum. Touched rows add
-    gradient terms: on a row-tracked tensor the finiteness check and the
-    (1 - BETA1) g and (1 - BETA2) g^2 terms visit only `rows()`, the rest
-    of its gradient being zero. The bits are those of the dense update
-    but for the sign of a zero in m, where the dense update adds +0 to a
-    -0. Everything else runs over each tensor's `blocks`, so that each
-    block's arrays and temporaries stay in cache.
+    decays, and every value moves by its momentum. It runs once per arena
+    of `params` (which must hold whole arenas), over the arena's
+    `blocks`, so that each block's arrays and temporaries stay in cache;
+    being elementwise, it gives each element the bits it would get per
+    tensor. Touched rows add gradient terms: on a row-tracked tensor the
+    finiteness check and the (1 - BETA1) g and (1 - BETA2) g^2 terms
+    visit only `rows()`, the rest of its gradient being zero. The bits
+    are those of the dense update but for the sign of a zero in m, where
+    the dense update adds +0 to a -0. A non-finite gradient raises
+    NonFiniteGradient naming the first such tensor in `params`, before
+    anything moves.
     """
     checked = []
-    for p in params:
-        rows = p.rows()
-        g = p.grad if rows is None else p.grad[rows]
+    for a, p in arenas_of(params):
+        rows = None if p is None else p.rows()
+        g = a.grad if p is None else p.grad[rows]
         if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"non-finite gradient in {p.name}")
-        checked.append((p, rows, g))
+            bad = next(q for q in params if not np.isfinite(q.grad).all())
+            raise NonFiniteGradient(f"non-finite gradient in {bad.name}")
+        checked.append((a, p, rows, g))
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -79,8 +87,8 @@ def adam_step(params, state):
     #   v = BETA2 * v + (1 - BETA2) * g * g
     #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
     # so the bits are those of that expression.
-    for p, rows, g in checked:
-        if rows is not None:
+    for a, p, rows, g in checked:
+        if p is not None:
             term = np.multiply(g, 1.0 - BETA1)
             p.m *= BETA1
             p.m[rows] += term
@@ -88,9 +96,9 @@ def adam_step(params, state):
             term *= g
             p.v *= BETA2
             p.v[rows] += term
-        for value, grad, m, v in p.blocks:
+        for value, grad, m, v in a.blocks:
             step = np.empty_like(value)
-            if rows is None:
+            if p is None:
                 np.multiply(grad, 1.0 - BETA1, out=step)
                 m *= BETA1
                 m += step
@@ -109,21 +117,25 @@ def adam_step(params, state):
 
 def clip_gradients(params):
     """Scale all grads by MAX_NORM/norm when the global L2 norm exceeds
-    MAX_NORM; returns the pre-clip norm. The sum of squares runs over
-    every element, one float64 array per tensor, so its pairwise sum keeps
-    its bits (np.add.reduce is np.sum without its Python wrapper, which
-    costs more than the sum itself on small tensors); the scaling visits
-    only a row-tracked tensor's `rows()`."""
+    MAX_NORM; returns the pre-clip norm. Each arena of `params` (which
+    must hold whole arenas) squares its grad once, into float64; each
+    tensor's slice of the squares is then summed on its own, in `params`
+    order, so each pairwise sum keeps the bits of a per-tensor np.sum
+    (np.add.reduce is np.sum without its Python wrapper, which costs more
+    than the sum itself on small tensors; np.add.reduceat would sum in
+    another order). The scaling runs once per arena, visiting only a
+    row-tracked tensor's `rows()`."""
+    arenas = arenas_of(params)
+    squares = {a: np.square(a.grad, dtype=np.float64) for a, _ in arenas}
     total = 0.0
     for p in params:
-        total += float(np.add.reduce(np.square(p.grad, dtype=np.float64),
-                                     axis=None))
+        total += float(np.add.reduce(squares[p.arena][p.span]))
     norm = float(np.sqrt(total))
     if norm > MAX_NORM:
         scale = MAX_NORM / norm
-        for p in params:
-            if p.touched is None:
-                p.grad *= scale
+        for a, p in arenas:
+            if p is None:
+                a.grad *= scale
             else:
                 p.grad[p.rows()] *= scale
     return norm

@@ -20,6 +20,41 @@ def _pt(name, arr, reg=()):
     return ParamTensor(name, np.asarray(arr, dtype=np.float64), regularizers=reg)
 
 
+def test_a_standalone_tensor_is_an_arena_of_one_that_adopts_its_array():
+    array = np.arange(12.0).reshape(3, 4)
+    p = ParamTensor("w", array)
+    assert p.arena.count == 1 and p.arena.value.size == 12
+    assert np.shares_memory(p.value, array)
+    p.value[1, 2] = -1.0
+    assert array[1, 2] == -1.0
+    assert p.grad.shape == p.m.shape == p.v.shape == (3, 4)
+    assert p.grad.dtype == array.dtype and not p.grad.any()
+    assert np.shares_memory(p.grad, p.arena.grad)
+
+
+def test_an_arena_packs_the_tensors_that_joined_it_end_to_end():
+    arena = layers.Arena()
+    a = ParamTensor("a", np.ones((2, 3)), arena=arena)
+    b = ParamTensor("b", np.full(4, 2.0), arena=arena)
+    source = b.value
+    arena.pack()
+    # b starts at the first multiple of 64 bytes after a, from an aligned
+    # base; the gap holds zeros
+    assert arena.count == 2 and arena.value.ctypes.data % 64 == 0
+    assert arena.value.tolist() == [1.0] * 6 + [0.0] * 2 + [2.0] * 4 + [0.0] * 4
+    assert (a.span, b.span) == (slice(0, 6), slice(8, 12))
+    assert not np.shares_memory(b.value, source)  # copied in once
+    assert np.shares_memory(a.value, arena.value)
+    assert np.shares_memory(b.v, arena.v)
+    with pytest.raises(ValueError, match="every tensor"):
+        layers.arenas_of([a])
+    mixed = layers.Arena()
+    ParamTensor("a", np.ones(2), arena=mixed)
+    ParamTensor("b", np.ones(2, np.float32), arena=mixed)
+    with pytest.raises(ValueError, match="one dtype"):
+        mixed.pack()
+
+
 def _lstm_params(d, h, rng=None, zero=False):
     if zero:
         w = np.zeros((d, 4 * h))
@@ -484,6 +519,50 @@ def test_batchnorm_running_stats_update():
     assert running.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
     # unbiased correction folds var * n/(n-1) into the running stat
     assert running.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 5.0 * 4 / 3)
+
+
+def _batchnorm_forward_numpy(x, gamma, beta, running):
+    """The training forward in numpy's own forms: x.mean and x.var, and
+    running stats rebound from one expression each."""
+    batch = x.shape[0]
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    momentum = layers.BN_MOMENTUM
+    running_mean = momentum * running.mean + (1.0 - momentum) * mean
+    running_var = (momentum * running.var
+                   + (1.0 - momentum) * var * batch / (batch - 1))
+    inv_std = 1.0 / np.sqrt(var + layers.BN_EPS)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, x_hat, inv_std, running_mean, running_var
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batchnorm_training_forward_has_the_bits_of_numpys_mean_and_var(
+        dtype):
+    rng = np.random.default_rng(13)
+    for batch in (2, 3, 4, 5, 8, 17, 64, 130):
+        for width in (1, 3, 16, 128):
+            gamma = rng.standard_normal(width).astype(dtype)
+            beta = rng.standard_normal(width).astype(dtype)
+            running = BatchNormRunning(
+                mean=rng.standard_normal(width).astype(dtype),
+                var=rng.uniform(0.5, 2.0, width).astype(dtype))
+            mean_buffer, var_buffer = running.mean, running.var
+            for _ in range(3):
+                x = (rng.standard_normal((batch, width))
+                     * 10.0 ** rng.integers(-3, 4)
+                     + rng.standard_normal(width)).astype(dtype)
+                want = _batchnorm_forward_numpy(x, gamma, beta, running)
+                y, cache = batchnorm_forward(x, ParamTensor("g", gamma),
+                                             ParamTensor("b", beta), running,
+                                             True)
+                got = (y, cache.x_hat, cache.inv_std, running.mean,
+                       running.var)
+                for name, a, b in zip(("y", "x_hat", "inv_std", "mean",
+                                       "var"), got, want):
+                    assert a.dtype == dtype, name
+                    assert a.tobytes() == b.tobytes(), (name, batch, width)
+            # folded in place: the running stats keep their arrays
+            assert running.mean is mean_buffer and running.var is var_buffer
 
 
 def test_batchnorm_eval_uses_running_stats():

@@ -14,7 +14,7 @@ from seqveritas import model_zoo, optim, textprep
 from seqveritas.model_zoo import (PRESETS, BadMagic, ModelConfig,
                                   ShapeMismatchOnLoad, VersionMismatch,
                                   VocabMissing, build, load, preset_config)
-from seqveritas.layers import LstmCache
+from seqveritas.layers import PARAM_ALIGN, LstmCache
 from seqveritas.numerics import Prng, sigmoid
 from tests.conftest import (container_bytes, edit_header, json_checkpoint,
                             per_field_config, read_container, write_bytes)
@@ -860,3 +860,73 @@ def test_predict_trained_toy_sentence(toy_encoded):
     assert label_fake == 1
     assert label_true == 0
     assert p_fake > p_true
+
+
+# --- the parameter arena -----------------------------------------------------
+
+def _assert_views_of_arenas(model):
+    """Each tensor's value, grad, m and v are views of its span of its
+    arena's arrays; a packed arena's spans follow `params` order, each at
+    the first multiple of PARAM_ALIGN bytes after the one before, and the
+    gaps hold zeros."""
+    spans = {}
+    for p in model.params:
+        for name in ("value", "grad", "m", "v"):
+            view, flat = getattr(p, name), getattr(p.arena, name)
+            assert np.shares_memory(view, flat), (p.name, name)
+            assert view.ctypes.data == flat[p.span].ctypes.data, (p.name, name)
+            assert view.size == p.span.stop - p.span.start, (p.name, name)
+        spans.setdefault(p.arena, []).append(p.span)
+    assert [a for a, _ in model.arenas] == list(spans)
+    for arena, tiles in spans.items():
+        assert arena.count == len(tiles)
+        if len(tiles) == 1:
+            assert tiles[0] == slice(0, arena.value.size)
+            continue
+        per = PARAM_ALIGN // arena.value.itemsize
+        assert arena.value.ctypes.data % PARAM_ALIGN == 0
+        assert [s.start for s in tiles] == [0] + [-(-s.stop // per) * per
+                                                  for s in tiles[:-1]]
+        assert arena.value.size == -(-tiles[-1].stop // per) * per
+        gaps = np.ones(arena.value.size, bool)
+        for s in tiles:
+            gaps[s] = False
+        for flat in (arena.value, arena.grad, arena.m, arena.v):
+            assert not flat[gaps].any()
+
+
+@pytest.mark.parametrize("vocab_tokens", [20, 10_000], ids=["packed", "tracked"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
+                                                vocab_tokens):
+    model = build(preset, _vocab(vocab_tokens), maxlen=6, seed=2,
+                  embed_dim=8, lstm_units=8, dtype=dtype)
+    emb, rest = model.params[0], model.params[1:]
+    # the embedding tracks rows exactly when it is larger than one block,
+    # and then it alone has an arena; every other tensor shares one
+    tracked = vocab_tokens == 10_000
+    assert (emb.touched is not None) == tracked
+    assert all(p.arena is rest[0].arena for p in rest)
+    assert (emb.arena is rest[0].arena) != tracked
+    assert len(model.arenas) == 1 + tracked
+    _assert_views_of_arenas(model)
+
+    path = str(tmp_path / "m.svchk")
+    model.save(path)
+    loaded = load(path)
+    _assert_views_of_arenas(loaded)
+    assert [p.arena.count for p in loaded.params] == [
+        p.arena.count for p in model.params]
+
+    x = _random_inputs(model, 8, seed=3)
+    y = np.array([0.0, 1.0] * 4)
+    snapshot = model.state_snapshot()
+    optim.fit(model, x, y, x[:2], y[:2],
+              optim.TrainConfig(epochs=2, batch_size=4, seed=1, patience=5))
+    _assert_views_of_arenas(model)
+    model.restore_snapshot(snapshot)
+    _assert_views_of_arenas(model)
+    for (name, got), (_, want) in zip(model.tensors(), loaded.tensors()):
+        assert got.tobytes() == want.tobytes(), name
+

@@ -2,8 +2,10 @@
 
 The dense step is kept here, not in `src/`: a 2-D np.add.at scatter,
 dropout masks as `uniform < keep`, and clipping, zeroing and Adam over
-every element. Training through either must give the same bits, and the
-row-tracked embedding's bookkeeping must hold between steps.
+every element of each tensor in turn. Training through either must give
+the same bits, with the embedding row-tracked in an arena of its own or
+packed into the arena of the other tensors, and the row-tracked
+embedding's bookkeeping must hold between steps.
 """
 
 import numpy as np
@@ -17,6 +19,9 @@ from seqveritas.layers import (PARAM_BLOCK_BYTES, BadRate, DropoutCache,
 # untouched in any one step, and large enough that the embedding tracks
 # rows in both dtypes.
 VOCAB, EMBED, HIDDEN, MAXLEN, BATCH = 5000, 16, 8, 10, 8
+# A vocabulary small enough that the embedding fits in one block in both
+# dtypes, so it tracks nothing and is packed with the other tensors.
+SMALL_VOCAB = 300
 
 
 # --- the dense step ----------------------------------------------------------
@@ -91,15 +96,15 @@ def _install_dense_step(mp, norms):
 
 # --- data --------------------------------------------------------------------
 
-def _data(n, seed=0):
+def _data(n, seed=0, vocab=VOCAB):
     rng = np.random.default_rng(seed)
-    x = np.minimum(rng.zipf(1.2, (n, MAXLEN)) - 1, VOCAB - 1)
+    x = np.minimum(rng.zipf(1.2, (n, MAXLEN)) - 1, vocab - 1)
     x[:, :2] = 0  # left padding
     return x, rng.integers(0, 2, n).astype(np.float64)
 
 
-def _model(preset, dtype):
-    vocab = textprep.Vocabulary([f"tok{i}" for i in range(VOCAB - 2)])
+def _model(preset, dtype, vocab=VOCAB):
+    vocab = textprep.Vocabulary([f"tok{i}" for i in range(vocab - 2)])
     return model_zoo.build(preset, vocab, maxlen=MAXLEN, seed=3,
                            embed_dim=EMBED, lstm_units=HIDDEN, dtype=dtype)
 
@@ -112,24 +117,20 @@ def _tracked_embedding(rows=VOCAB, dtype=np.float64):
 
 # --- the same bits -----------------------------------------------------------
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
-def test_training_gives_the_bits_of_the_dense_step(preset, dtype,
-                                                   monkeypatch):
+def _assert_trains_to_the_bits_of_the_dense_step(preset, dtype, vocab,
+                                                  monkeypatch):
     # MAX_NORM is lowered so that clipping fires at these small shapes
     monkeypatch.setattr(optim, "MAX_NORM", 0.3)
-    x, y = _data(4 * BATCH)
+    x, y = _data(4 * BATCH, vocab=vocab)
     train = (x[:3 * BATCH], y[:3 * BATCH], x[3 * BATCH:], y[3 * BATCH:])
-    assert len(np.unique(train[0])) < VOCAB // 10
     config = optim.TrainConfig(epochs=2, batch_size=BATCH, seed=7,
                                patience=5)
 
-    dense, norms = _model(preset, dtype), []
+    dense, norms = _model(preset, dtype, vocab), []
     with monkeypatch.context() as mp:
         _install_dense_step(mp, norms)
         dense_history = optim.fit(dense, *train, config)
-    tracked = _model(preset, dtype)
-    assert tracked.params[0].touched is not None
+    tracked = _model(preset, dtype, vocab)
     history = optim.fit(tracked, *train, config)
 
     assert len(norms) == 6 and max(norms) > optim.MAX_NORM
@@ -141,6 +142,49 @@ def test_training_gives_the_bits_of_the_dense_step(preset, dtype,
         assert np.array_equal(got.m, want.m), got.name
         assert np.array_equal(got.v, want.v), got.name
         assert got.v.tobytes() == want.v.tobytes(), got.name
+    return train, tracked
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
+def test_training_gives_the_bits_of_the_dense_step(preset, dtype,
+                                                   monkeypatch):
+    train, model = _assert_trains_to_the_bits_of_the_dense_step(
+        preset, dtype, VOCAB, monkeypatch)
+    assert len(np.unique(train[0])) < VOCAB // 10
+    assert model.params[0].touched is not None
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
+def test_a_packed_embedding_trains_to_the_bits_of_the_per_tensor_step(
+        preset, dtype, monkeypatch):
+    _, model = _assert_trains_to_the_bits_of_the_dense_step(
+        preset, dtype, SMALL_VOCAB, monkeypatch)
+    emb = model.params[0]
+    assert emb.touched is None
+    assert all(p.arena is emb.arena for p in model.params)
+
+
+@pytest.mark.parametrize("vocab", [VOCAB, SMALL_VOCAB])
+def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
+    model = _model("optimized", "float64", vocab)
+    names = [p.name for p in model.params]
+    bad = {names.index("lstm.U"): np.nan, names.index("dense1.W"): np.inf}
+    before = [p.value.copy() for p in model.params]
+    rng = np.random.default_rng(6)
+    for k, p in enumerate(model.params):
+        if p.touched is None:
+            p.grad[...] = rng.standard_normal(p.value.shape)
+        if k in bad:
+            p.grad.reshape(-1)[-1] = bad[k]
+    state = optim.AdamState()
+    with pytest.raises(optim.NonFiniteGradient, match=r"in lstm\.U$"):
+        optim.adam_step(model.params, state)
+    assert state.t == 0
+    for p, value in zip(model.params, before):
+        assert p.value.tobytes() == value.tobytes(), p.name
+        assert not p.m.any() and not p.v.any(), p.name
 
 
 # --- row-tracking invariants -------------------------------------------------
