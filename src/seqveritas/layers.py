@@ -8,19 +8,16 @@ Dense is a plain affine map; the ReLU and the output sigmoid are applied
 by `model_zoo`.
 
 Every ParamTensor lives in an `Arena`: four flat arrays (value, grad, m,
-v) of which the tensor's arrays are reshaped views. A model packs all
-its tensors but a row-tracked one into one arena, so zeroing, clipping
-and Adam make a few numpy calls per arena instead of a dozen per tensor;
-that per-call cost, not the arithmetic, is what a step of small tensors
-spends. Because the arrays are views, they are only ever written in
-place: `Arena.pack` binds each tensor's value, and a tensor makes its
-grad, m and v views on first use; nothing else binds them.
+v) of which the tensor's arrays are reshaped views. A model packs its
+tensors into one arena, so zeroing, clipping and Adam make a few numpy
+calls per arena instead of a dozen per tensor; that per-call cost, not
+the arithmetic, is what a step of small tensors spends. An embedding
+larger than PARAM_BLOCK_BYTES keeps an arena of its own, which adopts
+its array (see `model_zoo`). Because the arrays are views, they are
+only ever written in place: `Arena.pack` binds each tensor's value, and
+a tensor makes its grad, m and v views on first use; nothing else binds
+them.
 
-A batch touches a few thousand of the embedding's rows. The embedding's
-ParamTensor tracks them (see `ParamTensor`): every row that
-`embedding_backward` did not add to holds a zero gradient, so zeroing,
-clipping and Adam's gradient terms cost what the batch touched. Such a
-tensor keeps an arena of its own, which the trainer walks by its rows.
 Dropout masks come from `Prng.keep_mask`, an integer test on the bulk
 hash with the bits of `uniform(0, 1) < keep`.
 
@@ -106,35 +103,15 @@ class ParamTensor:
     and moments. `grad`, `m` and `v` are made on first use and kept: Adam,
     clipping and zeroing walk the arena's arrays, so a model that only
     predicts never makes them.
-
-    A `track_rows` tensor of more than PARAM_BLOCK_BYTES keeps the
-    touched-rows invariant: `touched` marks every row of `grad` that
-    `embedding_backward` has added to since the last `zero_grad`, and
-    every other row of `grad` is zero. Zeroing, clipping and Adam's
-    gradient terms then visit only `rows()`. Nothing else may write such a
-    grad: `reg_penalty` writes every row, so a row-tracked tensor carries
-    no regularizers. Such a tensor is an arena of one whatever `arena`
-    says: in a shared arena every walk would cover its untouched rows. A
-    tensor that fits in one block is cheaper to walk whole, so it tracks
-    nothing (`touched` is None) whatever `track_rows` says.
     """
     name: str
     value: np.ndarray
     regularizers: tuple = ()
-    track_rows: bool = False
     arena: Arena = None
-    touched: np.ndarray = field(init=False)
     span: slice = field(init=False)
 
     def __post_init__(self):
-        if self.track_rows and self.regularizers:
-            raise ValueError(f"{self.name}: a row-tracked tensor cannot "
-                             "carry regularizers")
-        self.touched = (np.zeros(self.value.shape[0], bool)
-                        if self.track_rows
-                        and self.value.nbytes > PARAM_BLOCK_BYTES
-                        else None)
-        if self.arena is None or self.touched is not None:
+        if self.arena is None:
             Arena().join(self).pack()
         else:
             self.arena.join(self)
@@ -156,18 +133,6 @@ class ParamTensor:
     @functools.cached_property
     def v(self):
         return self._view(self.arena.v)
-
-    def rows(self):
-        """The ascending indices of the rows of `grad` that may be nonzero,
-        or None when `touched` is None (any row may be)."""
-        return None if self.touched is None else np.flatnonzero(self.touched)
-
-    def zero_grad(self):
-        if self.touched is None:
-            self.grad.fill(0.0)
-        else:
-            self.grad[self.rows()] = 0.0
-            self.touched.fill(False)
 
 
 class Arena:
@@ -252,16 +217,13 @@ class Arena:
 
 
 def arenas_of(params):
-    """(arena, tracked) for each arena of `params`, in order of first
-    appearance, `tracked` being the row-tracked tensor the arena holds
-    alone, or None. Refuses params that hold only part of an arena: a
-    step over the arena would move the tensors left out."""
-    arenas = {}
-    for p in params:
-        arenas.setdefault(p.arena, None if p.touched is None else p)
+    """The arenas of `params`, in order of first appearance. Refuses
+    params that hold only part of an arena: a step over the arena would
+    move the tensors left out."""
+    arenas = list(dict.fromkeys(p.arena for p in params))
     if sum(a.count for a in arenas) != len(params):
         raise ValueError("params must hold every tensor of their arenas")
-    return list(arenas.items())
+    return arenas
 
 
 @dataclass
@@ -295,8 +257,7 @@ def embedding_backward(grad_out, indices, emb):
     time through the 1-D np.add.at, which is several times faster per
     token, on flat element indices row * E + col, taken in intp so that
     narrow index dtypes cannot wrap. Either way each element adds its
-    terms in the same order, so the bits are the same. The rows added to
-    are marked on a row-tracked `emb`."""
+    terms in the same order, so the bits are the same."""
     indices = np.asarray(indices)
     if indices.size <= SCATTER_TOKENS:
         np.add.at(emb.grad, indices, grad_out)
@@ -308,8 +269,6 @@ def embedding_backward(grad_out, indices, emb):
             at = np.multiply(indices[s:s + span], cols.size,
                              dtype=np.intp)[..., None] + cols
             np.add.at(flat, at.reshape(-1), grad_out[s:s + span].reshape(-1))
-    if emb.touched is not None:
-        emb.touched[indices] = True
     emb.grad[0] = 0.0  # PAD row frozen
 
 

@@ -32,8 +32,11 @@ safetensors and of NumPy's `.npy`:
 The element type is `config.dtype` (`<f8` for float64, `<f4` for
 float32); no tensor carries its own. `load` reads the file into one
 64-byte-aligned buffer and hands the model writable views of it; the
-model copies the parameters its arena packs (all but a row-tracked
-embedding) out of them once.
+model copies the parameters its shared arena packs, and the batch-norm
+running statistics, out of them once. An embedding larger than
+`layers.PARAM_BLOCK_BYTES` has an arena of its own, which adopts its
+view instead, so a `paper`-sized model keeps the buffer on purpose: a
+20k-row table is then not copied at load.
 Versions 1-3 (one JSON document) and 4 (whose config repeated the
 preset's values), a header that is not JSON or lacks the magic, a config
 or vocabulary value of the wrong type, and a tensor table that does not
@@ -60,11 +63,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import textprep
-from .layers import (Arena, BatchNormRunning, ParamTensor, arenas_of,
-                     batchnorm_backward, batchnorm_forward, dense_backward,
-                     dense_forward, dropout_backward, dropout_forward,
-                     embedding_backward, embedding_forward, lstm_backward,
-                     lstm_forward)
+from .layers import (PARAM_BLOCK_BYTES, Arena, BatchNormRunning,
+                     ParamTensor, arenas_of, batchnorm_backward,
+                     batchnorm_forward, dense_backward, dense_forward,
+                     dropout_backward, dropout_forward, embedding_backward,
+                     embedding_forward, lstm_backward, lstm_forward)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
@@ -271,9 +274,11 @@ class Model:
         self._build_params(tensor)
 
     # the order of `tensor` calls is fixed: the seeded initialisation draws
-    # in it, and `params` follows it. Every parameter but a row-tracked
-    # one joins one arena, packed once all have joined: one allocation per
-    # array, then each tensor's value copied in once.
+    # in it, and `params` follows it. Every parameter but an embedding
+    # larger than one block joins one arena, packed once all have joined:
+    # one allocation per array, then each tensor's value copied in once.
+    # Such an embedding is an arena of its own, which adopts its array, so
+    # `load` hands it the checkpoint's bytes without a copy.
     def _build_params(self, tensor):
         cfg, pre, dt = self.config, self.preset, self.dtype
         h, d = cfg.lstm_units, cfg.embed_dim
@@ -299,14 +304,15 @@ class Model:
 
         arena = Arena()
 
-        def param(name, shape, init, regularizers=(), track_rows=False):
+        def param(name, shape, init, regularizers=()):
             return ParamTensor(name, tensor(name, shape, init), regularizers,
-                               track_rows, arena)
+                               arena)
 
+        table = tensor("embedding", (cfg.vocab_size, d), embedding)
         self.layers = [
-            # a batch touches few of the vocabulary's rows
-            Embedding(param("embedding", (cfg.vocab_size, d), embedding,
-                            track_rows=True)),
+            Embedding(ParamTensor(
+                "embedding", table,
+                arena=arena if table.nbytes <= PARAM_BLOCK_BYTES else None)),
             Dropout(pre.embed_dropout),
             Lstm(param("lstm.W", (d, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.U", (h, 4 * h), glorot, pre.lstm_regularizers),
@@ -325,9 +331,11 @@ class Model:
                 param(f"{name}.b", (width,), zeros)))
             if hidden:
                 if pre.batchnorm:
+                    # copies, so that a loaded model keeps no view of the
+                    # checkpoint buffer
                     running = BatchNormRunning(
-                        tensor(f"{name}.bn.mean", (width,), zeros),
-                        tensor(f"{name}.bn.var", (width,), ones))
+                        tensor(f"{name}.bn.mean", (width,), zeros).copy(),
+                        tensor(f"{name}.bn.var", (width,), ones).copy())
                     self.bn_running[name] = running
                     self.layers.append(BatchNorm(
                         param(f"{name}.bn.gamma", (width,), ones),
@@ -351,11 +359,8 @@ class Model:
         return sum(p.value.size for p in self.params)
 
     def zero_grads(self):
-        for arena, tracked in self.arenas:
-            if tracked is None:
-                arena.grad.fill(0.0)
-            else:
-                tracked.zero_grad()
+        for arena in self.arenas:
+            arena.grad.fill(0.0)
 
     def forward(self, indices, rng=None):
         """indices: (B, maxlen) -> (probabilities (B,), per-layer caches):
@@ -448,7 +453,7 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
 def load(path):
     """The model a version 5 checkpoint holds. The file is read once into
     one 64-byte-aligned buffer; each tensor is a writable view of it,
-    which the model's arena copies in when it packs that tensor."""
+    which the model copies out (see the module docstring)."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         raw = np.empty(size + CHECKPOINT_ALIGN, dtype=np.uint8)

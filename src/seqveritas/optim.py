@@ -1,13 +1,10 @@
 """Adam updates, gradient clipping, early stopping, the epoch loop, and
 batched prediction.
 
-Adam is the dense update: every row decays; touched rows add gradient
-terms. Adam, clipping and `Model.zero_grads` work once per arena (see
+Adam is the dense update: every element decays and moves. Adam,
+clipping and `Model.zero_grads` work once per arena (see
 `layers.Arena`), over its flat arrays, and the bits are those of the
-same expressions per tensor. On a row-tracked tensor (the embedding,
-alone in its arena) the gradient terms, the finiteness check and the
-clipping scale visit only the rows the batch touched, and the bits are
-those of the dense expressions.
+same expressions per tensor.
 
 The epoch loop owns the model exclusively; the reference mode is
 single-threaded and fully deterministic in (data, config, seed).
@@ -63,22 +60,14 @@ def adam_step(params, state):
     of `params` (which must hold whole arenas), over the arena's
     `blocks`, so that each block's arrays and temporaries stay in cache;
     being elementwise, it gives each element the bits it would get per
-    tensor. Touched rows add gradient terms: on a row-tracked tensor the
-    finiteness check and the (1 - BETA1) g and (1 - BETA2) g^2 terms
-    visit only `rows()`, the rest of its gradient being zero. The bits
-    are those of the dense update but for the sign of a zero in m, where
-    the dense update adds +0 to a -0. A non-finite gradient raises
-    NonFiniteGradient naming the first such tensor in `params`, before
-    anything moves.
+    tensor. A non-finite gradient raises NonFiniteGradient naming the
+    first such tensor in `params`, before anything moves.
     """
-    checked = []
-    for a, p in arenas_of(params):
-        rows = None if p is None else p.rows()
-        g = a.grad if p is None else p.grad[rows]
-        if not np.isfinite(g).all():
+    arenas = arenas_of(params)
+    for a in arenas:
+        if not np.isfinite(a.grad).all():
             bad = next(q for q in params if not np.isfinite(q.grad).all())
             raise NonFiniteGradient(f"non-finite gradient in {bad.name}")
-        checked.append((a, p, rows, g))
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -87,25 +76,15 @@ def adam_step(params, state):
     #   v = BETA2 * v + (1 - BETA2) * g * g
     #   value = value - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
     # so the bits are those of that expression.
-    for a, p, rows, g in checked:
-        if p is not None:
-            term = np.multiply(g, 1.0 - BETA1)
-            p.m *= BETA1
-            p.m[rows] += term
-            np.multiply(g, 1.0 - BETA2, out=term)
-            term *= g
-            p.v *= BETA2
-            p.v[rows] += term
+    for a in arenas:
         for value, grad, m, v in a.blocks:
-            step = np.empty_like(value)
-            if p is None:
-                np.multiply(grad, 1.0 - BETA1, out=step)
-                m *= BETA1
-                m += step
-                np.multiply(grad, 1.0 - BETA2, out=step)
-                step *= grad
-                v *= BETA2
-                v += step
+            step = np.multiply(grad, 1.0 - BETA1)
+            m *= BETA1
+            m += step
+            np.multiply(grad, 1.0 - BETA2, out=step)
+            step *= grad
+            v *= BETA2
+            v += step
             denom = np.divide(v, bc2)
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
@@ -123,21 +102,17 @@ def clip_gradients(params):
     order, so each pairwise sum keeps the bits of a per-tensor np.sum
     (np.add.reduce is np.sum without its Python wrapper, which costs more
     than the sum itself on small tensors; np.add.reduceat would sum in
-    another order). The scaling runs once per arena, visiting only a
-    row-tracked tensor's `rows()`."""
+    another order). The scaling runs once per arena."""
     arenas = arenas_of(params)
-    squares = {a: np.square(a.grad, dtype=np.float64) for a, _ in arenas}
+    squares = {a: np.square(a.grad, dtype=np.float64) for a in arenas}
     total = 0.0
     for p in params:
         total += float(np.add.reduce(squares[p.arena][p.span]))
     norm = float(np.sqrt(total))
     if norm > MAX_NORM:
         scale = MAX_NORM / norm
-        for a, p in arenas:
-            if p is None:
-                a.grad *= scale
-            else:
-                p.grad[p.rows()] *= scale
+        for a in arenas:
+            a.grad *= scale
     return norm
 
 

@@ -133,7 +133,8 @@ def encode(tokens, vocab, maxlen):
 
 # --- encoded-dataset cache file --------------------------------------------
 # Layout: magic "SVEC1"; maxlen, V, N as little-endian u32; then N packed
-# records of maxlen little-endian u32 indices followed by one label byte.
+# records of maxlen little-endian u32 indices followed by one label byte,
+# 0 (true) or 1 (fake).
 
 def _record_dtype(maxlen):
     return np.dtype([("seq", "<u4", (maxlen,)), ("label", "u1")])
@@ -141,10 +142,12 @@ def _record_dtype(maxlen):
 
 def write_cache(path, sequences, labels, vocab_size, maxlen):
     sequences = np.asarray(sequences, dtype=np.uint32)
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = np.asarray(labels)
     n = sequences.shape[0]
     if sequences.shape != (n, maxlen) or labels.shape != (n,):
         raise ValueError("sequences/labels shape mismatch")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     records = np.empty(n, dtype=_record_dtype(maxlen))
     records["seq"] = sequences
     records["label"] = labels
@@ -156,7 +159,8 @@ def write_cache(path, sequences, labels, vocab_size, maxlen):
 
 def read_cache(path):
     """Returns (sequences Nxmaxlen uint32, labels N uint8, vocab_size): the
-    stored types, as read-only views of the file's bytes."""
+    stored types, as read-only views of the file's bytes. A label byte
+    other than 0 or 1 raises CacheFormatError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
@@ -168,7 +172,10 @@ def read_cache(path):
     if len(blob) != 5 + 12 + n * record.itemsize:
         raise CacheFormatError(f"{path}: truncated or oversized cache")
     records = np.frombuffer(blob, dtype=record, count=n, offset=17)
-    return records["seq"], records["label"], vocab_size
+    labels = records["label"]
+    if (labels > 1).any():
+        raise CacheFormatError(f"{path}: a label byte is not 0 or 1")
+    return records["seq"], labels, vocab_size
 
 
 # --- vocabulary document: a checkpoint's "vocab", and the file beside a cache

@@ -334,6 +334,27 @@ def test_cache_shorter_than_its_header_exits_2(capsys, tmp_path, command):
     assert err.startswith("error:") and "truncated header" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cache_label_outside_0_and_1_exits_2(capsys, tmp_path, command):
+    # label bytes 7 and 200 in two records of a prepared cache
+    cache, _ = _prepare(capsys, tmp_path)
+    if command == "eval":
+        ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+        argv = ["eval", "--checkpoint", ckpt, "--data", cache,
+                "--split", "all"]
+    else:
+        argv = ["train", "--data", cache, "--preset", "baseline",
+                "--out-checkpoint", str(tmp_path / "m.svchk")]
+    blob = bytearray(open(cache, "rb").read())
+    record = 10 * 4 + 1  # maxlen u32 indices and a label byte
+    blob[17 + record - 1], blob[17 + 2 * record - 1] = 7, 200
+    open(cache, "wb").write(blob)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "label byte" in err
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:

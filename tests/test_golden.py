@@ -7,10 +7,10 @@ every file written and of every stdout, with the work directory's path
 replaced by `<work>`, beside the identity of the numpy and BLAS build and
 the thread count. The test compares it with `fixtures/golden.json`.
 
-The corpora are the toy fixtures (V = 30, an embedding that tracks no
-rows) and a synthetic one from `perfbench/synth.py` whose vocabulary makes
-the embedding row-tracked in both dtypes, with batches large enough for
-the embedding's 1-D scatter.
+The corpora are the toy fixtures (V = 30, an embedding packed into the
+arena of the other tensors) and a synthetic one from `perfbench/synth.py`
+whose vocabulary gives the embedding an arena of its own in both dtypes,
+with batches large enough for the embedding's 1-D scatter.
 
 What `prepare` writes depends only on its inputs and is checked on every
 build. Trained bytes depend on the BLAS kernels and numpy's SIMD paths, so
@@ -111,7 +111,7 @@ def manifest(work):
         return {p.name: sha(p.read_bytes())
                 for p in sorted(work.glob(prefix + "*"))}
 
-    prepared, trained, row_tracked = {}, {}, {}
+    prepared, trained, embedding_alone = {}, {}, {}
     for name, (prepare_opts, train_opts) in CORPORA.items():
         fake, true_ = _corpus_files(name, work)
         cache = str(work / f"{name}.svec")
@@ -134,12 +134,12 @@ def manifest(work):
                     ["predict", "--checkpoint", ckpt, "--stdin"],
                     "\n".join(PREDICT_LINES) + "\n")
                 trained.update(files(tag))
-                row_tracked[tag] = (
-                    model_zoo.load(ckpt).params[0].touched is not None)
+                embedding_alone[tag] = (
+                    model_zoo.load(ckpt).params[0].arena.count == 1)
     trained["gradcheck.seed0.stdout"] = run(["gradcheck", "--seed", "0"])
     return {"identity": _identity(),
             "threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "row_tracked": row_tracked,
+            "embedding_alone": embedding_alone,
             "prepared": prepared, "trained": trained}
 
 
@@ -162,10 +162,10 @@ def test_prepared_bytes_match_golden(fresh, golden):
     assert fresh["prepared"] == golden["prepared"]
 
 
-def test_synth_embedding_is_row_tracked_and_toy_is_not(fresh, golden):
-    assert fresh["row_tracked"] == golden["row_tracked"]
-    for tag, tracked in fresh["row_tracked"].items():
-        assert tracked == tag.startswith("synth."), tag
+def test_synth_embedding_is_alone_in_its_arena_and_toy_is_not(fresh, golden):
+    assert fresh["embedding_alone"] == golden["embedding_alone"]
+    for tag, alone in fresh["embedding_alone"].items():
+        assert alone == tag.startswith("synth."), tag
 
 
 def test_trained_bytes_match_golden(fresh, golden):

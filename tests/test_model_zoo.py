@@ -14,7 +14,7 @@ from seqveritas import model_zoo, optim, textprep
 from seqveritas.model_zoo import (PRESETS, BadMagic, ModelConfig,
                                   ShapeMismatchOnLoad, VersionMismatch,
                                   VocabMissing, build, load, preset_config)
-from seqveritas.layers import PARAM_ALIGN, LstmCache
+from seqveritas.layers import PARAM_ALIGN, PARAM_BLOCK_BYTES, LstmCache
 from seqveritas.numerics import Prng, sigmoid
 from tests.conftest import (container_bytes, edit_header, json_checkpoint,
                             per_field_config, read_container, write_bytes)
@@ -877,7 +877,7 @@ def _assert_views_of_arenas(model):
             assert view.ctypes.data == flat[p.span].ctypes.data, (p.name, name)
             assert view.size == p.span.stop - p.span.start, (p.name, name)
         spans.setdefault(p.arena, []).append(p.span)
-    assert [a for a, _ in model.arenas] == list(spans)
+    assert model.arenas == list(spans)
     for arena, tiles in spans.items():
         assert arena.count == len(tiles)
         if len(tiles) == 1:
@@ -895,7 +895,7 @@ def _assert_views_of_arenas(model):
             assert not flat[gaps].any()
 
 
-@pytest.mark.parametrize("vocab_tokens", [20, 10_000], ids=["packed", "tracked"])
+@pytest.mark.parametrize("vocab_tokens", [20, 10_000], ids=["packed", "alone"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("preset", model_zoo.PRESETS)
 def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
@@ -903,13 +903,13 @@ def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
     model = build(preset, _vocab(vocab_tokens), maxlen=6, seed=2,
                   embed_dim=8, lstm_units=8, dtype=dtype)
     emb, rest = model.params[0], model.params[1:]
-    # the embedding tracks rows exactly when it is larger than one block,
-    # and then it alone has an arena; every other tensor shares one
-    tracked = vocab_tokens == 10_000
-    assert (emb.touched is not None) == tracked
+    # the embedding has an arena of its own exactly when it is larger than
+    # one block; every other tensor shares one
+    alone = emb.value.nbytes > PARAM_BLOCK_BYTES
+    assert alone == (vocab_tokens == 10_000)
     assert all(p.arena is rest[0].arena for p in rest)
-    assert (emb.arena is rest[0].arena) != tracked
-    assert len(model.arenas) == 1 + tracked
+    assert (emb.arena is rest[0].arena) != alone
+    assert len(model.arenas) == 1 + alone
     _assert_views_of_arenas(model)
 
     path = str(tmp_path / "m.svchk")
@@ -929,4 +929,28 @@ def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
     _assert_views_of_arenas(model)
     for (name, got), (_, want) in zip(model.tensors(), loaded.tensors()):
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("vocab_tokens", [20, 10_000], ids=["packed", "alone"])
+def test_only_an_embedding_alone_in_its_arena_keeps_the_load_buffer(
+        tmp_path, monkeypatch, vocab_tokens):
+    # the packed parameters and the batch-norm running stats are copied out
+    # of the buffer `load` reads the file into; an embedding with an arena
+    # of its own adopts its bytes on purpose, so a large table is not copied
+    path = str(tmp_path / "m.svchk")
+    build("optimized", _vocab(vocab_tokens), maxlen=6, seed=2, embed_dim=8,
+          lstm_units=8).save(path)
+    sections, restore = [], model_zoo._restore
+
+    def recording(path, header, data):
+        sections.append(data)
+        return restore(path, header, data)
+
+    monkeypatch.setattr(model_zoo, "_restore", recording)
+    loaded = load(path)
+    [data] = sections
+    assert loaded.bn_running
+    held = [name for name, array in loaded.tensors()
+            if np.shares_memory(array, data)]
+    assert held == ([] if vocab_tokens == 20 else ["embedding"])
 

@@ -1,26 +1,26 @@
-"""The touched-rows train step against the dense step it replaced.
+"""The arena train step against a per-tensor reference step.
 
-The dense step is kept here, not in `src/`: a 2-D np.add.at scatter,
+The reference step is kept here, not in `src/`: a 2-D np.add.at scatter,
 dropout masks as `uniform < keep`, and clipping, zeroing and Adam over
 every element of each tensor in turn. Training through either must give
-the same bits, with the embedding row-tracked in an arena of its own or
-packed into the arena of the other tensors, and the row-tracked
-embedding's bookkeeping must hold between steps.
+the same bits, with the embedding in an arena of its own or packed into
+the arena of the other tensors.
 """
 
 import numpy as np
 import pytest
 
 from seqveritas import model_zoo, optim, textprep
-from seqveritas.layers import (PARAM_BLOCK_BYTES, BadRate, DropoutCache,
-                               ParamTensor, embedding_backward)
+from seqveritas.layers import (BadRate, DropoutCache, ParamTensor,
+                               embedding_backward)
+from seqveritas.numerics import Prng
 
 # A vocabulary far larger than a batch, so most embedding rows are
-# untouched in any one step, and large enough that the embedding tracks
-# rows in both dtypes.
+# untouched in any one step, and large enough that the embedding is
+# larger than one block, and so alone in its arena, in both dtypes.
 VOCAB, EMBED, HIDDEN, MAXLEN, BATCH = 5000, 16, 8, 10, 8
 # A vocabulary small enough that the embedding fits in one block in both
-# dtypes, so it tracks nothing and is packed with the other tensors.
+# dtypes, so it is packed with the other tensors.
 SMALL_VOCAB = 300
 
 
@@ -109,10 +109,10 @@ def _model(preset, dtype, vocab=VOCAB):
                            embed_dim=EMBED, lstm_units=HIDDEN, dtype=dtype)
 
 
-def _tracked_embedding(rows=VOCAB, dtype=np.float64):
+def _embedding(rows=VOCAB, dtype=np.float64):
     value = np.random.default_rng(1).standard_normal((rows, EMBED))
     value[0] = 0.0
-    return ParamTensor("embedding", value.astype(dtype), track_rows=True)
+    return ParamTensor("embedding", value.astype(dtype))
 
 
 # --- the same bits -----------------------------------------------------------
@@ -130,19 +130,17 @@ def _assert_trains_to_the_bits_of_the_dense_step(preset, dtype, vocab,
     with monkeypatch.context() as mp:
         _install_dense_step(mp, norms)
         dense_history = optim.fit(dense, *train, config)
-    tracked = _model(preset, dtype, vocab)
-    history = optim.fit(tracked, *train, config)
+    model = _model(preset, dtype, vocab)
+    history = optim.fit(model, *train, config)
 
     assert len(norms) == 6 and max(norms) > optim.MAX_NORM
     assert history.to_jsonl() == dense_history.to_jsonl()
-    for (name, got), (_, want) in zip(tracked.tensors(), dense.tensors()):
+    for (name, got), (_, want) in zip(model.tensors(), dense.tensors()):
         assert got.tobytes() == want.tobytes(), name
-    for got, want in zip(tracked.params, dense.params):
-        # the dense update adds +0 to a -0 in m; nothing else may differ
-        assert np.array_equal(got.m, want.m), got.name
-        assert np.array_equal(got.v, want.v), got.name
+    for got, want in zip(model.params, dense.params):
+        assert got.m.tobytes() == want.m.tobytes(), got.name
         assert got.v.tobytes() == want.v.tobytes(), got.name
-    return train, tracked
+    return train, model
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -152,7 +150,7 @@ def test_training_gives_the_bits_of_the_dense_step(preset, dtype,
     train, model = _assert_trains_to_the_bits_of_the_dense_step(
         preset, dtype, VOCAB, monkeypatch)
     assert len(np.unique(train[0])) < VOCAB // 10
-    assert model.params[0].touched is not None
+    assert model.params[0].arena.count == 1
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -162,7 +160,6 @@ def test_a_packed_embedding_trains_to_the_bits_of_the_per_tensor_step(
     _, model = _assert_trains_to_the_bits_of_the_dense_step(
         preset, dtype, SMALL_VOCAB, monkeypatch)
     emb = model.params[0]
-    assert emb.touched is None
     assert all(p.arena is emb.arena for p in model.params)
 
 
@@ -174,8 +171,7 @@ def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
     before = [p.value.copy() for p in model.params]
     rng = np.random.default_rng(6)
     for k, p in enumerate(model.params):
-        if p.touched is None:
-            p.grad[...] = rng.standard_normal(p.value.shape)
+        p.grad[...] = rng.standard_normal(p.value.shape)
         if k in bad:
             p.grad.reshape(-1)[-1] = bad[k]
     state = optim.AdamState()
@@ -187,70 +183,53 @@ def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
         assert not p.m.any() and not p.v.any(), p.name
 
 
-# --- row-tracking invariants -------------------------------------------------
-
-def test_row_tracking_is_for_tensors_larger_than_one_block():
-    assert _tracked_embedding().touched is not None
-    small = PARAM_BLOCK_BYTES // (EMBED * 8)
-    assert _tracked_embedding(rows=small).touched is None
-    model = _model("baseline", "float32")
-    assert model.params[0].touched is not None
-    assert all(p.touched is None for p in model.params[1:])
-
-
-def test_a_row_tracked_tensor_refuses_regularizers():
-    with pytest.raises(ValueError, match="regularizers"):
-        ParamTensor("embedding", np.zeros((VOCAB, EMBED)),
-                    regularizers=(("l2", 1e-3),), track_rows=True)
-
+# --- one tensor alone in its arena ------------------------------------------
 
 def test_two_backward_passes_accumulate_then_clip_and_update_both():
-    tracked, dense = _tracked_embedding(), _tracked_embedding()
+    emb, dense = _embedding(), _embedding()
     rng = np.random.default_rng(2)
     batches = [rng.integers(1, 200, (4, 6)), rng.integers(300, 500, (4, 6))]
     for indices in batches:
         indices[0, 0] = 0  # a PAD token in each batch
         grad = rng.standard_normal((4, 6, EMBED)) * 10.0
-        embedding_backward(grad, indices, tracked)
+        embedding_backward(grad, indices, emb)
         dense_embedding_backward(grad, indices, dense)
-    assert tracked.grad.tobytes() == dense.grad.tobytes()
-    touched = np.union1d(*batches)
-    assert np.array_equal(tracked.rows(), touched)
+    assert emb.grad.tobytes() == dense.grad.tobytes()
 
-    norm = optim.clip_gradients([tracked])
+    norm = optim.clip_gradients([emb])
     assert norm == dense_clip_gradients([dense]) and norm > optim.MAX_NORM
-    assert tracked.grad.tobytes() == dense.grad.tobytes()
-    assert np.sqrt(np.sum(tracked.grad ** 2)) == pytest.approx(
-        optim.MAX_NORM)
+    assert emb.grad.tobytes() == dense.grad.tobytes()
+    assert np.sqrt(np.sum(emb.grad ** 2)) == pytest.approx(optim.MAX_NORM)
 
-    optim.adam_step([tracked], optim.AdamState())
+    optim.adam_step([emb], optim.AdamState())
     dense_adam_step([dense], optim.AdamState())
-    assert tracked.value.tobytes() == dense.value.tobytes()
-    moved = np.flatnonzero(np.any(tracked.value != _tracked_embedding().value,
-                                  axis=1))
+    assert emb.value.tobytes() == dense.value.tobytes()
+    moved = np.flatnonzero(np.any(emb.value != _embedding().value, axis=1))
+    touched = np.union1d(*batches)
     assert np.array_equal(moved, touched[touched > 0])
-    assert np.array_equal(tracked.m, dense.m)
-    assert np.array_equal(tracked.v, dense.v)
+    assert emb.m.tobytes() == dense.m.tobytes()
+    assert emb.v.tobytes() == dense.v.tobytes()
 
 
-def test_zero_grad_zeroes_the_whole_gradient_and_forgets_the_rows():
-    emb = _tracked_embedding()
-    rng = np.random.default_rng(4)
+def test_zero_grads_zeroes_every_gradient():
+    model = _model("optimized", "float64")
+    assert model.params[0].arena.count == 1 and len(model.arenas) == 2
+    rng = Prng(4)
+    x, y = _data(BATCH)
     for _ in range(2):
-        embedding_backward(rng.standard_normal((3, 5, EMBED)),
-                           rng.integers(0, VOCAB, (3, 5)), emb)
-        assert emb.grad.any()
-        emb.zero_grad()
-        assert not emb.grad.any()
-        assert not emb.touched.any() and emb.rows().size == 0
+        probs, caches = model.forward(x, rng)
+        model.backward(caches, probs, y)
+        assert all(p.grad.any() for p in model.params)
+        model.zero_grads()
+        assert not any(a.grad.any() for a in model.arenas)
 
 
 def test_the_pad_row_stays_zero():
-    emb = _tracked_embedding()
+    emb = _embedding()
     state = optim.AdamState()
     rng = np.random.default_rng(5)
     for _ in range(3):
-        emb.zero_grad()
+        emb.grad.fill(0.0)
         indices = rng.integers(0, 50, (4, 6))
         indices[:, 0] = 0
         embedding_backward(rng.standard_normal((4, 6, EMBED)), indices, emb)

@@ -231,6 +231,26 @@ def test_cache_truncation_detected(tmp_path):
         read_cache(path)
 
 
+@pytest.mark.parametrize("labels", [[1, 2], [0, -1], [0.5, 1.0], [7, 200]])
+def test_cache_write_refuses_labels_other_than_0_and_1(tmp_path, labels):
+    path = tmp_path / "c.svec"
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        write_cache(str(path), [[7, 8], [2, 3]], labels, vocab_size=9,
+                    maxlen=2)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("byte", [2, 7, 200, 255])
+def test_cache_label_byte_other_than_0_and_1_detected(tmp_path, byte):
+    path = str(tmp_path / "c.svec")
+    write_cache(path, [[7, 8], [2, 3]], [1, 0], vocab_size=9, maxlen=2)
+    blob = bytearray(open(path, "rb").read())
+    blob[-1] = byte  # the second record's label
+    open(path, "wb").write(blob)
+    with pytest.raises(textprep.CacheFormatError, match="label"):
+        read_cache(path)
+
+
 @pytest.mark.parametrize("size", range(5, 17))
 def test_cache_short_header_detected(tmp_path, size):
     # the magic, then fewer than the 12 bytes of maxlen, V and N
