@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -59,7 +60,16 @@ def _vocab_path(cache_path):
     return cache_path + ".vocab.json"
 
 
+def _check_out_dirs(*paths):
+    """Refuse an output path whose directory is missing before any input
+    is read, not after the work whose result it would hold."""
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"output directory of {path} is missing")
+
+
 def cmd_prepare(args):
+    _check_out_dirs(args.out)
     fake = ingest.load_articles(args.fake)
     true_ = ingest.load_articles(args.true)
     merged = ingest.merge_shuffle(fake, true_, args.seed)
@@ -106,6 +116,8 @@ def _load_data(path):
 
 
 def cmd_train(args):
+    history_path = args.history or args.out_checkpoint + ".history.jsonl"
+    _check_out_dirs(args.out_checkpoint, history_path)
     splits, vocab = _load_data(args.data)
     (train_x, train_y), (val_x, val_y) = splits["train"], splits["val"]
     model = model_zoo.build(args.preset, vocab, maxlen=train_x.shape[1],
@@ -117,7 +129,6 @@ def cmd_train(args):
           file=sys.stderr)
     history = fit(model, train_x, train_y, val_x, val_y, tc)
     model.save(args.out_checkpoint)
-    history_path = args.history or args.out_checkpoint + ".history.jsonl"
     with open(history_path, "w") as f:
         f.write(history.to_jsonl() + "\n")
 

@@ -33,9 +33,10 @@ class EmptySplit(ValueError):
 
 def load_articles(path):
     """One (title, body) pair per data row; rows with empty text are kept.
-    CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes."""
+    CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes; a
+    byte-order mark before the header, as Excel writes, is skipped."""
     articles = []
-    with open(path, encoding="utf-8", errors="replace", newline="") as f:
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as f:
         reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)

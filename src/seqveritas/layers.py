@@ -1,9 +1,15 @@
 """Layer forward/backward passes: Embedding, LSTM, Dense, Dropout, BatchNorm.
 
 All layers are stateless transformers over (input, params, cache). Each
-forward returns whatever its backward needs in an explicit cache object;
-a cache is valid for exactly one forward/backward pair. Gradients
-accumulate into ParamTensor.grad and are the trainer's job to zero.
+forward's cache is the plain value its backward reads: Embedding's
+indices, Dense's input x, Dropout's scaled mask (None for the identity),
+BatchNorm's (x_hat, inv_std) and the LSTM's `LstmCache` of its buffers.
+Only `lstm_backward` writes its cache (dz over the gates), so only an
+`LstmCache` refuses a second backward, with `StaleCache`, and with it a
+second `Model.backward` over one forward's caches; a second call on any
+other cache repeats grad x and adds the parameter gradient again.
+Gradients accumulate into ParamTensor.grad and are the trainer's job to
+zero.
 Dense is a plain affine map; the ReLU and the output sigmoid are applied
 by `model_zoo`.
 
@@ -226,16 +232,6 @@ def arenas_of(params):
     return arenas
 
 
-@dataclass
-class _Cache:
-    _spent: bool = field(default=False, init=False)
-
-    def consume(self):
-        if self._spent:
-            raise StaleCache("cache already used for a backward pass")
-        self._spent = True
-
-
 # --- embedding -------------------------------------------------------------
 
 def embedding_forward(indices, emb):
@@ -275,12 +271,13 @@ def embedding_backward(grad_out, indices, emb):
 # --- LSTM ------------------------------------------------------------------
 
 @dataclass
-class LstmCache(_Cache):
-    x: np.ndarray = None          # (B, T, d) view of a time-major copy
-    gates: np.ndarray = None      # (T, B, 4H): activated [i, f, g, o] per step
-    c: np.ndarray = None          # (T+1, B, H): c_0 .. c_T
-    h: np.ndarray = None          # (T+1, B, H): h_0 .. h_T
-    tanh_c: np.ndarray = None     # (T, B, H): tanh_c[t] = tanh(c_{t+1})
+class LstmCache:
+    x: np.ndarray          # (B, T, d) view of a time-major copy
+    gates: np.ndarray      # (T, B, 4H): activated [i, f, g, o] per step
+    c: np.ndarray          # (T+1, B, H): c_0 .. c_T
+    h: np.ndarray          # (T+1, B, H): h_0 .. h_T
+    tanh_c: np.ndarray     # (T, B, H): tanh_c[t] = tanh(c_{t+1})
+    spent: bool = False    # set by lstm_backward, which overwrites gates
 
 
 def _gate_constants(hidden, dtype):
@@ -394,9 +391,11 @@ def lstm_backward(grad_ht, cache, w, u, b):
     every step and the non-recurrent products run over all T*B rows at
     once: dW, dU and db in one product each, grad x in blocks of
     GRAD_X_ROWS rows. The returned grad x is a transposed view of a
-    time-major array.
+    time-major array. A cache it has spent raises StaleCache.
     """
-    cache.consume()
+    if cache.spent:
+        raise StaleCache("LSTM cache already used for a backward pass")
+    cache.spent = True
     x, dz = cache.x, cache.gates
     batch, steps, d = x.shape
     hidden = u.value.shape[0]
@@ -441,51 +440,41 @@ def lstm_backward(grad_ht, cache, w, u, b):
 
 # --- dense -----------------------------------------------------------------
 
-@dataclass
-class DenseCache(_Cache):
-    x: np.ndarray = None
-
-
 def dense_forward(x, w, b):
-    """Affine map x W + b; activations are separate layers."""
-    return x @ w.value + b.value, DenseCache(x=x)
+    """Affine map x W + b, cached as x; activations are separate layers."""
+    return x @ w.value + b.value, x
 
 
-def dense_backward(grad_y, cache, w, b):
+def dense_backward(grad_y, x, w, b):
     """Returns grad_x; accumulates grad_W and grad_b."""
-    cache.consume()
-    w.grad += cache.x.T @ grad_y
+    w.grad += x.T @ grad_y
     b.grad += grad_y.sum(axis=0)
     return grad_y @ w.value.T
 
 
 # --- dropout ---------------------------------------------------------------
 
-@dataclass
-class DropoutCache(_Cache):
-    scaled_mask: np.ndarray = None  # None means identity (no rng, or p=0)
-
-
 def dropout_forward(x, p, rng):
     """Inverted dropout: kept units scaled by 1/(1-p). It trains exactly
-    when given an rng; with `rng` None, or at p = 0, it is the identity."""
+    when given an rng; with `rng` None, or at p = 0, it is the identity.
+    The cache is the scaled mask, 1/(1-p) on kept units and 0 on dropped
+    ones in x's dtype, or None for the identity."""
     if not 0.0 <= p < 1.0:
         raise BadRate(f"dropout rate must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
-        return x, DropoutCache(scaled_mask=None)
+        return x, None
     keep = 1.0 - p
     # kept units hold 1 / keep in x's dtype, dropped ones +0: the bits of
     # (uniform(0, 1) < keep).astype(dtype) / keep
     mask = np.multiply(rng.keep_mask(keep, x.shape), x.dtype.type(1.0) / keep,
                        dtype=x.dtype)
-    return x * mask, DropoutCache(scaled_mask=mask)
+    return x * mask, mask
 
 
-def dropout_backward(grad_y, cache):
-    cache.consume()
-    if cache.scaled_mask is None:
+def dropout_backward(grad_y, mask):
+    if mask is None:
         return grad_y
-    return grad_y * cache.scaled_mask
+    return grad_y * mask
 
 
 # --- batch normalization ---------------------------------------------------
@@ -505,12 +494,6 @@ class BatchNormRunning:
         return cls(mean=np.zeros(n, dtype=dtype), var=np.ones(n, dtype=dtype))
 
 
-@dataclass
-class BatchNormCache(_Cache):
-    x_hat: np.ndarray = None
-    inv_std: np.ndarray = None
-
-
 def batchnorm_forward(x, gamma, beta, running, train):
     """`train`: standardize with biased batch statistics and fold an
     unbiased variance estimate into the running stats, in place. Otherwise
@@ -519,7 +502,8 @@ def batchnorm_forward(x, gamma, beta, running, train):
     The batch statistics are x.mean(axis=0) and x.var(axis=0) as numpy
     computes them, a sum divided by the count and the sum of the squared
     centred x divided by it, without the Python wrappers that cost more
-    than the sums at these shapes; the centred x is then x_hat's too."""
+    than the sums at these shapes; the centred x is then x_hat's too.
+    The cache is the pair (x_hat, inv_std)."""
     if train:
         batch = x.shape[0]
         if batch < 2:
@@ -543,19 +527,19 @@ def batchnorm_forward(x, gamma, beta, running, train):
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = x_centered * inv_std
     y = gamma.value * x_hat + beta.value
-    cache = BatchNormCache(x_hat=x_hat, inv_std=inv_std)
-    return y, cache
+    return y, (x_hat, inv_std)
 
 
 def batchnorm_backward(grad_y, cache, gamma, beta):
-    """Gradient through the batch statistics of a training forward."""
-    cache.consume()
+    """Gradient through the batch statistics of a training forward, from
+    its cache (x_hat, inv_std), which it only reads."""
+    x_hat, inv_std = cache
     batch = grad_y.shape[0]
-    gamma.grad += (grad_y * cache.x_hat).sum(axis=0)
+    gamma.grad += (grad_y * x_hat).sum(axis=0)
     beta.grad += grad_y.sum(axis=0)
     dx_hat = grad_y * gamma.value
-    grad_x = (cache.inv_std / batch) * (
+    grad_x = (inv_std / batch) * (
         batch * dx_hat
         - dx_hat.sum(axis=0)
-        - cache.x_hat * (dx_hat * cache.x_hat).sum(axis=0))
+        - x_hat * (dx_hat * x_hat).sum(axis=0))
     return grad_x

@@ -83,6 +83,54 @@ def test_prepare_row_with_an_extra_field_exits_2(capsys, tmp_path):
     assert not (tmp_path / "c.svec").exists()
 
 
+def test_prepare_reads_csvs_with_a_byte_order_mark(capsys, tmp_path):
+    (tmp_path / "plain").mkdir()
+    plain, _ = _prepare(capsys, tmp_path / "plain")
+    for name, fixture in (("fake", TOY_FAKE), ("true", TOY_TRUE)):
+        (tmp_path / f"{name}.csv").write_bytes(
+            b"\xef\xbb\xbf" + open(fixture, "rb").read())
+    bom = str(tmp_path / "bom.svec")
+    code, _, _ = run(capsys, [
+        "prepare", "--fake", str(tmp_path / "fake.csv"),
+        "--true", str(tmp_path / "true.csv"), "--out", bom,
+        "--seed", "42", "--maxlen", "10", "--vocab-size", "100",
+        "--min-freq", "1"])
+    assert code == 0
+    assert open(bom, "rb").read() == open(plain, "rb").read()
+    assert (open(bom + ".vocab.json", "rb").read()
+            == open(plain + ".vocab.json", "rb").read())
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called before the output directory was checked")
+
+
+def test_prepare_missing_out_directory_exits_2_before_reading(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
+    out = str(tmp_path / "nodir" / "c.svec")
+    code, stdout, err = run(capsys, [
+        "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE, "--out", out])
+    assert code == 2
+    assert stdout == ""
+    assert out in err
+
+
+@pytest.mark.parametrize("flag", ["--out-checkpoint", "--history"])
+def test_train_missing_out_directory_exits_2_before_training(
+        capsys, tmp_path, monkeypatch, flag):
+    cache, _ = _prepare(capsys, tmp_path)
+    monkeypatch.setattr(cli, "fit", _never_called)
+    missing = str(tmp_path / "nodir" / "m")
+    # the last of a repeated flag wins
+    code, stdout, err = run(capsys, [
+        "train", "--data", cache, "--preset", "baseline",
+        "--out-checkpoint", str(tmp_path / "m.svchk"), flag, missing])
+    assert code == 2
+    assert stdout == ""
+    assert missing in err
+
+
 def test_prepare_missing_flag_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["prepare", "--true", TOY_TRUE, "--out", str(tmp_path / "x")])

@@ -6,6 +6,7 @@ from seqveritas.cli import TRAIN_FRAC, _load_data
 from seqveritas.ingest import (EmptySplit, MalformedRow, MissingColumn,
                                load_articles, merge_shuffle)
 from seqveritas.numerics import Prng
+from tests.conftest import TOY_FAKE, TOY_TRUE
 
 
 def write(tmp_path, text, name="x.csv"):
@@ -162,3 +163,14 @@ def test_toy_fixture_counts(toy_articles):
     assert len(fake) == 10 and len(true_) == 10
     merged = merge_shuffle(fake, true_, seed=42)
     assert _labels(merged) == [0] * 10 + [1] * 10
+
+
+@pytest.mark.parametrize("fixture", [TOY_FAKE, TOY_TRUE],
+                         ids=["fake", "true"])
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, fixture):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 BOM
+    plain = open(fixture, "rb").read()
+    assert not plain.startswith(b"\xef\xbb\xbf")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert load_articles(str(bom)) == load_articles(fixture)

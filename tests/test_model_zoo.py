@@ -14,7 +14,8 @@ from seqveritas import model_zoo, optim, textprep
 from seqveritas.model_zoo import (PRESETS, BadMagic, ModelConfig,
                                   ShapeMismatchOnLoad, VersionMismatch,
                                   VocabMissing, build, load, preset_config)
-from seqveritas.layers import PARAM_ALIGN, PARAM_BLOCK_BYTES, LstmCache
+from seqveritas.layers import (PARAM_ALIGN, PARAM_BLOCK_BYTES, LstmCache,
+                               StaleCache)
 from seqveritas.numerics import Prng, sigmoid
 from tests.conftest import (container_bytes, edit_header, json_checkpoint,
                             per_field_config, read_container, write_bytes)
@@ -259,6 +260,19 @@ def test_forward_trains_exactly_when_given_an_rng(preset):
 
     with pytest.raises(TypeError):
         model.forward(x, mode="train")
+
+
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_a_second_backward_over_one_forwards_caches_is_refused(preset):
+    """The LSTM's backward overwrites its cache, so a second
+    `Model.backward` over the caches of one forward raises StaleCache."""
+    model = _tiny_model(preset)
+    x = _random_inputs(model, 4)
+    labels = np.array([1.0, 0.0, 1.0, 0.0])
+    probs, caches = model.forward(x, Prng(3))
+    model.backward(caches, probs, labels)
+    with pytest.raises(StaleCache):
+        model.backward(caches, probs, labels)
 
 
 def test_config_round_trip_dict():

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from seqveritas import model_zoo, optim, textprep
-from seqveritas.layers import (BadRate, DropoutCache, ParamTensor,
-                               embedding_backward)
+from seqveritas.layers import BadRate, ParamTensor, embedding_backward
 from seqveritas.numerics import Prng
 
 # A vocabulary far larger than a batch, so most embedding rows are
@@ -35,10 +34,10 @@ def dense_dropout_forward(x, p, rng):
     if not 0.0 <= p < 1.0:
         raise BadRate(p)
     if rng is None or p == 0.0:
-        return x, DropoutCache(scaled_mask=None)
+        return x, None
     keep = 1.0 - p
     mask = (rng.uniform(0.0, 1.0, x.shape) < keep).astype(x.dtype) / keep
-    return x * mask, DropoutCache(scaled_mask=mask)
+    return x * mask, mask
 
 
 def dense_zero_grads(model):
