@@ -61,15 +61,18 @@ def _vocab_path(cache_path):
 
 
 def _check_out_dirs(*paths):
-    """Refuse an output path whose directory is missing before any input
-    is read, not after the work whose result it would hold."""
+    """Refuse an output path whose directory is missing, or that is itself
+    a directory, before any input is read, not after the work whose result
+    it would hold."""
     for path in paths:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"output directory of {path} is missing")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path} is a directory")
 
 
 def cmd_prepare(args):
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, _vocab_path(args.out))
     fake = ingest.load_articles(args.fake)
     true_ = ingest.load_articles(args.true)
     merged = ingest.merge_shuffle(fake, true_, args.seed)
@@ -130,7 +133,8 @@ def cmd_train(args):
     history = fit(model, train_x, train_y, val_x, val_y, tc)
     model.save(args.out_checkpoint)
     with open(history_path, "w") as f:
-        f.write(history.to_jsonl() + "\n")
+        for entry in history.epochs:
+            f.write(json.dumps(entry) + "\n")
 
     probs = predict_in_batches(model, val_x)
     _, report = evaluate(probs, val_y)

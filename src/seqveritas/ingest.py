@@ -13,6 +13,7 @@ detected), true = 0.
 from __future__ import annotations
 
 import csv
+import os
 
 from .numerics import Prng
 
@@ -34,9 +35,14 @@ class EmptySplit(ValueError):
 def load_articles(path):
     """One (title, body) pair per data row; rows with empty text are kept.
     CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes; a
-    byte-order mark before the header, as Excel writes, is skipped."""
+    byte-order mark before the header, as Excel writes, is skipped. A
+    field may be as long as the file: the csv module's field size limit
+    is raised to the file's size when that is larger."""
     articles = []
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > csv.field_size_limit():
+            csv.field_size_limit(size)
         reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)

@@ -14,15 +14,15 @@ Dense is a plain affine map; the ReLU and the output sigmoid are applied
 by `model_zoo`.
 
 Every ParamTensor lives in an `Arena`: four flat arrays (value, grad, m,
-v) of which the tensor's arrays are reshaped views. A model packs its
+v); a tensor's value and grad are reshaped views of its span of the
+first two, and Adam's moments are the arena's alone. A model packs its
 tensors into one arena, so zeroing, clipping and Adam make a few numpy
 calls per arena instead of a dozen per tensor; that per-call cost, not
 the arithmetic, is what a step of small tensors spends. An embedding
 larger than PARAM_BLOCK_BYTES keeps an arena of its own, which adopts
 its array (see `model_zoo`). Because the arrays are views, they are
 only ever written in place: `Arena.pack` binds each tensor's value, and
-a tensor makes its grad, m and v views on first use; nothing else binds
-them.
+a tensor makes its grad view on first use; nothing else binds them.
 
 Dropout masks come from `Prng.keep_mask`, an integer test on the bulk
 hash with the bits of `uniform(0, 1) < keep`.
@@ -96,19 +96,18 @@ class StaleCache(RuntimeError):
 
 @dataclass
 class ParamTensor:
-    """A trainable array with its gradient and Adam moments.
+    """A trainable array and its gradient.
 
     `regularizers` is a tuple of ("l1", lam) / ("l2", lam) terms; biases,
     embeddings, and batch-norm gamma/beta never carry any.
 
-    `value`, `grad`, `m` and `v` are views, of the tensor's shape, of its
-    `span` of its `arena`'s arrays. Given an `arena`, the tensor joins
-    it, and its `value` becomes such a view once the arena is packed
-    (`Arena.pack`). Without one it is an arena of one, which adopts
-    `value` (a C-contiguous array is not copied) and allocates zero grad
-    and moments. `grad`, `m` and `v` are made on first use and kept: Adam,
-    clipping and zeroing walk the arena's arrays, so a model that only
-    predicts never makes them.
+    `value` and `grad` are views, of the tensor's shape, of its `span` of
+    its `arena`'s `value` and `grad`; Adam's moments are the arena's
+    alone. Given an `arena`, the tensor joins it, and its `value` becomes
+    such a view once the arena is packed (`Arena.pack`). Without one it is
+    an arena of one, which adopts `value` (a C-contiguous array is not
+    copied). `grad` is made on first use and kept: clipping and zeroing
+    walk the arena's arrays, so a model that only predicts never makes it.
     """
     name: str
     value: np.ndarray
@@ -123,22 +122,12 @@ class ParamTensor:
             self.arena.join(self)
 
     def _view(self, flat):
-        """This tensor's span of the flat array `flat`, in its shape (a
-        1-D tensor's span is already in it: reshape costs a numpy call)."""
-        view = flat[self.span]
-        return view if self.value.ndim == 1 else view.reshape(self.value.shape)
+        """This tensor's span of the flat array `flat`, in its shape."""
+        return flat[self.span].reshape(self.value.shape)
 
     @functools.cached_property
     def grad(self):
         return self._view(self.arena.grad)
-
-    @functools.cached_property
-    def m(self):
-        return self._view(self.arena.m)
-
-    @functools.cached_property
-    def v(self):
-        return self._view(self.arena.v)
 
 
 class Arena:
@@ -148,12 +137,13 @@ class Arena:
     Tensors `join` an open arena; `pack` then allocates `value` and
     binds each tensor's `value` to a reshaped view of its `span` of it.
     `grad`, `m` and `v` start at zero and are allocated on first use, as
-    are each tensor's views of them: a model that only predicts never
-    makes them. Only `pack` and those first uses bind the attributes: a
-    tensor whose array were rebound elsewhere would leave its arena, and
-    Adam would update a buffer nobody reads. A packed arena keeps no
-    reference to its tensors, so a model holds no reference cycle and is
-    freed as soon as it is dropped.
+    is each tensor's view of `grad`: a model that only predicts never
+    makes them. A tensor's moments are `m[span]` and `v[span]`, with no
+    views of their own. Only `pack` and those first uses bind the
+    attributes: a tensor whose array were rebound elsewhere would leave
+    its arena, and Adam would update a buffer nobody reads. A packed
+    arena keeps no reference to its tensors, so a model holds no
+    reference cycle and is freed as soon as it is dropped.
     """
 
     def __init__(self):
@@ -212,12 +202,9 @@ class Arena:
     @functools.cached_property
     def blocks(self):
         """Views (value, grad, m, v) of consecutive blocks of at most
-        PARAM_BLOCK_BYTES each. Made on first use and kept; an arena that
-        fits in one block is its own arrays, unsliced."""
+        PARAM_BLOCK_BYTES each. Made on first use and kept."""
         arrays = (self.value, self.grad, self.m, self.v)
         span = max(1, PARAM_BLOCK_BYTES // self.value.itemsize)
-        if span >= self.value.size:
-            return (arrays,)
         return tuple(tuple(a[s:s + span] for a in arrays)
                      for s in range(0, self.value.size, span))
 

@@ -150,14 +150,7 @@ class TrainConfig:
 
 @dataclass
 class TrainingHistory:
-    epochs: list = field(default_factory=list)
-
-    def record(self, **kwargs):
-        self.epochs.append(kwargs)
-
-    def to_jsonl(self):
-        import json
-        return "\n".join(json.dumps(e) for e in self.epochs)
+    epochs: list = field(default_factory=list)  # one dict per epoch run
 
 
 def _batch_slices(n, batch_size, merge_trailing_singleton):
@@ -212,8 +205,9 @@ def fit(model, train_x, train_y, val_x, val_y, config):
         val_probs = predict_in_batches(model, val_x)
         val_loss = bce(val_probs, val_y)
         _, report = evaluate(val_probs, val_y, loss=val_loss)
-        history.record(epoch=epoch, train_loss=train_loss,
-                       val_loss=val_loss, val_accuracy=report.accuracy)
+        history.epochs.append({"epoch": epoch, "train_loss": train_loss,
+                               "val_loss": val_loss,
+                               "val_accuracy": report.accuracy})
         if stopper.update(val_loss, model.state_snapshot, epoch):
             break
 

@@ -160,7 +160,8 @@ def write_cache(path, sequences, labels, vocab_size, maxlen):
 def read_cache(path):
     """Returns (sequences Nxmaxlen uint32, labels N uint8, vocab_size): the
     stored types, as read-only views of the file's bytes. A label byte
-    other than 0 or 1 raises CacheFormatError."""
+    other than 0 or 1, or an index not below vocab_size, raises
+    CacheFormatError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
@@ -172,10 +173,13 @@ def read_cache(path):
     if len(blob) != 5 + 12 + n * record.itemsize:
         raise CacheFormatError(f"{path}: truncated or oversized cache")
     records = np.frombuffer(blob, dtype=record, count=n, offset=17)
-    labels = records["label"]
+    seqs, labels = records["seq"], records["label"]
     if (labels > 1).any():
         raise CacheFormatError(f"{path}: a label byte is not 0 or 1")
-    return records["seq"], labels, vocab_size
+    if seqs.size and seqs.max() >= vocab_size:
+        raise CacheFormatError(
+            f"{path}: a sequence index outside [0, {vocab_size})")
+    return seqs, labels, vocab_size
 
 
 # --- vocabulary document: a checkpoint's "vocab", and the file beside a cache

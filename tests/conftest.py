@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 import os
 import struct
@@ -33,6 +34,16 @@ def toy_encoded(toy_articles):
     x = np.array([textprep.encode(t, vocab, maxlen) for t in token_lists])
     y = np.array([label for _, _, label in merged], dtype=np.float64)
     return x, y, vocab, maxlen
+
+
+@pytest.fixture
+def default_csv_field_limit():
+    """The csv module's field size limit at its default, 131,072, during
+    the test, and as it was after it: `ingest.load_articles` raises it for
+    the rest of the process."""
+    before = csv.field_size_limit(131_072)
+    yield 131_072
+    csv.field_size_limit(before)
 
 
 def corpus_dir():

@@ -2,9 +2,11 @@
 
 The reference step is kept here, not in `src/`: a 2-D np.add.at scatter,
 dropout masks as `uniform < keep`, and clipping, zeroing and Adam over
-every element of each tensor in turn. Training through either must give
-the same bits, with the embedding in an arena of its own or packed into
-the arena of the other tensors.
+every element of each tensor in turn, Adam with moment arrays of its own
+per tensor. Training through either must give the same bits, with the
+embedding in an arena of its own or packed into the arena of the other
+tensors. A tensor's moments in the arena step are its span of the
+arena's `m` and `v`.
 """
 
 import numpy as np
@@ -57,7 +59,16 @@ def dense_clip_gradients(params):
     return norm
 
 
-def dense_adam_step(params, state):
+def arena_moments(p):
+    """(m, v) of `p` in the arena step: its span of its arena's moments,
+    in its shape."""
+    return tuple(flat[p.span].reshape(p.value.shape)
+                 for flat in (p.arena.m, p.arena.v))
+
+
+def dense_adam_step(params, state, moments):
+    """Adam over each tensor in turn; `moments` maps a tensor's name to
+    its (m, v), zero arrays of its shape on its first step."""
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise optim.NonFiniteGradient(p.name)
@@ -65,32 +76,37 @@ def dense_adam_step(params, state):
     bc1 = 1.0 - optim.BETA1 ** state.t
     bc2 = 1.0 - optim.BETA2 ** state.t
     for p in params:
+        m, v = moments.setdefault(
+            p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
         step = np.multiply(p.grad, 1.0 - optim.BETA1)
-        p.m *= optim.BETA1
-        p.m += step
+        m *= optim.BETA1
+        m += step
         np.multiply(p.grad, 1.0 - optim.BETA2, out=step)
         step *= p.grad
-        p.v *= optim.BETA2
-        p.v += step
-        denom = np.divide(p.v, bc2)
+        v *= optim.BETA2
+        v += step
+        denom = np.divide(v, bc2)
         np.sqrt(denom, out=denom)
         denom += optim.ADAM_EPS
-        np.divide(p.m, bc1, out=step)
+        np.divide(m, bc1, out=step)
         step *= state.lr
         step /= denom
         p.value -= step
 
 
-def _install_dense_step(mp, norms):
+def _install_dense_step(mp, norms, dense_moments):
     def clip(params):
         norms.append(dense_clip_gradients(params))
         return norms[-1]
+
+    def adam(params, state):
+        dense_adam_step(params, state, dense_moments)
 
     mp.setattr(model_zoo, "embedding_backward", dense_embedding_backward)
     mp.setattr(model_zoo, "dropout_forward", dense_dropout_forward)
     mp.setattr(model_zoo.Model, "zero_grads", dense_zero_grads)
     mp.setattr(optim, "clip_gradients", clip)
-    mp.setattr(optim, "adam_step", dense_adam_step)
+    mp.setattr(optim, "adam_step", adam)
 
 
 # --- data --------------------------------------------------------------------
@@ -125,20 +141,22 @@ def _assert_trains_to_the_bits_of_the_dense_step(preset, dtype, vocab,
     config = optim.TrainConfig(epochs=2, batch_size=BATCH, seed=7,
                                patience=5)
 
-    dense, norms = _model(preset, dtype, vocab), []
+    dense, norms, dense_moments = _model(preset, dtype, vocab), [], {}
     with monkeypatch.context() as mp:
-        _install_dense_step(mp, norms)
+        _install_dense_step(mp, norms, dense_moments)
         dense_history = optim.fit(dense, *train, config)
     model = _model(preset, dtype, vocab)
     history = optim.fit(model, *train, config)
 
     assert len(norms) == 6 and max(norms) > optim.MAX_NORM
-    assert history.to_jsonl() == dense_history.to_jsonl()
+    assert history.epochs == dense_history.epochs
     for (name, got), (_, want) in zip(model.tensors(), dense.tensors()):
         assert got.tobytes() == want.tobytes(), name
     for got, want in zip(model.params, dense.params):
-        assert got.m.tobytes() == want.m.tobytes(), got.name
-        assert got.v.tobytes() == want.v.tobytes(), got.name
+        (got_m, got_v), (want_m, want_v) = (arena_moments(got),
+                                            dense_moments[want.name])
+        assert got_m.tobytes() == want_m.tobytes(), got.name
+        assert got_v.tobytes() == want_v.tobytes(), got.name
     return train, model
 
 
@@ -179,7 +197,8 @@ def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
     assert state.t == 0
     for p, value in zip(model.params, before):
         assert p.value.tobytes() == value.tobytes(), p.name
-        assert not p.m.any() and not p.v.any(), p.name
+        m, v = arena_moments(p)
+        assert not m.any() and not v.any(), p.name
 
 
 # --- one tensor alone in its arena ------------------------------------------
@@ -200,14 +219,17 @@ def test_two_backward_passes_accumulate_then_clip_and_update_both():
     assert emb.grad.tobytes() == dense.grad.tobytes()
     assert np.sqrt(np.sum(emb.grad ** 2)) == pytest.approx(optim.MAX_NORM)
 
+    dense_moments = {}
     optim.adam_step([emb], optim.AdamState())
-    dense_adam_step([dense], optim.AdamState())
+    dense_adam_step([dense], optim.AdamState(), dense_moments)
     assert emb.value.tobytes() == dense.value.tobytes()
     moved = np.flatnonzero(np.any(emb.value != _embedding().value, axis=1))
     touched = np.union1d(*batches)
     assert np.array_equal(moved, touched[touched > 0])
-    assert emb.m.tobytes() == dense.m.tobytes()
-    assert emb.v.tobytes() == dense.v.tobytes()
+    (emb_m, emb_v), (dense_m, dense_v) = (arena_moments(emb),
+                                          dense_moments[dense.name])
+    assert emb_m.tobytes() == dense_m.tobytes()
+    assert emb_v.tobytes() == dense_v.tobytes()
 
 
 def test_zero_grads_zeroes_every_gradient():
@@ -236,4 +258,5 @@ def test_the_pad_row_stays_zero():
         optim.clip_gradients([emb])
         optim.adam_step([emb], state)
         assert not emb.value[0].any()
-        assert not emb.m[0].any() and not emb.v[0].any()
+        m, v = arena_moments(emb)
+        assert not m[0].any() and not v[0].any()

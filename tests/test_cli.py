@@ -116,6 +116,53 @@ def test_prepare_missing_out_directory_exits_2_before_reading(
     assert out in err
 
 
+@pytest.mark.parametrize("which", ["cache", "vocab"])
+def test_prepare_out_path_that_is_a_directory_exits_2_before_reading(
+        capsys, tmp_path, monkeypatch, which):
+    monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
+    directory = tmp_path / {"cache": "c.svec",
+                            "vocab": "c.svec.vocab.json"}[which]
+    directory.mkdir()
+    code, stdout, err = run(capsys, [
+        "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+        "--out", str(tmp_path / "c.svec")])
+    assert code == 2
+    assert stdout == ""
+    assert str(directory) in err
+
+
+@pytest.mark.parametrize("flag", ["--out-checkpoint", "--history", None],
+                         ids=["--out-checkpoint", "--history", "default"])
+def test_train_out_path_that_is_a_directory_exits_2_before_training(
+        capsys, tmp_path, monkeypatch, flag):
+    cache, _ = _prepare(capsys, tmp_path)
+    monkeypatch.setattr(cli, "fit", _never_called)
+    # with no flag, the default history path beside the checkpoint
+    directory = tmp_path / ("m.svchk.history.jsonl" if flag is None else "d")
+    directory.mkdir()
+    argv = ["train", "--data", cache, "--preset", "baseline",
+            "--out-checkpoint", str(tmp_path / "m.svchk")]
+    if flag is not None:
+        argv += [flag, str(directory)]  # the last of a repeated flag wins
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert str(directory) in err
+
+
+def test_prepare_reads_a_field_longer_than_the_csv_default_limit(
+        capsys, tmp_path, default_csv_field_limit):
+    body = ("lorem ipsum " * 20_000)[:200_000]
+    assert len(body) > default_csv_field_limit
+    fake = tmp_path / "fake.csv"
+    fake.write_text(open(TOY_FAKE).read() + f"long,{body},news,2017\n")
+    code, out, err = run(capsys, [
+        "prepare", "--fake", str(fake), "--true", TOY_TRUE,
+        "--out", str(tmp_path / "c.svec")])
+    assert code == 0, err
+    assert json.loads(out)["fake"] == 11
+
+
 @pytest.mark.parametrize("flag", ["--out-checkpoint", "--history"])
 def test_train_missing_out_directory_exits_2_before_training(
         capsys, tmp_path, monkeypatch, flag):
@@ -401,6 +448,34 @@ def test_cache_label_outside_0_and_1_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "label byte" in err
+
+
+@pytest.mark.parametrize("record", [0, 19], ids=["training", "validation"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cache_index_at_its_vocabulary_size_exits_2_before_the_work(
+        capsys, tmp_path, monkeypatch, command, record):
+    # before: train ran until a batch reached the record, a whole epoch
+    # for the last (validation) one
+    cache, doc = _prepare(capsys, tmp_path)
+    if command == "eval":
+        ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+        argv = ["eval", "--checkpoint", ckpt, "--data", cache,
+                "--split", "all"]
+        monkeypatch.setattr(cli, "predict_in_batches", _never_called)
+    else:
+        argv = ["train", "--data", cache, "--preset", "baseline",
+                "--out-checkpoint", str(tmp_path / "m.svchk")]
+        monkeypatch.setattr(cli, "fit", _never_called)
+    blob = bytearray(open(cache, "rb").read())
+    record_size = 10 * 4 + 1  # maxlen u32 indices and a label byte
+    last = 17 + record * record_size + 9 * 4  # the record's last index
+    blob[last:last + 4] = struct.pack("<I", doc["vocab_size"])
+    open(cache, "wb").write(blob)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and cache in err
+    assert f"index outside [0, {doc['vocab_size']})" in err
 
 
 def test_train_invalid_preset_exits_2(capsys, tmp_path):

@@ -174,3 +174,11 @@ def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, fixture):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain)
     assert load_articles(str(bom)) == load_articles(fixture)
+
+
+def test_a_field_longer_than_the_csv_default_limit_loads_whole(
+        tmp_path, default_csv_field_limit):
+    body = ("lorem ipsum " * 20_000)[:200_000]
+    assert len(body) > default_csv_field_limit
+    path = write(tmp_path, HEADER + f"t1,{body},news,2017\nt2,b,news,2018\n")
+    assert load_articles(path) == [("t1", body), ("t2", "b")]

@@ -879,13 +879,14 @@ def test_predict_trained_toy_sentence(toy_encoded):
 # --- the parameter arena -----------------------------------------------------
 
 def _assert_views_of_arenas(model):
-    """Each tensor's value, grad, m and v are views of its span of its
-    arena's arrays; a packed arena's spans follow `params` order, each at
-    the first multiple of PARAM_ALIGN bytes after the one before, and the
-    gaps hold zeros."""
+    """Each tensor's value and grad are views of its span of its arena's
+    arrays, whose moments m and v cover every span; a packed arena's
+    spans follow `params` order, each at the first multiple of
+    PARAM_ALIGN bytes after the one before, and the gaps hold zeros."""
     spans = {}
     for p in model.params:
-        for name in ("value", "grad", "m", "v"):
+        assert p.arena.m[p.span].size == p.arena.v[p.span].size == p.value.size
+        for name in ("value", "grad"):
             view, flat = getattr(p, name), getattr(p.arena, name)
             assert np.shares_memory(view, flat), (p.name, name)
             assert view.ctypes.data == flat[p.span].ctypes.data, (p.name, name)

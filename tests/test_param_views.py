@@ -1,14 +1,15 @@
 """No code under src/seqveritas rebinds a parameter's arrays outside
 `layers.Arena`.
 
-A ParamTensor's `value`, `grad`, `m` and `v` are views of its arena's
-flat arrays, which Adam, clipping and zeroing walk. Binding one of those
-attributes to another array would silently detach the tensor: Adam would
-then update a buffer that no layer reads. Each file is parsed with `ast`,
-and every attribute store of one of those names is refused unless it is
-in the class that builds arenas. An augmented assignment (`p.grad += d`)
-is allowed: numpy's in-place operators return the array they were given,
-so the attribute is bound to itself.
+A ParamTensor's `value` and `grad` are views of its arena's flat arrays,
+which Adam, clipping and zeroing walk; Adam's moments `m` and `v` are the
+arena's alone, with no per-tensor views. Binding one of those attributes
+to another array would silently detach the tensor or its moments: Adam
+would then update a buffer that no layer reads. Each file is parsed with
+`ast`, and every attribute store of one of those names is refused unless
+it is in the class that builds arenas. An augmented assignment
+(`p.grad += d`) is allowed: numpy's in-place operators return the array
+they were given, so the attribute is bound to itself.
 """
 
 import ast

@@ -211,10 +211,11 @@ def test_cache_header_layout(tmp_path):
 
 
 def test_cache_records_packed(tmp_path):
-    # reference: each record written field by field, with no padding
+    # reference: each record written field by field, with no padding; the
+    # largest vocabulary a u32 header holds, so every index below it reads
     path = str(tmp_path / "c.svec")
-    seqs, labels = [[7, 8, 2**32 - 1], [0, 1, 65536]], [1, 0]
-    write_cache(path, seqs, labels, vocab_size=9, maxlen=3)
+    seqs, labels = [[7, 8, 2**32 - 2], [0, 1, 65536]], [1, 0]
+    write_cache(path, seqs, labels, vocab_size=2**32 - 1, maxlen=3)
     expected = b"".join(struct.pack("<3I", *row) + struct.pack("B", label)
                         for row, label in zip(seqs, labels))
     assert open(path, "rb").read()[17:] == expected
@@ -249,6 +250,30 @@ def test_cache_label_byte_other_than_0_and_1_detected(tmp_path, byte):
     open(path, "wb").write(blob)
     with pytest.raises(textprep.CacheFormatError, match="label"):
         read_cache(path)
+
+
+@pytest.mark.parametrize("record", [0, 1])
+def test_cache_index_at_the_vocabulary_size_detected(tmp_path, record):
+    path = str(tmp_path / "c.svec")
+    seqs = [[0, 8], [2, 3]]
+    seqs[record][1] = 9
+    write_cache(path, seqs, [1, 0], vocab_size=9, maxlen=2)
+    with pytest.raises(textprep.CacheFormatError, match=r"outside \[0, 9\)"):
+        read_cache(path)
+
+
+def test_cache_indices_below_the_vocabulary_size_read(tmp_path):
+    path = str(tmp_path / "c.svec")
+    write_cache(path, [[0, 8], [8, 1]], [1, 0], vocab_size=9, maxlen=2)
+    x, _, v = read_cache(path)
+    assert x.tolist() == [[0, 8], [8, 1]] and v == 9
+
+
+def test_empty_cache_reads(tmp_path):
+    path = str(tmp_path / "c.svec")
+    write_cache(path, np.zeros((0, 3)), [], vocab_size=2, maxlen=3)
+    x, y, v = read_cache(path)
+    assert (x.shape, y.shape, v) == ((0, 3), (0,), 2)
 
 
 @pytest.mark.parametrize("size", range(5, 17))
