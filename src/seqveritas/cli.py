@@ -60,19 +60,25 @@ def _vocab_path(cache_path):
     return cache_path + ".vocab.json"
 
 
-def _check_out_dirs(*paths):
-    """Refuse an output path whose directory is missing, or that is itself
-    a directory, before any input is read, not after the work whose result
-    it would hold."""
-    for path in paths:
+def _check_outputs(outputs, inputs):
+    """Refuse an output path whose directory is missing, that is itself a
+    directory, or that names an input or another output, before any input
+    is read, not after the work whose result it would hold or destroy."""
+    taken = {os.path.realpath(path): path for path in inputs}
+    for path in outputs:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"output directory of {path} is missing")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path {path} is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"output path {path} names the same file as "
+                             f"{taken[real]}")
+        taken[real] = path
 
 
 def cmd_prepare(args):
-    _check_out_dirs(args.out, _vocab_path(args.out))
+    _check_outputs([args.out, _vocab_path(args.out)], [args.fake, args.true])
     fake = ingest.load_articles(args.fake)
     true_ = ingest.load_articles(args.true)
     merged = ingest.merge_shuffle(fake, true_, args.seed)
@@ -120,7 +126,8 @@ def _load_data(path):
 
 def cmd_train(args):
     history_path = args.history or args.out_checkpoint + ".history.jsonl"
-    _check_out_dirs(args.out_checkpoint, history_path)
+    _check_outputs([args.out_checkpoint, history_path],
+                   [args.data, _vocab_path(args.data)])
     splits, vocab = _load_data(args.data)
     (train_x, train_y), (val_x, val_y) = splits["train"], splits["val"]
     model = model_zoo.build(args.preset, vocab, maxlen=train_x.shape[1],

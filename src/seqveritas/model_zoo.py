@@ -16,14 +16,14 @@ order, which is the checkpoint order.
 
 A model gets its tensors from one function, `tensor(name, shape, init)`:
 `build` answers with the seeded initialisation `init(rng)`, `load` with
-the array the checkpoint holds under that name, so a load draws nothing.
+the next array of the checkpoint's table, so a load draws nothing.
 
 A checkpoint (format version 5) is a binary container, the layout of
 safetensors and of NumPy's `.npy`:
   - an 8-byte little-endian u64 header length n;
   - n bytes of UTF-8 JSON: magic, version, config, vocabulary, and the
-    name, shape and byte offset of each tensor, the parameters in
-    `Model.params` order and then the batch-norm running statistics;
+    name, shape and byte offset of each tensor, in `Model.tensors()`
+    order: the parameters, then the batch-norm running statistics;
   - the data section, from the first multiple of 64 at or after 8 + n:
     each tensor's little-endian bytes, row-major, at its offset. Offsets
     count from the data section and are the multiples of 64 at or after
@@ -39,9 +39,9 @@ view instead, so a `paper`-sized model keeps the buffer on purpose: a
 20k-row table is then not copied at load.
 Versions 1-3 (one JSON document) and 4 (whose config repeated the
 preset's values), a header that is not JSON or lacks the magic, a config
-or vocabulary value of the wrong type, and a tensor table that does not
-tile the data section with the tensors the config's model has, are
-refused.
+or vocabulary value of the wrong type, and any tensor table but the one
+`save` writes for the config, entry for entry and JSON type for type,
+are refused.
 
 Presets: each is one of the paper's three models. Its architecture and
 learning rate are its row of `PRESETS`, the only place they live; a
@@ -274,11 +274,11 @@ class Model:
         self._build_params(tensor)
 
     # the order of `tensor` calls is fixed: the seeded initialisation draws
-    # in it, and `params` follows it. Every parameter but an embedding
-    # larger than one block joins one arena, packed once all have joined:
-    # one allocation per array, then each tensor's value copied in once.
-    # Such an embedding is an arena of its own, which adopts its array, so
-    # `load` hands it the checkpoint's bytes without a copy.
+    # in it, and `params` and `tensors()` follow it. Every parameter but an
+    # embedding larger than one block joins one arena, packed once all have
+    # joined: one allocation per array, then each tensor's value copied in
+    # once. Such an embedding is an arena of its own, which adopts its
+    # array, so `load` hands it the checkpoint's bytes without a copy.
     def _build_params(self, tensor):
         cfg, pre, dt = self.config, self.preset, self.dtype
         h, d = cfg.lstm_units, cfg.embed_dim
@@ -331,11 +331,7 @@ class Model:
                 param(f"{name}.b", (width,), zeros)))
             if hidden:
                 if pre.batchnorm:
-                    # copies, so that a loaded model keeps no view of the
-                    # checkpoint buffer
-                    running = BatchNormRunning(
-                        tensor(f"{name}.bn.mean", (width,), zeros).copy(),
-                        tensor(f"{name}.bn.var", (width,), ones).copy())
+                    running = BatchNormRunning.fresh(width, dt)
                     self.bn_running[name] = running
                     self.layers.append(BatchNorm(
                         param(f"{name}.bn.gamma", (width,), ones),
@@ -343,6 +339,11 @@ class Model:
                         running))
                 self.layers.append(ReLU())
             fan_in = width
+        # the running stats after every parameter, as `tensors()` lists
+        # them; copies, so that a loaded model keeps no view of its buffer
+        for name, r in self.bn_running.items():
+            r.mean = tensor(f"{name}.bn.mean", r.mean.shape, zeros).copy()
+            r.var = tensor(f"{name}.bn.var", r.var.shape, ones).copy()
         self.params = [p for layer in self.layers for p in layer.params]
         arena.pack()
         self.arenas = arenas_of(self.params)
@@ -451,9 +452,9 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
 
 
 def load(path):
-    """The model a version 5 checkpoint holds. The file is read once into
-    one 64-byte-aligned buffer; each tensor is a writable view of it,
-    which the model copies out (see the module docstring)."""
+    """The model a version 5 checkpoint holds, read into one aligned
+    buffer (see the module docstring); refused unless its tensor table is
+    exactly the one `save` writes for its config."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         raw = np.empty(size + CHECKPOINT_ALIGN, dtype=np.uint8)
@@ -472,7 +473,7 @@ def load(path):
                        f"in a {blob.size}-byte file)")
     try:
         header = json.loads(blob[8:8 + n].tobytes().decode("utf-8"))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # not JSON, or too deep
         raise BadMagic(f"{path}: not a checkpoint file ({e})") from None
     if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: missing checkpoint magic")
@@ -488,62 +489,54 @@ def load(path):
 
 
 def _restore(path, header, data):
-    """The model a version-checked header describes, its tensors taken
-    from `data`, the data section."""
+    """The model a version-checked header describes, its tensors views of
+    `data`, the data section. As the model asks for each tensor, in
+    `tensors()` order, the table's next entry must be exactly the one
+    `save` wrote for it; no entry and no byte may be left after the last."""
     config = ModelConfig.from_dict(header["config"])
     vocab = textprep.vocab_from_doc(header["vocab"])
     if len(vocab) != config.vocab_size:
         raise ShapeMismatchOnLoad(f"{path}: {len(vocab)} vocabulary entries, "
                                   f"but config.vocab_size {config.vocab_size}")
     dtype = DTYPES[config.dtype]
-    arrays = _tensor_views(path, header["tensors"], data,
-                           np.dtype(dtype).newbyteorder("<"))
+    wire = np.dtype(dtype).newbyteorder("<")
+    entries, end = iter(header["tensors"]), 0
+
+    def expect(want):
+        found = next(entries, _END)
+        if not (found is _END or _is_entry(found)):
+            raise TypeError(f"tensor entry {found!r}")
+        if found != want:
+            found, want = ("nothing" if e is _END else json.dumps(e)
+                           for e in (found, want))
+            raise ShapeMismatchOnLoad(f"{path}: the tensor table has {found} "
+                                      f"where {want} belongs")
 
     def stored(name, shape, init):
-        if name not in arrays:
-            raise ShapeMismatchOnLoad(f"{path}: missing tensor {name}")
-        array = arrays.pop(name)
-        if array.shape != shape:
-            raise ShapeMismatchOnLoad(
-                f"{path}: {name} has shape {list(array.shape)}, "
-                f"expected {list(shape)}")
-        return array.astype(dtype, copy=False)  # a copy on big-endian hosts
+        nonlocal end
+        offset = _aligned(end)
+        expect({"name": name, "shape": list(shape), "offset": offset})
+        end = offset + math.prod(shape) * wire.itemsize
+        if end > data.size:
+            raise ShapeMismatchOnLoad(f"{path}: {name} ends past the "
+                                      f"{data.size}-byte data section")
+        view = data[offset:end].view(wire).reshape(shape)
+        return view.astype(dtype, copy=False)  # a copy on big-endian hosts
 
     model = Model(config, vocab, stored)
-    if arrays:
-        raise ShapeMismatchOnLoad(f"{path}: tensors {sorted(arrays)} are "
-                                  "not in the model its config describes")
-    return model
-
-
-def _tensor_views(path, table, data, wire):
-    """name -> that tensor's view of `data`, once the table is checked to
-    tile it: each offset is the first aligned one after the tensor before,
-    and the last tensor ends the file."""
-    views, end = {}, 0
-    for entry in table:
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-        if not (isinstance(name, str) and _is_int(offset)
-                and isinstance(shape, list)
-                and all(_is_int(n) and n >= 0 for n in shape)):
-            raise TypeError(f"tensor entry {entry!r}")
-        size = math.prod(shape) * wire.itemsize
-        if offset % CHECKPOINT_ALIGN:
-            raise ShapeMismatchOnLoad(f"{path}: {name} at offset {offset}, "
-                                      f"not a multiple of {CHECKPOINT_ALIGN}")
-        if offset + size > data.size:
-            raise ShapeMismatchOnLoad(
-                f"{path}: {name} needs bytes {offset} to {offset + size} of "
-                f"a {data.size}-byte data section")
-        if offset != _aligned(end):
-            why = "overlaps" if offset < end else "leaves a gap after"
-            raise ShapeMismatchOnLoad(f"{path}: {name} at offset {offset} "
-                                      f"{why} the tensor before it")
-        end = offset + size
-        if name in views:
-            raise ShapeMismatchOnLoad(f"{path}: tensor {name} stored twice")
-        views[name] = data[offset:end].view(wire).reshape(shape)
+    expect(_END)
     if end != data.size:
         raise ShapeMismatchOnLoad(f"{path}: {data.size - end} bytes after "
                                   "the last tensor")
-    return views
+    return model
+
+
+_END = object()  # the tensor table's end, where no entry is
+
+
+def _is_entry(entry):
+    """Whether `entry` has the keys and JSON types of a table entry."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and _is_int(entry.get("offset"))
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(n) and n >= 0 for n in entry["shape"]))

@@ -210,11 +210,10 @@ def save_vocab(path, vocab):
 
 
 def load_vocab(path):
-    """The vocabulary `save_vocab` wrote; a file `vocab_from_doc` refuses
-    raises ValueError."""
+    """The vocabulary `save_vocab` wrote; a file that is not JSON, or
+    that `vocab_from_doc` refuses, raises ValueError naming it."""
     with open(path) as f:
-        doc = json.load(f)
-    try:
-        return vocab_from_doc(doc)
-    except TypeError as e:
-        raise ValueError(f"{path}: not a vocabulary file ({e})") from None
+        try:  # RecursionError: JSON nested too deep to parse
+            return vocab_from_doc(json.load(f))
+        except (ValueError, RecursionError, TypeError) as e:
+            raise ValueError(f"{path}: not a vocabulary file ({e})") from None

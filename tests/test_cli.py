@@ -178,6 +178,83 @@ def test_train_missing_out_directory_exits_2_before_training(
     assert missing in err
 
 
+@pytest.mark.parametrize("out", ["fake", "true_by_a_link", "vocab_is_fake"])
+def test_prepare_out_path_naming_an_input_exits_2_before_reading(
+        capsys, tmp_path, monkeypatch, out):
+    # before: the cache, or the vocabulary beside it, overwrote the input
+    monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
+    fake, true_ = tmp_path / "c.vocab.json", tmp_path / "t.csv"
+    inputs = {fake: open(TOY_FAKE, "rb").read(),
+              true_: open(TOY_TRUE, "rb").read()}
+    for path, data in inputs.items():
+        path.write_bytes(data)
+    (tmp_path / "link").symlink_to(true_)
+    out_path = {"fake": fake, "true_by_a_link": tmp_path / "link",
+                "vocab_is_fake": tmp_path / "c"}[out]
+    code, stdout, err = run(capsys, [
+        "prepare", "--fake", str(fake), "--true", str(true_),
+        "--out", str(out_path)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "names the same file as" in err
+    assert {path: path.read_bytes() for path in inputs} == inputs
+
+
+@pytest.mark.parametrize("collision", [
+    "checkpoint_is_history", "checkpoint_is_data", "history_is_data",
+    "history_is_vocab", "checkpoint_links_to_data"])
+def test_train_out_path_naming_an_input_or_output_exits_2_before_training(
+        capsys, tmp_path, monkeypatch, collision):
+    # before: train wrote over its cache, its vocabulary or its checkpoint
+    cache, _ = _prepare(capsys, tmp_path)
+    monkeypatch.setattr(cli, "fit", _never_called)
+    ckpt, link = str(tmp_path / "m.svchk"), tmp_path / "link"
+    link.symlink_to(cache)
+    out = {"checkpoint_is_history": ["--out-checkpoint", ckpt,
+                                     "--history", ckpt],
+           "checkpoint_is_data": ["--out-checkpoint", cache],
+           "history_is_data": ["--out-checkpoint", ckpt, "--history", cache],
+           "history_is_vocab": ["--out-checkpoint", ckpt,
+                                "--history", cache + ".vocab.json"],
+           "checkpoint_links_to_data": ["--out-checkpoint", str(link)],
+           }[collision]
+    inputs = {path: open(path, "rb").read()
+              for path in (cache, cache + ".vocab.json")}
+    code, stdout, err = run(capsys, ["train", "--data", cache, "--preset",
+                                     "baseline", *out])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "names the same file as" in err
+    assert {path: open(path, "rb").read() for path in inputs} == inputs
+    assert not (tmp_path / "m.svchk").exists()
+
+
+_DEEP_JSON = b"[" * 10_000 + b"]" * 10_000
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("doc", [_DEEP_JSON, b"not json"],
+                         ids=["nested_too_deep", "not_json"])
+def test_vocab_file_that_is_not_json_exits_2_naming_it(capsys, tmp_path,
+                                                       command, doc):
+    # before: nested too deep, a RecursionError exited 1 with a traceback;
+    # not JSON, the error named no file
+    cache, _ = _prepare(capsys, tmp_path)
+    if command == "eval":
+        ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+        argv = ["eval", "--checkpoint", ckpt, "--data", cache]
+    else:
+        argv = ["train", "--data", cache, "--preset", "baseline",
+                "--out-checkpoint", str(tmp_path / "m.svchk")]
+    vocab_file = cache + ".vocab.json"
+    write_bytes(vocab_file, doc)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and vocab_file in err
+    assert "not a vocabulary file" in err
+
+
 def test_prepare_missing_flag_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["prepare", "--true", TOY_TRUE, "--out", str(tmp_path / "x")])
@@ -667,7 +744,8 @@ def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("how", [
     "wrong_length", "version_1", "version_2", "version_3", "config_colour",
     "widths_not_a_list", "maxlen_not_an_int", "dtype_float16", "no_vocab",
-    "no_params", "header_not_json", "misaligned_offset", "trailing_bytes"])
+    "no_params", "header_not_json", "misaligned_offset", "trailing_bytes",
+    "header_nested_too_deep"])
 def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt = str(tmp_path / "model.svchk")
@@ -687,6 +765,8 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
         raw = json.dumps(doc).encode()
     elif how == "header_not_json":
         raw = blob[:8] + b"x" + blob[9:]
+    elif how == "header_nested_too_deep":  # before: a traceback, exit 1
+        raw = struct.pack("<Q", len(_DEEP_JSON)) + _DEEP_JSON
     elif how == "trailing_bytes":
         raw = blob + bytes(64)
     else:
@@ -711,7 +791,7 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and ckpt in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

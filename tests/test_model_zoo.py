@@ -602,7 +602,16 @@ def test_checkpoint_wrong_running_stat_length(tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("how, message", [
+def _table_message(found, expected):
+    """A pattern for the refusal of a table entry `found` where `expected`
+    belongs; None for either is no entry."""
+    found, expected = ("nothing" if e is None else json.dumps(e)
+                       for e in (found, expected))
+    return re.escape(f"the tensor table has {found} where {expected} "
+                     "belongs")
+
+
+@pytest.mark.parametrize("how, defect", [
     ("misaligned", "not a multiple of 64"),
     ("overlapping", "overlaps"),
     ("gap", "gap"),
@@ -610,11 +619,17 @@ def test_checkpoint_wrong_running_stat_length(tmp_path):
     ("trailing_bytes", "64 bytes after the last tensor"),
     ("duplicate", "stored twice"),
     ("missing", "missing tensor dense2.b"),
+    ("extra_key", "a key save does not write"),
+    ("left_over", "an entry after the last tensor"),
 ])
-def test_checkpoint_tensor_table_must_tile_the_data(tmp_path, how, message):
+def test_checkpoint_tensor_table_must_tile_the_data(tmp_path, how, defect):
+    # `defect` says what the edit breaks; the message names the entry found
+    # and the one `save` writes there
     path = _saved(tmp_path)
     header, start, blob = read_container(path)
     table = header["tensors"]
+    at = -1 if how in ("out_of_range", "missing") else 1
+    expected = dict(table[at])
     if how == "misaligned":
         table[1]["offset"] += 8
     elif how == "overlapping":
@@ -627,9 +642,59 @@ def test_checkpoint_tensor_table_must_tile_the_data(tmp_path, how, message):
         table[1]["name"] = table[0]["name"]
     elif how == "missing":
         table[-1]["name"] = "dense2.bias"
+    elif how == "extra_key":
+        table[1]["dtype"] = "<f8"
+    elif how == "left_over":
+        table.append({"name": "dense3.W", "shape": [], "offset": 0})
+        at, expected = -1, None
     data = blob[start:] + (bytes(64) if how == "trailing_bytes" else b"")
     write_bytes(path, container_bytes(header, data))
+    message = (defect if how == "trailing_bytes"
+               else _table_message(table[at], expected))
     with pytest.raises(ShapeMismatchOnLoad, match=message):
+        load(path)
+
+
+def _container_in_order(path, order):
+    """The checkpoint at `path` rewritten with its tensors in `order`, a
+    permutation of the table's indices, each at the first aligned offset
+    after the one before: the layout save has, in another order."""
+    header, start, blob = read_container(path)
+    table, data = [], b""
+    for entry in (header["tensors"][i] for i in order):
+        data += bytes(-len(data) % 64)
+        table.append({**entry, "offset": len(data)})
+        data += blob[start + entry["offset"]:_end_of(start, entry)]
+    return container_bytes({**header, "tensors": table}, data)
+
+
+def test_checkpoint_permuted_table_refused(tmp_path):
+    # the tensors all there, each where its entry says, but not in
+    # `tensors()` order
+    path = _saved(tmp_path)
+    header, _, blob = read_container(path)
+    n = len(header["tensors"])
+    assert _container_in_order(path, range(n)) == blob
+    write_bytes(path, _container_in_order(path, reversed(range(n))))
+    found = read_container(path)[0]["tensors"][0]
+    with pytest.raises(ShapeMismatchOnLoad,
+                       match=_table_message(found, header["tensors"][0])):
+        load(path)
+
+
+# a value equal in Python to the int that `save` writes, of another JSON
+# type
+@pytest.mark.parametrize("name, key, value", [
+    ("lstm.W", "offset", 1408.0), ("embedding", "offset", False),
+    ("dense2.W", "shape", [16, True]), ("lstm.W", "shape", [8.0, 32])],
+    ids=["offset_float", "offset_false", "shape_true", "shape_float"])
+def test_checkpoint_table_value_of_another_json_type_is_bad_magic(
+        tmp_path, name, key, value):
+    path = _saved(tmp_path)
+    header, _, _ = read_container(path)
+    assert _entry(header, name)[key] == value
+    edit_header(path, lambda h: _entry(h, name).update({key: value}))
+    with pytest.raises(BadMagic, match="tensor entry"):
         load(path)
 
 
@@ -703,17 +768,22 @@ def test_checkpoint_tensor_outside_the_config_refused(tmp_path):
     # dense stack with no batch norm; its tensors do not fit that model
     path = _saved(tmp_path, _tiny_model("optimized"))
     edit_header(path, lambda h: h["config"].update(preset="regularized"))
+    header, _, _ = read_container(path)
+    found = _entry(header, "dense0.W")
+    expected = {**found, "shape": [8, 64]}
     with pytest.raises(ShapeMismatchOnLoad,
-                       match=r"dense0.W has shape \[8, 128\], "
-                             r"expected \[8, 64\]"):
+                       match=_table_message(found, expected)):
         load(path)
 
 
 def test_checkpoint_shape_mismatch_on_load(tmp_path):
     # the same bytes, transposed
     path = _saved(tmp_path)
+    header, _, _ = read_container(path)
+    expected = _entry(header, "lstm.W")
     edit_header(path, lambda h: _entry(h, "lstm.W")["shape"].reverse())
-    with pytest.raises(ShapeMismatchOnLoad, match="lstm.W has shape"):
+    with pytest.raises(ShapeMismatchOnLoad, match=_table_message(
+            {**expected, "shape": [32, 8]}, expected)):
         load(path)
 
 
@@ -837,6 +907,56 @@ def test_checkpoint_overwritten_header_byte_loads_or_is_refused(
         load(path)
     except _REFUSALS:
         pass
+
+
+# JSON values of a type no table entry field has
+_MISTYPED = (st.none() | st.booleans()
+             | st.floats(allow_nan=False, allow_infinity=False)
+             | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=2))
+_FIELDS = {
+    "name": (st.text(max_size=12), _MISTYPED | st.integers()),
+    "shape": (st.lists(st.integers(0, 64), max_size=3),
+              _MISTYPED | st.text(max_size=3) | st.lists(
+                  st.integers(-64, 64), min_size=1).filter(
+                      lambda shape: min(shape) < 0)),
+    "offset": (st.integers(-64, 10**6), _MISTYPED | st.text(max_size=3)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_table_edit_is_refused(saved_checkpoint, data):
+    # the table save wrote loads bit-exact; swapping two of its entries, or
+    # any other name, shape or offset in one, is refused: as a mismatch,
+    # or as malformed where the new value has a type the field has not
+    blob, _, path = saved_checkpoint
+    write_bytes(path, blob)  # as save wrote it, whatever the test before
+    header, start, _ = read_container(path)
+    table = header["tensors"]
+    how = data.draw(st.sampled_from(["none", "swap", *_FIELDS]))
+    i = data.draw(st.integers(0, len(table) - 1))
+    refusal = ShapeMismatchOnLoad
+    if how == "swap":
+        j = data.draw(st.integers(0, len(table) - 1).filter(lambda j: j != i))
+        table[i], table[j] = table[j], table[i]
+    elif how != "none":
+        typed, mistyped = _FIELDS[how]
+        if data.draw(st.booleans()):
+            refusal, values = BadMagic, mistyped
+        else:
+            values = typed
+        table[i][how] = data.draw(values.filter(
+            lambda v: json.dumps(v) != json.dumps(table[i][how])))
+    write_bytes(path, container_bytes(header, blob[start:]))
+    if how == "none":
+        copy = path + ".copy"
+        load(path).save(copy)
+        with open(copy, "rb") as f:
+            assert f.read() == blob
+    else:
+        with pytest.raises(refusal):
+            load(path)
 
 
 def test_predict_untrained_zeroed_output_layer_is_half():
