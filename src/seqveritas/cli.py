@@ -60,21 +60,32 @@ def _vocab_path(cache_path):
     return cache_path + ".vocab.json"
 
 
+def _file_identity(path):
+    """What two names of one file share: the (device, inode) of a file that
+    exists, which a hard link or a symlink to it has too, else the real
+    path its name resolves to."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(outputs, inputs):
     """Refuse an output path whose directory is missing, that is itself a
     directory, or that names an input or another output, before any input
     is read, not after the work whose result it would hold or destroy."""
-    taken = {os.path.realpath(path): path for path in inputs}
+    taken = {_file_identity(path): path for path in inputs}
     for path in outputs:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"output directory of {path} is missing")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path {path} is a directory")
-        real = os.path.realpath(path)
-        if real in taken:
+        identity = _file_identity(path)
+        if identity in taken:
             raise ValueError(f"output path {path} names the same file as "
-                             f"{taken[real]}")
-        taken[real] = path
+                             f"{taken[identity]}")
+        taken[identity] = path
 
 
 def cmd_prepare(args):

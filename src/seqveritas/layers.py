@@ -267,8 +267,10 @@ class LstmCache:
     spent: bool = False    # set by lstm_backward, which overwrites gates
 
 
+@functools.cache
 def _gate_constants(hidden, dtype):
-    """Per-column vectors over the [i, f, g, o] blocks.
+    """Per-column vectors over the [i, f, g, o] blocks, made once per
+    (hidden, dtype) and read-only.
 
     `scale`/`offset` turn one tanh into all four activations:
     sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 (the same bits as
@@ -281,6 +283,8 @@ def _gate_constants(hidden, dtype):
     offset = np.full(4 * hidden, 0.5, dtype=dtype)
     shift = np.zeros(4 * hidden, dtype=dtype)
     scale[g], offset[g], shift[g] = 1.0, 0.0, 1.0
+    for a in (scale, offset, shift):
+        a.flags.writeable = False
     return scale, offset, shift
 
 
@@ -486,27 +490,33 @@ def batchnorm_forward(x, gamma, beta, running, train):
     unbiased variance estimate into the running stats, in place. Otherwise
     use the running stats only.
 
-    The batch statistics are x.mean(axis=0) and x.var(axis=0) as numpy
-    computes them, a sum divided by the count and the sum of the squared
-    centred x divided by it, without the Python wrappers that cost more
-    than the sums at these shapes; the centred x is then x_hat's too.
-    The cache is the pair (x_hat, inv_std)."""
+    The batch is axis -2 of x, so x may also hold a stack of batches on
+    leading axes, as gradcheck's stacked probes do; each is standardized
+    with its own statistics, with the bits it would get alone. A stack
+    folds nothing into the running stats, which keep one batch's
+    statistics. The batch statistics are x.mean(axis=-2) and
+    x.var(axis=-2) as numpy computes them, a sum divided by the count and
+    the sum of the squared centred x divided by it, without the Python
+    wrappers that cost more than the sums at these shapes; the centred x
+    is then x_hat's too. The cache is the pair (x_hat, inv_std)."""
     if train:
-        batch = x.shape[0]
+        batch = x.shape[-2]
         if batch < 2:
             raise BatchTooSmall("batch-norm train mode needs batch >= 2")
-        mean = np.add.reduce(x, 0) / batch
+        mean = np.add.reduce(x, -2, keepdims=True) / batch
         x_centered = x - mean
-        var = np.add.reduce(x_centered * x_centered, 0) / batch  # biased
-        # in the order of M * running + (1 - M) * stat, the variance's
-        # term being (1 - M) * var * batch / (batch - 1)
-        running.mean *= BN_MOMENTUM
-        running.mean += (1.0 - BN_MOMENTUM) * mean
-        term = (1.0 - BN_MOMENTUM) * var
-        term *= batch
-        term /= batch - 1
-        running.var *= BN_MOMENTUM
-        running.var += term
+        var = np.add.reduce(x_centered * x_centered, -2,
+                            keepdims=True) / batch  # biased
+        if x.ndim == 2:
+            # in the order of M * running + (1 - M) * stat, the variance's
+            # term being (1 - M) * var * batch / (batch - 1)
+            running.mean *= BN_MOMENTUM
+            running.mean += (1.0 - BN_MOMENTUM) * mean[0]
+            term = (1.0 - BN_MOMENTUM) * var[0]
+            term *= batch
+            term /= batch - 1
+            running.var *= BN_MOMENTUM
+            running.var += term
     else:
         mean = running.mean
         var = running.var

@@ -234,30 +234,63 @@ def init_glorot(shape, rng, dtype=np.float64):
 
 # --- finite-difference oracle ---------------------------------------------
 
-def finite_diff_grad(loss_fn, params, eps=1e-5):
+# Bytes of the probe points `finite_diff_grad` builds per span: they and a
+# temporary of their size then stay in a core's L2 cache. On a 2-core Xeon
+# the `optimized` end-to-end gradcheck took no less time with 256 KiB or
+# 1 MiB.
+STACK_BYTES = 1 << 19
+
+
+def finite_diff_grad(loss_fn, params, eps=1e-5, stacked=False):
     """Central-difference gradient of a scalar loss with respect to `params`.
 
     `loss_fn` must be deterministic (frozen dropout masks, fixed batch
     order); this is verified by evaluating it twice at the base point.
+
+    The points are `params` with one element moved by +eps, then with it
+    moved by -eps, element by element, built a span of at most
+    STACK_BYTES of points at a time. `loss_fn` takes one argument. By
+    default that is `params` itself, set in place to each point in turn
+    and back to its values after each span, and it returns a float.
+    `stacked`: it is instead a span's points stacked on a leading axis,
+    (n, *params.shape), and it returns their n losses; `params` is not
+    written. The gradient is the same either way when each stacked loss
+    has the bits of its point's.
     """
     params = np.asarray(params, dtype=np.float64)
-    base1 = loss_fn(params)
-    base2 = loss_fn(params)
+    evaluate = loss_fn if stacked else _one_at_a_time(loss_fn, params)
+    base1, base2 = (evaluate(params[None])[0] for _ in range(2))
     if base1 != base2:
         raise NonDeterministicLoss(
             f"two evaluations at the same point differ: {base1} vs {base2}")
     grad = np.zeros_like(params)
     flat = params.reshape(-1)
     gflat = grad.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + eps
-        fp = loss_fn(params)
-        flat[k] = orig - eps
-        fm = loss_fn(params)
-        flat[k] = orig
-        gflat[k] = (fp - fm) / (2.0 * eps)
+    span = max(1, STACK_BYTES // max(1, 2 * flat.nbytes))
+    for start in range(0, flat.size, span):
+        ks = np.arange(start, min(start + span, flat.size))
+        rows = np.arange(ks.size)
+        points = np.empty((ks.size, 2, flat.size))
+        points[...] = flat
+        points[rows, 0, ks] = flat[ks] + eps
+        points[rows, 1, ks] = flat[ks] - eps
+        losses = evaluate(points.reshape(-1, *params.shape))
+        gflat[ks] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
     return grad
+
+
+def _one_at_a_time(loss_fn, params):
+    """A loss of stacked points from `loss_fn` of `params`: each point is
+    written into `params` in turn, which then gets its values back."""
+    def evaluate(points):
+        base = params.copy()
+        losses = np.empty(len(points))
+        for i, point in enumerate(points):
+            params[...] = point
+            losses[i] = loss_fn(params)
+        params[...] = base
+        return losses
+    return evaluate
 
 
 def max_relative_error(g_analytic, g_numeric):

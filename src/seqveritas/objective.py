@@ -24,16 +24,19 @@ class EmptyBatch(ValueError):
 
 
 def bce(probs, labels):
-    """Mean binary cross-entropy; probabilities are clamped to
+    """Mean binary cross-entropy, a float; probabilities are clamped to
     [1e-7, 1 - 1e-7] before the logs. The clamp and the mean are the bits
-    of np.clip and np.mean, without their Python wrappers."""
+    of np.clip and np.mean, without their Python wrappers. Batches stacked
+    on leading axes give an array of one mean each, over the last axis,
+    with the bits each batch gives alone."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
         raise ShapeMismatch(f"probs {probs.shape} vs labels {labels.shape}")
     p = np.minimum(np.maximum(probs, BCE_CLAMP), 1.0 - BCE_CLAMP)
     terms = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    return float(np.add.reduce(terms, None) / terms.size)
+    means = np.add.reduce(terms, -1) / terms.shape[-1]
+    return float(means) if means.ndim == 0 else means
 
 
 def bce_grad_fused(probs, labels):
@@ -52,23 +55,41 @@ def bce_grad_unfused(probs, labels):
     return (p - labels) / (p * (1.0 - p)) / probs.shape[0]
 
 
+def penalty_terms(p, stack=None):
+    """The terms `reg_penalty` adds for tensor `p`, lam * sum(|value|) for
+    ("l1", lam) and lam * sum(value^2) for ("l2", lam), in the order of
+    `p.regularizers`, as floats. Given a stack of n values of p's shape,
+    (n, *shape), each term is instead an array of n, one per value, with
+    the bits of that value's float. The sums are np.sum's bits, by
+    np.add.reduce without np.sum's Python wrapper."""
+    value, axis = (p.value, None) if stack is None else (
+        stack.reshape(len(stack), -1), 1)
+    terms = []
+    for kind, lam in p.regularizers:
+        if kind == "l1":
+            total = np.add.reduce(np.abs(value), axis)
+        elif kind == "l2":
+            total = np.add.reduce(value * value, axis)
+        else:
+            raise ValueError(f"unknown regularizer {kind!r}")
+        terms.append(lam * (float(total) if stack is None else total))
+    return terms
+
+
 def reg_penalty(params, accumulate_grads=True):
-    """Total regularization penalty over all tagged tensors; optionally
-    adds the penalty gradients (L1 subgradient with sign(0) = 0). The sums
-    are np.sum's bits, by np.add.reduce without np.sum's Python wrapper."""
+    """Total regularization penalty over all tagged tensors, their
+    `penalty_terms` added in order; optionally adds the penalty gradients
+    (L1 subgradient with sign(0) = 0)."""
     total = 0.0
     for p in params:
-        for kind, lam in p.regularizers:
-            if kind == "l1":
-                total += lam * float(np.add.reduce(np.abs(p.value), None))
-                if accumulate_grads:
+        for term in penalty_terms(p):
+            total += term
+        if accumulate_grads:
+            for kind, lam in p.regularizers:
+                if kind == "l1":
                     p.grad += lam * np.sign(p.value)
-            elif kind == "l2":
-                total += lam * float(np.add.reduce(p.value * p.value, None))
-                if accumulate_grads:
+                else:
                     p.grad += 2.0 * lam * p.value
-            else:
-                raise ValueError(f"unknown regularizer {kind!r}")
     return total
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -202,7 +203,8 @@ def test_prepare_out_path_naming_an_input_exits_2_before_reading(
 
 @pytest.mark.parametrize("collision", [
     "checkpoint_is_history", "checkpoint_is_data", "history_is_data",
-    "history_is_vocab", "checkpoint_links_to_data"])
+    "history_is_vocab", "checkpoint_links_to_data",
+    "checkpoint_is_a_hard_link_to_data"])
 def test_train_out_path_naming_an_input_or_output_exits_2_before_training(
         capsys, tmp_path, monkeypatch, collision):
     # before: train wrote over its cache, its vocabulary or its checkpoint
@@ -210,6 +212,8 @@ def test_train_out_path_naming_an_input_or_output_exits_2_before_training(
     monkeypatch.setattr(cli, "fit", _never_called)
     ckpt, link = str(tmp_path / "m.svchk"), tmp_path / "link"
     link.symlink_to(cache)
+    hard = tmp_path / "hard.svec"
+    os.link(cache, hard)
     out = {"checkpoint_is_history": ["--out-checkpoint", ckpt,
                                      "--history", ckpt],
            "checkpoint_is_data": ["--out-checkpoint", cache],
@@ -217,6 +221,8 @@ def test_train_out_path_naming_an_input_or_output_exits_2_before_training(
            "history_is_vocab": ["--out-checkpoint", ckpt,
                                 "--history", cache + ".vocab.json"],
            "checkpoint_links_to_data": ["--out-checkpoint", str(link)],
+           "checkpoint_is_a_hard_link_to_data": ["--out-checkpoint",
+                                                 str(hard)],
            }[collision]
     inputs = {path: open(path, "rb").read()
               for path in (cache, cache + ".vocab.json")}

@@ -601,3 +601,39 @@ def test_read_only_backwards_repeat_and_add_their_gradient_again():
         assert second.tobytes() == first.tobytes()
         for p, g in zip(params, once):
             assert p.grad.tobytes() == (2.0 * g).tobytes(), p.name
+
+
+def test_gate_constants_are_made_once_per_shape_and_read_only():
+    made = layers._gate_constants(8, np.dtype(np.float64))
+    assert layers._gate_constants(8, np.dtype(np.float64)) is made
+    assert layers._gate_constants(8, np.dtype(np.float32))[0].dtype == \
+        np.float32
+    for a in made:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_batchnorm_forward_on_a_stack_gives_each_batch_its_bits():
+    """A stack of batches on a leading axis, or a stack of gammas, gives each
+    batch the y of its own call; the running stats fold no stack."""
+    rng = np.random.default_rng(21)
+    for batch, width in [(2, 3), (4, 64), (4, 128), (9, 16)]:
+        xs = rng.standard_normal((6, batch, width))
+        gammas = rng.standard_normal((6, 1, width))
+        gamma = _pt("g", rng.standard_normal(width))
+        beta = _pt("b", rng.standard_normal(width))
+        running = BatchNormRunning.fresh(width)
+        y, _ = batchnorm_forward(xs, gamma, beta, running, True)
+        assert running.mean.tolist() == [0.0] * width
+        assert running.var.tolist() == [1.0] * width
+        from_gammas, _ = batchnorm_forward(
+            xs[0], _pt("stack", gammas), beta, BatchNormRunning.fresh(width),
+            True)
+        for k in range(len(xs)):
+            alone, _ = batchnorm_forward(xs[k].copy(), gamma, beta,
+                                         BatchNormRunning.fresh(width), True)
+            assert y[k].tobytes() == alone.tobytes()
+            alone, _ = batchnorm_forward(
+                xs[0].copy(), _pt("g", gammas[k, 0].copy()), beta,
+                BatchNormRunning.fresh(width), True)
+            assert from_gammas[k].tobytes() == alone.tobytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seqveritas import numerics
 from seqveritas.layers import ParamTensor, dropout_forward
 from seqveritas.model_zoo import Dense
 from seqveritas.numerics import (BLOCK, NonDeterministicLoss, Prng,
@@ -265,6 +266,35 @@ def test_finite_diff_rejects_nondeterministic_loss():
 
     with pytest.raises(NonDeterministicLoss):
         finite_diff_grad(noisy, np.array([1.0]))
+
+
+def _wavy(w):
+    return float(np.add.reduce(np.sin(3.0 * w) * w, None))
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 4 * 2 * 15 * 8, 1 << 19])
+def test_finite_diff_stacked_gives_the_bits_of_one_point_at_a_time(
+        monkeypatch, stack_bytes):
+    # spans of 1 element, of 4 with a last one of 3, and of all 15
+    monkeypatch.setattr(numerics, "STACK_BYTES", stack_bytes)
+    params = Prng(4).uniform(-2.0, 2.0, (3, 5))
+    saved = params.copy()
+    calls = []
+
+    def stacked(points):
+        calls.append(len(points))
+        rows = points.reshape(len(points), -1)
+        return np.add.reduce(np.sin(3.0 * rows) * rows, 1)
+
+    got = finite_diff_grad(stacked, params, stacked=True)
+    assert np.array_equal(params, saved)  # never written
+    want = finite_diff_grad(_wavy, params)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(params, saved)  # written, and given back
+    # the two base points, then each element's two
+    assert calls[:2] == [1, 1]
+    assert calls[2:] == {1: [2] * 15, 960: [8, 8, 8, 6],
+                         1 << 19: [30]}[stack_bytes]
 
 
 def test_max_relative_error_guard():

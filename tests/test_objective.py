@@ -9,7 +9,7 @@ from seqveritas.layers import ParamTensor
 from seqveritas.numerics import ShapeMismatch, finite_diff_grad
 from seqveritas.objective import (BCE_CLAMP, THRESHOLD, EmptyBatch, bce,
                                   bce_grad_fused, bce_grad_unfused, evaluate,
-                                  reg_penalty)
+                                  penalty_terms, reg_penalty)
 
 
 def test_bce_half():
@@ -203,3 +203,28 @@ def test_evaluate_matches_brute_force(pairs):
     tp, fp, tn, fn = _brute_force(probs, labels)
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (tp, fp, tn, fn)
     assert rep.accuracy == (tp + tn) / len(pairs)
+
+
+def test_bce_of_stacked_batches_is_each_batchs_float():
+    rng = np.random.default_rng(2)
+    for batch in (1, 4, 9, 64):
+        probs = rng.uniform(0.0, 1.0, (7, batch))
+        labels = rng.integers(0, 2, batch).astype(np.float64)
+        stacked = bce(probs, np.broadcast_to(labels, probs.shape))
+        assert stacked.shape == (7,)
+        for row, mean in zip(probs, stacked):
+            assert mean == bce(row.copy(), labels)
+
+
+def test_penalty_terms_of_a_stack_are_each_values_floats():
+    rng = np.random.default_rng(3)
+    for shape in [(4,), (8, 64), (128, 64)]:
+        p = ParamTensor("w", rng.standard_normal(shape),
+                        regularizers=(("l1", 1e-5), ("l2", 1e-4)))
+        stack = rng.standard_normal((5, *shape))
+        l1, l2 = penalty_terms(p, stack)
+        for k, value in enumerate(stack):
+            alone = ParamTensor("alone", value.copy(), p.regularizers)
+            assert [l1[k], l2[k]] == penalty_terms(alone)
+        assert reg_penalty([p], accumulate_grads=False) == (
+            0.0 + penalty_terms(p)[0] + penalty_terms(p)[1])
