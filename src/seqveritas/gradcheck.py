@@ -31,10 +31,6 @@ Embedding and LSTM probes stay one at a time: a stacked lookup or LSTM
 would be a second path through those kernels, and at these shapes they
 take fewer than 2,000 evaluations per preset. The check thus computes the
 floats a whole forward from a fresh `Prng` would, in the same order.
-
-On a 2-core Xeon, `seqveritas gradcheck --seed 0` takes a median 2.9 s
-(6 runs), against 6.8 s with one pass per probe and a penalty and masks
-made anew for each.
 """
 
 from __future__ import annotations

@@ -15,14 +15,14 @@ by `model_zoo`.
 
 Every ParamTensor lives in an `Arena`: four flat arrays (value, grad, m,
 v); a tensor's value and grad are reshaped views of its span of the
-first two, and Adam's moments are the arena's alone. A model packs its
-tensors into one arena, so zeroing, clipping and Adam make a few numpy
-calls per arena instead of a dozen per tensor; that per-call cost, not
-the arithmetic, is what a step of small tensors spends. An embedding
-larger than PARAM_BLOCK_BYTES keeps an arena of its own, which adopts
-its array (see `model_zoo`). Because the arrays are views, they are
-only ever written in place: `Arena.pack` binds each tensor's value, and
-a tensor makes its grad view on first use; nothing else binds them.
+first two, and Adam's moments are the arena's alone. One rule, `pack`,
+places a model's tensors: a tensor larger than PARAM_BLOCK_BYTES keeps
+an arena of its own, which adopts its array, and the others share one,
+so zeroing, clipping and Adam make a few numpy calls per arena instead
+of a dozen per tensor; that per-call cost, not the arithmetic, is what a
+step of small tensors spends. Because the arrays are views, they are
+only ever written in place: only `Arena` binds a tensor's `value`,
+`arena` and `span`, and a tensor makes its grad view on first use.
 
 Dropout masks come from `Prng.keep_mask`, an integer test on the bulk
 hash with the bits of `uniform(0, 1) < keep`.
@@ -53,7 +53,7 @@ when the time loop reaches it (see PROJECT_BYTES).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,27 +103,23 @@ class ParamTensor:
 
     `value` and `grad` are views, of the tensor's shape, of its `span` of
     its `arena`'s `value` and `grad`; Adam's moments are the arena's
-    alone. Given an `arena`, the tensor joins it, and its `value` becomes
-    such a view once the arena is packed (`Arena.pack`). Without one it is
-    an arena of one, which adopts `value` (a C-contiguous array is not
-    copied). `grad` is made on first use and kept: clipping and zeroing
-    walk the arena's arrays, so a model that only predicts never makes it.
+    alone. A model's tensors get their arenas from `pack`; a tensor that
+    no `pack` placed becomes an arena of one on first use of `arena`,
+    which adopts `value` (a C-contiguous array is not copied). `grad` is
+    made on first use and kept: clipping and zeroing walk the arena's
+    arrays, so a model that only predicts never makes it.
     """
     name: str
     value: np.ndarray
     regularizers: tuple = ()
-    arena: Arena = None
-    span: slice = field(init=False)
-
-    def __post_init__(self):
-        if self.arena is None:
-            Arena().join(self).pack()
-        else:
-            self.arena.join(self)
 
     def _view(self, flat):
         """This tensor's span of the flat array `flat`, in its shape."""
         return flat[self.span].reshape(self.value.shape)
+
+    @functools.cached_property
+    def arena(self):
+        return Arena([self])
 
     @functools.cached_property
     def grad(self):
@@ -132,42 +128,34 @@ class ParamTensor:
 
 class Arena:
     """Four 1-D arrays, `value`, `grad`, `m` and `v`, that hold the arrays
-    of `count` tensors one after another, in the order they joined.
+    of `count` tensors one after another, in the order given.
 
-    Tensors `join` an open arena; `pack` then allocates `value` and
-    binds each tensor's `value` to a reshaped view of its `span` of it.
+    Made from its tensors, an arena allocates `value` and binds each
+    tensor's `arena`, `span` and `value`, a reshaped view of its span.
     `grad`, `m` and `v` start at zero and are allocated on first use, as
     is each tensor's view of `grad`: a model that only predicts never
     makes them. A tensor's moments are `m[span]` and `v[span]`, with no
-    views of their own. Only `pack` and those first uses bind the
-    attributes: a tensor whose array were rebound elsewhere would leave
-    its arena, and Adam would update a buffer nobody reads. A packed
+    views of their own. Only the constructor and those first uses bind
+    the attributes: a tensor whose array were rebound elsewhere would
+    leave its arena, and Adam would update a buffer nobody reads. An
     arena keeps no reference to its tensors, so a model holds no
     reference cycle and is freed as soon as it is dropped.
     """
 
-    def __init__(self):
-        self.joined = []
-
-    def join(self, p):
-        self.joined.append(p)
-        p.arena = self
-        return self
-
-    def pack(self):
+    def __init__(self, tensors):
         """An arena of one adopts its tensor's value (reshaped, so a
         C-contiguous one is not copied). A larger one allocates `value`
         and copies each tensor's in once, each span starting at the first
         multiple of PARAM_ALIGN bytes, from an aligned base, after the one
         before; the gaps hold zeros, whose gradient and moments stay
         zero, so no step moves them."""
-        tensors, self.joined = self.joined, None
         self.count = len(tensors)
         if len(tensors) == 1:
             p = tensors[0]
             p.span = slice(0, p.value.size)
             self.value = p.value.reshape(-1)
             p.value = p._view(self.value)
+            p.arena = self
             return
         dtype = tensors[0].value.dtype
         if any(p.value.dtype != dtype for p in tensors):
@@ -184,6 +172,7 @@ class Arena:
             view = p._view(self.value)
             view[...] = p.value
             p.value = view
+            p.arena = self
 
     # np.zeros gets pages the OS has already zeroed, where zeros_like writes
     # every byte
@@ -207,6 +196,17 @@ class Arena:
         span = max(1, PARAM_BLOCK_BYTES // self.value.itemsize)
         return tuple(tuple(a[s:s + span] for a in arrays)
                      for s in range(0, self.value.size, span))
+
+
+def pack(params):
+    """The arenas of a model's `params`, in order of first appearance: a
+    tensor larger than PARAM_BLOCK_BYTES keeps an arena of its own, which
+    adopts its array, and the others share one."""
+    small = [p for p in params if p.value.nbytes <= PARAM_BLOCK_BYTES]
+    shared = Arena(small) if small else None
+    return list(dict.fromkeys(
+        shared if p.value.nbytes <= PARAM_BLOCK_BYTES else Arena([p])
+        for p in params))
 
 
 def arenas_of(params):

@@ -31,12 +31,13 @@ safetensors and of NumPy's `.npy`:
     ends with the last tensor.
 The element type is `config.dtype` (`<f8` for float64, `<f4` for
 float32); no tensor carries its own. `load` reads the file into one
-64-byte-aligned buffer and hands the model writable views of it; the
-model copies the parameters its shared arena packs, and the batch-norm
-running statistics, out of them once. An embedding larger than
+64-byte-aligned buffer and hands the model writable views of it. The
+model's arenas follow `layers.pack`'s one rule: a tensor larger than
 `layers.PARAM_BLOCK_BYTES` has an arena of its own, which adopts its
-view instead, so a `paper`-sized model keeps the buffer on purpose: a
-20k-row table is then not copied at load.
+view, and the shared arena of the others copies theirs out once, as it
+does the batch-norm running statistics. A `paper`-sized model thus keeps
+the buffer on purpose: its embedding table and its LSTM's U (and, in
+float64, W) are not copied at load.
 Versions 1-3 (one JSON document) and 4 (whose config repeated the
 preset's values), a header that is not JSON or lacks the magic, a config
 or vocabulary value of the wrong type, and any tensor table but the one
@@ -63,11 +64,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import textprep
-from .layers import (PARAM_BLOCK_BYTES, Arena, BatchNormRunning,
-                     ParamTensor, arenas_of, batchnorm_backward,
+from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
                      batchnorm_forward, dense_backward, dense_forward,
                      dropout_backward, dropout_forward, embedding_backward,
-                     embedding_forward, lstm_backward, lstm_forward)
+                     embedding_forward, lstm_backward, lstm_forward, pack)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
@@ -278,11 +278,7 @@ class Model:
         self._build_params(tensor)
 
     # the order of `tensor` calls is fixed: the seeded initialisation draws
-    # in it, and `params` and `tensors()` follow it. Every parameter but an
-    # embedding larger than one block joins one arena, packed once all have
-    # joined: one allocation per array, then each tensor's value copied in
-    # once. Such an embedding is an arena of its own, which adopts its
-    # array, so `load` hands it the checkpoint's bytes without a copy.
+    # in it, and `params` and `tensors()` follow it
     def _build_params(self, tensor):
         cfg, pre, dt = self.config, self.preset, self.dtype
         h, d = cfg.lstm_units, cfg.embed_dim
@@ -306,24 +302,18 @@ class Model:
             bias[h:2 * h] = 1.0  # forget-gate bias starts open
             return bias
 
-        arena = Arena()
-
         def param(name, shape, init, regularizers=()):
-            return ParamTensor(name, tensor(name, shape, init), regularizers,
-                               arena)
+            return ParamTensor(name, tensor(name, shape, init), regularizers)
 
-        table = tensor("embedding", (cfg.vocab_size, d), embedding)
+        norms = {}  # name -> BatchNorm; its running stats come last
         self.layers = [
-            Embedding(ParamTensor(
-                "embedding", table,
-                arena=arena if table.nbytes <= PARAM_BLOCK_BYTES else None)),
+            Embedding(param("embedding", (cfg.vocab_size, d), embedding)),
             Dropout(pre.embed_dropout),
             Lstm(param("lstm.W", (d, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.U", (h, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.b", (4 * h,), lstm_bias)),
             Dropout(pre.lstm_dropout)]
 
-        self.bn_running = {}
         fan_in = h
         for i, width in enumerate((*pre.dense_widths, 1)):
             name, hidden = f"dense{i}", i < len(pre.dense_widths)
@@ -335,22 +325,22 @@ class Model:
                 param(f"{name}.b", (width,), zeros)))
             if hidden:
                 if pre.batchnorm:
-                    running = BatchNormRunning.fresh(width, dt)
-                    self.bn_running[name] = running
-                    self.layers.append(BatchNorm(
+                    norms[name] = BatchNorm(
                         param(f"{name}.bn.gamma", (width,), ones),
-                        param(f"{name}.bn.beta", (width,), zeros),
-                        running))
+                        param(f"{name}.bn.beta", (width,), zeros), None)
+                    self.layers.append(norms[name])
                 self.layers.append(ReLU())
             fan_in = width
         # the running stats after every parameter, as `tensors()` lists
         # them; copies, so that a loaded model keeps no view of its buffer
-        for name, r in self.bn_running.items():
-            r.mean = tensor(f"{name}.bn.mean", r.mean.shape, zeros).copy()
-            r.var = tensor(f"{name}.bn.var", r.var.shape, ones).copy()
+        self.bn_running = {}
+        for name, norm in norms.items():
+            shape = norm.params[0].value.shape
+            norm.running = self.bn_running[name] = BatchNormRunning(
+                tensor(f"{name}.bn.mean", shape, zeros).copy(),
+                tensor(f"{name}.bn.var", shape, ones).copy())
         self.params = [p for layer in self.layers for p in layer.params]
-        arena.pack()
-        self.arenas = arenas_of(self.params)
+        self.arenas = pack(self.params)
 
     def tensors(self):
         """(name, array) for every tensor a checkpoint holds, in its order:

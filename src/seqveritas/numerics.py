@@ -281,14 +281,17 @@ def finite_diff_grad(loss_fn, params, eps=1e-5, stacked=False):
 
 def _one_at_a_time(loss_fn, params):
     """A loss of stacked points from `loss_fn` of `params`: each point is
-    written into `params` in turn, which then gets its values back."""
+    written into `params` in turn, which then gets its values back, also
+    when `loss_fn` raises."""
     def evaluate(points):
         base = params.copy()
         losses = np.empty(len(points))
-        for i, point in enumerate(points):
-            params[...] = point
-            losses[i] = loss_fn(params)
-        params[...] = base
+        try:
+            for i, point in enumerate(points):
+                params[...] = point
+                losses[i] = loss_fn(params)
+        finally:
+            params[...] = base
         return losses
     return evaluate
 

@@ -48,7 +48,9 @@ def bce_grad_fused(probs, labels):
 
 
 def bce_grad_unfused(probs, labels):
-    """d(mean BCE)/dp directly; retained for gradcheck of the standalone loss."""
+    """d(mean BCE)/dp directly, not fused with the sigmoid. Training uses
+    `bce_grad_fused`; `perfbench/spans.py` traces this one, and
+    `tests/test_objective.py` checks it against finite differences."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)

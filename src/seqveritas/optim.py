@@ -17,6 +17,7 @@ PREDICT_BATCH.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +61,10 @@ def adam_step(params, state):
     of `params` (which must hold whole arenas), over the arena's
     `blocks`, so that each block's arrays and temporaries stay in cache;
     being elementwise, it gives each element the bits it would get per
-    tensor. A non-finite gradient raises NonFiniteGradient naming the
-    first such tensor in `params`, before anything moves.
+    tensor. `clip_gradients`, which runs first, refuses a non-finite
+    gradient.
     """
     arenas = arenas_of(params)
-    for a in arenas:
-        if not np.isfinite(a.grad).all():
-            bad = next(q for q in params if not np.isfinite(q.grad).all())
-            raise NonFiniteGradient(f"non-finite gradient in {bad.name}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -102,12 +99,19 @@ def clip_gradients(params):
     order, so each pairwise sum keeps the bits of a per-tensor np.sum
     (np.add.reduce is np.sum without its Python wrapper, which costs more
     than the sum itself on small tensors; np.add.reduceat would sum in
-    another order). The scaling runs once per arena."""
+    another order). The scaling runs once per arena.
+
+    When the running sum of squares becomes non-finite, from a NaN or
+    infinite gradient or from a finite one so large that its square
+    overflows, NonFiniteGradient names the tensor that made it so, and
+    nothing is scaled."""
     arenas = arenas_of(params)
     squares = {a: np.square(a.grad, dtype=np.float64) for a in arenas}
     total = 0.0
     for p in params:
         total += float(np.add.reduce(squares[p.arena][p.span]))
+        if not math.isfinite(total):
+            raise NonFiniteGradient(f"non-finite gradient norm in {p.name}")
     norm = float(np.sqrt(total))
     if norm > MAX_NORM:
         scale = MAX_NORM / norm

@@ -4,9 +4,9 @@ The reference step is kept here, not in `src/`: a 2-D np.add.at scatter,
 dropout masks as `uniform < keep`, and clipping, zeroing and Adam over
 every element of each tensor in turn, Adam with moment arrays of its own
 per tensor. Training through either must give the same bits, with the
-embedding in an arena of its own or packed into the arena of the other
-tensors. A tensor's moments in the arena step are its span of the
-arena's `m` and `v`.
+embedding or the LSTM's matrices in arenas of their own or packed into
+the arena of the other tensors. A tensor's moments in the arena step are
+its span of the arena's `m` and `v`.
 """
 
 import numpy as np
@@ -118,10 +118,10 @@ def _data(n, seed=0, vocab=VOCAB):
     return x, rng.integers(0, 2, n).astype(np.float64)
 
 
-def _model(preset, dtype, vocab=VOCAB):
+def _model(preset, dtype, vocab=VOCAB, embed=EMBED, hidden=HIDDEN):
     vocab = textprep.Vocabulary([f"tok{i}" for i in range(vocab - 2)])
     return model_zoo.build(preset, vocab, maxlen=MAXLEN, seed=3,
-                           embed_dim=EMBED, lstm_units=HIDDEN, dtype=dtype)
+                           embed_dim=embed, lstm_units=hidden, dtype=dtype)
 
 
 def _embedding(rows=VOCAB, dtype=np.float64):
@@ -133,7 +133,7 @@ def _embedding(rows=VOCAB, dtype=np.float64):
 # --- the same bits -----------------------------------------------------------
 
 def _assert_trains_to_the_bits_of_the_dense_step(preset, dtype, vocab,
-                                                  monkeypatch):
+                                                  monkeypatch, **sizes):
     # MAX_NORM is lowered so that clipping fires at these small shapes
     monkeypatch.setattr(optim, "MAX_NORM", 0.3)
     x, y = _data(4 * BATCH, vocab=vocab)
@@ -141,11 +141,11 @@ def _assert_trains_to_the_bits_of_the_dense_step(preset, dtype, vocab,
     config = optim.TrainConfig(epochs=2, batch_size=BATCH, seed=7,
                                patience=5)
 
-    dense, norms, dense_moments = _model(preset, dtype, vocab), [], {}
+    dense, norms, dense_moments = _model(preset, dtype, vocab, **sizes), [], {}
     with monkeypatch.context() as mp:
         _install_dense_step(mp, norms, dense_moments)
         dense_history = optim.fit(dense, *train, config)
-    model = _model(preset, dtype, vocab)
+    model = _model(preset, dtype, vocab, **sizes)
     history = optim.fit(model, *train, config)
 
     assert len(norms) == 6 and max(norms) > optim.MAX_NORM
@@ -180,6 +180,20 @@ def test_a_packed_embedding_trains_to_the_bits_of_the_per_tensor_step(
     assert all(p.arena is emb.arena for p in model.params)
 
 
+@pytest.mark.parametrize("dtype, alone", [
+    ("float64", ["lstm.W", "lstm.U"]), ("float32", ["lstm.U"])])
+def test_paper_width_lstm_matrices_train_alone_to_the_per_tensor_bits(
+        dtype, alone, monkeypatch):
+    # at E = 100 and H = 150, U (720,000 B in float64, 360,000 B in
+    # float32) and the float64 W (480,000 B) are larger than one block,
+    # and a SMALL_VOCAB embedding is not
+    _, model = _assert_trains_to_the_bits_of_the_dense_step(
+        "optimized", dtype, SMALL_VOCAB, monkeypatch, embed=100, hidden=150)
+    assert [p.name for p in model.params if p.arena.count == 1] == alone
+    assert model.arenas == [model.params[0].arena] + [
+        p.arena for p in model.params if p.name in alone]
+
+
 @pytest.mark.parametrize("vocab", [VOCAB, SMALL_VOCAB])
 def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
     model = _model("optimized", "float64", vocab)
@@ -191,12 +205,12 @@ def test_a_non_finite_packed_gradient_names_its_tensor(vocab):
         p.grad[...] = rng.standard_normal(p.value.shape)
         if k in bad:
             p.grad.reshape(-1)[-1] = bad[k]
-    state = optim.AdamState()
+    grads = [p.grad.copy() for p in model.params]
     with pytest.raises(optim.NonFiniteGradient, match=r"in lstm\.U$"):
-        optim.adam_step(model.params, state)
-    assert state.t == 0
-    for p, value in zip(model.params, before):
+        optim.clip_gradients(model.params)
+    for p, value, grad in zip(model.params, before, grads):
         assert p.value.tobytes() == value.tobytes(), p.name
+        assert p.grad.tobytes() == grad.tobytes(), p.name
         m, v = arena_moments(p)
         assert not m.any() and not v.any(), p.name
 

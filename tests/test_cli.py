@@ -732,6 +732,25 @@ def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_train_whose_gradient_norm_overflows_exits_3(capsys, tmp_path,
+                                                    monkeypatch):
+    # finite gradients of ~1e160 square past float64's range; clipping by
+    # MAX_NORM / inf would zero every one and Adam would step on momentum
+    cache, _ = _prepare(capsys, tmp_path)
+    fused = model_zoo.bce_grad_fused
+    monkeypatch.setattr(model_zoo, "bce_grad_fused",
+                        lambda probs, labels: fused(probs, labels) * 1e160)
+    ckpt = tmp_path / "model.svchk"
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, [
+            "train", "--data", cache, "--preset", "baseline", "--epochs", "1",
+            "--batch", "8", "--out-checkpoint", str(ckpt)])
+    assert code == 3
+    assert out == ""
+    assert err.endswith("error: non-finite gradient norm in embedding\n")
+    assert not ckpt.exists()
+
+
 def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")

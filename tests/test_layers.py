@@ -23,25 +23,28 @@ def _pt(name, arr, reg=()):
 def test_a_standalone_tensor_is_an_arena_of_one_that_adopts_its_array():
     array = np.arange(12.0).reshape(3, 4)
     p = ParamTensor("w", array)
+    # no `pack` placed it, so its arena is made on first use, of grad here
+    assert "arena" not in vars(p) and not hasattr(p, "span")
+    assert p.grad.shape == (3, 4)
     assert p.arena.count == 1 and p.arena.value.size == 12
+    assert p.span == slice(0, 12)
     assert np.shares_memory(p.value, array)
     p.value[1, 2] = -1.0
     assert array[1, 2] == -1.0
-    assert p.grad.shape == (3, 4)
     assert p.arena.m[p.span].size == p.arena.v[p.span].size == 12
     assert not hasattr(p, "m") and not hasattr(p, "v")
     assert p.grad.dtype == array.dtype and not p.grad.any()
     assert np.shares_memory(p.grad, p.arena.grad)
 
 
-def test_an_arena_packs_the_tensors_that_joined_it_end_to_end():
-    arena = layers.Arena()
-    a = ParamTensor("a", np.ones((2, 3)), arena=arena)
-    b = ParamTensor("b", np.full(4, 2.0), arena=arena)
+def test_an_arena_packs_its_tensors_end_to_end():
+    a = ParamTensor("a", np.ones((2, 3)))
+    b = ParamTensor("b", np.full(4, 2.0))
     source = b.value
-    arena.pack()
+    arena = layers.Arena([a, b])
     # b starts at the first multiple of 64 bytes after a, from an aligned
     # base; the gap holds zeros
+    assert a.arena is b.arena is arena
     assert arena.count == 2 and arena.value.ctypes.data % 64 == 0
     assert arena.value.tolist() == [1.0] * 6 + [0.0] * 2 + [2.0] * 4 + [0.0] * 4
     assert (a.span, b.span) == (slice(0, 6), slice(8, 12))
@@ -50,11 +53,36 @@ def test_an_arena_packs_the_tensors_that_joined_it_end_to_end():
     assert arena.v[b.span].size == b.value.size
     with pytest.raises(ValueError, match="every tensor"):
         layers.arenas_of([a])
-    mixed = layers.Arena()
-    ParamTensor("a", np.ones(2), arena=mixed)
-    ParamTensor("b", np.ones(2, np.float32), arena=mixed)
     with pytest.raises(ValueError, match="one dtype"):
-        mixed.pack()
+        layers.Arena([ParamTensor("a", np.ones(2)),
+                      ParamTensor("b", np.ones(2, np.float32))])
+
+
+def test_pack_gives_a_tensor_over_one_block_an_arena_of_its_own():
+    rows = layers.PARAM_BLOCK_BYTES // (8 * 8)  # float64 rows of 8
+    sources = {"small0": np.full((3, 5), 1.0),
+               "big0": np.full((rows + 1, 8), 2.0),
+               "small1": np.full(7, 3.0),
+               "block": np.full((rows, 8), 4.0),  # exactly one block
+               "big1": np.full((2 * rows, 8), 5.0)}
+    params = [ParamTensor(name, array) for name, array in sources.items()]
+    small0, big0, small1, block, big1 = params
+    arenas = layers.pack(params)
+    # first-appearance order: the shared arena, then each big tensor's
+    assert arenas == [small0.arena, big0.arena, big1.arena]
+    assert small0.arena is small1.arena is block.arena
+    assert [a.count for a in arenas] == [3, 1, 1]
+    assert arenas == layers.arenas_of(params)
+    for p in (big0, big1):
+        assert np.shares_memory(p.value, sources[p.name])  # adopted
+        assert p.span == slice(0, p.value.size)
+    shared = arenas[0]
+    assert shared.value.ctypes.data % layers.PARAM_ALIGN == 0
+    for p in (small0, small1, block):
+        assert not np.shares_memory(p.value, sources[p.name])  # copied in
+        assert p.span.start * 8 % layers.PARAM_ALIGN == 0
+        assert np.array_equal(p.value, sources[p.name])
+    assert [p.span.start for p in (small0, small1, block)] == [0, 16, 24]
 
 
 def _lstm_params(d, h, rng=None, zero=False):

@@ -1038,8 +1038,9 @@ def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
     model = build(preset, _vocab(vocab_tokens), maxlen=6, seed=2,
                   embed_dim=8, lstm_units=8, dtype=dtype)
     emb, rest = model.params[0], model.params[1:]
-    # the embedding has an arena of its own exactly when it is larger than
-    # one block; every other tensor shares one
+    # a tensor has an arena of its own exactly when it is larger than one
+    # block, which at these shapes only the embedding can be; every other
+    # tensor shares one
     alone = emb.value.nbytes > PARAM_BLOCK_BYTES
     assert alone == (vocab_tokens == 10_000)
     assert all(p.arena is rest[0].arena for p in rest)
@@ -1070,8 +1071,9 @@ def test_every_tensor_stays_a_view_of_its_arena(tmp_path, preset, dtype,
 def test_only_an_embedding_alone_in_its_arena_keeps_the_load_buffer(
         tmp_path, monkeypatch, vocab_tokens):
     # the packed parameters and the batch-norm running stats are copied out
-    # of the buffer `load` reads the file into; an embedding with an arena
-    # of its own adopts its bytes on purpose, so a large table is not copied
+    # of the buffer `load` reads the file into; a tensor with an arena of
+    # its own, at these shapes only a large embedding, adopts its bytes on
+    # purpose, so that it is not copied
     path = str(tmp_path / "m.svchk")
     build("optimized", _vocab(vocab_tokens), maxlen=6, seed=2, embed_dim=8,
           lstm_units=8).save(path)

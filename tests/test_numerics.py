@@ -268,6 +268,25 @@ def test_finite_diff_rejects_nondeterministic_loss():
         finite_diff_grad(noisy, np.array([1.0]))
 
 
+def test_finite_diff_gives_params_back_when_the_loss_raises():
+    # a float64 array is not copied by np.asarray, so finite_diff_grad
+    # writes each probe point into the caller's own array
+    params = Prng(2).uniform(-1.0, 1.0, (2, 3))
+    saved = params.copy()
+    seen = []
+
+    def failing(w):
+        seen.append(w.copy())
+        if len(seen) == 3:  # the first probe point, after the two bases
+            raise RuntimeError("replay refused")
+        return float(w.sum())
+
+    with pytest.raises(RuntimeError, match="replay refused"):
+        finite_diff_grad(failing, params)
+    assert not np.array_equal(seen[2], saved)  # it was at a probe point
+    assert params.tobytes() == saved.tobytes()
+
+
 def _wavy(w):
     return float(np.add.reduce(np.sin(3.0 * w) * w, None))
 

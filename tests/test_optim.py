@@ -95,13 +95,29 @@ def test_adam_in_place_update_is_bit_identical_to_the_expression(dtype):
             assert p.grad.tobytes() == g.tobytes()  # the gradient is read only
 
 
-def test_adam_nonfinite_gradient_aborts():
+def test_clip_nonfinite_gradient_aborts():
     p = _pt([1.0], grad=[np.nan])
-    state = AdamState()
     with pytest.raises(NonFiniteGradient) as exc:
-        adam_step([p], state)
+        clip_gradients([p])
     assert "w" in str(exc.value)
-    assert state.t == 0  # step aborted before the counter moved
+    assert p.value[0] == 1.0 and np.isnan(p.grad[0])
+    assert not p.arena.m.any() and not p.arena.v.any()
+
+
+@pytest.mark.parametrize("value", [1e154, 1e155],
+                         ids=["sum-overflows", "square-overflows"])
+def test_clip_refuses_a_finite_gradient_whose_norm_overflows(value):
+    # scaling by MAX_NORM / inf would zero every gradient, and Adam would
+    # step on momentum alone
+    small = _pt([0.0, 0.0], grad=[1.0, 2.0])
+    huge = ParamTensor("huge", np.zeros(3))
+    huge.grad[...] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteGradient, match=r"in huge$"):
+            clip_gradients([small, huge])
+    assert small.grad.tolist() == [1.0, 2.0]
+    assert huge.grad.tolist() == [value] * 3
+    assert not huge.value.any()
 
 
 def test_adam_shared_step_counter():

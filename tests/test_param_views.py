@@ -1,13 +1,14 @@
-"""No code under src/seqveritas rebinds a parameter's arrays outside
-`layers.Arena`.
+"""No code under src/seqveritas places or rebinds a parameter's arrays
+outside `layers.Arena`.
 
-A ParamTensor's `value` and `grad` are views of its arena's flat arrays,
-which Adam, clipping and zeroing walk; Adam's moments `m` and `v` are the
-arena's alone, with no per-tensor views. Binding one of those attributes
-to another array would silently detach the tensor or its moments: Adam
-would then update a buffer that no layer reads. Each file is parsed with
-`ast`, and every attribute store of one of those names is refused unless
-it is in the class that builds arenas. An augmented assignment
+A ParamTensor's `value` and `grad` are views of its `span` of its
+`arena`'s flat arrays, which Adam, clipping and zeroing walk; Adam's
+moments `m` and `v` are the arena's alone, with no per-tensor views.
+Binding one of those attributes anywhere else would silently detach the
+tensor or its moments, or place it where its arena does not expect it:
+Adam would then update a buffer that no layer reads. Each file is parsed
+with `ast`, and every attribute store of one of those names is refused
+unless it is in the class that builds arenas. An augmented assignment
 (`p.grad += d`) is allowed: numpy's in-place operators return the array
 they were given, so the attribute is bound to itself.
 """
@@ -19,7 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "seqveritas").glob("*.py"))
-NAMES = {"value", "grad", "m", "v"}
+NAMES = {"value", "grad", "m", "v", "arena", "span"}
 # (file name, class) where binding those attributes is the point
 ALLOWED = {("layers.py", "Arena")}
 
@@ -71,7 +72,7 @@ def test_the_scan_finds_each_kind_of_rebinding():
 def test_the_allowed_class_binds_the_parameter_arrays():
     layers = (ROOT / "src" / "seqveritas" / "layers.py").read_text()
     bound = {attr for _, cls, attr in rebindings(layers) if cls == "Arena"}
-    assert "value" in bound
+    assert {"value", "arena", "span"} <= bound
     assert {"layers.py", "optim.py", "objective.py"} <= {p.name
                                                          for p in FILES}
 
