@@ -4,38 +4,35 @@ batch=4). The layer checks run `model_zoo`'s own layer objects through
 the protocol `Model` runs them by: forward, backward and `params`.
 
 Every forward pass here trains, since it is given an rng. Dropout is
-frozen across finite-difference evaluations by giving every evaluation
-the same masks: a mask is a pure function of the generator's state and
-its shape, so the loss is a deterministic function of the parameters.
-A layer check gives each evaluation a fresh `Prng` with the same seed.
+frozen across finite-difference evaluations one way: each check runs
+its analytic forward once on a `MaskTape`, which records the masks its
+Dropouts draw, and every evaluation replays that recording, which
+refuses a request out of order or of a foreign shape. So the loss is a
+deterministic function of the parameters.
 
 The end-to-end check perturbs one layer's tensors at a time and reruns
 only that layer and the ones after it, its suffix: the layers before it
-run once, and each evaluation starts from their saved output. What each
-evaluation would redo is done once per layer instead:
-  - the masks. The suffix runs once on a copy of the `Prng` as the
-    layers before it left it, and `MaskTape` records the masks its
-    Dropouts draw. Every evaluation replays that recording, which
-    refuses a request out of order or of a foreign shape.
-  - the penalty. Each regularised tensor's terms, lam * sum, are kept as
-    floats; only the probed layer's are recomputed, and all are added in
-    `params` order, as `reg_penalty` adds them.
+run once, and each evaluation starts from their saved output and
+replays the rest of the recording. The penalty too is done once per
+layer: each regularised tensor's terms, lam * sum, are kept as floats;
+only the probed layer's are recomputed, and all are added in `params`
+order, as `reg_penalty` adds them.
 A Dense or BatchNorm tensor's probes run stacked: `finite_diff_grad`
-hands the loss a stack of probe points, and one pass of the model's own
-layer objects evaluates them all, the probed layer given the stack in
-place of that tensor's value and every later layer a stack of
+hands the loss a stack of probe points, and one pass evaluates them all,
+on a copy of the probed layer whose `params` hold the stack in place of
+that tensor and then the model's own later layers, given a stack of
 activations, probes on the leading axis. Each product, batch-norm sum,
 activation and per-probe bce and penalty of a stack has the bits of its
 probe's own pass (the tests hold it to a one-probe-at-a-time oracle).
 Embedding and LSTM probes stay one at a time: a stacked lookup or LSTM
 would be a second path through those kernels, and at these shapes they
 take fewer than 2,000 evaluations per preset. The check thus computes the
-floats a whole forward from a fresh `Prng` would, in the same order.
+floats a whole training forward would, in the same order.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import copy
 
 import numpy as np
 
@@ -75,13 +72,16 @@ def _check_params(prefix, params, loss, results, stacked=None):
 
 def _check_layer(name, layer, x, coeff, rng_seed, results):
     """grad x, when backward returns one, and every parameter of `layer`
-    on sum(coeff * y); each forward trains, with a fresh Prng(rng_seed)."""
+    on sum(coeff * y); each forward trains, on the masks the first drew
+    from Prng(rng_seed)."""
+    tape = MaskTape(Prng(rng_seed))
+    _, cache = layer.forward(x, tape)
+    grad_x = layer.backward(coeff, cache)
+
     def loss():
-        y, _ = layer.forward(x, Prng(rng_seed))
+        y, _ = layer.forward(x, tape.replay())
         return float(np.sum(coeff * y))
 
-    _, cache = layer.forward(x, Prng(rng_seed))
-    grad_x = layer.backward(coeff, cache)
     if grad_x is not None:
         _check(f"{name}.x", grad_x, finite_diff_grad(lambda _v: loss(), x),
                results)
@@ -171,7 +171,8 @@ class MaskTape:
     """Stands in for a `Prng` in a training forward, whose layers draw
     nothing but dropout masks. Given `rng`, `keep_mask` draws from it and
     records (keep, mask); `replay()` gives a tape over that recording
-    whose `keep_mask` returns the masks in order. A replayed request must
+    whose `keep_mask` returns the masks in order, and a replay's `rest()`
+    one over the masks it has not yet returned. A replayed request must
     have the recorded keep and a shape that ends with the mask's, which it
     then broadcasts over: a stacked pass asks for (P, B, n) where one
     probe asked for (B, n). Anything else, or a request beyond the
@@ -182,6 +183,9 @@ class MaskTape:
 
     def replay(self):
         return MaskTape(masks=self.masks)
+
+    def rest(self):
+        return MaskTape(masks=self.masks[self._at:])
 
     def keep_mask(self, keep, shape):
         if self.rng is not None:
@@ -201,37 +205,30 @@ class MaskTape:
         return mask
 
 
-def replayed_losses(model, indices, labels, rng):
+def replayed_losses(model, indices, labels, tape):
     """(layer, loss) for each layer of `model` that owns parameters, in
-    layer order: loss() is the training loss of `model.forward(indices,
-    rng)`, BCE plus penalty, as a function of the parameters of that
-    layer and of those after it. The layers before it run once, when the
-    pair is made, and the rest once on a copy of the `Prng` as they left
-    it, to record its masks; each loss() replays the rest from their
-    output with those masks. For a Dense or BatchNorm layer,
-    `loss.stacked(p, points)` gives the losses of a stack of points of its
-    tensor p."""
-    x = indices
+    layer order: loss() is the training loss of `model.forward(indices)`
+    on the masks `tape` recorded in such a forward, BCE plus penalty, as a
+    function of the parameters of that layer and of those after it. The
+    layers before it run once on a replay, when the pair is made, and
+    each loss() runs the rest from their output on the rest of the
+    recording. For a Dense or BatchNorm layer, `loss.stacked(p, points)`
+    gives the losses of a stack of points of its tensor p."""
+    x, replay = indices, tape.replay()
     for k, layer in enumerate(model.layers):
         if layer.params:
-            yield layer, SuffixLoss(model, k, x, rng.copy(), labels)
-        x, _ = layer.forward(x, rng)
-
-
-# What a layer's forward reads a stack of probe values from, in place of
-# the parameter they probe.
-_Stack = namedtuple("_Stack", "value")
+            yield layer, SuffixLoss(model, k, x, replay.rest(), labels)
+        x, _ = layer.forward(x, replay)
 
 
 class SuffixLoss:
-    """The training loss of layers[k:] of `model` from their input x, as a
-    function of the parameters of layer k and of those after it."""
+    """The training loss of layers[k:] of `model` from their input x, on
+    the masks `tape` recorded for them, as a function of the parameters
+    of layer k and of those after it."""
 
-    def __init__(self, model, k, x, rng, labels):
-        self.layers, self.x, self.labels = model.layers[k:], x, labels
-        self.tape = MaskTape(rng)
-        for layer in self.layers:
-            x, _ = layer.forward(x, self.tape)
+    def __init__(self, model, k, x, tape, labels):
+        self.layers, self.x = model.layers[k:], x
+        self.tape, self.labels = tape, labels
         probed = model.layers[k].params
         # None marks the terms recomputed on each call
         self.terms = [(p, None if any(p is q for q in probed)
@@ -239,24 +236,25 @@ class SuffixLoss:
                       for p in model.params if p.regularizers]
 
     def __call__(self):
-        replay = self.tape.replay()
-        y, _ = self.layers[0].forward(self.x, replay)
-        return self._rest(y, replay, penalty_terms)
+        return self._loss(self.layers[0], penalty_terms)
 
     def stacked(self, p, points):
         """The losses of n points of tensor p, (n, *p.value.shape), from one
-        pass: layer k reads them in p's place, a vector's with a unit batch
-        axis, and the layers after it take the stack of activations."""
-        replay, first = self.tape.replay(), self.layers[0]
+        pass: a copy of layer k reads them in p's place, a vector's with a
+        unit batch axis, and the layers after it take the stack of
+        activations."""
+        probe = copy.copy(self.layers[0])
         value = points[:, None] if points.ndim == 2 else points
-        y, _ = first.forward(self.x, replay, [_Stack(value) if q is p else q
-                                              for q in first.params])
-        return self._rest(y, replay, lambda q: penalty_terms(
+        probe.params = [ParamTensor(p.name, value) if q is p else q
+                        for q in probe.params]
+        return self._loss(probe, lambda q: penalty_terms(
             q, points if q is p else None))
 
-    def _rest(self, y, replay, terms_of):
-        """BCE plus penalty, from layer k's output y: the probed layer's
-        penalty terms are `terms_of(tensor)`."""
+    def _loss(self, first, terms_of):
+        """BCE plus penalty, with `first` run as layer k: the probed
+        layer's penalty terms are `terms_of(tensor)`."""
+        replay = self.tape.replay()
+        y, _ = first.forward(self.x, replay)
         for layer in self.layers[1:]:
             y, _ = layer.forward(y, replay)
         probs = sigmoid(y[..., 0])
@@ -276,12 +274,12 @@ STACKED = (model_zoo.Dense, model_zoo.BatchNorm)
 def check_end_to_end(preset, seed, results):
     model = mini_model(preset, seed)
     indices, labels = mini_batch(model, seed)
-    probs, caches = model.forward(indices, Prng(seed + 200))
+    tape = MaskTape(Prng(seed + 200))
+    probs, caches = model.forward(indices, tape)
     model.zero_grads()
     model.backward(caches, probs, labels)
     reg_penalty(model.params, accumulate_grads=True)
-    for layer, loss in replayed_losses(model, indices, labels,
-                                       Prng(seed + 200)):
+    for layer, loss in replayed_losses(model, indices, labels, tape):
         _check_params(f"{preset}.", layer.params, loss, results,
                       loss.stacked if isinstance(layer, STACKED) else None)
 

@@ -481,8 +481,8 @@ class BatchNormRunning:
     var: np.ndarray
 
     @classmethod
-    def fresh(cls, n, dtype=np.float64):
-        return cls(mean=np.zeros(n, dtype=dtype), var=np.ones(n, dtype=dtype))
+    def fresh(cls, n):
+        return cls(mean=np.zeros(n), var=np.ones(n))
 
 
 def batchnorm_forward(x, gamma, beta, running, train):

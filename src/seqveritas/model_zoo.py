@@ -187,21 +187,19 @@ def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
 # Each layer wraps one kernel: forward(x, rng) -> (y, cache), training
 # exactly when given an rng, and backward(grad, cache) -> grad. Kernels are
 # called by the names imported above, looked up at call time, so a tracer
-# can patch them in this module. Dense and BatchNorm also take `params`,
-# stand-ins for their own, each with a `value`: gradcheck hands them a
-# stack of probe values on a leading axis. Dense, BatchNorm and ReLU map
-# such a stack, of values or of inputs, to a stack of outputs, each with
-# the bits it would get alone.
+# can patch them in this module. Dense, BatchNorm and ReLU map a stack of
+# inputs, or a stack of parameter values on a leading axis, to a stack of
+# outputs, each with the bits it would get alone.
 
 class Embedding:
     def __init__(self, table):
         self.params = [table]
 
-    def forward(self, indices, rng):
-        return embedding_forward(indices, *self.params), np.asarray(indices)
+    def forward(self, x, rng):
+        return embedding_forward(x, *self.params), np.asarray(x)
 
-    def backward(self, grad, indices):
-        embedding_backward(grad, indices, *self.params)
+    def backward(self, grad, cache):
+        embedding_backward(grad, cache, *self.params)
 
 
 class Dropout:
@@ -233,8 +231,8 @@ class Dense:
     def __init__(self, w, b):
         self.params = [w, b]
 
-    def forward(self, x, rng, params=None):
-        return dense_forward(x, *(params or self.params))
+    def forward(self, x, rng):
+        return dense_forward(x, *self.params)
 
     def backward(self, grad, cache):
         return dense_backward(grad, cache, *self.params)
@@ -245,8 +243,8 @@ class BatchNorm:
         self.params = [gamma, beta]
         self.running = running
 
-    def forward(self, x, rng, params=None):
-        return batchnorm_forward(x, *(params or self.params), self.running,
+    def forward(self, x, rng):
+        return batchnorm_forward(x, *self.params, self.running,
                                  rng is not None)
 
     def backward(self, grad, cache):
@@ -259,8 +257,8 @@ class ReLU:
     def forward(self, x, rng):
         return relu(x), x
 
-    def backward(self, grad, x):
-        return grad * drelu(x)
+    def backward(self, grad, cache):
+        return grad * drelu(cache)
 
 
 class Model:

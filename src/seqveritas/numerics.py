@@ -149,13 +149,6 @@ class Prng:
             state.append(out)
         self._s = state
 
-    def copy(self):
-        """A generator at this one's state, whose stream goes on
-        independently of it (`copy.copy` would share the state list)."""
-        twin = Prng.__new__(Prng)
-        twin._s = list(self._s)
-        return twin
-
     def next_u64(self):
         s = self._s
         result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
@@ -240,15 +233,17 @@ def init_glorot(shape, rng, dtype=np.float64):
 # 1 MiB.
 STACK_BYTES = 1 << 19
 
+FD_EPS = 1e-5  # the central difference's step
 
-def finite_diff_grad(loss_fn, params, eps=1e-5, stacked=False):
+
+def finite_diff_grad(loss_fn, params, stacked=False):
     """Central-difference gradient of a scalar loss with respect to `params`.
 
     `loss_fn` must be deterministic (frozen dropout masks, fixed batch
     order); this is verified by evaluating it twice at the base point.
 
-    The points are `params` with one element moved by +eps, then with it
-    moved by -eps, element by element, built a span of at most
+    The points are `params` with one element moved by +FD_EPS, then with
+    it moved by -FD_EPS, element by element, built a span of at most
     STACK_BYTES of points at a time. `loss_fn` takes one argument. By
     default that is `params` itself, set in place to each point in turn
     and back to its values after each span, and it returns a float.
@@ -272,10 +267,10 @@ def finite_diff_grad(loss_fn, params, eps=1e-5, stacked=False):
         rows = np.arange(ks.size)
         points = np.empty((ks.size, 2, flat.size))
         points[...] = flat
-        points[rows, 0, ks] = flat[ks] + eps
-        points[rows, 1, ks] = flat[ks] - eps
+        points[rows, 0, ks] = flat[ks] + FD_EPS
+        points[rows, 1, ks] = flat[ks] - FD_EPS
         losses = evaluate(points.reshape(-1, *params.shape))
-        gflat[ks] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+        gflat[ks] = (losses[0::2] - losses[1::2]) / (2.0 * FD_EPS)
     return grad
 
 

@@ -91,6 +91,7 @@ def adam_step(params, state):
             value -= step
 
 
+@np.errstate(over="ignore")
 def clip_gradients(params):
     """Scale all grads by MAX_NORM/norm when the global L2 norm exceeds
     MAX_NORM; returns the pre-clip norm. Each arena of `params` (which
@@ -104,7 +105,8 @@ def clip_gradients(params):
     When the running sum of squares becomes non-finite, from a NaN or
     infinite gradient or from a finite one so large that its square
     overflows, NonFiniteGradient names the tensor that made it so, and
-    nothing is scaled."""
+    nothing is scaled. numpy's overflow warning is off: the error is the
+    one report of it."""
     arenas = arenas_of(params)
     squares = {a: np.square(a.grad, dtype=np.float64) for a in arenas}
     total = 0.0

@@ -733,7 +733,7 @@ def test_eval_non_finite_metrics_exit_3(capsys, tmp_path):
 
 
 def test_train_whose_gradient_norm_overflows_exits_3(capsys, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, recwarn):
     # finite gradients of ~1e160 square past float64's range; clipping by
     # MAX_NORM / inf would zero every one and Adam would step on momentum
     cache, _ = _prepare(capsys, tmp_path)
@@ -741,13 +741,16 @@ def test_train_whose_gradient_norm_overflows_exits_3(capsys, tmp_path,
     monkeypatch.setattr(model_zoo, "bce_grad_fused",
                         lambda probs, labels: fused(probs, labels) * 1e160)
     ckpt = tmp_path / "model.svchk"
-    with np.errstate(over="ignore"):
-        code, out, err = run(capsys, [
-            "train", "--data", cache, "--preset", "baseline", "--epochs", "1",
-            "--batch", "8", "--out-checkpoint", str(ckpt)])
+    code, out, err = run(capsys, [
+        "train", "--data", cache, "--preset", "baseline", "--epochs", "1",
+        "--batch", "8", "--out-checkpoint", str(ckpt)])
     assert code == 3
     assert out == ""
-    assert err.endswith("error: non-finite gradient norm in embedding\n")
+    banner, error = err.splitlines(keepends=True)
+    assert banner.startswith("training baseline: ")
+    assert error == "error: non-finite gradient norm in embedding\n"
+    # numpy's overflow warning, which a shell would see on stderr too
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not ckpt.exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqveritas import gradcheck, model_zoo
-from seqveritas.numerics import Prng
+from seqveritas.numerics import FD_EPS, Prng
 from seqveritas.objective import bce, reg_penalty
 from tests.test_golden import GOLDEN, _identity
 
@@ -53,9 +53,10 @@ def test_replayed_losses_are_the_whole_forwards_loss_bit_for_bit(preset):
     seed = 0
     model = gradcheck.mini_model(preset, seed)
     indices, labels = gradcheck.mini_batch(model, seed)
-    owners = []
+    tape, owners = gradcheck.MaskTape(Prng(seed + 200)), []
+    model.forward(indices, tape)
     for layer, loss in gradcheck.replayed_losses(model, indices, labels,
-                                                 Prng(seed + 200)):
+                                                 tape):
         probs, _ = model.forward(indices, Prng(seed + 200))
         whole = bce(probs, labels) + reg_penalty(model.params,
                                                  accumulate_grads=False)
@@ -139,6 +140,8 @@ def test_a_replayed_tape_returns_the_recorded_masks_in_order():
     tape, masks = _tape()
     replay = tape.replay()
     assert replay.keep_mask(0.7, (4, 6)) is masks[0]
+    # the rest of a replay starts from the mask it would return next
+    assert replay.rest().keep_mask(0.7, (4, 8)) is masks[1]
     # a stack of probes asks for its stacked shape, and gets the one mask
     assert replay.keep_mask(0.7, (9, 4, 8)) is masks[1]
     # each replay starts from the first mask
@@ -188,7 +191,7 @@ def test_end_to_end_numeric_gradients_are_the_one_probe_loops_bits(
     numeric = _numeric_gradients(monkeypatch, preset, seed)
     model = gradcheck.mini_model(preset, seed)
     indices, labels = gradcheck.mini_batch(model, seed)
-    eps, sample = 1e-5, np.random.default_rng(seed)
+    eps, sample = FD_EPS, np.random.default_rng(seed)
 
     def loss():
         probs, _ = model.forward(indices, Prng(seed + 200))

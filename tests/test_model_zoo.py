@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -135,6 +136,18 @@ def test_layer_list_follows_the_preset_record(preset):
         return kind, None
 
     assert [describe(layer) for layer in model.layers] == expected
+
+
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_every_layer_runs_by_forward_x_rng_and_backward_grad_cache(preset):
+    """`Model` runs each layer by these two calls alone; no layer takes an
+    argument that only some other caller passes."""
+    for layer in _tiny_model(preset).layers:
+        kind = type(layer).__name__
+        assert list(inspect.signature(layer.forward).parameters) == [
+            "x", "rng"], kind
+        assert list(inspect.signature(layer.backward).parameters) == [
+            "grad", "cache"], kind
 
 
 def test_unknown_preset():

@@ -113,20 +113,6 @@ def test_prng_reproducible_and_unit_interval():
     assert all(0.0 <= v < 1.0 for v in va)
 
 
-def test_prng_copy_is_an_independent_stream_from_the_same_state():
-    rng = Prng(123)
-    rng.next_u64()
-    twin = rng.copy()
-    assert twin._s == rng._s and twin._s is not rng._s
-    assert [twin.next_u64() for _ in range(5)] == [rng.next_u64()
-                                                   for _ in range(5)]
-    state = list(rng._s)
-    twin.next_u64()
-    twin.uniform(0.0, 1.0, (3,))
-    assert rng._s == state
-    assert twin._s != rng._s
-
-
 def test_uniform_matches_scalar_splitmix64_counter_reference():
     for seed in (0, 12345, 2**63 + 17):
         key = Prng(seed).next_u64()

@@ -112,7 +112,8 @@ def test_clip_refuses_a_finite_gradient_whose_norm_overflows(value):
     small = _pt([0.0, 0.0], grad=[1.0, 2.0])
     huge = ParamTensor("huge", np.zeros(3))
     huge.grad[...] = value
-    with np.errstate(over="ignore"):
+    # the overflow is reported by the error alone, not by a numpy warning
+    with np.errstate(over="raise"):
         with pytest.raises(NonFiniteGradient, match=r"in huge$"):
             clip_gradients([small, huge])
     assert small.grad.tolist() == [1.0, 2.0]

@@ -1,4 +1,5 @@
-"""No module under src/seqveritas or tests imports a name it never uses.
+"""No module under src/seqveritas, tests or perfbench imports a name it
+never uses.
 
 Stands in for a linter's unused-import rule: each file is parsed with
 `ast`, and every name an import binds must appear as a name somewhere in
@@ -12,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "seqveritas").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+                *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")])
 
 
 def _file_id(path):
@@ -34,7 +36,8 @@ def unused_imports(source):
 
 def test_the_scan_covers_both_trees():
     names = {_file_id(p) for p in FILES}
-    assert {"seqveritas/porter.py", "tests/test_unused_imports.py"} <= names
+    assert {"seqveritas/porter.py", "tests/test_unused_imports.py",
+            "perfbench/run.py"} <= names
 
 
 def test_the_scan_finds_an_unused_import():
