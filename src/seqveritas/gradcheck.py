@@ -17,17 +17,17 @@ replays the rest of the recording. The penalty too is done once per
 layer: each regularised tensor's terms, lam * sum, are kept as floats;
 only the probed layer's are recomputed, and all are added in `params`
 order, as `reg_penalty` adds them.
-A Dense or BatchNorm tensor's probes run stacked: `finite_diff_grad`
-hands the loss a stack of probe points, and one pass evaluates them all,
-on a copy of the probed layer whose `params` hold the stack in place of
-that tensor and then the model's own later layers, given a stack of
-activations, probes on the leading axis. Each product, batch-norm sum,
-activation and per-probe bce and penalty of a stack has the bits of its
-probe's own pass (the tests hold it to a one-probe-at-a-time oracle).
-Embedding and LSTM probes stay one at a time: a stacked lookup or LSTM
-would be a second path through those kernels, and at these shapes they
-take fewer than 2,000 evaluations per preset. The check thus computes the
-floats a whole training forward would, in the same order.
+Every probe runs stacked, in the layer checks and the end-to-end check
+alike: `finite_diff_grad` hands the loss a stack of probe points, and
+one pass evaluates them all through the model's own layer objects and
+kernels. A stack of inputs goes in on a leading axis; a stack of values
+of a tensor goes in on a copy of its layer whose `params` hold the stack
+in that tensor's place, and the layers after it take the stack of
+activations. Each lookup, product, LSTM step, batch-norm sum, activation
+and per-probe loss and penalty of a stack has the bits of its probe's
+own pass (the tests hold it to a one-probe-at-a-time oracle). The check
+thus computes the floats a whole training forward would, in the same
+order.
 """
 
 from __future__ import annotations
@@ -55,16 +55,23 @@ def _check(name, analytic, numeric, results):
                     "rel_error": float(max_relative_error(analytic, numeric))})
 
 
-def _check_params(prefix, params, loss, results, stacked=None):
-    """Each parameter's grad against a central difference of `loss()`, or,
-    given `stacked(p, points)`, the losses of a stack of points of p, of
-    that."""
+def _probe(layer, p, points):
+    """A copy of `layer` whose params hold `points`, a stack of values of
+    its tensor p, (n, *p.value.shape), in p's place: a vector's with a
+    unit batch axis."""
+    probe = copy.copy(layer)
+    value = points[:, None] if points.ndim == 2 else points
+    probe.params = [ParamTensor(p.name, value) if q is p else q
+                    for q in probe.params]
+    return probe
+
+
+def _check_params(prefix, params, stacked, results):
+    """Each parameter p's grad against a central difference of
+    `stacked(p, points)`, the losses of a stack of points of p."""
     for p in params:
-        if stacked is None:
-            numeric = finite_diff_grad(lambda _v: loss(), p.value)
-        else:
-            numeric = finite_diff_grad(
-                lambda points, p=p: stacked(p, points), p.value, stacked=True)
+        numeric = finite_diff_grad(
+            lambda points, p=p: stacked(p, points), p.value, stacked=True)
         if p.name.startswith("embedding"):
             numeric[0] = 0.0  # the PAD row is frozen, not a free parameter
         _check(prefix + p.name, p.grad, numeric, results)
@@ -73,19 +80,22 @@ def _check_params(prefix, params, loss, results, stacked=None):
 def _check_layer(name, layer, x, coeff, rng_seed, results):
     """grad x, when backward returns one, and every parameter of `layer`
     on sum(coeff * y); each forward trains, on the masks the first drew
-    from Prng(rng_seed)."""
+    from Prng(rng_seed). A stack of probes gives one sum per probe, each
+    the bits of float(np.sum(coeff * y)) of its own y."""
     tape = MaskTape(Prng(rng_seed))
     _, cache = layer.forward(x, tape)
     grad_x = layer.backward(coeff, cache)
 
-    def loss():
-        y, _ = layer.forward(x, tape.replay())
-        return float(np.sum(coeff * y))
+    def losses(probe, x):
+        y, _ = probe.forward(x, tape.replay())
+        return np.add.reduce((coeff * y).reshape(len(y), -1), 1)
 
     if grad_x is not None:
-        _check(f"{name}.x", grad_x, finite_diff_grad(lambda _v: loss(), x),
-               results)
-    _check_params("", layer.params, loss, results)
+        _check(f"{name}.x", grad_x, finite_diff_grad(
+            lambda points: losses(layer, points), x, stacked=True), results)
+    _check_params("", layer.params,
+                  lambda p, points: losses(_probe(layer, p, points), x),
+                  results)
 
 
 def check_embedding(seed, results):
@@ -207,13 +217,12 @@ class MaskTape:
 
 def replayed_losses(model, indices, labels, tape):
     """(layer, loss) for each layer of `model` that owns parameters, in
-    layer order: loss() is the training loss of `model.forward(indices)`
-    on the masks `tape` recorded in such a forward, BCE plus penalty, as a
-    function of the parameters of that layer and of those after it. The
-    layers before it run once on a replay, when the pair is made, and
-    each loss() runs the rest from their output on the rest of the
-    recording. For a Dense or BatchNorm layer, `loss.stacked(p, points)`
-    gives the losses of a stack of points of its tensor p."""
+    layer order: `loss.stacked(p, points)` gives the training losses of
+    `model.forward(indices)` on the masks `tape` recorded in such a
+    forward, BCE plus penalty, at a stack of points of the layer's tensor
+    p. The layers before it run once on a replay, when the pair is made,
+    and each call runs the rest from their output on the rest of the
+    recording."""
     x, replay = indices, tape.replay()
     for k, layer in enumerate(model.layers):
         if layer.params:
@@ -235,40 +244,23 @@ class SuffixLoss:
                        else penalty_terms(p))
                       for p in model.params if p.regularizers]
 
-    def __call__(self):
-        return self._loss(self.layers[0], penalty_terms)
-
     def stacked(self, p, points):
         """The losses of n points of tensor p, (n, *p.value.shape), from one
-        pass: a copy of layer k reads them in p's place, a vector's with a
-        unit batch axis, and the layers after it take the stack of
-        activations."""
-        probe = copy.copy(self.layers[0])
-        value = points[:, None] if points.ndim == 2 else points
-        probe.params = [ParamTensor(p.name, value) if q is p else q
-                        for q in probe.params]
-        return self._loss(probe, lambda q: penalty_terms(
-            q, points if q is p else None))
-
-    def _loss(self, first, terms_of):
-        """BCE plus penalty, with `first` run as layer k: the probed
-        layer's penalty terms are `terms_of(tensor)`."""
+        pass: a copy of layer k reads them in p's place, and the layers
+        after it take the stack of activations. The probed layer's
+        penalty terms are recomputed, p's for each point."""
         replay = self.tape.replay()
-        y, _ = first.forward(self.x, replay)
+        y, _ = _probe(self.layers[0], p, points).forward(self.x, replay)
         for layer in self.layers[1:]:
             y, _ = layer.forward(y, replay)
         probs = sigmoid(y[..., 0])
         penalty = 0.0
-        for p, terms in self.terms:
-            for term in terms_of(p) if terms is None else terms:
+        for q, terms in self.terms:
+            if terms is None:
+                terms = penalty_terms(q, points if q is p else None)
+            for term in terms:
                 penalty += term
-        labels = (self.labels if probs.ndim == 1
-                  else np.broadcast_to(self.labels, probs.shape))
-        return bce(probs, labels) + penalty
-
-
-# The layers whose probes run stacked (see the module docstring).
-STACKED = (model_zoo.Dense, model_zoo.BatchNorm)
+        return bce(probs, np.broadcast_to(self.labels, probs.shape)) + penalty
 
 
 def check_end_to_end(preset, seed, results):
@@ -280,8 +272,7 @@ def check_end_to_end(preset, seed, results):
     model.backward(caches, probs, labels)
     reg_penalty(model.params, accumulate_grads=True)
     for layer, loss in replayed_losses(model, indices, labels, tape):
-        _check_params(f"{preset}.", layer.params, loss, results,
-                      loss.stacked if isinstance(layer, STACKED) else None)
+        _check_params(f"{preset}.", layer.params, loss.stacked, results)
 
 
 def run_all(seed=0, presets=model_zoo.PRESETS):

@@ -223,13 +223,16 @@ def arenas_of(params):
 
 def embedding_forward(indices, emb):
     """Row lookup: (B, T) int indices -> (B, T, d). The PAD row (index 0)
-    is held at zero and receives no gradient."""
+    is held at zero and receives no gradient. A stack of tables on leading
+    axes, (P, V, d), as gradcheck's stacked probes hand one, gives a stack
+    of lookups, (P, B, T, d): `np.take` along the row axis copies the
+    bits of `value[indices]` either way."""
     indices = np.asarray(indices)
-    vocab_size = emb.value.shape[0]
+    vocab_size = emb.value.shape[-2]
     if indices.min() < 0 or indices.max() >= vocab_size:
         raise IndexOutOfVocab(
             f"index outside [0, {vocab_size}): {indices.min()}..{indices.max()}")
-    return emb.value[indices]
+    return np.take(emb.value, indices, axis=-2)
 
 
 def embedding_backward(grad_out, indices, emb):
@@ -313,13 +316,25 @@ def lstm_forward(x, w, u, b, history=True):
     run's slice of x is copied time-major and projected by one GEMM into
     a gates buffer of one run, which its steps then use. Each h_T bit is
     the same as with history, where one GEMM projects every step.
+
+    W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
+    (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
+    more than one does, the same stack); x stays (B, T, d), and h_T is
+    then (P, B, H). numpy's stacked matmul makes one GEMM per value, of
+    the shape of the one-value call, so each h_T in the stack has the
+    bits of its own call. The gates buffer then puts the stack axis
+    first, (P, T, B, 4H), so that the input GEMM writes it whole, and c,
+    h and tanh_c put it after the step axis. No backward reads a stacked
+    call's cache.
     """
     x = np.asarray(x)
     batch, steps, d = x.shape
-    if w.value.shape[0] != d or w.value.shape[1] != u.value.shape[1]:
+    if w.value.shape[-2] != d or w.value.shape[-1] != u.value.shape[-1]:
         raise ShapeMismatch(f"LSTM shapes: x {x.shape}, W {w.value.shape}, "
                             f"U {u.value.shape}")
-    hidden = u.value.shape[0]
+    hidden = u.value.shape[-2]
+    # the leading axes of whichever of W, U and b hold a stack
+    stack = w.value.shape[:-2] or u.value.shape[:-2] or b.value.shape[:-2]
     dtype = np.result_type(x, w.value, u.value, b.value)
     # `runs` runs of steps of near-equal length, one input GEMM each: one
     # run with history, else runs of at most PROJECT_BYTES of gates (or of
@@ -328,36 +343,38 @@ def lstm_forward(x, w, u, b, history=True):
     runs = 1 if history else max(
         1, -(-steps // max(1, PROJECT_BYTES // step_bytes)))
     span = -(-steps // runs)
-    gates = np.empty((span, batch, 4 * hidden), dtype=dtype)
+    gates = np.empty((*stack, span, batch, 4 * hidden), dtype=dtype)
+    gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
     x_tm = np.empty((span, batch, d), dtype=x.dtype)
     slots = steps + 1 if history else 2
-    c = np.zeros((slots, batch, hidden), dtype=dtype)
-    h = np.zeros((slots, batch, hidden), dtype=dtype)
-    tanh_c = np.empty((slots - 1, batch, hidden), dtype=dtype)
-    ig = np.empty((batch, hidden), dtype=dtype)
+    c = np.zeros((slots, *stack, batch, hidden), dtype=dtype)
+    h = np.zeros((slots, *stack, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((slots - 1, *stack, batch, hidden), dtype=dtype)
+    ig = np.empty((*stack, batch, hidden), dtype=dtype)
     scale, offset, _ = _gate_constants(hidden, dtype)
     uv = u.value
     for k in range(runs):
         start, stop = steps * k // runs, steps * (k + 1) // runs
         n = stop - start
         np.copyto(x_tm[:n], x[:, start:stop].transpose(1, 0, 2))
-        rows = gates[:n].reshape(-1, 4 * hidden)
+        rows = gates[..., :n, :, :].reshape(*stack, -1, 4 * hidden)
         np.matmul(x_tm[:n].reshape(-1, d), w.value, out=rows)
         rows += b.value
         for t in range(start, stop):
             prev, cur = t % slots, (t + 1) % slots
-            z = gates[t - start]
+            z = gates_tm[t - start]
             z += h[prev] @ uv
             z *= scale
             np.tanh(z, out=z)
             z *= scale
             z += offset
             c_t, tc = c[cur], tanh_c[t % (slots - 1)]
-            np.multiply(z[:, hidden:2 * hidden], c[prev], out=c_t)
-            np.multiply(z[:, :hidden], z[:, 2 * hidden:3 * hidden], out=ig)
+            np.multiply(z[..., hidden:2 * hidden], c[prev], out=c_t)
+            np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden],
+                        out=ig)
             c_t += ig
             np.tanh(c_t, out=tc)
-            np.multiply(z[:, 3 * hidden:], tc, out=h[cur])
+            np.multiply(z[..., 3 * hidden:], tc, out=h[cur])
     h_t = h[steps % slots]
     if not history:
         return h_t, None

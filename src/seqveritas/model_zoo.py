@@ -187,9 +187,10 @@ def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
 # Each layer wraps one kernel: forward(x, rng) -> (y, cache), training
 # exactly when given an rng, and backward(grad, cache) -> grad. Kernels are
 # called by the names imported above, looked up at call time, so a tracer
-# can patch them in this module. Dense, BatchNorm and ReLU map a stack of
-# inputs, or a stack of parameter values on a leading axis, to a stack of
-# outputs, each with the bits it would get alone.
+# can patch them in this module. Every layer maps a stack of inputs, or a
+# stack of parameter values on a leading axis, to a stack of outputs, each
+# with the bits it would get alone; gradcheck evaluates its probes so.
+# Embedding's input is its indices, which do not stack.
 
 class Embedding:
     def __init__(self, table):
@@ -220,8 +221,15 @@ class Lstm:
         self.params = [w, u, b]
 
     def forward(self, x, rng):
-        # keyword, so that wrappers that unpack (x, w, u, b) still see four
-        return lstm_forward(x, *self.params, history=rng is not None)
+        # a stack of inputs, (P, B, T, d), goes to the kernel as one batch
+        # of P * B rows, so that the kernel, and a tracer's wrapper of it,
+        # always sees a (B, T, d) x; keyword, so that wrappers that unpack
+        # (x, w, u, b) still see four
+        x = np.asarray(x)
+        h_t, cache = lstm_forward(x.reshape(-1, *x.shape[-2:]), *self.params,
+                                  history=rng is not None)
+        # h_t is (*param stack, rows, H): the rows unfold to x's batch axes
+        return h_t.reshape(*h_t.shape[:-2], *x.shape[:-2], -1), cache
 
     def backward(self, grad, cache):
         return lstm_backward(grad, cache, *self.params)

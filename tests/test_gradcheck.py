@@ -57,19 +57,20 @@ def test_replayed_losses_are_the_whole_forwards_loss_bit_for_bit(preset):
     model.forward(indices, tape)
     for layer, loss in gradcheck.replayed_losses(model, indices, labels,
                                                  tape):
+        p = layer.params[0]
         probs, _ = model.forward(indices, Prng(seed + 200))
         whole = bce(probs, labels) + reg_penalty(model.params,
                                                  accumulate_grads=False)
-        assert loss() == whole
-        # perturbing the layer's tensor moves both the same way
-        value = layer.params[0].value
-        saved = value.copy()
-        value += 1e-3
+        assert loss.stacked(p, p.value[None]).tolist() == [whole]
+        # a point of the layer's tensor moves both the same way
+        saved = p.value.copy()
+        p.value[...] += 1e-3
         probs, _ = model.forward(indices, Prng(seed + 200))
         moved = bce(probs, labels) + reg_penalty(model.params,
                                                  accumulate_grads=False)
-        assert loss() == moved != whole
-        value[...] = saved
+        p.value[...] = saved
+        assert loss.stacked(p, (saved + 1e-3)[None]).tolist() == [moved]
+        assert moved != whole
         owners.append(layer)
     assert owners == [layer for layer in model.layers if layer.params]
 
@@ -105,7 +106,8 @@ def test_end_to_end_check_fails_a_halved_embedding_grad(monkeypatch):
         assert (error >= gradcheck.TOLERANCE) == (name == "baseline.embedding"), name
 
 
-# The faults below land in tensors whose probes run stacked.
+# The faults below each land in one coordinate or one tensor, whose probes
+# run stacked, as every tensor's do; each must fail its own check alone.
 
 def test_end_to_end_check_fails_one_dense1_W_coordinate_off_by_1e_3(
         monkeypatch):
@@ -128,6 +130,47 @@ def test_end_to_end_check_fails_a_halved_batchnorm_gamma_grad(monkeypatch):
     for name, error in errors.items():
         assert (error >= gradcheck.TOLERANCE) == name.endswith(".bn.gamma"), \
             name
+
+
+def test_end_to_end_check_fails_one_lstm_U_coordinate_off_by_1e_3(
+        monkeypatch):
+    def nudge(grad_ht, cache, w, u, b):
+        u.grad[2, 5] += 1e-3
+
+    errors = _end_to_end_errors(monkeypatch, "lstm_backward", nudge)
+    for name, error in errors.items():
+        assert (error >= gradcheck.TOLERANCE) == (
+            name == "baseline.lstm.U"), name
+
+
+def test_end_to_end_check_fails_one_embedding_coordinate_off_by_1e_3(
+        monkeypatch):
+    # row 21 is read twice by the seed-0 batch
+    def nudge(grad_out, indices, emb):
+        emb.grad[21, 3] += 1e-3
+
+    errors = _end_to_end_errors(monkeypatch, "embedding_backward", nudge)
+    for name, error in errors.items():
+        assert (error >= gradcheck.TOLERANCE) == (
+            name == "baseline.embedding"), name
+
+
+def test_every_lstm_kernel_call_of_gradcheck_gets_one_3d_x(monkeypatch):
+    """perfbench's tracer unpacks `x, _, u, _ = args` and `batch, steps, d
+    = x.shape` at every call of the LSTM kernel, so a stack of probe
+    inputs must reach the kernel folded into one batch."""
+    kernel, shapes = model_zoo.lstm_forward, []
+
+    def wrapped(*args, **kwargs):
+        x, _, _, _ = args
+        shapes.append(np.shape(x))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(model_zoo, "lstm_forward", wrapped)
+    gradcheck.run_all(seed=0)
+    assert shapes and all(len(shape) == 3 for shape in shapes), shapes
+    # the embedding's probes and the layer check's x probes went stacked
+    assert any(shape[0] > gradcheck.MINI["batch"] for shape in shapes)
 
 
 def _tape(shapes=((4, 6), (4, 8))):

@@ -12,8 +12,9 @@ from seqveritas.layers import (SCATTER_TOKENS, BadRate, BatchNormRunning,
                                dropout_forward, embedding_backward,
                                embedding_forward, lstm_backward,
                                lstm_forward)
-from seqveritas.model_zoo import ReLU
-from seqveritas.numerics import BLOCK, Prng, ShapeMismatch, sigmoid
+from seqveritas.model_zoo import Lstm, ReLU
+from seqveritas.numerics import (BLOCK, Prng, ShapeMismatch,
+                                 finite_diff_grad, sigmoid)
 
 
 def _pt(name, arr, reg=()):
@@ -665,3 +666,86 @@ def test_batchnorm_forward_on_a_stack_gives_each_batch_its_bits():
                 xs[0].copy(), _pt("g", gammas[k, 0].copy()), beta,
                 BatchNormRunning.fresh(width), True)
             assert from_gammas[k].tobytes() == alone.tobytes()
+
+
+# --- stacked probes ----------------------------------------------------------
+# gradcheck hands the kernels a stack of probe points on a leading axis, in
+# the stack sizes `finite_diff_grad` asks for: each output of a stack must
+# have the bits of its point's own call.
+
+def _probe_stacks(shape):
+    """The stack sizes `finite_diff_grad` hands a loss of a float64 tensor
+    of `shape`."""
+    sizes = set()
+
+    def losses(points):
+        sizes.add(len(points))
+        return np.zeros(len(points))
+
+    finite_diff_grad(losses, np.zeros(shape), stacked=True)
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (50, 8)])
+def test_embedding_forward_on_a_stack_of_tables_gives_each_its_lookup(shape):
+    rng = np.random.default_rng(3)
+    indices = rng.integers(0, shape[0], (4, 6))
+    for n in _probe_stacks(shape):
+        tables = rng.standard_normal((n, *shape))
+        out = embedding_forward(indices, _pt("E", tables))
+        assert out.shape == (n, 4, 6, shape[1])
+        for k in range(n):
+            alone = embedding_forward(indices, _pt("E", tables[k].copy()))
+            assert out[k].tobytes() == alone.tobytes()
+
+
+# (batch, steps, d, hidden) of gradcheck's layer check and of its mini model
+LSTM_PROBE_SHAPES = [(3, 4, 5, 4), (4, 6, 8, 8)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch,steps,d,hid", LSTM_PROBE_SHAPES)
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["W", "U", "b"])
+def test_lstm_forward_on_a_stack_of_one_tensor_gives_each_its_h_t(
+        dtype, batch, steps, d, hid, which):
+    rng = Prng(40 + which)
+    params = [ParamTensor(p.name, p.value.astype(dtype))
+              for p in _lstm_params(d, hid, rng)]
+    params[2].value[...] = rng.uniform(-0.5, 0.5, (4 * hid,))
+    x = rng.uniform(-1, 1, (batch, steps, d)).astype(dtype)
+    shape = params[which].value.shape
+    n = max(_probe_stacks(shape))
+    values = (params[which].value
+              + rng.uniform(-1e-3, 1e-3, (n, *shape))).astype(dtype)
+    stacked = list(params)
+    # a vector arrives with a unit batch axis, as gradcheck hands it
+    stacked[which] = ParamTensor("stack", values[:, None] if values.ndim == 2
+                                 else values)
+    h, cache = lstm_forward(x, *stacked)
+    assert h.shape == (n, batch, hid) and h.dtype == dtype
+    assert cache.gates.shape == (n, steps, batch, 4 * hid)
+    for k in range(n):
+        alone = list(params)
+        alone[which] = ParamTensor("one", values[k].copy())
+        h_k, _ = lstm_forward(x, *alone)
+        assert h[k].tobytes() == h_k.tobytes(), k
+
+
+# with the shape of the tensor whose probes reach the LSTM as a stack of
+# inputs: the layer check's x, and the mini model's embedding table
+@pytest.mark.parametrize("history", [True, False])
+@pytest.mark.parametrize("batch,steps,d,hid,probed", [
+    (*LSTM_PROBE_SHAPES[0], (3, 4, 5)), (*LSTM_PROBE_SHAPES[1], (50, 8))])
+def test_the_lstm_layer_on_a_stack_of_inputs_gives_each_its_h_t(
+        history, batch, steps, d, hid, probed):
+    rng = Prng(50)
+    layer = Lstm(*_lstm_params(d, hid, rng))
+    layer.params[2].value[...] = rng.uniform(-0.5, 0.5, (4 * hid,))
+    train = Prng(0) if history else None
+    for n in _probe_stacks(probed):
+        xs = rng.uniform(-1, 1, (n, batch, steps, d))
+        h, _ = layer.forward(xs, train)
+        assert h.shape == (n, batch, hid)
+        for k in range(n):
+            h_k, _ = layer.forward(xs[k].copy(), train)
+            assert h[k].tobytes() == h_k.tobytes(), (n, k)
