@@ -66,12 +66,12 @@ def _probe(layer, p, points):
     return probe
 
 
-def _check_params(prefix, params, stacked, results):
+def _check_params(prefix, params, losses, results):
     """Each parameter p's grad against a central difference of
-    `stacked(p, points)`, the losses of a stack of points of p."""
+    `losses(p, points)`, the losses of a stack of points of p."""
     for p in params:
-        numeric = finite_diff_grad(
-            lambda points, p=p: stacked(p, points), p.value, stacked=True)
+        numeric = finite_diff_grad(lambda points, p=p: losses(p, points),
+                                   p.value)
         if p.name.startswith("embedding"):
             numeric[0] = 0.0  # the PAD row is frozen, not a free parameter
         _check(prefix + p.name, p.grad, numeric, results)
@@ -92,7 +92,7 @@ def _check_layer(name, layer, x, coeff, rng_seed, results):
 
     if grad_x is not None:
         _check(f"{name}.x", grad_x, finite_diff_grad(
-            lambda points: losses(layer, points), x, stacked=True), results)
+            lambda points: losses(layer, points), x), results)
     _check_params("", layer.params,
                   lambda p, points: losses(_probe(layer, p, points), x),
                   results)
@@ -217,7 +217,7 @@ class MaskTape:
 
 def replayed_losses(model, indices, labels, tape):
     """(layer, loss) for each layer of `model` that owns parameters, in
-    layer order: `loss.stacked(p, points)` gives the training losses of
+    layer order: `loss(p, points)` gives the training losses of
     `model.forward(indices)` on the masks `tape` recorded in such a
     forward, BCE plus penalty, at a stack of points of the layer's tensor
     p. The layers before it run once on a replay, when the pair is made,
@@ -244,7 +244,7 @@ class SuffixLoss:
                        else penalty_terms(p))
                       for p in model.params if p.regularizers]
 
-    def stacked(self, p, points):
+    def __call__(self, p, points):
         """The losses of n points of tensor p, (n, *p.value.shape), from one
         pass: a copy of layer k reads them in p's place, and the layers
         after it take the stack of activations. The probed layer's
@@ -270,9 +270,9 @@ def check_end_to_end(preset, seed, results):
     probs, caches = model.forward(indices, tape)
     model.zero_grads()
     model.backward(caches, probs, labels)
-    reg_penalty(model.params, accumulate_grads=True)
+    reg_penalty(model.params)
     for layer, loss in replayed_losses(model, indices, labels, tape):
-        _check_params(f"{preset}.", layer.params, loss.stacked, results)
+        _check_params(f"{preset}.", layer.params, loss, results)
 
 
 def run_all(seed=0, presets=model_zoo.PRESETS):

@@ -1,5 +1,6 @@
 """Numeric substrate: activations, seeded PRNG, Glorot initialization,
-and the finite-difference gradient oracle.
+and the finite-difference gradient oracle, whose loss takes a stack of
+points and returns one loss per point.
 
 Matrices are plain numpy arrays (row-major, float64 by default; float32 is
 allowed for full-corpus training). Randomness always flows through `Prng`,
@@ -236,25 +237,19 @@ STACK_BYTES = 1 << 19
 FD_EPS = 1e-5  # the central difference's step
 
 
-def finite_diff_grad(loss_fn, params, stacked=False):
-    """Central-difference gradient of a scalar loss with respect to `params`.
+def finite_diff_grad(loss_fn, params):
+    """Central-difference gradient of a loss with respect to `params`.
 
-    `loss_fn` must be deterministic (frozen dropout masks, fixed batch
-    order); this is verified by evaluating it twice at the base point.
-
-    The points are `params` with one element moved by +FD_EPS, then with
-    it moved by -FD_EPS, element by element, built a span of at most
-    STACK_BYTES of points at a time. `loss_fn` takes one argument. By
-    default that is `params` itself, set in place to each point in turn
-    and back to its values after each span, and it returns a float.
-    `stacked`: it is instead a span's points stacked on a leading axis,
-    (n, *params.shape), and it returns their n losses; `params` is not
-    written. The gradient is the same either way when each stacked loss
-    has the bits of its point's.
+    `loss_fn` takes a stack of points on a leading axis, (n,
+    *params.shape), and returns their n losses. The points are `params`
+    with one element moved by +FD_EPS, then with it moved by -FD_EPS,
+    element by element, built a span of at most STACK_BYTES of points at
+    a time; `params` itself is never written. `loss_fn` must be
+    deterministic (frozen dropout masks, fixed batch order); this is
+    verified by evaluating it twice at the base point.
     """
     params = np.asarray(params, dtype=np.float64)
-    evaluate = loss_fn if stacked else _one_at_a_time(loss_fn, params)
-    base1, base2 = (evaluate(params[None])[0] for _ in range(2))
+    base1, base2 = (loss_fn(params[None])[0] for _ in range(2))
     if base1 != base2:
         raise NonDeterministicLoss(
             f"two evaluations at the same point differ: {base1} vs {base2}")
@@ -269,26 +264,9 @@ def finite_diff_grad(loss_fn, params, stacked=False):
         points[...] = flat
         points[rows, 0, ks] = flat[ks] + FD_EPS
         points[rows, 1, ks] = flat[ks] - FD_EPS
-        losses = evaluate(points.reshape(-1, *params.shape))
+        losses = loss_fn(points.reshape(-1, *params.shape))
         gflat[ks] = (losses[0::2] - losses[1::2]) / (2.0 * FD_EPS)
     return grad
-
-
-def _one_at_a_time(loss_fn, params):
-    """A loss of stacked points from `loss_fn` of `params`: each point is
-    written into `params` in turn, which then gets its values back, also
-    when `loss_fn` raises."""
-    def evaluate(points):
-        base = params.copy()
-        losses = np.empty(len(points))
-        try:
-            for i, point in enumerate(points):
-                params[...] = point
-                losses[i] = loss_fn(params)
-        finally:
-            params[...] = base
-        return losses
-    return evaluate
 
 
 def max_relative_error(g_analytic, g_numeric):

@@ -78,20 +78,19 @@ def penalty_terms(p, stack=None):
     return terms
 
 
-def reg_penalty(params, accumulate_grads=True):
+def reg_penalty(params):
     """Total regularization penalty over all tagged tensors, their
-    `penalty_terms` added in order; optionally adds the penalty gradients
-    (L1 subgradient with sign(0) = 0)."""
+    `penalty_terms` added in order; adds the penalty gradients to each
+    tensor's grad (L1 subgradient with sign(0) = 0)."""
     total = 0.0
     for p in params:
         for term in penalty_terms(p):
             total += term
-        if accumulate_grads:
-            for kind, lam in p.regularizers:
-                if kind == "l1":
-                    p.grad += lam * np.sign(p.value)
-                else:
-                    p.grad += 2.0 * lam * p.value
+        for kind, lam in p.regularizers:
+            if kind == "l1":
+                p.grad += lam * np.sign(p.value)
+            else:
+                p.grad += 2.0 * lam * p.value
     return total
 
 

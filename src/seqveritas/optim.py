@@ -202,7 +202,7 @@ def fit(model, train_x, train_y, val_x, val_y, config):
             probs, caches = model.forward(xb, rng)
             data_loss = bce(probs, yb)
             model.backward(caches, probs, yb)
-            penalty = reg_penalty(model.params, accumulate_grads=True)
+            penalty = reg_penalty(model.params)
             clip_gradients(model.params)
             adam_step(model.params, state)
             epoch_loss += (data_loss + penalty) * len(idx)

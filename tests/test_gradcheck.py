@@ -3,7 +3,7 @@ import pytest
 
 from seqveritas import gradcheck, model_zoo
 from seqveritas.numerics import FD_EPS, Prng
-from seqveritas.objective import bce, reg_penalty
+from seqveritas.objective import bce, penalty_terms
 from tests.test_golden import GOLDEN, _identity
 
 LAYER_CHECKS = ["embedding.E", "lstm.x", "lstm.W", "lstm.U", "lstm.b",
@@ -39,13 +39,22 @@ def test_run_all_check_names_and_order(monkeypatch):
     # only the names are under test here; test_c1_gradient_correctness
     # checks the errors at this seed, so skip the finite differences
     monkeypatch.setattr(gradcheck, "finite_diff_grad",
-                        lambda loss, values, **_: np.zeros_like(values))
+                        lambda loss, values: np.zeros_like(values))
     names = [r["name"] for r in gradcheck.run_all(seed=0)]
     assert names == (LAYER_CHECKS
                      + [f"baseline.{n}" for n in COMMON + TWO_HIDDEN]
                      + [f"regularized.{n}" for n in COMMON + TWO_HIDDEN]
                      + [f"optimized.{n}" for n in COMMON + WITH_BN])
     assert len(names) == 50
+
+
+def _penalty(params):
+    """The penalty total as `reg_penalty` adds it, without its grads."""
+    total = 0.0
+    for p in params:
+        for term in penalty_terms(p):
+            total += term
+    return total
 
 
 @pytest.mark.parametrize("preset", list(model_zoo.PRESETS))
@@ -59,17 +68,15 @@ def test_replayed_losses_are_the_whole_forwards_loss_bit_for_bit(preset):
                                                  tape):
         p = layer.params[0]
         probs, _ = model.forward(indices, Prng(seed + 200))
-        whole = bce(probs, labels) + reg_penalty(model.params,
-                                                 accumulate_grads=False)
-        assert loss.stacked(p, p.value[None]).tolist() == [whole]
+        whole = bce(probs, labels) + _penalty(model.params)
+        assert loss(p, p.value[None]).tolist() == [whole]
         # a point of the layer's tensor moves both the same way
         saved = p.value.copy()
         p.value[...] += 1e-3
         probs, _ = model.forward(indices, Prng(seed + 200))
-        moved = bce(probs, labels) + reg_penalty(model.params,
-                                                 accumulate_grads=False)
+        moved = bce(probs, labels) + _penalty(model.params)
         p.value[...] = saved
-        assert loss.stacked(p, (saved + 1e-3)[None]).tolist() == [moved]
+        assert loss(p, (saved + 1e-3)[None]).tolist() == [moved]
         assert moved != whole
         owners.append(layer)
     assert owners == [layer for layer in model.layers if layer.params]
@@ -173,6 +180,16 @@ def test_every_lstm_kernel_call_of_gradcheck_gets_one_3d_x(monkeypatch):
     assert any(shape[0] > gradcheck.MINI["batch"] for shape in shapes)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: a ReLU pre-activation lies within FD_EPS of zero, so "
+    "regularized.dense0.b fails at seed 1 and baseline.dense0.b at seed 9 "
+    "until a kink is re-probed with a smaller step; drop this marker then"))
+@pytest.mark.parametrize("seed, preset", [(1, "regularized"), (9, "baseline")])
+def test_run_all_passes_every_check_at_a_relu_kink(seed, preset):
+    results = gradcheck.run_all(seed=seed, presets=(preset,))
+    assert [r["name"] for r in results if not r["pass"]] == []
+
+
 def _tape(shapes=((4, 6), (4, 8))):
     tape = gradcheck.MaskTape(Prng(5))
     masks = [tape.keep_mask(0.7, shape) for shape in shapes]
@@ -238,8 +255,7 @@ def test_end_to_end_numeric_gradients_are_the_one_probe_loops_bits(
 
     def loss():
         probs, _ = model.forward(indices, Prng(seed + 200))
-        return bce(probs, labels) + reg_penalty(model.params,
-                                                accumulate_grads=False)
+        return bce(probs, labels) + _penalty(model.params)
 
     for p in model.params:
         flat, got = p.value.reshape(-1), numeric[f"{preset}.{p.name}"]

@@ -682,7 +682,7 @@ def _probe_stacks(shape):
         sizes.add(len(points))
         return np.zeros(len(points))
 
-    finite_diff_grad(losses, np.zeros(shape), stacked=True)
+    finite_diff_grad(losses, np.zeros(shape))
     return sorted(sizes)
 
 

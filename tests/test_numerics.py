@@ -233,13 +233,18 @@ def test_glorot_sample_mean():
     assert abs(m.mean()) < 3.0 * sigma / np.sqrt(n)
 
 
+def _each(loss):
+    """A loss of a stack of points from `loss` of one point."""
+    return lambda points: np.array([loss(w) for w in points])
+
+
 def test_finite_diff_quadratic():
-    g = finite_diff_grad(lambda w: float(w[0] ** 2), np.array([3.0]))
+    g = finite_diff_grad(_each(lambda w: float(w[0] ** 2)), np.array([3.0]))
     assert g[0] == pytest.approx(6.0, abs=1e-9)
 
 
 def test_finite_diff_constant():
-    g = finite_diff_grad(lambda w: 1.25, np.array([1.0, -2.0, 3.0]))
+    g = finite_diff_grad(_each(lambda w: 1.25), np.array([1.0, -2.0, 3.0]))
     assert np.array_equal(g, np.zeros(3))
 
 
@@ -251,25 +256,27 @@ def test_finite_diff_rejects_nondeterministic_loss():
         return float(w[0]) + state["n"] * 1e-3
 
     with pytest.raises(NonDeterministicLoss):
-        finite_diff_grad(noisy, np.array([1.0]))
+        finite_diff_grad(_each(noisy), np.array([1.0]))
 
 
-def test_finite_diff_gives_params_back_when_the_loss_raises():
-    # a float64 array is not copied by np.asarray, so finite_diff_grad
-    # writes each probe point into the caller's own array
+def test_finite_diff_never_writes_params_even_when_the_loss_raises():
+    # a float64 array is not copied by np.asarray, so a read-only one
+    # refuses any probe point written into the caller's own array
     params = Prng(2).uniform(-1.0, 1.0, (2, 3))
     saved = params.copy()
+    params.flags.writeable = False
     seen = []
 
-    def failing(w):
-        seen.append(w.copy())
-        if len(seen) == 3:  # the first probe point, after the two bases
+    def failing(points):
+        seen.append(points.copy())
+        if len(seen) == 3:  # the first span, after the two bases
             raise RuntimeError("replay refused")
-        return float(w.sum())
+        return np.add.reduce(points.reshape(len(points), -1), 1)
 
     with pytest.raises(RuntimeError, match="replay refused"):
         finite_diff_grad(failing, params)
-    assert not np.array_equal(seen[2], saved)  # it was at a probe point
+    assert len(seen[2]) == 2 * params.size  # it was at the probe points
+    assert not any(np.array_equal(w, saved) for w in seen[2])
     assert params.tobytes() == saved.tobytes()
 
 
@@ -291,11 +298,17 @@ def test_finite_diff_stacked_gives_the_bits_of_one_point_at_a_time(
         rows = points.reshape(len(points), -1)
         return np.add.reduce(np.sin(3.0 * rows) * rows, 1)
 
-    got = finite_diff_grad(stacked, params, stacked=True)
-    assert np.array_equal(params, saved)  # never written
-    want = finite_diff_grad(_wavy, params)
+    got = finite_diff_grad(stacked, params)
+    assert params.tobytes() == saved.tobytes()  # never written
+    # each coordinate's central difference, on copies of params
+    want = np.zeros_like(params)
+    for k in range(params.size):
+        plus, minus = params.copy(), params.copy()
+        plus.reshape(-1)[k] += numerics.FD_EPS
+        minus.reshape(-1)[k] -= numerics.FD_EPS
+        want.reshape(-1)[k] = ((_wavy(plus) - _wavy(minus))
+                               / (2.0 * numerics.FD_EPS))
     assert got.tobytes() == want.tobytes()
-    assert np.array_equal(params, saved)  # written, and given back
     # the two base points, then each element's two
     assert calls[:2] == [1, 1]
     assert calls[2:] == {1: [2] * 15, 960: [8, 8, 8, 6],
