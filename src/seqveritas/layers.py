@@ -47,16 +47,21 @@ dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
 of x, h_0 .. h_{T-1} and the dz rows. At inference (no history) c and h
 have two alternating slots, tanh_c one, and there is no cache; x and
 gates then hold one run of steps at a time, projected by its own GEMM
-when the time loop reaches it (see PROJECT_BYTES).
+when the time loop reaches it (see PROJECT_BYTES), and a large enough
+batch runs as row shards, each with its own buffers, side by side on
+one BLAS thread each (see SHARD_MULADDS).
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .numerics import ShapeMismatch, dtanh
 
 
@@ -73,6 +78,12 @@ PARAM_BLOCK_BYTES = 1 << 18
 # 12.4 us with the matrix at a 64-byte boundary and 20.4 us at 8, 16 or
 # 32 bytes past one.
 PARAM_ALIGN = 64
+# Elements (tokens x E) of upstream gradient at or below which
+# `embedding_backward` makes one 2-D np.add.at call. The two paths cross
+# near 400 elements at every width (min of 5 x 300 calls, us, 2-D | 1-D):
+# E = 8: 384 elements 12.0 | 12.3, 512 14.9 | 13.0; E = 32: 384 11.2 |
+# 11.8, 512 13.8 | 12.7; E = 100: 400 10.9 | 11.6, 800 18.2 | 13.4.
+SCATTER_2D_ELEMENTS = 400
 # Tokens per 1-D np.add.at call of `embedding_backward`; at E = 100 the
 # block's flat index takes 400 KB.
 SCATTER_TOKENS = 512
@@ -239,13 +250,13 @@ def embedding_backward(grad_out, indices, emb):
     """grad of row k = sum of upstream grads wherever k occurred, added in
     token order (row-major over `indices`), as np.add.at(grad, indices,
     grad_out) adds them. That 2-D call does a batch of at most
-    SCATTER_TOKENS tokens; a larger one goes SCATTER_TOKENS tokens at a
-    time through the 1-D np.add.at, which is several times faster per
-    token, on flat element indices row * E + col, taken in intp so that
+    SCATTER_2D_ELEMENTS elements; a larger one goes SCATTER_TOKENS tokens
+    at a time through the 1-D np.add.at, which is several times faster per
+    element, on flat element indices row * E + col, taken in intp so that
     narrow index dtypes cannot wrap. Either way each element adds its
     terms in the same order, so the bits are the same."""
     indices = np.asarray(indices)
-    if indices.size <= SCATTER_TOKENS:
+    if indices.size * emb.grad.shape[1] <= SCATTER_2D_ELEMENTS:
         np.add.at(emb.grad, indices, grad_out)
     else:
         flat = emb.grad.reshape(-1)
@@ -304,6 +315,121 @@ def _gate_constants(hidden, dtype):
 PROJECT_BYTES = 1 << 24
 
 
+# Multiply-adds of a shard's recurrent product h_{t-1} U per step (rows x
+# H x 4H) at or above which an inference call splits its batch rows across
+# BLAS threads. A step's elementwise gate math (2/3 of an f64 paper-shape
+# pass) is single-threaded numpy that a second BLAS thread never helps;
+# two shards on one BLAS thread each run it side by side. At paper shapes
+# (T = 200, d = 100, H = 150; 2-core Xeon) two shards changed the
+# throughput of a pass by -10% / -29% (f64 / f32) with 16-row shards,
+# +21% / -13% with 32, +23% / -4% with 48, +28% / +8% with 64 and +34% /
+# +24% with 128. This bound is 47 rows there.
+SHARD_MULADDS = 1 << 22
+# Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
+# kernel (see PROJECT_BYTES); a shard's input GEMM stays above it.
+SMALL_GEMM_MULADDS = 10 ** 6
+# Widest d or H an inference call shards at. OpenBLAS sums a product's
+# inner dimension K in one block up to its kernel's GEMM_Q, and beyond it
+# in blocks that its one-thread and threaded drivers cut differently, so
+# one-thread shards would round otherwise than the threaded whole batch.
+# Products (128, K) x (K, 600) first differed between 1 and 2 threads at
+# K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
+# (f64) on the Haswell, Sandybridge and Nehalem kernels.
+SHARD_MAX_K = 256
+
+_pool = None
+_shard_lock = threading.Lock()
+
+
+def _renew_pool_in_child():
+    """A forked child has none of its parent's pool threads, and the lock
+    may have been held by another thread at the fork: start both afresh,
+    or the child's first sharded call would wait forever."""
+    global _pool, _shard_lock
+    _pool, _shard_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_pool_in_child)
+
+
+def _shards(batch, steps, runs, d, hidden):
+    """How many row shards an inference call runs on: up to one per BLAS
+    thread, each with a recurrent product of at least SHARD_MULADDS
+    multiply-adds per step and, so that it takes the kernel the whole
+    batch's input GEMM takes, an input GEMM of more than
+    SMALL_GEMM_MULADDS; one when d or H is wider than SHARD_MAX_K."""
+    if max(d, hidden) > SHARD_MAX_K:
+        return 1
+    gates = 4 * hidden
+    rows = max(-(-SHARD_MULADDS // (hidden * gates)),
+               SMALL_GEMM_MULADDS // max(1, steps // runs * d * gates) + 1)
+    if batch < 2 * rows:
+        return 1
+    return min(blas.threads(), batch // rows)
+
+
+def _lstm_rows(x, w, u, b, runs, buffers, scale, offset):
+    """h_T of the rows `x` (B, T, d), computed in `buffers` (see
+    `_lstm_buffers`), `runs` runs of steps of near-equal length, each
+    projected by one input GEMM. It allocates nothing larger than a view:
+    a pool thread that runs it writes only the buffers its caller made."""
+    gates, x_tm, c, h, tanh_c, ig, hu = buffers
+    _, steps, d = x.shape
+    hidden = hu.shape[-1] // 4
+    stack = gates.shape[:-3]
+    slots = c.shape[0]
+    gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
+    uv = u.value
+    for k in range(runs):
+        start, stop = steps * k // runs, steps * (k + 1) // runs
+        n = stop - start
+        np.copyto(x_tm[:n], x[:, start:stop].transpose(1, 0, 2))
+        rows = gates[..., :n, :, :].reshape(*stack, -1, 4 * hidden)
+        np.matmul(x_tm[:n].reshape(-1, d), w.value, out=rows)
+        rows += b.value
+        for t in range(start, stop):
+            prev, cur = t % slots, (t + 1) % slots
+            z = gates_tm[t - start]
+            np.matmul(h[prev], uv, out=hu)
+            z += hu
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += offset
+            c_t, tc = c[cur], tanh_c[t % (slots - 1)]
+            np.multiply(z[..., hidden:2 * hidden], c[prev], out=c_t)
+            np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden],
+                        out=ig)
+            c_t += ig
+            np.tanh(c_t, out=tc)
+            np.multiply(z[..., 3 * hidden:], tc, out=h[cur])
+    return h[steps % slots]
+
+
+def _lstm_buffers(stack, span, rows, d, hidden, slots, dtype, x_dtype):
+    """(gates, x_tm, c, h, tanh_c, ig, hu) for `rows` rows, as the module
+    docstring lays them out; ig and hu hold one step's i * g and
+    h_{t-1} U."""
+    return (np.empty((*stack, span, rows, 4 * hidden), dtype),
+            np.empty((span, rows, d), x_dtype),
+            np.zeros((slots, *stack, rows, hidden), dtype),
+            np.zeros((slots, *stack, rows, hidden), dtype),
+            np.empty((slots - 1, *stack, rows, hidden), dtype),
+            np.empty((*stack, rows, hidden), dtype),
+            np.empty((*stack, rows, 4 * hidden), dtype))
+
+
+def _executor():
+    """The pool that runs every shard but the first; made on first use,
+    under `_shard_lock`, so that no import and no unsharded call starts a
+    thread or imports `concurrent.futures` (7 ms, with `logging`)."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(thread_name_prefix="lstm-shard")
+    return _pool
+
+
 def lstm_forward(x, w, u, b, history=True):
     """Sequence-to-vector LSTM: returns the final hidden state h_T.
 
@@ -316,6 +442,16 @@ def lstm_forward(x, w, u, b, history=True):
     run's slice of x is copied time-major and projected by one GEMM into
     a gates buffer of one run, which its steps then use. Each h_T bit is
     the same as with history, where one GEMM projects every step.
+
+    An inference call whose batch is large enough (see `_shards`) splits
+    its rows into contiguous shards, each with its own buffers, made
+    here, that together take what one shard's would. Under single-threaded
+    BLAS the calling thread runs the first shard and a pool the others;
+    h_T is their concatenation. A shard's products stay on the whole
+    batch's GEMM kernel (SMALL_GEMM_MULADDS) and sum their inner
+    dimension in one block (SHARD_MAX_K), so on a kernel whose rows round
+    alike wherever the rows are cut, as SkylakeX's do, the bits do not
+    depend on the shard count.
 
     W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
     (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
@@ -343,41 +479,29 @@ def lstm_forward(x, w, u, b, history=True):
     runs = 1 if history else max(
         1, -(-steps // max(1, PROJECT_BYTES // step_bytes)))
     span = -(-steps // runs)
-    gates = np.empty((*stack, span, batch, 4 * hidden), dtype=dtype)
-    gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
-    x_tm = np.empty((span, batch, d), dtype=x.dtype)
     slots = steps + 1 if history else 2
-    c = np.zeros((slots, *stack, batch, hidden), dtype=dtype)
-    h = np.zeros((slots, *stack, batch, hidden), dtype=dtype)
-    tanh_c = np.empty((slots - 1, *stack, batch, hidden), dtype=dtype)
-    ig = np.empty((*stack, batch, hidden), dtype=dtype)
     scale, offset, _ = _gate_constants(hidden, dtype)
-    uv = u.value
-    for k in range(runs):
-        start, stop = steps * k // runs, steps * (k + 1) // runs
-        n = stop - start
-        np.copyto(x_tm[:n], x[:, start:stop].transpose(1, 0, 2))
-        rows = gates[..., :n, :, :].reshape(*stack, -1, 4 * hidden)
-        np.matmul(x_tm[:n].reshape(-1, d), w.value, out=rows)
-        rows += b.value
-        for t in range(start, stop):
-            prev, cur = t % slots, (t + 1) % slots
-            z = gates_tm[t - start]
-            z += h[prev] @ uv
-            z *= scale
-            np.tanh(z, out=z)
-            z *= scale
-            z += offset
-            c_t, tc = c[cur], tanh_c[t % (slots - 1)]
-            np.multiply(z[..., hidden:2 * hidden], c[prev], out=c_t)
-            np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden],
-                        out=ig)
-            c_t += ig
-            np.tanh(c_t, out=tc)
-            np.multiply(z[..., 3 * hidden:], tc, out=h[cur])
-    h_t = h[steps % slots]
+    shards = 1 if history else _shards(batch, steps, runs, d, hidden)
+    cuts = [batch * k // shards for k in range(shards + 1)]
+    buffers = [_lstm_buffers(stack, span, hi - lo, d, hidden, slots, dtype,
+                             x.dtype) for lo, hi in zip(cuts, cuts[1:])]
+    if shards == 1:
+        h_t = _lstm_rows(x, w, u, b, runs, buffers[0], scale, offset)
+    else:
+        with _shard_lock, blas.single_thread():
+            rest = [_executor().submit(_lstm_rows, x[lo:hi], w, u, b, runs,
+                                       buf, scale, offset)
+                    for lo, hi, buf in zip(cuts[1:], cuts[2:], buffers[1:])]
+            try:
+                first = _lstm_rows(x[:cuts[1]], w, u, b, runs, buffers[0],
+                                   scale, offset)
+            finally:
+                for f in rest:  # wait, without raising, for every shard
+                    f.exception()
+        h_t = np.concatenate([first] + [f.result() for f in rest], axis=-2)
     if not history:
         return h_t, None
+    gates, x_tm, c, h, tanh_c, _, _ = buffers[0]
     return h_t, LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c, h=h,
                           tanh_c=tanh_c)
 

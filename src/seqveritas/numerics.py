@@ -223,7 +223,8 @@ def init_glorot(shape, rng, dtype=np.float64):
     if rows <= 0 or cols <= 0:
         raise ValueError(f"bad shape {shape}")
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, (rows, cols)).astype(dtype)
+    # in float64, uniform's own fresh array is returned, not copied again
+    return rng.uniform(-bound, bound, (rows, cols)).astype(dtype, copy=False)
 
 
 # --- finite-difference oracle ---------------------------------------------

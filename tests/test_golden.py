@@ -4,8 +4,9 @@ One subprocess, under one BLAS thread, runs `prepare -> train -> eval
 (train, val, all) -> predict --stdin` for every preset and dtype on two
 corpora, and `gradcheck --seed 0`. It prints a manifest: the sha256 of
 every file written and of every stdout, with the work directory's path
-replaced by `<work>`, beside the identity of the numpy and BLAS build and
-the thread count. The test compares it with `fixtures/golden.json`.
+replaced by `<work>`, beside the identity of the numpy and BLAS build, the
+kernel OpenBLAS picked at run time and the thread count. The test compares
+it with `fixtures/golden.json`.
 
 The corpora are the toy fixtures (V = 30, an embedding packed into the
 arena of the other tensors) and a synthetic one from `perfbench/synth.py`
@@ -38,7 +39,7 @@ THREADS = "1"
 PRESETS = ("baseline", "regularized", "optimized")
 DTYPES = ("float64", "float32")
 # name -> (prepare options, train options); the synthetic corpus's batch of
-# 16 x 40 tokens is more than layers.SCATTER_TOKENS
+# 16 x 40 tokens x E is more than layers.SCATTER_2D_ELEMENTS
 CORPORA = {
     "toy": (["--seed", "42", "--maxlen", "10", "--vocab-size", "100",
              "--min-freq", "1"],
@@ -58,11 +59,14 @@ PREDICT_LINES = ("Shocking secret they do not want you to know!",
 def _identity():
     import numpy as np
 
+    from seqveritas import blas
+
     config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
+    build = config["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": {k: blas.get(k) for k in
+            "blas": {k: build.get(k) for k in
                      ("name", "version", "openblas configuration")},
+            "core": blas.core(),
             "simd": config["SIMD Extensions"]}
 
 

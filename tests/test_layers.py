@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqveritas import layers
-from seqveritas.layers import (SCATTER_TOKENS, BadRate, BatchNormRunning,
+from seqveritas.layers import (SCATTER_2D_ELEMENTS, BadRate, BatchNormRunning,
                                BatchTooSmall, IndexOutOfVocab, ParamTensor,
                                StaleCache, batchnorm_backward,
                                batchnorm_forward, dense_backward,
@@ -150,7 +150,7 @@ def test_embedding_backward_is_the_2d_add_at_bit_for_bit(dtype, batch, steps):
     embedding_backward(grad, indices, emb)
     want = _dense_scatter(indices, grad, (300, 7))
     assert emb.grad.tobytes() == want.tobytes()
-    assert (indices.size > SCATTER_TOKENS) == (batch > 4)
+    assert (grad.size > SCATTER_2D_ELEMENTS) == (batch > 4)
 
 
 @pytest.mark.parametrize("batch", [4, 64])
