@@ -29,16 +29,23 @@ EXIT_VERIFICATION = 4
 TRAIN_FRAC = 0.8  # of prepare's shuffled records, the leading share trains
 
 
-def _int_at_least(low, what):
+def _int_at_least(low, what, below=None):
+    """An argparse type: an int of at least `low`, which `what` names, and
+    below `below` when that is given."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"{text} is not below {below}")
         return value
     return integer
 
 
 _positive_int = _int_at_least(1, "a positive integer")
+# `Prng` takes its seed mod 2**64, so a seed outside [0, 2**64) would run
+# exactly as another one under a different recorded config.
+_seed = _int_at_least(0, "a non-negative integer", below=1 << 64)
 
 
 def _emit(doc):
@@ -96,6 +103,11 @@ def cmd_prepare(args):
     n = len(merged)
     print(f"loaded {len(fake)} fake + {len(true_)} true = {n} articles",
           file=sys.stderr)
+    size = n * (4 * args.maxlen + 1)
+    if size > textprep.MAX_CACHE_BYTES:
+        raise ValueError(f"{n} articles at maxlen {args.maxlen} make "
+                         f"{size} bytes of cache records, more than the "
+                         f"{textprep.MAX_CACHE_BYTES} that prepare writes")
 
     token_lists = [textprep.preprocess(title, body)
                    for title, body, _ in merged]
@@ -227,8 +239,10 @@ def build_parser():
     p.add_argument("--fake", required=True, help="Fake.csv path")
     p.add_argument("--true", required=True, help="True.csv path")
     p.add_argument("--out", required=True, help="output cache path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--maxlen", type=_positive_int,
+    p.add_argument("--seed", type=_seed, default=0)
+    # the cache header holds maxlen as a u32
+    p.add_argument("--maxlen", type=_int_at_least(1, "a positive integer",
+                                                  below=1 << 32),
                    default=textprep.DEFAULT_MAXLEN)
     # two at least: PAD and OOV
     p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
@@ -241,7 +255,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a preset on a prepared cache")
     p.add_argument("--data", required=True, help="cache from prepare")
     p.add_argument("--preset", required=True, choices=model_zoo.PRESETS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epochs", type=_positive_int,
                    default=TrainConfig.epochs)
     p.add_argument("--batch", type=_positive_int,
@@ -272,7 +286,7 @@ def build_parser():
     p = sub.add_parser("gradcheck",
                        help="finite-difference checks at miniature scale")
     p.add_argument("--preset", choices=model_zoo.PRESETS, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -9,10 +9,10 @@ the model would be a distribution leak rather than a learned signal.
 from __future__ import annotations
 
 import json
-import re
 import struct
 from collections import Counter
 from importlib import resources
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -25,9 +25,15 @@ DEFAULT_MAXLEN = 200          # covers >80% of article bodies post-cleaning
 DEFAULT_MAX_VOCAB = 20_000
 DEFAULT_MIN_FREQ = 2
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+# Byte -> itself for [a-z0-9], else a space: `clean`'s one table.
+_KEEP = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+              for b in range(256))
 
 CACHE_MAGIC = b"SVEC1"
+# The most bytes of records, N x (4 maxlen + 1), that `prepare` encodes:
+# 1 GiB, 30 times the paper corpus' at maxlen 200. At its peak `prepare`
+# holds about five times its records' bytes in memory.
+MAX_CACHE_BYTES = 1 << 30
 
 
 class CacheFormatError(ValueError):
@@ -44,9 +50,15 @@ _STOPWORDS = load_stopwords()
 
 
 def clean(raw):
-    """Lowercase, replace every char outside [a-z0-9 ] with a space,
-    collapse whitespace runs, strip."""
-    return _NON_ALNUM.sub(" ", raw.lower()).strip()
+    """`str.lower()`, then the maximal runs of ASCII [a-z0-9] joined by
+    single spaces: every other code point separates, non-ASCII letters
+    and digits included.
+
+    Lowering comes first, so a code point whose lowercase is ASCII (the
+    Kelvin sign) is kept; the ASCII encoding turns each other non-ASCII
+    code point into one `?`, which the table maps to a space."""
+    kept = raw.lower().encode("ascii", "replace").translate(_KEEP)
+    return b" ".join(kept.split()).decode("ascii")
 
 
 def tokenize(cleaned):
@@ -54,7 +66,7 @@ def tokenize(cleaned):
 
 
 def remove_stopwords(tokens):
-    return [t for t in tokens if t not in _STOPWORDS]
+    return list(filterfalse(_STOPWORDS.__contains__, tokens))
 
 
 # Token -> stem for every non-stop-word token seen in this process. Cleared
@@ -68,16 +80,21 @@ _stems = {}
 def preprocess(title, body):
     """Full pipeline for one article: clean -> tokenize -> de-stopword -> stem.
 
-    Stems are memoised per process in `_stems`."""
+    Stems are memoised per process in `_stems`: one lookup of every token,
+    then `porter.stem` for the tokens that missed."""
     tokens = remove_stopwords(tokenize(clean(title + " " + body)))
-    out = []
-    for t in tokens:
-        s = _stems.get(t)
-        if s is None:
-            if len(_stems) >= STEM_MEMO_CAP:
-                _stems.clear()
-            s = _stems[t] = porter.stem(t)
-        out.append(s)
+    out = list(map(_stems.get, tokens))
+    if not all(out):  # a miss left a None; no stem is empty
+        for i, s in enumerate(out):
+            if s is None:
+                # again: an earlier miss in this article may have memoised it
+                t = tokens[i]
+                s = _stems.get(t)
+                if s is None:
+                    if len(_stems) >= STEM_MEMO_CAP:
+                        _stems.clear()
+                    s = _stems[t] = porter.stem(t)
+                out[i] = s
     return out
 
 
@@ -114,20 +131,22 @@ def build_vocab(corpus, max_size=DEFAULT_MAX_VOCAB, min_freq=DEFAULT_MIN_FREQ):
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, freq in ranked if freq >= min_freq][:max_size - 2]
-    return Vocabulary(kept, max_size=max_size, min_freq=min_freq)
+    # Sorted by token, then stably by count desc: the order of the key
+    # (-freq, token), with no Python call per key.
+    kept = sorted([tok for tok, freq in counts.items() if freq >= min_freq])
+    kept.sort(key=counts.__getitem__, reverse=True)
+    return Vocabulary(kept[:max_size - 2], max_size=max_size,
+                      min_freq=min_freq)
 
 
 def encode(tokens, vocab, maxlen):
     """Fixed-length index sequence: OOV -> 1, tail truncation, pre-padding.
 
-    Looks tokens up through the vocabulary's dict directly: the same
-    answers as `Vocabulary.index_of`, without a method call per token."""
+    Maps the vocabulary dict's `get` over the tokens: the same answers as
+    `Vocabulary.index_of`, without a Python call per token."""
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    lookup = vocab._index.get
-    idx = [lookup(t, OOV_INDEX) for t in tokens[-maxlen:]]
+    idx = list(map(vocab._index.get, tokens[-maxlen:], repeat(OOV_INDEX)))
     return [PAD_INDEX] * (maxlen - len(idx)) + idx
 
 

@@ -1,14 +1,17 @@
 import argparse
+import csv
 import hashlib
 import json
 import math
 import os
+import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from seqveritas import cli, model_zoo, textprep
+from seqveritas import cli, ingest, model_zoo, porter, textprep
 from seqveritas.cli import main
 from seqveritas.optim import TrainConfig
 from tests.conftest import (TOY_FAKE, TOY_TRUE, container_bytes, edit_header,
@@ -412,6 +415,167 @@ def test_prepare_min_freq_below_1_exits_2(capsys, tmp_path, value):
     assert f"{value} is not a positive integer" in captured.err
     assert "loaded" not in captured.err
     assert not out.exists()
+
+
+def _no_encoding(*args, **kwargs):
+    raise AssertionError("an article was preprocessed before the refusal")
+
+
+@pytest.mark.parametrize("value", [str(2**32), str(10**30)])
+def test_prepare_maxlen_past_the_u32_header_exits_2_before_reading(
+        capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
+    out = tmp_path / "toy.svec"
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+              "--out", str(out), "--maxlen", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{value} is not below {2**32}" in captured.err
+    assert not out.exists()
+
+
+# The 20 toy articles at maxlen 10 make 20 x (4 x 10 + 1) = 820 bytes of
+# records.
+@pytest.mark.parametrize("limit,code", [(819, 2), (820, 0)])
+def test_prepare_cache_above_its_limit_exits_2_before_encoding(
+        capsys, tmp_path, monkeypatch, limit, code):
+    monkeypatch.setattr(textprep, "MAX_CACHE_BYTES", limit)
+    if code:
+        monkeypatch.setattr(textprep, "preprocess", _no_encoding)
+    out = tmp_path / "toy.svec"
+    got, stdout, err = run(capsys, [
+        "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+        "--out", str(out), "--maxlen", "10"])
+    assert got == code
+    if code:
+        assert stdout == ""
+        assert "error: 20 articles at maxlen 10 make 820 bytes" in err
+        assert not out.exists()
+        assert not (tmp_path / "toy.svec.vocab.json").exists()
+    else:
+        assert json.loads(stdout)["total"] == 20
+
+
+def test_prepare_largest_u32_maxlen_is_refused_by_the_size_limit(
+        capsys, tmp_path, monkeypatch):
+    # refused before encoding, which would ask for 2**32 entries a record
+    monkeypatch.setattr(textprep, "preprocess", _no_encoding)
+    out = tmp_path / "toy.svec"
+    code, stdout, err = run(capsys, [
+        "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+        "--out", str(out), "--maxlen", str(2**32 - 1)])
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[-1].startswith("error: 20 articles")
+    assert not out.exists()
+
+
+_SEED_ARGV = {
+    "prepare": ["prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+                "--out", "c.svec"],
+    "train": ["train", "--data", "c.svec", "--preset", "baseline",
+              "--out-checkpoint", "m.svchk"],
+    "gradcheck": ["gradcheck", "--preset", "baseline"],
+}
+
+
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "-1 is not a non-negative integer"),
+    (str(2**64), f"{2**64} is not below {2**64}")])
+@pytest.mark.parametrize("command", sorted(_SEED_ARGV))
+def test_seed_outside_0_to_2_pow_64_exits_2(capsys, monkeypatch, command,
+                                            seed, message):
+    # `Prng` takes its seed mod 2**64: -1 would run as 2**64 - 1
+    monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
+    with pytest.raises(SystemExit) as exc:
+        main(_SEED_ARGV[command] + ["--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_SEED_ARGV))
+def test_seed_2_pow_64_minus_1_is_accepted(command):
+    args = cli.build_parser().parse_args(
+        _SEED_ARGV[command] + ["--seed", str(2**64 - 1)])
+    assert args.seed == 2**64 - 1
+
+
+# Accented, fullwidth, Kelvin-sign, dotted-capital, sharp-s and emoji text:
+# what the toy fixtures and the golden manifest never show `prepare`.
+_NON_ASCII = {
+    "fake": [("Caf\u00e9 na\u00efvet\u00e9 \U0001f600 shocking",
+              "The \u212aelvin scale, 300 \u212a, and \u0130stanbul's stra\u00dfe "
+              "\u1e9eTRASSE \u00fcber-running stories\u2026 ZURICH Z\u00fcrich"),
+             ("\uff21\uff22\uff23\uff11\uff12 secret\u00a0plot",
+              "abc\uff11\uff12def running runners \u2014 caf\u00e9s \U0001f525\U0001f525 "
+              "na\u00efve \u212aings fi\ufb01ne")],
+    "true": [("Senate passes budget \u00e9l\u00e8ve",
+              "Officials said the \u212a-12 budget passed; r\u00e9sum\u00e9 "
+              "\u0130 \u0131 \u00df \u00c5ngstr\u00f6m \u212b 2017 budget"),
+             ("Markets r\u00e9act \u00e0 la news",
+              "Stocks rose 3\uff05 on \u00fcber news, \u212aelvin said, "
+              "\U0001f4c8 markets markets")],
+}
+
+
+def _reference_prepare(fake, true_, seed, maxlen, vocab_size, min_freq):
+    """The cache and vocabulary bytes `prepare` writes, by the regular
+    expression, the keyed sort and per-token loops the pipeline once ran."""
+    stop = textprep.load_stopwords()
+
+    def tokens(title, body):
+        cleaned = re.sub("[^a-z0-9]+", " ",
+                         (title + " " + body).lower()).strip()
+        return [porter.stem(t) for t in cleaned.split() if t not in stop]
+
+    merged = ingest.merge_shuffle(fake, true_, seed)
+    lists = [tokens(title, body) for title, body, _ in merged]
+    counts = Counter(t for toks in lists[:int(cli.TRAIN_FRAC * len(lists))]
+                     for t in toks)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    kept = [t for t, f in ranked if f >= min_freq][:vocab_size - 2]
+    index = {t: i + 2 for i, t in enumerate(kept)}
+    cache = b"SVEC1" + struct.pack("<III", maxlen, len(kept) + 2,
+                                   len(merged))
+    for toks, (_, _, label) in zip(lists, merged):
+        idx = [index.get(t, 1) for t in toks][-maxlen:]
+        cache += struct.pack(f"<{maxlen}I", *[0] * (maxlen - len(idx)), *idx)
+        cache += bytes([label])
+    vocab = json.dumps({"max_size": vocab_size, "min_freq": min_freq,
+                        "tokens": kept}, sort_keys=True)
+    return cache, vocab.encode()
+
+
+def test_prepare_non_ascii_text_matches_the_reference_pipeline(capsys,
+                                                               tmp_path):
+    for name, rows in _NON_ASCII.items():
+        with open(tmp_path / f"{name}.csv", "w", newline="",
+                  encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["title", "text", "subject", "date"])
+            for title, text in rows * 3:
+                writer.writerow([title, text, "news", "March 1, 2017"])
+    fake, true_ = (ingest.load_articles(str(tmp_path / f"{name}.csv"))
+                   for name in ("fake", "true"))
+    out = tmp_path / "c.svec"
+    code, _, _ = run(capsys, [
+        "prepare", "--fake", str(tmp_path / "fake.csv"),
+        "--true", str(tmp_path / "true.csv"), "--out", str(out),
+        "--seed", "7", "--maxlen", "24", "--vocab-size", "40",
+        "--min-freq", "1"])
+    assert code == 0
+    cache, vocab = _reference_prepare(fake, true_, seed=7, maxlen=24,
+                                      vocab_size=40, min_freq=1)
+    assert out.read_bytes() == cache
+    assert (tmp_path / "c.svec.vocab.json").read_bytes() == vocab
+    # what the text is there for: a Kelvin-sign word is a token, and a
+    # fullwidth digit split "abc12def"
+    tokens = json.loads(vocab)["tokens"]
+    assert "kelvin" in tokens and "abc" in tokens and "def" in tokens
 
 
 def test_prepare_vocab_holds_no_validation_only_token(capsys, tmp_path):

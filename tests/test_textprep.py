@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import struct
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -37,6 +39,36 @@ def test_clean_alphabet(s):
     out = clean(s)
     assert all(c.islower() or c.isdigit() or c == " " for c in out)
     assert "  " not in out
+
+
+def _regex_clean(s):
+    """The regular expression `clean` once ran, kept as its oracle."""
+    return re.sub("[^a-z0-9]+", " ", s.lower()).strip()
+
+
+# Code points where lowering and ASCII meet: the Kelvin sign lowers to
+# ASCII "k", "İ" to "i" and a combining dot, "ẞ" to "ß"; a fullwidth
+# digit, a no-break space, combining marks, an emoji and lone surrogates
+# must each separate tokens.
+_TRICKY = st.text(alphabet=st.sampled_from(
+    list("aZk9 .-_?\t\n") + ["\u212a", "\u0130", "\u00df", "\u1e9e",
+                            "\uff11", "\uff21", "\u00a0", "\u0301",
+                            "\u0307", "\u00e9", "\ud800", "\udfff",
+                            "\U0001f600"]),
+    max_size=60)
+
+
+@given(st.one_of(st.text(), _TRICKY))
+def test_clean_equals_the_regex_rule(s):
+    assert clean(s) == _regex_clean(s)
+
+
+def test_clean_keeps_what_lowers_to_ascii_and_splits_the_rest():
+    assert clean("\u212aelvin") == "kelvin"              # Kelvin sign
+    assert clean("\u0130stanbul") == "i stanbul"         # İ: i + U+0307
+    assert clean("abc\uff11\uff12def") == "abc def"      # fullwidth digits
+    assert clean("caf\u00e9 na\u00efve") == "caf na ve"
+    assert clean("x\ud800y\U0001f600z") == "x y z"
 
 
 def test_tokenize():
@@ -83,6 +115,25 @@ def test_build_vocab_deterministic():
     v1 = build_vocab(corpus, max_size=10, min_freq=1)
     v2 = build_vocab(corpus, max_size=10, min_freq=1)
     assert v1.tokens == v2.tokens
+
+
+def _ranked(corpus, max_size, min_freq):
+    """`build_vocab`'s tokens by the sort it once ran, kept as its oracle."""
+    counts = Counter(t for tokens in corpus for t in tokens)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [tok for tok, freq in ranked if freq >= min_freq][:max_size - 2]
+
+
+# Up to 39 distinct tokens over up to 200 draws: most counts are tied.
+_TIED = st.lists(st.lists(st.text(alphabet="ab1", min_size=1, max_size=3),
+                          max_size=20), max_size=10)
+
+
+@given(_TIED, st.integers(min_value=2, max_value=45),
+       st.integers(min_value=1, max_value=4))
+def test_build_vocab_equals_the_keyed_sort(corpus, max_size, min_freq):
+    v = build_vocab(corpus, max_size=max_size, min_freq=min_freq)
+    assert v.tokens == _ranked(corpus, max_size, min_freq)
 
 
 def test_encode_prepad():
