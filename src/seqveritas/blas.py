@@ -4,7 +4,8 @@ The library is found among the shared objects this process has mapped
 (`/proc/self/maps`) and opened with ctypes. Its exported names are spelled
 `scipy_openblas_*64_` in the wheels numpy ships, `openblas_*` or
 `openblas_*64_` in system builds. Without an OpenBLAS, `threads()` is 1,
-`core()` is None and `single_thread()` does nothing.
+`core()` is None and `single_thread()` changes nothing. The count is
+process wide and only `single_thread()` changes it, under its own lock.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import os
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -73,17 +76,26 @@ def core():
     return None if api is None else api.core().decode()
 
 
+# Held by a `single_thread` block and by a fork, so that no child starts
+# inside another thread's block, with the count at 1 and the lock held by
+# a thread it lacks. Reentrant: a block may nest, or fork, in its thread.
+_lock = threading.RLock()
+os.register_at_fork(before=_lock.acquire, after_in_parent=_lock.release,
+                    after_in_child=_lock.release)
+
+
 @contextlib.contextmanager
 def single_thread():
-    """Run OpenBLAS on one thread inside the block. The count is process
-    wide, so callers on other threads serialize around this block."""
-    api = _api()
-    if api is None:
-        yield
-        return
-    before = api.get_threads()
-    api.set_threads(1)
-    try:
-        yield
-    finally:
-        api.set_threads(before)
+    """Run OpenBLAS on one thread inside the block, then restore the count.
+    A block waits until any other thread's block has ended."""
+    with _lock:
+        api = _api()
+        if api is None:
+            yield
+            return
+        before = api.get_threads()
+        api.set_threads(1)
+        try:
+            yield
+        finally:
+            api.set_threads(before)

@@ -103,6 +103,8 @@ def cmd_prepare(args):
     n = len(merged)
     print(f"loaded {len(fake)} fake + {len(true_)} true = {n} articles",
           file=sys.stderr)
+    if n == 0:  # a cache that no split could train or score
+        raise ValueError(f"no articles in {args.fake} or {args.true}")
     size = n * (4 * args.maxlen + 1)
     if size > textprep.MAX_CACHE_BYTES:
         raise ValueError(f"{n} articles at maxlen {args.maxlen} make "
@@ -116,8 +118,9 @@ def cmd_prepare(args):
     vocab = textprep.build_vocab(token_lists[:int(TRAIN_FRAC * n)],
                                  max_size=args.vocab_size,
                                  min_freq=args.min_freq)
-    sequences = [textprep.encode(toks, vocab, args.maxlen)
-                 for toks in token_lists]
+    sequences = np.empty((n, args.maxlen), np.uint32)
+    for row, toks in zip(sequences, token_lists):
+        row[:] = textprep.encode(toks, vocab, args.maxlen)
     labels = [label for _, _, label in merged]
     textprep.write_cache(args.out, sequences, labels, len(vocab), args.maxlen)
     textprep.save_vocab(_vocab_path(args.out), vocab)
@@ -161,10 +164,11 @@ def cmd_train(args):
           f"{train_x.shape[0]} train / {val_x.shape[0]} val",
           file=sys.stderr)
     history = fit(model, train_x, train_y, val_x, val_y, tc)
-    model.save(args.out_checkpoint)
+    # the history first: a checkpoint on disk has its history beside it
     with open(history_path, "w") as f:
         for entry in history.epochs:
             f.write(json.dumps(entry) + "\n")
+    model.save(args.out_checkpoint)
 
     probs = predict_in_batches(model, val_x)
     _, report = evaluate(probs, val_y)

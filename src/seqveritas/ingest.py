@@ -36,13 +36,19 @@ def load_articles(path):
     """One (title, body) pair per data row; rows with empty text are kept.
     CSV dialect is RFC 4180, UTF-8 with replacement on bad bytes; a
     byte-order mark before the header, as Excel writes, is skipped. A
-    field may be as long as the file: the csv module's field size limit
-    is raised to the file's size when that is larger."""
+    field may be as long as the file: until it returns, the csv module's
+    field size limit, which is process wide, is at least the file's size."""
+    limit = csv.field_size_limit()
+    try:
+        return _read_articles(path, limit)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _read_articles(path, limit):
     articles = []
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size > csv.field_size_limit():
-            csv.field_size_limit(size)
+        csv.field_size_limit(max(limit, os.fstat(f.fileno()).st_size))
         reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)

@@ -49,14 +49,13 @@ have two alternating slots, tanh_c one, and there is no cache; x and
 gates then hold one run of steps at a time, projected by its own GEMM
 when the time loop reaches it (see PROJECT_BYTES), and a large enough
 batch runs as row shards, each with its own buffers, side by side on
-one BLAS thread each (see SHARD_MULADDS).
+one BLAS thread each (see SHARD_MULADDS), on threads that the call
+starts and joins.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,21 +336,6 @@ SMALL_GEMM_MULADDS = 10 ** 6
 # (f64) on the Haswell, Sandybridge and Nehalem kernels.
 SHARD_MAX_K = 256
 
-_pool = None
-_shard_lock = threading.Lock()
-
-
-def _renew_pool_in_child():
-    """A forked child has none of its parent's pool threads, and the lock
-    may have been held by another thread at the fork: start both afresh,
-    or the child's first sharded call would wait forever."""
-    global _pool, _shard_lock
-    _pool, _shard_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_renew_pool_in_child)
-
-
 def _shards(batch, steps, runs, d, hidden):
     """How many row shards an inference call runs on: up to one per BLAS
     thread, each with a recurrent product of at least SHARD_MULADDS
@@ -372,7 +356,7 @@ def _lstm_rows(x, w, u, b, runs, buffers, scale, offset):
     """h_T of the rows `x` (B, T, d), computed in `buffers` (see
     `_lstm_buffers`), `runs` runs of steps of near-equal length, each
     projected by one input GEMM. It allocates nothing larger than a view:
-    a pool thread that runs it writes only the buffers its caller made."""
+    a shard thread that runs it writes only the buffers its caller made."""
     gates, x_tm, c, h, tanh_c, ig, hu = buffers
     _, steps, d = x.shape
     hidden = hu.shape[-1] // 4
@@ -419,17 +403,6 @@ def _lstm_buffers(stack, span, rows, d, hidden, slots, dtype, x_dtype):
             np.empty((*stack, rows, 4 * hidden), dtype))
 
 
-def _executor():
-    """The pool that runs every shard but the first; made on first use,
-    under `_shard_lock`, so that no import and no unsharded call starts a
-    thread or imports `concurrent.futures` (7 ms, with `logging`)."""
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(thread_name_prefix="lstm-shard")
-    return _pool
-
-
 def lstm_forward(x, w, u, b, history=True):
     """Sequence-to-vector LSTM: returns the final hidden state h_T.
 
@@ -445,13 +418,14 @@ def lstm_forward(x, w, u, b, history=True):
 
     An inference call whose batch is large enough (see `_shards`) splits
     its rows into contiguous shards, each with its own buffers, made
-    here, that together take what one shard's would. Under single-threaded
-    BLAS the calling thread runs the first shard and a pool the others;
-    h_T is their concatenation. A shard's products stay on the whole
-    batch's GEMM kernel (SMALL_GEMM_MULADDS) and sum their inner
-    dimension in one block (SHARD_MAX_K), so on a kernel whose rows round
-    alike wherever the rows are cut, as SkylakeX's do, the bits do not
-    depend on the shard count.
+    here, that together take what one shard's would. Under
+    `blas.single_thread` the calling thread runs the first shard and
+    threads of the call's own executor the others, which the call joins
+    before it returns; h_T is their concatenation. A shard's products
+    stay on the whole batch's GEMM kernel (SMALL_GEMM_MULADDS) and sum
+    their inner dimension in one block (SHARD_MAX_K), so on a kernel
+    whose rows round alike wherever the rows are cut, as SkylakeX's do,
+    the bits do not depend on the shard count.
 
     W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
     (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
@@ -488,16 +462,15 @@ def lstm_forward(x, w, u, b, history=True):
     if shards == 1:
         h_t = _lstm_rows(x, w, u, b, runs, buffers[0], scale, offset)
     else:
-        with _shard_lock, blas.single_thread():
-            rest = [_executor().submit(_lstm_rows, x[lo:hi], w, u, b, runs,
-                                       buf, scale, offset)
+        # imported here: no unsharded call pays its 7 ms (with `logging`)
+        from concurrent.futures import ThreadPoolExecutor
+        # leaving joins every shard, also when the first raises
+        with blas.single_thread(), ThreadPoolExecutor(shards - 1) as pool:
+            rest = [pool.submit(_lstm_rows, x[lo:hi], w, u, b, runs, buf,
+                                scale, offset)
                     for lo, hi, buf in zip(cuts[1:], cuts[2:], buffers[1:])]
-            try:
-                first = _lstm_rows(x[:cuts[1]], w, u, b, runs, buffers[0],
-                                   scale, offset)
-            finally:
-                for f in rest:  # wait, without raising, for every shard
-                    f.exception()
+            first = _lstm_rows(x[:cuts[1]], w, u, b, runs, buffers[0],
+                               scale, offset)
         h_t = np.concatenate([first] + [f.result() for f in rest], axis=-2)
     if not history:
         return h_t, None

@@ -2,7 +2,9 @@ import base64
 import csv
 import json
 import os
+import signal
 import struct
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,11 +41,24 @@ def toy_encoded(toy_articles):
 @pytest.fixture
 def default_csv_field_limit():
     """The csv module's field size limit at its default, 131,072, during
-    the test, and as it was after it: `ingest.load_articles` raises it for
-    the rest of the process."""
+    the test, and as it was after it, whatever the test left it at."""
     before = csv.field_size_limit(131_072)
     yield 131_072
     csv.field_size_limit(before)
+
+
+def wait_for_child(pid, what, timeout=60):
+    """The exit code of the forked child `pid`; kills it and fails the
+    test, naming `what` it was doing, if it runs past `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"the forked child's {what} did not return")
 
 
 def corpus_dir():

@@ -2,10 +2,13 @@
 
 import _ctypes
 import ctypes
+import os
+import threading
 
 import pytest
 
 from seqveritas import blas
+from tests.conftest import wait_for_child
 
 
 @pytest.fixture
@@ -44,6 +47,61 @@ def test_single_thread_restores_the_count_when_its_block_raises(fresh_lookup):
         with blas.single_thread():
             raise KeyError("boom")
     assert blas.threads() == before
+
+
+def test_a_second_thread_waits_for_the_first_to_leave_single_thread():
+    before = blas.threads()
+    entered, inside = threading.Event(), []
+
+    def enter():
+        with blas.single_thread():
+            entered.set()
+            inside.append(blas.threads())
+
+    with blas.single_thread():
+        other = threading.Thread(target=enter)
+        other.start()
+        assert not entered.wait(timeout=0.2)
+    other.join(timeout=60)
+    assert not other.is_alive()
+    assert inside == [1]
+    assert blas.threads() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_fork_waits_for_another_threads_single_thread_block():
+    before = blas.threads()
+    entered, leave, forked = threading.Event(), threading.Event(), []
+
+    def hold():
+        with blas.single_thread():
+            entered.set()
+            leave.wait(timeout=60)
+
+    def fork():
+        pid = os.fork()
+        if pid == 0:
+            try:  # the child has the count restored and the lock free
+                ok = blas.threads() == before
+                with blas.single_thread():
+                    pass
+                os._exit(0 if ok else 1)
+            finally:
+                os._exit(2)
+        forked.append(pid)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert entered.wait(timeout=60)
+    forker = threading.Thread(target=fork)
+    forker.start()
+    forker.join(timeout=0.2)
+    assert forker.is_alive() and forked == []
+    leave.set()
+    for t in (holder, forker):
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert wait_for_child(forked[0], "single_thread block") == 0
 
 
 def test_each_symbol_spelling_is_found(monkeypatch):

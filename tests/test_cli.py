@@ -6,6 +6,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -301,6 +302,25 @@ def test_train_writes_history_jsonl(capsys, tmp_path):
     assert set(rec) == {"epoch", "train_loss", "val_loss", "val_accuracy"}
 
 
+def test_train_whose_checkpoint_write_fails_still_writes_its_history(
+        capsys, tmp_path, monkeypatch):
+    cache, _ = _prepare(capsys, tmp_path)
+
+    def full_disk(self, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(model_zoo.Model, "save", full_disk)
+    ckpt = tmp_path / "model.svchk"
+    code, stdout, err = run(capsys, [
+        "train", "--data", cache, "--preset", "baseline", "--epochs", "2",
+        "--out-checkpoint", str(ckpt)])
+    assert code == 2
+    assert stdout == "" and "No space left on device" in err
+    assert not ckpt.exists()
+    lines = (tmp_path / "model.svchk.history.jsonl").read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
+
+
 @pytest.mark.parametrize("argv", [
     ["prepare", "--fake", "f", "--true", "t", "--out", "o"],
     ["train", "--data", "d", "--preset", "baseline", "--out-checkpoint", "m"],
@@ -470,6 +490,36 @@ def test_prepare_largest_u32_maxlen_is_refused_by_the_size_limit(
     assert stdout == ""
     assert err.splitlines()[-1].startswith("error: 20 articles")
     assert not out.exists()
+
+
+def test_prepare_of_no_articles_exits_2(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("title,text,subject,date\n")
+    out = tmp_path / "toy.svec"
+    code, stdout, err = run(capsys, [
+        "prepare", "--fake", str(empty), "--true", str(empty),
+        "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[-1] == f"error: no articles in {empty} or {empty}"
+    assert not out.exists()
+
+
+def test_prepare_peak_memory_is_under_three_times_its_records(capsys,
+                                                              tmp_path):
+    # at this maxlen the records, 20 x (4 maxlen + 1) bytes, are 8 MB,
+    # and the text pipeline's own allocations are small beside them
+    maxlen = 100_000
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, [
+            "prepare", "--fake", TOY_FAKE, "--true", TOY_TRUE,
+            "--out", str(tmp_path / "toy.svec"), "--maxlen", str(maxlen)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 20 * (4 * maxlen + 1)
 
 
 _SEED_ARGV = {

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,9 @@ def test_a_field_longer_than_the_csv_default_limit_loads_whole(
     assert len(body) > default_csv_field_limit
     path = write(tmp_path, HEADER + f"t1,{body},news,2017\nt2,b,news,2018\n")
     assert load_articles(path) == [("t1", body), ("t2", "b")]
+    assert csv.field_size_limit() == default_csv_field_limit
+    # restored also when the read fails, here on a row of too few fields
+    path = write(tmp_path, HEADER + f"t1,{body},news,2017\nt2,b\n")
+    with pytest.raises(MalformedRow):
+        load_articles(path)
+    assert csv.field_size_limit() == default_csv_field_limit

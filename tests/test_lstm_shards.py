@@ -7,11 +7,12 @@ of the one-shard call. Shapes sit just at or above the bound in
 SHARD_MULADDS multiply-adds per step.
 """
 
+import concurrent.futures
 import os
-import signal
+import subprocess
 import sys
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from seqveritas import blas, layers, model_zoo, textprep
 from seqveritas.layers import ParamTensor, lstm_forward
 from seqveritas.numerics import Prng
 from seqveritas.optim import PREDICT_BATCH, predict_in_batches
+from tests.conftest import wait_for_child
 
 BATCH, STEPS, D, HIDDEN = 512, 3, 8, 64
 # the BLAS thread count itself: the `threads` fixture replaces only what
@@ -126,10 +128,24 @@ def test_a_sharded_call_runs_blas_on_one_thread_and_restores_it(
     assert REAL_THREADS() == before
 
 
+def _enters_single_thread_elsewhere():
+    """Whether another thread enters and leaves `blas.single_thread()`
+    within a minute, as it does once no thread holds its lock."""
+    def enter_and_leave():
+        with blas.single_thread():
+            pass
+
+    other = threading.Thread(target=enter_and_leave)
+    other.start()
+    other.join(timeout=60)
+    return not other.is_alive()
+
+
 @pytest.mark.parametrize("where", ["caller", "pool"])
 def test_a_shard_that_raises_restores_blas_and_the_lock(monkeypatch, threads,
                                                         where):
     before = REAL_THREADS()
+    alive = set(threading.enumerate())
     caller = threading.current_thread()
     run = layers._lstm_rows
 
@@ -144,11 +160,36 @@ def test_a_shard_that_raises_restores_blas_and_the_lock(monkeypatch, threads,
     with pytest.raises(FloatingPointError, match=where):
         lstm_forward(x, *params, history=False)
     assert REAL_THREADS() == before
-    assert not layers._shard_lock.locked()
+    assert set(threading.enumerate()) == alive
+    assert _enters_single_thread_elsewhere()
+
+
+def test_a_sharded_call_leaves_no_thread_behind(monkeypatch, threads):
+    alive = set(threading.enumerate())
+    ran_on = []
+    run = layers._lstm_rows
+
+    def recorded(*args):
+        ran_on.append(threading.current_thread())
+        return run(*args)
+
+    x, params = _case(np.float64)
+    threads(2)
+    monkeypatch.setattr(layers, "_lstm_rows", recorded)
+    for _ in range(3):
+        lstm_forward(x, *params, history=False)
+    shard_threads = set(ran_on) - {threading.current_thread()}
+    assert len(ran_on) == 6 and shard_threads
+    assert not any(t.is_alive() for t in shard_threads)
+    assert set(threading.enumerate()) == alive
 
 
 def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
-    monkeypatch.setattr(layers, "_pool", None)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an unsharded call made an executor")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    alive = set(threading.enumerate())
     threads(2)
     # half the batch: two shards would each fall below SHARD_MULADDS
     x, params = _case(np.float64, batch=BATCH // 2)
@@ -160,7 +201,37 @@ def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
     x, params = _case(np.float64, d=layers.SHARD_MAX_K + 1)
     lstm_forward(x, *params, history=False)
     assert rows_seen == [BATCH // 2, BATCH, BATCH]
-    assert layers._pool is None
+    assert set(threading.enumerate()) == alive
+
+
+# A one-text predict, a training step and an eval at gradcheck's miniature
+# shapes, in a fresh interpreter: none of them shards.
+UNSHARDED_CALLS = """
+import sys, threading
+import numpy as np
+from seqveritas import gradcheck, objective
+from seqveritas.optim import TrainConfig, fit, predict_in_batches
+model = gradcheck.mini_model("optimized", seed=0)
+x = np.random.default_rng(0).integers(
+    0, len(model.vocab), (2048, gradcheck.MINI["maxlen"]))
+y = (x[:, -1] % 2).astype(np.float64)
+model.predict("a fake news story")
+fit(model, x[:4], y[:4], x[4:8], y[4:8], TrainConfig(epochs=1, batch_size=4))
+objective.evaluate(predict_in_batches(model, x), y)
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_unsharded_calls_start_no_thread_and_import_no_executor():
+    # `concurrent.futures` costs 7 ms of import, with `logging`, that a
+    # cold `predict` does not pay
+    src = str(Path(layers.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", UNSHARDED_CALLS],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_a_shard_input_gemm_stays_above_the_small_kernel(threads):
@@ -207,7 +278,7 @@ def test_concurrent_callers_each_get_the_one_shard_bits(threads):
 def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
     x, params = _case(np.float64)
     threads(2)
-    want, _ = lstm_forward(x, *params, history=False)  # makes the pool
+    want, _ = lstm_forward(x, *params, history=False)
     pid = os.fork()
     if pid == 0:
         try:
@@ -215,14 +286,4 @@ def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
             os._exit(0 if got.tobytes() == want.tobytes() else 1)
         finally:
             os._exit(2)
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.05)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's sharded call did not return")
-    assert os.waitstatus_to_exitcode(status) == 0
+    assert wait_for_child(pid, "sharded call") == 0
