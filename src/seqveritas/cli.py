@@ -105,7 +105,7 @@ def cmd_prepare(args):
           file=sys.stderr)
     if n == 0:  # a cache that no split could train or score
         raise ValueError(f"no articles in {args.fake} or {args.true}")
-    size = n * (4 * args.maxlen + 1)
+    size = n * textprep.cache_record_bytes(args.maxlen)
     if size > textprep.MAX_CACHE_BYTES:
         raise ValueError(f"{n} articles at maxlen {args.maxlen} make "
                          f"{size} bytes of cache records, more than the "
@@ -244,10 +244,9 @@ def build_parser():
     p.add_argument("--true", required=True, help="True.csv path")
     p.add_argument("--out", required=True, help="output cache path")
     p.add_argument("--seed", type=_seed, default=0)
-    # the cache header holds maxlen as a u32
-    p.add_argument("--maxlen", type=_int_at_least(1, "a positive integer",
-                                                  below=1 << 32),
-                   default=textprep.DEFAULT_MAXLEN)
+    p.add_argument("--maxlen", default=textprep.DEFAULT_MAXLEN,
+                   type=_int_at_least(1, "a positive integer",
+                                      below=textprep.CACHE_FIELD_LIMIT))
     # two at least: PAD and OOV
     p.add_argument("--vocab-size", type=_int_at_least(2, "an integer >= 2"),
                    default=textprep.DEFAULT_MAX_VOCAB)

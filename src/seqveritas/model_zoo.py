@@ -16,33 +16,33 @@ order, which is the checkpoint order.
 
 A model gets its tensors from one function, `tensor(name, shape, init)`:
 `build` answers with the seeded initialisation `init(rng)`, `load` with
-the next array of the checkpoint's table, so a load draws nothing.
+the tensor's slice of the checkpoint's data, so a load draws nothing.
 
 A checkpoint (format version 5) is a binary container, the layout of
 safetensors and of NumPy's `.npy`:
   - an 8-byte little-endian u64 header length n;
   - n bytes of UTF-8 JSON: magic, version, config, vocabulary, and the
-    name, shape and byte offset of each tensor, in `Model.tensors()`
-    order: the parameters, then the batch-norm running statistics;
+    tensor table, each tensor's name, shape and byte offset in
+    `Model.tensors()` order (parameters, then batch-norm statistics);
   - the data section, from the first multiple of 64 at or after 8 + n:
-    each tensor's little-endian bytes, row-major, at its offset. Offsets
-    count from the data section and are the multiples of 64 at or after
-    the end of the tensor before. Padding is zero bytes, and the file
-    ends with the last tensor.
+    each tensor's little-endian bytes, row-major, at its offset, the
+    first multiple of 64 at or after the end of the tensor before
+    (`_table_entry`, for `save` and `load` alike). Padding is zero
+    bytes, and the file ends with the last tensor.
 The element type is `config.dtype` (`<f8` for float64, `<f4` for
-float32); no tensor carries its own. `load` reads the file into one
-64-byte-aligned buffer and hands the model writable views of it. The
-model's arenas follow `layers.pack`'s one rule: a tensor larger than
-`layers.PARAM_BLOCK_BYTES` has an arena of its own, which adopts its
-view, and the shared arena of the others copies theirs out once, as it
-does the batch-norm running statistics. A `paper`-sized model thus keeps
-the buffer on purpose: its embedding table and its LSTM's U (and, in
-float64, W) are not copied at load.
-Versions 1-3 (one JSON document) and 4 (whose config repeated the
-preset's values), a header that is not JSON or lacks the magic, a config
-or vocabulary value of the wrong type, and any tensor table but the one
-`save` writes for the config, entry for entry and JSON type for type,
-are refused.
+float32). `load` reads the file into one 64-byte-aligned buffer and
+hands the model writable views of it: a tensor with an arena of its own
+(`layers.pack`) adopts its view, so a `paper`-sized model's embedding
+and LSTM U (and, in float64, W) are not copied; the others are copied
+out once.
+A config and a vocabulary check their fields when made, so `build`
+refuses what `load` would: a size or seed that is not an int (bools and
+numpy integers included) or an unknown preset or dtype raises
+`BadConfig`, both a TypeError and a ValueError; a token that is not a
+str, or a max_size or min_freq that is not an int, TypeError. `load`
+also refuses versions 1-3 (one JSON document) and 4, a header that is
+not JSON or lacks the magic, and any tensor table but the one `save`
+writes for the model, entry for entry and JSON type for type.
 
 Presets: each is one of the paper's three models. Its architecture and
 learning rate are its row of `PRESETS`, the only place they live; a
@@ -60,6 +60,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -127,10 +128,15 @@ class ShapeMismatchOnLoad(ValueError):
     pass
 
 
-@dataclass
+class BadConfig(TypeError, ValueError):
+    """A config field that fails its `_CONFIG_TYPES` test: a TypeError to
+    `load`, a malformed checkpoint, and a ValueError to `build`."""
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """What varies between models of one preset; `PRESETS[preset]` holds
-    the rest."""
+    the rest. Made only with fields that pass `_CONFIG_TYPES`."""
     preset: str
     vocab_size: int
     embed_dim: int
@@ -139,19 +145,21 @@ class ModelConfig:
     seed: int
     dtype: str
 
+    def __post_init__(self):
+        bad = [f"{k}={v!r}" for k, v in vars(self).items()
+               if not _CONFIG_TYPES[k](v)]
+        if bad:
+            raise BadConfig(f"config has mistyped {', '.join(bad)}; preset "
+                            f"is one of {', '.join(PRESETS)}, dtype one of "
+                            f"{', '.join(DTYPES)}, every other field an int")
+
     @classmethod
     def from_dict(cls, d):
-        """Inverse of `asdict`. Every field must be present, and a value of
-        the wrong type raises TypeError here rather than somewhere
-        downstream."""
+        """Inverse of `asdict`; every field must be present."""
         names = {f.name for f in fields(cls)}
         if d.keys() != names:
             raise TypeError(f"config lacks {sorted(names - d.keys())}, "
                             f"has unknown {sorted(d.keys() - names)}")
-        bad = [k for k, v in d.items() if not _CONFIG_TYPES[k](v)]
-        if bad:
-            raise TypeError("config has mistyped "
-                            + ", ".join(f"{k}={d[k]!r}" for k in bad))
         return cls(**d)
 
 
@@ -159,7 +167,7 @@ def _is_int(v):
     return type(v) is int  # not bool, which subclasses int
 
 
-# The test each ModelConfig field's stored value must pass.
+# The test each ModelConfig field's value must pass.
 _CONFIG_TYPES = {
     "preset": lambda v: v in tuple(PRESETS),
     "vocab_size": _is_int, "embed_dim": _is_int, "lstm_units": _is_int,
@@ -170,14 +178,7 @@ _CONFIG_TYPES = {
 
 def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
                   dtype):
-    """The ModelConfig of a preset name (pure function); refuses an
-    unknown preset or dtype."""
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; "
-                         f"valid: {', '.join(PRESETS)}")
-    if dtype not in DTYPES:
-        raise ValueError(f"unknown dtype {dtype!r}; "
-                         f"valid: {', '.join(DTYPES)}")
+    """The ModelConfig of a preset name (pure function)."""
     return ModelConfig(preset=preset, vocab_size=vocab_size,
                        embed_dim=embed_dim, lstm_units=lstm_units,
                        maxlen=maxlen, seed=seed, dtype=dtype)
@@ -414,9 +415,8 @@ class Model:
         named = self.tensors()
         table, end = [], 0
         for name, array in named:
-            table.append({"name": name, "shape": list(array.shape),
-                          "offset": _aligned(end)})
-            end = _aligned(end) + array.size * wire.itemsize
+            entry, end = _table_entry(name, array.shape, wire.itemsize, end)
+            table.append(entry)
         header = json.dumps({
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
@@ -434,9 +434,12 @@ class Model:
                 f.write(np.ascontiguousarray(array, dtype=wire))
 
 
-def _aligned(n):
-    """The first multiple of CHECKPOINT_ALIGN at or after n."""
-    return n + -n % CHECKPOINT_ALIGN
+def _table_entry(name, shape, itemsize, end):
+    """(table entry, end of data) of a tensor whose data starts at the
+    first multiple of CHECKPOINT_ALIGN at or after `end`."""
+    offset = end + -end % CHECKPOINT_ALIGN
+    return ({"name": name, "shape": list(shape), "offset": offset},
+            offset + math.prod(shape) * itemsize)
 
 
 def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
@@ -481,7 +484,8 @@ def load(path):
         raise VersionMismatch(f"{path}: version {header.get('version')}, "
                               f"expected {CHECKPOINT_VERSION}")
     try:
-        return _restore(path, header, blob[_aligned(8 + n):])
+        return _restore(path, header,
+                        blob[8 + n + -(8 + n) % CHECKPOINT_ALIGN:])
     except (AttributeError, LookupError, TypeError) as e:
         # a missing, extra or mistyped entry
         raise BadMagic(f"{path}: malformed checkpoint "
@@ -490,53 +494,41 @@ def load(path):
 
 def _restore(path, header, data):
     """The model a version-checked header describes, its tensors views of
-    `data`, the data section. As the model asks for each tensor, in
-    `tensors()` order, the table's next entry must be exactly the one
-    `save` wrote for it; no entry and no byte may be left after the last."""
+    `data`, the data section. Its tensor table must be exactly the one
+    `save` writes for the model, and no byte may follow the last tensor."""
     config = ModelConfig.from_dict(header["config"])
     vocab = textprep.vocab_from_doc(header["vocab"])
     if len(vocab) != config.vocab_size:
         raise ShapeMismatchOnLoad(f"{path}: {len(vocab)} vocabulary entries, "
                                   f"but config.vocab_size {config.vocab_size}")
+    found = header["tensors"]
+    for e in found:  # the keys and JSON types of a table entry
+        if not (isinstance(e, dict) and type(e.get("name")) is str
+                and _is_int(e.get("offset")) and type(e.get("shape")) is list
+                and all(_is_int(n) and n >= 0 for n in e["shape"])):
+            raise TypeError(f"tensor entry {e!r}")
     dtype = DTYPES[config.dtype]
     wire = np.dtype(dtype).newbyteorder("<")
-    entries, end = iter(header["tensors"]), 0
-
-    def expect(want):
-        found = next(entries, _END)
-        if not (found is _END or _is_entry(found)):
-            raise TypeError(f"tensor entry {found!r}")
-        if found != want:
-            found, want = ("nothing" if e is _END else json.dumps(e)
-                           for e in (found, want))
-            raise ShapeMismatchOnLoad(f"{path}: the tensor table has {found} "
-                                      f"where {want} belongs")
+    table, end = [], 0
 
     def stored(name, shape, init):
         nonlocal end
-        offset = _aligned(end)
-        expect({"name": name, "shape": list(shape), "offset": offset})
-        end = offset + math.prod(shape) * wire.itemsize
+        entry, end = _table_entry(name, shape, wire.itemsize, end)
+        table.append(entry)
         if end > data.size:
             raise ShapeMismatchOnLoad(f"{path}: {name} ends past the "
                                       f"{data.size}-byte data section")
-        view = data[offset:end].view(wire).reshape(shape)
+        view = data[entry["offset"]:end].view(wire).reshape(shape)
         return view.astype(dtype, copy=False)  # a copy on big-endian hosts
 
     model = Model(config, vocab, stored)
-    expect(_END)
+    if found != table:
+        pair = next(p for p in zip_longest(found, table) if p[0] != p[1])
+        found, want = ("nothing" if e is None else json.dumps(e) for e in pair)
+        raise ShapeMismatchOnLoad(f"{path}: the tensor table has {found} "
+                                  f"where {want} belongs")
     if end != data.size:
         raise ShapeMismatchOnLoad(f"{path}: {data.size - end} bytes after "
                                   "the last tensor")
     return model
 
-
-_END = object()  # the tensor table's end, where no entry is
-
-
-def _is_entry(entry):
-    """Whether `entry` has the keys and JSON types of a table entry."""
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and _is_int(entry.get("offset"))
-            and isinstance(entry.get("shape"), list)
-            and all(_is_int(n) and n >= 0 for n in entry["shape"]))

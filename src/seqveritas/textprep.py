@@ -102,14 +102,19 @@ def preprocess(title, body):
 
 class Vocabulary:
     """Token-to-index map. Index 0 is PAD, index 1 is OOV; real tokens
-    occupy contiguous indices starting at 2."""
+    occupy contiguous indices starting at 2. A token that is not a str,
+    or a max_size or min_freq that is not an int, raises TypeError."""
 
     def __init__(self, tokens_in_order, max_size=DEFAULT_MAX_VOCAB,
                  min_freq=DEFAULT_MIN_FREQ):
+        self._tokens = list(tokens_in_order)
+        if not (set(map(type, self._tokens)) <= {str}
+                and type(max_size) is int and type(min_freq) is int):
+            raise TypeError("a vocabulary is an object with a list of str "
+                            "tokens and int max_size and min_freq")
         self.max_size = max_size
         self.min_freq = min_freq
-        self._index = {tok: i + 2 for i, tok in enumerate(tokens_in_order)}
-        self._tokens = list(tokens_in_order)
+        self._index = {tok: i + 2 for i, tok in enumerate(self._tokens)}
 
     def __len__(self):
         return len(self._index) + 2  # PAD and OOV
@@ -156,9 +161,18 @@ def encode(tokens, vocab, maxlen):
 # Layout: magic "SVEC1"; maxlen, V, N as little-endian u32; then N packed
 # records of maxlen little-endian u32 indices followed by one label byte,
 # 0 (true) or 1 (fake).
+_HEADER = struct.Struct("<5sIII")
+CACHE_FIELD_LIMIT = 1 << 32  # maxlen, V and N are below it
+
 
 def _record_dtype(maxlen):
     return np.dtype([("seq", "<u4", (maxlen,)), ("label", "u1")])
+
+
+def cache_record_bytes(maxlen):
+    """`_record_dtype(maxlen).itemsize`, by arithmetic: numpy refuses to
+    make that dtype from maxlen 2^31 - 1 up."""
+    return 4 * maxlen + 1
 
 
 def write_cache(path, sequences, labels, vocab_size, maxlen):
@@ -173,8 +187,7 @@ def write_cache(path, sequences, labels, vocab_size, maxlen):
     records["seq"] = sequences
     records["label"] = labels
     with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<III", maxlen, vocab_size, n))
+        f.write(_HEADER.pack(CACHE_MAGIC, maxlen, vocab_size, n))
         f.write(records)
 
 
@@ -187,13 +200,13 @@ def read_cache(path):
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
-    if len(blob) < 5 + 12:
+    if len(blob) < _HEADER.size:
         raise CacheFormatError(f"{path}: truncated header")
-    maxlen, vocab_size, n = struct.unpack_from("<III", blob, 5)
+    _, maxlen, vocab_size, n = _HEADER.unpack_from(blob)
     record = _record_dtype(maxlen)
-    if len(blob) != 5 + 12 + n * record.itemsize:
+    if len(blob) != _HEADER.size + n * record.itemsize:
         raise CacheFormatError(f"{path}: truncated or oversized cache")
-    records = np.frombuffer(blob, dtype=record, count=n, offset=17)
+    records = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
     seqs, labels = records["seq"], records["label"]
     if (labels > 1).any():
         raise CacheFormatError(f"{path}: a label byte is not 0 or 1")
@@ -214,14 +227,10 @@ def vocab_from_doc(doc):
     """The vocabulary `vocab_to_doc` gave; anything but an object with a
     list of str `tokens` and int `max_size` and `min_freq` raises
     TypeError."""
-    if not (isinstance(doc, dict) and isinstance(doc.get("tokens"), list)
-            and all(isinstance(t, str) for t in doc["tokens"])
-            and type(doc.get("max_size")) is int
-            and type(doc.get("min_freq")) is int):
-        raise TypeError("a vocabulary is an object with a list of str "
-                        "tokens and int max_size and min_freq")
-    return Vocabulary(doc["tokens"], max_size=doc["max_size"],
-                      min_freq=doc["min_freq"])
+    if not (isinstance(doc, dict) and isinstance(doc.get("tokens"), list)):
+        raise TypeError("a vocabulary is an object with a list of tokens")
+    return Vocabulary(doc["tokens"], max_size=doc.get("max_size"),
+                      min_freq=doc.get("min_freq"))
 
 
 def save_vocab(path, vocab):

@@ -158,6 +158,21 @@ def test_unknown_preset():
         assert name in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("maxlen", True), ("maxlen", np.int64(6)), ("seed", 1.5),
+    ("embed_dim", np.int64(8))],
+    ids=["bool_maxlen", "numpy_maxlen", "float_seed", "numpy_embed_dim"])
+def test_build_refuses_a_config_value_no_checkpoint_holds(field, value):
+    # no checkpoint holds these: `load` refuses a bool, and `json` cannot
+    # write a numpy integer
+    kwargs = {"maxlen": 6, "seed": 1, "embed_dim": 8, "lstm_units": 8,
+              field: value}
+    with pytest.raises(model_zoo.BadConfig, match=f"{field}=") as exc:
+        build("baseline", _vocab(10), **kwargs)
+    assert isinstance(exc.value, TypeError)
+    assert isinstance(exc.value, ValueError)
+
+
 def test_build_requires_vocab():
     with pytest.raises(VocabMissing):
         build("baseline", None)
@@ -594,6 +609,50 @@ def test_checkpoint_round_trips_any_token(tmp_path, token):
     assert loaded.vocab.index_of(token) == 3
 
 
+# A value `build` may be given for a config int: mostly one, sometimes a
+# bool, a numpy integer or a float.
+def _int_or_not(ints):
+    small = st.integers(0, 8)
+    return ints | st.booleans() | small.map(np.int64) | small.map(float)
+
+
+@pytest.fixture(scope="module")
+def scratch_checkpoint(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("round_trip") / "m.svchk")
+
+
+@settings(max_examples=100, deadline=None)
+@given(preset=st.sampled_from([*PRESETS, "fancy"]),
+       dtype=st.sampled_from([*model_zoo.DTYPES, "float16"]),
+       maxlen=_int_or_not(st.integers(0, 8)),
+       embed_dim=_int_or_not(st.integers(1, 6)),
+       lstm_units=_int_or_not(st.integers(1, 6)),
+       seed=_int_or_not(st.integers(-2**70, 2**70)),
+       tokens=st.lists(st.text(max_size=6), max_size=6))
+def test_whatever_build_accepts_loads_back_the_same(
+        scratch_checkpoint, preset, dtype, maxlen, embed_dim, lstm_units,
+        seed, tokens):
+    # any str tokens, as test_checkpoint_round_trips_any_token has; the
+    # same config, tokens and tensor bytes come back
+    sizes = (maxlen, embed_dim, lstm_units, seed)
+    valid = (preset in PRESETS and dtype in model_zoo.DTYPES
+             and all(type(v) is int for v in sizes))
+    try:
+        model = build(preset, textprep.Vocabulary(tokens), maxlen=maxlen,
+                      seed=seed, embed_dim=embed_dim, lstm_units=lstm_units,
+                      dtype=dtype)
+    except model_zoo.BadConfig:
+        assert not valid
+        return
+    assert valid
+    model.save(scratch_checkpoint)
+    loaded = load(scratch_checkpoint)
+    assert loaded.config == model.config
+    assert loaded.vocab.tokens == tokens
+    assert [(name, array.tobytes()) for name, array in loaded.tensors()] == [
+        (name, array.tobytes()) for name, array in model.tensors()]
+
+
 @pytest.mark.parametrize("delta", [-8, 8])
 def test_checkpoint_wrong_payload_length(tmp_path, delta):
     # dense0.W's bytes 8 short or 8 long; the table no longer fits the file
@@ -839,6 +898,24 @@ def test_loaded_tensors_are_writable_and_aligned(tmp_path, dtype):
     for name, array in loaded.tensors():
         assert array.dtype == model.dtype, name
         assert array.flags.writeable and array.flags.aligned, name
+
+
+@pytest.mark.parametrize("extra_tokens", [0, 1, 2, 3])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_a_loaded_tensor_alone_in_its_arena_starts_on_a_param_boundary(
+        tmp_path, dtype, extra_tokens):
+    # such a tensor adopts its view of the buffer `load` reads into, so
+    # only CHECKPOINT_ALIGN and that buffer's alignment give it the
+    # PARAM_ALIGN boundary the matrix kernels are faster at; each extra
+    # token moves the data section's start in the file
+    assert model_zoo.CHECKPOINT_ALIGN % PARAM_ALIGN == 0
+    model = build("baseline", _vocab(10_000 + extra_tokens), maxlen=6,
+                  seed=1, embed_dim=8, lstm_units=150, dtype=dtype)
+    loaded = load(_saved(tmp_path, model))
+    alone = [p for p in loaded.params if p.arena.count == 1]
+    assert [p.name for p in alone] == ["embedding", "lstm.U"]
+    for p in alone:
+        assert p.value.ctypes.data % PARAM_ALIGN == 0, p.name
 
 
 def test_fit_step_on_a_loaded_float32_model(tmp_path):

@@ -136,6 +136,17 @@ def test_build_vocab_equals_the_keyed_sort(corpus, max_size, min_freq):
     assert v.tokens == _ranked(corpus, max_size, min_freq)
 
 
+@pytest.mark.parametrize("tokens, sizes", [
+    ([1, 2, 3], {}), (["a", b"b"], {}), (["a"], {"max_size": True}),
+    (["a"], {"min_freq": 2.0}), (["a"], {"max_size": np.int64(10)})],
+    ids=["int_tokens", "bytes_token", "bool_max_size", "float_min_freq",
+         "numpy_max_size"])
+def test_vocabulary_refuses_what_no_vocabulary_file_holds(tokens, sizes):
+    # no vocabulary file or checkpoint holds these
+    with pytest.raises(TypeError, match="a vocabulary is an object"):
+        Vocabulary(tokens, **sizes)
+
+
 def test_encode_prepad():
     v = Vocabulary(["cat"])
     assert encode(["cat"], v, 3) == [PAD_INDEX, PAD_INDEX, 2]
