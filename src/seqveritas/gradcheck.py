@@ -11,23 +11,21 @@ refuses a request out of order or of a foreign shape. So the loss is a
 deterministic function of the parameters.
 
 The end-to-end check perturbs one layer's tensors at a time and reruns
-only that layer and the ones after it, its suffix: the layers before it
-run once, and each evaluation starts from their saved output and
-replays the rest of the recording. The penalty too is done once per
-layer: each regularised tensor's terms, lam * sum, are kept as floats;
-only the probed layer's are recomputed, and all are added in `params`
-order, as `reg_penalty` adds them.
+only that layer and the ones after it, its suffix, from the saved output
+of the layers before it on the rest of the recording. The penalty too is
+done once per layer: each regularised tensor's terms, lam * sum, are kept
+as floats; only the probed layer's are recomputed, and all are added in
+`params` order, as `reg_penalty` adds them.
 Every probe runs stacked, in the layer checks and the end-to-end check
-alike: `finite_diff_grad` hands the loss a stack of probe points, and
-one pass evaluates them all through the model's own layer objects and
-kernels. A stack of inputs goes in on a leading axis; a stack of values
-of a tensor goes in on a copy of its layer whose `params` hold the stack
-in that tensor's place, and the layers after it take the stack of
-activations. Each lookup, product, LSTM step, batch-norm sum, activation
-and per-probe loss and penalty of a stack has the bits of its probe's
-own pass (the tests hold it to a one-probe-at-a-time oracle). The check
-thus computes the floats a whole training forward would, in the same
-order.
+alike: `finite_diff_grad` hands the loss a stack of probe points, and one
+`_suffix_losses` pass evaluates them all through the model's own layer
+objects and kernels. A stack of inputs goes in on a leading axis; a
+stack of values of a tensor, on a copy of its layer whose `params` hold
+the stack in that tensor's place, and the layers after it take the stack
+of activations. Each lookup, product, LSTM step, batch-norm sum,
+activation and per-probe loss and penalty of a stack has the bits of its
+probe's own pass (the tests hold it to a one-probe-at-a-time oracle): the
+floats a whole training forward computes, in the same order.
 """
 
 from __future__ import annotations
@@ -77,6 +75,15 @@ def _check_params(prefix, params, losses, results):
         _check(prefix + p.name, p.grad, numeric, results)
 
 
+def _suffix_losses(layers, x, tape, head):
+    """head(y), one loss per probe, for y the output of `layers` from x on
+    a replay of `tape`: the probes stack on x, or in a `_probe` layers[0]."""
+    replay = tape.replay()
+    for layer in layers:
+        x, _ = layer.forward(x, replay)
+    return head(x)
+
+
 def _check_layer(name, layer, x, coeff, rng_seed, results):
     """grad x, when backward returns one, and every parameter of `layer`
     on sum(coeff * y); each forward trains, on the masks the first drew
@@ -86,16 +93,15 @@ def _check_layer(name, layer, x, coeff, rng_seed, results):
     _, cache = layer.forward(x, tape)
     grad_x = layer.backward(coeff, cache)
 
-    def losses(probe, x):
-        y, _ = probe.forward(x, tape.replay())
+    def head(y):
         return np.add.reduce((coeff * y).reshape(len(y), -1), 1)
 
     if grad_x is not None:
         _check(f"{name}.x", grad_x, finite_diff_grad(
-            lambda points: losses(layer, points), x), results)
-    _check_params("", layer.params,
-                  lambda p, points: losses(_probe(layer, p, points), x),
-                  results)
+            lambda points: _suffix_losses([layer], points, tape, head), x),
+            results)
+    _check_params("", layer.params, lambda p, points: _suffix_losses(
+        [_probe(layer, p, points)], x, tape, head), results)
 
 
 def check_embedding(seed, results):
@@ -221,46 +227,33 @@ def replayed_losses(model, indices, labels, tape):
     `model.forward(indices)` on the masks `tape` recorded in such a
     forward, BCE plus penalty, at a stack of points of the layer's tensor
     p. The layers before it run once on a replay, when the pair is made,
-    and each call runs the rest from their output on the rest of the
-    recording."""
+    and each call runs it, on a copy holding the points, and the layers
+    after it from their output on the rest of the recording."""
     x, replay = indices, tape.replay()
     for k, layer in enumerate(model.layers):
         if layer.params:
-            yield layer, SuffixLoss(model, k, x, replay.rest(), labels)
+            yield layer, _end_to_end_loss(model, k, x, replay.rest(), labels)
         x, _ = layer.forward(x, replay)
 
 
-class SuffixLoss:
-    """The training loss of layers[k:] of `model` from their input x, on
-    the masks `tape` recorded for them, as a function of the parameters
-    of layer k and of those after it."""
+def _end_to_end_loss(model, k, x, tape, labels):
+    """`replayed_losses`' loss for layer k. Other layers' penalty terms are
+    computed once; layer k's on each call, p's for each point."""
+    probed = model.layers[k].params
+    # None marks the terms recomputed on each call
+    fixed = [(q, None if any(q is r for r in probed) else penalty_terms(q))
+             for q in model.params if q.regularizers]
 
-    def __init__(self, model, k, x, tape, labels):
-        self.layers, self.x = model.layers[k:], x
-        self.tape, self.labels = tape, labels
-        probed = model.layers[k].params
-        # None marks the terms recomputed on each call
-        self.terms = [(p, None if any(p is q for q in probed)
-                       else penalty_terms(p))
-                      for p in model.params if p.regularizers]
-
-    def __call__(self, p, points):
-        """The losses of n points of tensor p, (n, *p.value.shape), from one
-        pass: a copy of layer k reads them in p's place, and the layers
-        after it take the stack of activations. The probed layer's
-        penalty terms are recomputed, p's for each point."""
-        replay = self.tape.replay()
-        y, _ = _probe(self.layers[0], p, points).forward(self.x, replay)
-        for layer in self.layers[1:]:
-            y, _ = layer.forward(y, replay)
-        probs = sigmoid(y[..., 0])
+    def loss(p, points):
         penalty = 0.0
-        for q, terms in self.terms:
-            if terms is None:
-                terms = penalty_terms(q, points if q is p else None)
-            for term in terms:
+        for q, terms in fixed:
+            for term in terms or penalty_terms(q, points if q is p else None):
                 penalty += term
-        return bce(probs, np.broadcast_to(self.labels, probs.shape)) + penalty
+        return _suffix_losses(
+            [_probe(model.layers[k], p, points), *model.layers[k + 1:]], x,
+            tape, lambda y: bce(sigmoid(y[..., 0]), np.broadcast_to(
+                labels, y.shape[:-1])) + penalty)
+    return loss
 
 
 def check_end_to_end(preset, seed, results):

@@ -36,13 +36,14 @@ hands the model writable views of it: a tensor with an arena of its own
 and LSTM U (and, in float64, W) are not copied; the others are copied
 out once.
 A config and a vocabulary check their fields when made, so `build`
-refuses what `load` would: a size or seed that is not an int (bools and
-numpy integers included) or an unknown preset or dtype raises
-`BadConfig`, both a TypeError and a ValueError; a token that is not a
-str, or a max_size or min_freq that is not an int, TypeError. `load`
-also refuses versions 1-3 (one JSON document) and 4, a header that is
-not JSON or lacks the magic, and any tensor table but the one `save`
-writes for the model, entry for entry and JSON type for type.
+refuses what `load` would: an unknown preset or dtype, a seed or size
+that is not an int (bools and numpy integers included), a vocab_size
+below 2 (PAD and OOV), or an embed_dim, lstm_units or maxlen below 1
+raises `BadConfig`, both a TypeError and a ValueError; a token that is
+not a str, or a max_size < 2 or min_freq < 1 or not an int, TypeError.
+`load` also refuses versions 1-3 (one JSON document) and 4, a header
+that is not JSON or lacks the magic, and any tensor table but the one
+`save` writes for the model, entry for entry and JSON type for type.
 
 Presets: each is one of the paper's three models. Its architecture and
 learning rate are its row of `PRESETS`, the only place they live; a
@@ -129,8 +130,8 @@ class ShapeMismatchOnLoad(ValueError):
 
 
 class BadConfig(TypeError, ValueError):
-    """A config field that fails its `_CONFIG_TYPES` test: a TypeError to
-    `load`, a malformed checkpoint, and a ValueError to `build`."""
+    """A config field that fails its `_CONFIG_TYPES` type and range test:
+    a TypeError to `load`, a malformed checkpoint, a ValueError to `build`."""
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,10 @@ class ModelConfig:
         bad = [f"{k}={v!r}" for k, v in vars(self).items()
                if not _CONFIG_TYPES[k](v)]
         if bad:
-            raise BadConfig(f"config has mistyped {', '.join(bad)}; preset "
-                            f"is one of {', '.join(PRESETS)}, dtype one of "
-                            f"{', '.join(DTYPES)}, every other field an int")
+            raise BadConfig(f"config has bad {', '.join(bad)}; preset is "
+                            f"one of {', '.join(PRESETS)}, dtype one of "
+                            f"{', '.join(DTYPES)}, seed an int, vocab_size "
+                            "an int >= 2, every other field an int >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -163,15 +165,16 @@ class ModelConfig:
         return cls(**d)
 
 
-def _is_int(v):
-    return type(v) is int  # not bool, which subclasses int
+def _is_int(v, low=-math.inf):
+    return type(v) is int and v >= low  # not bool, which subclasses int
 
 
-# The test each ModelConfig field's value must pass.
+# The test of type and range each ModelConfig field's value must pass.
 _CONFIG_TYPES = {
     "preset": lambda v: v in tuple(PRESETS),
-    "vocab_size": _is_int, "embed_dim": _is_int, "lstm_units": _is_int,
-    "maxlen": _is_int, "seed": _is_int,
+    "vocab_size": lambda v: _is_int(v, 2),  # PAD and OOV
+    "embed_dim": lambda v: _is_int(v, 1), "seed": _is_int,
+    "lstm_units": lambda v: _is_int(v, 1), "maxlen": lambda v: _is_int(v, 1),
     "dtype": lambda v: v in tuple(DTYPES),
 }
 
@@ -505,7 +508,7 @@ def _restore(path, header, data):
     for e in found:  # the keys and JSON types of a table entry
         if not (isinstance(e, dict) and type(e.get("name")) is str
                 and _is_int(e.get("offset")) and type(e.get("shape")) is list
-                and all(_is_int(n) and n >= 0 for n in e["shape"])):
+                and all(_is_int(n, 0) for n in e["shape"])):
             raise TypeError(f"tensor entry {e!r}")
     dtype = DTYPES[config.dtype]
     wire = np.dtype(dtype).newbyteorder("<")

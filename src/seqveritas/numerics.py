@@ -219,12 +219,9 @@ class Prng:
 
 def init_glorot(shape, rng, dtype=np.float64):
     """Glorot-uniform: entries in +/- sqrt(6 / (fan_in + fan_out))."""
-    rows, cols = shape
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"bad shape {shape}")
-    bound = np.sqrt(6.0 / (rows + cols))
+    bound = np.sqrt(6.0 / sum(shape))  # shape is (fan_in, fan_out)
     # in float64, uniform's own fresh array is returned, not copied again
-    return rng.uniform(-bound, bound, (rows, cols)).astype(dtype, copy=False)
+    return rng.uniform(-bound, bound, shape).astype(dtype, copy=False)
 
 
 # --- finite-difference oracle ---------------------------------------------

@@ -103,15 +103,16 @@ def preprocess(title, body):
 class Vocabulary:
     """Token-to-index map. Index 0 is PAD, index 1 is OOV; real tokens
     occupy contiguous indices starting at 2. A token that is not a str,
-    or a max_size or min_freq that is not an int, raises TypeError."""
+    or a max_size < 2 or min_freq < 1 or not an int, raises TypeError."""
 
     def __init__(self, tokens_in_order, max_size=DEFAULT_MAX_VOCAB,
                  min_freq=DEFAULT_MIN_FREQ):
         self._tokens = list(tokens_in_order)
         if not (set(map(type, self._tokens)) <= {str}
-                and type(max_size) is int and type(min_freq) is int):
+                and type(max_size) is int and type(min_freq) is int
+                and max_size >= 2 and min_freq >= 1):
             raise TypeError("a vocabulary is an object with a list of str "
-                            "tokens and int max_size and min_freq")
+                            "tokens, int max_size >= 2 and min_freq >= 1")
         self.max_size = max_size
         self.min_freq = min_freq
         self._index = {tok: i + 2 for i, tok in enumerate(self._tokens)}
@@ -159,43 +160,51 @@ def encode(tokens, vocab, maxlen):
 
 # --- encoded-dataset cache file --------------------------------------------
 # Layout: magic "SVEC1"; maxlen, V, N as little-endian u32; then N packed
-# records of maxlen little-endian u32 indices followed by one label byte,
-# 0 (true) or 1 (fake).
+# records of maxlen little-endian u32 indices, each below V, followed by
+# one label byte, 0 (true) or 1 (fake).
 _HEADER = struct.Struct("<5sIII")
 CACHE_FIELD_LIMIT = 1 << 32  # maxlen, V and N are below it
 
 
-def _record_dtype(maxlen):
-    return np.dtype([("seq", "<u4", (maxlen,)), ("label", "u1")])
-
-
 def cache_record_bytes(maxlen):
-    """`_record_dtype(maxlen).itemsize`, by arithmetic: numpy refuses to
-    make that dtype from maxlen 2^31 - 1 up."""
+    """The bytes of one record: maxlen u32 indices and a label byte."""
     return 4 * maxlen + 1
 
 
+def _records(buffer, n, maxlen, offset=0):
+    """(indices, labels): <u4 and u1 views of the n records at `offset`."""
+    records = np.frombuffer(buffer, np.uint8, offset=offset).reshape(
+        n, cache_record_bytes(maxlen))
+    return records[:, :-1].view("<u4"), records[:, -1]
+
+
 def write_cache(path, sequences, labels, vocab_size, maxlen):
-    sequences = np.asarray(sequences, dtype=np.uint32)
+    """A cache `read_cache` reads back; before `path` is opened, refuses
+    indices not of an integer type or not all in [0, vocab_size), a label
+    other than 0 or 1, and a maxlen, V or N that a u32 cannot hold."""
+    sequences = np.asarray(sequences)
     labels = np.asarray(labels)
     n = sequences.shape[0]
     if sequences.shape != (n, maxlen) or labels.shape != (n,):
         raise ValueError("sequences/labels shape mismatch")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    records = np.empty(n, dtype=_record_dtype(maxlen))
-    records["seq"] = sequences
-    records["label"] = labels
+    if sequences.size and not (sequences.dtype.kind in "iu"
+                               and sequences.min() >= 0
+                               and sequences.max() < vocab_size):
+        raise ValueError(f"{path}: an index not an int in [0, {vocab_size})")
+    header = _HEADER.pack(CACHE_MAGIC, maxlen, vocab_size, n)
+    body = bytearray(n * cache_record_bytes(maxlen))
+    indices, flags = _records(body, n, maxlen)
+    indices[...], flags[...] = sequences, labels
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(CACHE_MAGIC, maxlen, vocab_size, n))
-        f.write(records)
+        f.writelines((header, body))
 
 
 def read_cache(path):
-    """Returns (sequences Nxmaxlen uint32, labels N uint8, vocab_size): the
-    stored types, as read-only views of the file's bytes. A label byte
-    other than 0 or 1, or an index not below vocab_size, raises
-    CacheFormatError."""
+    """(sequences Nxmaxlen uint32, labels N uint8, vocab_size), the stored
+    types as read-only strided views of the file's bytes; a label byte not
+    0 or 1, or an index not below vocab_size, raises CacheFormatError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:5] != CACHE_MAGIC:
@@ -203,16 +212,13 @@ def read_cache(path):
     if len(blob) < _HEADER.size:
         raise CacheFormatError(f"{path}: truncated header")
     _, maxlen, vocab_size, n = _HEADER.unpack_from(blob)
-    record = _record_dtype(maxlen)
-    if len(blob) != _HEADER.size + n * record.itemsize:
+    if len(blob) != _HEADER.size + n * cache_record_bytes(maxlen):
         raise CacheFormatError(f"{path}: truncated or oversized cache")
-    records = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
-    seqs, labels = records["seq"], records["label"]
+    seqs, labels = _records(blob, n, maxlen, _HEADER.size)
     if (labels > 1).any():
         raise CacheFormatError(f"{path}: a label byte is not 0 or 1")
     if seqs.size and seqs.max() >= vocab_size:
-        raise CacheFormatError(
-            f"{path}: a sequence index outside [0, {vocab_size})")
+        raise CacheFormatError(f"{path}: an index outside [0, {vocab_size})")
     return seqs, labels, vocab_size
 
 

@@ -775,6 +775,23 @@ def test_cache_index_at_its_vocabulary_size_exits_2_before_the_work(
     assert f"index outside [0, {doc['vocab_size']})" in err
 
 
+def test_train_on_a_header_only_cache_at_maxlen_2_31_exits_2(capsys,
+                                                             tmp_path):
+    # before: read_cache failed inside numpy, "dimension does not fit into
+    # a C int", without naming the file
+    cache = str(tmp_path / "empty.svec")
+    vocab = textprep.Vocabulary(["a"])
+    with open(cache, "wb") as f:
+        f.write(struct.pack("<5sIII", b"SVEC1", 2**31, len(vocab), 0))
+    textprep.save_vocab(cache + ".vocab.json", vocab)
+    code, out, err = run(capsys, ["train", "--data", cache, "--preset",
+                                  "baseline", "--out-checkpoint",
+                                  str(tmp_path / "m.svchk")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot split 0 records" in err
+
+
 def test_train_invalid_preset_exits_2(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -889,7 +906,11 @@ def test_eval_index_outside_cache_vocab_exits_2(capsys, tmp_path):
     ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
     vocab = model_zoo.load(ckpt).vocab
     bad = str(tmp_path / "bad.svec")
-    _write_data(bad, [[0] * 9 + [len(vocab)], [0] * 9 + [2]], vocab)
+    # write_cache refuses the index, so a valid cache is patched
+    _write_data(bad, [[0] * 9 + [2], [0] * 9 + [2]], vocab)
+    with open(bad, "r+b") as f:  # record 0's last index
+        f.seek(17 + 9 * 4)
+        f.write(struct.pack("<I", len(vocab)))
     code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
                                   "--data", bad, "--split", "all"])
     assert code == 2

@@ -173,6 +173,34 @@ def test_build_refuses_a_config_value_no_checkpoint_holds(field, value):
     assert isinstance(exc.value, ValueError)
 
 
+@pytest.mark.parametrize("field", ["embed_dim", "lstm_units", "maxlen"])
+def test_build_refuses_a_size_below_1(field):
+    # before: maxlen 0 built, saved and loaded and failed only at predict;
+    # embed_dim or lstm_units 0 failed inside init_glorot
+    kwargs = {"maxlen": 6, "seed": 1, "embed_dim": 8, "lstm_units": 8,
+              field: 0}
+    with pytest.raises(model_zoo.BadConfig, match=f"{field}=0") as exc:
+        build("baseline", _vocab(10), **kwargs)
+    assert "every other field an int >= 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("vocab_size", [1, 0, -3])
+def test_preset_config_refuses_a_vocab_size_below_2(vocab_size):
+    # PAD and OOV: no vocabulary has fewer entries
+    with pytest.raises(model_zoo.BadConfig,
+                       match=f"vocab_size={vocab_size}.*an int >= 2"):
+        preset_config("baseline", vocab_size=vocab_size, maxlen=6,
+                      embed_dim=8, lstm_units=8, seed=0, dtype="float64")
+
+
+def test_checkpoint_with_maxlen_0_is_bad_magic(tmp_path):
+    # before: it loaded, and predict raised "maxlen must be >= 1"
+    path = _saved(tmp_path)
+    edit_header(path, lambda h: h["config"].update({"maxlen": 0}))
+    with pytest.raises(BadMagic, match="malformed checkpoint.*maxlen=0"):
+        load(path)
+
+
 def test_build_requires_vocab():
     with pytest.raises(VocabMissing):
         build("baseline", None)
@@ -633,10 +661,12 @@ def test_whatever_build_accepts_loads_back_the_same(
         scratch_checkpoint, preset, dtype, maxlen, embed_dim, lstm_units,
         seed, tokens):
     # any str tokens, as test_checkpoint_round_trips_any_token has; the
-    # same config, tokens and tensor bytes come back
+    # same config, tokens and tensor bytes come back. Every vocabulary has
+    # PAD and OOV, so vocab_size >= 2 holds; the other sizes must be >= 1.
     sizes = (maxlen, embed_dim, lstm_units, seed)
     valid = (preset in PRESETS and dtype in model_zoo.DTYPES
-             and all(type(v) is int for v in sizes))
+             and all(type(v) is int for v in sizes)
+             and min(maxlen, embed_dim, lstm_units) >= 1)
     try:
         model = build(preset, textprep.Vocabulary(tokens), maxlen=maxlen,
                       seed=seed, embed_dim=embed_dim, lstm_units=lstm_units,

@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqveritas import porter, textprep
 from seqveritas.textprep import (OOV_INDEX, PAD_INDEX, Vocabulary,
@@ -145,6 +145,25 @@ def test_vocabulary_refuses_what_no_vocabulary_file_holds(tokens, sizes):
     # no vocabulary file or checkpoint holds these
     with pytest.raises(TypeError, match="a vocabulary is an object"):
         Vocabulary(tokens, **sizes)
+
+
+@pytest.mark.parametrize("sizes", [
+    {"max_size": 0}, {"max_size": 1}, {"min_freq": 0}, {"min_freq": -1}],
+    ids=["max_size_0", "max_size_1", "min_freq_0", "min_freq_-1"])
+def test_vocabulary_refuses_sizes_out_of_range(tmp_path, sizes):
+    # before: build_vocab at max_size 1 kept tokens[:-1], a 4-entry
+    # vocabulary from 3 tokens
+    sizes = {"max_size": 10, "min_freq": 1, **sizes}
+    message = "max_size >= 2 and min_freq >= 1"
+    with pytest.raises(TypeError, match=message):
+        Vocabulary(["a"], **sizes)
+    with pytest.raises(TypeError, match=message):
+        build_vocab([["a", "b", "c"]], **sizes)
+    path = str(tmp_path / "v.json")
+    with open(path, "w") as f:
+        json.dump({"tokens": ["a"], **sizes}, f)
+    with pytest.raises(ValueError, match="not a vocabulary file.*" + message):
+        textprep.load_vocab(path)
 
 
 def test_encode_prepad():
@@ -316,12 +335,85 @@ def test_cache_label_byte_other_than_0_and_1_detected(tmp_path, byte):
 
 @pytest.mark.parametrize("record", [0, 1])
 def test_cache_index_at_the_vocabulary_size_detected(tmp_path, record):
-    path = str(tmp_path / "c.svec")
-    seqs = [[0, 8], [2, 3]]
-    seqs[record][1] = 9
-    write_cache(path, seqs, [1, 0], vocab_size=9, maxlen=2)
+    # write_cache refuses the index, so a valid cache is patched
+    path = tmp_path / "c.svec"
+    write_cache(str(path), [[0, 8], [2, 3]], [1, 0], vocab_size=9, maxlen=2)
+    blob = bytearray(path.read_bytes())
+    last = 17 + record * 9 + 4  # the record's last index
+    blob[last:last + 4] = struct.pack("<I", 9)
+    path.write_bytes(blob)
     with pytest.raises(textprep.CacheFormatError, match=r"outside \[0, 9\)"):
-        read_cache(path)
+        read_cache(str(path))
+
+
+@pytest.mark.parametrize("seqs", [[[0, 9]], np.array([[-1, 2]]),
+                                  [[2.5, 2]]],
+                         ids=["index_at_V", "int64_minus_1", "float"])
+def test_cache_write_refuses_an_index_read_cache_refuses(tmp_path, seqs):
+    # before: each was written: 9, and -1 as 4294967295, to a file that
+    # read_cache refused, and 2.5 as 2
+    path = tmp_path / "c.svec"
+    with pytest.raises(ValueError, match=r"index not an int in \[0, 9\)"):
+        write_cache(str(path), seqs, [1], vocab_size=9, maxlen=2)
+    assert not path.exists()
+
+
+def test_cache_refused_write_leaves_the_file_there(tmp_path):
+    # before: the file was opened, and emptied, before the header was packed
+    path = tmp_path / "c.svec"
+    write_cache(str(path), [[1, 2]], [1], vocab_size=3, maxlen=2)
+    written = path.read_bytes()
+    with pytest.raises(struct.error):
+        write_cache(str(path), [[1, 2]], [1], vocab_size=2**32, maxlen=2)
+    assert path.read_bytes() == written
+
+
+def test_header_only_cache_at_maxlen_2_31_reads_empty(tmp_path):
+    # before: numpy refused to make a record dtype of more than 2^31 bytes
+    path = tmp_path / "c.svec"
+    path.write_bytes(struct.pack("<5sIII", b"SVEC1", 2**31, 5, 0))
+    x, y, v = read_cache(str(path))
+    assert (x.shape, y.shape, v) == ((0, 2**31), (0,), 5)
+    assert (x.dtype, y.dtype) == (np.uint32, np.uint8)
+
+
+@pytest.fixture(scope="module")
+def old_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache") / "c.svec"
+
+
+# indices and V around the edges of [0, V) and of a u32
+_EDGES = st.sampled_from([-1, 0, 1, 2, 3, 2**32 - 1, 2**32, 2**63 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), maxlen=st.integers(0, 3), n=st.integers(0, 3),
+       vocab_size=_EDGES | st.integers(-2, 6),
+       dtype=st.sampled_from([np.int64, np.float64]))
+def test_write_cache_writes_what_read_cache_reads_or_nothing(
+        old_file, data, maxlen, n, vocab_size, dtype):
+    values = st.integers(-2, 6) | _EDGES
+    if dtype is np.float64:
+        values |= st.sampled_from([0.5, 2.5])
+    seqs = np.array(data.draw(st.lists(
+        st.lists(values, min_size=maxlen, max_size=maxlen),
+        min_size=n, max_size=n)), dtype=dtype).reshape(n, maxlen)
+    labels = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    # indices of an integer type, unless there are none
+    valid = (0 <= vocab_size < 2**32 and set(labels) <= {0, 1}
+             and (dtype is np.int64 or seqs.size == 0)
+             and all(0 <= i < vocab_size for i in seqs.flat))
+    old_file.write_bytes(b"an earlier file")
+    try:
+        write_cache(str(old_file), seqs, labels, vocab_size, maxlen)
+    except (ValueError, struct.error):
+        assert not valid
+        assert old_file.read_bytes() == b"an earlier file"
+        return
+    assert valid
+    x, y, v = read_cache(str(old_file))
+    assert x.shape == seqs.shape and np.array_equal(x, seqs)
+    assert y.tolist() == labels and v == vocab_size
 
 
 def test_cache_indices_below_the_vocabulary_size_read(tmp_path):
