@@ -29,8 +29,8 @@ hash with the bits of `uniform(0, 1) < keep`.
 
 LSTM gate packing in the 4H dimension is fixed as [i, f, g, o]
 (input, forget, candidate, output); checkpoints depend on this order.
-The LSTM keeps its state in preallocated time-major buffers, indexed by
-step first:
+Training (`lstm_forward`) keeps the LSTM's state in preallocated
+time-major buffers, indexed by step first:
 
   x       (T, B, d)   the input, copied time-major once for the input GEMM
   gates   (T, B, 4H)  x_t W + b for every step from one GEMM; each step
@@ -44,17 +44,35 @@ step first:
 The cache exposes x as a (B, T, d) view of the time-major copy. The
 backward time loop does only the gate math and the recurrent product
 dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
-of x, h_0 .. h_{T-1} and the dz rows. At inference (no history) c and h
-have two alternating slots, tanh_c one, and there is no cache; x and
-gates then hold one run of steps at a time, projected by its own GEMM
-when the time loop reaches it (see PROJECT_BYTES), and a large enough
-batch runs as row shards, each with its own buffers, side by side on
-one BLAS thread each (see SHARD_MULADDS), on threads that the call
-starts and joins.
+of x, h_0 .. h_{T-1} and the dz rows.
+
+Inference (`lstm_infer`) takes the embedding table and the (B, T)
+indices instead of their lookup, and keeps no history. Its steps go in
+runs, each of which projects its own distinct tokens once:
+
+  P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
+                      padded with PAD's row up to the rows that keep the
+                      training GEMM's kernel, so R is at most min(V,
+                      B*T) or those rows, whichever is more; a run ends
+                      before P would pass PROJECT_BYTES (a run of one
+                      step may pass it)
+  at      (n, B)      each of the run's positions' row of P, the rows
+                      sorted as below
+  c, h    (2, B, H)   two alternating slots; tanh_c, i * g and h U one
+
+Step t takes its gates from P with one `np.take`. When a row starts with
+PAD the rows are sorted stably by their count of leading PAD steps, and
+step t's product runs over the rows that have started plus enough rows
+still in their PAD prefix, which all share one trajectory, to stay on
+the whole product's kernel. A large enough batch is dealt round-robin to
+row shards, each with its own buffers, side by side on one BLAS thread
+each (see SHARD_MULADDS), on threads that the call starts and joins; the
+shards also split each run's product of P.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -231,17 +249,23 @@ def arenas_of(params):
 
 # --- embedding -------------------------------------------------------------
 
+def _checked(indices, vocab_size):
+    """`indices` as an array; one outside [0, vocab_size) raises
+    IndexOutOfVocab."""
+    indices = np.asarray(indices)
+    low, high = indices.min(), indices.max()
+    if low < 0 or high >= vocab_size:
+        raise IndexOutOfVocab(f"index outside [0, {vocab_size}): {low}..{high}")
+    return indices
+
+
 def embedding_forward(indices, emb):
     """Row lookup: (B, T) int indices -> (B, T, d). The PAD row (index 0)
     is held at zero and receives no gradient. A stack of tables on leading
     axes, (P, V, d), as gradcheck's stacked probes hand one, gives a stack
     of lookups, (P, B, T, d): `np.take` along the row axis copies the
     bits of `value[indices]` either way."""
-    indices = np.asarray(indices)
-    vocab_size = emb.value.shape[-2]
-    if indices.min() < 0 or indices.max() >= vocab_size:
-        raise IndexOutOfVocab(
-            f"index outside [0, {vocab_size}): {indices.min()}..{indices.max()}")
+    indices = _checked(indices, emb.value.shape[-2])
     return np.take(emb.value, indices, axis=-2)
 
 
@@ -301,131 +325,30 @@ def _gate_constants(hidden, dtype):
     return scale, offset, shift
 
 
-# Bytes of x W + b per input GEMM at inference (no history): the time
-# loop projects one run of steps at a time, so the (T, B, 4H) gates
-# buffer is never built (at paper shapes, B = 256, float64: 16 GEMMs
-# into 16 MB instead of one into 246 MB). OpenBLAS sends a GEMM of at
-# most 1e6 multiply-adds to a small-matrix kernel whose bits can differ
-# from its large one's: rows of an (M, 16) x (16, 28) float64 product
-# did at M = 2,232 against M = 40,000, and matched from M = 2,233. So the
-# runs are of near-equal length, each fills at least a third of these
-# bytes, and that is more than 1e6 multiply-adds at d >= 2 (at d = 1
-# there is no sum whose order could differ).
-PROJECT_BYTES = 1 << 24
+def _cell(z, c_prev, c, tanh_c, h, ig, scale, offset):
+    """One step's gate math, in place: activates the pre-activation gates
+    z = x_t W + b + h_{t-1} U, then writes c_t into c, tanh(c_t) into
+    tanh_c and h_t into h; ig holds i * g."""
+    hidden = c.shape[-1]
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += offset
+    np.multiply(z[..., hidden:2 * hidden], c_prev, out=c)
+    np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden], out=ig)
+    c += ig
+    np.tanh(c, out=tanh_c)
+    np.multiply(z[..., 3 * hidden:], tanh_c, out=h)
 
 
-# Multiply-adds of a shard's recurrent product h_{t-1} U per step (rows x
-# H x 4H) at or above which an inference call splits its batch rows across
-# BLAS threads. A step's elementwise gate math (2/3 of an f64 paper-shape
-# pass) is single-threaded numpy that a second BLAS thread never helps;
-# two shards on one BLAS thread each run it side by side. At paper shapes
-# (T = 200, d = 100, H = 150; 2-core Xeon) two shards changed the
-# throughput of a pass by -10% / -29% (f64 / f32) with 16-row shards,
-# +21% / -13% with 32, +23% / -4% with 48, +28% / +8% with 64 and +34% /
-# +24% with 128. This bound is 47 rows there.
-SHARD_MULADDS = 1 << 22
-# Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
-# kernel (see PROJECT_BYTES); a shard's input GEMM stays above it.
-SMALL_GEMM_MULADDS = 10 ** 6
-# Widest d or H an inference call shards at. OpenBLAS sums a product's
-# inner dimension K in one block up to its kernel's GEMM_Q, and beyond it
-# in blocks that its one-thread and threaded drivers cut differently, so
-# one-thread shards would round otherwise than the threaded whole batch.
-# Products (128, K) x (K, 600) first differed between 1 and 2 threads at
-# K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
-# (f64) on the Haswell, Sandybridge and Nehalem kernels.
-SHARD_MAX_K = 256
-
-def _shards(batch, steps, runs, d, hidden):
-    """How many row shards an inference call runs on: up to one per BLAS
-    thread, each with a recurrent product of at least SHARD_MULADDS
-    multiply-adds per step and, so that it takes the kernel the whole
-    batch's input GEMM takes, an input GEMM of more than
-    SMALL_GEMM_MULADDS; one when d or H is wider than SHARD_MAX_K."""
-    if max(d, hidden) > SHARD_MAX_K:
-        return 1
-    gates = 4 * hidden
-    rows = max(-(-SHARD_MULADDS // (hidden * gates)),
-               SMALL_GEMM_MULADDS // max(1, steps // runs * d * gates) + 1)
-    if batch < 2 * rows:
-        return 1
-    return min(blas.threads(), batch // rows)
-
-
-def _lstm_rows(x, w, u, b, runs, buffers, scale, offset):
-    """h_T of the rows `x` (B, T, d), computed in `buffers` (see
-    `_lstm_buffers`), `runs` runs of steps of near-equal length, each
-    projected by one input GEMM. It allocates nothing larger than a view:
-    a shard thread that runs it writes only the buffers its caller made."""
-    gates, x_tm, c, h, tanh_c, ig, hu = buffers
-    _, steps, d = x.shape
-    hidden = hu.shape[-1] // 4
-    stack = gates.shape[:-3]
-    slots = c.shape[0]
-    gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
-    uv = u.value
-    for k in range(runs):
-        start, stop = steps * k // runs, steps * (k + 1) // runs
-        n = stop - start
-        np.copyto(x_tm[:n], x[:, start:stop].transpose(1, 0, 2))
-        rows = gates[..., :n, :, :].reshape(*stack, -1, 4 * hidden)
-        np.matmul(x_tm[:n].reshape(-1, d), w.value, out=rows)
-        rows += b.value
-        for t in range(start, stop):
-            prev, cur = t % slots, (t + 1) % slots
-            z = gates_tm[t - start]
-            np.matmul(h[prev], uv, out=hu)
-            z += hu
-            z *= scale
-            np.tanh(z, out=z)
-            z *= scale
-            z += offset
-            c_t, tc = c[cur], tanh_c[t % (slots - 1)]
-            np.multiply(z[..., hidden:2 * hidden], c[prev], out=c_t)
-            np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden],
-                        out=ig)
-            c_t += ig
-            np.tanh(c_t, out=tc)
-            np.multiply(z[..., 3 * hidden:], tc, out=h[cur])
-    return h[steps % slots]
-
-
-def _lstm_buffers(stack, span, rows, d, hidden, slots, dtype, x_dtype):
-    """(gates, x_tm, c, h, tanh_c, ig, hu) for `rows` rows, as the module
-    docstring lays them out; ig and hu hold one step's i * g and
-    h_{t-1} U."""
-    return (np.empty((*stack, span, rows, 4 * hidden), dtype),
-            np.empty((span, rows, d), x_dtype),
-            np.zeros((slots, *stack, rows, hidden), dtype),
-            np.zeros((slots, *stack, rows, hidden), dtype),
-            np.empty((slots - 1, *stack, rows, hidden), dtype),
-            np.empty((*stack, rows, hidden), dtype),
-            np.empty((*stack, rows, 4 * hidden), dtype))
-
-
-def lstm_forward(x, w, u, b, history=True):
-    """Sequence-to-vector LSTM: returns the final hidden state h_T.
+def lstm_forward(x, w, u, b):
+    """Sequence-to-vector LSTM, training: returns the final hidden state
+    h_T and the `LstmCache` that `lstm_backward` reads.
 
     x: (B, T, d); w: (d, 4H); u: (H, 4H); b: (4H,). Gate order [i,f,g,o].
     c_0 = h_0 = 0. The buffers are laid out as in the module docstring;
-    the input GEMM reads a time-major copy of x (d wide, not 4H), and each
-    step applies all four activations with one tanh. With
-    `history=False` (inference) the cache is None, and the steps go in
-    runs of near-equal length of at most PROJECT_BYTES of gates each: a
-    run's slice of x is copied time-major and projected by one GEMM into
-    a gates buffer of one run, which its steps then use. Each h_T bit is
-    the same as with history, where one GEMM projects every step.
-
-    An inference call whose batch is large enough (see `_shards`) splits
-    its rows into contiguous shards, each with its own buffers, made
-    here, that together take what one shard's would. Under
-    `blas.single_thread` the calling thread runs the first shard and
-    threads of the call's own executor the others, which the call joins
-    before it returns; h_T is their concatenation. A shard's products
-    stay on the whole batch's GEMM kernel (SMALL_GEMM_MULADDS) and sum
-    their inner dimension in one block (SHARD_MAX_K), so on a kernel
-    whose rows round alike wherever the rows are cut, as SkylakeX's do,
-    the bits do not depend on the shard count.
+    one GEMM projects every step from a time-major copy of x (d wide, not
+    4H), and each step applies all four activations with one tanh.
 
     W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
     (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
@@ -446,37 +369,281 @@ def lstm_forward(x, w, u, b, history=True):
     # the leading axes of whichever of W, U and b hold a stack
     stack = w.value.shape[:-2] or u.value.shape[:-2] or b.value.shape[:-2]
     dtype = np.result_type(x, w.value, u.value, b.value)
-    # `runs` runs of steps of near-equal length, one input GEMM each: one
-    # run with history, else runs of at most PROJECT_BYTES of gates (or of
-    # one step, when a step alone takes more)
-    step_bytes = max(1, batch * 4 * hidden * dtype.itemsize)
-    runs = 1 if history else max(
-        1, -(-steps // max(1, PROJECT_BYTES // step_bytes)))
-    span = -(-steps // runs)
-    slots = steps + 1 if history else 2
     scale, offset, _ = _gate_constants(hidden, dtype)
-    shards = 1 if history else _shards(batch, steps, runs, d, hidden)
-    cuts = [batch * k // shards for k in range(shards + 1)]
-    buffers = [_lstm_buffers(stack, span, hi - lo, d, hidden, slots, dtype,
-                             x.dtype) for lo, hi in zip(cuts, cuts[1:])]
-    if shards == 1:
-        h_t = _lstm_rows(x, w, u, b, runs, buffers[0], scale, offset)
-    else:
-        # imported here: no unsharded call pays its 7 ms (with `logging`)
-        from concurrent.futures import ThreadPoolExecutor
-        # leaving joins every shard, also when the first raises
-        with blas.single_thread(), ThreadPoolExecutor(shards - 1) as pool:
-            rest = [pool.submit(_lstm_rows, x[lo:hi], w, u, b, runs, buf,
-                                scale, offset)
-                    for lo, hi, buf in zip(cuts[1:], cuts[2:], buffers[1:])]
-            first = _lstm_rows(x[:cuts[1]], w, u, b, runs, buffers[0],
-                               scale, offset)
-        h_t = np.concatenate([first] + [f.result() for f in rest], axis=-2)
-    if not history:
-        return h_t, None
-    gates, x_tm, c, h, tanh_c, _, _ = buffers[0]
-    return h_t, LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c, h=h,
-                          tanh_c=tanh_c)
+    gates = np.empty((*stack, steps, batch, 4 * hidden), dtype)
+    x_tm = np.empty((steps, batch, d), x.dtype)
+    c = np.zeros((steps + 1, *stack, batch, hidden), dtype)
+    h = np.zeros_like(c)
+    tanh_c = np.empty((steps, *stack, batch, hidden), dtype)
+    ig = np.empty((*stack, batch, hidden), dtype)
+    hu = np.empty((*stack, batch, 4 * hidden), dtype)
+    np.copyto(x_tm, x.transpose(1, 0, 2))
+    rows = gates.reshape(*stack, -1, 4 * hidden)
+    np.matmul(x_tm.reshape(-1, d), w.value, out=rows)
+    rows += b.value
+    gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
+    for t in range(steps):
+        z = gates_tm[t]
+        np.matmul(h[t], u.value, out=hu)
+        z += hu
+        _cell(z, c[t], c[t + 1], tanh_c[t], h[t + 1], ig, scale, offset)
+    return h[steps], LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c,
+                               h=h, tanh_c=tanh_c)
+
+
+# Bytes of projected gates, P, that an inference call holds at once: a
+# run of steps projects its own distinct tokens, and takes steps while
+# their rows of P fit these bytes (see `_runs`; the shards split them).
+# Without the bound a batch whose positions are all distinct would hold
+# every step's gates (at paper shapes, B = 256, float64: 246 MB).
+PROJECT_BYTES = 1 << 24
+
+
+# Multiply-adds of a shard's recurrent product h_{t-1} U per step (rows x
+# H x 4H) at or above which an inference call splits its batch rows across
+# BLAS threads. A step's elementwise gate math (2/3 of an f64 paper-shape
+# pass) is single-threaded numpy that a second BLAS thread never helps;
+# two shards on one BLAS thread each run it side by side. At paper shapes
+# (T = 200, d = 100, H = 150; 2-core Xeon) two shards changed the
+# throughput of a pass by -10% / -29% (f64 / f32) with 16-row shards,
+# +21% / -13% with 32, +23% / -4% with 48, +28% / +8% with 64 and +34% /
+# +24% with 128. This bound is 47 rows there.
+SHARD_MULADDS = 1 << 22
+# Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
+# kernel, whose bits can differ from its large one's: rows of an (M, 16)
+# x (16, 28) float64 product did at M = 2,232 against M = 40,000, and of
+# an (M, 150) x (150, 600) float32 one at M = 11 against M = 12. Within
+# either kernel a row's bits depend neither on M nor on where the row
+# sits (every M from 2 to 700 or to the bound, 11 shapes from (8, 32) to
+# (256, 12) and (150, 600), both dtypes, 1 and 2 threads, SkylakeX); at
+# M = 1 numpy calls GEMV, whose bits differ again. So inference gives the
+# training bits only on a kernel that rounds so: on another, a row's bits
+# may depend on its batch, whose distinct tokens set the M of P and whose
+# PAD prefixes set that of each step's recurrent product.
+SMALL_GEMM_MULADDS = 10 ** 6
+# Widest d or H an inference call shards at. OpenBLAS sums a product's
+# inner dimension K in one block up to its kernel's GEMM_Q, and beyond it
+# in blocks that its one-thread and threaded drivers cut differently, so
+# one-thread shards would round otherwise than the threaded whole batch.
+# Products (128, K) x (K, 600) first differed between 1 and 2 threads at
+# K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
+# (f64) on the Haswell, Sandybridge and Nehalem kernels.
+SHARD_MAX_K = 256
+
+
+def _least_rows(total, per_row):
+    """The fewest rows, of a product of `total` rows and `per_row`
+    multiply-adds a row, that a product may cover and stay on the kernel
+    the whole product runs: one row is a GEMV, a whole product of at most
+    SMALL_GEMM_MULADDS multiply-adds takes the small kernel at 2 rows or
+    more, and a larger one the large kernel above that bound."""
+    if total * per_row <= SMALL_GEMM_MULADDS:
+        return min(total, 2)
+    return min(total, max(2, SMALL_GEMM_MULADDS // per_row + 1))
+
+
+def _shards(batch, d, hidden):
+    """How many row shards an inference call runs on: up to one per BLAS
+    thread, each with a recurrent product of at least SHARD_MULADDS
+    multiply-adds per step; one when d or H is wider than SHARD_MAX_K."""
+    if max(d, hidden) > SHARD_MAX_K:
+        return 1
+    rows = -(-SHARD_MULADDS // (hidden * 4 * hidden))
+    if batch < 2 * rows:
+        return 1
+    return min(blas.threads(), batch // rows)
+
+
+def _runs(idx, vocab, most):
+    """The runs of steps of `idx` (T, B), as (start, stop, distinct
+    tokens): every step in one run when the batch holds at most `most`
+    distinct tokens, else runs that each take steps while their distinct
+    tokens number at most `most` (a run of one step may hold more)."""
+    steps = idx.shape[0]
+    seen = np.zeros(vocab, bool)
+    seen[idx] = True
+    distinct = np.flatnonzero(seen)
+    if distinct.size <= most:
+        yield 0, steps, distinct
+        return
+    seen[distinct] = False
+    start = count = 0
+    for t in range(steps):
+        col = idx[t]
+        fresh = np.unique(col[~seen[col]])
+        if count + fresh.size > most and t > start:
+            distinct = np.flatnonzero(seen)
+            yield start, t, distinct
+            seen[distinct] = False
+            start, count, fresh = t, 0, np.unique(col)
+        seen[fresh] = True
+        count += fresh.size
+    yield start, steps, np.flatnonzero(seen)
+
+
+def _lstm_buffers(rows, hidden, dtype):
+    """(z, c, h, tanh_c, ig, hu) for `rows` rows: one step's gates, c and
+    h in two alternating slots (zero at first), tanh(c), i * g and
+    h_{t-1} U."""
+    return (np.empty((rows, 4 * hidden), dtype),
+            np.zeros((2, rows, hidden), dtype),
+            np.zeros((2, rows, hidden), dtype),
+            np.empty((rows, hidden), dtype),
+            np.empty((rows, hidden), dtype),
+            np.empty((rows, 4 * hidden), dtype))
+
+
+def _project(table, w, b, pick, out):
+    """Writes table[pick] W + b into `out`."""
+    np.matmul(table.value.take(pick, 0), w.value, out=out)
+    out += b.value
+
+
+def _windows(lead, steps, hidden):
+    """How many rows each step of a shard covers, given its rows' counts
+    of leading PAD steps in ascending order: the rows that have started,
+    one more, and as many as keep the product on the kernel that all of
+    them would take (`_least_rows`)."""
+    started = np.searchsorted(lead, np.arange(steps), "right")
+    least = _least_rows(lead.size, hidden * 4 * hidden)
+    return np.minimum(np.maximum(started + 1, least), lead.size).tolist()
+
+
+def _lstm_rows(at, start, window, buffers, proj, u, scale, offset):
+    """Runs steps start, start + 1, ... of the rows whose gates at step
+    start + k are proj[at[k]] + h_{t-1} U, on the state in `buffers` (see
+    `_lstm_buffers`), one step per row of `at`. Step t covers only the
+    first window[t] rows: the rows after those are still in a PAD prefix
+    and carry one shared trajectory, so a row that the window takes in
+    copies its c and h from the last row it held before. It allocates
+    nothing larger than a view: a shard thread that runs it writes only
+    the buffers its caller made."""
+    c, h = buffers[1:3]
+    # at step 0 every row holds the zero state: nothing to copy
+    taken = window[start - 1] if start else window[0]
+    views = buffers if taken == at.shape[1] else [a[..., :taken, :]
+                                                   for a in buffers]
+    for t, rows in enumerate(at, start):
+        prev, cur, m = t % 2, (t + 1) % 2, window[t]
+        if m > taken:
+            c[prev, taken:m] = c[prev, taken - 1]
+            h[prev, taken:m] = h[prev, taken - 1]
+            taken = m
+            views = [a[..., :m, :] for a in buffers]
+        z, cm, hm, tanh_c, ig, hu = views
+        # the method skips np.take's Python wrapper, ~1 us a step
+        proj.take(rows[:m], 0, z, "clip")
+        np.matmul(hm[prev], u.value, out=hu)
+        z += hu
+        _cell(z, cm[prev], cm[cur], tanh_c, hm[cur], ig, scale, offset)
+
+
+def _on_shards(pool, run, parts):
+    """run(*part) for every part, the first on the calling thread and the
+    others on `pool`; returns once every one has."""
+    rest = [pool.submit(run, *part) for part in parts[1:]]
+    run(*parts[0])
+    for f in rest:
+        f.result()
+
+
+def lstm_infer(indices, table, w, u, b):
+    """Inference LSTM over an embedding lookup: the h_T of
+    `lstm_forward(embedding_forward(indices, table), w, u, b)`, bit for
+    bit, without the (B, T, d) lookup, the history or a cache.
+
+    indices: (B, T) ints in [0, V), else IndexOutOfVocab; table: (V, d).
+    Each run of steps (`_runs`) first projects its distinct tokens once,
+    P = table[distinct] W + b; each of its steps then takes its gates
+    with one `np.take` of P. P holds at most PROJECT_BYTES (or one step's
+    distinct tokens, when they take more), and is padded with index 0 to
+    at least the rows that keep its product on the kernel of the
+    training GEMM over all B*T positions (`_least_rows`).
+
+    When some row starts with PAD (index 0), the rows are sorted stably
+    by their count of leading PAD steps: rows in their PAD prefix see the
+    same inputs from the same zero state, so they share one trajectory,
+    which each step's product runs once (see `_lstm_rows` and
+    `_windows`); h_T is unsorted at the end.
+
+    A batch large enough (see `_shards`) is dealt round-robin, after the
+    sort, to row shards, so that each gets the same mix of PAD prefixes,
+    each with its own buffers, made here, that together take what one
+    shard's would. The call then holds `blas.single_thread` throughout,
+    P's products included, which the shards split: OpenBLAS's idle
+    workers spin for a while after a threaded product, on the cores the
+    shards run on (at paper shapes, B = 256 on 2 threads, a call with 4
+    runs took 530 ms with threaded products of P and 340 ms without). In
+    each run the calling thread runs the first shard's share and threads
+    of the call's own executor the others, which it joins before it goes
+    on. A shard's products stay on the whole batch's GEMM kernels and
+    sum their inner dimension in one block (SHARD_MAX_K), so on a kernel
+    whose rows round alike wherever the rows are cut, as SkylakeX's do,
+    the bits do not depend on the shard count.
+    """
+    vocab, d = table.value.shape
+    indices = _checked(indices, vocab)
+    batch, steps = indices.shape
+    hidden = u.value.shape[0]
+    dtype = np.result_type(table.value, w.value, u.value, b.value)
+    most = PROJECT_BYTES // (4 * hidden * dtype.itemsize)
+    least = _least_rows(batch * steps, d * 4 * hidden)
+    scale, offset, _ = _gate_constants(hidden, dtype)
+    shards = _shards(batch, d, hidden)
+    # shard k takes rows k, k + shards, ... of the rows sorted by their
+    # count of leading PAD steps, so that each gets the same mix of them
+    sizes = [len(range(k, batch, shards)) for k in range(shards)]
+    cuts = [sum(sizes[:k]) for k in range(shards + 1)]
+    windows = [[size] * steps for size in sizes]
+    order = None
+    if batch > 1 and not indices[:, 0].all():  # a row starts with PAD
+        real = indices != 0
+        lead = np.where(real.any(axis=1), real.argmax(axis=1), steps)
+        order = np.argsort(lead, kind="stable")[
+            np.concatenate([np.arange(k, batch, shards)
+                            for k in range(shards)])]
+        indices, lead = indices[order], lead[order]
+        windows = [_windows(lead[lo:hi], steps, hidden)
+                   for lo, hi in zip(cuts, cuts[1:])]
+    buffers = [_lstm_buffers(hi - lo, hidden, dtype)
+               for lo, hi in zip(cuts, cuts[1:])]
+    idx = np.ascontiguousarray(indices.T)
+    where = np.empty(vocab, np.intp)
+    pool = None
+    with contextlib.ExitStack() as sharded:
+        if shards > 1:
+            # imported here: no unsharded call pays its 7 ms (with `logging`)
+            from concurrent.futures import ThreadPoolExecutor
+            sharded.enter_context(blas.single_thread())
+            # leaving joins every shard, also when the first raises
+            pool = sharded.enter_context(ThreadPoolExecutor(shards - 1))
+        for start, stop, distinct in _runs(idx, vocab, most):
+            # each shard projects a block of P of at least `least` rows
+            rows = max(distinct.size, shards * least)
+            pick = np.zeros(rows, np.intp)
+            pick[:distinct.size] = distinct
+            proj = np.empty((rows, 4 * hidden), dtype)
+            blocks = [rows * k // shards for k in range(shards + 1)]
+            _on_shards(pool, _project, [
+                (table, w, b, pick[lo:hi], proj[lo:hi])
+                for lo, hi in zip(blocks, blocks[1:])])
+            where[distinct] = np.arange(distinct.size)
+            at = where[idx[start:stop]]
+            _on_shards(pool, _lstm_rows, [
+                (at[:, lo:hi], start, window, buf, proj, u, scale, offset)
+                for lo, hi, window, buf
+                in zip(cuts, cuts[1:], windows, buffers)])
+            del proj, at  # before the next run makes its own
+    for window, buf in zip(windows, buffers):
+        h_last, taken = buf[2][steps % 2], window[-1]
+        if taken < len(h_last):  # rows that never started
+            h_last[taken:] = h_last[taken - 1]
+    h_t = np.concatenate([buf[2][steps % 2] for buf in buffers])
+    if order is None:
+        return h_t
+    unsorted = np.empty_like(h_t)
+    unsorted[order] = h_t
+    return unsorted
 
 
 # Rows of dz per grad-x product. OpenBLAS packs a taller left operand into

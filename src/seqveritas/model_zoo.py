@@ -69,7 +69,8 @@ from . import textprep
 from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
                      batchnorm_forward, dense_backward, dense_forward,
                      dropout_backward, dropout_forward, embedding_backward,
-                     embedding_forward, lstm_backward, lstm_forward, pack)
+                     embedding_forward, lstm_backward, lstm_forward,
+                     lstm_infer, pack)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
@@ -227,11 +228,9 @@ class Lstm:
     def forward(self, x, rng):
         # a stack of inputs, (P, B, T, d), goes to the kernel as one batch
         # of P * B rows, so that the kernel, and a tracer's wrapper of it,
-        # always sees a (B, T, d) x; keyword, so that wrappers that unpack
-        # (x, w, u, b) still see four
+        # always sees a (B, T, d) x
         x = np.asarray(x)
-        h_t, cache = lstm_forward(x.reshape(-1, *x.shape[-2:]), *self.params,
-                                  history=rng is not None)
+        h_t, cache = lstm_forward(x.reshape(-1, *x.shape[-2:]), *self.params)
         # h_t is (*param stack, rows, H): the rows unfold to x's batch axes
         return h_t.reshape(*h_t.shape[:-2], *x.shape[:-2], -1), cache
 
@@ -372,9 +371,16 @@ class Model:
         the sigmoid of the output Dense's logit. Given an rng, the pass
         trains: dropout draws its masks from it, batch norm uses and updates
         the batch statistics, and the LSTM keeps its history for backward.
-        Without one it is inference."""
-        x, caches = indices, []
-        for layer in self.layers:
+        Without one it is inference, and the first three layers run as one
+        kernel, `lstm_infer`, on the embedding table and the indices: the
+        dropout between them is then the identity, and the (B, T, d)
+        lookup is never built."""
+        x, caches, layers = indices, [], self.layers
+        if rng is None:
+            embedding, _, lstm = layers[:3]
+            x = lstm_infer(indices, *embedding.params, *lstm.params)
+            caches, layers = [None] * 3, layers[3:]
+        for layer in layers:
             x, cache = layer.forward(x, rng)
             caches.append(cache)
         return sigmoid(x[:, 0]), caches

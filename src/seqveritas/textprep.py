@@ -102,20 +102,26 @@ def preprocess(title, body):
 
 class Vocabulary:
     """Token-to-index map. Index 0 is PAD, index 1 is OOV; real tokens
-    occupy contiguous indices starting at 2. A token that is not a str,
-    or a max_size < 2 or min_freq < 1 or not an int, raises TypeError."""
+    occupy contiguous indices starting at 2. A token that is not a str or
+    that repeats, or a max_size < 2 or min_freq < 1 or not an int, raises
+    TypeError."""
 
     def __init__(self, tokens_in_order, max_size=DEFAULT_MAX_VOCAB,
                  min_freq=DEFAULT_MIN_FREQ):
         self._tokens = list(tokens_in_order)
-        if not (set(map(type, self._tokens)) <= {str}
+        n = len(self._tokens)
+        # empty unless every token is a str (a list is not hashable), and
+        # shorter than the tokens when one repeats
+        self._index = (dict(zip(self._tokens, range(2, n + 2)))
+                       if set(map(type, self._tokens)) <= {str} else {})
+        if not (len(self._index) == n
                 and type(max_size) is int and type(min_freq) is int
                 and max_size >= 2 and min_freq >= 1):
-            raise TypeError("a vocabulary is an object with a list of str "
-                            "tokens, int max_size >= 2 and min_freq >= 1")
+            raise TypeError("a vocabulary is an object with a list of "
+                            "distinct str tokens, int max_size >= 2 and "
+                            "min_freq >= 1")
         self.max_size = max_size
         self.min_freq = min_freq
-        self._index = {tok: i + 2 for i, tok in enumerate(self._tokens)}
 
     def __len__(self):
         return len(self._index) + 2  # PAD and OOV

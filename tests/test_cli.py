@@ -1059,10 +1059,12 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("entry,value", [("tokens", [7, 8]),
-                                         ("max_size", "big")])
+                                         ("max_size", "big"),
+                                         ("tokens", ["cat", "cat"])])
 def test_checkpoint_vocab_of_wrong_type_exits_2(capsys, tmp_path, command,
                                                 entry, value):
     # before: the checkpoint loaded, and predict scored every token as OOV
+    # (a repeated token: predict raised IndexOutOfVocab on it)
     vocab = textprep.Vocabulary(["cat", "dog"])
     ckpt = str(tmp_path / "model.svchk")
     model_zoo.build("baseline", vocab, maxlen=10, embed_dim=8,

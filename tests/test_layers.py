@@ -11,7 +11,7 @@ from seqveritas.layers import (SCATTER_2D_ELEMENTS, BadRate, BatchNormRunning,
                                dense_forward, dropout_backward,
                                dropout_forward, embedding_backward,
                                embedding_forward, lstm_backward,
-                               lstm_forward)
+                               lstm_forward, lstm_infer)
 from seqveritas.model_zoo import Lstm, ReLU
 from seqveritas.numerics import (BLOCK, Prng, ShapeMismatch,
                                  finite_diff_grad, sigmoid)
@@ -116,10 +116,13 @@ def test_embedding_row_identity():
 
 def test_embedding_out_of_vocab():
     emb = _pt("E", np.zeros((4, 2)))
-    with pytest.raises(IndexOutOfVocab):
-        embedding_forward(np.array([[4]]), emb)
-    with pytest.raises(IndexOutOfVocab):
-        embedding_forward(np.array([[-1]]), emb)
+    w, u, b = _lstm_params(2, 3, zero=True)
+    for bad in (4, -1):
+        with pytest.raises(IndexOutOfVocab):
+            embedding_forward(np.array([[bad]]), emb)
+        # the inference LSTM, which takes the table and indices in its place
+        with pytest.raises(IndexOutOfVocab, match=r"outside \[0, 4\)"):
+            lstm_infer(np.array([[1, bad]]), emb, w, u, b)
 
 
 def _scatter_case(vocab, batch, steps, width, dtype, seed=0):
@@ -347,44 +350,61 @@ def test_lstm_grad_x_shape_and_dtype(dtype, batch, steps):
     assert np.all(np.isfinite(grad_x)) and np.any(grad_x != 0.0)
 
 
+def _lookup_case(batch, steps, vocab, d, hid, dtype=np.float64, seed=12):
+    """(indices, table, (W, U, b)): rows cycle through no PAD prefix, a
+    few PAD steps, all but one step PAD and all PAD; the PAD row of the
+    table is not zero, which no output bit relies on."""
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(1, vocab, (batch, steps))
+    for row, pad in enumerate(np.resize([0, 3, steps - 1, steps], batch)):
+        indices[row, :pad] = 0
+    table = ParamTensor("E", rng.uniform(-1, 1, (vocab, d)).astype(dtype))
+    params = [ParamTensor(n, rng.uniform(-0.5, 0.5, shape).astype(dtype))
+              for n, shape in (("W", (d, 4 * hid)), ("U", (hid, 4 * hid)),
+                               ("b", (4 * hid,)))]
+    return indices, table, params
+
+
 def test_lstm_without_history_gives_the_same_bits():
-    rng = Prng(12)
-    w, u, b = _lstm_params(5, 6, rng)
-    x = rng.uniform(-1, 1, (3, 9, 5))
-    h_train, cache = lstm_forward(x, w, u, b, history=True)
-    h_eval, none = lstm_forward(x, w, u, b, history=False)
-    assert none is None
+    indices, table, (w, u, b) = _lookup_case(3, 9, 20, 5, 6)
+    h_train, cache = lstm_forward(embedding_forward(indices, table), w, u, b)
+    h_eval = lstm_infer(indices, table, w, u, b)
     assert h_eval.tobytes() == h_train.tobytes()
     assert cache.h[9].tobytes() == h_train.tobytes()
 
 
-# Each run's GEMM does more than 1e6 multiply-adds, as the runs of
-# PROJECT_BYTES do (see its comment): (300, 37) goes in runs of 12 or 13
-# steps in float32 and of 5 or 6 in float64, (5000, 3) one step a run.
+# A vocabulary as large as the positions, so the distinct tokens outgrow
+# PROJECT_BYTES: (300, 37) goes in runs of several steps, (5000, 3) in
+# runs of one step that each hold more. Both OpenBLAS kernels: 11,100 and
+# 15,000 positions of d = 64 project on the large one; 300 rows of H = 16
+# recur on the small one and 5,000 on the large one.
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("batch,steps", [(300, 37), (5000, 3)])
 def test_lstm_projects_in_runs_without_history_to_the_same_bits(
         monkeypatch, dtype, batch, steps):
     monkeypatch.setattr(layers, "PROJECT_BYTES", 1 << 20)
-    x, params, _ = _oracle_case(batch, steps, 64, 16)
-    x = x.astype(dtype)
-    params = [ParamTensor(p.name, p.value.astype(dtype)) for p in params]
-    step_bytes = batch * 4 * 16 * np.dtype(dtype).itemsize
-    per_run = max(1, layers.PROJECT_BYTES // step_bytes)
-    assert per_run < steps and (per_run == 1 or steps % per_run != 0)
-    h_train, _ = lstm_forward(x, *params, history=True)
-    h_eval, _ = lstm_forward(x, *params, history=False)
+    indices, table, params = _lookup_case(batch, steps, batch * steps + 1,
+                                          64, 16, dtype)
+    most = layers.PROJECT_BYTES // (4 * 16 * np.dtype(dtype).itemsize)
+    runs = list(layers._runs(indices.T, batch * steps + 1, most))
+    assert 1 < len(runs) <= steps
+    h_train, _ = lstm_forward(embedding_forward(indices, table), *params)
+    h_eval = lstm_infer(indices, table, *params)
     assert h_eval.dtype == dtype
     assert h_eval.tobytes() == h_train.tobytes()
 
 
 def test_lstm_without_history_never_holds_every_steps_gates(monkeypatch):
+    # every position a distinct token: P is bounded by PROJECT_BYTES, not
+    # by the batch's distinct tokens
     monkeypatch.setattr(layers, "PROJECT_BYTES", 1 << 20)
     batch, steps, d, hid = 300, 37, 64, 16
-    x, params, _ = _oracle_case(batch, steps, d, hid)
+    _, table, params = _lookup_case(batch, steps, batch * steps + 1, d, hid)
+    indices = 1 + np.random.default_rng(4).permutation(
+        batch * steps).reshape(batch, steps)
     tracemalloc.start()
     try:
-        lstm_forward(x, *params, history=False)
+        lstm_infer(indices, table, *params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

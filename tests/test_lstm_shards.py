@@ -8,35 +8,43 @@ SHARD_MULADDS multiply-adds per step.
 """
 
 import concurrent.futures
+import importlib.util
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqveritas import blas, layers, model_zoo, textprep
-from seqveritas.layers import ParamTensor, lstm_forward
-from seqveritas.numerics import Prng
+from seqveritas.layers import (ParamTensor, embedding_forward, lstm_forward,
+                               lstm_infer)
 from seqveritas.optim import PREDICT_BATCH, predict_in_batches
 from tests.conftest import wait_for_child
 
-BATCH, STEPS, D, HIDDEN = 512, 3, 8, 64
+BATCH, STEPS, D, HIDDEN, VOCAB = 512, 3, 8, 64, 40
 # the BLAS thread count itself: the `threads` fixture replaces only what
 # `layers` reads
 REAL_THREADS = blas.threads
+SRC = str(Path(layers.__file__).parents[1])
 
 
 def _case(dtype, batch=BATCH, steps=STEPS, d=D, hidden=HIDDEN):
-    rng = Prng(21)
-    x = rng.uniform(-1, 1, (batch, steps, d)).astype(dtype)
+    """(indices, [table, W, U, b]): rows with 0 to `steps` leading PAD
+    steps, in turn."""
+    rng = np.random.default_rng(21)
+    indices = rng.integers(1, VOCAB, (batch, steps))
+    for row in range(batch):
+        indices[row, :row % (steps + 1)] = 0
     params = [ParamTensor(name, rng.uniform(-0.5, 0.5, shape).astype(dtype))
-              for name, shape in (("W", (d, 4 * hidden)),
+              for name, shape in (("E", (VOCAB, d)),
+                                  ("W", (d, 4 * hidden)),
                                   ("U", (hidden, 4 * hidden)),
                                   ("b", (4 * hidden,)))]
-    return x, params
+    return indices, params
 
 
 @pytest.fixture
@@ -53,9 +61,9 @@ def rows_seen(monkeypatch):
     seen = []
     run = layers._lstm_rows
 
-    def counted(x, *args):
-        seen.append(len(x))
-        return run(x, *args)
+    def counted(at, *args):
+        seen.append(at.shape[1])
+        return run(at, *args)
 
     monkeypatch.setattr(layers, "_lstm_rows", counted)
     return seen
@@ -63,32 +71,17 @@ def rows_seen(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_two_shards_give_the_bits_of_one(threads, rows_seen, dtype):
-    x, params = _case(dtype)
+    indices, params = _case(dtype)
     threads(1)
-    one, _ = lstm_forward(x, *params, history=False)
+    one = lstm_infer(indices, *params)
     threads(2)
-    two, cache = lstm_forward(x, *params, history=False)
-    assert cache is None
+    two = lstm_infer(indices, *params)
     assert rows_seen == [BATCH, BATCH // 2, BATCH // 2]
     assert two.dtype == dtype and two.shape == (BATCH, HIDDEN)
     assert two.tobytes() == one.tobytes()
-    with_history, _ = lstm_forward(x, *params, history=True)
-    assert with_history.tobytes() == one.tobytes()
-
-
-def test_a_stack_of_u_values_shards_to_the_bits_of_each_value(threads,
-                                                             rows_seen):
-    x, (w, u, b) = _case(np.float64)
-    stack = ParamTensor("U", np.stack([u.value, u.value[::-1]]))
-    threads(1)
-    want = [lstm_forward(x, w, ParamTensor("U", v), b, history=False)[0]
-            for v in stack.value]
-    threads(2)
-    del rows_seen[:]
-    got, _ = lstm_forward(x, w, stack, b, history=False)
-    assert rows_seen == [BATCH // 2, BATCH // 2]
-    assert got.shape == (2, BATCH, HIDDEN)
-    assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
+    trained, _ = lstm_forward(embedding_forward(indices, params[0]),
+                              *params[1:])
+    assert trained.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -120,10 +113,10 @@ def test_a_sharded_call_runs_blas_on_one_thread_and_restores_it(
         counts.append(REAL_THREADS())
         return run(*args)
 
-    x, params = _case(np.float64)
+    indices, params = _case(np.float64)
     threads(2)
     monkeypatch.setattr(layers, "_lstm_rows", counting)
-    lstm_forward(x, *params, history=False)
+    lstm_infer(indices, *params)
     assert counts == [1, 1]
     assert REAL_THREADS() == before
 
@@ -154,11 +147,11 @@ def test_a_shard_that_raises_restores_blas_and_the_lock(monkeypatch, threads,
             raise FloatingPointError(where)
         return run(*args)
 
-    x, params = _case(np.float64)
+    indices, params = _case(np.float64)
     threads(2)
     monkeypatch.setattr(layers, "_lstm_rows", failing)
     with pytest.raises(FloatingPointError, match=where):
-        lstm_forward(x, *params, history=False)
+        lstm_infer(indices, *params)
     assert REAL_THREADS() == before
     assert set(threading.enumerate()) == alive
     assert _enters_single_thread_elsewhere()
@@ -173,11 +166,11 @@ def test_a_sharded_call_leaves_no_thread_behind(monkeypatch, threads):
         ran_on.append(threading.current_thread())
         return run(*args)
 
-    x, params = _case(np.float64)
+    indices, params = _case(np.float64)
     threads(2)
     monkeypatch.setattr(layers, "_lstm_rows", recorded)
     for _ in range(3):
-        lstm_forward(x, *params, history=False)
+        lstm_infer(indices, *params)
     shard_threads = set(ran_on) - {threading.current_thread()}
     assert len(ran_on) == 6 and shard_threads
     assert not any(t.is_alive() for t in shard_threads)
@@ -192,14 +185,16 @@ def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
     alive = set(threading.enumerate())
     threads(2)
     # half the batch: two shards would each fall below SHARD_MULADDS
-    x, params = _case(np.float64, batch=BATCH // 2)
-    lstm_forward(x, *params, history=False)
-    # training keeps its history in one shard at any batch
-    x, params = _case(np.float64)
-    lstm_forward(x, *params, history=True)
-    # d above SHARD_MAX_K: one-thread products would sum K in other blocks
-    x, params = _case(np.float64, d=layers.SHARD_MAX_K + 1)
-    lstm_forward(x, *params, history=False)
+    indices, params = _case(np.float64, batch=BATCH // 2)
+    lstm_infer(indices, *params)
+    # training runs the whole batch in one pass at any batch
+    lstm_forward(embedding_forward(indices, params[0]), *params[1:])
+    # d or H above SHARD_MAX_K: one-thread products would sum K in other
+    # blocks
+    for wide in ({"d": layers.SHARD_MAX_K + 1},
+                 {"hidden": layers.SHARD_MAX_K + 1}):
+        indices, params = _case(np.float64, **wide)
+        lstm_infer(indices, *params)
     assert rows_seen == [BATCH // 2, BATCH, BATCH]
     assert set(threading.enumerate()) == alive
 
@@ -225,8 +220,7 @@ print(threading.active_count(), "concurrent.futures" in sys.modules)
 def test_unsharded_calls_start_no_thread_and_import_no_executor():
     # `concurrent.futures` costs 7 ms of import, with `logging`, that a
     # cold `predict` does not pay
-    src = str(Path(layers.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", UNSHARDED_CALLS],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
@@ -234,18 +228,10 @@ def test_unsharded_calls_start_no_thread_and_import_no_executor():
     assert proc.stdout.split() == ["1", "False"]
 
 
-def test_a_shard_input_gemm_stays_above_the_small_kernel(threads):
-    threads(2)
-    # each shard's recurrent product clears SHARD_MULADDS, but one step of
-    # 256 rows x d = 2 x 256 is below 1e6 multiply-adds of input GEMM
-    assert layers._shards(BATCH, 1, 1, 2, HIDDEN) == 1
-    assert layers._shards(BATCH, STEPS, 1, D, HIDDEN) == 2
-
-
 def test_concurrent_callers_each_get_the_one_shard_bits(threads):
-    x, params = _case(np.float64)
+    indices, params = _case(np.float64)
     threads(1)
-    want, _ = lstm_forward(x, *params, history=False)
+    want = lstm_infer(indices, *params)
     threads(2)
     before = REAL_THREADS()
     results, errors = [], []
@@ -253,7 +239,7 @@ def test_concurrent_callers_each_get_the_one_shard_bits(threads):
     def call():
         try:
             for _ in range(3):
-                results.append(lstm_forward(x, *params, history=False)[0])
+                results.append(lstm_infer(indices, *params))
         except Exception as e:  # reported below, with the thread's result
             errors.append(e)
 
@@ -276,14 +262,111 @@ def test_concurrent_callers_each_get_the_one_shard_bits(threads):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
-    x, params = _case(np.float64)
+    indices, params = _case(np.float64)
     threads(2)
-    want, _ = lstm_forward(x, *params, history=False)
+    want = lstm_infer(indices, *params)
     pid = os.fork()
     if pid == 0:
         try:
-            got, _ = lstm_forward(x, *params, history=False)
+            got = lstm_infer(indices, *params)
             os._exit(0 if got.tobytes() == want.tobytes() else 1)
         finally:
             os._exit(2)
     assert wait_for_child(pid, "sharded call") == 0
+
+
+# Inference against the training forward over the same lookup, at the
+# process's real BLAS thread count. (B, T, d, H, leading PAD steps of the
+# rows in turn):
+# - B = 1: every recurrent product an M = 1 GEMV
+# - B = 5 and 13 at H = 150: recurrent products just below and just above
+#   SMALL_GEMM_MULADDS (12 rows), one shard; with every row in its PAD
+#   prefix at first, the shared rows run alone
+# - B = 100 at H = 150: two shards of at least 47 rows at 2 threads, and
+#   one with d = 300 > SHARD_MAX_K
+# - gradcheck's miniature shapes, and its eval batch, once with no PAD
+# Each case runs at PROJECT_BYTES, which projects it in one run, and at
+# 1 KB, which cuts a run at every step (or every few, at H = 8).
+INFERENCE_BITS = """
+import numpy as np
+from seqveritas import blas, layers
+from seqveritas.layers import (ParamTensor, embedding_forward, lstm_forward,
+                               lstm_infer)
+cases = [(1, 40, 100, 150, [25]), (1, 40, 100, 150, [40]),
+         (5, 30, 100, 150, [0, 3, 29, 30]), (5, 30, 100, 150, [3, 5, 29, 30]),
+         (13, 30, 100, 150, [0, 3, 29, 30]),
+         (13, 30, 100, 150, [3, 5, 29, 30]),
+         (100, 20, 100, 150, [0, 3, 19, 20]),
+         (100, 12, 300, 150, [0, 3, 11, 12]), (4, 6, 8, 8, [1, 3, 5, 6]),
+         (256, 6, 8, 8, [0, 3, 5, 6]), (256, 6, 8, 8, [0])]
+wrong, sharded = [], 0
+for dtype, budget in [(t, b) for t in (np.float64, np.float32)
+                      for b in (layers.PROJECT_BYTES, 1 << 10)]:
+    layers.PROJECT_BYTES = budget
+    for batch, steps, d, hidden, pads in cases:
+        rng = np.random.default_rng(batch + steps + d)
+        indices = rng.integers(1, 500, (batch, steps))
+        for row, n in enumerate(np.resize(pads, batch)):
+            indices[row, :n] = 0
+        params = [ParamTensor(k, rng.uniform(-0.5, 0.5, s).astype(dtype))
+                  for k, s in (("E", (500, d)), ("W", (d, 4 * hidden)),
+                               ("U", (hidden, 4 * hidden)),
+                               ("b", (4 * hidden,)))]
+        want, _ = lstm_forward(embedding_forward(indices, params[0]),
+                               *params[1:])
+        got = lstm_infer(indices, *params)
+        sharded += layers._shards(batch, d, hidden) > 1
+        if got.dtype != dtype or got.tobytes() != want.tobytes():
+            wrong.append((np.dtype(dtype).name, budget, batch, steps, d,
+                          hidden, pads))
+print(blas.threads(), sharded, wrong)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_inference_gives_the_training_bits(blas_threads):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", INFERENCE_BITS], capture_output=True,
+        text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path,
+                 OPENBLAS_NUM_THREADS=blas_threads))
+    assert proc.returncode == 0, proc.stderr
+    threads, sharded, wrong = proc.stdout.rsplit(maxsplit=2)
+    assert wrong == "[]", proc.stdout
+    if threads == "2":  # a build without OpenBLAS has one thread only
+        assert sharded == "4"
+
+
+def _bench_eval_batch():
+    """The `paper` workload's eval batch: Synth(1)'s 256 sequences of
+    T = 200 over V = 20,000, as perfbench/synth.py makes them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_synth", Path(SRC).parent / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.Synth(1).sequences(256, 20_000, 200)[0]
+
+
+def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):
+    indices = _bench_eval_batch()
+    batch, steps = indices.shape
+    vocab, d, hidden = 20_000, 100, 150
+    rng = np.random.default_rng(3)
+    params = [ParamTensor(name, rng.uniform(-0.1, 0.1, shape))
+              for name, shape in (("E", (vocab, d)), ("W", (d, 4 * hidden)),
+                                  ("U", (hidden, 4 * hidden)),
+                                  ("b", (4 * hidden,)))]
+    threads(2)
+    tracemalloc.start()
+    try:
+        lstm_infer(indices, *params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what inference held before it took the table: the (B, T, d) lookup,
+    # and two shards' buffers: 13 steps of gates (4H) and of time-major x
+    # (d), c and h in two slots, tanh(c), i * g and h U, for 128 rows each
+    lookup = batch * steps * d * 8
+    shards = batch * (13 * (4 * hidden + d) + 6 * hidden + 4 * hidden) * 8
+    assert peak < lookup + shards

@@ -660,9 +660,14 @@ def scratch_checkpoint(tmp_path_factory):
 def test_whatever_build_accepts_loads_back_the_same(
         scratch_checkpoint, preset, dtype, maxlen, embed_dim, lstm_units,
         seed, tokens):
-    # any str tokens, as test_checkpoint_round_trips_any_token has; the
-    # same config, tokens and tensor bytes come back. Every vocabulary has
-    # PAD and OOV, so vocab_size >= 2 holds; the other sizes must be >= 1.
+    # any distinct str tokens, as test_checkpoint_round_trips_any_token
+    # has; the same config, tokens and tensor bytes come back. Every
+    # vocabulary has PAD and OOV, so vocab_size >= 2 holds; the other sizes
+    # must be >= 1. A repeated token is refused before any model is built.
+    if len(set(tokens)) < len(tokens):
+        with pytest.raises(TypeError, match="distinct str tokens"):
+            textprep.Vocabulary(tokens)
+        return
     sizes = (maxlen, embed_dim, lstm_units, seed)
     valid = (preset in PRESETS and dtype in model_zoo.DTYPES
              and all(type(v) is int for v in sizes)

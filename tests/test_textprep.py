@@ -4,6 +4,7 @@ import re
 import struct
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from seqveritas.textprep import (OOV_INDEX, PAD_INDEX, Vocabulary,
                                  build_vocab, clean, encode, load_stopwords,
                                  read_cache, remove_stopwords, tokenize,
                                  write_cache)
+
+# An unclosed file fails its test here, so that every read and write of
+# this module stays closed. A file closed by the garbage collector warns
+# from a finalizer, which pytest reports as an unraisable exception.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 # Pins the exact shipped stop-list; changing the file must fail this test.
 STOPWORDS_SHA256 = "4fa1320294617a8c085f900e8b706a791fa9c2d461c273f419273aa5992a6a0a"
@@ -166,6 +175,19 @@ def test_vocabulary_refuses_sizes_out_of_range(tmp_path, sizes):
         textprep.load_vocab(path)
 
 
+def test_vocabulary_refuses_a_repeated_token(tmp_path):
+    # before: `len` 4 but "cat" at index 4, so a model built on it could
+    # not score "cat"
+    message = "a list of distinct str tokens"
+    with pytest.raises(TypeError, match=message):
+        Vocabulary(["cat", "dog", "cat"])
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"tokens": ["cat", "dog", "cat"],
+                                "max_size": 10, "min_freq": 1}))
+    with pytest.raises(ValueError, match="not a vocabulary file.*" + message):
+        textprep.load_vocab(str(path))
+
+
 def test_encode_prepad():
     v = Vocabulary(["cat"])
     assert encode(["cat"], v, 3) == [PAD_INDEX, PAD_INDEX, 2]
@@ -284,7 +306,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_header_layout(tmp_path):
     path = str(tmp_path / "c.svec")
     write_cache(path, [[7, 8]], [1], vocab_size=9, maxlen=2)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:5] == b"SVEC1"
     assert int.from_bytes(blob[5:9], "little") == 2   # maxlen
     assert int.from_bytes(blob[9:13], "little") == 9  # vocab size
@@ -299,7 +321,7 @@ def test_cache_records_packed(tmp_path):
     write_cache(path, seqs, labels, vocab_size=2**32 - 1, maxlen=3)
     expected = b"".join(struct.pack("<3I", *row) + struct.pack("B", label)
                         for row, label in zip(seqs, labels))
-    assert open(path, "rb").read()[17:] == expected
+    assert Path(path).read_bytes()[17:] == expected
     x, y, _ = read_cache(path)
     assert x.tolist() == seqs and y.tolist() == labels
 
@@ -307,8 +329,8 @@ def test_cache_records_packed(tmp_path):
 def test_cache_truncation_detected(tmp_path):
     path = str(tmp_path / "c.svec")
     write_cache(path, [[7, 8]], [1], vocab_size=9, maxlen=2)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-1])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-1])
     with pytest.raises(textprep.CacheFormatError):
         read_cache(path)
 
@@ -326,9 +348,9 @@ def test_cache_write_refuses_labels_other_than_0_and_1(tmp_path, labels):
 def test_cache_label_byte_other_than_0_and_1_detected(tmp_path, byte):
     path = str(tmp_path / "c.svec")
     write_cache(path, [[7, 8], [2, 3]], [1, 0], vocab_size=9, maxlen=2)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[-1] = byte  # the second record's label
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(textprep.CacheFormatError, match="label"):
         read_cache(path)
 
@@ -434,7 +456,7 @@ def test_empty_cache_reads(tmp_path):
 def test_cache_short_header_detected(tmp_path, size):
     # the magic, then fewer than the 12 bytes of maxlen, V and N
     path = str(tmp_path / "c.svec")
-    open(path, "wb").write((b"SVEC1" + b"abc" * 4)[:size])
+    Path(path).write_bytes((b"SVEC1" + b"abc" * 4)[:size])
     with pytest.raises(textprep.CacheFormatError):
         read_cache(path)
 
