@@ -229,8 +229,7 @@ def cmd_gradcheck(args):
 
 
 def _resolved(args):
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return cfg
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def build_parser():

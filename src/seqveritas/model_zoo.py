@@ -18,12 +18,13 @@ A model gets its tensors from one function, `tensor(name, shape, init)`:
 `build` answers with the seeded initialisation `init(rng)`, `load` with
 the tensor's slice of the checkpoint's data, so a load draws nothing.
 
-A checkpoint (format version 5) is a binary container, the layout of
+A checkpoint (format version 6) is a binary container, the layout of
 safetensors and of NumPy's `.npy`:
   - an 8-byte little-endian u64 header length n;
-  - n bytes of UTF-8 JSON: magic, version, config, vocabulary, and the
-    tensor table, each tensor's name, shape and byte offset in
-    `Model.tensors()` order (parameters, then batch-norm statistics);
+  - n bytes of UTF-8 JSON: magic, version, config, vocabulary (its
+    token list, `{"tokens": [...]}`), and the tensor table, each
+    tensor's name, shape and byte offset in `Model.tensors()` order
+    (parameters, then batch-norm statistics);
   - the data section, from the first multiple of 64 at or after 8 + n:
     each tensor's little-endian bytes, row-major, at its offset, the
     first multiple of 64 at or after the end of the tensor before
@@ -35,15 +36,17 @@ hands the model writable views of it: a tensor with an arena of its own
 (`layers.pack`) adopts its view, so a `paper`-sized model's embedding
 and LSTM U (and, in float64, W) are not copied; the others are copied
 out once.
-A config and a vocabulary check their fields when made, so `build`
-refuses what `load` would: an unknown preset or dtype, a seed or size
-that is not an int (bools and numpy integers included), a vocab_size
-below 2 (PAD and OOV), or an embed_dim, lstm_units or maxlen below 1
-raises `BadConfig`, both a TypeError and a ValueError; a token that is
-not a str, or a max_size < 2 or min_freq < 1 or not an int, TypeError.
-`load` also refuses versions 1-3 (one JSON document) and 4, a header
-that is not JSON or lacks the magic, and any tensor table but the one
-`save` writes for the model, entry for entry and JSON type for type.
+The vocabulary sets the embedding's row count, `len(vocab)`: no config
+field repeats it. A config and a vocabulary check their fields when
+made, so `build` refuses what `load` would: an unknown preset or dtype,
+a seed or size that is not an int (bools and numpy integers included),
+or an embed_dim, lstm_units or maxlen below 1 raises `BadConfig`, both
+a TypeError and a ValueError; a token that is not a str, or that
+repeats, TypeError. `load` also refuses versions 1-3 (one JSON
+document), 4 and 5, a header that is not JSON or lacks the magic, and
+any tensor table but the one `save` writes for the model, entry for
+entry and JSON type for type, so a token list edited to another length
+is refused by the embedding's entry.
 
 Presets: each is one of the paper's three models. Its architecture and
 learning rate are its row of `PRESETS`, the only place they live; a
@@ -75,7 +78,7 @@ from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 CHECKPOINT_ALIGN = 64  # bytes; a cache line, and a multiple of every itemsize
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -140,7 +143,6 @@ class ModelConfig:
     """What varies between models of one preset; `PRESETS[preset]` holds
     the rest. Made only with fields that pass `_CONFIG_TYPES`."""
     preset: str
-    vocab_size: int
     embed_dim: int
     lstm_units: int
     maxlen: int
@@ -153,8 +155,8 @@ class ModelConfig:
         if bad:
             raise BadConfig(f"config has bad {', '.join(bad)}; preset is "
                             f"one of {', '.join(PRESETS)}, dtype one of "
-                            f"{', '.join(DTYPES)}, seed an int, vocab_size "
-                            "an int >= 2, every other field an int >= 1")
+                            f"{', '.join(DTYPES)}, seed an int, every "
+                            "other field an int >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -173,19 +175,17 @@ def _is_int(v, low=-math.inf):
 # The test of type and range each ModelConfig field's value must pass.
 _CONFIG_TYPES = {
     "preset": lambda v: v in tuple(PRESETS),
-    "vocab_size": lambda v: _is_int(v, 2),  # PAD and OOV
     "embed_dim": lambda v: _is_int(v, 1), "seed": _is_int,
     "lstm_units": lambda v: _is_int(v, 1), "maxlen": lambda v: _is_int(v, 1),
     "dtype": lambda v: v in tuple(DTYPES),
 }
 
 
-def preset_config(preset, vocab_size, maxlen, embed_dim, lstm_units, seed,
-                  dtype):
+def preset_config(preset, maxlen, embed_dim, lstm_units, seed, dtype):
     """The ModelConfig of a preset name (pure function)."""
-    return ModelConfig(preset=preset, vocab_size=vocab_size,
-                       embed_dim=embed_dim, lstm_units=lstm_units,
-                       maxlen=maxlen, seed=seed, dtype=dtype)
+    return ModelConfig(preset=preset, embed_dim=embed_dim,
+                       lstm_units=lstm_units, maxlen=maxlen, seed=seed,
+                       dtype=dtype)
 
 
 # --- layers ------------------------------------------------------------------
@@ -316,7 +316,7 @@ class Model:
 
         norms = {}  # name -> BatchNorm; its running stats come last
         self.layers = [
-            Embedding(param("embedding", (cfg.vocab_size, d), embedding)),
+            Embedding(param("embedding", (len(self.vocab), d), embedding)),
             Dropout(pre.embed_dropout),
             Lstm(param("lstm.W", (d, 4 * h), glorot, pre.lstm_regularizers),
                  param("lstm.U", (h, 4 * h), glorot, pre.lstm_regularizers),
@@ -418,7 +418,7 @@ class Model:
             array[...] = saved
 
     def save(self, path):
-        """Write the version 5 container (see the module docstring): the
+        """Write the version 6 container (see the module docstring): the
         header once, then each tensor's bytes at its aligned offset."""
         wire = np.dtype(self.dtype).newbyteorder("<")
         named = self.tensors()
@@ -456,15 +456,14 @@ def build(preset, vocab, maxlen=textprep.DEFAULT_MAXLEN, seed=0,
     """Expand a preset and initialize a model against a built vocabulary."""
     if vocab is None:
         raise VocabMissing("build requires a vocabulary")
-    cfg = preset_config(preset, vocab_size=len(vocab), maxlen=maxlen,
-                        embed_dim=embed_dim, lstm_units=lstm_units,
-                        seed=seed, dtype=dtype)
+    cfg = preset_config(preset, maxlen=maxlen, embed_dim=embed_dim,
+                        lstm_units=lstm_units, seed=seed, dtype=dtype)
     rng = Prng(cfg.seed)
     return Model(cfg, vocab, lambda name, shape, init: init(shape, rng))
 
 
 def load(path):
-    """The model a version 5 checkpoint holds, read into one aligned
+    """The model a version 6 checkpoint holds, read into one aligned
     buffer (see the module docstring); refused unless its tensor table is
     exactly the one `save` writes for its config."""
     with open(path, "rb") as f:
@@ -507,9 +506,6 @@ def _restore(path, header, data):
     `save` writes for the model, and no byte may follow the last tensor."""
     config = ModelConfig.from_dict(header["config"])
     vocab = textprep.vocab_from_doc(header["vocab"])
-    if len(vocab) != config.vocab_size:
-        raise ShapeMismatchOnLoad(f"{path}: {len(vocab)} vocabulary entries, "
-                                  f"but config.vocab_size {config.vocab_size}")
     found = header["tensors"]
     for e in found:  # the keys and JSON types of a table entry
         if not (isinstance(e, dict) and type(e.get("name")) is str

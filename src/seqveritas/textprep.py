@@ -103,25 +103,18 @@ def preprocess(title, body):
 class Vocabulary:
     """Token-to-index map. Index 0 is PAD, index 1 is OOV; real tokens
     occupy contiguous indices starting at 2. A token that is not a str or
-    that repeats, or a max_size < 2 or min_freq < 1 or not an int, raises
-    TypeError."""
+    that repeats raises TypeError."""
 
-    def __init__(self, tokens_in_order, max_size=DEFAULT_MAX_VOCAB,
-                 min_freq=DEFAULT_MIN_FREQ):
+    def __init__(self, tokens_in_order):
         self._tokens = list(tokens_in_order)
         n = len(self._tokens)
         # empty unless every token is a str (a list is not hashable), and
         # shorter than the tokens when one repeats
         self._index = (dict(zip(self._tokens, range(2, n + 2)))
                        if set(map(type, self._tokens)) <= {str} else {})
-        if not (len(self._index) == n
-                and type(max_size) is int and type(min_freq) is int
-                and max_size >= 2 and min_freq >= 1):
+        if len(self._index) != n:
             raise TypeError("a vocabulary is an object with a list of "
-                            "distinct str tokens, int max_size >= 2 and "
-                            "min_freq >= 1")
-        self.max_size = max_size
-        self.min_freq = min_freq
+                            "distinct str tokens")
 
     def __len__(self):
         return len(self._index) + 2  # PAD and OOV
@@ -140,8 +133,12 @@ def build_vocab(corpus, max_size=DEFAULT_MAX_VOCAB, min_freq=DEFAULT_MIN_FREQ):
     (max_size - 2) with frequency >= min_freq.
 
     `corpus` must be the training split only; building from validation data
-    would leak vocabulary.
+    would leak vocabulary. A max_size below 2 (PAD and OOV), which the
+    slice below would count from the end, or a min_freq below 1 raises
+    ValueError, as the `prepare` flags refuse them.
     """
+    if not (max_size >= 2 and min_freq >= 1):
+        raise ValueError("build_vocab needs max_size >= 2 and min_freq >= 1")
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
@@ -149,8 +146,7 @@ def build_vocab(corpus, max_size=DEFAULT_MAX_VOCAB, min_freq=DEFAULT_MIN_FREQ):
     # (-freq, token), with no Python call per key.
     kept = sorted([tok for tok, freq in counts.items() if freq >= min_freq])
     kept.sort(key=counts.__getitem__, reverse=True)
-    return Vocabulary(kept[:max_size - 2], max_size=max_size,
-                      min_freq=min_freq)
+    return Vocabulary(kept[:max_size - 2])
 
 
 def encode(tokens, vocab, maxlen):
@@ -185,12 +181,15 @@ def _records(buffer, n, maxlen, offset=0):
 
 
 def write_cache(path, sequences, labels, vocab_size, maxlen):
-    """A cache `read_cache` reads back; before `path` is opened, refuses
-    indices not of an integer type or not all in [0, vocab_size), a label
-    other than 0 or 1, and a maxlen, V or N that a u32 cannot hold."""
+    """A cache `read_cache` reads back; before `path` is opened, raises
+    ValueError for a maxlen, V or N that a u32 cannot hold, indices not of
+    an integer type or not all in [0, vocab_size), and a label other than
+    0 or 1."""
     sequences = np.asarray(sequences)
     labels = np.asarray(labels)
     n = sequences.shape[0]
+    if not all(0 <= v < CACHE_FIELD_LIMIT for v in (maxlen, vocab_size, n)):
+        raise ValueError(f"{path}: a maxlen, V or N outside [0, 2^32)")
     if sequences.shape != (n, maxlen) or labels.shape != (n,):
         raise ValueError("sequences/labels shape mismatch")
     if not ((labels == 0) | (labels == 1)).all():
@@ -231,26 +230,24 @@ def read_cache(path):
 # --- vocabulary document: a checkpoint's "vocab", and the file beside a cache
 
 def vocab_to_doc(vocab):
-    return {"tokens": vocab.tokens, "max_size": vocab.max_size,
-            "min_freq": vocab.min_freq}
+    return {"tokens": vocab.tokens}
 
 
 def vocab_from_doc(doc):
     """The vocabulary `vocab_to_doc` gave; anything but an object with a
-    list of str `tokens` and int `max_size` and `min_freq` raises
-    TypeError."""
+    list of distinct str `tokens` raises TypeError. Other keys are
+    ignored, such as the `max_size` and `min_freq` of files written
+    before the document held only the tokens."""
     if not (isinstance(doc, dict) and isinstance(doc.get("tokens"), list)):
         raise TypeError("a vocabulary is an object with a list of tokens")
-    return Vocabulary(doc["tokens"], max_size=doc.get("max_size"),
-                      min_freq=doc.get("min_freq"))
+    return Vocabulary(doc["tokens"])
 
 
 def save_vocab(path, vocab):
-    # keys sorted: the order vocabulary files have always had. One
-    # json.dumps, which has a C encoder, where json.dump streams its chunks
-    # from the Python one: 2.4 against 6.8 ms for 20,000 tokens.
+    # One json.dumps, which has a C encoder, where json.dump streams its
+    # chunks from the Python one: 2.4 against 6.8 ms for 20,000 tokens.
     with open(path, "w") as f:
-        f.write(json.dumps(vocab_to_doc(vocab), sort_keys=True))
+        f.write(json.dumps(vocab_to_doc(vocab)))
 
 
 def load_vocab(path):

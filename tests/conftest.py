@@ -73,7 +73,7 @@ needs_corpus = pytest.mark.skipif(
 
 
 # --- checkpoint reference reader and writer ----------------------------------
-# Written from the version 5 layout alone, without model_zoo: an 8-byte
+# Written from the version 6 layout alone, without model_zoo: an 8-byte
 # little-endian header length n, n bytes of UTF-8 JSON, zero padding to the
 # next multiple of 64, then the data section, where each tensor sits at its
 # 64-aligned offset.
@@ -110,10 +110,11 @@ def edit_header(path, edit):
 def per_field_config(model):
     """`model`'s config as checkpoint versions 3 and 4 stored it: the
     values of its preset's `model_zoo.PRESETS` row spelled out beside the
-    sizes, the seed and the dtype."""
+    sizes, the vocabulary's among them, the seed and the dtype."""
     config = asdict(model.config)
     seed, dtype = config.pop("seed"), config.pop("dtype")
-    return {**config, **asdict(model.preset), "seed": seed, "dtype": dtype}
+    return {**config, "vocab_size": len(model.vocab), **asdict(model.preset),
+            "seed": seed, "dtype": dtype}
 
 
 def json_checkpoint(model, version):
@@ -129,8 +130,8 @@ def json_checkpoint(model, version):
         "magic": "svchk", "version": version,
         "config": per_field_config(model),
         "vocab": {"tokens": model.vocab.tokens,
-                  "max_size": model.vocab.max_size,
-                  "min_freq": model.vocab.min_freq},
+                  "max_size": textprep.DEFAULT_MAX_VOCAB,
+                  "min_freq": textprep.DEFAULT_MIN_FREQ},
         "params": [{"name": p.name, "shape": list(p.value.shape),
                     "data": data(p.value)} for p in model.params],
         "running": {k: {"mean": data(r.mean), "var": data(r.var)}

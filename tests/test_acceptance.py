@@ -7,6 +7,7 @@ runs additionally require SEQVERITAS_FULL_CORPUS=1 (hours of CPU).
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,10 +177,10 @@ def _transcript(tmp_path, capsys, tag):
         out = capsys.readouterr().out
         stdout += out.replace(str(d), "DIR")
     artifacts = {
-        "cache": open(cache, "rb").read(),
-        "vocab": open(cache + ".vocab.json", "rb").read(),
-        "ckpt": open(ckpt, "rb").read(),
-        "history": open(ckpt + ".history.jsonl", "rb").read(),
+        "cache": Path(cache).read_bytes(),
+        "vocab": Path(cache + ".vocab.json").read_bytes(),
+        "ckpt": Path(ckpt).read_bytes(),
+        "history": Path(ckpt + ".history.jsonl").read_bytes(),
     }
     return stdout, artifacts
 

@@ -8,6 +8,7 @@ import re
 import struct
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,9 +58,9 @@ def test_prepare_deterministic_cache_bytes(capsys, tmp_path):
     (tmp_path / "b").mkdir()
     c1, _ = _prepare(capsys, tmp_path / "a")
     c2, _ = _prepare(capsys, tmp_path / "b")
-    assert open(c1, "rb").read() == open(c2, "rb").read()
-    assert (open(c1 + ".vocab.json").read()
-            == open(c2 + ".vocab.json").read())
+    assert Path(c1).read_bytes() == Path(c2).read_bytes()
+    assert (Path(c1 + ".vocab.json").read_text()
+            == Path(c2 + ".vocab.json").read_text())
 
 
 def test_prepare_bytes_are_pinned(capsys, tmp_path):
@@ -67,11 +68,11 @@ def test_prepare_bytes_are_pinned(capsys, tmp_path):
     # hold across commits and platforms; only a deliberate change to the
     # text pipeline or the cache format may move them
     cache, _ = _prepare(capsys, tmp_path)
-    assert hashlib.sha256(open(cache, "rb").read()).hexdigest() == (
+    assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == (
         "3f2df4d7b44b792643154afd20c299932dd9c16cb94d7c9f16cfd93f7144f22d")
     assert hashlib.sha256(
-        open(cache + ".vocab.json", "rb").read()).hexdigest() == (
-        "fab7560a8ac7e591fcb9735c08261cb68d615bad8accfce80f521c1ffa5f3283")
+        Path(cache + ".vocab.json").read_bytes()).hexdigest() == (
+        "e38d171391da2a4b34c25440c7f588641b69c37e5acfb142c4c74a7724ee1388")
 
 
 def test_prepare_row_with_an_extra_field_exits_2(capsys, tmp_path):
@@ -93,7 +94,7 @@ def test_prepare_reads_csvs_with_a_byte_order_mark(capsys, tmp_path):
     plain, _ = _prepare(capsys, tmp_path / "plain")
     for name, fixture in (("fake", TOY_FAKE), ("true", TOY_TRUE)):
         (tmp_path / f"{name}.csv").write_bytes(
-            b"\xef\xbb\xbf" + open(fixture, "rb").read())
+            b"\xef\xbb\xbf" + Path(fixture).read_bytes())
     bom = str(tmp_path / "bom.svec")
     code, _, _ = run(capsys, [
         "prepare", "--fake", str(tmp_path / "fake.csv"),
@@ -101,9 +102,9 @@ def test_prepare_reads_csvs_with_a_byte_order_mark(capsys, tmp_path):
         "--seed", "42", "--maxlen", "10", "--vocab-size", "100",
         "--min-freq", "1"])
     assert code == 0
-    assert open(bom, "rb").read() == open(plain, "rb").read()
-    assert (open(bom + ".vocab.json", "rb").read()
-            == open(plain + ".vocab.json", "rb").read())
+    assert Path(bom).read_bytes() == Path(plain).read_bytes()
+    assert (Path(bom + ".vocab.json").read_bytes()
+            == Path(plain + ".vocab.json").read_bytes())
 
 
 def _never_called(*args, **kwargs):
@@ -160,7 +161,7 @@ def test_prepare_reads_a_field_longer_than_the_csv_default_limit(
     body = ("lorem ipsum " * 20_000)[:200_000]
     assert len(body) > default_csv_field_limit
     fake = tmp_path / "fake.csv"
-    fake.write_text(open(TOY_FAKE).read() + f"long,{body},news,2017\n")
+    fake.write_text(Path(TOY_FAKE).read_text() + f"long,{body},news,2017\n")
     code, out, err = run(capsys, [
         "prepare", "--fake", str(fake), "--true", TOY_TRUE,
         "--out", str(tmp_path / "c.svec")])
@@ -189,8 +190,8 @@ def test_prepare_out_path_naming_an_input_exits_2_before_reading(
     # before: the cache, or the vocabulary beside it, overwrote the input
     monkeypatch.setattr(cli.ingest, "load_articles", _never_called)
     fake, true_ = tmp_path / "c.vocab.json", tmp_path / "t.csv"
-    inputs = {fake: open(TOY_FAKE, "rb").read(),
-              true_: open(TOY_TRUE, "rb").read()}
+    inputs = {fake: Path(TOY_FAKE).read_bytes(),
+              true_: Path(TOY_TRUE).read_bytes()}
     for path, data in inputs.items():
         path.write_bytes(data)
     (tmp_path / "link").symlink_to(true_)
@@ -228,14 +229,14 @@ def test_train_out_path_naming_an_input_or_output_exits_2_before_training(
            "checkpoint_is_a_hard_link_to_data": ["--out-checkpoint",
                                                  str(hard)],
            }[collision]
-    inputs = {path: open(path, "rb").read()
+    inputs = {path: Path(path).read_bytes()
               for path in (cache, cache + ".vocab.json")}
     code, stdout, err = run(capsys, ["train", "--data", cache, "--preset",
                                      "baseline", *out])
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:") and "names the same file as" in err
-    assert {path: open(path, "rb").read() for path in inputs} == inputs
+    assert {path: Path(path).read_bytes() for path in inputs} == inputs
     assert not (tmp_path / "m.svchk").exists()
 
 
@@ -296,7 +297,7 @@ def test_train_eval_round_trip(capsys, tmp_path):
 def test_train_writes_history_jsonl(capsys, tmp_path):
     cache, _ = _prepare(capsys, tmp_path)
     ckpt, doc = _train(capsys, tmp_path, cache, epochs="3")
-    lines = open(doc["history"]).read().strip().split("\n")
+    lines = Path(doc["history"]).read_text().strip().split("\n")
     assert len(lines) == doc["epochs_run"]
     rec = json.loads(lines[0])
     assert set(rec) == {"epoch", "train_loss", "val_loss", "val_accuracy"}
@@ -595,9 +596,7 @@ def _reference_prepare(fake, true_, seed, maxlen, vocab_size, min_freq):
         idx = [index.get(t, 1) for t in toks][-maxlen:]
         cache += struct.pack(f"<{maxlen}I", *[0] * (maxlen - len(idx)), *idx)
         cache += bytes([label])
-    vocab = json.dumps({"max_size": vocab_size, "min_freq": min_freq,
-                        "tokens": kept}, sort_keys=True)
-    return cache, vocab.encode()
+    return cache, json.dumps({"tokens": kept}).encode()
 
 
 def test_prepare_non_ascii_text_matches_the_reference_pipeline(capsys,
@@ -737,10 +736,10 @@ def test_cache_label_outside_0_and_1_exits_2(capsys, tmp_path, command):
     else:
         argv = ["train", "--data", cache, "--preset", "baseline",
                 "--out-checkpoint", str(tmp_path / "m.svchk")]
-    blob = bytearray(open(cache, "rb").read())
+    blob = bytearray(Path(cache).read_bytes())
     record = 10 * 4 + 1  # maxlen u32 indices and a label byte
     blob[17 + record - 1], blob[17 + 2 * record - 1] = 7, 200
-    open(cache, "wb").write(blob)
+    Path(cache).write_bytes(blob)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -763,11 +762,11 @@ def test_cache_index_at_its_vocabulary_size_exits_2_before_the_work(
         argv = ["train", "--data", cache, "--preset", "baseline",
                 "--out-checkpoint", str(tmp_path / "m.svchk")]
         monkeypatch.setattr(cli, "fit", _never_called)
-    blob = bytearray(open(cache, "rb").read())
+    blob = bytearray(Path(cache).read_bytes())
     record_size = 10 * 4 + 1  # maxlen u32 indices and a label byte
     last = 17 + record * record_size + 9 * 4  # the record's last index
     blob[last:last + 4] = struct.pack("<I", doc["vocab_size"])
-    open(cache, "wb").write(blob)
+    Path(cache).write_bytes(blob)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -823,7 +822,7 @@ def test_prepare_stems_vowel_lle_words(capsys, tmp_path):
     # "Michelle" ends in vowel + "lle", the shape that once made the
     # stemmer index past the end of the word
     fake = tmp_path / "fake.csv"
-    fake.write_text(open(TOY_FAKE).read()
+    fake.write_text(Path(TOY_FAKE).read_text()
                     + 'toynews story 10,Michelle Obama spoke in Seville,'
                       'toynews,"January 11, 2017"\n')
     code, out, err = run(capsys, [
@@ -879,6 +878,23 @@ def _write_data(path, sequences, vocab):
     """A two-record cache at maxlen 10 and its vocabulary file."""
     textprep.write_cache(path, sequences, [1, 0], len(vocab), 10)
     textprep.save_vocab(path + ".vocab.json", vocab)
+
+
+def test_cache_with_the_sizes_in_its_vocabulary_file_trains_and_evals(
+        capsys, tmp_path):
+    # a vocabulary file as prepare wrote it while the document also held
+    # the sizes that chose its tokens: read for its tokens alone
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    code, out, _ = run(capsys, ["eval", "--checkpoint", ckpt,
+                                "--data", cache])
+    assert code == 0
+    sidecar = Path(cache + ".vocab.json")
+    tokens = json.loads(sidecar.read_text())["tokens"]
+    sidecar.write_text(json.dumps({"tokens": tokens, "max_size": 100,
+                                   "min_freq": 1}, sort_keys=True))
+    assert run(capsys, ["eval", "--checkpoint", ckpt,
+                        "--data", cache]) == (0, out, "")
 
 
 def test_eval_index_outside_checkpoint_vocab_exits_2(capsys, tmp_path):
@@ -1005,7 +1021,8 @@ def test_eval_cache_maxlen_unlike_checkpoint_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("how", [
-    "wrong_length", "version_1", "version_2", "version_3", "config_colour",
+    "wrong_length", "version_1", "version_2", "version_3", "version_5",
+    "config_colour",
     "widths_not_a_list", "maxlen_not_an_int", "dtype_float16", "no_vocab",
     "no_params", "header_not_json", "misaligned_offset", "trailing_bytes",
     "header_nested_too_deep"])
@@ -1021,6 +1038,11 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
         first = header["tensors"][0]
         end = start + 8 * math.prod(first["shape"])
         raw = blob[:end - 8] + blob[end:]
+    elif how == "version_5":  # the vocabulary's size in config and vocab
+        header["version"] = 5
+        header["config"]["vocab_size"] = len(model.vocab)
+        header["vocab"].update(max_size=100, min_freq=1)
+        raw = container_bytes(header, data)
     elif how.startswith("version_"):
         doc = json_checkpoint(model, int(how[-1]))
         if how == "version_2":
@@ -1055,11 +1077,13 @@ def test_corrupt_checkpoint_exits_2(capsys, tmp_path, command, how):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and ckpt in err
+    if how == "version_5":
+        assert "version 5, expected 6" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("entry,value", [("tokens", [7, 8]),
-                                         ("max_size", "big"),
+                                         ("tokens", "cat"),
                                          ("tokens", ["cat", "cat"])])
 def test_checkpoint_vocab_of_wrong_type_exits_2(capsys, tmp_path, command,
                                                 entry, value):
@@ -1121,6 +1145,31 @@ def test_gradcheck_single_preset(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["failed"] == 0
     assert all(r["rel_error"] < 1e-4 for r in doc["checks"])
+
+
+def test_gradcheck_failure_exits_4_naming_the_worst_tensor(capsys,
+                                                          monkeypatch):
+    results = [{"name": "dense0.W", "rel_error": 1e-9, "pass": True},
+               {"name": "lstm.U", "rel_error": 3e-3, "pass": False}]
+    monkeypatch.setattr(cli.gradcheck_mod, "run_all",
+                        lambda seed, presets: results)
+    code, out, err = run(capsys, ["gradcheck", "--seed", "5"])
+    assert code == 4
+    doc = json.loads(out)  # one document, the whole of stdout
+    assert (doc["passed"], doc["failed"]) == (1, 1)
+    assert doc["checks"] == results
+    assert "worst tensor lstm.U rel_error 3.000e-03" in err
+
+
+def test_eval_of_a_checkpoint_as_its_data_exits_2(capsys, tmp_path):
+    # the cache's magic is checked before anything else is read from it
+    cache, _ = _prepare(capsys, tmp_path)
+    ckpt, _ = _train(capsys, tmp_path, cache, epochs="1")
+    code, out, err = run(capsys, ["eval", "--checkpoint", ckpt,
+                                  "--data", ckpt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad magic" in err
 
 
 def test_stdout_is_single_json_document(capsys, tmp_path):

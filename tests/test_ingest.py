@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,23 @@ def test_load_basic(tmp_path):
 def test_load_header_only(tmp_path):
     path = write(tmp_path, HEADER)
     assert load_articles(path) == []
+
+
+def test_load_empty_file_is_a_missing_header(tmp_path):
+    with pytest.raises(MissingColumn, match="empty file, no header"):
+        load_articles(write(tmp_path, ""))
+
+
+def test_load_header_the_csv_module_rejects_is_row_1(tmp_path):
+    # strict: a quoted field must end at a delimiter
+    path = write(tmp_path, '"title"x,text,subject,date\nt,b,s,2017\n')
+    with pytest.raises(MalformedRow, match="row 1: "):
+        load_articles(path)
+
+
+def test_load_skips_a_blank_row(tmp_path):
+    path = write(tmp_path, HEADER + "t1,b1,news,2017\n\nt2,b2,news,2017\n")
+    assert load_articles(path) == [("t1", "b1"), ("t2", "b2")]
 
 
 def test_load_rfc4180_quoting(tmp_path):
@@ -171,7 +189,7 @@ def test_toy_fixture_counts(toy_articles):
                          ids=["fake", "true"])
 def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, fixture):
     # Excel's "CSV UTF-8" starts the file with the UTF-8 BOM
-    plain = open(fixture, "rb").read()
+    plain = Path(fixture).read_bytes()
     assert not plain.startswith(b"\xef\xbb\xbf")
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain)

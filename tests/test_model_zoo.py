@@ -5,6 +5,7 @@ import math
 import re
 import struct
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,18 +84,18 @@ def _hidden_output(model, indices):
 
 
 def test_preset_expansion_pure():
-    a = preset_config("regularized", vocab_size=100, maxlen=200,
-                      embed_dim=100, lstm_units=150, seed=5, dtype="float64")
-    b = preset_config("regularized", vocab_size=100, maxlen=200,
-                      embed_dim=100, lstm_units=150, seed=5, dtype="float64")
+    a = preset_config("regularized", maxlen=200, embed_dim=100,
+                      lstm_units=150, seed=5, dtype="float64")
+    b = preset_config("regularized", maxlen=200, embed_dim=100,
+                      lstm_units=150, seed=5, dtype="float64")
     assert a == b
 
 
 def test_config_types_cover_exactly_the_config_fields():
     # a field without a type test would load unchecked from a checkpoint
     names = [f.name for f in fields(ModelConfig)]
-    assert names == ["preset", "vocab_size", "embed_dim", "lstm_units",
-                     "maxlen", "seed", "dtype"]
+    assert names == ["preset", "embed_dim", "lstm_units", "maxlen", "seed",
+                     "dtype"]
     assert sorted(model_zoo._CONFIG_TYPES) == sorted(names)
 
 
@@ -152,8 +153,8 @@ def test_every_layer_runs_by_forward_x_rng_and_backward_grad_cache(preset):
 
 def test_unknown_preset():
     with pytest.raises(ValueError) as exc:
-        preset_config("huge", vocab_size=10, maxlen=200, embed_dim=100,
-                      lstm_units=150, seed=0, dtype="float64")
+        preset_config("huge", maxlen=200, embed_dim=100, lstm_units=150,
+                      seed=0, dtype="float64")
     for name in model_zoo.PRESETS:
         assert name in str(exc.value)
 
@@ -184,13 +185,17 @@ def test_build_refuses_a_size_below_1(field):
     assert "every other field an int >= 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("vocab_size", [1, 0, -3])
-def test_preset_config_refuses_a_vocab_size_below_2(vocab_size):
-    # PAD and OOV: no vocabulary has fewer entries
-    with pytest.raises(model_zoo.BadConfig,
-                       match=f"vocab_size={vocab_size}.*an int >= 2"):
-        preset_config("baseline", vocab_size=vocab_size, maxlen=6,
-                      embed_dim=8, lstm_units=8, seed=0, dtype="float64")
+@pytest.mark.parametrize("n_tokens", [0, 1, 20])
+def test_the_vocabulary_sets_the_embedding_rows(tmp_path, n_tokens):
+    # one row per entry, PAD and OOV included, in the built and in the
+    # loaded model; no config field repeats the count
+    model = build("baseline", _vocab(n_tokens), maxlen=6, embed_dim=8,
+                  lstm_units=8)
+    loaded = load(_saved(tmp_path, model))
+    for m in (model, loaded):
+        assert m.params[0].value.shape == (n_tokens + 2, 8)
+        assert len(m.vocab) == n_tokens + 2
+    assert "vocab_size" not in asdict(model.config)
 
 
 def test_checkpoint_with_maxlen_0_is_bad_magic(tmp_path):
@@ -334,8 +339,8 @@ def test_a_second_backward_over_one_forwards_caches_is_refused(preset):
 def test_config_round_trip_dict():
     # through JSON, as in a checkpoint
     for preset in model_zoo.PRESETS:
-        cfg = preset_config(preset, vocab_size=52, maxlen=6, embed_dim=100,
-                            lstm_units=150, seed=3, dtype="float64")
+        cfg = preset_config(preset, maxlen=6, embed_dim=100, lstm_units=150,
+                            seed=3, dtype="float64")
         doc = json.loads(json.dumps(asdict(cfg)))
         assert ModelConfig.from_dict(doc) == cfg
 
@@ -409,7 +414,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_version_mismatch(tmp_path):
     path = _saved(tmp_path)
     edit_header(path, lambda h: h.update(version=99))
-    with pytest.raises(VersionMismatch, match="version 99, expected 5"):
+    with pytest.raises(VersionMismatch, match="version 99, expected 6"):
         load(path)
 
 
@@ -422,19 +427,35 @@ def test_checkpoint_version_4_refused(tmp_path):
         header.update(version=4, config=per_field_config(model))
 
     edit_header(path, to_version_4)
-    with pytest.raises(VersionMismatch, match="version 4, expected 5"):
+    with pytest.raises(VersionMismatch, match="version 4, expected 6"):
+        load(path)
+
+
+def test_checkpoint_version_5_refused(tmp_path):
+    # the same container, its config and vocabulary also stating the
+    # vocabulary's size and the sizes that chose its tokens
+    model = _tiny_model()
+    path = _saved(tmp_path, model)
+
+    def to_version_5(header):
+        header["config"]["vocab_size"] = len(model.vocab)
+        header["vocab"].update(max_size=20_000, min_freq=2)
+        header["version"] = 5
+
+    edit_header(path, to_version_5)
+    with pytest.raises(VersionMismatch, match="version 5, expected 6"):
         load(path)
 
 
 def test_checkpoint_version_4_config_is_bad_magic(tmp_path):
-    # a version 4 config relabelled version 5: the preset's values beside
+    # a version 4 config relabelled version 6: the preset's values beside
     # the config are refused, not read or ignored
     model = _tiny_model("optimized")
     path = _saved(tmp_path, model)
     edit_header(path, lambda h: h.update(config=per_field_config(model)))
     unknown = ["batchnorm", "dense_dropout", "dense_regularizers",
                "dense_widths", "embed_dropout", "lr", "lstm_dropout",
-               "lstm_regularizers"]
+               "lstm_regularizers", "vocab_size"]
     with pytest.raises(BadMagic, match=re.escape(f"has unknown {unknown}")):
         load(path)
 
@@ -459,7 +480,7 @@ def test_checkpoint_header_refused_as_bad_magic(tmp_path, how):
 def test_checkpoint_stores_little_endian_bytes_of_each_tensor(tmp_path):
     model = _tiny_model("optimized")
     header, start, blob = read_container(_saved(tmp_path, model))
-    assert header["version"] == 5
+    assert header["version"] == 6
     for p in model.params:
         entry = _entry(header, p.name)
         data = blob[start + entry["offset"]:_end_of(start, entry)]
@@ -511,7 +532,7 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
     a, b = str(tmp_path / "a.svchk"), str(tmp_path / "b.svchk")
     model.save(a)
     model.save(b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def _one_shot_container(model):
@@ -528,11 +549,9 @@ def _one_shot_container(model):
                       "offset": len(data)})
         data += value.astype(wire).tobytes()
     return container_bytes({
-        "magic": "svchk", "version": 5,
+        "magic": "svchk", "version": 6,
         "config": asdict(model.config),
-        "vocab": {"tokens": model.vocab.tokens,
-                  "max_size": model.vocab.max_size,
-                  "min_freq": model.vocab.min_freq},
+        "vocab": {"tokens": model.vocab.tokens},
         "tensors": table}, data)
 
 
@@ -551,13 +570,13 @@ def test_checkpoint_streamed_save_equals_one_shot_dumps(tmp_path, preset,
         r.var[...] = np.linspace(0.5, 2.0, r.var.size) / (i + 1)
     path = str(tmp_path / "m.svchk")
     model.save(path)
-    assert open(path, "rb").read() == _one_shot_container(model)
+    assert Path(path).read_bytes() == _one_shot_container(model)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("preset", model_zoo.PRESETS)
 def test_checkpoint_layout(tmp_path, preset, dtype):
-    """The version 5 layout, read with `struct` and `json` alone: header,
+    """The version 6 layout, read with `struct` and `json` alone: header,
     zero padding to the data section, each tensor at the first 64-byte
     boundary after the one before, and nothing after the last."""
     # H = 6 gives 24- and 96-byte LSTM biases, so there is padding
@@ -571,9 +590,9 @@ def test_checkpoint_layout(tmp_path, preset, dtype):
     assert start % 64 == 0 and 8 + n <= start < 8 + n + 64
     assert blob[8 + n:start] == bytes(start - 8 - n)
     assert list(header) == ["magic", "version", "config", "vocab", "tensors"]
-    assert (header["magic"], header["version"]) == ("svchk", 5)
+    assert (header["magic"], header["version"]) == ("svchk", 6)
     assert ModelConfig.from_dict(header["config"]) == model.config
-    assert header["vocab"]["tokens"] == model.vocab.tokens
+    assert header["vocab"] == {"tokens": model.vocab.tokens}
     expected = [(p.name, p.value) for p in model.params] + [
         (f"{k}.bn.{stat}", getattr(r, stat))
         for k, r in model.bn_running.items() for stat in ("mean", "var")]
@@ -604,9 +623,9 @@ def _pinned_model_bytes(tmp_path, dtype):
 # changes these digests; drift of either fails here.
 @pytest.mark.parametrize("dtype, digest", [
     ("float64",
-     "8e9d74b9d36fd053fbae86ca4df336a59c1178d6085ad48c1b2e7cac8b1463b5"),
+     "e36330277fa3c75a6a8dcdf3a31559dff32c89b33b03fa043a049a949727f241"),
     ("float32",
-     "e2ea7202734acbdc5f2ed79bb0bf7ef53cfb87a5ec77293e2119c212627e2fb8"),
+     "3afbcc69cd39be3547979833fcfba5ed74b5f80912022acaa5a7fd58b38b1a19"),
 ])
 def test_checkpoint_bytes_pinned(tmp_path, dtype, digest):
     blob, _ = _pinned_model_bytes(tmp_path, dtype)
@@ -661,8 +680,7 @@ def test_whatever_build_accepts_loads_back_the_same(
         scratch_checkpoint, preset, dtype, maxlen, embed_dim, lstm_units,
         seed, tokens):
     # any distinct str tokens, as test_checkpoint_round_trips_any_token
-    # has; the same config, tokens and tensor bytes come back. Every
-    # vocabulary has PAD and OOV, so vocab_size >= 2 holds; the other sizes
+    # has; the same config, tokens and tensor bytes come back. The sizes
     # must be >= 1. A repeated token is refused before any model is built.
     if len(set(tokens)) < len(tokens):
         with pytest.raises(TypeError, match="distinct str tokens"):
@@ -849,11 +867,12 @@ def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
 def test_checkpoint_mistyped_config_value_is_bad_magic(tmp_path, field,
                                                         value):
     # the fields that only a version 4 config had (lr, the dropout rates,
-    # dense_widths, the regularizers, batchnorm) are refused by name as
-    # unknown, whatever their value
+    # dense_widths, the regularizers, batchnorm) and vocab_size, which
+    # versions 1-5 had, are refused by name as unknown, whatever their
+    # value
     message = (field if field in model_zoo._CONFIG_TYPES
                else re.escape(f"has unknown {[field]}"))
-    cfg = preset_config("baseline", vocab_size=22, maxlen=200, embed_dim=100,
+    cfg = preset_config("baseline", maxlen=200, embed_dim=100,
                         lstm_units=150, seed=0, dtype="float64")
     doc = json.loads(json.dumps(asdict(cfg)))
     doc[field] = value
@@ -894,10 +913,17 @@ def test_checkpoint_shape_mismatch_on_load(tmp_path):
         load(path)
 
 
-def test_checkpoint_vocabulary_unlike_config_refused(tmp_path):
+@pytest.mark.parametrize("edit", [list.pop, lambda t: t.append("new")],
+                         ids=["one_fewer", "one_more"])
+def test_checkpoint_vocabulary_unlike_config_refused(tmp_path, edit):
+    # the token list sets the embedding's rows, so a list edited to another
+    # length moves the tensors that `load` expects: a longer embedding
+    # runs the last ones past the data section, a shorter one leaves the
+    # embedding's table entry unlike the stored one
     path = _saved(tmp_path)
-    edit_header(path, lambda h: h["vocab"]["tokens"].pop())
-    with pytest.raises(ShapeMismatchOnLoad, match="vocabulary entries"):
+    edit_header(path, lambda h: edit(h["vocab"]["tokens"]))
+    with pytest.raises(ShapeMismatchOnLoad, match="tensor table has "
+                       '{"name": "embedding"|ends past the'):
         load(path)
 
 

@@ -209,6 +209,12 @@ def test_dropout_masks_are_a_function_of_the_seed():
     assert not np.array_equal(first_a, second_a)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_randbelow_refuses_an_empty_range(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        Prng(5).randbelow(n)
+
+
 def test_shuffle_is_permutation():
     rng = Prng(5)
     items = list(range(50))

