@@ -151,6 +151,9 @@ def _load_data(path):
 
 
 def cmd_train(args):
+    if args.batch < 2 and model_zoo.PRESETS[args.preset].batchnorm:
+        raise ValueError(f"preset {args.preset} uses batch norm, whose "
+                         f"training needs --batch >= 2, not {args.batch}")
     history_path = args.history or args.out_checkpoint + ".history.jsonl"
     _check_outputs([args.out_checkpoint, history_path],
                    [args.data, _vocab_path(args.data)])

@@ -2,12 +2,14 @@
 
 All layers are stateless transformers over (input, params, cache). Each
 forward's cache is the plain value its backward reads: Embedding's
-indices, Dense's input x, Dropout's scaled mask (None for the identity),
-BatchNorm's (x_hat, inv_std) and the LSTM's `LstmCache` of its buffers.
-Only `lstm_backward` writes its cache (dz over the gates), so only an
-`LstmCache` refuses a second backward, with `StaleCache`, and with it a
-second `Model.backward` over one forward's caches; a second call on any
-other cache repeats grad x and adds the parameter gradient again.
+indices, Dense's input x, Dropout's boolean keep-mask and scale (None
+for the identity), BatchNorm's (x_hat, inv_std) and the LSTM's
+`LstmCache` of its buffers. Only `lstm_backward` writes its cache (dz
+over the gates), so only an `LstmCache` refuses a second backward, with
+`StaleCache`; a second call on any other cache repeats grad x and adds
+the parameter gradient again. `Model.backward` drops each layer's cache
+as soon as that layer's backward returns, so a train step holds one
+LSTM history, and only until backward has read it.
 Gradients accumulate into ParamTensor.grad and are the trainer's job to
 zero.
 Dense is a plain affine map; the ReLU and the output sigmoid are applied
@@ -39,12 +41,18 @@ time-major buffers, indexed by step first:
                       then overwrites it with dz_t, the gradient with
                       respect to the pre-activation gates
   c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
-  tanh_c  (T, B, H)   tanh_c[t] = tanh(c_{t+1})
 
-The cache exposes x as a (B, T, d) view of the time-major copy. The
-backward time loop does only the gate math and the recurrent product
-dz_t U^T; dW, dU, db and grad x are then batched over the (T*B, .) views
-of x, h_0 .. h_{T-1} and the dz rows.
+tanh(c_t) is not kept: the forward writes it into one (B, H) scratch
+row, and the backward recomputes it there from the same c row with the
+same `np.tanh` call, so it has the forward's bits. The cache exposes x
+as a (B, T, d) view of the time-major copy. The backward time loop does
+only the gate math and the recurrent product dz_t U^T; dW, dU, db and
+grad x are then batched over the (T*B, .) views of x, h_0 .. h_{T-1}
+and the dz rows. At paper shapes (B = 64, T = 200, d = 100, H = 150)
+the history takes 102 MB in float64 (gates 61, c and h 15 each, x 10)
+and half that in float32; a training dropout keeps one byte per
+element, its boolean keep-mask, and its backward rebuilds the scaled
+mask.
 
 Inference (`lstm_infer`) takes the embedding table and the (B, T)
 indices instead of their lookup, and keeps no history. Its steps go in
@@ -300,7 +308,6 @@ class LstmCache:
     gates: np.ndarray      # (T, B, 4H): activated [i, f, g, o] per step
     c: np.ndarray          # (T+1, B, H): c_0 .. c_T
     h: np.ndarray          # (T+1, B, H): h_0 .. h_T
-    tanh_c: np.ndarray     # (T, B, H): tanh_c[t] = tanh(c_{t+1})
     spent: bool = False    # set by lstm_backward, which overwrites gates
 
 
@@ -356,9 +363,9 @@ def lstm_forward(x, w, u, b):
     then (P, B, H). numpy's stacked matmul makes one GEMM per value, of
     the shape of the one-value call, so each h_T in the stack has the
     bits of its own call. The gates buffer then puts the stack axis
-    first, (P, T, B, 4H), so that the input GEMM writes it whole, and c,
-    h and tanh_c put it after the step axis. No backward reads a stacked
-    call's cache.
+    first, (P, T, B, 4H), so that the input GEMM writes it whole, and c
+    and h put it after the step axis. No backward reads a stacked call's
+    cache.
     """
     x = np.asarray(x)
     batch, steps, d = x.shape
@@ -374,8 +381,8 @@ def lstm_forward(x, w, u, b):
     x_tm = np.empty((steps, batch, d), x.dtype)
     c = np.zeros((steps + 1, *stack, batch, hidden), dtype)
     h = np.zeros_like(c)
-    tanh_c = np.empty((steps, *stack, batch, hidden), dtype)
-    ig = np.empty((*stack, batch, hidden), dtype)
+    tanh_c = np.empty((*stack, batch, hidden), dtype)
+    ig = np.empty_like(tanh_c)
     hu = np.empty((*stack, batch, 4 * hidden), dtype)
     np.copyto(x_tm, x.transpose(1, 0, 2))
     rows = gates.reshape(*stack, -1, 4 * hidden)
@@ -386,9 +393,9 @@ def lstm_forward(x, w, u, b):
         z = gates_tm[t]
         np.matmul(h[t], u.value, out=hu)
         z += hu
-        _cell(z, c[t], c[t + 1], tanh_c[t], h[t + 1], ig, scale, offset)
+        _cell(z, c[t], c[t + 1], tanh_c, h[t + 1], ig, scale, offset)
     return h[steps], LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c,
-                               h=h, tanh_c=tanh_c)
+                               h=h)
 
 
 # Bytes of projected gates, P, that an inference call holds at once: a
@@ -662,8 +669,10 @@ def lstm_backward(grad_ht, cache, w, u, b):
     it has just read, with dz_t, so after the loop `gates` holds dz for
     every step and the non-recurrent products run over all T*B rows at
     once: dW, dU and db in one product each, grad x in blocks of
-    GRAD_X_ROWS rows. The returned grad x is a transposed view of a
-    time-major array. A cache it has spent raises StaleCache.
+    GRAD_X_ROWS rows. Each step recomputes tanh(c_{t+1}) into one (B, H)
+    scratch with the forward's `np.tanh` call on the same c row, so it
+    has the bits the forward used. The returned grad x is a transposed
+    view of a time-major array. A cache it has spent raises StaleCache.
     """
     if cache.spent:
         raise StaleCache("LSTM cache already used for a backward pass")
@@ -676,6 +685,7 @@ def lstm_backward(grad_ht, cache, w, u, b):
     dh = np.array(grad_ht, dtype=dtype)
     dc = np.zeros((batch, hidden), dtype=dtype)
     dc_next = np.empty_like(dc)
+    tc = np.empty_like(dc)
     slope = np.empty((batch, 4, hidden), dtype=dtype)
     si, sf, sg, so = (slope[:, k] for k in range(4))
     _, _, shift = _gate_constants(hidden, dtype)
@@ -684,7 +694,7 @@ def lstm_backward(grad_ht, cache, w, u, b):
     for t in range(steps - 1, -1, -1):
         z = dz[t].reshape(batch, 4, hidden)
         gi, gf, gg, go = (z[:, k] for k in range(4))
-        tc = cache.tanh_c[t]
+        np.tanh(cache.c[t + 1], out=tc)
         dc += dh * go * dtanh(tc)
         np.subtract(1.0, z, out=slope)
         slope *= z + shift
@@ -726,27 +736,35 @@ def dense_backward(grad_y, x, w, b):
 
 # --- dropout ---------------------------------------------------------------
 
+def _scaled(kept, scale):
+    """The scaled mask: `scale` on kept units and +0 on dropped ones, in
+    scale's dtype; the bits of (uniform(0, 1) < keep).astype(dtype) /
+    keep."""
+    return np.multiply(kept, scale, dtype=scale.dtype)
+
+
 def dropout_forward(x, p, rng):
     """Inverted dropout: kept units scaled by 1/(1-p). It trains exactly
     when given an rng; with `rng` None, or at p = 0, it is the identity.
-    The cache is the scaled mask, 1/(1-p) on kept units and 0 on dropped
-    ones in x's dtype, or None for the identity."""
+    The cache is (kept, scale): the boolean keep-mask, one byte per unit,
+    and 1/(1-p) in x's dtype, from which the backward rebuilds the scaled
+    mask the forward applied; or None for the identity."""
     if not 0.0 <= p < 1.0:
         raise BadRate(f"dropout rate must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return x, None
     keep = 1.0 - p
-    # kept units hold 1 / keep in x's dtype, dropped ones +0: the bits of
-    # (uniform(0, 1) < keep).astype(dtype) / keep
-    mask = np.multiply(rng.keep_mask(keep, x.shape), x.dtype.type(1.0) / keep,
-                       dtype=x.dtype)
-    return x * mask, mask
+    kept = rng.keep_mask(keep, x.shape)
+    # in x's dtype even when p is a numpy float64, whose quotient with a
+    # float32 1.0 is float64: the bits the float mask has always had
+    scale = x.dtype.type(x.dtype.type(1.0) / keep)
+    return x * _scaled(kept, scale), (kept, scale)
 
 
-def dropout_backward(grad_y, mask):
-    if mask is None:
+def dropout_backward(grad_y, cache):
+    if cache is None:
         return grad_y
-    return grad_y * mask
+    return grad_y * _scaled(*cache)
 
 
 # --- batch normalization ---------------------------------------------------

@@ -69,11 +69,11 @@ from itertools import zip_longest
 import numpy as np
 
 from . import textprep
-from .layers import (BatchNormRunning, ParamTensor, batchnorm_backward,
-                     batchnorm_forward, dense_backward, dense_forward,
-                     dropout_backward, dropout_forward, embedding_backward,
-                     embedding_forward, lstm_backward, lstm_forward,
-                     lstm_infer, pack)
+from .layers import (BatchNormRunning, ParamTensor, StaleCache,
+                     batchnorm_backward, batchnorm_forward, dense_backward,
+                     dense_forward, dropout_backward, dropout_forward,
+                     embedding_backward, embedding_forward, lstm_backward,
+                     lstm_forward, lstm_infer, pack)
 from .numerics import Prng, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
@@ -389,10 +389,22 @@ class Model:
         """Backprop from the fused sigmoid+BCE gradient, d(loss)/d(logit),
         through the whole stack; accumulates into param grads. The loss
         gradient is cast to the model dtype so a float32 model
-        backpropagates in float32."""
+        backpropagates in float32.
+
+        It consumes `caches`, the list a training forward returned: each
+        layer's cache leaves the list as that layer's backward starts and
+        is freed when it returns, so the LSTM's history is gone before
+        the layers below it run, and a caller holds none of it after.
+        A list that is not a training forward's whole caches raises
+        StaleCache: one a backward has consumed, wholly or in part, or an
+        inference forward's, whose first three entries are None."""
+        if len(caches) != len(self.layers):
+            raise StaleCache("caches already consumed by a backward pass")
+        if caches[0] is None:
+            raise StaleCache("caches of an inference forward")
         grad = bce_grad_fused(probs, labels).astype(probs.dtype)[:, None]
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            grad = layer.backward(grad, cache)
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad, caches.pop())
 
     def predict_proba(self, indices):
         probs, _ = self.forward(np.atleast_2d(indices))

@@ -9,6 +9,7 @@ the model would be a distribution leak rather than a learned signal.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from collections import Counter
 from importlib import resources
@@ -180,11 +181,26 @@ def _records(buffer, n, maxlen, offset=0):
     return records[:, :-1].view("<u4"), records[:, -1]
 
 
+def _header_int(path, value):
+    """`value` as an int for the cache header; a bool, or a value that is
+    not an integer (2.0), raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{path}: a maxlen or V that is not an integer: "
+                     f"{value!r}")
+
+
 def write_cache(path, sequences, labels, vocab_size, maxlen):
     """A cache `read_cache` reads back; before `path` is opened, raises
-    ValueError for a maxlen, V or N that a u32 cannot hold, indices not of
+    ValueError for a maxlen or V that is not an integer (a bool or a
+    float, say), a maxlen, V or N that a u32 cannot hold, indices not of
     an integer type or not all in [0, vocab_size), and a label other than
     0 or 1."""
+    maxlen = _header_int(path, maxlen)
+    vocab_size = _header_int(path, vocab_size)
     sequences = np.asarray(sequences)
     labels = np.asarray(labels)
     n = sequences.shape[0]

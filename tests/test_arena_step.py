@@ -38,8 +38,10 @@ def dense_dropout_forward(x, p, rng):
     if rng is None or p == 0.0:
         return x, None
     keep = 1.0 - p
-    mask = (rng.uniform(0.0, 1.0, x.shape) < keep).astype(x.dtype) / keep
-    return x * mask, mask
+    kept = rng.uniform(0.0, 1.0, x.shape) < keep
+    mask = kept.astype(x.dtype) / keep
+    # the cache `dropout_backward` reads: the booleans and the scale
+    return x * mask, (kept, x.dtype.type(1.0) / keep)
 
 
 def dense_zero_grads(model):

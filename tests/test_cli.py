@@ -394,6 +394,31 @@ def test_train_batch_and_epochs_must_be_positive(capsys, tmp_path, flag,
     assert not ckpt.exists()
 
 
+def test_train_batch_1_with_batch_norm_exits_2_before_reading(
+        capsys, tmp_path, monkeypatch):
+    # before: train read the cache and built the model, then failed at the
+    # first step with "batch-norm train mode needs batch >= 2"
+    cache, _ = _prepare(capsys, tmp_path)
+    monkeypatch.setattr(cli.textprep, "read_cache", _never_called)
+    ckpt = tmp_path / "m.svchk"
+    code, stdout, err = run(capsys, [
+        "train", "--data", cache, "--preset", "optimized", "--batch", "1",
+        "--out-checkpoint", str(ckpt)])
+    assert code == 2
+    assert stdout == ""
+    assert "--batch >= 2" in err
+    assert sorted(os.listdir(tmp_path)) == ["toy.svec", "toy.svec.vocab.json"]
+
+
+def test_train_batch_1_without_batch_norm_trains(capsys, tmp_path):
+    cache, _ = _prepare(capsys, tmp_path)
+    code, out, err = run(capsys, [
+        "train", "--data", cache, "--preset", "regularized", "--batch", "1",
+        "--epochs", "1", "--out-checkpoint", str(tmp_path / "m.svchk")])
+    assert code == 0, err
+    assert json.loads(out)["epochs_run"] == 1
+
+
 @pytest.mark.parametrize("value", ["1", "0", "-5"])
 def test_prepare_vocab_size_below_2_exits_2(capsys, tmp_path, value):
     # before: --vocab-size 1 sliced kept[:-1] and wrote a 26-entry vocabulary

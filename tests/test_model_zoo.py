@@ -325,15 +325,27 @@ def test_forward_trains_exactly_when_given_an_rng(preset):
 
 @pytest.mark.parametrize("preset", model_zoo.PRESETS)
 def test_a_second_backward_over_one_forwards_caches_is_refused(preset):
-    """The LSTM's backward overwrites its cache, so a second
-    `Model.backward` over the caches of one forward raises StaleCache."""
+    """`Model.backward` consumes the caches of one forward, so a second
+    one over them raises StaleCache."""
     model = _tiny_model(preset)
     x = _random_inputs(model, 4)
     labels = np.array([1.0, 0.0, 1.0, 0.0])
     probs, caches = model.forward(x, Prng(3))
     model.backward(caches, probs, labels)
+    assert caches == []  # each cache freed once its layer's backward ran
     with pytest.raises(StaleCache):
         model.backward(caches, probs, labels)
+
+
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_a_backward_over_an_inference_forwards_caches_is_refused(preset):
+    # before: AttributeError from the LSTM's backward of its None cache,
+    # after the layers above it had added their gradients
+    model = _tiny_model(preset)
+    probs, caches = model.forward(_random_inputs(model, 4))
+    with pytest.raises(StaleCache, match="inference"):
+        model.backward(caches, probs, np.array([1.0, 0.0, 1.0, 0.0]))
+    assert not any(a.grad.any() for a in model.arenas)
 
 
 def test_config_round_trip_dict():
@@ -620,13 +632,14 @@ def _pinned_model_bytes(tmp_path, dtype):
 
 
 # A deliberate change to the format or to the seeded initialisation
-# changes these digests; drift of either fails here.
+# changes these digests; drift of either fails here. The ids name only the
+# dtype, so a deliberate re-pin keeps them.
 @pytest.mark.parametrize("dtype, digest", [
     ("float64",
      "e36330277fa3c75a6a8dcdf3a31559dff32c89b33b03fa043a049a949727f241"),
     ("float32",
      "3afbcc69cd39be3547979833fcfba5ed74b5f80912022acaa5a7fd58b38b1a19"),
-])
+], ids=["float64", "float32"])
 def test_checkpoint_bytes_pinned(tmp_path, dtype, digest):
     blob, _ = _pinned_model_bytes(tmp_path, dtype)
     assert hashlib.sha256(blob).hexdigest() == digest
@@ -640,7 +653,7 @@ def test_checkpoint_bytes_pinned(tmp_path, dtype, digest):
      "9482b2907016304f97cc806b5fd7b8e8b90dec9d40cbae100e48abc1ffe6cb4c"),
     ("float32",
      "cfd09fa19546e5a42681642f2c3bba7b5b4e73dcf48f4c9e1e4325cbd96cd90e"),
-])
+], ids=["float64", "float32"])
 def test_checkpoint_data_section_pinned(tmp_path, dtype, digest):
     blob, start = _pinned_model_bytes(tmp_path, dtype)
     assert hashlib.sha256(blob[start:]).hexdigest() == digest

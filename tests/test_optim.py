@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqveritas import model_zoo, optim, textprep
 from seqveritas.layers import ParamTensor
+from seqveritas.numerics import Prng
 from seqveritas.optim import (ADAM_EPS, BETA1, BETA2, MAX_NORM, MIN_DELTA,
                               AdamState, EarlyStopper, EmptyDataset,
                               NonFiniteGradient, TrainConfig, adam_step,
@@ -267,6 +269,29 @@ def test_fit_on_the_stored_cache_types_matches_int64(toy_encoded, tmp_path):
             TrainConfig(epochs=3, batch_size=8, seed=4, patience=100))
         snaps.append(b"".join(a.tobytes() for a in model.state_snapshot()))
     assert snaps[0] == snaps[1]
+
+
+def test_a_fit_holds_one_step_of_lstm_history_at_a_time():
+    """A multi-step fit's peak stays within 1.5 times one step's LSTM
+    history (x, gates, c and h), which the next forward's history would
+    double if a step's caches outlived its backward."""
+    batch, steps, maxlen = 16, 4, 120
+    vocab = textprep.Vocabulary([f"w{i}" for i in range(48)])
+    model = model_zoo.build("regularized", vocab, maxlen=maxlen,
+                            embed_dim=8, lstm_units=32)
+    rng = np.random.default_rng(0)
+    x = rng.integers(1, len(vocab), (batch * steps, maxlen))
+    y = rng.integers(0, 2, batch * steps).astype(np.float64)
+    lstm = model.forward(x[:batch], Prng(1))[1][2]
+    history = sum(a.nbytes for a in (lstm.x, lstm.gates, lstm.c, lstm.h))
+    del lstm
+    tracemalloc.start()
+    try:
+        fit(model, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=batch))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * history, (peak, history)
 
 
 def test_batch_slices():

@@ -480,6 +480,19 @@ def test_cache_write_refuses_a_header_field_a_u32_cannot_hold(
     assert not path.exists()
 
 
+@pytest.mark.parametrize("vocab_size, maxlen", [
+    (2.0, 2), (True, 2), (9, 2.0), (9, True)])
+def test_cache_write_refuses_a_header_field_that_is_not_an_integer(
+        tmp_path, vocab_size, maxlen):
+    # before: 2.0 passed the range check and raised struct.error, and True
+    # was written as 1
+    path = tmp_path / "c.svec"
+    with pytest.raises(ValueError, match="not an integer"):
+        write_cache(str(path), np.zeros((0, 2), np.int64), [],
+                    vocab_size=vocab_size, maxlen=maxlen)
+    assert not path.exists()
+
+
 def test_vocab_save_load(tmp_path):
     v = build_vocab([["cat", "cat", "dog"]], max_size=10, min_freq=1)
     path = str(tmp_path / "v.json")
