@@ -55,15 +55,21 @@ element, its boolean keep-mask, and its backward rebuilds the scaled
 mask.
 
 Inference (`lstm_infer`) takes the embedding table and the (B, T)
-indices instead of their lookup, and keeps no history. Its steps go in
-runs, each of which projects its own distinct tokens once:
+indices instead of their lookup, and keeps no history. A large enough
+batch is split into row shards: shard k takes rows k, k + shards, ...
+(see SHARD_MULADDS), and each shard is a whole one-thread call,
+`_lstm_rows`, that sorts its own rows and holds PROJECT_BYTES / shards
+of P. The calling thread runs one shard and the threads of an executor
+that the call starts and joins run the others, side by side on one BLAS
+thread each. A call on one shard's rows goes through its steps in runs,
+each of which projects its own distinct tokens once:
 
   P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
                       padded with PAD's row up to the rows that keep the
                       training GEMM's kernel, so R is at most min(V,
                       B*T) or those rows, whichever is more; a run ends
-                      before P would pass PROJECT_BYTES (a run of one
-                      step may pass it)
+                      before P would pass its bytes (a run of one step
+                      may pass them)
   at      (n, B)      each of the run's positions' row of P, the rows
                       sorted as below
   c, h    (2, B, H)   two alternating slots; tanh_c, i * g and h U one
@@ -72,15 +78,11 @@ Step t takes its gates from P with one `np.take`. When a row starts with
 PAD the rows are sorted stably by their count of leading PAD steps, and
 step t's product runs over the rows that have started plus enough rows
 still in their PAD prefix, which all share one trajectory, to stay on
-the whole product's kernel. A large enough batch is dealt round-robin to
-row shards, each with its own buffers, side by side on one BLAS thread
-each (see SHARD_MULADDS), on threads that the call starts and joins; the
-shards also split each run's product of P.
+the whole product's kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -400,9 +402,10 @@ def lstm_forward(x, w, u, b):
 
 # Bytes of projected gates, P, that an inference call holds at once: a
 # run of steps projects its own distinct tokens, and takes steps while
-# their rows of P fit these bytes (see `_runs`; the shards split them).
-# Without the bound a batch whose positions are all distinct would hold
-# every step's gates (at paper shapes, B = 256, float64: 246 MB).
+# their rows of P fit these bytes (see `_runs`), which a call's shards
+# share equally. Without the bound a batch whose positions are all
+# distinct would hold every step's gates (at paper shapes, B = 256,
+# float64: 246 MB).
 PROJECT_BYTES = 1 << 24
 
 
@@ -488,70 +491,70 @@ def _runs(idx, vocab, most):
     yield start, steps, np.flatnonzero(seen)
 
 
-def _lstm_buffers(rows, hidden, dtype):
-    """(z, c, h, tanh_c, ig, hu) for `rows` rows: one step's gates, c and
-    h in two alternating slots (zero at first), tanh(c), i * g and
-    h_{t-1} U."""
-    return (np.empty((rows, 4 * hidden), dtype),
-            np.zeros((2, rows, hidden), dtype),
-            np.zeros((2, rows, hidden), dtype),
-            np.empty((rows, hidden), dtype),
-            np.empty((rows, hidden), dtype),
-            np.empty((rows, 4 * hidden), dtype))
+def _lstm_rows(indices, table, w, u, b, least, most):
+    """The h_T of the rows of `indices`, (n, T), on the calling thread:
+    `lstm_infer` for those rows alone, its P padded to at least `least`
+    rows and its runs cut at `most` distinct tokens (`_runs`).
 
-
-def _project(table, w, b, pick, out):
-    """Writes table[pick] W + b into `out`."""
-    np.matmul(table.value.take(pick, 0), w.value, out=out)
-    out += b.value
-
-
-def _windows(lead, steps, hidden):
-    """How many rows each step of a shard covers, given its rows' counts
-    of leading PAD steps in ascending order: the rows that have started,
-    one more, and as many as keep the product on the kernel that all of
-    them would take (`_least_rows`)."""
-    started = np.searchsorted(lead, np.arange(steps), "right")
-    least = _least_rows(lead.size, hidden * 4 * hidden)
-    return np.minimum(np.maximum(started + 1, least), lead.size).tolist()
-
-
-def _lstm_rows(at, start, window, buffers, proj, u, scale, offset):
-    """Runs steps start, start + 1, ... of the rows whose gates at step
-    start + k are proj[at[k]] + h_{t-1} U, on the state in `buffers` (see
-    `_lstm_buffers`), one step per row of `at`. Step t covers only the
-    first window[t] rows: the rows after those are still in a PAD prefix
-    and carry one shared trajectory, so a row that the window takes in
-    copies its c and h from the last row it held before. It allocates
-    nothing larger than a view: a shard thread that runs it writes only
-    the buffers its caller made."""
-    c, h = buffers[1:3]
+    When some row starts with PAD, the rows are sorted stably by their
+    count of leading PAD steps, and step t covers only the rows that have
+    started, one more, and as many as keep the product on the kernel
+    that all the rows would take (`_least_rows`). The rows after those
+    are still in their PAD prefix and carry one shared trajectory: a row
+    that a step takes in copies its c and h from the last row the step
+    before held, and the rows that never start copy its h_T. c and h
+    alternate between two slots; h_T is unsorted at the end."""
+    vocab = table.value.shape[0]
+    batch, steps = indices.shape
+    hidden = u.value.shape[0]
+    dtype = np.result_type(table.value, w.value, u.value, b.value)
+    scale, offset, _ = _gate_constants(hidden, dtype)
+    window = [batch] * steps
+    order = None
+    if batch > 1 and not indices[:, 0].all():  # a row starts with PAD
+        real = indices != 0
+        lead = np.where(real.any(axis=1), real.argmax(axis=1), steps)
+        order = np.argsort(lead, kind="stable")
+        indices = indices[order]
+        started = np.searchsorted(lead[order], np.arange(steps), "right")
+        fewest = _least_rows(batch, hidden * 4 * hidden)
+        window = np.minimum(np.maximum(started + 1, fewest), batch).tolist()
+    c, h = np.zeros((2, 2, batch, hidden), dtype)
+    tanh_c, ig = np.empty((2, batch, hidden), dtype)
+    z = np.empty((batch, 4 * hidden), dtype)
+    hu = np.empty_like(z)
+    buffers = (z, c, h, tanh_c, ig, hu)
     # at step 0 every row holds the zero state: nothing to copy
-    taken = window[start - 1] if start else window[0]
-    views = buffers if taken == at.shape[1] else [a[..., :taken, :]
-                                                   for a in buffers]
-    for t, rows in enumerate(at, start):
-        prev, cur, m = t % 2, (t + 1) % 2, window[t]
-        if m > taken:
-            c[prev, taken:m] = c[prev, taken - 1]
-            h[prev, taken:m] = h[prev, taken - 1]
-            taken = m
-            views = [a[..., :m, :] for a in buffers]
-        z, cm, hm, tanh_c, ig, hu = views
-        # the method skips np.take's Python wrapper, ~1 us a step
-        proj.take(rows[:m], 0, z, "clip")
-        np.matmul(hm[prev], u.value, out=hu)
-        z += hu
-        _cell(z, cm[prev], cm[cur], tanh_c, hm[cur], ig, scale, offset)
-
-
-def _on_shards(pool, run, parts):
-    """run(*part) for every part, the first on the calling thread and the
-    others on `pool`; returns once every one has."""
-    rest = [pool.submit(run, *part) for part in parts[1:]]
-    run(*parts[0])
-    for f in rest:
-        f.result()
+    taken = window[0]
+    views = [a[..., :taken, :] for a in buffers]
+    idx = np.ascontiguousarray(indices.T)
+    where = np.empty(vocab, np.intp)
+    for start, stop, distinct in _runs(idx, vocab, most):
+        pick = np.zeros(max(distinct.size, least), np.intp)
+        pick[:distinct.size] = distinct
+        proj = np.empty((pick.size, 4 * hidden), dtype)
+        np.matmul(table.value.take(pick, 0), w.value, out=proj)
+        proj += b.value
+        where[distinct] = np.arange(distinct.size)
+        for t, rows in enumerate(where[idx[start:stop]], start):
+            prev, cur, m = t % 2, (t + 1) % 2, window[t]
+            if m > taken:
+                c[prev, taken:m] = c[prev, taken - 1]
+                h[prev, taken:m] = h[prev, taken - 1]
+                taken = m
+                views = [a[..., :m, :] for a in buffers]
+            zm, cm, hm, tanh_m, ig_m, hu_m = views
+            # the method skips np.take's Python wrapper, ~1 us a step
+            proj.take(rows[:m], 0, zm, "clip")
+            np.matmul(hm[prev], u.value, out=hu_m)
+            zm += hu_m
+            _cell(zm, cm[prev], cm[cur], tanh_m, hm[cur], ig_m, scale,
+                  offset)
+        del proj  # before the next run makes its own
+    h_t = h[steps % 2]
+    if taken < batch:  # rows that never started
+        h_t[taken:] = h_t[taken - 1]
+    return h_t if order is None else h_t[np.argsort(order)]
 
 
 def lstm_infer(indices, table, w, u, b):
@@ -565,92 +568,45 @@ def lstm_infer(indices, table, w, u, b):
     with one `np.take` of P. P holds at most PROJECT_BYTES (or one step's
     distinct tokens, when they take more), and is padded with index 0 to
     at least the rows that keep its product on the kernel of the
-    training GEMM over all B*T positions (`_least_rows`).
+    training GEMM over all B*T positions (`_least_rows`). Rows in their
+    PAD prefix share one trajectory, which each step's product runs once
+    (see `_lstm_rows`).
 
-    When some row starts with PAD (index 0), the rows are sorted stably
-    by their count of leading PAD steps: rows in their PAD prefix see the
-    same inputs from the same zero state, so they share one trajectory,
-    which each step's product runs once (see `_lstm_rows` and
-    `_windows`); h_T is unsorted at the end.
-
-    A batch large enough (see `_shards`) is dealt round-robin, after the
-    sort, to row shards, so that each gets the same mix of PAD prefixes,
-    each with its own buffers, made here, that together take what one
-    shard's would. The call then holds `blas.single_thread` throughout,
-    P's products included, which the shards split: OpenBLAS's idle
-    workers spin for a while after a threaded product, on the cores the
-    shards run on (at paper shapes, B = 256 on 2 threads, a call with 4
-    runs took 530 ms with threaded products of P and 340 ms without). In
-    each run the calling thread runs the first shard's share and threads
-    of the call's own executor the others, which it joins before it goes
-    on. A shard's products stay on the whole batch's GEMM kernels and
-    sum their inner dimension in one block (SHARD_MAX_K), so on a kernel
-    whose rows round alike wherever the rows are cut, as SkylakeX's do,
-    the bits do not depend on the shard count.
+    A batch large enough (see `_shards`) is split into row shards: shard
+    k takes rows k, k + shards, ..., and is a whole `_lstm_rows` call of
+    its own, with its own sort, runs and buffers, and PROJECT_BYTES /
+    shards of P. The calling thread runs shard 0 and threads of the
+    call's own executor the others, all under `blas.single_thread`:
+    OpenBLAS's idle workers spin for a while after a threaded product, on
+    the cores the shards run on (at paper shapes, B = 256 on 2 threads, a
+    call with 4 runs took 530 ms with threaded products of P and 340 ms
+    without). A shard's products stay on the whole batch's GEMM kernels
+    and sum their inner dimension in one block (SHARD_MAX_K), so on a
+    kernel whose rows round alike wherever the rows are cut, as
+    SkylakeX's do, the bits do not depend on the shard count.
     """
     vocab, d = table.value.shape
     indices = _checked(indices, vocab)
     batch, steps = indices.shape
     hidden = u.value.shape[0]
     dtype = np.result_type(table.value, w.value, u.value, b.value)
-    most = PROJECT_BYTES // (4 * hidden * dtype.itemsize)
     least = _least_rows(batch * steps, d * 4 * hidden)
-    scale, offset, _ = _gate_constants(hidden, dtype)
     shards = _shards(batch, d, hidden)
-    # shard k takes rows k, k + shards, ... of the rows sorted by their
-    # count of leading PAD steps, so that each gets the same mix of them
-    sizes = [len(range(k, batch, shards)) for k in range(shards)]
-    cuts = [sum(sizes[:k]) for k in range(shards + 1)]
-    windows = [[size] * steps for size in sizes]
-    order = None
-    if batch > 1 and not indices[:, 0].all():  # a row starts with PAD
-        real = indices != 0
-        lead = np.where(real.any(axis=1), real.argmax(axis=1), steps)
-        order = np.argsort(lead, kind="stable")[
-            np.concatenate([np.arange(k, batch, shards)
-                            for k in range(shards)])]
-        indices, lead = indices[order], lead[order]
-        windows = [_windows(lead[lo:hi], steps, hidden)
-                   for lo, hi in zip(cuts, cuts[1:])]
-    buffers = [_lstm_buffers(hi - lo, hidden, dtype)
-               for lo, hi in zip(cuts, cuts[1:])]
-    idx = np.ascontiguousarray(indices.T)
-    where = np.empty(vocab, np.intp)
-    pool = None
-    with contextlib.ExitStack() as sharded:
-        if shards > 1:
-            # imported here: no unsharded call pays its 7 ms (with `logging`)
-            from concurrent.futures import ThreadPoolExecutor
-            sharded.enter_context(blas.single_thread())
-            # leaving joins every shard, also when the first raises
-            pool = sharded.enter_context(ThreadPoolExecutor(shards - 1))
-        for start, stop, distinct in _runs(idx, vocab, most):
-            # each shard projects a block of P of at least `least` rows
-            rows = max(distinct.size, shards * least)
-            pick = np.zeros(rows, np.intp)
-            pick[:distinct.size] = distinct
-            proj = np.empty((rows, 4 * hidden), dtype)
-            blocks = [rows * k // shards for k in range(shards + 1)]
-            _on_shards(pool, _project, [
-                (table, w, b, pick[lo:hi], proj[lo:hi])
-                for lo, hi in zip(blocks, blocks[1:])])
-            where[distinct] = np.arange(distinct.size)
-            at = where[idx[start:stop]]
-            _on_shards(pool, _lstm_rows, [
-                (at[:, lo:hi], start, window, buf, proj, u, scale, offset)
-                for lo, hi, window, buf
-                in zip(cuts, cuts[1:], windows, buffers)])
-            del proj, at  # before the next run makes its own
-    for window, buf in zip(windows, buffers):
-        h_last, taken = buf[2][steps % 2], window[-1]
-        if taken < len(h_last):  # rows that never started
-            h_last[taken:] = h_last[taken - 1]
-    h_t = np.concatenate([buf[2][steps % 2] for buf in buffers])
-    if order is None:
-        return h_t
-    unsorted = np.empty_like(h_t)
-    unsorted[order] = h_t
-    return unsorted
+    most = PROJECT_BYTES // (shards * 4 * hidden * dtype.itemsize)
+    if shards == 1:
+        return _lstm_rows(indices, table, w, u, b, least, most)
+    # imported here: no unsharded call pays its 7 ms (with `logging`)
+    from concurrent.futures import ThreadPoolExecutor
+    h_t = np.empty((batch, hidden), dtype)
+    # leaving joins every shard, also when the caller's raises
+    with blas.single_thread(), ThreadPoolExecutor(shards - 1) as pool:
+        rest = [pool.submit(_lstm_rows, indices[k::shards], table, w, u, b,
+                            least, most) for k in range(1, shards)]
+        h_t[::shards] = _lstm_rows(indices[::shards], table, w, u, b, least,
+                                   most)
+        for k, shard in enumerate(rest, 1):
+            h_t[k::shards] = shard.result()
+    return h_t
 
 
 # Rows of dz per grad-x product. OpenBLAS packs a taller left operand into

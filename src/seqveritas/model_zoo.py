@@ -487,8 +487,9 @@ def load(path):
     n = int.from_bytes(blob[:8].tobytes(), "little")
     if 8 + n > blob.size:  # a file under 8 bytes too
         # read as a length, the first 8 bytes of a JSON document exceed
-        # any file
-        if blob[:1].tobytes() == b"{":
+        # any file; versions 1-3 wrote one that starts with the magic
+        magic = f'{{"magic": "{CHECKPOINT_MAGIC}"'.encode()
+        if blob[:len(magic)].tobytes() == magic:
             raise VersionMismatch(f"{path}: a JSON checkpoint (format "
                                   f"version 1-3), expected version "
                                   f"{CHECKPOINT_VERSION}")

@@ -6,7 +6,7 @@ that `ast.get_docstring` finds first in a module, class or function). A
 token that spans lines, such as a multi-line string, makes each of its
 lines a code line.
 
-Print the counts of `src/`:
+Print the counts of each module under `src/`, then of all of them:
 
     python tests/test_code_lines.py
 """
@@ -38,11 +38,21 @@ def code_lines(source):
     return len(lines)
 
 
+def module_counts():
+    """{path under src/: (lines, code lines)} of every module under src/,
+    in path order."""
+    counts = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text()
+        counts[path.relative_to(ROOT / "src").as_posix()] = (
+            len(source.splitlines()), code_lines(source))
+    return counts
+
+
 def src_counts():
-    """(lines, code lines) of every module under src/."""
-    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
-    return (sum(len(s.splitlines()) for s in sources),
-            sum(map(code_lines, sources)))
+    """(lines, code lines) of all the modules under src/."""
+    counts = module_counts().values()
+    return sum(n for n, _ in counts), sum(c for _, c in counts)
 
 
 _SAMPLE = '''"""A module docstring
@@ -82,8 +92,13 @@ def test_a_string_that_is_not_first_is_code():
 def test_src_counts_every_module():
     lines, code = src_counts()
     assert 0 < code < lines
+    assert "seqveritas/layers.py" in module_counts()
 
 
 if __name__ == "__main__":
+    counts = module_counts()
+    width = max(map(len, counts))
+    for name, (lines, code) in counts.items():
+        print(f"{name:<{width}}  {lines:>6,} lines  {code:>6,} code")
     lines, code = src_counts()
     print(f"src/: {lines:,} lines, {code:,} of them code")

@@ -61,16 +61,27 @@ def rows_seen(monkeypatch):
     seen = []
     run = layers._lstm_rows
 
-    def counted(at, *args):
-        seen.append(at.shape[1])
-        return run(at, *args)
+    def counted(indices, *args):
+        seen.append(indices.shape[0])
+        return run(indices, *args)
 
     monkeypatch.setattr(layers, "_lstm_rows", counted)
     return seen
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_two_shards_give_the_bits_of_one(threads, rows_seen, dtype):
+# P's bytes: PROJECT_BYTES projects every step in one run, and 1 KB cuts
+# a run at every step, in both calls; 48 rows of P hold the batch's 40
+# distinct tokens in one run, but each shard gets 24 and cuts a run at
+# every step
+@pytest.mark.parametrize("dtype, budget", [
+    pytest.param(dtype, budget, id=np.dtype(dtype).name + tag)
+    for dtype in (np.float64, np.float32)
+    for budget, tag in ((layers.PROJECT_BYTES, ""), (1 << 10, "-1KB"),
+                        (48 * 4 * HIDDEN * np.dtype(dtype).itemsize,
+                         "-48rows"))])
+def test_two_shards_give_the_bits_of_one(monkeypatch, threads, rows_seen,
+                                         dtype, budget):
+    monkeypatch.setattr(layers, "PROJECT_BYTES", budget)
     indices, params = _case(dtype)
     threads(1)
     one = lstm_infer(indices, *params)
@@ -339,13 +350,16 @@ def test_inference_gives_the_training_bits(blas_threads):
 
 
 def _bench_eval_batch():
-    """The `paper` workload's eval batch: Synth(1)'s 256 sequences of
-    T = 200 over V = 20,000, as perfbench/synth.py makes them."""
+    """The `paper` workload's eval batch at seed 1: 256 sequences of
+    T = 200 over V = 20,000, drawn from Synth(1) as perfbench/workloads.py
+    draws them, after its 96 train and validation sequences."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_synth", Path(SRC).parent / "perfbench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return synth.Synth(1).sequences(256, 20_000, 200)[0]
+    syn = synth.Synth(1)
+    syn.sequences(96, 20_000, 200)
+    return syn.sequences(256, 20_000, 200)[0]
 
 
 def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):

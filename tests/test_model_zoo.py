@@ -853,6 +853,22 @@ def test_checkpoint_version_3_json_document_refused(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["history", "vocab"])
+def test_another_json_file_is_not_a_checkpoint(tmp_path, kind):
+    # a JSON document that lacks the magic is no old checkpoint either:
+    # `train`'s history beside its checkpoint, a cache's vocabulary
+    if kind == "history":
+        path = tmp_path / "m.svchk.history.jsonl"
+        path.write_text("".join(
+            json.dumps({"epoch": e, "train_loss": 0.7, "val_loss": 0.69,
+                        "val_accuracy": 0.5}) + "\n" for e in (1, 2)))
+    else:
+        path = tmp_path / "cache.npz.vocab.json"
+        textprep.save_vocab(str(path), _tiny_model().vocab)
+    with pytest.raises(BadMagic, match="not a checkpoint file"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("how", ["no_config_key", "params_not_a_list",
                                  "no_tensors"])
 def test_checkpoint_malformed_body_is_bad_magic(tmp_path, how):
