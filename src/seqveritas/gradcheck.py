@@ -237,17 +237,13 @@ def replayed_losses(model, indices, labels, tape):
 
 
 def _end_to_end_loss(model, k, x, tape, labels):
-    """`replayed_losses`' loss for layer k. Other layers' penalty terms are
-    computed once; layer k's on each call, p's for each point."""
-    probed = model.layers[k].params
-    # None marks the terms recomputed on each call
-    fixed = [(q, None if any(q is r for r in probed) else penalty_terms(q))
-             for q in model.params if q.regularizers]
-
+    """`replayed_losses`' loss for layer k. Each call adds every
+    regularised tensor's penalty terms in `model.params` order, p's for
+    each point."""
     def loss(p, points):
         penalty = 0.0
-        for q, terms in fixed:
-            for term in terms or penalty_terms(q, points if q is p else None):
+        for q in model.params:
+            for term in penalty_terms(q, points if q is p else None):
                 penalty += term
         return _suffix_losses(
             [_probe(model.layers[k], p, points), *model.layers[k + 1:]], x,

@@ -55,23 +55,25 @@ element, its boolean keep-mask, and its backward rebuilds the scaled
 mask.
 
 Inference (`lstm_infer`) takes the embedding table and the (B, T)
-indices instead of their lookup, and keeps no history. A large enough
-batch is split into row shards: shard k takes rows k, k + shards, ...
-(see SHARD_MULADDS), and each shard is a whole one-thread call,
-`_lstm_rows`, that sorts its own rows and holds PROJECT_BYTES / shards
-of P. The calling thread runs one shard and the threads of an executor
-that the call starts and joins run the others, side by side on one BLAS
-thread each. A call on one shard's rows goes through its steps in runs,
-each of which projects its own distinct tokens once:
+indices instead of their lookup, and keeps no history. It goes through
+the steps in runs of one span, set once per call: the most steps whose
+B positions' rows of P fit PROJECT_BYTES, and at least one. A large
+enough batch is split into row shards: shard k takes rows k, k +
+shards, ... (see SHARD_MULADDS), and each shard is a whole one-thread
+call, `_lstm_rows`, that sorts its own rows and cuts the call's runs.
+The calling thread runs one shard and the threads of an executor that
+the call starts and joins run the others, side by side on one BLAS
+thread each. Each run of a shard projects the distinct tokens of its
+positions once:
 
   P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
                       padded with PAD's row up to the rows that keep the
                       training GEMM's kernel, so R is at most min(V,
-                      B*T) or those rows, whichever is more; a run ends
-                      before P would pass its bytes (a run of one step
-                      may pass them)
-  at      (n, B)      each of the run's positions' row of P, the rows
-                      sorted as below
+                      span * n) for a shard of n rows, or those rows,
+                      whichever is more; the shards' P together fit
+                      PROJECT_BYTES unless one step's positions pass it
+  where   (V,)        each of the run's tokens' row of P; where[run] is
+                      each of its positions' row, the rows sorted as below
   c, h    (2, B, H)   two alternating slots; tanh_c, i * g and h U one
 
 Step t takes its gates from P with one `np.take`. When a row starts with
@@ -400,12 +402,12 @@ def lstm_forward(x, w, u, b):
                                h=h)
 
 
-# Bytes of projected gates, P, that an inference call holds at once: a
-# run of steps projects its own distinct tokens, and takes steps while
-# their rows of P fit these bytes (see `_runs`), which a call's shards
-# share equally. Without the bound a batch whose positions are all
-# distinct would hold every step's gates (at paper shapes, B = 256,
-# float64: 246 MB).
+# Bytes of projected gates, P, that an inference call holds at once: the
+# call goes through its steps in runs of one span, the most steps whose
+# B positions' rows of P fit these bytes (at least one step), and each
+# run projects its own distinct tokens. Without the bound a batch whose
+# positions are all distinct would hold every step's gates (at paper
+# shapes, B = 256, float64: 246 MB).
 PROJECT_BYTES = 1 << 24
 
 
@@ -464,37 +466,10 @@ def _shards(batch, d, hidden):
     return min(blas.threads(), batch // rows)
 
 
-def _runs(idx, vocab, most):
-    """The runs of steps of `idx` (T, B), as (start, stop, distinct
-    tokens): every step in one run when the batch holds at most `most`
-    distinct tokens, else runs that each take steps while their distinct
-    tokens number at most `most` (a run of one step may hold more)."""
-    steps = idx.shape[0]
-    seen = np.zeros(vocab, bool)
-    seen[idx] = True
-    distinct = np.flatnonzero(seen)
-    if distinct.size <= most:
-        yield 0, steps, distinct
-        return
-    seen[distinct] = False
-    start = count = 0
-    for t in range(steps):
-        col = idx[t]
-        fresh = np.unique(col[~seen[col]])
-        if count + fresh.size > most and t > start:
-            distinct = np.flatnonzero(seen)
-            yield start, t, distinct
-            seen[distinct] = False
-            start, count, fresh = t, 0, np.unique(col)
-        seen[fresh] = True
-        count += fresh.size
-    yield start, steps, np.flatnonzero(seen)
-
-
-def _lstm_rows(indices, table, w, u, b, least, most):
+def _lstm_rows(indices, table, w, u, b, least, span):
     """The h_T of the rows of `indices`, (n, T), on the calling thread:
-    `lstm_infer` for those rows alone, its P padded to at least `least`
-    rows and its runs cut at `most` distinct tokens (`_runs`).
+    `lstm_infer` for those rows alone, in runs of `span` steps, each
+    run's P padded to at least `least` rows.
 
     When some row starts with PAD, the rows are sorted stably by their
     count of leading PAD steps, and step t covers only the rows that have
@@ -529,14 +504,18 @@ def _lstm_rows(indices, table, w, u, b, least, most):
     views = [a[..., :taken, :] for a in buffers]
     idx = np.ascontiguousarray(indices.T)
     where = np.empty(vocab, np.intp)
-    for start, stop, distinct in _runs(idx, vocab, most):
+    for start in range(0, steps, span):
+        run = idx[start:start + span]
+        seen = np.zeros(vocab, bool)
+        seen[run] = True
+        distinct = np.flatnonzero(seen)
         pick = np.zeros(max(distinct.size, least), np.intp)
         pick[:distinct.size] = distinct
         proj = np.empty((pick.size, 4 * hidden), dtype)
         np.matmul(table.value.take(pick, 0), w.value, out=proj)
         proj += b.value
         where[distinct] = np.arange(distinct.size)
-        for t, rows in enumerate(where[idx[start:stop]], start):
+        for t, rows in enumerate(where[run], start):
             prev, cur, m = t % 2, (t + 1) % 2, window[t]
             if m > taken:
                 c[prev, taken:m] = c[prev, taken - 1]
@@ -563,19 +542,22 @@ def lstm_infer(indices, table, w, u, b):
     bit, without the (B, T, d) lookup, the history or a cache.
 
     indices: (B, T) ints in [0, V), else IndexOutOfVocab; table: (V, d).
-    Each run of steps (`_runs`) first projects its distinct tokens once,
-    P = table[distinct] W + b; each of its steps then takes its gates
-    with one `np.take` of P. P holds at most PROJECT_BYTES (or one step's
-    distinct tokens, when they take more), and is padded with index 0 to
-    at least the rows that keep its product on the kernel of the
-    training GEMM over all B*T positions (`_least_rows`). Rows in their
-    PAD prefix share one trajectory, which each step's product runs once
-    (see `_lstm_rows`).
+    The steps go in runs of `span` steps, the most whose B positions'
+    rows of P fit PROJECT_BYTES, and at least one. Each run first
+    projects its distinct tokens once, P = table[distinct] W + b; each of
+    its steps then takes its gates with one `np.take` of P. So P holds
+    at most PROJECT_BYTES (or one step's positions, when they take more),
+    and is padded with index 0 to at least the rows that keep its
+    product on the kernel of the training GEMM over all B*T positions
+    (`_least_rows`). Rows in their PAD prefix share one trajectory, which
+    each step's product runs once (see `_lstm_rows`).
 
     A batch large enough (see `_shards`) is split into row shards: shard
     k takes rows k, k + shards, ..., and is a whole `_lstm_rows` call of
-    its own, with its own sort, runs and buffers, and PROJECT_BYTES /
-    shards of P. The calling thread runs shard 0 and threads of the
+    its own, with its own sort and buffers, on the call's span: the
+    shards cut the runs one shard would, and a run's P on a shard of n
+    rows holds at most span * n tokens, so the shards' P together stay
+    within the bound. The calling thread runs shard 0 and threads of the
     call's own executor the others, all under `blas.single_thread`:
     OpenBLAS's idle workers spin for a while after a threaded product, on
     the cores the shards run on (at paper shapes, B = 256 on 2 threads, a
@@ -592,18 +574,18 @@ def lstm_infer(indices, table, w, u, b):
     dtype = np.result_type(table.value, w.value, u.value, b.value)
     least = _least_rows(batch * steps, d * 4 * hidden)
     shards = _shards(batch, d, hidden)
-    most = PROJECT_BYTES // (shards * 4 * hidden * dtype.itemsize)
+    span = max(1, PROJECT_BYTES // (batch * 4 * hidden * dtype.itemsize))
     if shards == 1:
-        return _lstm_rows(indices, table, w, u, b, least, most)
+        return _lstm_rows(indices, table, w, u, b, least, span)
     # imported here: no unsharded call pays its 7 ms (with `logging`)
     from concurrent.futures import ThreadPoolExecutor
     h_t = np.empty((batch, hidden), dtype)
     # leaving joins every shard, also when the caller's raises
     with blas.single_thread(), ThreadPoolExecutor(shards - 1) as pool:
         rest = [pool.submit(_lstm_rows, indices[k::shards], table, w, u, b,
-                            least, most) for k in range(1, shards)]
+                            least, span) for k in range(1, shards)]
         h_t[::shards] = _lstm_rows(indices[::shards], table, w, u, b, least,
-                                   most)
+                                   span)
         for k, shard in enumerate(rest, 1):
             h_t[k::shards] = shard.result()
     return h_t

@@ -375,9 +375,9 @@ def test_lstm_without_history_gives_the_same_bits():
 
 # A vocabulary as large as the positions, so the distinct tokens outgrow
 # PROJECT_BYTES: (300, 37) goes in runs of several steps, (5000, 3) in
-# runs of one step that each hold more. Both OpenBLAS kernels: 11,100 and
-# 15,000 positions of d = 64 project on the large one; 300 rows of H = 16
-# recur on the small one and 5,000 on the large one.
+# runs of one step whose positions pass it. Both OpenBLAS kernels: 11,100
+# and 15,000 positions of d = 64 project on the large one; 300 rows of
+# H = 16 recur on the small one and 5,000 on the large one.
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("batch,steps", [(300, 37), (5000, 3)])
 def test_lstm_projects_in_runs_without_history_to_the_same_bits(
@@ -385,9 +385,10 @@ def test_lstm_projects_in_runs_without_history_to_the_same_bits(
     monkeypatch.setattr(layers, "PROJECT_BYTES", 1 << 20)
     indices, table, params = _lookup_case(batch, steps, batch * steps + 1,
                                           64, 16, dtype)
-    most = layers.PROJECT_BYTES // (4 * 16 * np.dtype(dtype).itemsize)
-    runs = list(layers._runs(indices.T, batch * steps + 1, most))
-    assert 1 < len(runs) <= steps
+    span = max(1, layers.PROJECT_BYTES
+               // (batch * 4 * 16 * np.dtype(dtype).itemsize))
+    runs = -(-steps // span)
+    assert 1 < runs <= steps
     h_train, _ = lstm_forward(embedding_forward(indices, table), *params)
     h_eval = lstm_infer(indices, table, *params)
     assert h_eval.dtype == dtype

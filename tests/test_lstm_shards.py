@@ -69,10 +69,9 @@ def rows_seen(monkeypatch):
     return seen
 
 
-# P's bytes: PROJECT_BYTES projects every step in one run, and 1 KB cuts
-# a run at every step, in both calls; 48 rows of P hold the batch's 40
-# distinct tokens in one run, but each shard gets 24 and cuts a run at
-# every step
+# P's bytes: PROJECT_BYTES takes every step in one run; 1 KB and 48 rows
+# of P, fewer than one step's 512 positions, give a span of one step. The
+# span is the call's, so both calls cut the same runs
 @pytest.mark.parametrize("dtype, budget", [
     pytest.param(dtype, budget, id=np.dtype(dtype).name + tag)
     for dtype in (np.float64, np.float32)
@@ -93,6 +92,48 @@ def test_two_shards_give_the_bits_of_one(monkeypatch, threads, rows_seen,
     trained, _ = lstm_forward(embedding_forward(indices, params[0]),
                               *params[1:])
     assert trained.tobytes() == one.tobytes()
+
+
+class _Takes(np.ndarray):
+    """A table that records, with the calling thread, the rows each
+    `take` picks: `lstm_infer` picks each run's rows of P with one."""
+
+    def take(self, pick, *args):
+        self.log.append((threading.current_thread(), np.array(pick)))
+        return np.asarray(self).take(pick, *args)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_and_two_shards_project_the_same_runs(monkeypatch, threads,
+                                                  dtype):
+    # a vocabulary near one run's positions on a shard, and a span of two
+    # steps: runs [0, 2), [2, 4) and [4, 5) on either shard count
+    steps, vocab, span = 5, 600, 2
+    monkeypatch.setattr(layers, "PROJECT_BYTES", span * BATCH * 4 * HIDDEN
+                        * np.dtype(dtype).itemsize)
+    indices, params = _case(dtype, steps=steps)
+    rng = np.random.default_rng(7)
+    indices[indices != 0] = rng.integers(1, vocab, (indices != 0).sum())
+    table = params[0]
+    table.value = rng.uniform(-0.5, 0.5, (vocab, D)).astype(dtype).view(
+        _Takes)
+    out = []
+    for shards in (1, 2):
+        table.value.log = []
+        threads(shards)
+        out.append(lstm_infer(indices, *params))
+        for k in range(shards):
+            rows = indices[k::shards]
+            picks = [pick for on, pick in table.value.log
+                     if (on is threading.current_thread()) == (k == 0)]
+            runs = [np.unique(rows[:, t:t + span])
+                    for t in range(0, steps, span)]
+            assert len(picks) == len(runs) == 3
+            for pick, tokens in zip(picks, runs):
+                assert tokens.size <= span * len(rows)
+                assert np.array_equal(pick[:tokens.size], tokens)
+                assert not pick[tokens.size:].any()
+    assert out[1].tobytes() == out[0].tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -296,8 +337,8 @@ def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
 # - B = 100 at H = 150: two shards of at least 47 rows at 2 threads, and
 #   one with d = 300 > SHARD_MAX_K
 # - gradcheck's miniature shapes, and its eval batch, once with no PAD
-# Each case runs at PROJECT_BYTES, which projects it in one run, and at
-# 1 KB, which cuts a run at every step (or every few, at H = 8).
+# Each case runs at PROJECT_BYTES, which takes every step in one run, and
+# at 1 KB, whose span is one step (two at B = 4, H = 8 in float32).
 INFERENCE_BITS = """
 import numpy as np
 from seqveritas import blas, layers
