@@ -1,21 +1,26 @@
-"""The OpenBLAS that numpy loaded: its thread count and its runtime kernel.
+"""The OpenBLAS that numpy loaded: the process's shard budget and its
+runtime kernel.
 
 The library is found among the shared objects this process has mapped
 (`/proc/self/maps`) and opened with ctypes. Its exported names are spelled
 `scipy_openblas_*64_` in the wheels numpy ships, `openblas_*` or
-`openblas_*64_` in system builds. Without an OpenBLAS, `threads()` is 1,
-`core()` is None and `single_thread()` changes nothing. The count is
-process wide and only `single_thread()` changes it, under its own lock.
+`openblas_*64_` in system builds.
+
+On first import this module records OpenBLAS's thread count, which
+`OPENBLAS_NUM_THREADS` sets, as the number of row shards an LSTM call may
+run side by side (`threads()`), and then sets OpenBLAS to one thread for
+the rest of the process. So no product runs threaded: a row's bits do not
+depend on the thread count, and no idle OpenBLAS worker spins on a core
+after a threaded product while the program's own shards run there.
+Nothing changes the count again. Without an OpenBLAS, `threads()` is 1
+and `core()` is None.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import importlib
-import os
-import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,10 +67,23 @@ def _api():
     return _lookup(_loaded_libraries())
 
 
+def _to_one_thread(api):
+    """Sets `api`'s OpenBLAS to one thread; returns the count it had, 1
+    without an OpenBLAS."""
+    if api is None:
+        return 1
+    count = api.get_threads()
+    api.set_threads(1)
+    return count
+
+
+_THREADS = _to_one_thread(_api())
+
+
 def threads():
-    """The number of threads OpenBLAS runs a product on; 1 without one."""
-    api = _api()
-    return 1 if api is None else api.get_threads()
+    """The shard budget: the number of threads OpenBLAS ran products on
+    when this module was first imported; 1 without an OpenBLAS."""
+    return _THREADS
 
 
 def core():
@@ -74,28 +92,3 @@ def core():
     without an OpenBLAS."""
     api = _api()
     return None if api is None else api.core().decode()
-
-
-# Held by a `single_thread` block and by a fork, so that no child starts
-# inside another thread's block, with the count at 1 and the lock held by
-# a thread it lacks. Reentrant: a block may nest, or fork, in its thread.
-_lock = threading.RLock()
-os.register_at_fork(before=_lock.acquire, after_in_parent=_lock.release,
-                    after_in_child=_lock.release)
-
-
-@contextlib.contextmanager
-def single_thread():
-    """Run OpenBLAS on one thread inside the block, then restore the count.
-    A block waits until any other thread's block has ended."""
-    with _lock:
-        api = _api()
-        if api is None:
-            yield
-            return
-        before = api.get_threads()
-        api.set_threads(1)
-        try:
-            yield
-        finally:
-            api.set_threads(before)

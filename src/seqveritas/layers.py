@@ -42,6 +42,12 @@ time-major buffers, indexed by step first:
                       respect to the pre-activation gates
   c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
 
+A training batch large enough (see TRAIN_SHARD_MULADDS) runs on row
+shards: shard k takes a contiguous block of batch rows, which at every
+step is a contiguous block of gates[t], c[t] and h[t], and runs both
+time loops on it; the T*B-row products are split by rows, and dW and dU
+by output rows. Workers allocate only (rows, .) scratch.
+
 tanh(c_t) is not kept: the forward writes it into one (B, H) scratch
 row, and the backward recomputes it there from the same c row with the
 same `np.tanh` call, so it has the forward's bits. The cache exposes x
@@ -62,9 +68,10 @@ enough batch is split into row shards: shard k takes rows k, k +
 shards, ... (see SHARD_MULADDS), and each shard is a whole one-thread
 call, `_lstm_rows`, that sorts its own rows and cuts the call's runs.
 The calling thread runs one shard and the threads of an executor that
-the call starts and joins run the others, side by side on one BLAS
-thread each. Each run of a shard projects the distinct tokens of its
-positions once:
+the call starts and joins run the others, side by side (`_side_by_side`,
+the frame training's shards use too); every product runs on the one
+BLAS thread that `blas` sets for the whole process. Each run of a shard
+projects the distinct tokens of its positions once:
 
   P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
                       padded with PAD's row up to the rows that keep the
@@ -352,6 +359,24 @@ def _cell(z, c_prev, c, tanh_c, h, ig, scale, offset):
     np.multiply(z[..., 3 * hidden:], tanh_c, out=h)
 
 
+def _forward_steps(gates, c, h, u, rows):
+    """The forward time loop over batch rows `rows` (a slice) of the
+    step-first buffers gates (T, ..., B, 4H), c and h (T+1, ..., B, H):
+    each step adds h_{t-1} U to its projected gates, activates them in
+    place and writes c_t and h_t. The scratch is the rows' own."""
+    gates, c, h = (a[..., rows, :] for a in (gates, c, h))
+    hidden = c.shape[-1]
+    scale, offset, _ = _gate_constants(hidden, gates.dtype)
+    tanh_c = np.empty(c.shape[1:], gates.dtype)
+    ig = np.empty_like(tanh_c)
+    hu = np.empty(gates.shape[1:], gates.dtype)
+    for t in range(gates.shape[0]):
+        z = gates[t]
+        np.matmul(h[t], u.value, out=hu)
+        z += hu
+        _cell(z, c[t], c[t + 1], tanh_c, h[t + 1], ig, scale, offset)
+
+
 def lstm_forward(x, w, u, b):
     """Sequence-to-vector LSTM, training: returns the final hidden state
     h_T and the `LstmCache` that `lstm_backward` reads.
@@ -361,6 +386,14 @@ def lstm_forward(x, w, u, b):
     one GEMM projects every step from a time-major copy of x (d wide, not
     4H), and each step applies all four activations with one tanh.
 
+    A batch large enough (see `_train_shards`) runs on row shards, side
+    by side (`_side_by_side`): the input GEMM split by blocks of steps,
+    rows of its T*B product, then each shard's time loop on its own
+    contiguous block of batch rows of the caller's buffers. Every part
+    stays on the whole product's kernel, so h_T and the cache have the
+    one-shard bits on a kernel whose rows round alike wherever the rows
+    are cut.
+
     W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
     (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
     more than one does, the same stack); x stays (B, T, d), and h_T is
@@ -368,8 +401,8 @@ def lstm_forward(x, w, u, b):
     the shape of the one-value call, so each h_T in the stack has the
     bits of its own call. The gates buffer then puts the stack axis
     first, (P, T, B, 4H), so that the input GEMM writes it whole, and c
-    and h put it after the step axis. No backward reads a stacked call's
-    cache.
+    and h put it after the step axis. A stacked call never shards, and no
+    backward reads its cache.
     """
     x = np.asarray(x)
     batch, steps, d = x.shape
@@ -380,24 +413,30 @@ def lstm_forward(x, w, u, b):
     # the leading axes of whichever of W, U and b hold a stack
     stack = w.value.shape[:-2] or u.value.shape[:-2] or b.value.shape[:-2]
     dtype = np.result_type(x, w.value, u.value, b.value)
-    scale, offset, _ = _gate_constants(hidden, dtype)
+    shards = 1 if stack else _train_shards(batch, hidden)
     gates = np.empty((*stack, steps, batch, 4 * hidden), dtype)
     x_tm = np.empty((steps, batch, d), x.dtype)
     c = np.zeros((steps + 1, *stack, batch, hidden), dtype)
     h = np.zeros_like(c)
-    tanh_c = np.empty((*stack, batch, hidden), dtype)
-    ig = np.empty_like(tanh_c)
-    hu = np.empty((*stack, batch, 4 * hidden), dtype)
-    np.copyto(x_tm, x.transpose(1, 0, 2))
     rows = gates.reshape(*stack, -1, 4 * hidden)
-    np.matmul(x_tm.reshape(-1, d), w.value, out=rows)
-    rows += b.value
     gates_tm = gates.swapaxes(0, -3)  # step axis first, a view
-    for t in range(steps):
-        z = gates_tm[t]
-        np.matmul(h[t], u.value, out=hu)
-        z += hu
-        _cell(z, c[t], c[t + 1], tanh_c, h[t + 1], ig, scale, offset)
+
+    def project(t):
+        np.copyto(x_tm[t], x[:, t].transpose(1, 0, 2))
+        part = rows[..., t.start * batch:t.stop * batch, :]
+        np.matmul(x_tm[t].reshape(-1, d), w.value, out=part)
+        part += b.value
+
+    if shards == 1:
+        project(slice(0, steps))
+        _forward_steps(gates_tm, c, h, u, slice(0, batch))
+    else:
+        least = _least_rows(steps * batch, d * 4 * hidden)
+        spans = _cuts(steps, shards, -(-least // batch))
+        blocks = _cuts(batch, shards, _least_rows(batch, hidden * 4 * hidden))
+        _side_by_side(lambda k: project(spans[k]), shards)
+        _side_by_side(lambda k: _forward_steps(gates_tm, c, h, u, blocks[k]),
+                      shards)
     return h[steps], LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c,
                                h=h)
 
@@ -412,14 +451,14 @@ PROJECT_BYTES = 1 << 24
 
 
 # Multiply-adds of a shard's recurrent product h_{t-1} U per step (rows x
-# H x 4H) at or above which an inference call splits its batch rows across
-# BLAS threads. A step's elementwise gate math (2/3 of an f64 paper-shape
-# pass) is single-threaded numpy that a second BLAS thread never helps;
-# two shards on one BLAS thread each run it side by side. At paper shapes
-# (T = 200, d = 100, H = 150; 2-core Xeon) two shards changed the
-# throughput of a pass by -10% / -29% (f64 / f32) with 16-row shards,
-# +21% / -13% with 32, +23% / -4% with 48, +28% / +8% with 64 and +34% /
-# +24% with 128. This bound is 47 rows there.
+# H x 4H) at or above which an inference call splits its batch rows into
+# shards, one per BLAS thread of the budget (`blas.threads`). A step's
+# elementwise gate math (2/3 of an f64 paper-shape pass) is numpy on the
+# calling thread, which shards run side by side. Measured against the
+# whole batch on one BLAS thread (paper shapes, T = 200, d = 100, H = 150;
+# 2-core Xeon), two shards were still slower at 32 rows (f64 67.9 against
+# 51.6 ms, f32 38.2 against 23.7) and at 64 (f64 123.6 against 117.3, f32
+# 53.9 against 43.6); they won at B = 256. This bound is 47 rows there.
 SHARD_MULADDS = 1 << 22
 # Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
 # kernel, whose bits can differ from its large one's: rows of an (M, 16)
@@ -435,12 +474,24 @@ SHARD_MULADDS = 1 << 22
 SMALL_GEMM_MULADDS = 10 ** 6
 # Widest d or H an inference call shards at. OpenBLAS sums a product's
 # inner dimension K in one block up to its kernel's GEMM_Q, and beyond it
-# in blocks that its one-thread and threaded drivers cut differently, so
-# one-thread shards would round otherwise than the threaded whole batch.
-# Products (128, K) x (K, 600) first differed between 1 and 2 threads at
+# in blocks that its one-thread and threaded drivers cut differently:
+# products (128, K) x (K, 600) first differed between 1 and 2 threads at
 # K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
-# (f64) on the Haswell, Sandybridge and Nehalem kernels.
+# (f64) on the Haswell, Sandybridge and Nehalem kernels. It was set while
+# the unsharded batch still ran threaded; every product now runs on one
+# thread.
 SHARD_MAX_K = 256
+# Multiply-adds of the whole batch's recurrent product per step (B x H x
+# 4H) below which a training call runs on one shard. One-thread forward
+# plus backward, T = 50, 15 alternating calls (2-core Xeon): at B = 64, H
+# = 150 (5.8 M) two shards won 15 of 15 in f32; at B = 24 (2.2 M) they
+# won 3 of 15 in f32 and 11 in f64; at B = 64, H = 64 (1.0 M) 10 and 5;
+# below that none. At paper shapes (T = 200, d = 100; medians of 11, two
+# runs) forward plus backward on two shards took 160-186 ms (f64) and 80-82
+# ms (f32), against 267-278 and 112-117 on one shard, and 181-200 and
+# 92-98 for the whole batch on two BLAS threads, as OpenBLAS ran it before
+# `blas` set one thread. This bound is 47 rows at H = 150.
+TRAIN_SHARD_MULADDS = 1 << 22
 
 
 def _least_rows(total, per_row):
@@ -464,6 +515,44 @@ def _shards(batch, d, hidden):
     if batch < 2 * rows:
         return 1
     return min(blas.threads(), batch // rows)
+
+
+def _train_shards(batch, hidden):
+    """How many row shards a training LSTM call runs on: up to one per BLAS
+    thread, each of at least the rows that keep the recurrent product on
+    the whole batch's kernel (`_least_rows`); one when the whole batch's
+    recurrent product does fewer than TRAIN_SHARD_MULADDS multiply-adds a
+    step."""
+    per_row = hidden * 4 * hidden
+    if batch * per_row < TRAIN_SHARD_MULADDS:
+        return 1
+    return min(blas.threads(), batch // _least_rows(batch, per_row))
+
+
+def _cuts(total, parts, least):
+    """`parts` near-equal contiguous slices of range(total); when a part
+    would hold fewer than `least`, the whole range and `parts` - 1 empty
+    slices."""
+    if total // parts < least:
+        return [slice(0, total)] + [slice(total, total)] * (parts - 1)
+    bounds = [total * k // parts for k in range(parts + 1)]
+    return [slice(a, z) for a, z in zip(bounds, bounds[1:])]
+
+
+def _side_by_side(work, shards):
+    """[work(0), ..., work(shards - 1)]: work(0) on the calling thread, the
+    others at the same time on the threads of an executor that the call
+    starts and joins, so no thread outlives it; one shard starts none.
+    Returns, or raises the first error, only when every shard has
+    returned."""
+    if shards == 1:
+        return [work(0)]
+    # imported here: no unsharded call pays its 7 ms (with `logging`)
+    from concurrent.futures import ThreadPoolExecutor
+    # leaving joins every shard, also those that a raise leaves running
+    with ThreadPoolExecutor(shards - 1) as pool:
+        rest = [pool.submit(work, k) for k in range(1, shards)]
+        return [work(0), *(shard.result() for shard in rest)]
 
 
 def _lstm_rows(indices, table, w, u, b, least, span):
@@ -558,14 +647,17 @@ def lstm_infer(indices, table, w, u, b):
     shards cut the runs one shard would, and a run's P on a shard of n
     rows holds at most span * n tokens, so the shards' P together stay
     within the bound. The calling thread runs shard 0 and threads of the
-    call's own executor the others, all under `blas.single_thread`:
-    OpenBLAS's idle workers spin for a while after a threaded product, on
-    the cores the shards run on (at paper shapes, B = 256 on 2 threads, a
-    call with 4 runs took 530 ms with threaded products of P and 340 ms
-    without). A shard's products stay on the whole batch's GEMM kernels
-    and sum their inner dimension in one block (SHARD_MAX_K), so on a
-    kernel whose rows round alike wherever the rows are cut, as
-    SkylakeX's do, the bits do not depend on the shard count.
+    call's own executor the others (`_side_by_side`), each product on the
+    one BLAS thread that `blas` sets for the whole process. That setting
+    is process wide because OpenBLAS's idle workers spin for a while after
+    any threaded product, on the cores the shards run on: at paper shapes
+    a call with 4 runs took 530 ms with threaded products of P and 340 ms
+    without, and a 2-shard eval call 250 ms right after a threaded B = 1
+    `predict` against 210-220 ms after a one-thread one. A shard's
+    products stay on the whole batch's GEMM kernels and sum their inner
+    dimension in one block (SHARD_MAX_K), so on a kernel whose rows round
+    alike wherever the rows are cut, as SkylakeX's do at these shapes,
+    the bits do not depend on the shard count.
     """
     vocab, d = table.value.shape
     indices = _checked(indices, vocab)
@@ -575,19 +667,13 @@ def lstm_infer(indices, table, w, u, b):
     least = _least_rows(batch * steps, d * 4 * hidden)
     shards = _shards(batch, d, hidden)
     span = max(1, PROJECT_BYTES // (batch * 4 * hidden * dtype.itemsize))
+    parts = _side_by_side(lambda k: _lstm_rows(
+        indices[k::shards], table, w, u, b, least, span), shards)
     if shards == 1:
-        return _lstm_rows(indices, table, w, u, b, least, span)
-    # imported here: no unsharded call pays its 7 ms (with `logging`)
-    from concurrent.futures import ThreadPoolExecutor
+        return parts[0]
     h_t = np.empty((batch, hidden), dtype)
-    # leaving joins every shard, also when the caller's raises
-    with blas.single_thread(), ThreadPoolExecutor(shards - 1) as pool:
-        rest = [pool.submit(_lstm_rows, indices[k::shards], table, w, u, b,
-                            least, span) for k in range(1, shards)]
-        h_t[::shards] = _lstm_rows(indices[::shards], table, w, u, b, least,
-                                   span)
-        for k, shard in enumerate(rest, 1):
-            h_t[k::shards] = shard.result()
+    for k, part in enumerate(parts):
+        h_t[k::shards] = part
     return h_t
 
 
@@ -598,29 +684,15 @@ def lstm_infer(indices, table, w, u, b):
 GRAD_X_ROWS = 1024
 
 
-def lstm_backward(grad_ht, cache, w, u, b):
-    """Full backpropagation through time; accumulates into the param grads
-    and returns grad with respect to the input sequence, (B, T, d).
-
-    The reversed time loop does the elementwise gate math and the one
-    recurrent product dh = dz_t U^T. Each step overwrites gates[t], which
-    it has just read, with dz_t, so after the loop `gates` holds dz for
-    every step and the non-recurrent products run over all T*B rows at
-    once: dW, dU and db in one product each, grad x in blocks of
-    GRAD_X_ROWS rows. Each step recomputes tanh(c_{t+1}) into one (B, H)
-    scratch with the forward's `np.tanh` call on the same c row, so it
-    has the bits the forward used. The returned grad x is a transposed
-    view of a time-major array. A cache it has spent raises StaleCache.
-    """
-    if cache.spent:
-        raise StaleCache("LSTM cache already used for a backward pass")
-    cache.spent = True
-    x, dz = cache.x, cache.gates
-    batch, steps, d = x.shape
-    hidden = u.value.shape[0]
+def _backward_steps(dz, c, grad_ht, u, rows):
+    """The reversed time loop over batch rows `rows` (a slice) of the
+    step-first gates (T, B, 4H), which hold the activated gates and are
+    overwritten with dz, and c (T+1, B, H): the elementwise gate math and
+    the recurrent product dh = dz_t U^T. The scratch is the rows' own."""
+    dz, c = dz[:, rows], c[:, rows]
+    batch, hidden = c.shape[1:]
     dtype = dz.dtype
-    grad_x = np.empty((steps, batch, d), dtype=dtype)
-    dh = np.array(grad_ht, dtype=dtype)
+    dh = np.array(grad_ht[rows], dtype=dtype)
     dc = np.zeros((batch, hidden), dtype=dtype)
     dc_next = np.empty_like(dc)
     tc = np.empty_like(dc)
@@ -629,15 +701,15 @@ def lstm_backward(grad_ht, cache, w, u, b):
     _, _, shift = _gate_constants(hidden, dtype)
     shift = shift.reshape(4, hidden)
     ut = u.value.T
-    for t in range(steps - 1, -1, -1):
+    for t in range(dz.shape[0] - 1, -1, -1):
         z = dz[t].reshape(batch, 4, hidden)
         gi, gf, gg, go = (z[:, k] for k in range(4))
-        np.tanh(cache.c[t + 1], out=tc)
+        np.tanh(c[t + 1], out=tc)
         dc += dh * go * dtanh(tc)
         np.subtract(1.0, z, out=slope)
         slope *= z + shift
         si *= gg
-        sf *= cache.c[t]
+        sf *= c[t]
         sg *= gi
         so *= tc
         np.multiply(dc, gf, out=dc_next)
@@ -646,15 +718,68 @@ def lstm_backward(grad_ht, cache, w, u, b):
         np.multiply(so, dh, out=go)
         np.matmul(dz[t], ut, out=dh)
         dc, dc_next = dc_next, dc
+
+
+def lstm_backward(grad_ht, cache, w, u, b):
+    """Full backpropagation through time; accumulates into the param grads
+    and returns grad with respect to the input sequence, (B, T, d).
+
+    The reversed time loop (`_backward_steps`) does the elementwise gate
+    math and the one recurrent product dh = dz_t U^T. Each step
+    overwrites gates[t], which it has just read, with dz_t, so after the
+    loop `gates` holds dz for every step and the non-recurrent products
+    run over all T*B rows at once: dW, dU and db in one product each,
+    grad x in blocks of GRAD_X_ROWS rows. Each step recomputes
+    tanh(c_{t+1}) into one (B, H) scratch with the forward's `np.tanh`
+    call on the same c row, so it has the bits the forward used. The
+    returned grad x is a transposed view of a time-major array. A cache
+    it has spent raises StaleCache.
+
+    A batch large enough (see `_train_shards`) runs the time loop on the
+    forward's row shards, side by side, and then splits the products:
+    dW and dU by their output rows (d and H), each part over the whole
+    dz, and grad x by its blocks. Each output element is then one dot
+    product of the whole call's, summed in its order: a split by output
+    columns changed dW's float64 bits, and per-shard partial sums would
+    change the order. db stays one reduce.
+    """
+    if cache.spent:
+        raise StaleCache("LSTM cache already used for a backward pass")
+    cache.spent = True
+    x, dz = cache.x, cache.gates
+    batch, steps, d = x.shape
+    hidden = u.value.shape[0]
+    grad_x = np.empty((steps, batch, d), dtype=dz.dtype)
     dz_rows = dz.reshape(-1, 4 * hidden)
-    w.grad += x.transpose(1, 0, 2).reshape(-1, d).T @ dz_rows
-    u.grad += cache.h[:steps].reshape(-1, hidden).T @ dz_rows
-    b.grad += dz_rows.sum(axis=0)
+    x_rows = x.transpose(1, 0, 2).reshape(-1, d)
+    h_rows = cache.h[:steps].reshape(-1, hidden)
     wt = w.value.T
     span = max(1, GRAD_X_ROWS // batch)
-    for t in range(0, steps, span):
-        np.matmul(dz[t:t + span].reshape(-1, 4 * hidden), wt,
-                  out=grad_x[t:t + span].reshape(-1, d))
+    grad_x_blocks = range(0, steps, span)
+
+    def products(w_part, u_part, x_part):
+        w.grad[w_part] += x_rows[:, w_part].T @ dz_rows
+        u.grad[u_part] += h_rows[:, u_part].T @ dz_rows
+        for t in grad_x_blocks[x_part]:
+            np.matmul(dz[t:t + span].reshape(-1, 4 * hidden), wt,
+                      out=grad_x[t:t + span].reshape(-1, d))
+
+    shards = _train_shards(batch, hidden)
+    if shards == 1:
+        whole = slice(None)
+        _backward_steps(dz, cache.c, grad_ht, u, whole)
+        products(whole, whole, whole)
+    else:
+        blocks = _cuts(batch, shards, _least_rows(batch, hidden * 4 * hidden))
+        per_row = steps * batch * 4 * hidden
+        w_rows = _cuts(d, shards, _least_rows(d, per_row))
+        u_rows = _cuts(hidden, shards, _least_rows(hidden, per_row))
+        x_blocks = _cuts(len(grad_x_blocks), shards, 1)
+        _side_by_side(lambda k: _backward_steps(dz, cache.c, grad_ht, u,
+                                                blocks[k]), shards)
+        _side_by_side(lambda k: products(w_rows[k], u_rows[k], x_blocks[k]),
+                      shards)
+    b.grad += dz_rows.sum(axis=0)
     return grad_x.transpose(1, 0, 2)
 
 

@@ -3,12 +3,15 @@
 import _ctypes
 import ctypes
 import os
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from seqveritas import blas
-from tests.conftest import wait_for_child
+
+SRC = str(Path(blas.__file__).parents[1])
 
 
 @pytest.fixture
@@ -24,84 +27,43 @@ def test_without_an_openblas_symbol_there_is_one_thread_and_no_core(
     monkeypatch.setattr(blas, "_loaded_libraries",
                         lambda: ["/nonexistent/libopenblas.so",
                                  _ctypes.__file__])
-    assert blas.threads() == 1
+    assert blas._api() is None
+    assert blas._to_one_thread(blas._api()) == 1
     assert blas.core() is None
-    with blas.single_thread():
-        assert blas.threads() == 1
 
 
 def test_the_loaded_openblas_reports_its_threads_and_core(fresh_lookup):
     if blas._api() is None:
         pytest.skip("numpy loaded no OpenBLAS")
-    before = blas.threads()
-    assert before >= 1
+    assert blas.threads() >= 1
     assert isinstance(blas.core(), str) and blas.core()
-    with blas.single_thread():
-        assert blas.threads() == 1
-    assert blas.threads() == before
+    # the import left OpenBLAS on one thread, and nothing has changed it
+    assert blas._api().get_threads() == 1
 
 
-def test_single_thread_restores_the_count_when_its_block_raises(fresh_lookup):
-    before = blas.threads()
-    with pytest.raises(KeyError):
-        with blas.single_thread():
-            raise KeyError("boom")
-    assert blas.threads() == before
+# In a fresh interpreter under OPENBLAS_NUM_THREADS=2: OpenBLAS's own
+# count after `import seqveritas`, and the budget that `blas` recorded.
+IMPORT_SETS_ONE_THREAD = """
+import seqveritas
+from seqveritas import blas
+api = blas._api()
+print(None if api is None else api.get_threads(), blas.threads())
+"""
 
 
-def test_a_second_thread_waits_for_the_first_to_leave_single_thread():
-    before = blas.threads()
-    entered, inside = threading.Event(), []
-
-    def enter():
-        with blas.single_thread():
-            entered.set()
-            inside.append(blas.threads())
-
-    with blas.single_thread():
-        other = threading.Thread(target=enter)
-        other.start()
-        assert not entered.wait(timeout=0.2)
-    other.join(timeout=60)
-    assert not other.is_alive()
-    assert inside == [1]
-    assert blas.threads() == before
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_fork_waits_for_another_threads_single_thread_block():
-    before = blas.threads()
-    entered, leave, forked = threading.Event(), threading.Event(), []
-
-    def hold():
-        with blas.single_thread():
-            entered.set()
-            leave.wait(timeout=60)
-
-    def fork():
-        pid = os.fork()
-        if pid == 0:
-            try:  # the child has the count restored and the lock free
-                ok = blas.threads() == before
-                with blas.single_thread():
-                    pass
-                os._exit(0 if ok else 1)
-            finally:
-                os._exit(2)
-        forked.append(pid)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    assert entered.wait(timeout=60)
-    forker = threading.Thread(target=fork)
-    forker.start()
-    forker.join(timeout=0.2)
-    assert forker.is_alive() and forked == []
-    leave.set()
-    for t in (holder, forker):
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert wait_for_child(forked[0], "single_thread block") == 0
+def test_importing_seqveritas_sets_one_thread_and_keeps_the_budget():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SETS_ONE_THREAD],
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    live, budget = proc.stdout.split()
+    if live == "None":
+        pytest.skip("numpy loaded no OpenBLAS")
+    if os.cpu_count() < 2:
+        pytest.skip("OpenBLAS caps its threads at the CPU count")
+    assert (live, budget) == ("1", "2")
 
 
 def test_each_symbol_spelling_is_found(monkeypatch):

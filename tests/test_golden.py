@@ -1,12 +1,14 @@
 """Golden run: the whole pipeline's output bytes, pinned.
 
-One subprocess, under one BLAS thread, runs `prepare -> train -> eval
-(train, val, all) -> predict --stdin` for every preset and dtype on two
-corpora, and `gradcheck --seed 0`. It prints a manifest: the sha256 of
-every file written and of every stdout, with the work directory's path
-replaced by `<work>`, beside the identity of the numpy and BLAS build, the
-kernel OpenBLAS picked at run time and the thread count. The test compares
-it with `fixtures/golden.json`.
+A subprocess runs `prepare -> train -> eval (train, val, all) -> predict
+--stdin` for every preset and dtype on two corpora, and `gradcheck --seed
+0`, once under OPENBLAS_NUM_THREADS=1 and once under 2. Each prints a
+manifest: the sha256 of every file written and of every stdout, with the
+work directory's path replaced by `<work>`, beside the identity of the
+numpy and BLAS build, the kernel OpenBLAS picked at run time and the
+thread count. The tests compare both with the one `fixtures/golden.json`:
+importing seqveritas runs every product on one BLAS thread and shards
+the LSTM on its own threads, so no output depends on the count.
 
 The corpora are the toy fixtures (V = 30, an embedding packed into the
 arena of the other tensors) and a synthetic one from `perfbench/synth.py`
@@ -15,8 +17,9 @@ with batches large enough for the embedding's 1-D scatter.
 
 What `prepare` writes depends only on its inputs and is checked on every
 build. Trained bytes depend on the BLAS kernels and numpy's SIMD paths, so
-they are checked only when the identity matches the fixture's; otherwise
-the test skips and names both identities.
+they are checked only when the build identity matches the fixture's,
+whatever the thread count; otherwise the test skips and names both
+identities.
 
 Regenerate the fixture, only for a change that means to move a digest:
 
@@ -34,7 +37,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden.json"
-THREADS = "1"
+THREADS = ("1", "2")
 
 PRESETS = ("baseline", "regularized", "optimized")
 DTYPES = ("float64", "float32")
@@ -149,12 +152,16 @@ def manifest(work):
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
-    proc = subprocess.run(
-        [sys.executable, __file__, str(tmp_path_factory.mktemp("golden"))],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS=THREADS),
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    """OPENBLAS_NUM_THREADS -> the manifest of a run under it."""
+    runs = {}
+    for threads in THREADS:
+        proc = subprocess.run(
+            [sys.executable, __file__, str(tmp_path_factory.mktemp("golden"))],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -163,26 +170,30 @@ def golden():
 
 
 def test_prepared_bytes_match_golden(fresh, golden):
-    assert fresh["prepared"] == golden["prepared"]
+    for threads, run in fresh.items():
+        assert run["threads"] == threads
+        assert run["prepared"] == golden["prepared"], threads
 
 
 def test_synth_embedding_is_alone_in_its_arena_and_toy_is_not(fresh, golden):
-    assert fresh["embedding_alone"] == golden["embedding_alone"]
-    for tag, alone in fresh["embedding_alone"].items():
-        assert alone == tag.startswith("synth."), tag
+    for run in fresh.values():
+        assert run["embedding_alone"] == golden["embedding_alone"]
+        for tag, alone in run["embedding_alone"].items():
+            assert alone == tag.startswith("synth."), tag
 
 
 def test_trained_bytes_match_golden(fresh, golden):
-    here = (fresh["identity"], fresh["threads"])
-    pinned = (golden["identity"], golden["threads"])
-    if here != pinned:
-        pytest.skip(f"build {here} is not the golden build {pinned}")
-    assert fresh["trained"] == golden["trained"]
+    for threads, run in fresh.items():
+        if run["identity"] != golden["identity"]:
+            pytest.skip(f"build {run['identity']} is not the golden build "
+                        f"{golden['identity']}")
+        assert run["trained"] == golden["trained"], threads
 
 
 if __name__ == "__main__":
-    # the thread count must be set before numpy loads its BLAS
-    os.environ["OPENBLAS_NUM_THREADS"] = THREADS
+    # the thread count must be set before numpy loads its BLAS; a
+    # regenerated fixture records the first
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", THREADS[0])
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     if len(sys.argv) > 1:
         print(json.dumps(manifest(Path(sys.argv[1])), sort_keys=True))

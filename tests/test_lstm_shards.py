@@ -1,10 +1,13 @@
-"""Inference LSTM calls split their batch rows across BLAS threads.
+"""LSTM calls split their batch rows into shards, one per thread of the
+budget that `blas.threads` reports.
 
 `layers.blas.threads` is set to 2 here, so the shards run on any machine;
-each shard's products then run on one BLAS thread and must give the bits
-of the one-shard call. Shapes sit just at or above the bound in
-`layers._shards`: at B = 512, H = 64 each of two shards does exactly
-SHARD_MULADDS multiply-adds per step.
+every product runs on the one BLAS thread that importing seqveritas
+sets, and a sharded call must give the bits of the one-shard call. The
+training tests run in fresh interpreters under several
+OPENBLAS_NUM_THREADS, which sets the budget. The inference shapes sit
+just at or above the bound in `layers._shards`: at B = 512, H = 64 each
+of two shards does exactly SHARD_MULADDS multiply-adds per step.
 """
 
 import concurrent.futures
@@ -20,15 +23,12 @@ import numpy as np
 import pytest
 
 from seqveritas import blas, layers, model_zoo, textprep
-from seqveritas.layers import (ParamTensor, embedding_forward, lstm_forward,
-                               lstm_infer)
+from seqveritas.layers import (ParamTensor, embedding_forward, lstm_backward,
+                               lstm_forward, lstm_infer)
 from seqveritas.optim import PREDICT_BATCH, predict_in_batches
 from tests.conftest import wait_for_child
 
 BATCH, STEPS, D, HIDDEN, VOCAB = 512, 3, 8, 64, 40
-# the BLAS thread count itself: the `threads` fixture replaces only what
-# `layers` reads
-REAL_THREADS = blas.threads
 SRC = str(Path(layers.__file__).parents[1])
 
 
@@ -45,6 +45,12 @@ def _case(dtype, batch=BATCH, steps=STEPS, d=D, hidden=HIDDEN):
                                   ("U", (hidden, 4 * hidden)),
                                   ("b", (4 * hidden,)))]
     return indices, params
+
+
+def _live_threads():
+    """OpenBLAS's own thread count; 1 without an OpenBLAS."""
+    api = blas._api()
+    return 1 if api is None else api.get_threads()
 
 
 @pytest.fixture
@@ -155,41 +161,8 @@ def test_predict_in_batches_gives_the_bits_of_one_shard(threads, rows_seen,
     assert two.tobytes() == one.tobytes()
 
 
-def test_a_sharded_call_runs_blas_on_one_thread_and_restores_it(
-        monkeypatch, threads):
-    before = REAL_THREADS()
-    counts = []
-    run = layers._lstm_rows
-
-    def counting(*args):
-        counts.append(REAL_THREADS())
-        return run(*args)
-
-    indices, params = _case(np.float64)
-    threads(2)
-    monkeypatch.setattr(layers, "_lstm_rows", counting)
-    lstm_infer(indices, *params)
-    assert counts == [1, 1]
-    assert REAL_THREADS() == before
-
-
-def _enters_single_thread_elsewhere():
-    """Whether another thread enters and leaves `blas.single_thread()`
-    within a minute, as it does once no thread holds its lock."""
-    def enter_and_leave():
-        with blas.single_thread():
-            pass
-
-    other = threading.Thread(target=enter_and_leave)
-    other.start()
-    other.join(timeout=60)
-    return not other.is_alive()
-
-
 @pytest.mark.parametrize("where", ["caller", "pool"])
-def test_a_shard_that_raises_restores_blas_and_the_lock(monkeypatch, threads,
-                                                        where):
-    before = REAL_THREADS()
+def test_a_shard_that_raises_joins_every_shard(monkeypatch, threads, where):
     alive = set(threading.enumerate())
     caller = threading.current_thread()
     run = layers._lstm_rows
@@ -204,9 +177,7 @@ def test_a_shard_that_raises_restores_blas_and_the_lock(monkeypatch, threads,
     monkeypatch.setattr(layers, "_lstm_rows", failing)
     with pytest.raises(FloatingPointError, match=where):
         lstm_infer(indices, *params)
-    assert REAL_THREADS() == before
     assert set(threading.enumerate()) == alive
-    assert _enters_single_thread_elsewhere()
 
 
 def test_a_sharded_call_leaves_no_thread_behind(monkeypatch, threads):
@@ -239,8 +210,11 @@ def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
     # half the batch: two shards would each fall below SHARD_MULADDS
     indices, params = _case(np.float64, batch=BATCH // 2)
     lstm_infer(indices, *params)
-    # training runs the whole batch in one pass at any batch
-    lstm_forward(embedding_forward(indices, params[0]), *params[1:])
+    # a training batch whose recurrent product is below TRAIN_SHARD_MULADDS
+    rows = -(-layers.TRAIN_SHARD_MULADDS // (4 * HIDDEN * HIDDEN)) - 1
+    x = embedding_forward(indices[:rows], params[0])
+    lstm_backward(np.ones((rows, HIDDEN)), lstm_forward(x, *params[1:])[1],
+                  *params[1:])
     # d or H above SHARD_MAX_K: one-thread products would sum K in other
     # blocks
     for wide in ({"d": layers.SHARD_MAX_K + 1},
@@ -285,7 +259,6 @@ def test_concurrent_callers_each_get_the_one_shard_bits(threads):
     threads(1)
     want = lstm_infer(indices, *params)
     threads(2)
-    before = REAL_THREADS()
     results, errors = [], []
 
     def call():
@@ -309,7 +282,7 @@ def test_concurrent_callers_each_get_the_one_shard_bits(threads):
     assert errors == []
     assert len(results) == 12
     assert all(h.tobytes() == want.tobytes() for h in results)
-    assert REAL_THREADS() == before
+    assert _live_threads() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -425,3 +398,145 @@ def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):
     lookup = batch * steps * d * 8
     shards = batch * (13 * (4 * hidden + d) + 6 * hidden + 4 * hidden) * 8
     assert peak < lookup + shards
+
+
+# Training on shards against one shard, in a fresh interpreter whose
+# budget OPENBLAS_NUM_THREADS sets; `blas.threads` is replaced by 1 for
+# the one-shard run. H = 150, where TRAIN_SHARD_MULADDS is 47 rows:
+# - the kernels at B = 64, at the bound (47) and just below it (46), in
+#   both dtypes: h_T, grad x, dW, dU and db
+# - a stacked W, U and b probe at B = 64, which must not shard: each h_T
+#   of the stack against its own one-shard call
+# - a whole `fit`, batches of 64 and a short last one of 50: the
+#   weights and the history, its losses among them
+# It prints the budget, the shard counts and the cases that differ, then
+# a digest of every result, which must not depend on the budget.
+TRAINING_BITS = """
+import hashlib, json
+import numpy as np
+from seqveritas import blas, layers, model_zoo, optim, textprep
+from seqveritas.layers import ParamTensor, lstm_backward, lstm_forward
+
+BUDGET = blas.threads
+HIDDEN = 150
+shards, wrong, digest = [], [], hashlib.sha256()
+side_by_side = layers._side_by_side
+
+
+def counted(work, n):
+    shards.append(n)
+    return side_by_side(work, n)
+
+
+layers._side_by_side = counted
+
+
+def on_one_shard(run, *args):
+    blas.threads = lambda: 1
+    try:
+        return run(*args)
+    finally:
+        blas.threads = BUDGET
+
+
+def params(rng, dtype, d, stack=()):
+    return [ParamTensor(k, (rng.standard_normal((*stack, *s)) * 0.1)
+                        .astype(dtype))
+            for k, s in (("W", (d, 4 * HIDDEN)), ("U", (HIDDEN, 4 * HIDDEN)),
+                         ("b", (1, 4 * HIDDEN) if stack else (4 * HIDDEN,)))]
+
+
+def kernels(batch, dtype):
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 9, 20)).astype(dtype)
+    grad_ht = rng.standard_normal((batch, HIDDEN)).astype(dtype)
+    ps = params(rng, dtype, 20)
+    h_t, cache = lstm_forward(x, *ps)
+    grad_x = lstm_backward(grad_ht, cache, *ps)
+    return [h_t, grad_x, *(p.grad for p in ps)]
+
+
+def stacked(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((64, 9, 20)).astype(dtype)
+    ps = params(rng, dtype, 20, stack=(3,))
+    return [lstm_forward(x, *ps)[0]]
+
+
+def unstacked(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((64, 9, 20)).astype(dtype)
+    ps = params(rng, dtype, 20, stack=(3,))
+    return [lstm_forward(x, *(ParamTensor(p.name, p.value[k].reshape(
+        p.value.shape[1:] if p.name != "b" else -1)) for p in ps))[0]
+        for k in range(3)]
+
+
+def fitted(dtype):
+    vocab = textprep.build_vocab([[f"w{k}" for k in range(60)]],
+                                 min_freq=1)
+    model = model_zoo.build("regularized", vocab, maxlen=8, seed=3,
+                            embed_dim=16, lstm_units=HIDDEN,
+                            dtype=np.dtype(dtype).name)
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, len(vocab), (114 + 20, 8))
+    y = (x[:, -1] % 2).astype(np.float64)
+    history = optim.fit(model, x[:114], y[:114], x[114:], y[114:],
+                        optim.TrainConfig(epochs=2, batch_size=64, seed=1))
+    return [*(p.value for p in model.params),
+            np.frombuffer(json.dumps(history.epochs).encode(), np.uint8)]
+
+
+for dtype in (np.float64, np.float32):
+    name = np.dtype(dtype).name
+    cases = [(f"kernels-{b}", kernels, b) for b in (64, 47, 46)]
+    cases += [("fit", fitted), ("stacked", stacked)]
+    for case, run, *args in cases:
+        del shards[:]
+        got = run(*args, dtype)
+        counts = list(shards)
+        want = on_one_shard(unstacked if run is stacked else run, *args,
+                            dtype)
+        if b"".join(a.tobytes() for a in got) != b"".join(
+                a.tobytes() for a in want):
+            wrong.append(f"{name} {case}")
+        for a in got:
+            digest.update(np.ascontiguousarray(a).tobytes())
+        print(f"{name} {case} {max(counts, default=1)}")
+print(BUDGET(), wrong)
+print(digest.hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def training_runs():
+    """OPENBLAS_NUM_THREADS -> (budget, {case: shards}, wrong, digest)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for n in ("1", "2", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", TRAINING_BITS], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n))
+        assert proc.returncode == 0, proc.stderr
+        *cases, summary, digest = proc.stdout.splitlines()
+        budget, wrong = summary.split(maxsplit=1)
+        runs[n] = (int(budget), dict(line.rsplit(maxsplit=1)
+                                     for line in cases), wrong, digest)
+    return runs
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2", "4"])
+def test_training_shards_give_the_one_shard_bits(training_runs,
+                                                  blas_threads):
+    budget, shards, wrong, digest = training_runs[blas_threads]
+    assert wrong == "[]"
+    assert digest == training_runs["1"][3]
+    for dtype in ("float64", "float32"):
+        sharded = str(min(budget, 2)) if budget > 1 else "1"
+        # 64 rows take at most 5 shards of 12; 47 rows hit the bound
+        assert shards[f"{dtype} kernels-64"] == str(min(budget, 5))
+        assert shards[f"{dtype} kernels-47"] == sharded
+        assert shards[f"{dtype} fit"] == str(min(budget, 5))
+        assert shards[f"{dtype} kernels-46"] == "1"
+        assert shards[f"{dtype} stacked"] == "1"
