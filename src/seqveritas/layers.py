@@ -477,9 +477,7 @@ SMALL_GEMM_MULADDS = 10 ** 6
 # in blocks that its one-thread and threaded drivers cut differently:
 # products (128, K) x (K, 600) first differed between 1 and 2 threads at
 # K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
-# (f64) on the Haswell, Sandybridge and Nehalem kernels. It was set while
-# the unsharded batch still ran threaded; every product now runs on one
-# thread.
+# (f64) on the Haswell, Sandybridge and Nehalem kernels.
 SHARD_MAX_K = 256
 # Multiply-adds of the whole batch's recurrent product per step (B x H x
 # 4H) below which a training call runs on one shard. One-thread forward
