@@ -42,11 +42,12 @@ time-major buffers, indexed by step first:
                       respect to the pre-activation gates
   c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
 
-A training batch large enough (see TRAIN_SHARD_MULADDS) runs on row
-shards: shard k takes a contiguous block of batch rows, which at every
-step is a contiguous block of gates[t], c[t] and h[t], and runs both
-time loops on it; the T*B-row products are split by rows, and dW and dU
-by output rows. Workers allocate only (rows, .) scratch.
+A training batch large enough (see SHARD_MULADDS) runs on row shards
+(`_train_cuts`): shard k takes a contiguous block of batch rows, which
+at every step is a contiguous block of gates[t], c[t] and h[t], and runs
+both time loops on it; the T*B-row products x W and dz W^T take one span
+of steps per shard, and dW and dU are split by output rows. Workers
+allocate only (rows, .) scratch.
 
 tanh(c_t) is not kept: the forward writes it into one (B, H) scratch
 row, and the backward recomputes it there from the same c row with the
@@ -386,13 +387,13 @@ def lstm_forward(x, w, u, b):
     one GEMM projects every step from a time-major copy of x (d wide, not
     4H), and each step applies all four activations with one tanh.
 
-    A batch large enough (see `_train_shards`) runs on row shards, side
-    by side (`_side_by_side`): the input GEMM split by blocks of steps,
-    rows of its T*B product, then each shard's time loop on its own
-    contiguous block of batch rows of the caller's buffers. Every part
-    stays on the whole product's kernel, so h_T and the cache have the
-    one-shard bits on a kernel whose rows round alike wherever the rows
-    are cut.
+    A batch large enough (see `_train_cuts`) runs on row shards, side by
+    side (`_side_by_side`): the input GEMM over each shard's span of
+    steps, rows of its T*B product, then each shard's time loop on its
+    own contiguous block of batch rows of the caller's buffers. Every
+    part stays on the whole product's kernel, so h_T and the cache have
+    the one-shard bits on a kernel whose rows round alike wherever the
+    rows are cut.
 
     W, U or b may hold a stack of values on a leading axis, (P, d, 4H),
     (P, H, 4H) or (P, 1, 4H), as gradcheck's stacked probes hand them (if
@@ -413,7 +414,7 @@ def lstm_forward(x, w, u, b):
     # the leading axes of whichever of W, U and b hold a stack
     stack = w.value.shape[:-2] or u.value.shape[:-2] or b.value.shape[:-2]
     dtype = np.result_type(x, w.value, u.value, b.value)
-    shards = 1 if stack else _train_shards(batch, hidden)
+    shards, blocks, spans = _train_cuts(batch, steps, d, hidden, stack)
     gates = np.empty((*stack, steps, batch, 4 * hidden), dtype)
     x_tm = np.empty((steps, batch, d), x.dtype)
     c = np.zeros((steps + 1, *stack, batch, hidden), dtype)
@@ -427,16 +428,9 @@ def lstm_forward(x, w, u, b):
         np.matmul(x_tm[t].reshape(-1, d), w.value, out=part)
         part += b.value
 
-    if shards == 1:
-        project(slice(0, steps))
-        _forward_steps(gates_tm, c, h, u, slice(0, batch))
-    else:
-        least = _least_rows(steps * batch, d * 4 * hidden)
-        spans = _cuts(steps, shards, -(-least // batch))
-        blocks = _cuts(batch, shards, _least_rows(batch, hidden * 4 * hidden))
-        _side_by_side(lambda k: project(spans[k]), shards)
-        _side_by_side(lambda k: _forward_steps(gates_tm, c, h, u, blocks[k]),
-                      shards)
+    _side_by_side(lambda k: project(spans[k]), shards)
+    _side_by_side(lambda k: _forward_steps(gates_tm, c, h, u, blocks[k]),
+                  shards)
     return h[steps], LstmCache(x=x_tm.transpose(1, 0, 2), gates=gates, c=c,
                                h=h)
 
@@ -450,46 +444,40 @@ def lstm_forward(x, w, u, b):
 PROJECT_BYTES = 1 << 24
 
 
-# Multiply-adds of a shard's recurrent product h_{t-1} U per step (rows x
-# H x 4H) at or above which an inference call splits its batch rows into
-# shards, one per BLAS thread of the budget (`blas.threads`). A step's
-# elementwise gate math (2/3 of an f64 paper-shape pass) is numpy on the
-# calling thread, which shards run side by side. Measured against the
-# whole batch on one BLAS thread (paper shapes, T = 200, d = 100, H = 150;
-# 2-core Xeon), two shards were still slower at 32 rows (f64 67.9 against
-# 51.6 ms, f32 38.2 against 23.7) and at 64 (f64 123.6 against 117.3, f32
-# 53.9 against 43.6); they won at B = 256. This bound is 47 rows there.
+# Multiply-adds of a recurrent product h_{t-1} U per step (rows x H x 4H)
+# at or above which an LSTM call splits its batch rows into shards, one per
+# BLAS thread of the budget (`blas.threads`): an inference call when each
+# shard's product reaches it, a training call when the whole batch's does.
+# A step's elementwise gate math (2/3 of an f64 paper-shape pass) is numpy
+# on the calling thread, which shards run side by side. Measured against
+# the whole batch on one BLAS thread (2-core Xeon). Inference at paper
+# shapes (T = 200, d = 100, H = 150): two shards were still slower at 32
+# rows (f64 67.9 against 51.6 ms, f32 38.2 against 23.7) and at 64 (f64
+# 123.6 against 117.3, f32 53.9 against 43.6); they won at B = 256.
+# Training forward plus backward, T = 50, 15 alternating calls: at B = 64,
+# H = 150 (5.8 M) two shards won 15 of 15 in f32; at B = 24 (2.2 M) they
+# won 3 of 15 in f32 and 11 in f64; at B = 64, H = 64 (1.0 M) 10 and 5;
+# below that none. At paper shapes (medians of 11, two runs) training on
+# two shards took 160-186 ms (f64) and 80-82 ms (f32), against 267-278 and
+# 112-117 on one. At H = 150 the bound is 47 rows: per shard for
+# inference, per batch for training.
 SHARD_MULADDS = 1 << 22
 # Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
 # kernel, whose bits can differ from its large one's: rows of an (M, 16)
 # x (16, 28) float64 product did at M = 2,232 against M = 40,000, and of
-# an (M, 150) x (150, 600) float32 one at M = 11 against M = 12. Within
-# either kernel a row's bits depend neither on M nor on where the row
-# sits (every M from 2 to 700 or to the bound, 11 shapes from (8, 32) to
-# (256, 12) and (150, 600), both dtypes, 1 and 2 threads, SkylakeX); at
-# M = 1 numpy calls GEMV, whose bits differ again. So inference gives the
-# training bits only on a kernel that rounds so: on another, a row's bits
-# may depend on its batch, whose distinct tokens set the M of P and whose
-# PAD prefixes set that of each step's recurrent product.
+# an (M, 150) x (150, 600) float32 one at M = 11 against M = 12. At M = 1
+# numpy calls GEMV, whose bits differ again. Within either kernel a row's
+# bits depended neither on M nor on where the row sits at every M from 2
+# to 700 or to the bound, 11 shapes from (8, 32) to (256, 12) and (150,
+# 600), both dtypes, SkylakeX; but not at every shape. On SkylakeX in
+# float64 they do at K = 776, N = 194 (dz_t U^T at H = 194), at N above
+# 256, and at odd H, where the rows of h U and x W round by the product's
+# M; on the Haswell kernel they do at odd M in float64 and at M off a
+# multiple of 12 in float32. So inference gives the training bits, and
+# shards the bits of one, only where the kernel rounds so: elsewhere a
+# row's bits may depend on its batch, whose distinct tokens set the M of P
+# and whose PAD prefixes set that of each step's recurrent product.
 SMALL_GEMM_MULADDS = 10 ** 6
-# Widest d or H an inference call shards at. OpenBLAS sums a product's
-# inner dimension K in one block up to its kernel's GEMM_Q, and beyond it
-# in blocks that its one-thread and threaded drivers cut differently:
-# products (128, K) x (K, 600) first differed between 1 and 2 threads at
-# K = 385 (f64) and 449 (f32) on the SkylakeX kernel, and at K = 257
-# (f64) on the Haswell, Sandybridge and Nehalem kernels.
-SHARD_MAX_K = 256
-# Multiply-adds of the whole batch's recurrent product per step (B x H x
-# 4H) below which a training call runs on one shard. One-thread forward
-# plus backward, T = 50, 15 alternating calls (2-core Xeon): at B = 64, H
-# = 150 (5.8 M) two shards won 15 of 15 in f32; at B = 24 (2.2 M) they
-# won 3 of 15 in f32 and 11 in f64; at B = 64, H = 64 (1.0 M) 10 and 5;
-# below that none. At paper shapes (T = 200, d = 100; medians of 11, two
-# runs) forward plus backward on two shards took 160-186 ms (f64) and 80-82
-# ms (f32), against 267-278 and 112-117 on one shard, and 181-200 and
-# 92-98 for the whole batch on two BLAS threads, as OpenBLAS ran it before
-# `blas` set one thread. This bound is 47 rows at H = 150.
-TRAIN_SHARD_MULADDS = 1 << 22
 
 
 def _least_rows(total, per_row):
@@ -503,34 +491,41 @@ def _least_rows(total, per_row):
     return min(total, max(2, SMALL_GEMM_MULADDS // per_row + 1))
 
 
-def _shards(batch, d, hidden):
+def _shards(batch, hidden):
     """How many row shards an inference call runs on: up to one per BLAS
     thread, each with a recurrent product of at least SHARD_MULADDS
-    multiply-adds per step; one when d or H is wider than SHARD_MAX_K."""
-    if max(d, hidden) > SHARD_MAX_K:
-        return 1
+    multiply-adds per step."""
     rows = -(-SHARD_MULADDS // (hidden * 4 * hidden))
     if batch < 2 * rows:
         return 1
     return min(blas.threads(), batch // rows)
 
 
-def _train_shards(batch, hidden):
-    """How many row shards a training LSTM call runs on: up to one per BLAS
-    thread, each of at least the rows that keep the recurrent product on
-    the whole batch's kernel (`_least_rows`); one when the whole batch's
-    recurrent product does fewer than TRAIN_SHARD_MULADDS multiply-adds a
-    step."""
+def _train_cuts(batch, steps, d, hidden, stack=()):
+    """(shards, blocks, spans) of a training LSTM call. It runs on up to
+    one shard per BLAS thread when the whole batch's recurrent product
+    does at least SHARD_MULADDS multiply-adds a step, and on one for a
+    `stack`. Shard k runs the time loops on batch rows blocks[k], at
+    least the rows that keep the recurrent product on the whole batch's
+    kernel (`_least_rows`), and the T*B-row products x W and dz W^T, d *
+    4H multiply-adds a row each, on steps spans[k], at least the steps
+    that keep them on the whole product's kernel."""
     per_row = hidden * 4 * hidden
-    if batch * per_row < TRAIN_SHARD_MULADDS:
-        return 1
-    return min(blas.threads(), batch // _least_rows(batch, per_row))
+    if stack or batch * per_row < SHARD_MULADDS:
+        return 1, [slice(0, batch)], [slice(0, steps)]
+    least = _least_rows(batch, per_row)
+    shards = min(blas.threads(), batch // least)
+    least_steps = -(-_least_rows(steps * batch, d * 4 * hidden) // batch)
+    return (shards, _cuts(batch, shards, least),
+            _cuts(steps, shards, least_steps))
 
 
 def _cuts(total, parts, least):
     """`parts` near-equal contiguous slices of range(total); when a part
     would hold fewer than `least`, the whole range and `parts` - 1 empty
     slices."""
+    if parts == 1:
+        return [slice(0, total)]
     if total // parts < least:
         return [slice(0, total)] + [slice(total, total)] * (parts - 1)
     bounds = [total * k // parts for k in range(parts + 1)]
@@ -646,16 +641,11 @@ def lstm_infer(indices, table, w, u, b):
     rows holds at most span * n tokens, so the shards' P together stay
     within the bound. The calling thread runs shard 0 and threads of the
     call's own executor the others (`_side_by_side`), each product on the
-    one BLAS thread that `blas` sets for the whole process. That setting
-    is process wide because OpenBLAS's idle workers spin for a while after
-    any threaded product, on the cores the shards run on: at paper shapes
-    a call with 4 runs took 530 ms with threaded products of P and 340 ms
-    without, and a 2-shard eval call 250 ms right after a threaded B = 1
-    `predict` against 210-220 ms after a one-thread one. A shard's
-    products stay on the whole batch's GEMM kernels and sum their inner
-    dimension in one block (SHARD_MAX_K), so on a kernel whose rows round
-    alike wherever the rows are cut, as SkylakeX's do at these shapes,
-    the bits do not depend on the shard count.
+    one BLAS thread that `blas` sets for the whole process. A shard's
+    products stay on the whole batch's GEMM kernels, so on a kernel whose
+    rows round alike wherever the rows are cut, as SkylakeX's do at the
+    paper's widths, the bits do not depend on the shard count; at odd H
+    in float64 they do (see SMALL_GEMM_MULADDS).
     """
     vocab, d = table.value.shape
     indices = _checked(indices, vocab)
@@ -663,7 +653,7 @@ def lstm_infer(indices, table, w, u, b):
     hidden = u.value.shape[0]
     dtype = np.result_type(table.value, w.value, u.value, b.value)
     least = _least_rows(batch * steps, d * 4 * hidden)
-    shards = _shards(batch, d, hidden)
+    shards = _shards(batch, hidden)
     span = max(1, PROJECT_BYTES // (batch * 4 * hidden * dtype.itemsize))
     parts = _side_by_side(lambda k: _lstm_rows(
         indices[k::shards], table, w, u, b, least, span), shards)
@@ -673,13 +663,6 @@ def lstm_infer(indices, table, w, u, b):
     for k, part in enumerate(parts):
         h_t[k::shards] = part
     return h_t
-
-
-# Rows of dz per grad-x product. OpenBLAS packs a taller left operand into
-# a larger buffer that then stays resident: at paper shapes (12,800 rows,
-# 600 -> 100, float64, 2 threads) one product touches ~40 MB and takes
-# ~24 ms, blocks of 1,024 rows ~13 MB and ~12 ms.
-GRAD_X_ROWS = 1024
 
 
 def _backward_steps(dz, c, grad_ht, u, rows):
@@ -726,20 +709,20 @@ def lstm_backward(grad_ht, cache, w, u, b):
     math and the one recurrent product dh = dz_t U^T. Each step
     overwrites gates[t], which it has just read, with dz_t, so after the
     loop `gates` holds dz for every step and the non-recurrent products
-    run over all T*B rows at once: dW, dU and db in one product each,
-    grad x in blocks of GRAD_X_ROWS rows. Each step recomputes
-    tanh(c_{t+1}) into one (B, H) scratch with the forward's `np.tanh`
-    call on the same c row, so it has the bits the forward used. The
-    returned grad x is a transposed view of a time-major array. A cache
-    it has spent raises StaleCache.
+    run over all T*B rows at once: dW, dU, db and grad x in one product
+    each. Each step recomputes tanh(c_{t+1}) into one (B, H) scratch with
+    the forward's `np.tanh` call on the same c row, so it has the bits the
+    forward used. The returned grad x is a transposed view of a
+    time-major array. A cache it has spent raises StaleCache.
 
-    A batch large enough (see `_train_shards`) runs the time loop on the
+    A batch large enough (see `_train_cuts`) runs the time loop on the
     forward's row shards, side by side, and then splits the products:
     dW and dU by their output rows (d and H), each part over the whole
-    dz, and grad x by its blocks. Each output element is then one dot
-    product of the whole call's, summed in its order: a split by output
-    columns changed dW's float64 bits, and per-shard partial sums would
-    change the order. db stays one reduce.
+    dz, and grad x by the forward's spans of steps, since dz W^T does the
+    d * 4H multiply-adds a row of x W. Each output element is then one
+    dot product of the whole call's, summed in its order: a split by
+    output columns changed dW's float64 bits, and per-shard partial sums
+    would change the order. db stays one reduce.
     """
     if cache.spent:
         raise StaleCache("LSTM cache already used for a backward pass")
@@ -751,32 +734,20 @@ def lstm_backward(grad_ht, cache, w, u, b):
     dz_rows = dz.reshape(-1, 4 * hidden)
     x_rows = x.transpose(1, 0, 2).reshape(-1, d)
     h_rows = cache.h[:steps].reshape(-1, hidden)
-    wt = w.value.T
-    span = max(1, GRAD_X_ROWS // batch)
-    grad_x_blocks = range(0, steps, span)
+    shards, blocks, spans = _train_cuts(batch, steps, d, hidden)
+    per_row = steps * batch * 4 * hidden
+    w_rows = _cuts(d, shards, _least_rows(d, per_row))
+    u_rows = _cuts(hidden, shards, _least_rows(hidden, per_row))
 
-    def products(w_part, u_part, x_part):
-        w.grad[w_part] += x_rows[:, w_part].T @ dz_rows
-        u.grad[u_part] += h_rows[:, u_part].T @ dz_rows
-        for t in grad_x_blocks[x_part]:
-            np.matmul(dz[t:t + span].reshape(-1, 4 * hidden), wt,
-                      out=grad_x[t:t + span].reshape(-1, d))
+    def products(k):
+        w.grad[w_rows[k]] += x_rows[:, w_rows[k]].T @ dz_rows
+        u.grad[u_rows[k]] += h_rows[:, u_rows[k]].T @ dz_rows
+        np.matmul(dz[spans[k]].reshape(-1, 4 * hidden), w.value.T,
+                  out=grad_x[spans[k]].reshape(-1, d))
 
-    shards = _train_shards(batch, hidden)
-    if shards == 1:
-        whole = slice(None)
-        _backward_steps(dz, cache.c, grad_ht, u, whole)
-        products(whole, whole, whole)
-    else:
-        blocks = _cuts(batch, shards, _least_rows(batch, hidden * 4 * hidden))
-        per_row = steps * batch * 4 * hidden
-        w_rows = _cuts(d, shards, _least_rows(d, per_row))
-        u_rows = _cuts(hidden, shards, _least_rows(hidden, per_row))
-        x_blocks = _cuts(len(grad_x_blocks), shards, 1)
-        _side_by_side(lambda k: _backward_steps(dz, cache.c, grad_ht, u,
-                                                blocks[k]), shards)
-        _side_by_side(lambda k: products(w_rows[k], u_rows[k], x_blocks[k]),
-                      shards)
+    _side_by_side(lambda k: _backward_steps(dz, cache.c, grad_ht, u,
+                                            blocks[k]), shards)
+    _side_by_side(products, shards)
     b.grad += dz_rows.sum(axis=0)
     return grad_x.transpose(1, 0, 2)
 

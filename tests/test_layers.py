@@ -287,8 +287,8 @@ def _oracle_case(batch, steps, d, hid):
 
 
 # (B, T, d, H): one example, one step, d != H both ways, long sequences;
-# at GRAD_X_ROWS = 1024 the last two take grad x in several blocks (one
-# step each; 7 steps, then 2)
+# the last two are tall T*B products (2,200 and 1,170 rows), whose grad x
+# is one product over every step
 @pytest.mark.parametrize("batch,steps,d,hid", [
     (1, 7, 4, 4), (3, 1, 4, 4), (2, 6, 5, 3), (4, 5, 3, 7), (1, 1, 2, 5),
     (1, 40, 4, 6), (3, 40, 5, 4), (1100, 2, 3, 4), (130, 9, 3, 4)])

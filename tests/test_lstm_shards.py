@@ -100,6 +100,27 @@ def test_two_shards_give_the_bits_of_one(monkeypatch, threads, rows_seen,
     assert trained.tobytes() == one.tobytes()
 
 
+# Widths past those where OpenBLAS's threaded drivers sum K in other
+# blocks than its one-thread driver: at one BLAS thread the inference
+# shards still give the one-shard bits and the training bits. 100 rows
+# make two shards at H = 150 (47 rows each at least) and at H = 300 (12)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d, hidden", [(257, 150), (300, 150), (449, 150),
+                                       (100, 300), (300, 300)])
+def test_two_shards_give_the_bits_of_one_at_wide_shapes(threads, rows_seen,
+                                                        dtype, d, hidden):
+    indices, params = _case(dtype, batch=100, d=d, hidden=hidden)
+    threads(1)
+    one = lstm_infer(indices, *params)
+    trained, _ = lstm_forward(embedding_forward(indices, params[0]),
+                              *params[1:])
+    threads(2)
+    two = lstm_infer(indices, *params)
+    assert rows_seen == [100, 50, 50]
+    assert two.tobytes() == one.tobytes()
+    assert trained.tobytes() == one.tobytes()
+
+
 class _Takes(np.ndarray):
     """A table that records, with the calling thread, the rows each
     `take` picks: `lstm_infer` picks each run's rows of P with one."""
@@ -210,18 +231,12 @@ def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
     # half the batch: two shards would each fall below SHARD_MULADDS
     indices, params = _case(np.float64, batch=BATCH // 2)
     lstm_infer(indices, *params)
-    # a training batch whose recurrent product is below TRAIN_SHARD_MULADDS
-    rows = -(-layers.TRAIN_SHARD_MULADDS // (4 * HIDDEN * HIDDEN)) - 1
+    # a training batch whose recurrent product is below SHARD_MULADDS
+    rows = -(-layers.SHARD_MULADDS // (4 * HIDDEN * HIDDEN)) - 1
     x = embedding_forward(indices[:rows], params[0])
     lstm_backward(np.ones((rows, HIDDEN)), lstm_forward(x, *params[1:])[1],
                   *params[1:])
-    # d or H above SHARD_MAX_K: one-thread products would sum K in other
-    # blocks
-    for wide in ({"d": layers.SHARD_MAX_K + 1},
-                 {"hidden": layers.SHARD_MAX_K + 1}):
-        indices, params = _case(np.float64, **wide)
-        lstm_infer(indices, *params)
-    assert rows_seen == [BATCH // 2, BATCH, BATCH]
+    assert rows_seen == [BATCH // 2]
     assert set(threading.enumerate()) == alive
 
 
@@ -307,8 +322,8 @@ def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
 # - B = 5 and 13 at H = 150: recurrent products just below and just above
 #   SMALL_GEMM_MULADDS (12 rows), one shard; with every row in its PAD
 #   prefix at first, the shared rows run alone
-# - B = 100 at H = 150: two shards of at least 47 rows at 2 threads, and
-#   one with d = 300 > SHARD_MAX_K
+# - B = 100 at H = 150 and d = 100 or 300: two shards of at least 47 rows
+#   at 2 threads
 # - gradcheck's miniature shapes, and its eval batch, once with no PAD
 # Each case runs at PROJECT_BYTES, which takes every step in one run, and
 # at 1 KB, whose span is one step (two at B = 4, H = 8 in float32).
@@ -340,7 +355,7 @@ for dtype, budget in [(t, b) for t in (np.float64, np.float32)
         want, _ = lstm_forward(embedding_forward(indices, params[0]),
                                *params[1:])
         got = lstm_infer(indices, *params)
-        sharded += layers._shards(batch, d, hidden) > 1
+        sharded += layers._shards(batch, hidden) > 1
         if got.dtype != dtype or got.tobytes() != want.tobytes():
             wrong.append((np.dtype(dtype).name, budget, batch, steps, d,
                           hidden, pads))
@@ -360,7 +375,7 @@ def test_inference_gives_the_training_bits(blas_threads):
     threads, sharded, wrong = proc.stdout.rsplit(maxsplit=2)
     assert wrong == "[]", proc.stdout
     if threads == "2":  # a build without OpenBLAS has one thread only
-        assert sharded == "4"
+        assert sharded == "8"
 
 
 def _bench_eval_batch():
@@ -402,7 +417,7 @@ def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):
 
 # Training on shards against one shard, in a fresh interpreter whose
 # budget OPENBLAS_NUM_THREADS sets; `blas.threads` is replaced by 1 for
-# the one-shard run. H = 150, where TRAIN_SHARD_MULADDS is 47 rows:
+# the one-shard run. H = 150, where SHARD_MULADDS is 47 rows:
 # - the kernels at B = 64, at the bound (47) and just below it (46), in
 #   both dtypes: h_T, grad x, dW, dU and db
 # - a stacked W, U and b probe at B = 64, which must not shard: each h_T
@@ -540,3 +555,29 @@ def test_training_shards_give_the_one_shard_bits(training_runs,
         assert shards[f"{dtype} fit"] == str(min(budget, 5))
         assert shards[f"{dtype} kernels-46"] == "1"
         assert shards[f"{dtype} stacked"] == "1"
+
+
+# At odd H the float64 SkylakeX kernel rounds the rows of h U and x W by
+# the product's row count, so a batch of 64 cut into two 32-row shards
+# trains to other bits than on one shard
+@pytest.mark.xfail(blas.core() == "SkylakeX", strict=True, reason=(
+    "ROADMAP item 20: at odd H a float64 row's bits depend on the row "
+    "count of its product, so shards cut at even rows change them"))
+def test_training_shards_give_the_one_shard_bits_at_odd_hidden(threads):
+    hidden = 151
+    rng = np.random.default_rng(151)
+    x = rng.standard_normal((64, 9, 20))
+    grad_ht = rng.standard_normal((64, hidden))
+    weights = [rng.standard_normal(s) * 0.1 for s in
+               ((20, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
+    out = []
+    for shards in (1, 2):
+        threads(shards)
+        assert layers._train_cuts(64, 9, 20, hidden)[0] == shards
+        ps = [ParamTensor(k, v.copy()) for k, v in zip("WUb", weights)]
+        h_t, cache = lstm_forward(x, *ps)
+        grad_x = lstm_backward(grad_ht, cache, *ps)
+        out.append([a.tobytes() for a in (h_t, grad_x, *(p.grad for p in ps))])
+    # the names, not the bytes: a diff of the bytes takes minutes under -v
+    assert [name for name, one, two in zip(
+        ("h_T", "grad x", "dW", "dU", "db"), *out) if one != two] == []
