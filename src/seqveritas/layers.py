@@ -82,13 +82,22 @@ projects the distinct tokens of its positions once:
                       PROJECT_BYTES unless one step's positions pass it
   where   (V,)        each of the run's tokens' row of P; where[run] is
                       each of its positions' row, the rows sorted as below
-  c, h    (2, B, H)   two alternating slots; tanh_c, i * g and h U one
+
+and the step buffers, each on a PARAM_ALIGN boundary of one allocation:
+
+  c, h        2 x (B, H)  two alternating slots each: c_{t-1} and h_{t-1}
+                          in one, c_t and h_t written to the other
+  tanh_c, ig  (B, H)      tanh(c_t) and i * g
+  z, hu       (B, 4H)     the step's gates and h_{t-1} U
 
 Step t takes its gates from P with one `np.take`. When a row starts with
 PAD the rows are sorted stably by their count of leading PAD steps, and
 step t's product runs over the rows that have started plus enough rows
 still in their PAD prefix, which all share one trajectory, to stay on
-the whole product's kernel.
+the whole product's kernel. The views a step hands its numpy calls (the
+buffers' first rows, z's four gate blocks, and which c and h slot is
+t-1) are made once per window of rows, not per step, so a one-row step
+makes its numpy calls and little else.
 """
 
 from __future__ import annotations
@@ -99,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .numerics import ShapeMismatch, dtanh
+from .numerics import PARAM_ALIGN, ShapeMismatch, _aligned, dtanh
 
 
 # Bytes per array in a block of an Arena's `blocks`: a block's value,
@@ -110,11 +119,6 @@ from .numerics import ShapeMismatch, dtanh
 # float32, 12.2 and 10.0 ms in float64; blocks of 16 KiB took longer
 # than the whole array.
 PARAM_BLOCK_BYTES = 1 << 18
-# Bytes at whose multiples a packed arena starts each tensor's values.
-# OpenBLAS's GEMV at predict shapes, (1, 150) x (150, 600) float64, took
-# 12.4 us with the matrix at a 64-byte boundary and 20.4 us at 8, 16 or
-# 32 bytes past one.
-PARAM_ALIGN = 64
 # Elements (tokens x E) of upstream gradient at or below which
 # `embedding_backward` makes one 2-D np.add.at call. The two paths cross
 # near 400 elements at every width (min of 5 x 300 calls, us, 2-D | 1-D):
@@ -153,9 +157,10 @@ class ParamTensor:
     its `arena`'s `value` and `grad`; Adam's moments are the arena's
     alone. A model's tensors get their arenas from `pack`; a tensor that
     no `pack` placed becomes an arena of one on first use of `arena`,
-    which adopts `value` (a C-contiguous array is not copied). `grad` is
-    made on first use and kept: clipping and zeroing walk the arena's
-    arrays, so a model that only predicts never makes it.
+    which adopts `value` (a C-contiguous array on a PARAM_ALIGN boundary
+    is not copied). `grad` is made on first use and kept: clipping and
+    zeroing walk the arena's arrays, so a model that only predicts never
+    makes it.
     """
     name: str
     value: np.ndarray
@@ -192,8 +197,9 @@ class Arena:
 
     def __init__(self, tensors):
         """An arena of one adopts its tensor's value (reshaped, so a
-        C-contiguous one is not copied). A larger one allocates `value`
-        and copies each tensor's in once, each span starting at the first
+        C-contiguous one on a PARAM_ALIGN boundary is not copied; any
+        other is copied once to one). A larger one allocates `value` and
+        copies each tensor's in once, each span starting at the first
         multiple of PARAM_ALIGN bytes, from an aligned base, after the one
         before; the gaps hold zeros, whose gradient and moments stay
         zero, so no step moves them."""
@@ -202,6 +208,9 @@ class Arena:
             p = tensors[0]
             p.span = slice(0, p.value.size)
             self.value = p.value.reshape(-1)
+            if self.value.ctypes.data % PARAM_ALIGN:
+                self.value = _aligned(self.value.shape, self.value.dtype)
+                self.value[...] = p.value.reshape(-1)
             p.value = p._view(self.value)
             p.arena = self
             return
@@ -213,9 +222,7 @@ class Arena:
         for p in tensors:
             p.span = slice(at, at + p.value.size)
             at = -(-p.span.stop // per) * per
-        raw = np.zeros(at + per, dtype)
-        skip = -raw.ctypes.data % PARAM_ALIGN // dtype.itemsize
-        self.value = raw[skip:skip + at]
+        self.value = _aligned((at,), dtype)
         for p in tensors:
             view = p._view(self.value)
             view[...] = p.value
@@ -344,20 +351,21 @@ def _gate_constants(hidden, dtype):
     return scale, offset, shift
 
 
-def _cell(z, c_prev, c, tanh_c, h, ig, scale, offset):
+def _cell(z, gates, c_prev, c, tanh_c, h, ig, scale, offset):
     """One step's gate math, in place: activates the pre-activation gates
-    z = x_t W + b + h_{t-1} U, then writes c_t into c, tanh(c_t) into
-    tanh_c and h_t into h; ig holds i * g."""
-    hidden = c.shape[-1]
+    z = x_t W + b + h_{t-1} U, whose [i, f, g, o] blocks are the four
+    views `gates`, then writes c_t into c, tanh(c_t) into tanh_c and h_t
+    into h; ig holds i * g."""
+    i, f, g, o = gates
     z *= scale
     np.tanh(z, out=z)
     z *= scale
     z += offset
-    np.multiply(z[..., hidden:2 * hidden], c_prev, out=c)
-    np.multiply(z[..., :hidden], z[..., 2 * hidden:3 * hidden], out=ig)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=ig)
     c += ig
     np.tanh(c, out=tanh_c)
-    np.multiply(z[..., 3 * hidden:], tanh_c, out=h)
+    np.multiply(o, tanh_c, out=h)
 
 
 def _forward_steps(gates, c, h, u, rows):
@@ -368,6 +376,8 @@ def _forward_steps(gates, c, h, u, rows):
     gates, c, h = (a[..., rows, :] for a in (gates, c, h))
     hidden = c.shape[-1]
     scale, offset, _ = _gate_constants(hidden, gates.dtype)
+    # the [i, f, g, o] blocks of every step's gates
+    i, f, g, o = (gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
     tanh_c = np.empty(c.shape[1:], gates.dtype)
     ig = np.empty_like(tanh_c)
     hu = np.empty(gates.shape[1:], gates.dtype)
@@ -375,7 +385,8 @@ def _forward_steps(gates, c, h, u, rows):
         z = gates[t]
         np.matmul(h[t], u.value, out=hu)
         z += hu
-        _cell(z, c[t], c[t + 1], tanh_c, h[t + 1], ig, scale, offset)
+        _cell(z, (i[t], f[t], g[t], o[t]), c[t], c[t + 1], tanh_c, h[t + 1],
+              ig, scale, offset)
 
 
 def lstm_forward(x, w, u, b):
@@ -560,7 +571,13 @@ def _lstm_rows(indices, table, w, u, b, least, span):
     are still in their PAD prefix and carry one shared trajectory: a row
     that a step takes in copies its c and h from the last row the step
     before held, and the rows that never start copy its h_T. c and h
-    alternate between two slots; h_T is unsorted at the end."""
+    alternate between two slots; h_T is unsorted at the end.
+
+    The step buffers share one `_aligned` allocation, each starting on a
+    PARAM_ALIGN boundary. The views of them that a step takes, for either
+    parity of t, are made when the window of rows changes, and the
+    views of the whole batch once; the gather takes `rows[:m]` only when
+    the window leaves rows out."""
     vocab = table.value.shape[0]
     batch, steps = indices.shape
     hidden = u.value.shape[0]
@@ -576,14 +593,33 @@ def _lstm_rows(indices, table, w, u, b, least, span):
         started = np.searchsorted(lead[order], np.arange(steps), "right")
         fewest = _least_rows(batch, hidden * 4 * hidden)
         window = np.minimum(np.maximum(started + 1, fewest), batch).tolist()
-    c, h = np.zeros((2, 2, batch, hidden), dtype)
-    tanh_c, ig = np.empty((2, batch, hidden), dtype)
-    z = np.empty((batch, 4 * hidden), dtype)
-    hu = np.empty_like(z)
-    buffers = (z, c, h, tanh_c, ig, hu)
+    # the step buffers, each on a PARAM_ALIGN boundary of one allocation
+    # of 14 slots of B * H rounded up to one: the two c and two h slots,
+    # tanh(c) and i * g, then z and h U, four slots each
+    size = batch * hidden
+    per = PARAM_ALIGN // dtype.itemsize
+    slots = _aligned((14, -(-size // per) * per), dtype)
+    c0, c1, h0, h1, tanh_c, ig = slots[:6, :size].reshape(6, batch, hidden)
+    z, hu = slots[6:].reshape(2, -1)[:, :4 * size].reshape(2, batch,
+                                                           4 * hidden)
+    i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    # the views a step takes: z, its [i, f, g, o] blocks, tanh(c), i * g,
+    # h U, and (c_{t-1}, c_t, h_{t-1}, h_t) at even and at odd t
+    whole = (z, (i, f, g, o), tanh_c, ig, hu,
+             ((c0, c1, h0, h1), (c1, c0, h1, h0)))
+
+    def first(m):
+        """`whole`'s views of the buffers' first m rows."""
+        if m == batch:
+            return whole
+        c0m, c1m, h0m, h1m = c0[:m], c1[:m], h0[:m], h1[:m]
+        return (z[:m], (i[:m], f[:m], g[:m], o[:m]), tanh_c[:m], ig[:m],
+                hu[:m], ((c0m, c1m, h0m, h1m), (c1m, c0m, h1m, h0m)))
+
     # at step 0 every row holds the zero state: nothing to copy
     taken = window[0]
-    views = [a[..., :taken, :] for a in buffers]
+    zm, gates, tanh_m, ig_m, hu_m, parity = first(taken)
+    recur = u.value
     idx = np.ascontiguousarray(indices.T)
     where = np.empty(vocab, np.intp)
     for start in range(0, steps, span):
@@ -598,21 +634,21 @@ def _lstm_rows(indices, table, w, u, b, least, span):
         proj += b.value
         where[distinct] = np.arange(distinct.size)
         for t, rows in enumerate(where[run], start):
-            prev, cur, m = t % 2, (t + 1) % 2, window[t]
+            m = window[t]
             if m > taken:
-                c[prev, taken:m] = c[prev, taken - 1]
-                h[prev, taken:m] = h[prev, taken - 1]
+                for a in ((c0, h0), (c1, h1))[t % 2]:
+                    a[taken:m] = a[taken - 1]
                 taken = m
-                views = [a[..., :m, :] for a in buffers]
-            zm, cm, hm, tanh_m, ig_m, hu_m = views
+                zm, gates, tanh_m, ig_m, hu_m, parity = first(m)
+            c_prev, c_now, h_prev, h_now = parity[t % 2]
             # the method skips np.take's Python wrapper, ~1 us a step
-            proj.take(rows[:m], 0, zm, "clip")
-            np.matmul(hm[prev], u.value, out=hu_m)
+            proj.take(rows if m == batch else rows[:m], 0, zm, "clip")
+            np.matmul(h_prev, recur, out=hu_m)
             zm += hu_m
-            _cell(zm, cm[prev], cm[cur], tanh_m, hm[cur], ig_m, scale,
+            _cell(zm, gates, c_prev, c_now, tanh_m, h_now, ig_m, scale,
                   offset)
         del proj  # before the next run makes its own
-    h_t = h[steps % 2]
+    h_t = (h0, h1)[steps % 2]
     if taken < batch:  # rows that never started
         h_t[taken:] = h_t[taken - 1]
     return h_t if order is None else h_t[np.argsort(order)]

@@ -74,7 +74,7 @@ from .layers import (BatchNormRunning, ParamTensor, StaleCache,
                      dense_forward, dropout_backward, dropout_forward,
                      embedding_backward, embedding_forward, lstm_backward,
                      lstm_forward, lstm_infer, pack)
-from .numerics import Prng, drelu, init_glorot, relu, sigmoid
+from .numerics import Prng, _aligned, drelu, init_glorot, relu, sigmoid
 from .objective import THRESHOLD, bce_grad_fused
 
 CHECKPOINT_MAGIC = "svchk"
@@ -479,10 +479,7 @@ def load(path):
     buffer (see the module docstring); refused unless its tensor table is
     exactly the one `save` writes for its config."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        raw = np.empty(size + CHECKPOINT_ALIGN, dtype=np.uint8)
-        skip = -raw.ctypes.data % CHECKPOINT_ALIGN
-        blob = raw[skip:skip + size]
+        blob = _aligned((os.fstat(f.fileno()).st_size,), np.uint8)
         blob = blob[:f.readinto(blob)]
     n = int.from_bytes(blob[:8].tobytes(), "little")
     if 8 + n > blob.size:  # a file under 8 bytes too

@@ -21,8 +21,15 @@ def _pt(name, arr, reg=()):
     return ParamTensor(name, np.asarray(arr, dtype=np.float64), regularizers=reg)
 
 
+def _on_a_boundary(array):
+    """A copy of `array` that starts at a multiple of PARAM_ALIGN bytes."""
+    copy = layers._aligned(array.shape, array.dtype)
+    copy[...] = array
+    return copy
+
+
 def test_a_standalone_tensor_is_an_arena_of_one_that_adopts_its_array():
-    array = np.arange(12.0).reshape(3, 4)
+    array = _on_a_boundary(np.arange(12.0).reshape(3, 4))
     p = ParamTensor("w", array)
     # no `pack` placed it, so its arena is made on first use, of grad here
     assert "arena" not in vars(p) and not hasattr(p, "span")
@@ -36,6 +43,24 @@ def test_a_standalone_tensor_is_an_arena_of_one_that_adopts_its_array():
     assert not hasattr(p, "m") and not hasattr(p, "v")
     assert p.grad.dtype == array.dtype and not p.grad.any()
     assert np.shares_memory(p.grad, p.arena.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("off", [0, 16, 32, 48])
+def test_an_array_off_a_boundary_is_copied_once_onto_one(dtype, off):
+    # `off` bytes past a boundary, as init_glorot's arrays may start: the
+    # matrix kernels are slower there, so an arena of one copies it
+    skip = off // np.dtype(dtype).itemsize
+    array = layers._aligned((skip + 35,), dtype)[skip:].reshape(5, 7)
+    array[...] = np.arange(35).reshape(5, 7)
+    assert array.ctypes.data % layers.PARAM_ALIGN == off
+    p = ParamTensor("w", array)
+    arena = p.arena
+    assert np.shares_memory(p.value, array) == (off == 0)
+    assert arena.value.ctypes.data % layers.PARAM_ALIGN == 0
+    assert arena.value.size == 35 and p.span == slice(0, 35)
+    assert np.array_equal(p.value, np.arange(35).reshape(5, 7))
+    assert np.shares_memory(p.value, arena.value)
 
 
 def test_an_arena_packs_its_tensors_end_to_end():
@@ -62,10 +87,10 @@ def test_an_arena_packs_its_tensors_end_to_end():
 def test_pack_gives_a_tensor_over_one_block_an_arena_of_its_own():
     rows = layers.PARAM_BLOCK_BYTES // (8 * 8)  # float64 rows of 8
     sources = {"small0": np.full((3, 5), 1.0),
-               "big0": np.full((rows + 1, 8), 2.0),
+               "big0": _on_a_boundary(np.full((rows + 1, 8), 2.0)),
                "small1": np.full(7, 3.0),
                "block": np.full((rows, 8), 4.0),  # exactly one block
-               "big1": np.full((2 * rows, 8), 5.0)}
+               "big1": _on_a_boundary(np.full((2 * rows, 8), 5.0))}
     params = [ParamTensor(name, array) for name, array in sources.items()]
     small0, big0, small1, block, big1 = params
     arenas = layers.pack(params)
@@ -410,6 +435,89 @@ def test_lstm_without_history_never_holds_every_steps_gates(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < steps * batch * 4 * hid * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (13, 1, 3)])
+def test_aligned_gives_a_zeroed_array_on_a_param_boundary(dtype, shape):
+    for _ in range(8):  # the allocator's addresses vary from call to call
+        array = layers._aligned(shape, dtype)
+        assert array.shape == shape and array.dtype == dtype
+        assert array.flags.c_contiguous and array.flags.writeable
+        assert array.ctypes.data % layers.PARAM_ALIGN == 0
+        assert not array.any()
+
+
+def _per_step_h_t(indices, table, w, u, b):
+    """h_T of a plain loop over every row at every step: P = table[tokens]
+    W + b over the distinct tokens, padded with PAD's row to the rows
+    `lstm_infer` projects, then at each step z = P[row] + h U and the
+    cell's calls in their order."""
+    batch, steps = indices.shape
+    hidden = u.shape[0]
+    scale, offset, _ = layers._gate_constants(hidden, u.dtype)
+    distinct = np.unique(indices)
+    least = layers._least_rows(batch * steps, table.shape[1] * 4 * hidden)
+    pick = np.zeros(max(distinct.size, least), np.intp)
+    pick[:distinct.size] = distinct
+    proj = table[pick] @ w + b
+    rows = np.searchsorted(distinct, indices)
+    c = np.zeros((batch, hidden), u.dtype)
+    h = np.zeros_like(c)
+    for t in range(steps):
+        z = proj[rows[:, t]] + h @ u
+        z = np.tanh(z * scale) * scale + offset
+        i, f, g, o = np.split(z, 4, axis=1)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h
+
+
+# (V, T, d, H): the paper's widths, and gradcheck's miniature ones
+LOOP_SHAPES = {"paper": (300, 50, 100, 150), "mini": (50, 6, 8, 8)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
+@pytest.mark.parametrize("lead", ["none", "pad", "staggered"])
+def test_inference_gives_the_bits_of_a_plain_per_step_loop(dtype, shape,
+                                                           lead):
+    # one row with no PAD prefix or with one, or four rows whose prefixes
+    # grow the step window, one of them PAD to the end, out of sort order
+    vocab, steps, d, hid = LOOP_SHAPES[shape]
+    leads = {"none": [0], "pad": [steps // 3],
+             "staggered": [steps // 2, steps, 0, 1]}[lead]
+    rng = np.random.default_rng(9)
+    indices = rng.integers(1, vocab, (len(leads), steps))
+    for row, pad in enumerate(leads):
+        indices[row, :pad] = 0
+    table, w, u, b = (rng.uniform(-0.5, 0.5, s).astype(dtype)
+                      for s in ((vocab, d), (d, 4 * hid), (hid, 4 * hid),
+                                (4 * hid,)))
+    want = _per_step_h_t(indices, table, w, u, b)
+    got = lstm_infer(indices, *(ParamTensor(n, a) for n, a in
+                                zip("EWUb", (table, w, u, b))))
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("leads", [[0], [5], [3, 9, 0, 1]])
+def test_inference_steps_run_on_buffers_at_a_param_boundary(monkeypatch,
+                                                            leads):
+    indices, table, params = _lookup_case(len(leads), 9, 20, 5, 6)
+    for row, pad in enumerate(leads):
+        indices[row, :pad] = 0
+    offsets = set()
+    cell = layers._cell
+
+    def recording(z, gates, *arrays):
+        offsets.update(a.ctypes.data % layers.PARAM_ALIGN
+                       for a in (z, gates[0], *arrays[:5]))
+        return cell(z, gates, *arrays)
+
+    monkeypatch.setattr(layers, "_cell", recording)
+    lstm_infer(indices, table, *params)
+    assert offsets == {0}
 
 
 def test_lstm_cache_layout():

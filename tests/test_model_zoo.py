@@ -1002,15 +1002,19 @@ def test_a_loaded_tensor_alone_in_its_arena_starts_on_a_param_boundary(
     # such a tensor adopts its view of the buffer `load` reads into, so
     # only CHECKPOINT_ALIGN and that buffer's alignment give it the
     # PARAM_ALIGN boundary the matrix kernels are faster at; each extra
-    # token moves the data section's start in the file
+    # token moves the data section's start in the file. A built one is
+    # copied there once from wherever init_glorot's array starts.
     assert model_zoo.CHECKPOINT_ALIGN % PARAM_ALIGN == 0
-    model = build("baseline", _vocab(10_000 + extra_tokens), maxlen=6,
-                  seed=1, embed_dim=8, lstm_units=150, dtype=dtype)
-    loaded = load(_saved(tmp_path, model))
-    alone = [p for p in loaded.params if p.arena.count == 1]
-    assert [p.name for p in alone] == ["embedding", "lstm.U"]
-    for p in alone:
-        assert p.value.ctypes.data % PARAM_ALIGN == 0, p.name
+    for seed in (1, 2):
+        model = build("baseline", _vocab(10_000 + extra_tokens), maxlen=6,
+                      seed=seed, embed_dim=100, lstm_units=150, dtype=dtype)
+        for made in (model, load(_saved(tmp_path, model))):
+            alone = [p for p in made.params if p.arena.count == 1]
+            assert [p.name for p in alone] == (
+                ["embedding", "lstm.W", "lstm.U"] if dtype == "float64"
+                else ["embedding", "lstm.U"])
+            for p in alone:
+                assert p.value.ctypes.data % PARAM_ALIGN == 0, (seed, p.name)
 
 
 def test_fit_step_on_a_loaded_float32_model(tmp_path):

@@ -230,6 +230,19 @@ def test_glorot_bound_and_determinism():
     assert np.array_equal(m1, m2)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(3, 5), (100, 600), (20_000, 100)])
+def test_glorot_starts_on_a_param_boundary_with_the_uniform_bits(dtype,
+                                                                 shape):
+    # so that an arena of one adopts a built model's weights uncopied
+    m = init_glorot(shape, Prng(4), dtype)
+    bound = np.sqrt(6.0 / sum(shape))
+    want = Prng(4).uniform(-bound, bound, shape).astype(dtype)
+    assert m.dtype == dtype and m.flags.c_contiguous
+    assert m.ctypes.data % numerics.PARAM_ALIGN == 0
+    assert m.tobytes() == want.tobytes()
+
+
 def test_glorot_sample_mean():
     # uniform(-b, b): mean 0, std b/sqrt(3); sample mean within 3 sigma/sqrt(n)
     n = 10**6
