@@ -479,7 +479,9 @@ def load(path):
     buffer (see the module docstring); refused unless its tensor table is
     exactly the one `save` writes for its config."""
     with open(path, "rb") as f:
-        blob = _aligned((os.fstat(f.fileno()).st_size,), np.uint8)
+        # readinto overwrites every byte that is kept
+        blob = _aligned((os.fstat(f.fileno()).st_size,), np.uint8,
+                        zeroed=False)
         blob = blob[:f.readinto(blob)]
     n = int.from_bytes(blob[:8].tobytes(), "little")
     if 8 + n > blob.size:  # a file under 8 bytes too

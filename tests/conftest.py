@@ -47,6 +47,30 @@ def default_csv_field_limit():
     csv.field_size_limit(before)
 
 
+@pytest.fixture
+def unzeroed_fill(monkeypatch):
+    """Makes `numerics._aligned`, wherever seqveritas calls it, fill each
+    array it is asked for unzeroed with one byte; returns the setter,
+    `set_fill(byte)`, and the list of the shapes asked for unzeroed."""
+    from seqveritas import layers, model_zoo, numerics
+    aligned, unzeroed, fill = numerics._aligned, [], 0
+
+    def filled(shape, dtype, zeroed=True):
+        array = aligned(shape, dtype, zeroed)
+        if not zeroed:
+            unzeroed.append(shape)
+            array.reshape(-1).view(np.uint8).fill(fill)
+        return array
+
+    def set_fill(byte):
+        nonlocal fill
+        fill = byte
+
+    for module in (numerics, layers, model_zoo):
+        monkeypatch.setattr(module, "_aligned", filled)
+    return set_fill, unzeroed
+
+
 def wait_for_child(pid, what, timeout=60):
     """The exit code of the forked child `pid`; kills it and fails the
     test, naming `what` it was doing, if it runs past `timeout` seconds."""

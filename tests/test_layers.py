@@ -13,7 +13,7 @@ from seqveritas.layers import (SCATTER_2D_ELEMENTS, BadRate, BatchNormRunning,
                                embedding_forward, lstm_backward,
                                lstm_forward, lstm_infer)
 from seqveritas.model_zoo import Lstm, ReLU
-from seqveritas.numerics import (BLOCK, Prng, ShapeMismatch,
+from seqveritas.numerics import (BLOCK, Prng, ShapeMismatch, dtanh,
                                  finite_diff_grad, sigmoid)
 
 
@@ -47,9 +47,13 @@ def test_a_standalone_tensor_is_an_arena_of_one_that_adopts_its_array():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("off", [0, 16, 32, 48])
-def test_an_array_off_a_boundary_is_copied_once_onto_one(dtype, off):
+def test_an_array_off_a_boundary_is_copied_once_onto_one(unzeroed_fill,
+                                                         dtype, off):
     # `off` bytes past a boundary, as init_glorot's arrays may start: the
-    # matrix kernels are slower there, so an arena of one copies it
+    # matrix kernels are slower there, so an arena of one copies it, into
+    # an array it does not zero, here filled with 0xFF bytes
+    set_fill, unzeroed = unzeroed_fill
+    set_fill(0xFF)
     skip = off // np.dtype(dtype).itemsize
     array = layers._aligned((skip + 35,), dtype)[skip:].reshape(5, 7)
     array[...] = np.arange(35).reshape(5, 7)
@@ -59,6 +63,7 @@ def test_an_array_off_a_boundary_is_copied_once_onto_one(dtype, off):
     assert np.shares_memory(p.value, array) == (off == 0)
     assert arena.value.ctypes.data % layers.PARAM_ALIGN == 0
     assert arena.value.size == 35 and p.span == slice(0, 35)
+    assert unzeroed == ([] if off == 0 else [(35,)])
     assert np.array_equal(p.value, np.arange(35).reshape(5, 7))
     assert np.shares_memory(p.value, arena.value)
 
@@ -512,12 +517,111 @@ def test_inference_steps_run_on_buffers_at_a_param_boundary(monkeypatch,
 
     def recording(z, gates, *arrays):
         offsets.update(a.ctypes.data % layers.PARAM_ALIGN
-                       for a in (z, gates[0], *arrays[:5]))
+                       for a in (z, gates[0], *arrays))
         return cell(z, gates, *arrays)
 
     monkeypatch.setattr(layers, "_cell", recording)
     lstm_infer(indices, table, *params)
     assert offsets == {0}
+
+
+@pytest.mark.parametrize("case", ["one row", "staggered", "training"])
+def test_no_step_ufunc_takes_a_broadcast_gate_constant(monkeypatch, case):
+    # scale and offset at z's own shape, so that z *= scale and z +=
+    # offset take numpy's same-shape path; `_lookup_case`'s four rows
+    # have 0, 3, 8 and 9 PAD steps, so their window of rows grows
+    shapes = []
+    cell = layers._cell
+
+    def recording(z, gates, *arrays):
+        scale, offset = arrays[-2:]
+        shapes.append((z.shape, scale.shape, offset.shape))
+        return cell(z, gates, *arrays)
+
+    monkeypatch.setattr(layers, "_cell", recording)
+    if case == "training":
+        rng = Prng(3)
+        lstm_forward(rng.uniform(-1, 1, (4, 9, 5)), *_lstm_params(5, 6, rng))
+    else:
+        rows = {"one row": 1, "staggered": 4}[case]
+        indices, table, params = _lookup_case(rows, 9, 20, 5, 6)
+        lstm_infer(indices, table, *params)
+    assert len(shapes) == 9
+    assert all(z == scale == offset for z, scale, offset in shapes)
+    if case == "staggered":
+        assert len({z for z, _, _ in shapes}) > 1
+
+
+def _per_step_training(x, grad_ht, w, u, b):
+    """(h_T, gates, c, h, grad x, dW, dU, db) of a plain loop over every
+    step with the gate math's broadcast expressions: the forward's
+    tanh(z * scale) * scale + offset, and the backward's dc + dh * go *
+    dtanh(tc) and (1 - z) * (z + shift). The products are the kernels':
+    x W + b, h U and dz U^T at each step, and grad x, dW, dU and db over
+    all T*B rows, each gradient added to zeros."""
+    batch, steps, d = x.shape
+    hidden = u.shape[0]
+    scale, offset, shift = layers._gate_constants(hidden, u.dtype)
+    x_rows = x.transpose(1, 0, 2).reshape(-1, d)
+    proj = (x_rows @ w + b).reshape(steps, batch, 4 * hidden)
+    gates = np.empty_like(proj)
+    c = np.zeros((steps + 1, batch, hidden), u.dtype)
+    h = np.zeros_like(c)
+    for t in range(steps):
+        z = proj[t] + h[t] @ u
+        gates[t] = z = np.tanh(z * scale) * scale + offset
+        i, f, g, o = np.split(z, 4, axis=1)
+        c[t + 1] = f * c[t] + i * g
+        h[t + 1] = o * np.tanh(c[t + 1])
+    dz = np.empty_like(gates)
+    dh = grad_ht.astype(u.dtype)
+    dc = np.zeros((batch, hidden), u.dtype)
+    for t in range(steps - 1, -1, -1):
+        z = gates[t].reshape(batch, 4, hidden)
+        gi, gf, gg, go = (z[:, k] for k in range(4))
+        tc = np.tanh(c[t + 1])
+        dc = dc + dh * go * dtanh(tc)
+        slope = (1 - z) * (z + shift.reshape(4, hidden))
+        slope *= np.stack([gg, c[t], gi, tc], axis=1)
+        dz[t] = (slope * np.stack([dc, dc, dc, dh], axis=1)).reshape(batch,
+                                                                     -1)
+        dh = dz[t] @ u.T
+        dc = dc * gf
+    dz_rows = dz.reshape(-1, 4 * hidden)
+    grad_x = (dz_rows @ w.T).reshape(steps, batch, d).transpose(1, 0, 2)
+    return (h[steps], gates, c, h, grad_x, 0.0 + x_rows.T @ dz_rows,
+            0.0 + h[:steps].reshape(-1, hidden).T @ dz_rows,
+            0.0 + dz_rows.sum(axis=0))
+
+
+# (B, T, d, H): the paper's widths, where 64 rows shard at a budget of 2,
+# and gradcheck's miniature ones
+TRAIN_LOOP_SHAPES = {"paper": (64, 6, 100, 150), "mini": (4, 6, 8, 8)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", sorted(TRAIN_LOOP_SHAPES))
+@pytest.mark.parametrize("budget", [1, 2])
+def test_training_gives_the_bits_of_a_plain_per_step_loop(monkeypatch, dtype,
+                                                          shape, budget):
+    batch, steps, d, hid = TRAIN_LOOP_SHAPES[shape]
+    monkeypatch.setattr(layers.blas, "threads", lambda: budget)
+    assert layers._train_cuts(batch, steps, d, hid)[0] == (
+        budget if shape == "paper" else 1)
+    rng = np.random.default_rng(4)
+    x, grad_ht, w, u, b = (rng.uniform(-0.5, 0.5, s).astype(dtype)
+                           for s in ((batch, steps, d), (batch, hid),
+                                     (d, 4 * hid), (hid, 4 * hid),
+                                     (4 * hid,)))
+    want = _per_step_training(x, grad_ht, w, u, b)
+    params = [ParamTensor(n, a) for n, a in zip("WUb", (w, u, b))]
+    h_t, cache = lstm_forward(x, *params)
+    got = (h_t, cache.gates.copy(), cache.c, cache.h,
+           lstm_backward(grad_ht, cache, *params), *(p.grad for p in params))
+    names = ("h_T", "gates", "c", "h", "grad x", "dW", "dU", "db")
+    for name, a, want_a in zip(names, got, want):
+        assert a.dtype == dtype and a.shape == want_a.shape, name
+        assert a.tobytes() == want_a.tobytes(), name
 
 
 def test_lstm_cache_layout():

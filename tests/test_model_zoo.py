@@ -1017,6 +1017,35 @@ def test_a_loaded_tensor_alone_in_its_arena_starts_on_a_param_boundary(
                 assert p.value.ctypes.data % PARAM_ALIGN == 0, (seed, p.name)
 
 
+def _bytes_of(model):
+    """The bytes of every tensor a checkpoint holds and of every arena,
+    the zeros between its tensors included."""
+    return ([array.tobytes() for _, array in model.tensors()]
+            + [arena.value.tobytes() for arena in model.arenas])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("preset", model_zoo.PRESETS)
+def test_every_byte_of_an_unzeroed_build_or_load_is_written(
+        tmp_path, unzeroed_fill, preset, dtype):
+    # the draws, init_glorot's copies and the buffer load reads into are
+    # not zeroed: filled with 0xFF bytes instead of zeros, they must give
+    # the same bits; at embed_dim 16 the embedding is alone in its arena
+    set_fill, unzeroed = unzeroed_fill
+    path = _saved(tmp_path, build(preset, _vocab(5000), maxlen=6, seed=3,
+                                  embed_dim=16, lstm_units=6, dtype=dtype))
+    built, loaded = [], []
+    for byte in (0x00, 0xFF):
+        set_fill(byte)
+        built.append(_bytes_of(build(preset, _vocab(5000), maxlen=6, seed=3,
+                                     embed_dim=16, lstm_units=6,
+                                     dtype=dtype)))
+        before = len(unzeroed)
+        loaded.append(_bytes_of(load(path)))
+        assert len(unzeroed) == before + 1
+    assert built[0] == built[1] and loaded[0] == loaded[1]
+
+
 def test_fit_step_on_a_loaded_float32_model(tmp_path):
     model = build("optimized", _vocab(20), maxlen=6, seed=1, embed_dim=8,
                   lstm_units=8, dtype="float32")

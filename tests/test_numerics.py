@@ -243,6 +243,19 @@ def test_glorot_starts_on_a_param_boundary_with_the_uniform_bits(dtype,
     assert m.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_every_byte_of_an_unzeroed_uniform_is_written(unzeroed_fill, size):
+    # uniform's array is not zeroed: filled with 0xFF bytes instead of
+    # zeros, it must give the same bits
+    set_fill, unzeroed = unzeroed_fill
+    draws = []
+    for byte in (0x00, 0xFF):
+        set_fill(byte)
+        draws.append(Prng(5).uniform(-2.0, 3.0, (size,)).tobytes())
+    assert unzeroed == [(size,)] * 2
+    assert draws[0] == draws[1]
+
+
 def test_glorot_sample_mean():
     # uniform(-b, b): mean 0, std b/sqrt(3); sample mean within 3 sigma/sqrt(n)
     n = 10**6
