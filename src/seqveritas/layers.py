@@ -62,28 +62,32 @@ element, its boolean keep-mask, and its backward rebuilds the scaled
 mask.
 
 Inference (`lstm_infer`) takes the embedding table and the (B, T)
-indices instead of their lookup, and keeps no history. It goes through
-the steps in runs of one span, set once per call: the most steps whose
-B positions' rows of P fit PROJECT_BYTES, and at least one. A large
-enough batch is split into row shards: shard k takes rows k, k +
-shards, ... (see SHARD_MULADDS), and each shard is a whole one-thread
-call, `_lstm_rows`, that sorts its own rows and cuts the call's runs.
-The calling thread runs one shard and the threads of an executor that
-the call starts and joins run the others, side by side (`_side_by_side`,
-the frame training's shards use too); every product runs on the one
-BLAS thread that `blas` sets for the whole process. Each run of a shard
-projects the distinct tokens of its positions once:
+indices instead of their lookup, and keeps no history. It projects the
+distinct tokens of the whole call once, in one run, when their rows of
+P fit PROJECT_BYTES; otherwise it goes through the steps in runs of one
+span, the most steps whose B positions' rows of P fit, and at least
+one, and each run projects its own distinct tokens. A large enough
+batch is split into row shards: shard k takes rows k, k + shards, ...
+(see SHARD_MULADDS). The calling thread runs one shard and the threads
+of executors that the call starts and joins run the others, side by
+side (`_side_by_side`, the frame training's shards use too); every
+product runs on the one BLAS thread that `blas` sets for the whole
+process. For each run the calling thread takes the run's rows of the
+table and allocates one P, the shards compute it side by side in
+blocks of its rows, and then each shard runs the run's steps on its own
+rows (`_lstm_rows`), reading that one P:
 
   P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
                       padded with PAD's row up to the rows that keep the
-                      training GEMM's kernel, so R is at most min(V,
-                      span * n) for a shard of n rows, or those rows,
-                      whichever is more; the shards' P together fit
+                      training GEMM's kernel, so R is the distinct tokens
+                      or those rows, whichever is more; P fits
                       PROJECT_BYTES unless one step's positions pass it
   where   (V,)        each of the run's tokens' row of P; where[run] is
-                      each of its positions' row, the rows sorted as below
+                      each of a shard's positions' row, its rows sorted
+                      as below
 
-and the step buffers, each on a PARAM_ALIGN boundary of one allocation:
+and each shard's step buffers, each on a PARAM_ALIGN boundary of one
+allocation:
 
   c, h        2 x (B, H)  two alternating slots each: c_{t-1} and h_{t-1}
                           in one, c_t and h_t written to the other
@@ -460,13 +464,16 @@ def lstm_forward(x, w, u, b):
                                h=h)
 
 
-# Bytes of projected gates, P, that an inference call holds at once: the
-# call goes through its steps in runs of one span, the most steps whose
-# B positions' rows of P fit these bytes (at least one step), and each
-# run projects its own distinct tokens. Without the bound a batch whose
-# positions are all distinct would hold every step's gates (at paper
-# shapes, B = 256, float64: 246 MB).
-PROJECT_BYTES = 1 << 24
+# Bytes of projected gates, P, that an inference call holds at once: a
+# call whose distinct tokens' rows of P fit these bytes projects them in
+# one run; any other goes through its steps in runs of one span, the
+# most steps whose B positions' rows of P fit (at least one step), and
+# each run projects its own distinct tokens. The `paper` bench's eval
+# batch, 8,008 distinct tokens at H = 150, fits in one run: 38 MB in
+# float64, 19 MB in float32. Without the bound a batch whose positions
+# are all distinct would hold every step's gates (at paper shapes, B =
+# 256, float64: 246 MB).
+PROJECT_BYTES = 1 << 26
 
 
 # Multiply-adds of a recurrent product h_{t-1} U per step (rows x H x 4H)
@@ -573,10 +580,13 @@ def _side_by_side(work, shards):
         return [work(0), *(shard.result() for shard in rest)]
 
 
-def _lstm_rows(indices, table, w, u, b, least, span):
-    """The h_T of the rows of `indices`, (n, T), on the calling thread:
-    `lstm_infer` for those rows alone, in runs of `span` steps, each
-    run's P padded to at least `least` rows.
+def _lstm_rows(indices, u, dtype):
+    """The time loop of one shard of an `lstm_infer` call over the rows of
+    `indices`, (n, T), on the thread that resumes it. A generator: the
+    call sends it each of its runs in turn, (proj, where, stop), and it
+    runs the steps up to `stop`, each taking its gates for token v from
+    row where[v] of the call's P, `proj`. The state carries from one run
+    to the next; the send of the last run returns h_T, (n, H).
 
     When some row starts with PAD, the rows are sorted stably by their
     count of leading PAD steps, and step t covers only the rows that have
@@ -594,10 +604,8 @@ def _lstm_rows(indices, table, w, u, b, least, span):
     when the window of rows changes, and the views of the whole batch
     once; the gather takes `rows[:m]` only when the window leaves rows
     out."""
-    vocab = table.value.shape[0]
     batch, steps = indices.shape
     hidden = u.value.shape[0]
-    dtype = np.result_type(table.value, w.value, u.value, b.value)
     window = [batch] * steps
     order = None
     if batch > 1 and not indices[:, 0].all():  # a row starts with PAD
@@ -639,19 +647,10 @@ def _lstm_rows(indices, table, w, u, b, least, span):
     zm, gates, tanh_m, ig_m, hu_m, scale_m, offset_m, parity = first(taken)
     recur = u.value
     idx = np.ascontiguousarray(indices.T)
-    where = np.empty(vocab, np.intp)
-    for start in range(0, steps, span):
-        run = idx[start:start + span]
-        seen = np.zeros(vocab, bool)
-        seen[run] = True
-        distinct = np.flatnonzero(seen)
-        pick = np.zeros(max(distinct.size, least), np.intp)
-        pick[:distinct.size] = distinct
-        proj = np.empty((pick.size, 4 * hidden), dtype)
-        np.matmul(table.value.take(pick, 0), w.value, out=proj)
-        proj += b.value
-        where[distinct] = np.arange(distinct.size)
-        for t, rows in enumerate(where[run], start):
+    start = 0
+    while start < steps:
+        proj, where, stop = yield
+        for t, rows in enumerate(where[idx[start:stop]], start):
             m = window[t]
             if m > taken:
                 for a in ((c0, h0), (c1, h1))[t % 2]:
@@ -666,11 +665,12 @@ def _lstm_rows(indices, table, w, u, b, least, span):
             zm += hu_m
             _cell(zm, gates, c_prev, c_now, tanh_m, h_now, ig_m, scale_m,
                   offset_m)
-        del proj  # before the next run makes its own
+        del proj  # before the call's next run makes its own
+        start = stop
     h_t = (h0, h1)[steps % 2]
     if taken < batch:  # rows that never started
         h_t[taken:] = h_t[taken - 1]
-    return h_t if order is None else h_t[np.argsort(order)]
+    yield h_t if order is None else h_t[np.argsort(order)]
 
 
 def lstm_infer(indices, table, w, u, b):
@@ -679,28 +679,30 @@ def lstm_infer(indices, table, w, u, b):
     bit, without the (B, T, d) lookup, the history or a cache.
 
     indices: (B, T) ints in [0, V), else IndexOutOfVocab; table: (V, d).
-    The steps go in runs of `span` steps, the most whose B positions'
-    rows of P fit PROJECT_BYTES, and at least one. Each run first
-    projects its distinct tokens once, P = table[distinct] W + b; each of
-    its steps then takes its gates with one `np.take` of P. So P holds
-    at most PROJECT_BYTES (or one step's positions, when they take more),
-    and is padded with index 0 to at least the rows that keep its
+    When the call's distinct tokens' rows of P fit PROJECT_BYTES, the
+    call is one run; otherwise its steps go in runs of `span` steps, the
+    most whose B positions' rows of P fit, and at least one. Each run
+    first projects its distinct tokens once, P = table[distinct] W + b;
+    each of its steps then takes its gates with one `np.take` of P. So P
+    holds at most PROJECT_BYTES (or one step's positions, when they take
+    more), and is padded with index 0 to at least the rows that keep its
     product on the kernel of the training GEMM over all B*T positions
     (`_least_rows`). Rows in their PAD prefix share one trajectory, which
     each step's product runs once (see `_lstm_rows`).
 
     A batch large enough (see `_shards`) is split into row shards: shard
-    k takes rows k, k + shards, ..., and is a whole `_lstm_rows` call of
-    its own, with its own sort and buffers, on the call's span: the
-    shards cut the runs one shard would, and a run's P on a shard of n
-    rows holds at most span * n tokens, so the shards' P together stay
-    within the bound. The calling thread runs shard 0 and threads of the
-    call's own executor the others (`_side_by_side`), each product on the
-    one BLAS thread that `blas` sets for the whole process. A shard's
-    products stay on the whole batch's GEMM kernels, so on a kernel whose
-    rows round alike wherever the rows are cut, as SkylakeX's do at the
-    paper's widths, the bits do not depend on the shard count; at odd H
-    in float64 they do (see SMALL_GEMM_MULADDS).
+    k takes rows k, k + shards, ... The calling thread takes each run's
+    rows of the table and allocates its one P; the shards compute P side
+    by side, each a block of at least `_least_rows` of its rows, and then
+    each runs the run's steps on its own rows, reading the whole P, with
+    its own sort, buffers and state (`_lstm_rows`, made on the shard's
+    thread at the first run). The calling thread runs shard 0 and threads
+    of the call's own executors the others (`_side_by_side`), each
+    product on the one BLAS thread that `blas` sets for the whole
+    process. A shard's products stay on the whole batch's GEMM kernels,
+    so on a kernel whose rows round alike wherever the rows are cut, as
+    SkylakeX's do at the paper's widths, the bits do not depend on the
+    shard count; at odd H in float64 they do (see SMALL_GEMM_MULADDS).
     """
     vocab, d = table.value.shape
     indices = _checked(indices, vocab)
@@ -709,9 +711,43 @@ def lstm_infer(indices, table, w, u, b):
     dtype = np.result_type(table.value, w.value, u.value, b.value)
     least = _least_rows(batch * steps, d * 4 * hidden)
     shards = _shards(batch, hidden)
-    span = max(1, PROJECT_BYTES // (batch * 4 * hidden * dtype.itemsize))
-    parts = _side_by_side(lambda k: _lstm_rows(
-        indices[k::shards], table, w, u, b, least, span), shards)
+    row_bytes = 4 * hidden * dtype.itemsize
+    seen = np.zeros(vocab, bool)
+    seen[indices] = True
+    distinct = np.flatnonzero(seen)
+    span = steps
+    if distinct.size * row_bytes > PROJECT_BYTES:
+        span = max(1, PROJECT_BYTES // (batch * row_bytes))
+    where = np.empty(vocab, np.intp)
+    loops = [None] * shards
+
+    def project(k):
+        part = proj[blocks[k]]
+        np.matmul(x[blocks[k]], w.value, out=part)
+        part += b.value
+
+    def run(k):
+        if loops[k] is None:  # the first run, on the shard's thread
+            loops[k] = _lstm_rows(indices[k::shards], u, dtype)
+            next(loops[k])
+        return loops[k].send((proj, where, stop))
+
+    for start in range(0, steps, span):
+        stop = min(start + span, steps)
+        if span < steps:
+            seen = np.zeros(vocab, bool)
+            seen[indices[:, start:stop]] = True
+            distinct = np.flatnonzero(seen)
+        pick = np.zeros(max(distinct.size, least), np.intp)
+        pick[:distinct.size] = distinct
+        x = table.value.take(pick, 0)
+        proj = np.empty((pick.size, 4 * hidden), dtype)
+        blocks = _cuts(pick.size, min(shards, pick.size // least), least)
+        _side_by_side(project, len(blocks))
+        del x
+        where[distinct] = np.arange(distinct.size)
+        parts = _side_by_side(run, shards)
+        del proj  # before the next run makes its own
     if shards == 1:
         return parts[0]
     h_t = np.empty((batch, hidden), dtype)

@@ -506,23 +506,33 @@ def test_inference_gives_the_bits_of_a_plain_per_step_loop(dtype, shape,
     assert got.tobytes() == want.tobytes()
 
 
+# Rows' PAD prefixes -> the window of rows each of the 9 steps covers: at
+# least 2 of these 4 rows (`_least_rows`), growing as the sorted rows
+# start
+WINDOWS = {(0,): [1] * 9, (5,): [1] * 9,
+           (3, 9, 0, 1): [2, 3, 3, 4, 4, 4, 4, 4, 4]}
+
+
 @pytest.mark.parametrize("leads", [[0], [5], [3, 9, 0, 1]])
 def test_inference_steps_run_on_buffers_at_a_param_boundary(monkeypatch,
                                                             leads):
     indices, table, params = _lookup_case(len(leads), 9, 20, 5, 6)
+    indices = np.maximum(indices, 1)  # no row keeps `_lookup_case`'s prefix
     for row, pad in enumerate(leads):
         indices[row, :pad] = 0
-    offsets = set()
+    offsets, rows = set(), []
     cell = layers._cell
 
     def recording(z, gates, *arrays):
         offsets.update(a.ctypes.data % layers.PARAM_ALIGN
                        for a in (z, gates[0], *arrays))
+        rows.append(z.shape[0])
         return cell(z, gates, *arrays)
 
     monkeypatch.setattr(layers, "_cell", recording)
     lstm_infer(indices, table, *params)
     assert offsets == {0}
+    assert rows == WINDOWS[tuple(leads)]
 
 
 @pytest.mark.parametrize("case", ["one row", "staggered", "training"])

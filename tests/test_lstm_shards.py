@@ -123,44 +123,51 @@ def test_two_shards_give_the_bits_of_one_at_wide_shapes(threads, rows_seen,
 
 class _Takes(np.ndarray):
     """A table that records, with the calling thread, the rows each
-    `take` picks: `lstm_infer` picks each run's rows of P with one."""
+    `take` picks: `lstm_infer` takes each run's rows of the table with
+    one."""
 
     def take(self, pick, *args):
         self.log.append((threading.current_thread(), np.array(pick)))
         return np.asarray(self).take(pick, *args)
 
 
+# 512 rows of 9 steps, with 0 to 9 PAD steps in turn, over 4,000 tokens:
+# a budget of the batch's distinct tokens' rows of P takes them in one
+# run, though its B * T positions would not fit it; a budget of two
+# steps' positions, fewer rows than the distinct tokens, falls back to
+# runs of two steps. On two shards the one run's P is made in two
+# blocks; the first run of two steps has fewer distinct tokens than
+# `_least_rows`, so its P is padded and made in one block
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_one_and_two_shards_project_the_same_runs(monkeypatch, threads,
-                                                  dtype):
-    # a vocabulary near one run's positions on a shard, and a span of two
-    # steps: runs [0, 2), [2, 4) and [4, 5) on either shard count
-    steps, vocab, span = 5, 600, 2
-    monkeypatch.setattr(layers, "PROJECT_BYTES", span * BATCH * 4 * HIDDEN
-                        * np.dtype(dtype).itemsize)
+def test_a_call_takes_each_runs_distinct_tokens_once(monkeypatch, threads,
+                                                     dtype):
+    steps, vocab = 9, 4000
     indices, params = _case(dtype, steps=steps)
     rng = np.random.default_rng(7)
     indices[indices != 0] = rng.integers(1, vocab, (indices != 0).sum())
     table = params[0]
-    table.value = rng.uniform(-0.5, 0.5, (vocab, D)).astype(dtype).view(
-        _Takes)
-    out = []
-    for shards in (1, 2):
-        table.value.log = []
-        threads(shards)
-        out.append(lstm_infer(indices, *params))
-        for k in range(shards):
-            rows = indices[k::shards]
-            picks = [pick for on, pick in table.value.log
-                     if (on is threading.current_thread()) == (k == 0)]
-            runs = [np.unique(rows[:, t:t + span])
-                    for t in range(0, steps, span)]
-            assert len(picks) == len(runs) == 3
-            for pick, tokens in zip(picks, runs):
-                assert tokens.size <= span * len(rows)
+    table.value = rng.uniform(-0.5, 0.5, (vocab, D)).astype(dtype)
+    trained, _ = lstm_forward(embedding_forward(indices, table), *params[1:])
+    table.value = table.value.view(_Takes)
+    whole = np.unique(indices)
+    assert 2 * BATCH < whole.size < BATCH * steps
+    by_two = [np.unique(indices[:, t:t + 2]) for t in range(0, steps, 2)]
+    least = layers._least_rows(BATCH * steps, D * 4 * HIDDEN)
+    assert by_two[0].size < least < max(tokens.size for tokens in by_two)
+    for rows, runs in ((whole.size, [whole]), (2 * BATCH, by_two)):
+        monkeypatch.setattr(layers, "PROJECT_BYTES",
+                            rows * 4 * HIDDEN * np.dtype(dtype).itemsize)
+        for shards in (1, 2):
+            table.value.log = []
+            threads(shards)
+            got = lstm_infer(indices, *params)
+            assert got.tobytes() == trained.tobytes()
+            assert [on for on, _ in table.value.log] == [
+                threading.current_thread()] * len(runs)
+            for (_, pick), tokens in zip(table.value.log, runs):
+                assert pick.size == max(tokens.size, least)
                 assert np.array_equal(pick[:tokens.size], tokens)
                 assert not pick[tokens.size:].any()
-    assert out[1].tobytes() == out[0].tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -391,12 +398,13 @@ def _bench_eval_batch():
     return syn.sequences(256, 20_000, 200)[0]
 
 
-def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads, dtype):
     indices = _bench_eval_batch()
     batch, steps = indices.shape
     vocab, d, hidden = 20_000, 100, 150
     rng = np.random.default_rng(3)
-    params = [ParamTensor(name, rng.uniform(-0.1, 0.1, shape))
+    params = [ParamTensor(name, rng.uniform(-0.1, 0.1, shape).astype(dtype))
               for name, shape in (("E", (vocab, d)), ("W", (d, 4 * hidden)),
                                   ("U", (hidden, 4 * hidden)),
                                   ("b", (4 * hidden,)))]
@@ -407,11 +415,13 @@ def test_a_paper_shape_eval_holds_less_than_the_lookup_did(threads):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # what inference held before it took the table: the (B, T, d) lookup,
-    # and two shards' buffers: 13 steps of gates (4H) and of time-major x
-    # (d), c and h in two slots, tanh(c), i * g and h U, for 128 rows each
-    lookup = batch * steps * d * 8
-    shards = batch * (13 * (4 * hidden + d) + 6 * hidden + 4 * hidden) * 8
+    # what float64 inference held before it took the table: the (B, T, d)
+    # lookup, and two shards' buffers: 13 steps of gates (4H) and of
+    # time-major x (d), c and h in two slots, tanh(c), i * g and h U, for
+    # 128 rows each; float32 is held to the same at its itemsize
+    item = np.dtype(dtype).itemsize
+    lookup = batch * steps * d * item
+    shards = batch * (13 * (4 * hidden + d) + 6 * hidden + 4 * hidden) * item
     assert peak < lookup + shards
 
 
