@@ -42,12 +42,13 @@ time-major buffers, indexed by step first:
                       respect to the pre-activation gates
   c, h    (T+1, B, H) c_0 .. c_T and h_0 .. h_T (c_0 = h_0 = 0)
 
-A training batch large enough (see SHARD_MULADDS) runs on row shards
-(`_train_cuts`): shard k takes a contiguous block of batch rows, which
-at every step is a contiguous block of gates[t], c[t] and h[t], and runs
-both time loops on it; the T*B-row products x W and dz W^T take one span
-of steps per shard, and dW and dU are split by output rows. Workers
-allocate only (rows, .) scratch.
+An LSTM call whose batch is large enough (see SHARD_MULADDS), training
+or inference, runs on row shards that one plan cuts (`_lstm_cuts`):
+shard k takes a contiguous block of batch rows. In training that block
+is at every step a contiguous block of gates[t], c[t] and h[t], and the
+shard runs both time loops on it; the T*B-row products x W and dz W^T
+take one span of steps per shard, and dW and dU are split by output
+rows. Workers allocate only (rows, .) scratch.
 
 tanh(c_t) is not kept: the forward writes it into one (B, H) scratch
 row, and the backward recomputes it there from the same c row with the
@@ -63,19 +64,18 @@ mask.
 
 Inference (`lstm_infer`) takes the embedding table and the (B, T)
 indices instead of their lookup, and keeps no history. It projects the
-distinct tokens of the whole call once, in one run, when their rows of
-P fit PROJECT_BYTES; otherwise it goes through the steps in runs of one
-span, the most steps whose B positions' rows of P fit, and at least
-one, and each run projects its own distinct tokens. A large enough
-batch is split into row shards: shard k takes rows k, k + shards, ...
-(see SHARD_MULADDS). The calling thread runs one shard and the threads
-of executors that the call starts and joins run the others, side by
-side (`_side_by_side`, the frame training's shards use too); every
-product runs on the one BLAS thread that `blas` sets for the whole
-process. For each run the calling thread takes the run's rows of the
-table and allocates one P, the shards compute it side by side in
-blocks of its rows, and then each shard runs the run's steps on its own
-rows (`_lstm_rows`), reading that one P:
+distinct tokens of the whole call once, in one run, when their rows of P
+fit PROJECT_BYTES; otherwise it goes through the steps in runs of one
+span, the most steps whose B positions' rows of P fit, and at least one,
+and each run projects its own distinct tokens. A large enough batch runs
+on training's contiguous row shards, and h_T joins theirs in order. The
+calling thread runs one shard and the threads of executors that the call
+starts and joins run the others, side by side (`_side_by_side`, the
+frame training's shards use too); every product runs on the one BLAS
+thread that `blas` sets for the whole process. For each run the calling
+thread takes the run's rows of the table and allocates one P, the shards
+compute it side by side in blocks of its rows, and then each shard runs
+the run's steps on its own rows (`_lstm_rows`), reading that one P:
 
   P       (R, 4H)     table[distinct] W + b for the run's distinct tokens,
                       padded with PAD's row up to the rows that keep the
@@ -416,7 +416,7 @@ def lstm_forward(x, w, u, b):
     one GEMM projects every step from a time-major copy of x (d wide, not
     4H), and each step applies all four activations with one tanh.
 
-    A batch large enough (see `_train_cuts`) runs on row shards, side by
+    A batch large enough (see `_lstm_cuts`) runs on row shards, side by
     side (`_side_by_side`): the input GEMM over each shard's span of
     steps, rows of its T*B product, then each shard's time loop on its
     own contiguous block of batch rows of the caller's buffers. Every
@@ -443,7 +443,7 @@ def lstm_forward(x, w, u, b):
     # the leading axes of whichever of W, U and b hold a stack
     stack = w.value.shape[:-2] or u.value.shape[:-2] or b.value.shape[:-2]
     dtype = np.result_type(x, w.value, u.value, b.value)
-    shards, blocks, spans = _train_cuts(batch, steps, d, hidden, stack)
+    shards, blocks, spans = _lstm_cuts(batch, steps, d, hidden, stack)
     gates = np.empty((*stack, steps, batch, 4 * hidden), dtype)
     x_tm = np.empty((steps, batch, d), x.dtype)
     c = np.zeros((steps + 1, *stack, batch, hidden), dtype)
@@ -476,23 +476,12 @@ def lstm_forward(x, w, u, b):
 PROJECT_BYTES = 1 << 26
 
 
-# Multiply-adds of a recurrent product h_{t-1} U per step (rows x H x 4H)
-# at or above which an LSTM call splits its batch rows into shards, one per
-# BLAS thread of the budget (`blas.threads`): an inference call when each
-# shard's product reaches it, a training call when the whole batch's does.
-# A step's elementwise gate math (2/3 of an f64 paper-shape pass) is numpy
-# on the calling thread, which shards run side by side. Measured against
-# the whole batch on one BLAS thread (2-core Xeon). Inference at paper
-# shapes (T = 200, d = 100, H = 150): two shards were still slower at 32
-# rows (f64 67.9 against 51.6 ms, f32 38.2 against 23.7) and at 64 (f64
-# 123.6 against 117.3, f32 53.9 against 43.6); they won at B = 256.
-# Training forward plus backward, T = 50, 15 alternating calls: at B = 64,
-# H = 150 (5.8 M) two shards won 15 of 15 in f32; at B = 24 (2.2 M) they
-# won 3 of 15 in f32 and 11 in f64; at B = 64, H = 64 (1.0 M) 10 and 5;
-# below that none. At paper shapes (medians of 11, two runs) training on
-# two shards took 160-186 ms (f64) and 80-82 ms (f32), against 267-278 and
-# 112-117 on one. At H = 150 the bound is 47 rows: per shard for
-# inference, per batch for training.
+# Multiply-adds of the whole batch's recurrent product h_{t-1} U per step
+# (B x H x 4H) at or above which an LSTM call, training or inference,
+# splits its batch rows into contiguous shards, up to one per thread of the
+# budget (`blas.threads`; see `_lstm_cuts`): 47 rows at H = 150. A step's
+# elementwise gate math is numpy on the calling thread, which shards run
+# side by side. CHANGES.md holds the timings on either side of the bound.
 SHARD_MULADDS = 1 << 22
 # Multiply-adds at or below which OpenBLAS takes its small-matrix GEMM
 # kernel, whose bits can differ from its large one's: rows of an (M, 16)
@@ -523,25 +512,16 @@ def _least_rows(total, per_row):
     return min(total, max(2, SMALL_GEMM_MULADDS // per_row + 1))
 
 
-def _shards(batch, hidden):
-    """How many row shards an inference call runs on: up to one per BLAS
-    thread, each with a recurrent product of at least SHARD_MULADDS
-    multiply-adds per step."""
-    rows = -(-SHARD_MULADDS // (hidden * 4 * hidden))
-    if batch < 2 * rows:
-        return 1
-    return min(blas.threads(), batch // rows)
-
-
-def _train_cuts(batch, steps, d, hidden, stack=()):
-    """(shards, blocks, spans) of a training LSTM call. It runs on up to
-    one shard per BLAS thread when the whole batch's recurrent product
-    does at least SHARD_MULADDS multiply-adds a step, and on one for a
-    `stack`. Shard k runs the time loops on batch rows blocks[k], at
-    least the rows that keep the recurrent product on the whole batch's
-    kernel (`_least_rows`), and the T*B-row products x W and dz W^T, d *
-    4H multiply-adds a row each, on steps spans[k], at least the steps
-    that keep them on the whole product's kernel."""
+def _lstm_cuts(batch, steps, d, hidden, stack=()):
+    """(shards, blocks, spans) of an LSTM call, training or inference. It
+    runs on up to one shard per BLAS thread when the whole batch's
+    recurrent product does at least SHARD_MULADDS multiply-adds a step,
+    and on one for a `stack`. Shard k runs the time loops on batch rows
+    blocks[k], a contiguous block of at least the rows that keep the
+    recurrent product on the whole batch's kernel (`_least_rows`). A
+    training call's T*B-row products x W and dz W^T, d * 4H multiply-adds
+    a row each, run on steps spans[k], at least the steps that keep them
+    on the whole product's kernel; inference has no such products."""
     per_row = hidden * 4 * hidden
     if stack or batch * per_row < SHARD_MULADDS:
         return 1, [slice(0, batch)], [slice(0, steps)]
@@ -690,19 +670,20 @@ def lstm_infer(indices, table, w, u, b):
     (`_least_rows`). Rows in their PAD prefix share one trajectory, which
     each step's product runs once (see `_lstm_rows`).
 
-    A batch large enough (see `_shards`) is split into row shards: shard
-    k takes rows k, k + shards, ... The calling thread takes each run's
-    rows of the table and allocates its one P; the shards compute P side
-    by side, each a block of at least `_least_rows` of its rows, and then
-    each runs the run's steps on its own rows, reading the whole P, with
-    its own sort, buffers and state (`_lstm_rows`, made on the shard's
-    thread at the first run). The calling thread runs shard 0 and threads
-    of the call's own executors the others (`_side_by_side`), each
-    product on the one BLAS thread that `blas` sets for the whole
-    process. A shard's products stay on the whole batch's GEMM kernels,
-    so on a kernel whose rows round alike wherever the rows are cut, as
-    SkylakeX's do at the paper's widths, the bits do not depend on the
-    shard count; at odd H in float64 they do (see SMALL_GEMM_MULADDS).
+    A batch large enough runs on the contiguous row shards that training
+    cuts (`_lstm_cuts`), and h_T joins theirs in order. The calling
+    thread takes each run's rows of the table and allocates its one P;
+    the shards compute P side by side, each a block of at least
+    `_least_rows` of its rows, and then each runs the run's steps on its
+    own rows, reading the whole P, with its own sort, buffers and state
+    (`_lstm_rows`, made on the shard's thread at the first run). The
+    calling thread runs shard 0 and threads of the call's own executors
+    the others (`_side_by_side`), each product on the one BLAS thread
+    that `blas` sets for the whole process. A shard's products stay on
+    the whole batch's GEMM kernels, so on a kernel whose rows round
+    alike wherever the rows are cut, as SkylakeX's do at the paper's
+    widths, the bits do not depend on the shard count; at odd H in
+    float64 they do (see SMALL_GEMM_MULADDS).
     """
     vocab, d = table.value.shape
     indices = _checked(indices, vocab)
@@ -710,7 +691,7 @@ def lstm_infer(indices, table, w, u, b):
     hidden = u.value.shape[0]
     dtype = np.result_type(table.value, w.value, u.value, b.value)
     least = _least_rows(batch * steps, d * 4 * hidden)
-    shards = _shards(batch, hidden)
+    shards, rows, _ = _lstm_cuts(batch, steps, d, hidden)
     row_bytes = 4 * hidden * dtype.itemsize
     seen = np.zeros(vocab, bool)
     seen[indices] = True
@@ -728,7 +709,7 @@ def lstm_infer(indices, table, w, u, b):
 
     def run(k):
         if loops[k] is None:  # the first run, on the shard's thread
-            loops[k] = _lstm_rows(indices[k::shards], u, dtype)
+            loops[k] = _lstm_rows(indices[rows[k]], u, dtype)
             next(loops[k])
         return loops[k].send((proj, where, stop))
 
@@ -748,12 +729,7 @@ def lstm_infer(indices, table, w, u, b):
         where[distinct] = np.arange(distinct.size)
         parts = _side_by_side(run, shards)
         del proj  # before the next run makes its own
-    if shards == 1:
-        return parts[0]
-    h_t = np.empty((batch, hidden), dtype)
-    for k, part in enumerate(parts):
-        h_t[k::shards] = part
-    return h_t
+    return parts[0] if shards == 1 else np.concatenate(parts)
 
 
 def _backward_steps(dz, c, grad_ht, u, rows):
@@ -813,7 +789,7 @@ def lstm_backward(grad_ht, cache, w, u, b):
     forward used. The returned grad x is a transposed view of a
     time-major array. A cache it has spent raises StaleCache.
 
-    A batch large enough (see `_train_cuts`) runs the time loop on the
+    A batch large enough (see `_lstm_cuts`) runs the time loop on the
     forward's row shards, side by side, and then splits the products:
     dW and dU by their output rows (d and H), each part over the whole
     dz, and grad x by the forward's spans of steps, since dz W^T does the
@@ -832,7 +808,7 @@ def lstm_backward(grad_ht, cache, w, u, b):
     dz_rows = dz.reshape(-1, 4 * hidden)
     x_rows = x.transpose(1, 0, 2).reshape(-1, d)
     h_rows = cache.h[:steps].reshape(-1, hidden)
-    shards, blocks, spans = _train_cuts(batch, steps, d, hidden)
+    shards, blocks, spans = _lstm_cuts(batch, steps, d, hidden)
     per_row = steps * batch * 4 * hidden
     w_rows = _cuts(d, shards, _least_rows(d, per_row))
     u_rows = _cuts(hidden, shards, _least_rows(hidden, per_row))

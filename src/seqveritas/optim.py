@@ -6,8 +6,11 @@ clipping and `Model.zero_grads` work once per arena (see
 `layers.Arena`), over its flat arrays, and the bits are those of the
 same expressions per tensor.
 
-The epoch loop owns the model exclusively; the reference mode is
-single-threaded and fully deterministic in (data, config, seed).
+The epoch loop owns the model exclusively and is fully deterministic in
+(data, config, seed). A large enough LSTM batch runs on row shards, on
+threads that each call starts and joins (`layers._lstm_cuts`); where the
+BLAS kernel rounds a row alike wherever the rows are cut, as README says
+of the widths measured, the bits do not depend on the shard count.
 
 Every setting but the learning rate, which each preset fixes, is a module
 constant: Adam's BETA1, BETA2 and ADAM_EPS (the defaults of Kingma & Ba,

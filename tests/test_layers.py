@@ -616,7 +616,7 @@ def test_training_gives_the_bits_of_a_plain_per_step_loop(monkeypatch, dtype,
                                                           shape, budget):
     batch, steps, d, hid = TRAIN_LOOP_SHAPES[shape]
     monkeypatch.setattr(layers.blas, "threads", lambda: budget)
-    assert layers._train_cuts(batch, steps, d, hid)[0] == (
+    assert layers._lstm_cuts(batch, steps, d, hid)[0] == (
         budget if shape == "paper" else 1)
     rng = np.random.default_rng(4)
     x, grad_ht, w, u, b = (rng.uniform(-0.5, 0.5, s).astype(dtype)

@@ -5,9 +5,11 @@ budget that `blas.threads` reports.
 every product runs on the one BLAS thread that importing seqveritas
 sets, and a sharded call must give the bits of the one-shard call. The
 training tests run in fresh interpreters under several
-OPENBLAS_NUM_THREADS, which sets the budget. The inference shapes sit
-just at or above the bound in `layers._shards`: at B = 512, H = 64 each
-of two shards does exactly SHARD_MULADDS multiply-adds per step.
+OPENBLAS_NUM_THREADS, which sets the budget. Training and inference take
+their shards from one plan, `layers._lstm_cuts`: contiguous blocks of
+batch rows, once the whole batch's recurrent product does SHARD_MULADDS
+multiply-adds per step. At H = 64 that is 256 rows, and B = 512 splits
+into two shards of 256.
 """
 
 import concurrent.futures
@@ -103,7 +105,8 @@ def test_two_shards_give_the_bits_of_one(monkeypatch, threads, rows_seen,
 # Widths past those where OpenBLAS's threaded drivers sum K in other
 # blocks than its one-thread driver: at one BLAS thread the inference
 # shards still give the one-shard bits and the training bits. 100 rows
-# make two shards at H = 150 (47 rows each at least) and at H = 300 (12)
+# make two shards of 50 at H = 150 (where the bound is 47 rows) and at
+# H = 300 (12)
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("d, hidden", [(257, 150), (300, 150), (449, 150),
                                        (100, 300), (300, 300)])
@@ -117,6 +120,43 @@ def test_two_shards_give_the_bits_of_one_at_wide_shapes(threads, rows_seen,
     threads(2)
     two = lstm_infer(indices, *params)
     assert rows_seen == [100, 50, 50]
+    assert two.tobytes() == one.tobytes()
+    assert trained.tobytes() == one.tobytes()
+
+
+# At the paper's widths, batches from the bound (47 rows at H = 150) to
+# two bounds less a row: inference cuts them into the two contiguous row
+# blocks that training does, and gives the one-shard bits and the
+# training bits. 20 steps give the rows 0 to 20 leading PAD steps
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [47, 64, 93])
+def test_inference_shards_are_trainings_contiguous_blocks(
+        monkeypatch, threads, rows_seen, dtype, batch):
+    steps, d, hidden = 20, 100, 150
+    indices, params = _case(dtype, batch=batch, steps=steps, d=d,
+                            hidden=hidden)
+    threads(1)
+    one = lstm_infer(indices, *params)
+    trained, _ = lstm_forward(embedding_forward(indices, params[0]),
+                              *params[1:])
+    taken = []
+    counted = layers._lstm_rows
+
+    def recorded(rows, *args):
+        taken.append(rows)
+        return counted(rows, *args)
+
+    monkeypatch.setattr(layers, "_lstm_rows", recorded)
+    threads(2)
+    two = lstm_infer(indices, *params)
+    half = batch // 2
+    blocks = [slice(0, half), slice(half, batch)]
+    assert layers._lstm_cuts(batch, steps, d, hidden)[1] == blocks
+    # the shards' threads make their loops in either order
+    assert rows_seen[0] == batch
+    assert sorted(rows_seen[1:]) == [half, batch - half]
+    assert sorted(rows.tobytes() for rows in taken) == sorted(
+        indices[block].tobytes() for block in blocks)
     assert two.tobytes() == one.tobytes()
     assert trained.tobytes() == one.tobytes()
 
@@ -235,15 +275,15 @@ def test_below_the_bound_no_pool_is_made(monkeypatch, threads, rows_seen):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     alive = set(threading.enumerate())
     threads(2)
-    # half the batch: two shards would each fall below SHARD_MULADDS
-    indices, params = _case(np.float64, batch=BATCH // 2)
-    lstm_infer(indices, *params)
-    # a training batch whose recurrent product is below SHARD_MULADDS
+    # an inference and a training batch whose recurrent product is below
+    # SHARD_MULADDS: 255 rows at H = 64
     rows = -(-layers.SHARD_MULADDS // (4 * HIDDEN * HIDDEN)) - 1
-    x = embedding_forward(indices[:rows], params[0])
+    indices, params = _case(np.float64, batch=rows)
+    lstm_infer(indices, *params)
+    x = embedding_forward(indices, params[0])
     lstm_backward(np.ones((rows, HIDDEN)), lstm_forward(x, *params[1:])[1],
                   *params[1:])
-    assert rows_seen == [BATCH // 2]
+    assert rows_seen == [rows]
     assert set(threading.enumerate()) == alive
 
 
@@ -329,8 +369,8 @@ def test_a_forked_child_shards_with_a_pool_of_its_own(threads):
 # - B = 5 and 13 at H = 150: recurrent products just below and just above
 #   SMALL_GEMM_MULADDS (12 rows), one shard; with every row in its PAD
 #   prefix at first, the shared rows run alone
-# - B = 100 at H = 150 and d = 100 or 300: two shards of at least 47 rows
-#   at 2 threads
+# - B = 100 at H = 150 and d = 100 or 300: two shards of 50 rows at 2
+#   threads
 # - gradcheck's miniature shapes, and its eval batch, once with no PAD
 # Each case runs at PROJECT_BYTES, which takes every step in one run, and
 # at 1 KB, whose span is one step (two at B = 4, H = 8 in float32).
@@ -362,7 +402,7 @@ for dtype, budget in [(t, b) for t in (np.float64, np.float32)
         want, _ = lstm_forward(embedding_forward(indices, params[0]),
                                *params[1:])
         got = lstm_infer(indices, *params)
-        sharded += layers._shards(batch, hidden) > 1
+        sharded += layers._lstm_cuts(batch, steps, d, hidden)[0] > 1
         if got.dtype != dtype or got.tobytes() != want.tobytes():
             wrong.append((np.dtype(dtype).name, budget, batch, steps, d,
                           hidden, pads))
@@ -583,7 +623,7 @@ def test_training_shards_give_the_one_shard_bits_at_odd_hidden(threads):
     out = []
     for shards in (1, 2):
         threads(shards)
-        assert layers._train_cuts(64, 9, 20, hidden)[0] == shards
+        assert layers._lstm_cuts(64, 9, 20, hidden)[0] == shards
         ps = [ParamTensor(k, v.copy()) for k, v in zip("WUb", weights)]
         h_t, cache = lstm_forward(x, *ps)
         grad_x = lstm_backward(grad_ht, cache, *ps)
